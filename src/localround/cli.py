@@ -1,17 +1,20 @@
 """Command-line surface: graph generation, algorithm runs, benchmarks.
 
-Exit codes: 0 success, 2 a checked guarantee failed, 3 usage error,
-4 an oracle refused its budget.  Run reports are JSON (schema "v1") and
-byte-identical for identical config and master seed.
+Exit codes: 0 success, 2 a checked guarantee failed or a retry budget ran
+out (the report names which), 3 usage error, 4 an oracle refused its
+budget.  Run reports are JSON (schema "v1") and byte-identical for
+identical config and master seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
+import secrets
 import sys
 import time
 
@@ -116,9 +119,14 @@ def parse_gen_spec(spec: str) -> Graph:
                 raise UsageError(f"bad generator parameter {item!r}")
             params[key] = float(value)
     seed = int(params.pop("seed", 0))
+    # spec keys are the generator's parameter names
+    accepted = inspect.signature(generators.KINDS[kind]).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise UsageError(f"generator {kind} takes no parameter {', '.join(unknown)}")
     try:
         if kind == "gnp":
-            return generators.gnp(int(params.pop("n")), params.pop("p"), seed, **params)
+            return generators.gnp(int(params.pop("n")), params.pop("p"), seed)
         if kind == "grid":
             return generators.grid(int(params.pop("rows")), int(params.pop("cols")))
         if kind == "regular":
@@ -194,10 +202,20 @@ def _run_algorithm(g: Graph, args: argparse.Namespace) -> dict:
 
 
 def _atomic_write(path: str, payload: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    """Write via a fresh temp file next to `path`, then rename it into place.
+
+    The temp name is unique per call, so concurrent writers never share it;
+    mode 0o666 under the umask matches what a plain open() would create.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit_report(args: argparse.Namespace, source: dict, body: dict, failed: str | None) -> None:
@@ -227,6 +245,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         body = _run_algorithm(g, args)
     except ClaimViolation as exc:
         _emit_report(args, source, {"error": str(exc)}, exc.claim)
+        return 2
+    except RetryBudgetExceeded as exc:
+        _emit_report(args, source, {"error": str(exc)}, "retry-budget")
         return 2
     _emit_report(args, source, body, None)
     return 0

@@ -82,9 +82,6 @@ class Partition:
     def centers(self) -> tuple[int, ...]:
         return tuple(sorted(self.clusters))
 
-    def cluster_of(self, u: int) -> int:
-        return self.assignment[u]
-
     def restrict(self, keep: Iterable[int]) -> "Partition":
         """Drop all nodes outside `keep`; empty clusters disappear.
 

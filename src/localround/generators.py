@@ -72,8 +72,8 @@ def tree(n: int, seed: int = 0) -> Graph:
     return Graph(nodes=range(n), edges=((rng.randrange(v), v) for v in range(1, n)))
 
 
-def regular(n: int, d: int, seed: int = 0, switches: int | None = None) -> Graph:
-    """Random d-regular graph: circulant start, then seeded edge switches.
+def regular(n: int, d: int, seed: int = 0) -> Graph:
+    """Random d-regular graph: circulant start, then 10*n*d seeded edge switches.
 
     Each switch replaces two disjoint edges {a,b},{c,d} by {a,c},{b,d}
     when that keeps the graph simple, preserving all degrees; the result
@@ -94,7 +94,7 @@ def regular(n: int, d: int, seed: int = 0, switches: int | None = None) -> Graph
     rng = random.Random(seed)
     edges = sorted(edge_set)
     index = {e: i for i, e in enumerate(edges)}
-    for _ in range(switches if switches is not None else 10 * n * d):
+    for _ in range(10 * n * d):
         e1 = edges[rng.randrange(len(edges))]
         e2 = edges[rng.randrange(len(edges))]
         a, b = e1

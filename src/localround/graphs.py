@@ -19,11 +19,6 @@ MAX_ID_BITS = 63
 Edge = tuple[int, int]
 
 
-def edge_key(u: int, v: int) -> Edge:
-    """Canonical (low, high) form of an undirected edge."""
-    return (u, v) if u <= v else (v, u)
-
-
 class Graph:
     """Undirected simple graph, immutable after construction."""
 

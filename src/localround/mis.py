@@ -16,11 +16,12 @@ edges, checked exactly, so the loop ends within O(log m) iterations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .clustering import Partition, base_capacity_exponent, cluster_all
+from .clustering import Partition, base_capacity_exponent, cluster_all, cluster_degree
 from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, leq
 from .graphs import Graph, Orientation, induced_subgraph, orient, square_graph
 from .ledger import RoundLedger
@@ -104,12 +105,7 @@ def intra_round_mis(
     log_n = math.log2(max(2, n))
     deg_cutoff = 1000.0 * bound * log_n
     floor_value = 1.0 / (10000.0 * bound * log_n)
-    max_cluster_deg = 0
-    for u in h.nodes:
-        seen = {partition.assignment[u]}
-        for w in h.neighbors(u):
-            seen.add(partition.assignment[w])
-        max_cluster_deg = max(max_cluster_deg, len(seen))
+    max_cluster_deg = max((cluster_degree(h, partition, u) for u in h.nodes), default=0)
     if bound < max_cluster_deg:
         raise PreconditionError(
             f"bound {bound} below the measured cluster degree {max_cluster_deg}"
@@ -230,6 +226,46 @@ def build_mis_instance(
     return inst
 
 
+def _keep_marked(
+    h: Graph, orientation: Orientation, marked: set[int]
+) -> tuple[frozenset[int], frozenset[int], int]:
+    """Marked nodes with no marked out-neighbor, the nodes they remove
+    (themselves and their neighbors), and the number of removed edges."""
+    added = frozenset(
+        u for u in marked if not any(w in marked for w in orientation.out_neighbors(u))
+    )
+    removed = set(added)
+    for u in added:
+        removed.update(h.neighbors(u))
+    edges_removed = sum(
+        1 for u in removed for w in h.neighbors(u) if w not in removed or u < w
+    )
+    return added, frozenset(removed), edges_removed
+
+
+def _peel(g: Graph, step: Callable[[Graph], tuple]) -> tuple[set[int], list[float]]:
+    """Mark-and-keep loop shared by both MIS algorithms.
+
+    Isolated nodes join the output.  `step(current)` returns the nodes it
+    adds, the nodes it removes and the removed-edge count; the survivors
+    minus the nodes left isolated form the next graph.  Returns the chosen
+    nodes and the removed-edge fraction of every iteration.
+    """
+    chosen: set[int] = set()
+    fractions: list[float] = []
+    current, removed = g, frozenset()
+    while True:
+        survivors = [u for u in current.nodes if u not in removed]
+        alone = {u for u in survivors if all(w in removed for w in current.neighbors(u))}
+        chosen |= alone
+        current = induced_subgraph(current, (u for u in survivors if u not in alone))
+        if current.m == 0:
+            return chosen, fractions
+        added, removed, edges_removed = step(current)
+        fractions.append(edges_removed / current.m)
+        chosen |= added
+
+
 @dataclass
 class IterationOutcome:
     added: frozenset[int]
@@ -285,17 +321,9 @@ def luby_derandomized_iteration(
         f"rounded estimator {yu - yc} below half of {fu - fc}",
     )
 
-    marked = {u for u in h.nodes if labels[u] == 1}
-    added = frozenset(
-        u
-        for u in sorted(marked)
-        if not any(w in marked for w in orientation.out_neighbors(u))
+    added, removed, edges_removed = _keep_marked(
+        h, orientation, {u for u in h.nodes if labels[u] == 1}
     )
-    removed = set(added)
-    for u in added:
-        removed.update(h.neighbors(u))
-    surviving = sum(1 for a, b in h.edges() if a not in removed and b not in removed)
-    edges_removed = h.m - surviving
     checks.ok(
         "estimator-sound",
         edges_removed + 1e-6 >= yu - yc,
@@ -306,9 +334,7 @@ def luby_derandomized_iteration(
         edges_removed * 24000 >= h.m,
         f"removed {edges_removed} of {h.m} edges",
     )
-    return IterationOutcome(
-        added, frozenset(removed), h.m, edges_removed, coloring.num_colors
-    )
+    return IterationOutcome(added, removed, h.m, edges_removed, coloring.num_colors)
 
 
 @dataclass
@@ -346,44 +372,27 @@ def mis(
         f_override if f_override is not None else partition.meta["degree_bound"]
     )
 
-    chosen: set[int] = set()
-    current = g
-    isolated = [u for u in current.nodes if current.degree(u) == 0]
-    chosen.update(isolated)
-    current = induced_subgraph(current, set(current.nodes) - set(isolated))
-
-    fractions: list[float] = []
     max_iterations = math.ceil(24000 * math.log(g.m + 1)) + 1 if g.m else 0
-    iterations = 0
-    while current.m > 0:
+    iteration = itertools.count(1)
+
+    def step(current: Graph) -> tuple[frozenset[int], frozenset[int], int]:
         outcome = luby_derandomized_iteration(
-            current,
-            partition.restrict(current.nodes),
-            bound,
-            seed,
-            g.n,
-            ledger,
-            retries,
-            checks,
+            current, partition.restrict(current.nodes), bound, seed, g.n,
+            ledger, retries, checks,
         )
-        fractions.append(outcome.edges_removed / outcome.edges_before)
-        chosen.update(outcome.added)
-        keep = set(current.nodes) - set(outcome.removed)
-        current = induced_subgraph(current, keep)
-        isolated = [u for u in current.nodes if current.degree(u) == 0]
-        chosen.update(isolated)
-        current = induced_subgraph(current, set(current.nodes) - set(isolated))
-        iterations += 1
+        k = next(iteration)
         checks.ok(
             "iteration-count",
-            iterations <= max_iterations,
-            f"{iterations} iterations exceed the guaranteed {max_iterations}",
+            k <= max_iterations,
+            f"{k} iterations exceed the guaranteed {max_iterations}",
         )
-    chosen.update(current.nodes)
+        return outcome.added, outcome.removed, outcome.edges_removed
+
+    chosen, fractions = _peel(g, step)
     checks.ok("mis-valid", verify_mis(g, chosen), "output not a maximal independent set")
     return MisResult(
         frozenset(chosen),
-        iterations,
+        len(fractions),
         fractions,
         alpha,
         bound,
@@ -399,47 +408,28 @@ class LubyResult:
     removed_fractions: list[float]
 
 
-def luby_randomized(g: Graph, seed: int, max_stall: int | None = None) -> LubyResult:
+def luby_randomized(g: Graph, seed: int) -> LubyResult:
     """Randomized baseline: mark with probability 1/(10*deg), keep marked
     nodes with no marked out-neighbor."""
     rng = stream(seed, "luby")
-    chosen: set[int] = set()
-    current = g
-    fractions: list[float] = []
-    iterations = 0
-    cap = max_stall if max_stall is not None else 10 * g.n + 1000
-    while True:
-        isolated = [u for u in current.nodes if current.degree(u) == 0]
-        chosen.update(isolated)
-        current = induced_subgraph(current, set(current.nodes) - set(isolated))
-        if current.m == 0:
-            break
-        orientation = orient(current)
+    cap = 10 * g.n + 1000
+    iteration = itertools.count(1)
+
+    def step(current: Graph) -> tuple[frozenset[int], frozenset[int], int]:
         marked = {
             u
             for u in current.nodes
             if rng.random() < 1.0 / (10.0 * current.degree(u))
         }
-        added = [
-            u
-            for u in sorted(marked)
-            if not any(w in marked for w in orientation.out_neighbors(u))
-        ]
-        removed = set(added)
-        for u in added:
-            removed.update(current.neighbors(u))
-        surviving = sum(
-            1 for a, b in current.edges() if a not in removed and b not in removed
-        )
-        fractions.append((current.m - surviving) / current.m)
-        chosen.update(added)
-        current = induced_subgraph(current, set(current.nodes) - removed)
-        iterations += 1
-        if iterations > cap:
-            raise RetryBudgetExceeded(f"no progress after {iterations} iterations")
+        kept = _keep_marked(current, orient(current), marked)
+        if next(iteration) > cap:
+            raise RetryBudgetExceeded(f"no progress after {cap + 1} iterations")
+        return kept
+
+    chosen, fractions = _peel(g, step)
     if not verify_mis(g, chosen):
         raise AssertionError("randomized baseline produced an invalid set")
-    return LubyResult(frozenset(chosen), iterations, fractions)
+    return LubyResult(frozenset(chosen), len(fractions), fractions)
 
 
 def verify_mis(g: Graph, selected: frozenset[int] | set[int]) -> bool:

@@ -1,8 +1,12 @@
+import hashlib
 import json
+import os
 
 import pytest
 
-from localround.cli import main, parse_gen_spec
+import localround.cli
+from localround.cli import UsageError, main, parse_gen_spec
+from localround.errors import RetryBudgetExceeded
 from localround.graphs import load_graph
 
 
@@ -38,6 +42,11 @@ def test_gen_gnp_byte_identical(tmp_path):
 def test_parse_gen_spec_errors():
     with pytest.raises(Exception):
         parse_gen_spec("nope:n=4")
+    for spec in ("gnp:n=10,p=0.1,foo=1", "path:n=5,zzz=1"):
+        with pytest.raises(UsageError, match="takes no parameter"):
+            parse_gen_spec(spec)
+        assert run_cli("run", "--gen", spec, "--algo", "mis") == 3
+    assert parse_gen_spec("path:n=5,seed=2").m == 4  # seed is accepted everywhere
 
 
 def test_run_mis_edgeless(tmp_path):
@@ -142,3 +151,58 @@ def test_missing_file_exits_3(tmp_path):
     assert run_cli(
         "run", "--graph", str(tmp_path / "absent.edges"), "--algo", "mis"
     ) == 3
+
+
+# sha256 of two schema-v1 reports.  Refactors keep reports byte-identical; a
+# change that alters them on purpose updates these and says why in CHANGES.md.
+RECORDED_DIGESTS = {
+    ("mis", "3"): "feeb7e2e60da820be96a4d8e53df9928f7ca81fdeb3b97ecea95320d2ec11d96",
+    ("luby-rand", "5"): "15c0dd4aabe002974b4a4234d9c7c89bbaa4a9a57fb6fb72286295abb193e268",
+}
+
+
+@pytest.mark.parametrize("algo,seed", sorted(RECORDED_DIGESTS))
+def test_run_report_matches_recorded_digest(tmp_path, algo, seed):
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--gen", "gnp:n=80,p=0.06,seed=4", "--algo", algo,
+        "--seed", seed, "--out", str(out),
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS[algo, seed]
+
+
+def test_retry_budget_exit_2_writes_report(tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise RetryBudgetExceeded("cluster 7 failed its windows 200 times")
+
+    monkeypatch.setattr(localround.cli, "mis", exhausted)
+    out = tmp_path / "fail.json"
+    code = run_cli(
+        "run", "--gen", "gnp:n=20,p=0.2,seed=1", "--algo", "mis", "--out", str(out)
+    )
+    assert code == 2
+    report = json.loads(out.read_text())
+    assert report["schema_version"] == "v1"
+    assert report["failed_claim"] == "retry-budget"
+    assert report["result"] == {"error": "cluster 7 failed its windows 200 times"}
+
+
+def test_atomic_write_survives_stale_tmp_dir(tmp_path):
+    out = tmp_path / "r.json"
+    (tmp_path / "r.json.tmp").mkdir()
+    assert run_cli("run", "--gen", "path:n=6", "--algo", "mis", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["result"]["is_size"] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_atomic_write_removes_tmp_on_failure(tmp_path, monkeypatch):
+    def broken_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(localround.cli.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        localround.cli._atomic_write(str(tmp_path / "x.txt"), "payload")
+    assert list(tmp_path.iterdir()) == []
