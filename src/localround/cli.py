@@ -74,6 +74,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--avg-deg", type=float, default=8.0)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
+    bench.add_argument("--budget-retries", type=int, default=DEFAULT_BUDGET.retries)
     return parser
 
 
@@ -107,37 +108,42 @@ class UsageError(ValueError):
 
 
 def parse_gen_spec(spec: str) -> Graph:
-    """Build a graph from "kind:key=value,...".  Seed defaults to 0."""
+    """Build a graph from "kind:key=value,...".  Seed defaults to 0.
+
+    Keys are the generator's parameter names; `seed` is accepted by every
+    kind.  gnp's p is a float, every other value an integer written as one.
+    """
     kind, _, rest = spec.partition(":")
     if kind not in generators.KINDS:
         raise UsageError(f"unknown generator {kind!r}")
-    params: dict[str, float] = {}
+    build = generators.KINDS[kind]
+    accepted = inspect.signature(build).parameters
+    texts: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
             if not value:
                 raise UsageError(f"bad generator parameter {item!r}")
-            params[key] = float(value)
-    seed = int(params.pop("seed", 0))
-    # spec keys are the generator's parameter names
-    accepted = inspect.signature(generators.KINDS[kind]).parameters
-    unknown = sorted(set(params) - set(accepted))
+            texts[key] = value
+    unknown = sorted(set(texts) - set(accepted) - {"seed"})
     if unknown:
         raise UsageError(f"generator {kind} takes no parameter {', '.join(unknown)}")
-    try:
-        if kind == "gnp":
-            return generators.gnp(int(params.pop("n")), params.pop("p"), seed)
-        if kind == "grid":
-            return generators.grid(int(params.pop("rows")), int(params.pop("cols")))
-        if kind == "regular":
-            return generators.regular(int(params.pop("n")), int(params.pop("d")), seed)
-        if kind == "tree":
-            return generators.tree(int(params.pop("n")), seed)
-        if kind == "disjoint-edges":
-            return generators.disjoint_edges(int(params.pop("count")))
-        return generators.KINDS[kind](int(params.pop("n")))
-    except KeyError as exc:
-        raise UsageError(f"generator {kind} missing parameter {exc}") from exc
+    params: dict[str, int | float] = {}
+    for key, value in texts.items():
+        try:
+            params[key] = float(value) if key == "p" else int(value)
+        except ValueError:
+            wanted = "a number" if key == "p" else "an integer"
+            raise UsageError(f"parameter {key} must be {wanted}, got {value!r}") from None
+    if "seed" not in accepted:
+        params.pop("seed", None)
+    missing = [
+        key for key, prm in accepted.items()
+        if prm.default is prm.empty and key not in params
+    ]
+    if missing:
+        raise UsageError(f"generator {kind} missing parameter {', '.join(missing)}")
+    return build(**params)
 
 
 def _load_source(args: argparse.Namespace) -> tuple[Graph, dict]:
@@ -277,7 +283,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 alpha=None,
                 f_override=None,
                 seed=args.seed,
-                budget_retries=200,
+                budget_retries=args.budget_retries,
             )
             start = time.perf_counter()
             body = _run_algorithm(g, ns_args)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, leq
 from .graphs import Graph, bfs_distances, induced_subgraph, two_hop_sets
@@ -129,21 +129,27 @@ def delays_to_partition(
     Node u joins the node v minimizing (delays[v] + d(v, u), id(v)); the
     winning token's whole shortest path lands in the same cluster, so
     clusters are connected with internal radius at most max(delays).
+    When all delays are equal, d(u, u) = 0 decides every node: each is its
+    own center, and no arrival is simulated.
     """
     missing = [u for u in g.nodes if u not in delays]
     if missing:
         raise PreconditionError(f"delays missing for nodes {missing[:5]}")
-    heap = [(int(delays[v]), v, v) for v in g.nodes]
-    heapify(heap)
-    assignment: dict[int, int] = {}
-    while heap:
-        t, c, u = heappop(heap)
-        if u in assignment:
-            continue
-        assignment[u] = c
-        for w in g.neighbors(u):
-            if w not in assignment:
-                heappush(heap, (t + 1, c, w))
+    if len({int(delays[v]) for v in g.nodes}) <= 1:
+        # d(u, u) = 0 is the unique minimum of delays[v] + d(v, u) over v
+        assignment = {u: u for u in g.nodes}
+    else:
+        assignment = {}
+        heap = [(int(delays[v]), v, v) for v in g.nodes]
+        heapify(heap)
+        while heap:
+            t, c, u = heappop(heap)
+            if u in assignment:
+                continue
+            assignment[u] = c
+            for w in g.neighbors(u):
+                if w not in assignment:
+                    heappush(heap, (t + 1, c, w))
     clusters: dict[int, set[int]] = {}
     for u, c in assignment.items():
         clusters.setdefault(c, set()).add(u)
@@ -187,9 +193,7 @@ def _all_nearby_active(
 ) -> tuple[dict[int, frozenset[int]], int]:
     """`nearby_active` for every node at once; also the max radius read."""
     cap = 100 * alpha
-    if not active:
-        return {u: frozenset() for u in g.nodes}, 0
-    if len(active) == g.n and cap >= 2:
+    if active and len(active) == g.n and cap >= 2:
         return two_hop_sets(g), 2
     dist = bfs_distances(g, sorted(active))
     out: dict[int, frozenset[int]] = {}
@@ -205,6 +209,36 @@ def _all_nearby_active(
             v for v in bfs_distances(g, u, limit=radius) if v in active
         )
     return out, max_r
+
+
+def _nearby_bound(g: Graph, active: set[int]) -> int:
+    """Upper bound on |nearby_active(g, u, active, alpha)| over every u.
+
+    With all of V active every node reads radius 2, and a radius-2 ball
+    holds at most 1 + maxdeg**2 nodes.
+    """
+    if len(active) == g.n:
+        return min(g.n, 1 + g.max_degree() ** 2)
+    return len(active)
+
+
+def _scan_radius(g: Graph, active: set[int], alpha: int) -> int:
+    """The max radius `_all_nearby_active` reads, without building any set."""
+    if not active:
+        return 0
+    if len(active) == g.n:
+        return 2
+    return min(max(bfs_distances(g, sorted(active)).values()) + 2, 100 * alpha)
+
+
+def _scan_active(
+    g: Graph, active: set[int], alpha: int, threshold: int
+) -> tuple[dict[int, frozenset[int]] | None, int]:
+    """`_all_nearby_active`, or (None, radius) when `_nearby_bound` is below
+    `threshold`, so that no node's nearby-active set can reach it."""
+    if _nearby_bound(g, active) < threshold:
+        return None, _scan_radius(g, active, alpha)
+    return _all_nearby_active(g, active, alpha)
 
 
 def _empty_partition(alpha: int) -> Partition:
@@ -285,6 +319,11 @@ def cluster_constant(
     nodes so that few weighted nodes drop below the next occupancy
     threshold, at price norm(i, j) per kept node; the price doubles each
     step, which forces the final active set empty.
+
+    A phase whose `_nearby_bound` (|active|, or 1 + maxdeg**2 while all of
+    V is active) is below thresholds[steps-1], the smallest threshold any
+    step tests, has an empty u_side at every step: it builds no
+    nearby-active sets and scans no node, but evaluates every claim.
     """
     if g.n == 0:
         return _empty_partition(alpha)
@@ -319,13 +358,13 @@ def cluster_constant(
     last_index = {v: 0 for v in g.nodes}
     actives = [frozenset(active)]
     for i in range(10 * alpha):
-        s_map, scan_r = _all_nearby_active(g, active, alpha)
+        s_map, scan_r = _scan_active(g, active, alpha, thresholds[steps - 1])
         if ledger is not None and scan_r > 0:
             ledger.charge("active-scan", scan_r, scan_r)
         current = set(active)
         for j in range(steps):
             claim_mass(i, j, len(current))
-            u_side = [
+            u_side = [] if s_map is None else [
                 u for u in g.nodes if len(s_map[u] & current) >= thresholds[j]
             ]
             if u_side:
@@ -388,6 +427,11 @@ def cluster_all(
     nodes that were fine at level j-1 but still lag at level j.  Cell
     counts provably decay geometrically in l, so 4*log2(N) sweeps finish
     every level.
+
+    A phase whose `_nearby_bound` (|active|, or 1 + maxdeg**2 while all of
+    V is active) is below thresholds[0] has no important node, so no cell
+    ever lags: it builds no nearby-active sets and scans no node, but
+    evaluates every claim.
     """
     if g.n == 0:
         return _empty_partition(alpha)
@@ -410,19 +454,22 @@ def cluster_all(
     last_index = {v: 0 for v in g.nodes}
     actives = [frozenset(active)]
     for i in range(10 * alpha):
-        s_map, scan_r = _all_nearby_active(g, active, alpha)
+        s_map, scan_r = _scan_active(g, active, alpha, thresholds[0])
         if ledger is not None and scan_r > 0:
             ledger.charge("active-scan", scan_r, scan_r)
-        important = [u for u in g.nodes if len(s_map[u]) >= thresholds[0]]
+        important = [] if s_map is None else [
+            u for u in g.nodes if len(s_map[u]) >= thresholds[0]
+        ]
         checks.ok(
             "pipeline-active-mass",
             len(active) * 2 ** (i * steps) <= 2 * log_n_cap * n,
             f"phase {i}: level-0 active set too large",
         )
         wave_rounds: dict[int, int] = {}
-        prev_row: list[set[int]] = [set(active) for _ in range(sweeps + 1)]
+        # rows are only read, so one frozen copy can fill every cell
+        prev_row: list[AbstractSet[int]] = [frozenset(active)] * (sweeps + 1)
         for j in range(1, steps + 1):
-            row: list[set[int]] = [set()]
+            row: list[AbstractSet[int]] = [set()]
             checks.ok(
                 "pipeline-bad-count",
                 len(important) * 2**0 <= n * 2**j,

@@ -49,6 +49,16 @@ def test_parse_gen_spec_errors():
     assert parse_gen_spec("path:n=5,seed=2").m == 4  # seed is accepted everywhere
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["path:n=5.7", "gnp:n=30,p=0.1,seed=1.9", "path:n=inf", "path:n=nan", "gnp:n=30,p=abc"],
+)
+def test_parse_gen_spec_rejects_non_integer_values(spec):
+    with pytest.raises(UsageError, match="must be"):
+        parse_gen_spec(spec)
+    assert run_cli("run", "--gen", spec, "--algo", "mis") == 3
+
+
 def test_run_mis_edgeless(tmp_path):
     out = tmp_path / "r.json"
     code = run_cli(
@@ -147,17 +157,28 @@ def test_bench_rows(tmp_path):
     assert len(lines) == 5
 
 
+def test_bench_budget_retries(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run_cli(
+        "bench", "--ns", "40", "--algos", "mis", "--budget-retries", "0",
+        "--out", str(out),
+    ) == 2
+
+
 def test_missing_file_exits_3(tmp_path):
     assert run_cli(
         "run", "--graph", str(tmp_path / "absent.edges"), "--algo", "mis"
     ) == 3
 
 
-# sha256 of two schema-v1 reports.  Refactors keep reports byte-identical; a
+# sha256 of schema-v1 reports.  Refactors keep reports byte-identical; a
 # change that alters them on purpose updates these and says why in CHANGES.md.
 RECORDED_DIGESTS = {
     ("mis", "3"): "feeb7e2e60da820be96a4d8e53df9928f7ca81fdeb3b97ecea95320d2ec11d96",
     ("luby-rand", "5"): "15c0dd4aabe002974b4a4234d9c7c89bbaa4a9a57fb6fb72286295abb193e268",
+    ("matching", "3"): "f7c17e239291ec3b581bc856f23f8d767840482d913d24a146d2236803eecb95",
+    ("cluster-all", "0"): "44a075bf4cd584b4291fc335e3bb1f89fc4944e4b15834a4a5a4f4588b466a49",
+    ("cluster-constant", "0"): "928a06a167fc211cd4dca7772b091a27e9a8f9aab76d28e4296795227d905c40",
 }
 
 

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import localround.clustering as clustering_module
 from localround.clustering import (
     Partition,
     base_capacity_exponent,
@@ -101,6 +104,52 @@ def test_nearby_active_radius_cap():
     assert got == frozenset()
     got = nearby_active(g, 0, {99}, alpha=1)
     assert got == frozenset({99})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 14),
+    st.sampled_from(["none", "all", "some"]),
+    st.integers(1, 2),
+)
+def test_nearby_bound_and_scan_radius(seed, n, which, alpha):
+    # the skip in cluster_all / cluster_constant rests on these two facts;
+    # at reachable sizes nothing else runs the general scan they replace
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.7]))
+    active = {
+        "none": set(),
+        "all": set(g.nodes),
+        "some": {u for u in g.nodes if rng.random() < 0.4},
+    }[which]
+    bound = clustering_module._nearby_bound(g, active)
+    assert all(len(nearby_active(g, u, active, alpha)) <= bound for u in g.nodes)
+    s_map, radius = clustering_module._all_nearby_active(g, active, alpha)
+    assert clustering_module._scan_radius(g, active, alpha) == radius
+    assert s_map == {u: nearby_active(g, u, active, alpha) for u in g.nodes}
+
+
+def test_size_bound_skips_the_nearby_sets(monkeypatch):
+    def refuse(g):
+        raise AssertionError("two_hop_sets built although no node can use it")
+
+    monkeypatch.setattr(clustering_module, "two_hop_sets", refuse)
+    g = gnp(300, 0.02, seed=40)
+    # claim counts recorded before the skip existed
+    assert cluster_all(g, 2).meta["claims"] == {
+        "pipeline-decay": 1,
+        "pipeline-active-mass": 200,
+        "pipeline-bad-count": 13140,
+        "no-active-at-end": 1,
+    }
+    part = cluster_constant(g, 2, {u: 1.0 / g.n for u in g.nodes})
+    assert part.meta["claims"] == {
+        "shrink-decay": 1,
+        "active-mass": 200,
+        "shrink-bad-mass": 180,
+        "no-active-at-end": 1,
+    }
 
 
 def test_mpx_alpha_equals_capacity_is_half_rate():
