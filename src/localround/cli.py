@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     bench.add_argument("--avg-deg", type=float, default=8.0)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
-    bench.add_argument("--budget-retries", type=int, default=DEFAULT_BUDGET.retries)
     return parser
 
 
@@ -283,7 +282,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 alpha=None,
                 f_override=None,
                 seed=args.seed,
-                budget_retries=args.budget_retries,
+                budget_retries=DEFAULT_BUDGET.retries,
             )
             start = time.perf_counter()
             body = _run_algorithm(g, ns_args)

@@ -189,56 +189,35 @@ def nearby_active(g: Graph, u: int, active: Iterable[int], alpha: int) -> frozen
 
 
 def _all_nearby_active(
-    g: Graph, active: set[int], alpha: int
-) -> tuple[dict[int, frozenset[int]], int]:
-    """`nearby_active` for every node at once; also the max radius read."""
+    g: Graph, active: set[int], alpha: int, threshold: int
+) -> tuple[dict[int, frozenset[int]] | None, int]:
+    """`nearby_active` for every node at once; also the max radius read.
+
+    The map is None when no node's set can reach `threshold` (at least 1):
+    every set has at most |active| nodes, and at most 1 + maxdeg**2 while
+    all of V is active, when the radius is 2.
+    """
     cap = 100 * alpha
-    if active and len(active) == g.n and cap >= 2:
+    if not active:
+        return None, 0
+    if len(active) == g.n and cap >= 2:
+        if min(g.n, 1 + g.max_degree() ** 2) < threshold:
+            return None, 2
         return two_hop_sets(g), 2
     dist = bfs_distances(g, sorted(active))
+    max_r = min(max(dist.values()) + 2, cap)
+    if len(active) < threshold:
+        return None, max_r
     out: dict[int, frozenset[int]] = {}
-    max_r = 0
     for u in g.nodes:
         d = dist.get(u)
         if d is None:
             out[u] = frozenset()
             continue
-        radius = min(d + 2, cap)
-        max_r = max(max_r, radius)
         out[u] = frozenset(
-            v for v in bfs_distances(g, u, limit=radius) if v in active
+            v for v in bfs_distances(g, u, limit=min(d + 2, cap)) if v in active
         )
     return out, max_r
-
-
-def _nearby_bound(g: Graph, active: set[int]) -> int:
-    """Upper bound on |nearby_active(g, u, active, alpha)| over every u.
-
-    With all of V active every node reads radius 2, and a radius-2 ball
-    holds at most 1 + maxdeg**2 nodes.
-    """
-    if len(active) == g.n:
-        return min(g.n, 1 + g.max_degree() ** 2)
-    return len(active)
-
-
-def _scan_radius(g: Graph, active: set[int], alpha: int) -> int:
-    """The max radius `_all_nearby_active` reads, without building any set."""
-    if not active:
-        return 0
-    if len(active) == g.n:
-        return 2
-    return min(max(bfs_distances(g, sorted(active)).values()) + 2, 100 * alpha)
-
-
-def _scan_active(
-    g: Graph, active: set[int], alpha: int, threshold: int
-) -> tuple[dict[int, frozenset[int]] | None, int]:
-    """`_all_nearby_active`, or (None, radius) when `_nearby_bound` is below
-    `threshold`, so that no node's nearby-active set can reach it."""
-    if _nearby_bound(g, active) < threshold:
-        return None, _scan_radius(g, active, alpha)
-    return _all_nearby_active(g, active, alpha)
 
 
 def _empty_partition(alpha: int) -> Partition:
@@ -320,8 +299,8 @@ def cluster_constant(
     threshold, at price norm(i, j) per kept node; the price doubles each
     step, which forces the final active set empty.
 
-    A phase whose `_nearby_bound` (|active|, or 1 + maxdeg**2 while all of
-    V is active) is below thresholds[steps-1], the smallest threshold any
+    A phase whose size bound on every nearby-active set (|active|, or
+    1 + maxdeg**2 while all of V is active) is below thresholds[steps-1], the smallest threshold any
     step tests, has an empty u_side at every step: it builds no
     nearby-active sets and scans no node, but evaluates every claim.
     """
@@ -358,7 +337,7 @@ def cluster_constant(
     last_index = {v: 0 for v in g.nodes}
     actives = [frozenset(active)]
     for i in range(10 * alpha):
-        s_map, scan_r = _scan_active(g, active, alpha, thresholds[steps - 1])
+        s_map, scan_r = _all_nearby_active(g, active, alpha, thresholds[steps - 1])
         if ledger is not None and scan_r > 0:
             ledger.charge("active-scan", scan_r, scan_r)
         current = set(active)
@@ -428,8 +407,8 @@ def cluster_all(
     counts provably decay geometrically in l, so 4*log2(N) sweeps finish
     every level.
 
-    A phase whose `_nearby_bound` (|active|, or 1 + maxdeg**2 while all of
-    V is active) is below thresholds[0] has no important node, so no cell
+    A phase whose size bound on every nearby-active set (|active|, or
+    1 + maxdeg**2 while all of V is active) is below thresholds[0] has no important node, so no cell
     ever lags: it builds no nearby-active sets and scans no node, but
     evaluates every claim.
     """
@@ -454,7 +433,7 @@ def cluster_all(
     last_index = {v: 0 for v in g.nodes}
     actives = [frozenset(active)]
     for i in range(10 * alpha):
-        s_map, scan_r = _scan_active(g, active, alpha, thresholds[0])
+        s_map, scan_r = _all_nearby_active(g, active, alpha, thresholds[0])
         if ledger is not None and scan_r > 0:
             ledger.charge("active-scan", scan_r, scan_r)
         important = [] if s_map is None else [

@@ -157,14 +157,6 @@ def test_bench_rows(tmp_path):
     assert len(lines) == 5
 
 
-def test_bench_budget_retries(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run_cli(
-        "bench", "--ns", "40", "--algos", "mis", "--budget-retries", "0",
-        "--out", str(out),
-    ) == 2
-
-
 def test_missing_file_exits_3(tmp_path):
     assert run_cli(
         "run", "--graph", str(tmp_path / "absent.edges"), "--algo", "mis"

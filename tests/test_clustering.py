@@ -106,16 +106,19 @@ def test_nearby_active_radius_cap():
     assert got == frozenset({99})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 10_000),
     st.integers(1, 14),
     st.sampled_from(["none", "all", "some"]),
     st.integers(1, 2),
+    st.integers(1, 16),
 )
-def test_nearby_bound_and_scan_radius(seed, n, which, alpha):
-    # the skip in cluster_all / cluster_constant rests on these two facts;
-    # at reachable sizes nothing else runs the general scan they replace
+def test_all_nearby_active_skips_only_unreachable_thresholds(
+    seed, n, which, alpha, threshold
+):
+    # the skip in cluster_all / cluster_constant rests on the size bound;
+    # at reachable sizes nothing else runs the general scan
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.7]))
     active = {
@@ -123,11 +126,15 @@ def test_nearby_bound_and_scan_radius(seed, n, which, alpha):
         "all": set(g.nodes),
         "some": {u for u in g.nodes if rng.random() < 0.4},
     }[which]
-    bound = clustering_module._nearby_bound(g, active)
-    assert all(len(nearby_active(g, u, active, alpha)) <= bound for u in g.nodes)
-    s_map, radius = clustering_module._all_nearby_active(g, active, alpha)
-    assert clustering_module._scan_radius(g, active, alpha) == radius
-    assert s_map == {u: nearby_active(g, u, active, alpha) for u in g.nodes}
+    want = {u: nearby_active(g, u, active, alpha) for u in g.nodes}
+    s_map, radius = clustering_module._all_nearby_active(g, active, alpha, threshold)
+    if s_map is None:
+        assert all(len(s) < threshold for s in want.values())
+    else:
+        assert s_map == want
+    # the radius is charged whether or not the map is built
+    reach = bfs_distances(g, sorted(active)) if active else {}
+    assert radius == max((min(d + 2, 100 * alpha) for d in reach.values()), default=0)
 
 
 def test_size_bound_skips_the_nearby_sets(monkeypatch):
