@@ -300,9 +300,10 @@ def cluster_constant(
     step, which forces the final active set empty.
 
     A phase whose size bound on every nearby-active set (|active|, or
-    1 + maxdeg**2 while all of V is active) is below thresholds[steps-1], the smallest threshold any
-    step tests, has an empty u_side at every step: it builds no
-    nearby-active sets and scans no node, but evaluates every claim.
+    1 + maxdeg**2 while all of V is active) is below thresholds[steps-1],
+    the smallest threshold any step tests, has an empty u_side at every
+    step: it builds no nearby-active sets and scans no node, but
+    evaluates every claim.
     """
     if g.n == 0:
         return _empty_partition(alpha)
@@ -408,9 +409,9 @@ def cluster_all(
     every level.
 
     A phase whose size bound on every nearby-active set (|active|, or
-    1 + maxdeg**2 while all of V is active) is below thresholds[0] has no important node, so no cell
-    ever lags: it builds no nearby-active sets and scans no node, but
-    evaluates every claim.
+    1 + maxdeg**2 while all of V is active) is below thresholds[0] has no
+    important node, so no cell ever lags: it builds no nearby-active sets
+    and scans no node, but evaluates every claim.
     """
     if g.n == 0:
         return _empty_partition(alpha)
