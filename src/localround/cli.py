@@ -1,7 +1,8 @@
 """Command-line surface: graph generation, algorithm runs, benchmarks.
 
 Exit codes: 0 success, 2 a checked guarantee failed or a retry budget ran
-out (the report names which), 3 usage error, 4 an oracle refused its
+out (the report names which), 3 usage error or, with a report naming
+"precondition", an algorithm refused its input, 4 an oracle refused its
 budget.  Run reports are JSON (schema "v1") and byte-identical for
 identical config and master seed.
 """
@@ -254,6 +255,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except RetryBudgetExceeded as exc:
         _emit_report(args, source, {"error": str(exc)}, "retry-budget")
         return 2
+    except PreconditionError as exc:
+        _emit_report(args, source, {"error": str(exc)}, "precondition")
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     _emit_report(args, source, body, None)
     return 0
 

@@ -411,7 +411,7 @@ def cluster_all(
     A phase whose size bound on every nearby-active set (|active|, or
     1 + maxdeg**2 while all of V is active) is below thresholds[0] has no
     important node, so no cell ever lags: it builds no nearby-active sets
-    and scans no node, but evaluates every claim.
+    and no cells and scans no node, but evaluates every claim.
     """
     if g.n == 0:
         return _empty_partition(alpha)
@@ -445,6 +445,21 @@ def cluster_all(
             len(active) * 2 ** (i * steps) <= 2 * log_n_cap * n,
             f"phase {i}: level-0 active set too large",
         )
+        if not important:
+            # no cell can gain or lag a node: every level's claims hold on
+            # known zeros, and no cell is built
+            for j in range(1, steps + 1):
+                detail = f"phase {i} level {j}: no important node"
+                for ell in range(sweeps + 1):
+                    checks.ok("pipeline-bad-count", 0 * 2**ell <= n * 2**j, detail)
+                checks.ok(
+                    "pipeline-active-mass",
+                    0 * 2 ** (i * steps + j) <= 2 * log_n_cap * n,
+                    detail,
+                )
+            active = set()
+            actives.append(frozenset(active))
+            continue
         wave_rounds: dict[int, int] = {}
         # rows are only read, so one frozen copy can fill every cell
         prev_row: list[AbstractSet[int]] = [frozenset(active)] * (sweeps + 1)

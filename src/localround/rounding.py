@@ -6,19 +6,32 @@ depending only on the labels of its own node(s).  For a fractional
 independent label draws; since every term touches at most two nodes, only
 single marginals and pairwise products ever appear.
 
+Objectives are evaluated as arrays.  Nodes are numbered by their position
+in the conflict graph's id order, and a labeling over L labels becomes an
+n x L probability matrix P (one-hot rows for an integral labeling).  With
+the node tables N (n x L) and the edge tensors W (E x L x L) of an
+instance, each side of the objective is
+
+    const + sum(N * P) + sum over terms e = (u, v) of P[u] . W[e] . P[v].
+
 `round_labels` converts a fractional labeling into an integral one whose
 utility-minus-cost never drops below the fractional value: it walks the
 color classes of a proper coloring of the conflict graph in increasing
 order and fixes each node to the label maximizing the conditional
-expectation of the terms it participates in.  Nodes sharing a color class
-share no term, so their choices are order-independent.
+expectation of the terms it participates in.  A term is a conflict edge,
+so no term joins two nodes of one color class: every member's conditional
+scores read only rows of P outside its class, which fixing the class does
+not change.  One gather of the class's incident terms and one scatter of
+the chosen one-hot rows therefore give exactly what fixing the members one
+after another would.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, REL_TOL, geq
 from .graphs import Graph
@@ -70,6 +83,40 @@ class FractionalAssignment:
         return self.probs.keys()
 
 
+def _stack(tables: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The tables as one (len(tables), *shape) float array; None when some
+    table has the wrong shape or a non-finite entry."""
+    if not tables:
+        return np.zeros((0, *shape))
+    try:
+        arr = np.array(tables, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if arr.shape != (len(tables), *shape) or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _side_tables(
+    terms: dict, rows: Sequence[int], shape: tuple[int, ...], describe: Callable
+) -> list[np.ndarray]:
+    """Utility and cost sides of `terms` as two arrays of `shape`, the k-th
+    term in row rows[k]; None tables and rows without a term stay zero.
+    `describe(key)` names a term whose table is malformed."""
+    keys, pairs = list(terms), list(terms.values())
+    sides = []
+    for side in (0, 1):
+        present = [k for k, pair in enumerate(pairs) if pair[side] is not None]
+        values = _stack([pairs[k][side] for k in present], shape[1:])
+        if values is None:
+            bad = next(k for k in present if _stack([pairs[k][side]], shape[1:]) is None)
+            raise PreconditionError(f"bad {describe(keys[bad])}")
+        table = np.zeros(shape)
+        table[[rows[k] for k in present]] = values
+        sides.append(table)
+    return sides
+
+
 class UtilityCostInstance:
     """Conflict graph plus utility/cost tables for nodes and edges.
 
@@ -77,6 +124,13 @@ class UtilityCostInstance:
     edge_terms maps a canonical (u, v) edge (u < v) to a pair of matrices
     indexed [label_u][label_v].  Either member of a pair may be None for
     an all-zero table.  Constant offsets hold label-independent mass.
+
+    The term dicts are kept as given; construction also builds their array
+    form once.  Node ids map to positions in `conflict_graph.nodes` order;
+    `_nu`/`_nc` are the n x L node utility/cost tables (zero rows for
+    nodes without a term), `_eu`/`_ev` the endpoint positions of the E
+    edge terms in `edge_terms` order, and `_wu`/`_wc` their E x L x L
+    utility/cost tensors.
     """
 
     __slots__ = (
@@ -86,6 +140,12 @@ class UtilityCostInstance:
         "edge_terms",
         "utility_const",
         "cost_const",
+        "_nu",
+        "_nc",
+        "_eu",
+        "_ev",
+        "_wu",
+        "_wc",
     )
 
     def __init__(
@@ -105,50 +165,60 @@ class UtilityCostInstance:
         self.edge_terms = dict(edge_terms or {})
         self.utility_const = float(utility_const)
         self.cost_const = float(cost_const)
-        for node, (urow, crow) in self.node_terms.items():
-            if node not in conflict_graph:
+        index = {v: i for i, v in enumerate(conflict_graph.nodes)}
+        n, nl = len(index), num_labels
+
+        for node in self.node_terms:
+            if node not in index:
                 raise PreconditionError(f"term on unknown node {node}")
-            for row in (urow, crow):
-                if row is None:
-                    continue
-                if len(row) != num_labels or not all(math.isfinite(x) for x in row):
-                    raise PreconditionError(f"bad node table at {node}")
-        for (u, v), (umat, cmat) in self.edge_terms.items():
+        self._nu, self._nc = _side_tables(
+            self.node_terms,
+            [index[node] for node in self.node_terms],
+            (n, nl),
+            lambda node: f"node table at {node}",
+        )
+
+        for u, v in self.edge_terms:
             if not (u < v and conflict_graph.has_edge(u, v)):
                 raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
-            for mat in (umat, cmat):
-                if mat is None:
-                    continue
-                if len(mat) != num_labels or any(
-                    len(r) != num_labels or not all(math.isfinite(x) for x in r)
-                    for r in mat
-                ):
-                    raise PreconditionError(f"bad edge table at ({u},{v})")
+        num_edges = len(self.edge_terms)
+        self._eu = np.fromiter((index[u] for u, _ in self.edge_terms), np.intp, num_edges)
+        self._ev = np.fromiter((index[v] for _, v in self.edge_terms), np.intp, num_edges)
+        self._wu, self._wc = _side_tables(
+            self.edge_terms,
+            range(num_edges),
+            (num_edges, nl, nl),
+            lambda edge: f"edge table at ({edge[0]},{edge[1]})",
+        )
 
     def decision_nodes(self) -> tuple[int, ...]:
         return self.conflict_graph.nodes
 
 
-def _node_value(row: Row | None, probs: Sequence[float]) -> float:
-    if row is None:
-        return 0.0
-    return sum(p * x for p, x in zip(probs, row) if p != 0.0)
-
-
-def _edge_value(mat: Matrix | None, pu: Sequence[float], pv: Sequence[float]) -> float:
-    if mat is None:
-        return 0.0
-    total = 0.0
-    for a, pa in enumerate(pu):
-        if pa == 0.0:
-            continue
-        row = mat[a]
-        total += pa * sum(pb * x for pb, x in zip(pv, row) if pb != 0.0)
-    return total
-
-
-def _one_hot(num_labels: int, label: int) -> tuple[float, ...]:
-    return tuple(1.0 if i == label else 0.0 for i in range(num_labels))
+def _probabilities(
+    inst: UtilityCostInstance, assignment: FractionalAssignment | Mapping[int, int]
+) -> np.ndarray:
+    """The n x L probability matrix of a labeling, rows in node order."""
+    nodes = inst.conflict_graph.nodes
+    n, nl = len(nodes), inst.num_labels
+    try:
+        if isinstance(assignment, FractionalAssignment):
+            rows = [assignment.probs[v] for v in nodes]
+        else:
+            labels = np.fromiter((assignment[v] for v in nodes), np.intp, n)
+    except KeyError as exc:
+        raise PreconditionError(f"assignment misses decision node {exc.args[0]}") from None
+    if isinstance(assignment, FractionalAssignment):
+        try:
+            return np.array(rows, dtype=float).reshape(n, nl)
+        except ValueError:
+            bad = next(v for v, row in zip(nodes, rows) if len(row) != nl)
+            raise PreconditionError(f"probability vector at node {bad} needs {nl} labels") from None
+    if n and (labels.min() < 0 or labels.max() >= nl):
+        raise PreconditionError(f"integral labels must lie in [0, {nl})")
+    probs = np.zeros((n, nl))
+    probs[np.arange(n), labels] = 1.0
+    return probs
 
 
 def evaluate(
@@ -160,23 +230,18 @@ def evaluate(
     Integral labelings are plain node -> label index mappings; they are
     evaluated as the degenerate one-hot distribution.
     """
-    if isinstance(assignment, FractionalAssignment):
-        probs = assignment.probs
-    else:
-        probs = {v: _one_hot(inst.num_labels, lab) for v, lab in assignment.items()}
-    for v in inst.conflict_graph.nodes:
-        if v not in probs:
-            raise PreconditionError(f"assignment misses decision node {v}")
-    utility = inst.utility_const
-    cost = inst.cost_const
-    for node, (urow, crow) in inst.node_terms.items():
-        p = probs[node]
-        utility += _node_value(urow, p)
-        cost += _node_value(crow, p)
-    for (u, v), (umat, cmat) in inst.edge_terms.items():
-        pu, pv = probs[u], probs[v]
-        utility += _edge_value(umat, pu, pv)
-        cost += _edge_value(cmat, pu, pv)
+    probs = _probabilities(inst, assignment)
+    pu, pv = probs[inst._eu], probs[inst._ev]
+    utility = (
+        inst.utility_const
+        + float((inst._nu * probs).sum())
+        + float(np.einsum("ea,eab,eb->", pu, inst._wu, pv))
+    )
+    cost = (
+        inst.cost_const
+        + float((inst._nc * probs).sum())
+        + float(np.einsum("ea,eab,eb->", pu, inst._wc, pv))
+    )
     return utility, cost
 
 
@@ -193,7 +258,22 @@ def greedy_color(g: Graph) -> Coloring:
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
-    return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges())
+    """No edge of g joins two nodes of one color (every edge is read)."""
+    colors = coloring.colors
+    return not any(colors[u] in map(colors.__getitem__, g.neighbors(u)) for u in g.nodes)
+
+
+def _conditional(tensors: np.ndarray, first: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Row a of entry k: sum over b of W_k[a, b] * other[k, b], where W_k is
+    the term's tensor read from its first endpoint's side (transposed for
+    the second endpoint).  The sum runs over b left to right, the order of
+    the term-by-term loop that tests keep as the reference, so equal
+    scores, and hence label ties, come out equal bit for bit."""
+    oriented = np.where(first[:, None, None], tensors, tensors.transpose(0, 2, 1))
+    out = oriented[:, :, 0] * other[:, :1]
+    for b in range(1, other.shape[1]):
+        out = out + oriented[:, :, b] * other[:, b : b + 1]
+    return out
 
 
 def round_labels(
@@ -227,64 +307,67 @@ def round_labels(
     if not is_proper(g, coloring):
         raise PreconditionError("coloring is not proper on the conflict graph")
 
-    probs: dict[int, list[float]] = {v: list(lam[v]) for v in g.nodes}
-    # gather each node's incident terms once
-    incident: dict[int, list[tuple[int, bool, Matrix | None, Matrix | None]]] = {
-        v: [] for v in g.nodes
-    }
-    for (u, v), (umat, cmat) in inst.edge_terms.items():
-        incident[u].append((v, True, umat, cmat))
-        incident[v].append((u, False, umat, cmat))
-
-    by_class: list[list[int]] = [[] for _ in range(coloring.num_colors)]
-    for v in g.nodes:
-        by_class[coloring.colors[v]].append(v)
+    nodes = g.nodes
+    n, nl = len(nodes), inst.num_labels
+    color = np.fromiter((coloring.colors[v] for v in nodes), np.intp, n)
+    if n and (color.min() < 0 or color.max() >= coloring.num_colors):
+        raise PreconditionError(f"coloring uses a color outside [0, {coloring.num_colors})")
+    probs = _probabilities(inst, lam)
+    one_hot = np.eye(nl)
+    base = inst._nu - inst._nc
+    # members of each class, in id order; rank = position within the class
+    order = np.argsort(color, kind="stable")
+    class_size = np.bincount(color, minlength=coloring.num_colors)
+    member_end = np.cumsum(class_size)
+    rank = np.empty(n, np.intp)
+    rank[order] = np.arange(n) - np.repeat(member_end - class_size, class_size)
+    # every term once per endpoint, grouped by that endpoint's class and
+    # kept in term order within it (the order each node sums its terms in)
+    num_edges = len(inst._eu)
+    target = np.concatenate((inst._eu, inst._ev))
+    other = np.concatenate((inst._ev, inst._eu))
+    term = np.tile(np.arange(num_edges), 2)
+    first = np.arange(2 * num_edges) < num_edges
+    by_class = np.argsort(color[target], kind="stable")
+    target, other, term, first = target[by_class], other[by_class], term[by_class], first[by_class]
+    term_end = np.cumsum(np.bincount(color[target], minlength=coloring.num_colors))
+    labels_by_pos = np.zeros(n, np.intp)
+    label_cols = np.arange(nl)
 
     tracked = gain0
-    labels: dict[int, int] = {}
-    nl = inst.num_labels
-    for members in by_class:
+    member_lo = term_lo = 0
+    for member_hi, term_hi in zip(member_end.tolist(), term_end.tolist()):
         before = tracked
-        for v in members:
-            scores = [0.0] * nl
-            urow, crow = inst.node_terms.get(v, (None, None))
-            if urow is not None:
-                for a in range(nl):
-                    scores[a] += urow[a]
-            if crow is not None:
-                for a in range(nl):
-                    scores[a] -= crow[a]
-            for w, v_is_first, umat, cmat in incident[v]:
-                pw = probs[w]
-                for a in range(nl):
-                    acc = 0.0
-                    if umat is not None:
-                        if v_is_first:
-                            acc += sum(p * x for p, x in zip(pw, umat[a]) if p != 0.0)
-                        else:
-                            acc += sum(
-                                pw[b] * umat[b][a] for b in range(nl) if pw[b] != 0.0
-                            )
-                    if cmat is not None:
-                        if v_is_first:
-                            acc -= sum(p * x for p, x in zip(pw, cmat[a]) if p != 0.0)
-                        else:
-                            acc -= sum(
-                                pw[b] * cmat[b][a] for b in range(nl) if pw[b] != 0.0
-                            )
-                    scores[a] += acc
-            pv = probs[v]
-            mixed = sum(p * s for p, s in zip(pv, scores) if p != 0.0)
-            best = max(range(nl), key=lambda a: (scores[a], -a))
-            labels[v] = best
-            probs[v] = list(_one_hot(nl, best))
-            tracked += scores[best] - mixed
+        members = order[member_lo:member_hi]
+        k = len(members)
+        if k:
+            span = slice(term_lo, term_hi)
+            po = probs[other[span]]
+            gathered = _conditional(inst._wu[term[span]], first[span], po) - _conditional(
+                inst._wc[term[span]], first[span], po
+            )
+            # node row first, then the incident terms in term order
+            slots = np.concatenate(
+                (np.arange(k * nl), (rank[target[span]][:, None] * nl + label_cols).ravel())
+            )
+            scores = np.bincount(
+                slots,
+                np.concatenate((base[members].ravel(), gathered.ravel())),
+                minlength=k * nl,
+            ).reshape(k, nl)
+            best = scores.argmax(axis=1)  # first maximum: ties go to the lowest label
+            mixed = (probs[members] * scores).sum(axis=1)
+            tracked += float((scores[np.arange(k), best] - mixed).sum())
+            probs[members] = one_hot[best]
+            labels_by_pos[members] = best
         checks.ok(
             "rounding-monotone",
             geq(tracked, before, scale),
             f"objective dropped {before!r} -> {tracked!r} within a color class",
         )
+        member_lo, term_lo = member_hi, term_hi
 
+    labels = dict(zip(nodes, labels_by_pos.tolist()))
     uf, cf = evaluate(inst, labels)
     checks.ok(
         "rounding-consistency",

@@ -200,6 +200,20 @@ def test_retry_budget_exit_2_writes_report(tmp_path, monkeypatch):
     assert report["result"] == {"error": "cluster 7 failed its windows 200 times"}
 
 
+def test_precondition_exit_3_writes_report(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "run", "--gen", "gnp:n=80,p=0.06,seed=4", "--algo", "mis",
+        "--f-override", "0.5", "--out", str(out),
+    )
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["schema_version"] == "v1"
+    assert report["failed_claim"] == "precondition"
+    assert "below the measured cluster degree" in report["result"]["error"]
+    assert "below the measured cluster degree" in capsys.readouterr().err
+
+
 def test_atomic_write_survives_stale_tmp_dir(tmp_path):
     out = tmp_path / "r.json"
     (tmp_path / "r.json.tmp").mkdir()

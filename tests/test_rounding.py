@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from localround.rounding import (
 )
 
 from conftest import random_graph, random_objective
+from rounding_reference import reference_evaluate, reference_round_labels
 
 
 def test_evaluate_single_node_integral():
@@ -59,6 +62,32 @@ def test_instance_rejects_non_conflict_edge_terms():
     g = Graph(nodes=[0, 1])  # no edge
     with pytest.raises(PreconditionError):
         UtilityCostInstance(g, 2, edge_terms={(0, 1): (None, None)})
+
+
+@pytest.mark.parametrize(
+    "node_terms,edge_terms,match",
+    [
+        ({7: ((0.0, 1.0), None)}, None, "unknown node 7"),
+        ({0: ((0.0, 1.0, 2.0), None)}, None, "bad node table at 0"),
+        ({1: (None, (0.0, math.inf))}, None, "bad node table at 1"),
+        (None, {(0, 1): (((0.0, 1.0), (1.0,)), None)}, r"bad edge table at \(0,1\)"),
+        (None, {(0, 1): (None, ((0.0, 1.0), (math.nan, 0.0)))}, r"bad edge table at \(0,1\)"),
+        (None, {(1, 0): (None, None)}, "not a conflict edge"),
+    ],
+)
+def test_instance_rejects_malformed_terms(node_terms, edge_terms, match):
+    g = Graph(edges=[(0, 1)])
+    with pytest.raises(PreconditionError, match=match):
+        UtilityCostInstance(g, 2, node_terms, edge_terms)
+
+
+def test_evaluate_rejects_malformed_labelings():
+    g = Graph(edges=[(0, 1)])
+    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
+    with pytest.raises(PreconditionError, match="lie in"):
+        evaluate(inst, {0: 1, 1: 2})
+    with pytest.raises(PreconditionError, match="node 1 needs 2 labels"):
+        evaluate(inst, FractionalAssignment({0: (0.5, 0.5), 1: (1.0,)}))
 
 
 def test_greedy_color_edgeless():
@@ -145,6 +174,8 @@ def test_round_improper_coloring_rejected():
     assert not is_proper(g, bad)
     with pytest.raises(PreconditionError, match="proper"):
         round_labels(inst, lam, bad)
+    with pytest.raises(PreconditionError, match="outside"):
+        round_labels(inst, lam, Coloring({0: 0, 1: 1}, 1))
 
 
 def test_round_charges_ledger():
@@ -191,3 +222,76 @@ def test_three_label_alphabet():
     labels = round_labels(inst, lam, greedy_color(inst.conflict_graph))
     assert set(labels) == set(inst.conflict_graph.nodes)
     assert all(0 <= lab < 3 for lab in labels.values())
+
+
+@st.composite
+def objectives(draw):
+    """Instance, fractional and integral labelings, and a proper coloring.
+
+    Node ids are sparse, some conflict edges carry no term, and any table
+    may be None.  Integer-valued tables with probabilities in eighths make
+    every score exact, so equal scores (label ties) are common.
+    """
+    nl = draw(st.integers(1, 4))
+    nodes = sorted(draw(st.sets(st.integers(0, 200), min_size=1, max_size=7)))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    edges = [e for e in pairs if draw(st.booleans())]
+    g = Graph(nodes=nodes, edges=edges)
+    exact = draw(st.booleans())
+    value = st.integers(0, 3).map(float) if exact else st.floats(0.0, 1.0)
+
+    def table(shape):
+        if draw(st.integers(0, 3)) == 0:
+            return None
+        if len(shape) == 1:
+            return tuple(draw(value) for _ in range(nl))
+        return tuple(tuple(draw(value) for _ in range(nl)) for _ in range(nl))
+
+    node_terms = {u: (table((nl,)), table((nl,))) for u in nodes if draw(st.booleans())}
+    edge_terms = {e: (table((nl, nl)), table((nl, nl))) for e in edges if draw(st.booleans())}
+    # a large enough constant keeps utility - cost >= 0.1 * utility; it
+    # moves no score, so it cannot hide a label difference
+    cost_mass = sum(
+        float(np.sum(cost))
+        for _, cost in (*node_terms.values(), *edge_terms.values())
+        if cost is not None
+    )
+    inst = UtilityCostInstance(g, nl, node_terms, edge_terms, utility_const=10 * cost_mass + 1)
+
+    probs = {}
+    for u in nodes:
+        if exact:
+            cuts = sorted(draw(st.lists(st.integers(0, 8), min_size=nl - 1, max_size=nl - 1)))
+            bounds = [0, *cuts, 8]
+            probs[u] = tuple((hi - lo) / 8 for lo, hi in zip(bounds, bounds[1:]))
+        else:
+            raw = [draw(st.floats(0.0, 1.0)) for _ in range(nl)]
+            total = sum(raw)
+            probs[u] = tuple(x / total for x in raw) if total > 0 else (1.0,) + (0.0,) * (nl - 1)
+    integral = {u: draw(st.integers(0, nl - 1)) for u in nodes}
+
+    col = greedy_color(g)
+    stride, flip = draw(st.integers(1, 2)), draw(st.booleans())
+    top = stride * col.num_colors
+    coloring = Coloring(
+        {u: (top - 1 - stride * c if flip else stride * c) for u, c in col.colors.items()},
+        top,
+    )
+    return inst, FractionalAssignment(probs), integral, coloring
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objectives())
+def test_array_path_matches_loop_reference(case):
+    inst, lam, integral, coloring = case
+    for assignment in (lam, integral):
+        got, want = evaluate(inst, assignment), reference_evaluate(inst, assignment)
+        assert _close(got[0], want[0]) and _close(got[1], want[1])
+    labels = round_labels(inst, lam, coloring)
+    assert labels == reference_round_labels(inst, lam, coloring)
+    got, want = evaluate(inst, labels), reference_evaluate(inst, labels)
+    assert _close(got[0], want[0]) and _close(got[1], want[1])
