@@ -26,7 +26,7 @@ from .graphs import Graph, dump_edge_list, load_graph
 from .ledger import RoundLedger
 from .matching import approx_matching
 from .mis import luby_randomized, mis
-from .oracles import DEFAULT_BUDGET
+from .seeds import RETRIES
 
 ALGORITHMS = ("mis", "matching", "cluster-all", "cluster-constant", "mpx", "luby-rand")
 RANDOMIZED = ("mpx", "luby-rand")
@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--p", type=float)
     gen.add_argument("--rows", type=int)
     gen.add_argument("--cols", type=int)
-    gen.add_argument("--deg", type=int)
+    gen.add_argument("--deg", type=int, dest="d")
     gen.add_argument("--count", type=int)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--f-override", type=float)
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
-    run.add_argument("--budget-retries", type=int, default=DEFAULT_BUDGET.retries)
+    run.add_argument("--budget-retries", type=int, default=RETRIES)
 
     bench = sub.add_parser("bench", help="sweep sizes and write a CSV")
     bench.add_argument("--ns", required=True, help="comma-separated node counts")
@@ -78,33 +78,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _generate(kind: str, args: argparse.Namespace) -> Graph:
-    if kind == "gnp":
-        _need(args.n is not None and args.p is not None, "gnp needs --n and --p")
-        return generators.gnp(args.n, args.p, args.seed)
-    if kind == "grid":
-        _need(args.rows is not None and args.cols is not None, "grid needs --rows/--cols")
-        return generators.grid(args.rows, args.cols)
-    if kind == "regular":
-        _need(args.n is not None and args.deg is not None, "regular needs --n/--deg")
-        return generators.regular(args.n, args.deg, args.seed)
-    if kind == "disjoint-edges":
-        _need(args.count is not None, "disjoint-edges needs --count")
-        return generators.disjoint_edges(args.count)
-    if kind == "tree":
-        _need(args.n is not None, f"{kind} needs --n")
-        return generators.tree(args.n, args.seed)
-    _need(args.n is not None, f"{kind} needs --n")
-    return generators.KINDS[kind](args.n)
-
-
-def _need(cond: bool, message: str) -> None:
-    if not cond:
-        raise UsageError(message)
-
-
 class UsageError(ValueError):
     pass
+
+
+def _call_generator(kind: str, params: dict[str, int | float]) -> Graph:
+    """Call generator `kind` with keyword `params`; `seed` is accepted by
+    every kind and dropped for the ones that take none."""
+    build = generators.KINDS[kind]
+    accepted = inspect.signature(build).parameters
+    unknown = sorted(set(params) - set(accepted) - {"seed"})
+    if unknown:
+        raise UsageError(f"generator {kind} takes no parameter {', '.join(unknown)}")
+    if "seed" not in accepted:
+        params.pop("seed", None)
+    missing = [
+        key for key, prm in accepted.items()
+        if prm.default is prm.empty and key not in params
+    ]
+    if missing:
+        raise UsageError(f"generator {kind} missing parameter {', '.join(missing)}")
+    return build(**params)
 
 
 def parse_gen_spec(spec: str) -> Graph:
@@ -116,34 +110,18 @@ def parse_gen_spec(spec: str) -> Graph:
     kind, _, rest = spec.partition(":")
     if kind not in generators.KINDS:
         raise UsageError(f"unknown generator {kind!r}")
-    build = generators.KINDS[kind]
-    accepted = inspect.signature(build).parameters
-    texts: dict[str, str] = {}
+    params: dict[str, int | float] = {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
             if not value:
                 raise UsageError(f"bad generator parameter {item!r}")
-            texts[key] = value
-    unknown = sorted(set(texts) - set(accepted) - {"seed"})
-    if unknown:
-        raise UsageError(f"generator {kind} takes no parameter {', '.join(unknown)}")
-    params: dict[str, int | float] = {}
-    for key, value in texts.items():
-        try:
-            params[key] = float(value) if key == "p" else int(value)
-        except ValueError:
-            wanted = "a number" if key == "p" else "an integer"
-            raise UsageError(f"parameter {key} must be {wanted}, got {value!r}") from None
-    if "seed" not in accepted:
-        params.pop("seed", None)
-    missing = [
-        key for key, prm in accepted.items()
-        if prm.default is prm.empty and key not in params
-    ]
-    if missing:
-        raise UsageError(f"generator {kind} missing parameter {', '.join(missing)}")
-    return build(**params)
+            try:
+                params[key] = float(value) if key == "p" else int(value)
+            except ValueError:
+                wanted = "a number" if key == "p" else "an integer"
+                raise UsageError(f"parameter {key} must be {wanted}, got {value!r}") from None
+    return _call_generator(kind, params)
 
 
 def _load_source(args: argparse.Namespace) -> tuple[Graph, dict]:
@@ -264,7 +242,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = _generate(args.kind, args)
+    # the generator flags are exactly the namespace entries besides these
+    params = {
+        key: value
+        for key, value in vars(args).items()
+        if value is not None and key not in ("command", "kind", "out")
+    }
+    g = _call_generator(args.kind, params)
     _atomic_write(args.out, dump_edge_list(g))
     return 0
 
@@ -287,7 +271,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 alpha=None,
                 f_override=None,
                 seed=args.seed,
-                budget_retries=DEFAULT_BUDGET.retries,
+                budget_retries=RETRIES,
             )
             start = time.perf_counter()
             body = _run_algorithm(g, ns_args)

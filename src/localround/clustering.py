@@ -79,9 +79,6 @@ class Partition:
     delays: dict[int, int]
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def centers(self) -> tuple[int, ...]:
-        return tuple(sorted(self.clusters))
-
     def restrict(self, keep: Iterable[int]) -> "Partition":
         """Drop all nodes outside `keep`; empty clusters disappear.
 
@@ -100,25 +97,6 @@ class Partition:
             {u: c for u, c in self.assignment.items() if u in keep},
             {u: d for u, d in self.delays.items() if u in keep},
         )
-
-    def to_json_dict(self) -> dict:
-        centers = self.centers()
-        return {
-            "alpha": self.alpha,
-            "clusters": [sorted(self.clusters[c]) for c in centers],
-            "centers": list(centers),
-            "delays": {str(u): self.delays[u] for u in sorted(self.delays)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Partition":
-        clusters = {
-            c: frozenset(members)
-            for c, members in zip(data["centers"], data["clusters"])
-        }
-        assignment = {u: c for c, members in clusters.items() for u in members}
-        delays = {int(u): int(d) for u, d in data["delays"].items()}
-        return cls(int(data["alpha"]), clusters, assignment, delays)
 
 
 def delays_to_partition(
@@ -265,9 +243,7 @@ def mpx_randomized(
             continue
         if ledger is not None:
             ledger.charge("active-subsample", 0, 10 * alpha)
-        part = _finish(g, alpha, last_index, ledger, {"log2_capacity": log_n_cap})
-        part.meta["attempt"] = attempt
-        return part
+        return _finish(g, alpha, last_index, ledger, {"log2_capacity": log_n_cap})
     raise RetryBudgetExceeded(
         f"active nodes survived all phases in {attempts} seeded attempts"
     )
@@ -275,14 +251,11 @@ def mpx_randomized(
 
 def _charge_shrink(
     ledger: RoundLedger | None, label: str, rounds_h: int, alpha: int
-) -> int:
+) -> None:
     """One shrink simulated on the host graph: 100*alpha rounds per step."""
-    if rounds_h <= 0:
-        return 0
     rounds = rounds_h * 100 * alpha
-    if ledger is not None:
+    if ledger is not None and rounds > 0:
         ledger.charge(label, min(100 * alpha, rounds), rounds)
-    return rounds
 
 
 def cluster_constant(
@@ -386,8 +359,6 @@ def cluster_constant(
 
     meta = {
         "log2_capacity": log_n_cap,
-        "alpha": alpha,
-        "steps_per_phase": steps,
         "actives": actives,
         "claims": checks.counts,
         "degree_bound": cluster_degree_bound_fraction(log_n_cap, alpha),
@@ -528,8 +499,6 @@ def cluster_all(
 
     meta = {
         "log2_capacity": log_n_cap,
-        "alpha": alpha,
-        "steps_per_phase": steps,
         "actives": actives,
         "claims": checks.counts,
         "degree_bound": cluster_degree_bound_all(log_n_cap, alpha),

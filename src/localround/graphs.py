@@ -22,7 +22,7 @@ Edge = tuple[int, int]
 class Graph:
     """Undirected simple graph, immutable after construction."""
 
-    __slots__ = ("_adj", "_nodes", "_m", "_b", "_nbr_sets")
+    __slots__ = ("_adj", "_nodes", "_m")
 
     def __init__(self, nodes: Iterable[int] = (), edges: Iterable[Edge] = ()):
         adj: dict[int, set[int]] = {}
@@ -39,8 +39,6 @@ class Graph:
             u: tuple(sorted(adj[u])) for u in self._nodes
         }
         self._m = sum(len(a) for a in self._adj.values()) // 2
-        self._b = max((u.bit_length() for u in self._nodes), default=1) or 1
-        self._nbr_sets: dict[int, frozenset[int]] | None = None
 
     @staticmethod
     def _check_id(u: int) -> int:
@@ -55,8 +53,6 @@ class Graph:
         g._nodes = tuple(sorted(adj))
         g._adj = {u: adj[u] for u in g._nodes}
         g._m = sum(len(a) for a in adj.values()) // 2
-        g._b = max((u.bit_length() for u in g._nodes), default=1) or 1
-        g._nbr_sets = None
         return g
 
     @property
@@ -70,7 +66,7 @@ class Graph:
     @property
     def b(self) -> int:
         """Identifier bit width: ceil(log2(max id + 1)), at least 1."""
-        return self._b
+        return max((u.bit_length() for u in self._nodes), default=1) or 1
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -81,11 +77,6 @@ class Graph:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._adj[u]
-
-    def neighbor_set(self, u: int) -> frozenset[int]:
-        if self._nbr_sets is None:
-            self._nbr_sets = {v: frozenset(a) for v, a in self._adj.items()}
-        return self._nbr_sets[u]
 
     def degree(self, u: int) -> int:
         return len(self._adj[u])
@@ -206,10 +197,9 @@ def two_hop_sets(g: Graph) -> dict[int, frozenset[int]]:
     """For each node u, the nodes at hop distance <= 2 (including u)."""
     out: dict[int, frozenset[int]] = {}
     for u in g.nodes:
-        acc = set(g.neighbor_set(u))
-        acc.add(u)
+        acc = {u, *g.neighbors(u)}
         for v in g.neighbors(u):
-            acc |= g.neighbor_set(v)
+            acc.update(g.neighbors(v))
         out[u] = frozenset(acc)
     return out
 

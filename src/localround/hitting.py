@@ -55,8 +55,8 @@ class BipartiteInstance:
         vset = set(self.v_nodes)
         if len(vset) != len(self.v_nodes) or len(set(self.u_nodes)) != len(self.u_nodes):
             raise PreconditionError("duplicate node ids within a side")
-        if self.delta < 1 or not (self.p > 0.0) or self.norm < 0.0:
-            raise PreconditionError("need delta >= 1, p > 0, norm >= 0")
+        if self.delta < 1 or not (0.0 < self.p < math.inf and 0.0 <= self.norm < math.inf):
+            raise PreconditionError("need delta >= 1, finite p > 0, finite norm >= 0")
         if self.k is not None and not 1 <= self.k <= self.delta:
             raise PreconditionError(f"k={self.k} outside [1, delta={self.delta}]")
         for u in self.u_nodes:

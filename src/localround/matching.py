@@ -11,7 +11,7 @@ constant is checked on the computed numbers at run time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .clustering import (
@@ -19,12 +19,11 @@ from .clustering import (
     base_capacity_exponent,
     cluster_constant,
     cluster_degree,
-    cluster_degree_bound_fraction,
 )
 from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, leq
-from .graphs import Edge, Graph, induced_subgraph, strip_isolated
+from .graphs import Edge, Graph, strip_isolated
 from .ledger import RoundLedger
-from .seeds import stream
+from .seeds import RETRIES, stream
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,6 @@ class FractionalMatching:
     """Edge values in [0, 1] with per-node load at most 1."""
 
     values: dict[Edge, float]
-    granularity: float
-
-    def load(self, v: int) -> float:
-        return sum(x for (a, b), x in self.values.items() if v in (a, b))
 
     def loads(self) -> dict[int, float]:
         out: dict[int, float] = {}
@@ -61,7 +56,7 @@ def fractional_matching(
     if any(g.degree(u) == 0 for u in g.nodes):
         raise PreconditionError("strip isolated nodes before matching")
     if g.m == 0:
-        return FractionalMatching({}, 1.0)
+        return FractionalMatching({})
     delta = g.max_degree()
     edges = list(g.edges())
     # value of edge e is 2**exponent[e] / delta
@@ -95,30 +90,24 @@ def fractional_matching(
     if ledger is not None and iterations > 0:
         ledger.charge("fractional-doubling", 1, iterations)
     values = {e: (1 << t) / delta for e, t in exponent.items()}
-    return FractionalMatching(values, 1.0 / delta)
+    return FractionalMatching(values)
 
 
 @dataclass
 class GoodEdges:
-    """Edges whose endpoints both see few clusters, grouped per cluster."""
+    """Edges whose endpoints both see few clusters."""
 
     good_nodes: frozenset[int]
     edges: tuple[Edge, ...]
-    by_cluster: dict[int, tuple[Edge, ...]] = field(default_factory=dict)
 
 
 def good_edges(g: Graph, partition: Partition, bound: float) -> GoodEdges:
-    """Nodes with cluster degree <= bound, the edges among them, and the
-    grouping of those edges by the cluster of the larger-id endpoint."""
+    """Nodes with cluster degree <= bound and the edges among them."""
     good = frozenset(
         u for u in g.nodes if cluster_degree(g, partition, u) <= bound
     )
     edges = tuple(e for e in g.edges() if e[0] in good and e[1] in good)
-    by_cluster: dict[int, list[Edge]] = {}
-    for e in edges:
-        owner = partition.assignment[max(e)]
-        by_cluster.setdefault(owner, []).append(e)
-    return GoodEdges(good, edges, {c: tuple(v) for c, v in by_cluster.items()})
+    return GoodEdges(good, edges)
 
 
 def intra_round_matching(
@@ -128,7 +117,7 @@ def intra_round_matching(
     bound: float,
     seed: int,
     n_total: int | None = None,
-    retries: int = 200,
+    retries: int = RETRIES,
     checks: ClaimChecker | None = None,
 ) -> dict[Edge, float]:
     """Per-cluster re-rounding of a fractional matching restricted to the
@@ -141,9 +130,10 @@ def intra_round_matching(
 
         sum(x)/10 - 1/(1000*bound) <= sum(new) <= sum(x)/2 + 1/(1000*bound)
 
-    over the cluster's edges at v.  A failed cluster resamples with a
-    derived seed, so the outcome per cluster depends only on its own
-    edges, the seed, and the cluster label.
+    over the cluster's edges at v, where an edge belongs to the cluster of
+    its larger-id endpoint.  A failed cluster resamples with a derived
+    seed, so the outcome per cluster depends only on its own edges, the
+    seed, and the cluster label.
     """
     checks = checks if checks is not None else ClaimChecker()
     n = n_total if n_total is not None else g.n
@@ -260,7 +250,7 @@ def approx_matching(
     seed: int = 0,
     f_override: float | None = None,
     ledger: RoundLedger | None = None,
-    retries: int = 200,
+    retries: int = RETRIES,
 ) -> MatchingResult:
     """Full pipeline; every inter-stage constant is asserted on the way.
 
@@ -278,11 +268,8 @@ def approx_matching(
     frac = fractional_matching(work, ledger, checks)
     loads = frac.loads()
     partition = cluster_constant(work, alpha, loads, ledger)
-    log_n_cap = partition.meta["log2_capacity"]
     bound = float(
-        f_override
-        if f_override is not None
-        else cluster_degree_bound_fraction(log_n_cap, alpha)
+        f_override if f_override is not None else partition.meta["degree_bound"]
     )
 
     ge = good_edges(work, partition, bound)

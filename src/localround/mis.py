@@ -32,7 +32,7 @@ from .rounding import (
     greedy_color,
     round_labels,
 )
-from .seeds import stream
+from .seeds import RETRIES, stream
 
 
 def good_vertices(
@@ -78,7 +78,7 @@ def intra_round_mis(
     bound: float,
     seed: int,
     n_total: int | None = None,
-    retries: int = 200,
+    retries: int = RETRIES,
     checks: ClaimChecker | None = None,
     orientation: Orientation | None = None,
     witnesses: Mapping[int, tuple[int, ...]] | None = None,
@@ -177,9 +177,7 @@ def intra_round_mis(
 def build_mis_instance(
     h: Graph,
     witnesses: Mapping[int, tuple[int, ...]],
-    x_intra: Mapping[int, float],
     orientation: Orientation | None = None,
-    checks: ClaimChecker | None = None,
 ) -> UtilityCostInstance:
     """Removed-edges estimator as a pairwise objective on the square graph.
 
@@ -188,7 +186,6 @@ def build_mis_instance(
              out-neighbor pairs.  For integral marks, utility - cost
              lower-bounds the number of edges removed this iteration.
     """
-    checks = checks if checks is not None else ClaimChecker()
     orientation = orientation or orient(h)
     conflict = square_graph(h)
     lin: dict[int, float] = {}
@@ -213,17 +210,7 @@ def build_mis_instance(
     edge_terms = {
         key: (None, ((0.0, 0.0), (0.0, coef))) for key, coef in pair_cost.items()
     }
-    inst = UtilityCostInstance(conflict, 2, node_terms, edge_terms)
-    lam = FractionalAssignment(
-        {u: (1.0 - x_intra[u], x_intra[u]) for u in h.nodes}
-    )
-    fu, fc = evaluate(inst, lam)
-    checks.ok(
-        "estimator-slack",
-        geq(fu - fc, fu / 3.0),
-        f"estimator slack too small: utility {fu}, cost {fc}",
-    )
-    return inst
+    return UtilityCostInstance(conflict, 2, node_terms, edge_terms)
 
 
 def _keep_marked(
@@ -270,9 +257,7 @@ def _peel(g: Graph, step: Callable[[Graph], tuple]) -> tuple[set[int], list[floa
 class IterationOutcome:
     added: frozenset[int]
     removed: frozenset[int]
-    edges_before: int
     edges_removed: int
-    zeta: int
 
 
 def luby_derandomized_iteration(
@@ -282,7 +267,7 @@ def luby_derandomized_iteration(
     seed: int,
     n_total: int | None = None,
     ledger: RoundLedger | None = None,
-    retries: int = 200,
+    retries: int = RETRIES,
     checks: ClaimChecker | None = None,
 ) -> IterationOutcome:
     """One derandomized mark-and-keep iteration on h."""
@@ -302,8 +287,14 @@ def luby_derandomized_iteration(
     x_intra = intra_round_mis(
         h, partition, bound, seed, n_total, retries, checks, orientation, witnesses
     )
-    inst = build_mis_instance(h, witnesses, x_intra, orientation, checks)
+    inst = build_mis_instance(h, witnesses, orientation)
     lam = FractionalAssignment({u: (1.0 - x_intra[u], x_intra[u]) for u in h.nodes})
+    fu, fc = evaluate(inst, lam)
+    checks.ok(
+        "estimator-slack",
+        geq(fu - fc, fu / 3.0),
+        f"estimator slack too small: utility {fu}, cost {fc}",
+    )
     coloring = greedy_color(inst.conflict_graph)
     if ledger is not None:
         ledger.charge("mark-structure", 2, 2)
@@ -313,7 +304,6 @@ def luby_derandomized_iteration(
     labels = round_labels(
         inst, lam, coloring, ledger, "mark-rounding", hop_scale=4, checks=checks
     )
-    fu, fc = evaluate(inst, lam)
     yu, yc = evaluate(inst, labels)
     checks.ok(
         "rounded-estimator-half",
@@ -334,7 +324,7 @@ def luby_derandomized_iteration(
         edges_removed * 24000 >= h.m,
         f"removed {edges_removed} of {h.m} edges",
     )
-    return IterationOutcome(added, removed, h.m, edges_removed, coloring.num_colors)
+    return IterationOutcome(added, removed, edges_removed)
 
 
 @dataclass
@@ -354,7 +344,7 @@ def mis(
     seed: int = 0,
     f_override: float | None = None,
     ledger: RoundLedger | None = None,
-    retries: int = 200,
+    retries: int = RETRIES,
 ) -> MisResult:
     """Maximal independent set of g; clusters once, then iterates.
 

@@ -26,7 +26,6 @@ SMALL_EDGE_LIMIT = 20
 class OracleBudget:
     max_nodes: int = 24
     max_label_tuples: int = 1 << 20
-    retries: int = 200
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -52,35 +52,24 @@ class Coloring:
 class FractionalAssignment:
     """Per-node probability vectors over a common finite label alphabet."""
 
-    __slots__ = ("probs", "lambda_min")
+    __slots__ = ("probs",)
 
     def __init__(self, probs: Mapping[int, Sequence[float]]):
         clean: dict[int, tuple[float, ...]] = {}
-        lam_min = 1.0
         for node, vec in probs.items():
             vec = tuple(float(x) for x in vec)
             if not vec:
                 raise PreconditionError(f"empty probability vector at node {node}")
-            if any(x < -1e-12 or x > 1.0 + 1e-12 for x in vec):
+            # written so that NaN fails it too
+            if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in vec):
                 raise PreconditionError(f"probabilities outside [0,1] at node {node}")
             if abs(sum(vec) - 1.0) > 1e-9:
                 raise PreconditionError(f"probabilities at node {node} sum to {sum(vec)!r}")
             clean[node] = vec
-            for x in vec:
-                if x > 0.0:
-                    lam_min = min(lam_min, x)
         self.probs = clean
-        # smallest nonzero entry over all nodes and labels
-        self.lambda_min = lam_min
 
     def __getitem__(self, node: int) -> tuple[float, ...]:
         return self.probs[node]
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.probs
-
-    def nodes(self):
-        return self.probs.keys()
 
 
 def _stack(tables: list, shape: tuple[int, ...]) -> np.ndarray | None:

@@ -9,6 +9,9 @@ from __future__ import annotations
 import hashlib
 import random
 
+# attempts each per-cluster resampling loop gets before RetryBudgetExceeded
+RETRIES = 200
+
 
 def derive_seed(master: int, *labels: object) -> int:
     """Derive a stable 63-bit seed from the master seed and a label path."""

@@ -127,7 +127,7 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
         from localround.mis import build_mis_instance
         from localround.rounding import FractionalAssignment
 
-        inst = build_mis_instance(g, witnesses, x, o)
+        inst = build_mis_instance(g, witnesses, o)
         lam = FractionalAssignment({u: (1 - x[u], x[u]) for u in g.nodes})
         fu, fc = evaluate(inst, lam)
         assert fu - fc >= fu / 3.0 - 1e-9 * (abs(fu) + abs(fc) + 1)

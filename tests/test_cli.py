@@ -5,9 +5,10 @@ import os
 import pytest
 
 import localround.cli
+from localround import generators
 from localround.cli import UsageError, main, parse_gen_spec
 from localround.errors import RetryBudgetExceeded
-from localround.graphs import load_graph
+from localround.graphs import dump_edge_list, load_graph
 
 
 def run_cli(*args):
@@ -37,6 +38,33 @@ def test_gen_gnp_byte_identical(tmp_path):
             "--seed", "7", "--out", str(out),
         ) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+GEN_PARAMS = {
+    "gnp": {"n": 40, "p": 0.1, "seed": 3},
+    "path": {"n": 6},
+    "cycle": {"n": 7},
+    "grid": {"rows": 3, "cols": 4},
+    "tree": {"n": 15, "seed": 2},
+    "regular": {"n": 12, "d": 3, "seed": 5},
+    "complete": {"n": 5},
+    "disjoint-edges": {"count": 4},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(generators.KINDS))
+def test_gen_matches_gen_spec(tmp_path, kind):
+    params = GEN_PARAMS[kind]
+    flags = [f"--{'deg' if key == 'd' else key}={value}" for key, value in params.items()]
+    out = tmp_path / "g.edges"
+    assert run_cli("gen", "--kind", kind, *flags, "--out", str(out)) == 0
+    spec = f"{kind}:" + ",".join(f"{key}={value}" for key, value in params.items())
+    assert out.read_text() == dump_edge_list(parse_gen_spec(spec))
+
+
+def test_gen_names_the_missing_parameter(tmp_path, capsys):
+    assert run_cli("gen", "--kind", "regular", "--n", "10", "--out", str(tmp_path / "g.edges")) == 3
+    assert "generator regular missing parameter d" in capsys.readouterr().err
 
 
 def test_parse_gen_spec_errors():

@@ -307,16 +307,6 @@ def test_verify_partition_rejects_non_partition():
         verify_partition(g, bad, 1)
 
 
-def test_partition_json_roundtrip():
-    g = gnp(25, 0.15, seed=14)
-    part = cluster_all(g, 2)
-    data = part.to_json_dict()
-    back = Partition.from_json_dict(data)
-    assert back.clusters == part.clusters
-    assert back.assignment == part.assignment
-    assert back.delays == part.delays
-
-
 def test_partition_restrict():
     g = gnp(30, 0.2, seed=2)
     part = cluster_all(g, 2)

@@ -193,6 +193,10 @@ def test_instance_validation():
         BipartiteInstance((1,), (0,), {1: (0,)}, {1: -1.0}, 1, 0.5, 0.0)
     with pytest.raises(PreconditionError):
         BipartiteInstance((1,), (0,), {1: (0,)}, {1: 1.0}, 1, 0.5, 0.0, k=2)
+    with pytest.raises(PreconditionError, match="finite norm"):
+        BipartiteInstance((1,), (0,), {1: (0,)}, {1: 1.0}, 1, 0.5, math.nan)
+    with pytest.raises(PreconditionError, match="finite p"):
+        BipartiteInstance((1,), (0,), {1: (0,)}, {1: 1.0}, 1, math.inf, 0.0)
 
 
 def test_from_graph_bipartition():

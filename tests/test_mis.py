@@ -141,7 +141,7 @@ def test_instance_single_edge_tables():
     o = orient(g)
     witnesses = {1: (0,)}
     x = {0: 0.05, 1: 0.05}
-    inst = build_mis_instance(g, witnesses, x, o)
+    inst = build_mis_instance(g, witnesses, o)
     # utility is deg(1)/2 * x_0; cost is deg(1)/2 * x_0 * x_1
     lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
     utility, cost = evaluate(inst, lam)
@@ -157,7 +157,7 @@ def test_instance_triangle_hand_expansion():
     witnesses = {v: select_witnesses(g, o, v) for v in sorted(good)}
     assert witnesses == {2: (1,), 3: (1,)}
     x = {1: 0.1, 2: 0.2, 3: 0.3}
-    inst = build_mis_instance(g, witnesses, x, o)
+    inst = build_mis_instance(g, witnesses, o)
     lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
     utility, cost = evaluate(inst, lam)
     # hand expansion: degrees are all 2, so each good vertex weighs 1
@@ -173,7 +173,8 @@ def test_instance_estimator_slack_on_random_graph():
     o = orient(g)
     witnesses = {v: select_witnesses(g, o, v) for v in sorted(good_vertices(g))}
     x = intra_round_mis(g, part, float(g.n + 1), seed=1, orientation=o, witnesses=witnesses)
-    inst = build_mis_instance(g, witnesses, x, o, checks)
+    inst = build_mis_instance(g, witnesses, o)
+    luby_derandomized_iteration(g, part, float(g.n + 1), seed=1, checks=checks)
     assert checks.counts["estimator-slack"] == 1
     lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
     utility, cost = evaluate(inst, lam)

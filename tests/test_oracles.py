@@ -82,7 +82,7 @@ def test_round_check_single_edge_closed_form():
     o = orient(g)
     witnesses = {1: (0,)}
     x = 0.3
-    inst = build_mis_instance(g, witnesses, {0: x, 1: x}, o)
+    inst = build_mis_instance(g, witnesses, o)
     lam = FractionalAssignment({0: (1 - x, x), 1: (1 - x, x)})
     _, expected = exhaustive_round_check(inst, lam)
     assert expected == pytest.approx(0.5 * x - 0.5 * x * x)

@@ -90,6 +90,11 @@ def test_evaluate_rejects_malformed_labelings():
         evaluate(inst, FractionalAssignment({0: (0.5, 0.5), 1: (1.0,)}))
 
 
+def test_fractional_assignment_rejects_nan():
+    with pytest.raises(PreconditionError, match="outside"):
+        FractionalAssignment({0: (math.nan, 1.0), 1: (0.5, 0.5)})
+
+
 def test_greedy_color_edgeless():
     g = Graph(nodes=[3, 1, 4])
     col = greedy_color(g)
