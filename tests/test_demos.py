@@ -16,7 +16,8 @@ PACKAGE_ROOT = str(Path(localround.__file__).resolve().parent.parent)
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_exits_0(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]))
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, str(DEMOS / demo)], env=env, capture_output=True, text=True, timeout=120
     )
