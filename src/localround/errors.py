@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class ParseError(ValueError):
     """An edge-list document could not be parsed."""
@@ -42,6 +44,14 @@ class ClaimChecker:
         if not condition:
             raise ClaimViolation(name, detail)
         self.counts[name] = self.counts.get(name, 0) + 1
+
+    def ok_each(self, name: str, conditions, detail: Callable[[int], str]) -> None:
+        """One check per element of the boolean array `conditions`; on a
+        failure, raises with `detail` of the first failing element."""
+        if not conditions.all():
+            raise ClaimViolation(name, detail(int(conditions.argmin())))
+        if len(conditions):
+            self.counts[name] = self.counts.get(name, 0) + len(conditions)
 
     def merge(self, other: "ClaimChecker") -> None:
         for name, cnt in other.counts.items():

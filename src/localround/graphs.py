@@ -3,14 +3,18 @@
 Adjacency is stored as sorted tuples keyed by node id, so every iteration
 order downstream is deterministic.  Node ids are arbitrary non-negative
 integers below 2**63; they need not be contiguous, which lets callers
-exercise id-dependent tie-breaking.
+exercise id-dependent tie-breaking.  `Graph.csr()` gives the same
+adjacency as numpy arrays over node positions, built once per graph.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Collection, Iterable, Iterator
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -19,10 +23,22 @@ MAX_ID_BITS = 63
 Edge = tuple[int, int]
 
 
+def _positions(
+    nodes: tuple[int, ...], rows: Collection[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of one id tuple per node of the sorted `nodes`,
+    each id replaced by its position in `nodes`."""
+    n = len(nodes)
+    indptr = np.zeros(n + 1, np.intp)
+    np.cumsum(np.fromiter(map(len, rows), np.intp, n), out=indptr[1:])
+    flat = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
+    return indptr, np.searchsorted(np.fromiter(nodes, np.int64, n), flat).astype(np.int32)
+
+
 class Graph:
     """Undirected simple graph, immutable after construction."""
 
-    __slots__ = ("_adj", "_nodes", "_m")
+    __slots__ = ("_adj", "_nodes", "_m", "_csr")
 
     def __init__(self, nodes: Iterable[int] = (), edges: Iterable[Edge] = ()):
         adj: dict[int, set[int]] = {}
@@ -39,6 +55,7 @@ class Graph:
             u: tuple(sorted(adj[u])) for u in self._nodes
         }
         self._m = sum(len(a) for a in self._adj.values()) // 2
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @staticmethod
     def _check_id(u: int) -> int:
@@ -53,6 +70,7 @@ class Graph:
         g._nodes = tuple(sorted(adj))
         g._adj = {u: adj[u] for u in g._nodes}
         g._m = sum(len(a) for a in adj.values()) // 2
+        g._csr = None
         return g
 
     @property
@@ -90,6 +108,14 @@ class Graph:
             return False
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency by position in `nodes`: the neighbours of nodes[i] are
+        nodes[j] for j in indices[indptr[i]:indptr[i + 1]], increasing.
+        Built on first use and kept; the graph is immutable."""
+        if self._csr is None:
+            self._csr = _positions(self._nodes, self._adj.values())
+        return self._csr
 
     def edges(self) -> Iterator[Edge]:
         """All edges in canonical form, sorted."""
@@ -205,10 +231,46 @@ def two_hop_sets(g: Graph) -> dict[int, frozenset[int]]:
 
 
 def square_graph(g: Graph) -> Graph:
-    """Graph joining every pair of distinct nodes at distance <= 2 in g."""
-    reach = two_hop_sets(g)
-    adj = {u: tuple(sorted(reach[u] - {u})) for u in g.nodes}
-    return Graph._from_sorted_adj(adj)
+    """Graph joining every pair of distinct nodes at distance <= 2 in g.
+
+    Built as arrays over node positions: every edge (a, v) and every path
+    a - v - w becomes the int64 code a * n + w; the codes are sorted, and
+    those equal to their predecessor or with a == w are masked out.  What
+    is left is grouped by a and sorted by w: the sorted adjacency the
+    result needs, which it also keeps as its `csr()`.  `np.unique` gives
+    the same codes, but on the 653k codes of an n=8192 average-degree-8
+    graph it took 0.49-0.62 s under numpy 2.4.6, against 10 ms for sort
+    plus mask.  The tuples hold the graph's own id objects, gathered from
+    an object array, so the result allocates no new ints.
+    """
+    n = g.n
+    indptr, nbr = g.csr()
+    deg = np.diff(indptr)
+    src = np.repeat(np.arange(n, dtype=np.int32), deg)
+    # a path a - v - w for every directed edge (a, v) and every w in N(v)
+    reach = deg[nbr]
+    first = np.cumsum(reach) - reach
+    far = nbr[np.repeat(indptr[nbr] - first, reach) + np.arange(reach.sum())]
+    codes = np.concatenate((src, np.repeat(src, reach))).astype(np.int64) * n
+    codes += np.concatenate((nbr, far))
+    codes.sort()
+    fresh = np.empty(len(codes), bool)
+    fresh[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+    codes = codes[fresh]
+    row = codes // n
+    col = codes - row * n
+    pair = row != col
+    sq_indices = col[pair].astype(np.int32)
+    sq_indptr = np.searchsorted(row[pair], np.arange(n + 1))
+    ids = np.empty(n, object)
+    ids[:] = g.nodes
+    nbrs, ends = ids[sq_indices].tolist(), sq_indptr.tolist()
+    sq = Graph._from_sorted_adj(
+        {u: tuple(nbrs[ends[i] : ends[i + 1]]) for i, u in enumerate(g.nodes)}
+    )
+    sq._csr = (sq_indptr, sq_indices)
+    return sq
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -231,10 +293,12 @@ class Orientation:
     every edge is oriented exactly once and the orientation is acyclic.
     """
 
-    __slots__ = ("_out", "_in")
+    __slots__ = ("_out", "_in", "_nodes", "_out_csr")
 
     def __init__(self, g: Graph):
         key = {u: (g.degree(u), u) for u in g.nodes}
+        self._nodes = g.nodes
+        self._out_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._out: dict[int, tuple[int, ...]] = {}
         self._in: dict[int, tuple[int, ...]] = {}
         for u in g.nodes:
@@ -247,6 +311,13 @@ class Orientation:
 
     def in_neighbors(self, u: int) -> tuple[int, ...]:
         return self._in[u]
+
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Out-neighbours by node position, laid out as `Graph.csr`.
+        Built on first use and kept."""
+        if self._out_csr is None:
+            self._out_csr = _positions(self._nodes, self._out.values())
+        return self._out_csr
 
 
 def orient(g: Graph) -> Orientation:

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .clustering import Partition, base_capacity_exponent, cluster_all, cluster_degree
 from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, leq
 from .graphs import Graph, Orientation, induced_subgraph, orient, square_graph
@@ -70,6 +72,44 @@ def select_witnesses(h: Graph, orientation: Orientation, v: int) -> tuple[int, .
         if total >= 1.0 / 3.0:
             return tuple(chosen)
     raise PreconditionError(f"node {v} is not good: inverse-degree sum {total}")
+
+
+def _witness_arrays(
+    h: Graph, witnesses: Mapping[int, tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The witness lists as positions in `h.nodes`: the witnessed nodes,
+    then per witness (in mapping order) its list's index and itself."""
+    index = {v: i for i, v in enumerate(h.nodes)}
+    sizes = np.fromiter(map(len, witnesses.values()), np.intp, len(witnesses))
+    owner = np.fromiter(map(index.__getitem__, witnesses), np.intp, len(witnesses))
+    member = np.fromiter(
+        map(index.__getitem__, itertools.chain.from_iterable(witnesses.values())),
+        np.intp,
+        sizes.sum(),
+    )
+    return owner, np.repeat(np.arange(len(owner)), sizes), member
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + counts[k] - 1 for every k."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())
+
+
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `codes` in order of first occurrence, and the
+    index of each element's value among them."""
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    new = np.empty(len(codes), bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    first = order[new]  # stable: the earliest element of each value
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(len(codes), np.intp)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return codes[np.sort(first)], inverse
 
 
 def intra_round_mis(
@@ -157,20 +197,22 @@ def intra_round_mis(
                 f"cluster {c} failed its windows {retries} times"
             )
 
-    for v, members in witnesses.items():
-        mass = sum(out[u] for u in members)
-        checks.ok(
-            "witness-mass-window",
-            geq(mass, 1.0 / 1000.0) and leq(mass, 1.0 / 3.0),
-            f"witness mass {mass} for node {v} outside [1/1000, 1/3]",
-        )
-    for u in h.nodes:
-        mass = sum(out[w] for w in orientation.out_neighbors(u))
-        checks.ok(
-            "out-mass-cap",
-            leq(mass, 1.0 / 4.0),
-            f"outgoing mass {mass} at node {u} above 1/4",
-        )
+    x = np.fromiter(map(out.__getitem__, h.nodes), float, h.n)
+    owner, group, member = _witness_arrays(h, witnesses)
+    mass = np.bincount(group, x[member], minlength=len(owner))
+    checks.ok_each(
+        "witness-mass-window",
+        geq(mass, 1.0 / 1000.0) & leq(mass, 1.0 / 3.0),
+        lambda k: f"witness mass {mass[k]} for node {h.nodes[owner[k]]} outside [1/1000, 1/3]",
+    )
+    indptr, outs = orientation.out_csr()
+    sources = np.repeat(np.arange(h.n), np.diff(indptr))
+    out_mass = np.bincount(sources, x[outs], minlength=h.n)
+    checks.ok_each(
+        "out-mass-cap",
+        leq(out_mass, 1.0 / 4.0),
+        lambda u: f"outgoing mass {out_mass[u]} at node {h.nodes[u]} above 1/4",
+    )
     return out
 
 
@@ -185,32 +227,56 @@ def build_mis_instance(
     Cost:    same weights on ordered witness pairs and on witness ->
              out-neighbor pairs.  For integral marks, utility - cost
              lower-bounds the number of edges removed this iteration.
+
+    Built as arrays over node positions.  The cost terms are the
+    contributions the loop over good v would make, in its order: each
+    v's witness pairs (i < j) at deg(v), then each witness's
+    out-neighbours at deg(v)/2.  Terms keep the order in which the loop
+    first meets their pair, and each coefficient is summed in loop order
+    (`np.bincount` adds in input order), so the instance equals the
+    loop's bit for bit; the order matters because `round_labels` sums a
+    node's terms in term order.
     """
     orientation = orientation or orient(h)
     conflict = square_graph(h)
-    lin: dict[int, float] = {}
-    pair_cost: dict[tuple[int, int], float] = {}
-
-    def bump(a: int, b: int, w: float) -> None:
-        key = (a, b) if a < b else (b, a)
-        pair_cost[key] = pair_cost.get(key, 0.0) + w
-
-    for v, members in witnesses.items():
-        half_deg = h.degree(v) / 2.0
-        for u in members:
-            lin[u] = lin.get(u, 0.0) + half_deg
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                bump(members[i], members[j], 2.0 * half_deg)
-        for u in members:
-            for w in orientation.out_neighbors(u):
-                bump(u, w, half_deg)
-
-    node_terms = {u: ((0.0, coef), None) for u, coef in lin.items()}
-    edge_terms = {
-        key: (None, ((0.0, 0.0), (0.0, coef))) for key, coef in pair_cost.items()
-    }
-    return UtilityCostInstance(conflict, 2, node_terms, edge_terms)
+    n = h.n
+    half_deg = np.diff(h.csr()[0]) / 2.0
+    owner, group, member = _witness_arrays(h, witnesses)
+    weight = half_deg[owner][group]
+    lin = np.bincount(member, weight, minlength=n)
+    # witness pairs i < j of one list, i in entry order, j after it
+    size = np.bincount(group, minlength=len(owner))
+    later = (np.cumsum(size) - 1)[group] - np.arange(len(member))
+    i = np.repeat(np.arange(len(member)), later)
+    j = _expand(np.arange(len(member)) + 1, later)
+    # witness -> out-neighbour pairs
+    out_ptr, out_idx = orientation.out_csr()
+    out_deg = np.diff(out_ptr)[member]
+    e = np.repeat(np.arange(len(member)), out_deg)
+    w = out_idx[_expand(out_ptr[member], out_deg)]
+    a = np.concatenate((member[i], member[e]))
+    b = np.concatenate((member[j], w))
+    cost = np.concatenate((2.0 * weight[i], weight[e]))
+    # stable: within each v's list, its pairs stay before its out-neighbours
+    order = np.argsort(np.concatenate((group[i], group[e])), kind="stable")
+    a, b, cost = a[order], b[order], cost[order]
+    keys, term = _first_seen(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
+    coef = np.bincount(term, cost, minlength=len(keys))
+    node_utility = np.zeros((n, 2))
+    node_utility[:, 1] = lin
+    edge_cost = np.zeros((len(keys), 2, 2))
+    edge_cost[:, 1, 1] = coef
+    return UtilityCostInstance.from_arrays(
+        conflict,
+        2,
+        _first_seen(member)[0],
+        node_utility,
+        np.zeros((n, 2)),
+        keys // n,
+        keys % n,
+        np.zeros_like(edge_cost),
+        edge_cost,
+    )
 
 
 def _keep_marked(
@@ -277,13 +343,13 @@ def luby_derandomized_iteration(
     orientation = orient(h)
     good = good_vertices(h, orientation, checks)
     witnesses = {v: select_witnesses(h, orientation, v) for v in sorted(good)}
-    for v, members in witnesses.items():
-        inv = sum(1.0 / h.degree(u) for u in members)
-        checks.ok(
-            "witness-weight-window",
-            geq(inv, 1.0 / 3.0) and leq(inv, 4.0 / 3.0),
-            f"witness inverse-degree sum {inv} at node {v}",
-        )
+    owner, group, member = _witness_arrays(h, witnesses)
+    inv = np.bincount(group, 1.0 / np.diff(h.csr()[0])[member], minlength=len(owner))
+    checks.ok_each(
+        "witness-weight-window",
+        geq(inv, 1.0 / 3.0) & leq(inv, 4.0 / 3.0),
+        lambda k: f"witness inverse-degree sum {inv[k]} at node {h.nodes[owner[k]]}",
+    )
     x_intra = intra_round_mis(
         h, partition, bound, seed, n_total, retries, checks, orientation, witnesses
     )

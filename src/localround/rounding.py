@@ -29,7 +29,9 @@ after another would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from collections.abc import Mapping
+from itertools import chain, repeat
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,7 +89,7 @@ def _stack(tables: list, shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 def _side_tables(
-    terms: dict, rows: Sequence[int], shape: tuple[int, ...], describe: Callable
+    terms: Mapping, rows: Sequence[int], shape: tuple[int, ...], describe: Callable
 ) -> list[np.ndarray]:
     """Utility and cost sides of `terms` as two arrays of `shape`, the k-th
     term in row rows[k]; None tables and rows without a term stay zero.
@@ -101,9 +103,49 @@ def _side_tables(
             bad = next(k for k in present if _stack([pairs[k][side]], shape[1:]) is None)
             raise PreconditionError(f"bad {describe(keys[bad])}")
         table = np.zeros(shape)
-        table[[rows[k] for k in present]] = values
+        table[np.asarray(rows, np.intp)[present]] = values
         sides.append(table)
     return sides
+
+
+class _TermView(Mapping):
+    """Read-only term dict derived from an instance's arrays.  `len` costs
+    nothing; the entries are built on the first other use."""
+
+    def __init__(self, size: int, build: Callable[[], dict]):
+        self._size, self._build, self._terms = size, build, None
+
+    def _dict(self) -> dict:
+        if self._terms is None:
+            self._terms = self._build()
+        return self._terms
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+
+def _matrices(tensor: np.ndarray) -> list[Matrix]:
+    return [tuple(map(tuple, mat)) for mat in tensor.tolist()]
+
+
+def _conflict_edges(g: Graph, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Whether each (eu[k], ev[k]) position pair is an edge of g: codes
+    row * n + column of g's adjacency are sorted, so one binary search
+    per pair decides it."""
+    indptr, indices = g.csr()
+    n = g.n
+    codes = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    want = eu.astype(np.int64) * n + ev
+    slot = np.searchsorted(codes, want)
+    hit = slot < len(codes)
+    hit[hit] = codes[slot[hit]] == want[hit]
+    return hit
 
 
 class UtilityCostInstance:
@@ -114,27 +156,33 @@ class UtilityCostInstance:
     indexed [label_u][label_v].  Either member of a pair may be None for
     an all-zero table.  Constant offsets hold label-independent mass.
 
-    The term dicts are kept as given; construction also builds their array
-    form once.  Node ids map to positions in `conflict_graph.nodes` order;
-    `_nu`/`_nc` are the n x L node utility/cost tables (zero rows for
-    nodes without a term), `_eu`/`_ev` the endpoint positions of the E
-    edge terms in `edge_terms` order, and `_wu`/`_wc` their E x L x L
-    utility/cost tensors.
+    Arrays are the one stored form, over node positions in
+    `conflict_graph.nodes` order: `_at` lists the positions of the nodes
+    given a term, in term order; `_nu`/`_nc` are the n x L node
+    utility/cost tables (zero rows for nodes without a term); `_eu`/`_ev`
+    are the endpoint positions of the E edge terms and `_wu`/`_wc` their
+    E x L x L utility/cost tensors.  The constructor converts its dicts to
+    these arrays; `from_arrays` takes them directly.  Both go through the
+    same vectorised checks.  `node_terms` and `edge_terms` are read-only
+    views derived from the arrays on first use and kept, with the keys in
+    the order given and None tables read as zeros; only oracles and tests
+    read their entries.
     """
 
     __slots__ = (
         "conflict_graph",
         "num_labels",
-        "node_terms",
-        "edge_terms",
         "utility_const",
         "cost_const",
+        "_at",
         "_nu",
         "_nc",
         "_eu",
         "_ev",
         "_wu",
         "_wc",
+        "_node_view",
+        "_edge_view",
     )
 
     def __init__(
@@ -148,37 +196,126 @@ class UtilityCostInstance:
     ):
         if num_labels < 1:
             raise PreconditionError("need at least one label")
-        self.conflict_graph = conflict_graph
-        self.num_labels = num_labels
-        self.node_terms = dict(node_terms or {})
-        self.edge_terms = dict(edge_terms or {})
-        self.utility_const = float(utility_const)
-        self.cost_const = float(cost_const)
-        index = {v: i for i, v in enumerate(conflict_graph.nodes)}
-        n, nl = len(index), num_labels
-
-        for node in self.node_terms:
-            if node not in index:
-                raise PreconditionError(f"term on unknown node {node}")
-        self._nu, self._nc = _side_tables(
-            self.node_terms,
-            [index[node] for node in self.node_terms],
-            (n, nl),
-            lambda node: f"node table at {node}",
-        )
-
-        for u, v in self.edge_terms:
-            if not (u < v and conflict_graph.has_edge(u, v)):
-                raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
-        num_edges = len(self.edge_terms)
-        self._eu = np.fromiter((index[u] for u, _ in self.edge_terms), np.intp, num_edges)
-        self._ev = np.fromiter((index[v] for _, v in self.edge_terms), np.intp, num_edges)
-        self._wu, self._wc = _side_tables(
-            self.edge_terms,
+        node_terms, edge_terms = node_terms or {}, edge_terms or {}
+        nodes = conflict_graph.nodes
+        index = dict(zip(nodes, range(len(nodes))))
+        n, nl, num_edges = len(nodes), num_labels, len(edge_terms)
+        at = np.fromiter(map(index.get, node_terms, repeat(-1)), np.intp, len(node_terms))
+        if len(at) and at.min() < 0:
+            unknown = next(v for v in node_terms if v not in index)
+            raise PreconditionError(f"term on unknown node {unknown}")
+        nu, nc = _side_tables(node_terms, at, (n, nl), lambda node: f"node table at {node}")
+        ends = map(index.get, chain.from_iterable(edge_terms), repeat(-1))
+        eu, ev = np.fromiter(ends, np.intp, 2 * num_edges).reshape(-1, 2).T
+        if num_edges and min(eu.min(), ev.min()) < 0:
+            u, v = next(e for e in edge_terms if e[0] not in index or e[1] not in index)
+            raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
+        wu, wc = _side_tables(
+            edge_terms,
             range(num_edges),
             (num_edges, nl, nl),
             lambda edge: f"edge table at ({edge[0]},{edge[1]})",
         )
+        self._set(
+            conflict_graph, num_labels, at, nu, nc, eu, ev, wu, wc, utility_const, cost_const
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        conflict_graph: Graph,
+        num_labels: int,
+        term_nodes: np.ndarray,
+        node_utility: np.ndarray,
+        node_cost: np.ndarray,
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        edge_utility: np.ndarray,
+        edge_cost: np.ndarray,
+        utility_const: float = 0.0,
+        cost_const: float = 0.0,
+    ) -> "UtilityCostInstance":
+        """The instance stored as these arrays, laid out as the class
+        docstring says (`term_nodes` becomes `_at`, `node_utility` `_nu`,
+        and so on), after the checks the constructor makes."""
+        inst = cls.__new__(cls)
+        if num_labels < 1:
+            raise PreconditionError("need at least one label")
+        inst._set(
+            conflict_graph,
+            num_labels,
+            term_nodes,
+            node_utility,
+            node_cost,
+            edge_u,
+            edge_v,
+            edge_utility,
+            edge_cost,
+            utility_const,
+            cost_const,
+        )
+        return inst
+
+    def _set(self, g, num_labels, at, nu, nc, eu, ev, wu, wc, utility_const, cost_const):
+        """Check the arrays and store them; every check is vectorised."""
+        n, nl = g.n, num_labels
+        at, eu, ev = (np.asarray(a, np.intp) for a in (at, eu, ev))
+        nu, nc, wu, wc = (np.asarray(a, float) for a in (nu, nc, wu, wc))
+        num_edges = len(eu)
+        if (
+            at.ndim != 1 or eu.shape != (num_edges,) or ev.shape != (num_edges,)
+            or nu.shape != (n, nl) or nc.shape != (n, nl)
+            or wu.shape != (num_edges, nl, nl) or wc.shape != (num_edges, nl, nl)
+        ):
+            raise PreconditionError("term arrays do not match the graph and label count")
+        for name, table in (("node", nu), ("node", nc), ("edge", wu), ("edge", wc)):
+            if not np.isfinite(table).all():
+                raise PreconditionError(f"non-finite {name} table entry")
+        utility_const, cost_const = float(utility_const), float(cost_const)
+        if not (np.isfinite(utility_const) and np.isfinite(cost_const)):
+            raise PreconditionError(
+                f"constants must be finite: utility {utility_const!r}, cost {cost_const!r}"
+            )
+        if len(at) and (at.min() < 0 or at.max() >= n):
+            raise PreconditionError(f"node term position outside [0, {n})")
+        given = np.zeros(n, bool)
+        given[at] = True
+        if given.sum() != len(at) or nu[~given].any() or nc[~given].any():
+            raise PreconditionError("node terms must be distinct and cover every nonzero row")
+        if num_edges and (min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n):
+            raise PreconditionError(f"edge term position outside [0, {n})")
+        conflict = (eu < ev) & _conflict_edges(g, eu, ev)
+        if not conflict.all():
+            k = int(conflict.argmin())
+            u, v = g.nodes[eu[k]], g.nodes[ev[k]]
+            raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
+        self.conflict_graph, self.num_labels = g, num_labels
+        self.utility_const, self.cost_const = utility_const, cost_const
+        self._at, self._nu, self._nc = at, nu, nc
+        self._eu, self._ev, self._wu, self._wc = eu, ev, wu, wc
+        self._node_view = self._edge_view = None
+
+    @property
+    def node_terms(self) -> Mapping[int, tuple[Row, Row]]:
+        def build() -> dict:
+            at, ids = self._at.tolist(), self.conflict_graph.nodes
+            rows = zip(map(tuple, self._nu[at].tolist()), map(tuple, self._nc[at].tolist()))
+            return dict(zip(map(ids.__getitem__, at), rows))
+
+        if self._node_view is None:
+            self._node_view = _TermView(len(self._at), build)
+        return self._node_view
+
+    @property
+    def edge_terms(self) -> Mapping[tuple[int, int], tuple[Matrix, Matrix]]:
+        def build() -> dict:
+            node = self.conflict_graph.nodes.__getitem__
+            keys = zip(map(node, self._eu.tolist()), map(node, self._ev.tolist()))
+            return dict(zip(keys, zip(_matrices(self._wu), _matrices(self._wc))))
+
+        if self._edge_view is None:
+            self._edge_view = _TermView(len(self._eu), build)
+        return self._edge_view
 
     def decision_nodes(self) -> tuple[int, ...]:
         return self.conflict_graph.nodes

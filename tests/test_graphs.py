@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,3 +184,46 @@ def test_adjacency_symmetry_and_ball_monotone(seed):
     # a huge radius captures exactly u's component
     comp = set(bfs_distances(g, u))
     assert set(ball(g, u, g.n).nodes) == comp
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on up to 24 ids anywhere in [0, 2^63), with isolated nodes."""
+    ids = st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1))
+    nodes = sorted(draw(st.sets(ids, max_size=24)))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
+    return Graph(nodes=nodes, edges=[e for e in pairs if draw(st.floats(0, 1)) < p])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs())
+def test_square_graph_is_distance_two(g):
+    sq = square_graph(g)
+    assert sq.nodes == g.nodes
+    for u in g.nodes:
+        within = {v for v, d in bfs_distances(g, u, limit=2).items() if 0 < d <= 2}
+        assert sq.neighbors(u) == tuple(sorted(within))
+        # the tuples hold the graph's own id objects
+        assert all(type(v) is int for v in sq.neighbors(u))
+    # the position arrays it keeps are the ones its adjacency gives
+    rebuilt = Graph._from_sorted_adj({u: sq.neighbors(u) for u in sq.nodes}).csr()
+    assert all(np.array_equal(a, b) for a, b in zip(sq.csr(), rebuilt))
+
+
+def test_square_graph_of_the_empty_graph():
+    assert square_graph(Graph()) == Graph()
+    assert square_graph(Graph(nodes=[5])).neighbors(5) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_graphs())
+def test_csr_lists_neighbours_by_position(g):
+    indptr, indices = g.csr()
+    assert len(indptr) == g.n + 1
+    for i, u in enumerate(g.nodes):
+        assert tuple(g.nodes[j] for j in indices[indptr[i] : indptr[i + 1]]) == g.neighbors(u)
+    out_ptr, out_idx = orient(g).out_csr()
+    for i, u in enumerate(g.nodes):
+        row = out_idx[out_ptr[i] : out_ptr[i + 1]]
+        assert tuple(g.nodes[j] for j in row) == orient(g).out_neighbors(u)

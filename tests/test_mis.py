@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localround.clustering import delays_to_partition
-from localround.errors import ClaimChecker, PreconditionError
+from localround.errors import ClaimChecker, ClaimViolation, PreconditionError
 from localround.generators import complete, gnp, path, tree
 from localround.graphs import Graph, orient
 from localround.ledger import RoundLedger
@@ -20,7 +23,8 @@ from localround.mis import (
 )
 from localround.rounding import FractionalAssignment, evaluate
 
-from conftest import random_graph
+from conftest import random_graph, relabel
+from mis_reference import reference_mis_terms
 
 
 def _singleton_partition(g, alpha=1):
@@ -132,8 +136,18 @@ def test_intra_global_windows():
         assert 1.0 / 1000.0 - 1e-12 <= mass <= 1.0 / 3.0 + 1e-12
     for u in g.nodes:
         assert sum(out[w] for w in o.out_neighbors(u)) <= 0.25 + 1e-12
-    assert checks.counts["witness-mass-window"] > 0
-    assert checks.counts["out-mass-cap"] > 0
+    # one check per good vertex and one per node, as the loops made them
+    assert checks.counts["witness-mass-window"] == len(good_vertices(g))
+    assert checks.counts["out-mass-cap"] == g.n
+
+
+def test_ok_each_counts_every_element_and_names_the_first_failure():
+    checks = ClaimChecker()
+    checks.ok_each("window", np.array([True, True, True]), str)
+    checks.ok_each("cap", np.array([], bool), str)
+    assert checks.counts == {"window": 3}  # an empty batch adds no key
+    with pytest.raises(ClaimViolation, match="window: element 1"):
+        checks.ok_each("window", np.array([True, False, False]), "element {}".format)
 
 
 def test_instance_single_edge_tables():
@@ -179,6 +193,53 @@ def test_instance_estimator_slack_on_random_graph():
     lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
     utility, cost = evaluate(inst, lam)
     assert utility - cost >= utility / 3.0 - 1e-9
+
+
+@st.composite
+def witnessed_graphs(draw):
+    """A graph without isolated nodes (sparse ids or not), an orientation,
+    and witness lists for its good vertices in a drawn order; the lists are
+    either `select_witnesses` or all of a node's in-neighbours."""
+    n = draw(st.integers(2, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_graph(rng, n, draw(st.sampled_from([0.08, 0.2, 0.5])))
+    g = Graph(edges=g.edges())
+    if g.m == 0:
+        g = Graph(edges=[(0, 1)])
+    if draw(st.booleans()):
+        g = relabel(g, rng)
+    o = orient(g)
+    good = draw(st.permutations(sorted(good_vertices(g, o))))
+    full = draw(st.booleans())
+    witnesses = {v: o.in_neighbors(v) if full else select_witnesses(g, o, v) for v in good}
+    return g, o, witnesses
+
+
+def _assert_terms_match_loop_reference(g, o, witnesses):
+    inst = build_mis_instance(g, witnesses, o)
+    lin, pair_cost = reference_mis_terms(g, witnesses, o)
+    # same keys in the same (first-occurrence) order, same values bit for bit
+    assert list(inst.node_terms) == list(lin)
+    assert [inst.node_terms[u] for u in lin] == [((0.0, c), (0.0, 0.0)) for c in lin.values()]
+    assert list(inst.edge_terms) == list(pair_cost)
+    zero = ((0.0, 0.0), (0.0, 0.0))
+    assert [inst.edge_terms[k] for k in pair_cost] == [
+        (zero, ((0.0, 0.0), (0.0, c))) for c in pair_cost.values()
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(witnessed_graphs())
+def test_instance_terms_match_loop_reference(case):
+    _assert_terms_match_loop_reference(*case)
+
+
+def test_instance_terms_match_loop_reference_at_scale():
+    g = gnp(2000, 8 / 1999, seed=1)
+    g = Graph(edges=g.edges())
+    o = orient(g)
+    witnesses = {v: select_witnesses(g, o, v) for v in sorted(good_vertices(g, o))}
+    _assert_terms_match_loop_reference(g, o, witnesses)
 
 
 def test_iteration_single_edge():

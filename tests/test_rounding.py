@@ -81,6 +81,89 @@ def test_instance_rejects_malformed_terms(node_terms, edge_terms, match):
         UtilityCostInstance(g, 2, node_terms, edge_terms)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("const", ["utility_const", "cost_const"])
+def test_instance_rejects_non_finite_constants(const, value):
+    g = Graph(edges=[(0, 1)])
+    with pytest.raises(PreconditionError, match="constants must be finite"):
+        UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)}, **{const: value})
+
+
+def test_term_views_keep_keys_order_and_length():
+    g = Graph(edges=[(0, 1), (1, 2), (0, 2)])
+    zero = ((0.0, 0.0), (0.0, 0.0))
+    inst = UtilityCostInstance(
+        g,
+        2,
+        {2: ((1.0, 2.0), None), 0: (None, (0.5, 0.0))},
+        {(1, 2): (None, ((0.0, 1.0), (2.0, 3.0))), (0, 1): (((1.0, 0.0), zero[1]), None)},
+    )
+    assert len(inst.node_terms) == 2 and len(inst.edge_terms) == 2
+    assert list(inst.node_terms.items()) == [
+        (2, ((1.0, 2.0), (0.0, 0.0))),
+        (0, ((0.0, 0.0), (0.5, 0.0))),
+    ]
+    assert list(inst.edge_terms.items()) == [
+        ((1, 2), (zero, ((0.0, 1.0), (2.0, 3.0)))),
+        ((0, 1), (((1.0, 0.0), (0.0, 0.0)), zero)),
+    ]
+
+
+def _path_arrays(**change):
+    """from_arrays arguments for one node term at 0 and an edge term on
+    (0, 1) of the path 0 - 1 - 2, with `change` applied."""
+    node_utility = np.zeros((3, 2))
+    node_utility[0] = (0.0, 1.0)
+    edge_cost = np.zeros((1, 2, 2))
+    edge_cost[0, 1, 1] = 0.5
+    args = dict(
+        term_nodes=np.array([0]),
+        node_utility=node_utility,
+        node_cost=np.zeros((3, 2)),
+        edge_u=np.array([0]),
+        edge_v=np.array([1]),
+        edge_utility=np.zeros((1, 2, 2)),
+        edge_cost=edge_cost,
+    )
+    return {**args, **change}
+
+
+def test_from_arrays_matches_the_dict_constructor():
+    g = Graph(edges=[(0, 1), (1, 2)])
+    arrays = UtilityCostInstance.from_arrays(g, 2, **_path_arrays())
+    terms = UtilityCostInstance(
+        g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): (None, ((0.0, 0.0), (0.0, 0.5)))}
+    )
+    assert dict(arrays.node_terms) == dict(terms.node_terms)
+    assert dict(arrays.edge_terms) == dict(terms.edge_terms)
+    lam = FractionalAssignment({0: (0.5, 0.5), 1: (0.25, 0.75), 2: (1.0, 0.0)})
+    assert evaluate(arrays, lam) == evaluate(terms, lam)
+
+
+@pytest.mark.parametrize(
+    "change,match",
+    [
+        ({"edge_v": np.array([2])}, r"\(0,2\) is not a conflict edge"),
+        ({"edge_u": np.array([1]), "edge_v": np.array([0])}, r"\(1,0\) is not a conflict edge"),
+        ({"edge_v": np.array([3])}, "edge term position outside"),
+        ({"term_nodes": np.array([0, 0])}, "distinct"),
+        ({"term_nodes": np.array([1])}, "cover every nonzero row"),
+        ({"term_nodes": np.array([5])}, "node term position outside"),
+        ({"node_cost": np.full((3, 2), math.nan)}, "non-finite node"),
+        ({"edge_utility": np.full((1, 2, 2), math.inf)}, "non-finite edge"),
+        ({"edge_cost": np.zeros((1, 2, 3))}, "do not match"),
+        ({"node_utility": np.zeros((2, 2))}, "do not match"),
+        ({"utility_const": math.nan}, "constants must be finite"),
+    ],
+)
+def test_from_arrays_rejects_malformed_arrays(change, match):
+    g = Graph(edges=[(0, 1), (1, 2)])
+    with pytest.raises(PreconditionError, match=match):
+        UtilityCostInstance.from_arrays(g, 2, **_path_arrays(**change))
+    with pytest.raises(PreconditionError, match="at least one label"):
+        UtilityCostInstance.from_arrays(g, 0, **_path_arrays())
+
+
 def test_evaluate_rejects_malformed_labelings():
     g = Graph(edges=[(0, 1)])
     inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
