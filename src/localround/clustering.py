@@ -22,12 +22,17 @@ the active sets provably empty out after 10*alpha phases.
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import AbstractSet, Iterable, Mapping
+from itertools import repeat
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
-from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, leq
-from .graphs import Graph, bfs_distances, induced_subgraph, two_hop_sets
+import numpy as np
+
+from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, leq
+from .graphs import Graph, bfs_distances, distinct, induced_subgraph, two_hop_sets
 from .hitting import BipartiteInstance, grouped_hitting_set
 from .ledger import RoundLedger
 from .seeds import stream
@@ -514,6 +519,100 @@ def cluster_degree(g: Graph, partition: Partition, u: int) -> int:
     return len(seen)
 
 
+def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray]:
+    """The labels of the clusters holding g's nodes, increasing, and the
+    index among them of each node's cluster, by position in `g.nodes`.
+    A node the partition does not assign is a `PreconditionError`."""
+    label = np.fromiter(map(partition.assignment.get, g.nodes, repeat(-1)), np.int64, g.n)
+    if (label < 0).any():
+        raise PreconditionError(f"partition does not cover node {g.nodes[label.argmin()]}")
+    labels, rank = np.unique(label, return_inverse=True)
+    return labels.tolist(), rank
+
+
+def cluster_degrees(g: Graph, partition: Partition) -> np.ndarray:
+    """`cluster_degree` of every node, by position in `g.nodes`: the
+    distinct codes node * k + cluster over each node and its neighbours,
+    counted per node."""
+    labels, rank = cluster_ranks(g, partition)
+    k = max(1, len(labels))
+    indptr, nbr = g.csr()
+    node = np.arange(g.n, dtype=np.int64)
+    codes = np.concatenate((node, np.repeat(node, np.diff(indptr)))) * k
+    codes += np.concatenate((rank, rank[nbr]))
+    return np.bincount(distinct(codes) // k, minlength=g.n)
+
+
+class ClusterGroups:
+    """Sums over groups of entries, for the windows of a per-cluster
+    floor: entry k adds the value of item items[k] to the group of
+    codes[k], and that group belongs to cluster codes[k] // stride, one
+    of `clusters`.  Groups are numbered by increasing code (`keys`)."""
+
+    def __init__(self, codes: np.ndarray, items: np.ndarray, stride: int, clusters: int):
+        self.keys, self.groups = np.unique(codes, return_inverse=True)
+        self.owners = self.keys // stride
+        self.items = items
+        self.clusters = clusters
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Every group's sum of its entries' values, added in entry order:
+        `np.bincount` adds in input order, so each sum is the one a loop
+        over the entries makes, bit for bit."""
+        return np.bincount(self.groups, values[self.items], minlength=len(self.keys))
+
+    def failing(self, values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Whether each cluster has a group whose sum lies outside
+        [lo, hi] of that group, under `geq` and `leq`."""
+        got = self.sums(values)
+        bad = ~(geq(got, lo) & leq(got, hi))
+        return np.bincount(self.owners[bad], minlength=self.clusters) > 0
+
+
+def resample_clusters(
+    labels: Sequence[int],
+    values: np.ndarray,
+    draws: Mapping[int, Sequence[tuple[int, float]]],
+    floor_value: float,
+    failing: Callable[[np.ndarray], np.ndarray],
+    rng_for: Callable[[int, int], random.Random],
+    retries: int,
+    checks: ClaimChecker,
+    claim: str,
+    failure: str,
+) -> None:
+    """Verified per-cluster resampling, one attempt at a time over every
+    cluster still failing.
+
+    Cluster c (index into the increasing `labels`) redraws the items
+    listed in draws[c], in that order, from `rng_for(labels[c], attempt)`:
+    item i becomes `floor_value` with probability p, else 0.  The other
+    items keep their entries in `values`, so a cluster without draws is
+    decided by attempt 0.  Every attempt of every cluster builds its
+    generator, drawn from or not.  A cluster is accepted, with one
+    `claim` check, once `failing(values)` (a flag per cluster) clears it;
+    the first cluster (by label) still failing after `retries` attempts
+    raises `RetryBudgetExceeded`, after the checks of the clusters before
+    it.  So values, counts and the cluster named are those of a loop that
+    retries each cluster in turn, since no cluster's attempts depend on
+    anything outside it.
+    """
+    k = len(labels)
+    pending = np.arange(k)
+    for attempt in range(retries):
+        for c in pending.tolist():
+            rng = rng_for(labels[c], attempt)
+            for i, p in draws.get(c, ()):
+                values[i] = floor_value if rng.random() < p else 0.0
+        pending = pending[failing(values)[pending]]
+        if not len(pending):
+            break
+    stop = int(pending[0]) if len(pending) else k
+    checks.ok_each(claim, np.ones(stop, bool), str)
+    if len(pending):
+        raise RetryBudgetExceeded(f"cluster {labels[stop]} {failure} {retries} times")
+
+
 def verify_partition(
     g: Graph,
     partition: Partition,
@@ -552,12 +651,8 @@ def verify_partition(
         if max_diameter == math.inf:
             break
 
-    histogram: dict[int, int] = {}
-    max_degree = 0
-    for u in g.nodes:
-        d = cluster_degree(g, partition, u)
-        histogram[d] = histogram.get(d, 0) + 1
-        max_degree = max(max_degree, d)
+    histogram = dict(Counter(cluster_degrees(g, partition).tolist()))
+    max_degree = max(histogram, default=0)
 
     ok = max_diameter <= 100 * alpha and (
         degree_bound is None or max_degree <= degree_bound

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import chain
+from itertools import chain, compress
 from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 MAX_ID_BITS = 63
 
@@ -71,6 +71,24 @@ class Graph:
         g._adj = {u: adj[u] for u in g._nodes}
         g._m = sum(len(a) for a in adj.values()) // 2
         g._csr = None
+        return g
+
+    @classmethod
+    def _from_csr(
+        cls, nodes: tuple[int, ...], indptr: np.ndarray, indices: np.ndarray
+    ) -> "Graph":
+        """Trusted constructor from position arrays laid out as `csr()`
+        over the sorted `nodes`: rows symmetric, sorted and loop-free.
+        The tuples hold the given id objects, gathered from an object
+        array, so no new ints are allocated; the arrays are kept as the
+        graph's `csr()`."""
+        ids = np.empty(len(nodes), object)
+        ids[:] = nodes
+        nbrs, ends = ids[indices].tolist(), indptr.tolist()
+        g = cls._from_sorted_adj(
+            {u: tuple(nbrs[ends[i] : ends[i + 1]]) for i, u in enumerate(nodes)}
+        )
+        g._csr = (indptr, indices)
         return g
 
     @property
@@ -230,18 +248,26 @@ def two_hop_sets(g: Graph) -> dict[int, frozenset[int]]:
     return out
 
 
+def distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, increasing; sorts `codes`
+    in place, then masks repeats.  `np.unique` gives the same, but on the
+    653k codes of `square_graph` on an n=8192 average-degree-8 graph it
+    took 0.49-0.62 s under numpy 2.4.6, against 10 ms for sort plus
+    mask."""
+    codes.sort()
+    fresh = np.empty(len(codes), bool)
+    fresh[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+    return codes[fresh]
+
+
 def square_graph(g: Graph) -> Graph:
     """Graph joining every pair of distinct nodes at distance <= 2 in g.
 
     Built as arrays over node positions: every edge (a, v) and every path
-    a - v - w becomes the int64 code a * n + w; the codes are sorted, and
-    those equal to their predecessor or with a == w are masked out.  What
-    is left is grouped by a and sorted by w: the sorted adjacency the
-    result needs, which it also keeps as its `csr()`.  `np.unique` gives
-    the same codes, but on the 653k codes of an n=8192 average-degree-8
-    graph it took 0.49-0.62 s under numpy 2.4.6, against 10 ms for sort
-    plus mask.  The tuples hold the graph's own id objects, gathered from
-    an object array, so the result allocates no new ints.
+    a - v - w becomes the int64 code a * n + w; the distinct codes with
+    a != w, grouped by a and sorted by w, are the sorted adjacency the
+    result needs, which it also keeps as its `csr()`.
     """
     n = g.n
     indptr, nbr = g.csr()
@@ -253,24 +279,61 @@ def square_graph(g: Graph) -> Graph:
     far = nbr[np.repeat(indptr[nbr] - first, reach) + np.arange(reach.sum())]
     codes = np.concatenate((src, np.repeat(src, reach))).astype(np.int64) * n
     codes += np.concatenate((nbr, far))
-    codes.sort()
-    fresh = np.empty(len(codes), bool)
-    fresh[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-    codes = codes[fresh]
+    codes = distinct(codes)
     row = codes // n
     col = codes - row * n
     pair = row != col
-    sq_indices = col[pair].astype(np.int32)
     sq_indptr = np.searchsorted(row[pair], np.arange(n + 1))
-    ids = np.empty(n, object)
-    ids[:] = g.nodes
-    nbrs, ends = ids[sq_indices].tolist(), sq_indptr.tolist()
-    sq = Graph._from_sorted_adj(
-        {u: tuple(nbrs[ends[i] : ends[i + 1]]) for i, u in enumerate(g.nodes)}
-    )
-    sq._csr = (sq_indptr, sq_indices)
-    return sq
+    return Graph._from_csr(g.nodes, sq_indptr, col[pair].astype(np.int32))
+
+
+def edge_subgraph(g: Graph, a: np.ndarray, b: np.ndarray) -> Graph:
+    """The graph on the distinct edges {nodes[a[k]], nodes[b[k]]} of g,
+    given by position, without isolated nodes: what `Graph(edges=...)`
+    builds from their ids, but built as arrays the way `square_graph`
+    builds its result."""
+    n = g.n
+    codes = np.concatenate((a, b)).astype(np.int64) * n + np.concatenate((b, a))
+    codes.sort()
+    row = codes // n
+    deg = np.bincount(row, minlength=n)
+    kept = deg > 0
+    indptr = np.zeros(np.count_nonzero(kept) + 1, np.intp)
+    np.cumsum(deg[kept], out=indptr[1:])
+    position = (np.cumsum(kept) - 1).astype(np.int32)
+    nodes = tuple(compress(g.nodes, kept.tolist()))
+    return Graph._from_csr(nodes, indptr, position[codes - row * n])
+
+
+def node_positions(g: Graph, ids: Iterable[int], count: int) -> np.ndarray:
+    """The position in `g.nodes` of each of the `count` ids; an id that is
+    not a node of g is a `PreconditionError`."""
+    try:
+        want = np.fromiter(ids, np.int64, count)
+    except OverflowError:
+        raise PreconditionError(f"node id outside [0, 2^{MAX_ID_BITS})") from None
+    nodes = np.fromiter(g.nodes, np.int64, g.n)
+    at = np.searchsorted(nodes, want)
+    known = at < g.n
+    known[known] = nodes[at[known]] == want[known]
+    if not known.all():
+        raise PreconditionError(f"unknown node {want[np.argmin(known)]}")
+    return at
+
+
+def csr_contains(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Whether cols[k] is in row rows[k] of a position adjacency laid out
+    as `Graph.csr()`, for every k: the codes row * n + column of sorted
+    rows are sorted, so one binary search per pair decides it."""
+    n = len(indptr) - 1
+    codes = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    want = rows.astype(np.int64) * n + cols
+    slot = np.searchsorted(codes, want)
+    hit = slot < len(codes)
+    hit[hit] = codes[slot[hit]] == want[hit]
+    return hit
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

@@ -19,13 +19,29 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .clustering import Partition, base_capacity_exponent, cluster_all, cluster_degree
+from .clustering import (
+    ClusterGroups,
+    Partition,
+    base_capacity_exponent,
+    cluster_all,
+    cluster_degrees,
+    cluster_ranks,
+    resample_clusters,
+)
 from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, leq
-from .graphs import Graph, Orientation, induced_subgraph, orient, square_graph
+from .graphs import (
+    Graph,
+    Orientation,
+    csr_contains,
+    induced_subgraph,
+    node_positions,
+    orient,
+    square_graph,
+)
 from .ledger import RoundLedger
 from .rounding import (
     FractionalAssignment,
@@ -74,20 +90,40 @@ def select_witnesses(h: Graph, orientation: Orientation, v: int) -> tuple[int, .
     raise PreconditionError(f"node {v} is not good: inverse-degree sum {total}")
 
 
-def _witness_arrays(
-    h: Graph, witnesses: Mapping[int, tuple[int, ...]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The witness lists as positions in `h.nodes`: the witnessed nodes,
-    then per witness (in mapping order) its list's index and itself."""
-    index = {v: i for i, v in enumerate(h.nodes)}
+class WitnessArrays(NamedTuple):
+    """Witness lists as positions in `h.nodes`: the witnessed nodes, then
+    per witness (in mapping order) its list's index and itself."""
+
+    owner: np.ndarray
+    group: np.ndarray
+    member: np.ndarray
+
+
+Witnesses = Union[Mapping[int, tuple[int, ...]], WitnessArrays]
+
+
+def witness_arrays(
+    h: Graph, orientation: Orientation, witnesses: Witnesses
+) -> WitnessArrays:
+    """The witness lists as arrays; arrays are returned as given.  A node
+    outside h, or a witness that is not an in-neighbour of its node, is a
+    `PreconditionError`."""
+    if isinstance(witnesses, WitnessArrays):
+        return witnesses
     sizes = np.fromiter(map(len, witnesses.values()), np.intp, len(witnesses))
-    owner = np.fromiter(map(index.__getitem__, witnesses), np.intp, len(witnesses))
-    member = np.fromiter(
-        map(index.__getitem__, itertools.chain.from_iterable(witnesses.values())),
-        np.intp,
-        sizes.sum(),
+    owner = node_positions(h, witnesses, len(witnesses))
+    member = node_positions(
+        h, itertools.chain.from_iterable(witnesses.values()), sizes.sum()
     )
-    return owner, np.repeat(np.arange(len(owner)), sizes), member
+    group = np.repeat(np.arange(len(owner)), sizes)
+    inward = csr_contains(*orientation.out_csr(), member, owner[group])
+    if not inward.all():
+        k = inward.argmin()
+        raise PreconditionError(
+            f"witness {h.nodes[member[k]]} of node {h.nodes[owner[group[k]]]}"
+            " is not an in-neighbour"
+        )
+    return WitnessArrays(owner, group, member)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -121,7 +157,7 @@ def intra_round_mis(
     retries: int = RETRIES,
     checks: ClaimChecker | None = None,
     orientation: Orientation | None = None,
-    witnesses: Mapping[int, tuple[int, ...]] | None = None,
+    witnesses: Witnesses | None = None,
 ) -> dict[int, float]:
     """Per-cluster flooring of the marking probabilities.
 
@@ -131,6 +167,19 @@ def intra_round_mis(
     verified against its windows (witness sums per good node, outgoing
     sums per node) and resampled on failure, so the values in a cluster
     depend only on that cluster's members, the seed, and its label.
+
+    The clusters are decided attempt by attempt, all at once: attempt 0
+    sets every value as one array and sums every window as a group,
+    (cluster, good node) over the witness entries and (cluster, node)
+    over the out-edges, each in the order the per-cluster loop summed it.
+    Only clusters with a failing window go on to further attempts, and
+    only a cluster with a resampled member can pass on one.  Each
+    cluster attempt still builds its `stream`, drawn from or not, as the
+    loop did, so streams and accepted clusters keep their counts:
+    perfbench's traced runs take these calls as the `seeds` layer's spans
+    on the MIS path and compute `mis.intra_accept_ratio` from them, so
+    removing them is a change to the benchmark's declared layers first.
+    Returns the values keyed by node, in node order.
     """
     checks = checks if checks is not None else ClaimChecker()
     orientation = orientation or orient(h)
@@ -139,86 +188,73 @@ def intra_round_mis(
             v: select_witnesses(h, orientation, v)
             for v in sorted(good_vertices(h, orientation, checks))
         }
-    if any(h.degree(u) == 0 for u in h.nodes):
+    owner, group, member = witness_arrays(h, orientation, witnesses)
+    deg = np.diff(h.csr()[0])
+    if (deg == 0).any():
         raise PreconditionError("isolated nodes belong in the output, not here")
     n = n_total if n_total is not None else h.n
     log_n = math.log2(max(2, n))
     deg_cutoff = 1000.0 * bound * log_n
     floor_value = 1.0 / (10000.0 * bound * log_n)
-    max_cluster_deg = max((cluster_degree(h, partition, u) for u in h.nodes), default=0)
+    max_cluster_deg = int(cluster_degrees(h, partition).max(initial=0))
     if bound < max_cluster_deg:
         raise PreconditionError(
             f"bound {bound} below the measured cluster degree {max_cluster_deg}"
         )
 
-    in_groups: dict[int, dict[int, list[int]]] = {}
-    out_groups: dict[int, dict[int, list[int]]] = {}
-    for v, members in witnesses.items():
-        for u in members:
-            in_groups.setdefault(partition.assignment[u], {}).setdefault(v, []).append(u)
-    for u in h.nodes:
-        for w in orientation.out_neighbors(u):
-            out_groups.setdefault(partition.assignment[w], {}).setdefault(u, []).append(w)
-
+    labels, rank = cluster_ranks(h, partition)
     slack = 1.0 / (100.0 * bound)
-    out: dict[int, float] = {}
-    for c in sorted(partition.clusters):
-        members = sorted(partition.clusters[c])
-        for attempt in range(retries):
-            rng = stream(seed, "mis-intra", c, attempt)
-            trial: dict[int, float] = {}
-            for u in members:
-                deg = h.degree(u)
-                if deg <= deg_cutoff:
-                    trial[u] = 1.0 / (10.0 * deg)
-                else:
-                    hit = rng.random() < 1000.0 * bound * log_n / deg
-                    trial[u] = floor_value if hit else 0.0
-            ok = True
-            for v, group in in_groups.get(c, {}).items():
-                inv = sum(1.0 / h.degree(u) for u in group)
-                got = sum(trial[u] for u in group)
-                if not (geq(got, inv / 20.0 - slack) and leq(got, inv / 5.0 + slack)):
-                    ok = False
-                    break
-            if ok:
-                for u, group in out_groups.get(c, {}).items():
-                    inv = sum(1.0 / h.degree(w) for w in group)
-                    got = sum(trial[w] for w in group)
-                    if not leq(got, inv / 5.0 + slack):
-                        ok = False
-                        break
-            if ok:
-                checks.ok("intra-cluster-window", True)
-                out.update(trial)
-                break
-        else:
-            raise RetryBudgetExceeded(
-                f"cluster {c} failed its windows {retries} times"
-            )
+    out_ptr, outs = orientation.out_csr()
+    sources = np.repeat(np.arange(h.n), np.diff(out_ptr))
+    # groups: (cluster of u, v) over witnesses u of v, then (cluster of
+    # w, u) over edges u -> w, the latter with no lower bound
+    items = np.concatenate((member, outs))
+    stride = len(owner) + h.n
+    groups = ClusterGroups(
+        rank[items] * stride + np.concatenate((group, len(owner) + sources)),
+        items,
+        stride,
+        len(labels),
+    )
+    inv = groups.sums(1.0 / deg)
+    witnessed = groups.keys % stride < len(owner)
+    lo = np.where(witnessed, inv / 20.0 - slack, -np.inf)
+    hi = inv / 5.0 + slack
+    x = np.where(deg <= deg_cutoff, 1.0 / (10.0 * deg), 0.0)
+    draws: dict[int, list[tuple[int, float]]] = {}
+    for u in np.flatnonzero(deg > deg_cutoff).tolist():
+        draws.setdefault(int(rank[u]), []).append((u, deg_cutoff / int(deg[u])))
+    resample_clusters(
+        labels,
+        x,
+        draws,
+        floor_value,
+        lambda trial: groups.failing(trial, lo, hi),
+        lambda c, attempt: stream(seed, "mis-intra", c, attempt),
+        retries,
+        checks,
+        "intra-cluster-window",
+        "failed its windows",
+    )
 
-    x = np.fromiter(map(out.__getitem__, h.nodes), float, h.n)
-    owner, group, member = _witness_arrays(h, witnesses)
     mass = np.bincount(group, x[member], minlength=len(owner))
     checks.ok_each(
         "witness-mass-window",
         geq(mass, 1.0 / 1000.0) & leq(mass, 1.0 / 3.0),
         lambda k: f"witness mass {mass[k]} for node {h.nodes[owner[k]]} outside [1/1000, 1/3]",
     )
-    indptr, outs = orientation.out_csr()
-    sources = np.repeat(np.arange(h.n), np.diff(indptr))
     out_mass = np.bincount(sources, x[outs], minlength=h.n)
     checks.ok_each(
         "out-mass-cap",
         leq(out_mass, 1.0 / 4.0),
         lambda u: f"outgoing mass {out_mass[u]} at node {h.nodes[u]} above 1/4",
     )
-    return out
+    return dict(zip(h.nodes, x.tolist()))
 
 
 def build_mis_instance(
     h: Graph,
-    witnesses: Mapping[int, tuple[int, ...]],
+    witnesses: Witnesses,
     orientation: Orientation | None = None,
 ) -> UtilityCostInstance:
     """Removed-edges estimator as a pairwise objective on the square graph.
@@ -241,7 +277,7 @@ def build_mis_instance(
     conflict = square_graph(h)
     n = h.n
     half_deg = np.diff(h.csr()[0]) / 2.0
-    owner, group, member = _witness_arrays(h, witnesses)
+    owner, group, member = witness_arrays(h, orientation, witnesses)
     weight = half_deg[owner][group]
     lin = np.bincount(member, weight, minlength=n)
     # witness pairs i < j of one list, i in entry order, j after it
@@ -342,8 +378,10 @@ def luby_derandomized_iteration(
         raise PreconditionError("iteration needs at least one edge")
     orientation = orient(h)
     good = good_vertices(h, orientation, checks)
-    witnesses = {v: select_witnesses(h, orientation, v) for v in sorted(good)}
-    owner, group, member = _witness_arrays(h, witnesses)
+    witnesses = witness_arrays(
+        h, orientation, {v: select_witnesses(h, orientation, v) for v in sorted(good)}
+    )
+    owner, group, member = witnesses
     inv = np.bincount(group, 1.0 / np.diff(h.csr()[0])[member], minlength=len(owner))
     checks.ok_each(
         "witness-weight-window",

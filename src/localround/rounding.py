@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, REL_TOL, geq
-from .graphs import Graph
+from .graphs import Graph, csr_contains
 from .ledger import RoundLedger
 
 Row = tuple[float, ...]
@@ -132,20 +132,6 @@ class _TermView(Mapping):
 
 def _matrices(tensor: np.ndarray) -> list[Matrix]:
     return [tuple(map(tuple, mat)) for mat in tensor.tolist()]
-
-
-def _conflict_edges(g: Graph, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Whether each (eu[k], ev[k]) position pair is an edge of g: codes
-    row * n + column of g's adjacency are sorted, so one binary search
-    per pair decides it."""
-    indptr, indices = g.csr()
-    n = g.n
-    codes = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-    want = eu.astype(np.int64) * n + ev
-    slot = np.searchsorted(codes, want)
-    hit = slot < len(codes)
-    hit[hit] = codes[slot[hit]] == want[hit]
-    return hit
 
 
 class UtilityCostInstance:
@@ -284,7 +270,7 @@ class UtilityCostInstance:
             raise PreconditionError("node terms must be distinct and cover every nonzero row")
         if num_edges and (min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n):
             raise PreconditionError(f"edge term position outside [0, {n})")
-        conflict = (eu < ev) & _conflict_edges(g, eu, ev)
+        conflict = (eu < ev) & csr_contains(*g.csr(), eu, ev)
         if not conflict.all():
             k = int(conflict.argmin())
             u, v = g.nodes[eu[k]], g.nodes[ev[k]]

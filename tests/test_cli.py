@@ -205,6 +205,9 @@ RECORDED_DIGESTS = {
     ("mis", "3", "gnp:n=2048,p=0.004,seed=1"): (
         "0ef43a8f9f07ad2ac82159357605ea61c975b0b459843956be509caf643f0779"
     ),
+    ("matching", "3", "gnp:n=2048,p=0.004,seed=1"): (
+        "53e30c0b08b1b6085fc53ec8682a7b5b5b17cc58d91448eaf33eea5195e85b6f"
+    ),
 }
 
 

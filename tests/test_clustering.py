@@ -13,6 +13,7 @@ from localround.clustering import (
     cluster_all,
     cluster_constant,
     cluster_degree,
+    cluster_degrees,
     cluster_degree_bound_all,
     cluster_degree_bound_fraction,
     delays_to_partition,
@@ -305,6 +306,24 @@ def test_verify_partition_rejects_non_partition():
     bad = Partition(1, {0: frozenset({0, 1})}, {0: 0, 1: 0}, {0: 0, 1: 0})
     with pytest.raises(PreconditionError):
         verify_partition(g, bad, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40), st.sampled_from([0.05, 0.2, 0.6]))
+def test_cluster_degrees_match_the_per_node_count(seed, n, p):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    part = delays_to_partition(g, {u: rng.randint(0, 4) for u in g.nodes}, 1)
+    assert cluster_degrees(g, part).tolist() == [
+        cluster_degree(g, part, u) for u in g.nodes
+    ]
+
+
+def test_cluster_degrees_need_every_node_assigned():
+    g = path(4)
+    part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1).restrict([0, 1, 3])
+    with pytest.raises(PreconditionError, match="does not cover node 2"):
+        cluster_degrees(g, part)
 
 
 def test_partition_restrict():

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localround.errors import ParseError
+from localround.errors import ParseError, PreconditionError
 from localround.graphs import (
     Graph,
     ball,
     bfs_distances,
     dump_edge_list,
+    edge_subgraph,
     induced_subgraph,
     load_graph,
+    node_positions,
     orient,
     square_graph,
     two_hop_sets,
@@ -227,3 +229,30 @@ def test_csr_lists_neighbours_by_position(g):
     for i, u in enumerate(g.nodes):
         row = out_idx[out_ptr[i] : out_ptr[i + 1]]
         assert tuple(g.nodes[j] for j in row) == orient(g).out_neighbors(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs(), st.data())
+def test_edge_subgraph_matches_the_constructor(g, data):
+    edges = [e for e in g.edges() if data.draw(st.booleans())]
+    a = node_positions(g, (e[0] for e in edges), len(edges))
+    b = node_positions(g, (e[1] for e in edges), len(edges))
+    # either orientation of a pair, and any order of the pairs
+    flip = np.array([data.draw(st.booleans()) for _ in edges], bool)
+    order = np.array(data.draw(st.permutations(range(len(edges)))), np.intp)
+    a, b = np.where(flip, b, a)[order], np.where(flip, a, b)[order]
+    sub = edge_subgraph(g, a, b)
+    assert sub == Graph(edges=edges)
+    assert all(type(u) is int for u in sub.nodes)
+    rebuilt = Graph._from_sorted_adj({u: sub.neighbors(u) for u in sub.nodes}).csr()
+    assert all(np.array_equal(x, y) for x, y in zip(sub.csr(), rebuilt))
+
+
+def test_node_positions_rejects_unknown_ids():
+    g = Graph(nodes=[3, 8, 2**62])
+    assert node_positions(g, [2**62, 3, 8], 3).tolist() == [2, 0, 1]
+    for bad in (-1, 0, 5, 9, 2**62 + 1):
+        with pytest.raises(PreconditionError, match=f"unknown node {bad}"):
+            node_positions(g, [3, bad], 2)
+    with pytest.raises(PreconditionError, match="outside"):
+        node_positions(g, [3, 2**63], 2)

@@ -115,6 +115,26 @@ def test_intra_two_outcome_small_edge():
     assert len(seen) == 2  # both branches actually occur
 
 
+@pytest.mark.parametrize(
+    "x_good, message",
+    [
+        ({(0, 1): math.nan}, "outside"),
+        ({(0, 1): -0.5}, "outside"),
+        ({(0, 1): 3.0}, "outside"),
+        ({(0, 1): math.inf}, "outside"),
+        ({(1, 2): 0.5, (1, 0): 0.5}, "not an edge"),
+        ({(0, 2): 0.5}, "not an edge"),
+        ({(0, 5): 0.5}, "unknown node 5"),
+        ({(0, 2**64): 0.5}, "outside"),
+    ],
+)
+def test_intra_rejects_malformed_values(x_good, message):
+    g = path(3)
+    part = _uniform_partition(g)
+    with pytest.raises(PreconditionError, match=message):
+        intra_round_matching(g, part, x_good, bound=3.0, seed=0)
+
+
 def test_intra_window_scan_on_pipeline_values():
     g = strip_isolated(gnp(60, 0.08, seed=4))
     frac = fractional_matching(g)

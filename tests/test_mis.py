@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from localround.clustering import delays_to_partition
 from localround.errors import ClaimChecker, ClaimViolation, PreconditionError
 from localround.generators import complete, gnp, path, tree
-from localround.graphs import Graph, orient
+from localround.graphs import Graph, orient, strip_isolated
 from localround.ledger import RoundLedger
 from localround.mis import (
     build_mis_instance,
@@ -122,6 +123,46 @@ def test_intra_bound_must_cover_cluster_degree():
     part = _singleton_partition(g)
     with pytest.raises(PreconditionError):
         intra_round_mis(g, part, bound=1.0, seed=0)  # path sees 3 clusters
+
+
+@pytest.mark.parametrize(
+    "witnesses, message",
+    [
+        ({1: (3,)}, "witness 3 of node 1 is not an in-neighbour"),
+        ({1: (2,)}, "witness 2 of node 1 is not an in-neighbour"),
+        ({2: (1, 7)}, "unknown node 7"),
+        ({7: (1,)}, "unknown node 7"),
+        ({2: (2**64,)}, "outside"),
+    ],
+)
+def test_intra_rejects_malformed_witnesses(witnesses, message):
+    g = path(4)  # oriented 0 -> 1 -> 2 <- 3 by (degree, id)
+    with pytest.raises(PreconditionError, match=message):
+        intra_round_mis(g, _singleton_partition(g), 1000.0, seed=0, witnesses=witnesses)
+
+
+def test_intra_needs_a_partition_of_h():
+    g = path(4)
+    part = _singleton_partition(g).restrict([0, 1, 2])
+    with pytest.raises(PreconditionError, match="does not cover node 3"):
+        intra_round_mis(g, part, 1000.0, seed=0)
+
+
+def test_iteration_converts_its_witness_lists_once(monkeypatch):
+    mis_module = importlib.import_module("localround.mis")
+    real = mis_module.witness_arrays
+    converted = []
+
+    def counting(h, orientation, witnesses):
+        converted.append(not isinstance(witnesses, mis_module.WitnessArrays))
+        return real(h, orientation, witnesses)
+
+    monkeypatch.setattr(mis_module, "witness_arrays", counting)
+    g = strip_isolated(gnp(200, 0.05, seed=4))
+    part = _singleton_partition(g)
+    luby_derandomized_iteration(g, part, float(g.n + 1), seed=1)
+    # the floor and the instance build take the arrays the iteration built
+    assert converted == [True, False, False]
 
 
 def test_intra_global_windows():
