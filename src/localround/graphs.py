@@ -305,6 +305,16 @@ def edge_subgraph(g: Graph, a: np.ndarray, b: np.ndarray) -> Graph:
     return Graph._from_csr(nodes, indptr, position[codes - row * n])
 
 
+def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint positions (a, b), a < b, of every edge of g in
+    `g.edges()` order: the entries of `csr()` above the diagonal, row by
+    row."""
+    indptr, nbr = g.csr()
+    row = np.repeat(np.arange(g.n, dtype=np.intp), np.diff(indptr))
+    upper = nbr > row
+    return row[upper], nbr[upper].astype(np.intp)
+
+
 def node_positions(g: Graph, ids: Iterable[int], count: int) -> np.ndarray:
     """The position in `g.nodes` of each of the `count` ids; an id that is
     not a node of g is a `PreconditionError`."""

@@ -16,6 +16,17 @@ perfbench's traced runs take them as the `seeds` layer's spans on this
 path and compute `matching.intra_accept_ratio` from them, so removing
 them is a change to the benchmark's declared layers first.  The support
 graph of the finish is built from position arrays (`edge_subgraph`).
+
+From the doubling to the hand-off to the finish, edge values are stored
+as arrays over node positions (`FractionalMatching`): endpoint positions
+a < b from `Graph.csr()` and one value per edge.  `fractional_matching`
+and `good_edges` list the edges in `g.edges()` order, so the good edges
+are a mask over the fractional values, and `intra_round_matching` takes
+and returns the arrays without resolving ids again.  Every float sum
+keeps the order of the loops it replaced: values and `value()` in edge
+order, each node's load over its edges in edge order, and `loads()`
+keyed in order of first appearance as an endpoint, the order
+approx_matching adds the total load in.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from .graphs import (
     Graph,
     csr_contains,
     distinct,
+    edge_ends,
     edge_subgraph,
     node_positions,
     strip_isolated,
@@ -50,21 +62,63 @@ from .ledger import RoundLedger
 from .seeds import RETRIES, stream
 
 
-@dataclass(frozen=True)
-class FractionalMatching:
-    """Edge values in [0, 1] with per-node load at most 1."""
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack((a, b), axis=1).ravel()
 
-    values: dict[Edge, float]
+
+class FractionalMatching:
+    """Edge values in [0, 1] with per-node load at most 1.
+
+    Stored as arrays over the positions of a graph's nodes: `nodes` are
+    the graph's ids in increasing order, and edge k joins nodes[a[k]] and
+    nodes[b[k]], a[k] < b[k], with value x[k].  `values` (edge -> value,
+    in edge order) and `loads()` (node -> summed value of its edges,
+    added in edge order, keyed in order of first appearance among the
+    endpoints a[0], b[0], a[1], b[1], ...) are the dict views the loops
+    built; each is derived from the arrays on first use and kept.
+    `value()` adds the values in edge order.  Those orders fix every
+    float sum bit for bit.
+    """
+
+    __slots__ = ("nodes", "a", "b", "x", "_values", "_loads")
+
+    def __init__(self, nodes: tuple[int, ...], a: np.ndarray, b: np.ndarray, x: np.ndarray):
+        self.nodes, self.a, self.b, self.x = nodes, a, b, x
+        self._values: dict[Edge, float] | None = None
+        self._loads: dict[int, float] | None = None
+
+    @property
+    def values(self) -> dict[Edge, float]:
+        if self._values is None:
+            node = self.nodes.__getitem__
+            keys = zip(map(node, self.a.tolist()), map(node, self.b.tolist()))
+            self._values = dict(zip(keys, self.x.tolist()))
+        return self._values
+
+    def ends(self) -> np.ndarray:
+        """The endpoint positions interleaved: a[0], b[0], a[1], b[1], ..."""
+        return _interleave(self.a, self.b)
+
+    def position_loads(self) -> np.ndarray:
+        """The load of every node by position in `nodes`, each the sum of
+        its edges' values in edge order (`np.bincount` adds in input
+        order)."""
+        return np.bincount(self.ends(), np.repeat(self.x, 2), minlength=len(self.nodes))
 
     def loads(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for (a, b), x in self.values.items():
-            out[a] = out.get(a, 0.0) + x
-            out[b] = out.get(b, 0.0) + x
-        return out
+        if self._loads is None:
+            seen, first = np.unique(self.ends(), return_index=True)
+            order = seen[np.argsort(first)]
+            load = self.position_loads()[order]
+            self._loads = dict(zip(map(self.nodes.__getitem__, order.tolist()), load.tolist()))
+        return self._loads
 
     def value(self) -> float:
-        return sum(self.values.values())
+        return sum(self.x.tolist())
+
+    def restrict(self, keep: np.ndarray) -> "FractionalMatching":
+        """The edges with keep[k] true, in edge order."""
+        return FractionalMatching(self.nodes, self.a[keep], self.b[keep], self.x[keep])
 
 
 def fractional_matching(
@@ -75,86 +129,84 @@ def fractional_matching(
 
     All loads are tracked as exact integer multiples of 1/max_degree, so
     the per-node load bound holds exactly.  Requires no isolated nodes.
+
+    The edges are g's in `g.edges()` order, as positions from `g.csr()`,
+    and edge k's value is 2**t[k] / delta, delta = max_degree, for one
+    int exponent array t.  A round is one `np.bincount` of 2**t over the
+    interleaved endpoints (exact integers in float64), and every edge
+    tests the loads from before the round.  Each value is
+    `np.ldexp(1.0, t) / delta`, equal bit for bit to the int quotient
+    (1 << t) / delta.
     """
     checks = checks if checks is not None else ClaimChecker()
-    if any(g.degree(u) == 0 for u in g.nodes):
+    deg = np.diff(g.csr()[0])
+    if (deg == 0).any():
         raise PreconditionError("strip isolated nodes before matching")
+    a, b = edge_ends(g)
     if g.m == 0:
-        return FractionalMatching({})
-    delta = g.max_degree()
-    edges = list(g.edges())
-    # value of edge e is 2**exponent[e] / delta
-    exponent: dict[Edge, int] = {e: 0 for e in edges}
+        return FractionalMatching(g.nodes, a, b, np.zeros(0))
+    delta = int(deg.max())
+    ends = _interleave(a, b)
+    exponent = np.zeros(g.m, np.int64)
+
+    def numerators() -> np.ndarray:
+        return np.bincount(ends, np.repeat(np.left_shift(1, exponent), 2), minlength=g.n)
+
     iterations = math.ceil(math.log2(delta)) if delta > 1 else 0
     for _ in range(iterations):
-        numer = {u: 0 for u in g.nodes}
-        for (a, b), t in exponent.items():
-            numer[a] += 1 << t
-            numer[b] += 1 << t
-        for e in edges:
-            a, b = e
-            if 2 * numer[a] <= delta and 2 * numer[b] <= delta:
-                exponent[e] += 1
-    numer = {u: 0 for u in g.nodes}
-    for (a, b), t in exponent.items():
-        numer[a] += 1 << t
-        numer[b] += 1 << t
-    checks.ok(
-        "fractional-loads",
-        all(x <= delta for x in numer.values()),
-        "a node load exceeds 1",
-    )
+        low = 2 * numerators() <= delta
+        exponent += low[a] & low[b]
+    numer = numerators()
+    checks.ok("fractional-loads", bool((numer <= delta).all()), "a node load exceeds 1")
     # every edge now has an endpoint loaded above 1/2, which is what
     # pins the value against a maximum matching
+    high = 2 * numer > delta
     checks.ok(
         "fractional-saturation",
-        all(2 * numer[a] > delta or 2 * numer[b] > delta for a, b in edges),
+        bool((high[a] | high[b]).all()),
         "an edge kept both endpoints at load <= 1/2 after all doublings",
     )
     if ledger is not None and iterations > 0:
         ledger.charge("fractional-doubling", 1, iterations)
-    values = {e: (1 << t) / delta for e, t in exponent.items()}
-    return FractionalMatching(values)
+    return FractionalMatching(g.nodes, a, b, np.ldexp(1.0, exponent) / delta)
 
 
-@dataclass
 class GoodEdges:
-    """Edges whose endpoints both see few clusters."""
+    """Edges whose endpoints both see few clusters.  `mask` marks them
+    among g's edges in `g.edges()` order; `edges` lists them as id pairs,
+    built on first use and kept."""
 
-    good_nodes: frozenset[int]
-    edges: tuple[Edge, ...]
+    __slots__ = ("good_nodes", "mask", "_g", "_edges")
+
+    def __init__(self, good_nodes: frozenset[int], mask: np.ndarray, g: Graph):
+        self.good_nodes, self.mask, self._g = good_nodes, mask, g
+        self._edges: tuple[Edge, ...] | None = None
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._edges = tuple(compress(self._g.edges(), self.mask.tolist()))
+        return self._edges
 
 
 def good_edges(g: Graph, partition: Partition, bound: float) -> GoodEdges:
     """Nodes with cluster degree <= bound and the edges among them."""
     good = cluster_degrees(g, partition) <= bound
     good_nodes = frozenset(compress(g.nodes, good.tolist()))
-    edges = tuple(e for e in g.edges() if e[0] in good_nodes and e[1] in good_nodes)
-    return GoodEdges(good_nodes, edges)
-
-
-def _edge_positions(g: Graph, edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoint positions (a, b) in `g.nodes` of edges of g given in
-    canonical form (a < b); anything else is a `PreconditionError`."""
-    ends = node_positions(g, chain.from_iterable(edges), 2 * len(edges))
-    a, b = ends[0::2], ends[1::2]
-    canonical = (a < b) & csr_contains(*g.csr(), a, b)
-    if not canonical.all():
-        bad = edges[canonical.argmin()]
-        raise PreconditionError(f"{bad} is not an edge (a, b) of g with a < b")
-    return a, b
+    a, b = edge_ends(g)
+    return GoodEdges(good_nodes, good[a] & good[b], g)
 
 
 def intra_round_matching(
     g: Graph,
     partition: Partition,
-    x_good: Mapping[Edge, float],
+    x_good: Mapping[Edge, float] | FractionalMatching,
     bound: float,
     seed: int,
     n_total: int | None = None,
     retries: int = RETRIES,
     checks: ClaimChecker | None = None,
-) -> dict[Edge, float]:
+) -> dict[Edge, float] | FractionalMatching:
     """Per-cluster re-rounding of a fractional matching restricted to the
     low-cluster-degree edges.
 
@@ -170,18 +222,40 @@ def intra_round_matching(
     seed, so the outcome per cluster depends only on its own edges, the
     seed, and the cluster label.
 
-    The keys must be edges (a, b) of g with a < b, and the values lie in
-    [0, 1].  The clusters are decided attempt by attempt, all at once:
-    attempt 0 sets every value as one array and sums every window as a
-    group, (cluster, endpoint) over the endpoints of the edges taken by
-    cluster and then edge, the order in which the per-cluster loop summed
-    them.  Only clusters with a failing window go on to further attempts,
-    and only one with a resampled edge can pass on one.  Each cluster
-    attempt still builds its `stream`, drawn from or not, as the loop
-    did, so streams and accepted clusters keep their counts (the module
-    docstring says why).  Returns the values in the loop's order too:
-    by cluster label, then by edge.
+    `x_good` is an edge -> value mapping or a `FractionalMatching` over
+    g's nodes, whose position arrays are taken as given; the result has
+    the same form.  The keys of a mapping must be edges (a, b) of g with
+    a < b, and the values lie in [0, 1].  The clusters are decided
+    attempt by attempt, all at once: attempt 0 sets every value as one
+    array and sums every window as a group, (cluster, endpoint) over the
+    endpoints of the edges taken by cluster and then edge, the order in
+    which the per-cluster loop summed them.  Only clusters with a failing
+    window go on to further attempts, and only one with a resampled edge
+    can pass on one.  Each cluster attempt still builds its `stream`,
+    drawn from or not, as the loop did, so streams and accepted clusters
+    keep their counts (the module docstring says why).  Returns the
+    values in the loop's order too: by cluster label, then by edge.
     """
+    given = isinstance(x_good, FractionalMatching)
+    if given:
+        if x_good.nodes != g.nodes:
+            raise PreconditionError("the fractional matching is over another graph's nodes")
+        a, b, x = x_good.a, x_good.b, x_good.x
+    else:
+        edges = list(x_good)
+        x = np.fromiter(x_good.values(), float, len(edges))
+    inside = (x >= 0.0) & (x <= 1.0)  # False for NaN too
+    if not inside.all():
+        k = inside.argmin()
+        edge = (g.nodes[a[k]], g.nodes[b[k]]) if given else edges[k]
+        raise PreconditionError(f"value {x[k]} of edge {edge} outside [0, 1]")
+    if not given:
+        ends = node_positions(g, chain.from_iterable(edges), 2 * len(edges))
+        a, b = ends[0::2], ends[1::2]
+        canonical = (a < b) & csr_contains(*g.csr(), a, b)
+        if not canonical.all():
+            bad = edges[canonical.argmin()]
+            raise PreconditionError(f"{bad} is not an edge (a, b) of g with a < b")
     checks = checks if checks is not None else ClaimChecker()
     n = n_total if n_total is not None else g.n
     log_n = math.log2(max(2, n))
@@ -189,22 +263,14 @@ def intra_round_matching(
     floor_value = 1.0 / (50000.0 * bound * log_n)
     slack = 1.0 / (1000.0 * bound)
 
-    edges = list(x_good)
-    x = np.fromiter(x_good.values(), float, len(edges))
-    inside = (x >= 0.0) & (x <= 1.0)  # False for NaN too
-    if not inside.all():
-        k = inside.argmin()
-        raise PreconditionError(f"value {x[k]} of edge {edges[k]} outside [0, 1]")
-    a, b = _edge_positions(g, edges)
     labels, rank = cluster_ranks(g, partition)
     order = np.lexsort((b, a, rank[b]))
     used, owner = np.unique(rank[b][order], return_inverse=True)
-    edges = [edges[k] for k in order.tolist()]
     x, a, b = x[order], a[order], b[order]
 
-    items = np.repeat(np.arange(len(edges)), 2)
+    items = np.repeat(np.arange(len(x)), 2)
     groups = ClusterGroups(
-        owner[items] * g.n + np.stack((a, b), axis=1).ravel(), items, g.n, len(used)
+        owner[items] * g.n + _interleave(a, b), items, g.n, len(used)
     )
     base = groups.sums(x)
     lo, hi = base / 10.0 - slack, base / 2.0 + slack
@@ -225,7 +291,8 @@ def intra_round_matching(
         "intra-window",
         "failed the per-node window",
     )
-    return dict(zip(edges, values.tolist()))
+    out = FractionalMatching(g.nodes, a, b, values)
+    return out if given else out.values
 
 
 def greedy_maximal_matching(g: Graph) -> frozenset[Edge]:
@@ -252,7 +319,7 @@ def is_matching(edges: frozenset[Edge] | set[Edge]) -> bool:
 
 def finish_matching(
     support: Graph,
-    x_intra: Mapping[Edge, float],
+    x_intra: Mapping[Edge, float] | FractionalMatching,
     ledger: RoundLedger | None = None,
     checks: ClaimChecker | None = None,
 ) -> frozenset[Edge]:
@@ -264,7 +331,10 @@ def finish_matching(
     """
     checks = checks if checks is not None else ClaimChecker()
     matching = greedy_maximal_matching(support)
-    total = sum(x_intra.values())
+    if isinstance(x_intra, FractionalMatching):
+        total = x_intra.value()
+    else:
+        total = sum(x_intra.values())
     checks.ok(
         "finish-ratio",
         geq(len(matching), (2.0 / 9.0) * total),
@@ -325,35 +395,34 @@ def approx_matching(
         f"good nodes carry {good_load} < 0.9 * {total_load}",
     )
     frac_value = frac.value()
-    good_value = sum(frac.values[e] for e in ge.edges)
+    x_good = frac.restrict(ge.mask)
+    good_value = x_good.value()
     checks.ok(
         "good-mass",
         geq(good_value, 0.8 * frac_value),
         f"good edges carry {good_value} < 0.8 * {frac_value}",
     )
 
-    x_good = {e: frac.values[e] for e in ge.edges}
     x_intra = intra_round_matching(
         work, partition, x_good, bound, seed, work.n, retries, checks
     )
-    if ledger is not None and x_good:
+    if ledger is not None and len(x_good.x):
         # gather + scatter within each cluster; radius bounded by construction
         radius = 50 * alpha + 2
         ledger.charge("intra-gather", radius, 2 * radius)
 
-    a, b = _edge_positions(work, list(x_intra))
-    x = np.fromiter(x_intra.values(), float, len(x_intra))
-    ends = np.stack((a, b), axis=1).ravel()
+    a, b, x = x_intra.a, x_intra.b, x_intra.x
     checks.ok(
         "intra-loads",
-        bool(leq(np.bincount(ends, np.repeat(x, 2), minlength=work.n), 1.0).all()),
+        bool(leq(x_intra.position_loads(), 1.0).all()),
         "re-rounded values are not a fractional matching",
     )
-    intra_value = sum(x_intra.values())
+    intra_value = x_intra.value()
     # (endpoint, cluster) pairs over the edges, each owned by the cluster
     # of its larger endpoint
     rank = cluster_ranks(work, partition)[1]
-    touched = len(distinct(ends.astype(np.int64) * work.n + np.repeat(rank[b], 2)))
+    codes = x_intra.ends().astype(np.int64) * work.n + np.repeat(rank[b], 2)
+    touched = len(distinct(codes))
     slack = touched / (2.0 * 1000.0 * bound)
     checks.ok(
         "intra-value-floor",

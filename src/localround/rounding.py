@@ -52,9 +52,13 @@ class Coloring:
 
 
 class FractionalAssignment:
-    """Per-node probability vectors over a common finite label alphabet."""
+    """Per-node probability vectors over a common finite label alphabet.
 
-    __slots__ = ("probs",)
+    Read-only once built: the probability matrix of one node order is
+    built on first use and kept for that order (`_rows`).
+    """
+
+    __slots__ = ("probs", "_kept")
 
     def __init__(self, probs: Mapping[int, Sequence[float]]):
         clean: dict[int, tuple[float, ...]] = {}
@@ -69,9 +73,27 @@ class FractionalAssignment:
                 raise PreconditionError(f"probabilities at node {node} sum to {sum(vec)!r}")
             clean[node] = vec
         self.probs = clean
+        self._kept: tuple[tuple[int, ...], np.ndarray | None] | None = None
 
     def __getitem__(self, node: int) -> tuple[float, ...]:
         return self.probs[node]
+
+    def _rows(self, nodes: tuple[int, ...]) -> np.ndarray | None:
+        """The vectors of `nodes`, in that order, as one read-only float
+        array, or None when their lengths differ; kept for the last order
+        asked for.  A missing node is a `PreconditionError`."""
+        if self._kept is None or self._kept[0] != nodes:
+            try:
+                rows = [self.probs[v] for v in nodes]
+            except KeyError as exc:
+                raise PreconditionError(f"assignment misses decision node {exc.args[0]}") from None
+            try:
+                matrix = np.array(rows, dtype=float)
+                matrix.flags.writeable = False
+            except ValueError:
+                matrix = None
+            self._kept = (nodes, matrix)
+        return self._kept[1]
 
 
 def _stack(tables: list, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -310,22 +332,20 @@ class UtilityCostInstance:
 def _probabilities(
     inst: UtilityCostInstance, assignment: FractionalAssignment | Mapping[int, int]
 ) -> np.ndarray:
-    """The n x L probability matrix of a labeling, rows in node order."""
+    """The n x L probability matrix of a labeling, rows in node order;
+    read-only for a fractional labeling, which keeps it."""
     nodes = inst.conflict_graph.nodes
     n, nl = len(nodes), inst.num_labels
+    if isinstance(assignment, FractionalAssignment):
+        rows = assignment._rows(nodes)
+        if rows is not None and rows.size == n * nl:
+            return rows.reshape(n, nl)
+        bad = next(v for v in nodes if len(assignment.probs[v]) != nl)
+        raise PreconditionError(f"probability vector at node {bad} needs {nl} labels")
     try:
-        if isinstance(assignment, FractionalAssignment):
-            rows = [assignment.probs[v] for v in nodes]
-        else:
-            labels = np.fromiter((assignment[v] for v in nodes), np.intp, n)
+        labels = np.fromiter((assignment[v] for v in nodes), np.intp, n)
     except KeyError as exc:
         raise PreconditionError(f"assignment misses decision node {exc.args[0]}") from None
-    if isinstance(assignment, FractionalAssignment):
-        try:
-            return np.array(rows, dtype=float).reshape(n, nl)
-        except ValueError:
-            bad = next(v for v, row in zip(nodes, rows) if len(row) != nl)
-            raise PreconditionError(f"probability vector at node {bad} needs {nl} labels") from None
     if n and (labels.min() < 0 or labels.max() >= nl):
         raise PreconditionError(f"integral labels must lie in [0, {nl})")
     probs = np.zeros((n, nl))
@@ -370,9 +390,19 @@ def greedy_color(g: Graph) -> Coloring:
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
-    """No edge of g joins two nodes of one color (every edge is read)."""
-    colors = coloring.colors
-    return not any(colors[u] in map(colors.__getitem__, g.neighbors(u)) for u in g.nodes)
+    """No edge of g joins two nodes of one color (every edge is read).
+
+    The colors are read into one array in node order and compared across
+    every entry of `g.csr()`; a node without a color raises `KeyError`.
+    """
+    colors = list(map(coloring.colors.__getitem__, g.nodes))
+    try:
+        color = np.array(colors, np.int64)
+    except OverflowError:  # colors beyond int64: compare their ranks
+        color = np.unique(np.array(colors, object), return_inverse=True)[1]
+    indptr, nbr = g.csr()
+    row = np.repeat(color, np.diff(indptr))
+    return not (row == color[nbr]).any()
 
 
 def _conditional(tensors: np.ndarray, first: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -424,7 +454,7 @@ def round_labels(
     color = np.fromiter((coloring.colors[v] for v in nodes), np.intp, n)
     if n and (color.min() < 0 or color.max() >= coloring.num_colors):
         raise PreconditionError(f"coloring uses a color outside [0, {coloring.num_colors})")
-    probs = _probabilities(inst, lam)
+    probs = _probabilities(inst, lam).copy()
     one_hot = np.eye(nl)
     base = inst._nu - inst._nc
     # members of each class, in id order; rank = position within the class

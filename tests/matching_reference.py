@@ -1,0 +1,71 @@
+"""Pure-Python references for the fractional stage of the matching
+pipeline.
+
+These are the dict loops that the edge arrays in
+`localround.matching.fractional_matching`, `FractionalMatching.loads`
+and `good_edges` replaced, kept so tests can compare against them: the
+same values bit for bit, in the same key order, and the same claim
+counts.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import compress
+
+from localround.clustering import Partition, cluster_degrees
+from localround.errors import ClaimChecker, PreconditionError
+from localround.graphs import Edge, Graph
+
+
+def reference_loads(values: dict[Edge, float]) -> dict[int, float]:
+    out: dict[int, float] = {}
+    for (a, b), x in values.items():
+        out[a] = out.get(a, 0.0) + x
+        out[b] = out.get(b, 0.0) + x
+    return out
+
+
+def reference_fractional_matching(g: Graph, checks: ClaimChecker) -> dict[Edge, float]:
+    if any(g.degree(u) == 0 for u in g.nodes):
+        raise PreconditionError("strip isolated nodes before matching")
+    if g.m == 0:
+        return {}
+    delta = g.max_degree()
+    edges = list(g.edges())
+    # value of edge e is 2**exponent[e] / delta
+    exponent: dict[Edge, int] = {e: 0 for e in edges}
+    iterations = math.ceil(math.log2(delta)) if delta > 1 else 0
+    for _ in range(iterations):
+        numer = {u: 0 for u in g.nodes}
+        for (a, b), t in exponent.items():
+            numer[a] += 1 << t
+            numer[b] += 1 << t
+        for e in edges:
+            a, b = e
+            if 2 * numer[a] <= delta and 2 * numer[b] <= delta:
+                exponent[e] += 1
+    numer = {u: 0 for u in g.nodes}
+    for (a, b), t in exponent.items():
+        numer[a] += 1 << t
+        numer[b] += 1 << t
+    checks.ok(
+        "fractional-loads",
+        all(x <= delta for x in numer.values()),
+        "a node load exceeds 1",
+    )
+    checks.ok(
+        "fractional-saturation",
+        all(2 * numer[a] > delta or 2 * numer[b] > delta for a, b in edges),
+        "an edge kept both endpoints at load <= 1/2 after all doublings",
+    )
+    return {e: (1 << t) / delta for e, t in exponent.items()}
+
+
+def reference_good_edges(
+    g: Graph, partition: Partition, bound: float
+) -> tuple[frozenset[int], tuple[Edge, ...]]:
+    good = cluster_degrees(g, partition) <= bound
+    good_nodes = frozenset(compress(g.nodes, good.tolist()))
+    edges = tuple(e for e in g.edges() if e[0] in good_nodes and e[1] in good_nodes)
+    return good_nodes, edges

@@ -1,14 +1,16 @@
-"""Pure-Python reference for `evaluate` and `round_labels`.
+"""Pure-Python references for `evaluate`, `round_labels` and `is_proper`.
 
-This is the term-by-term loop the array form in `localround.rounding`
-replaced, kept so tests can compare against it.  It reads only the
-instance's term dicts and performs no checks.
+These are the term-by-term loop and the per-node generator that the
+array forms in `localround.rounding` replaced, kept so tests can compare
+against them.  They read only the instance's term dicts and perform no
+checks.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from localround.graphs import Graph
 from localround.rounding import Coloring, FractionalAssignment, UtilityCostInstance
 
 Row = tuple[float, ...]
@@ -109,3 +111,8 @@ def reference_round_labels(
             labels[v] = best
             probs[v] = list(_one_hot(nl, best))
     return labels
+
+
+def reference_is_proper(g: Graph, coloring: Coloring) -> bool:
+    colors = coloring.colors
+    return not any(colors[u] in map(colors.__getitem__, g.neighbors(u)) for u in g.nodes)

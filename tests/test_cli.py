@@ -208,6 +208,13 @@ RECORDED_DIGESTS = {
     ("matching", "3", "gnp:n=2048,p=0.004,seed=1"): (
         "53e30c0b08b1b6085fc53ec8682a7b5b5b17cc58d91448eaf33eea5195e85b6f"
     ),
+    # max degree 4 and 3: the fractional doubling runs other round counts
+    ("matching", "3", "grid:rows=40,cols=40"): (
+        "a6d343f4d70264127ba94460f87ded0dbba7d75d8014e8e7496b9b94f547b1dc"
+    ),
+    ("matching", "3", "regular:n=1000,d=3,seed=1"): (
+        "6ce4a076874233fe603a5e6aaf59b2123fdc8db5032faf2da220b1082f0c89ef"
+    ),
 }
 
 

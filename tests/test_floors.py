@@ -18,6 +18,7 @@ import floor_reference
 from localround.clustering import ClusterGroups, cluster_degree, delays_to_partition
 from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceeded
 from localround.graphs import Graph, orient, strip_isolated
+from localround.matching import FractionalMatching
 from localround.seeds import derive_seed, stream
 
 from conftest import random_graph
@@ -229,6 +230,28 @@ def test_intra_round_matching_matches_the_loop(case, salt, limit, retries):
     if out is not None:
         # dict order too: approx_matching sums the values in it
         assert [(e, x.hex()) for e, x in out.items()] == [
+            (e, x.hex()) for e, x in ref[0].items()
+        ]
+    # the array form approx_matching passes: the same values in the same
+    # order, as arrays, with the same counts and streams
+    at = {u: i for i, u in enumerate(g.nodes)}
+    arrays = FractionalMatching(
+        g.nodes,
+        np.array([at[a] for a, _ in x_good], np.intp),
+        np.array([at[b] for _, b in x_good], np.intp),
+        np.array(list(x_good.values()), float),
+    )
+    new = _run(
+        lambda checks: matching_module.intra_round_matching(
+            g, part, arrays, bound, seed, n_total, retries, checks
+        ),
+        matching_module,
+        rig,
+    )
+    out = _assert_same(new, ref)
+    if out is not None:
+        assert isinstance(out, FractionalMatching)
+        assert [(e, x.hex()) for e, x in out.values.items()] == [
             (e, x.hex()) for e, x in ref[0].items()
         ]
 

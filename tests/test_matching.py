@@ -9,6 +9,7 @@ from localround.generators import complete, disjoint_edges, gnp, path
 from localround.graphs import Graph, strip_isolated
 from localround.ledger import RoundLedger
 from localround.matching import (
+    FractionalMatching,
     approx_matching,
     finish_matching,
     fractional_matching,
@@ -133,6 +134,18 @@ def test_intra_rejects_malformed_values(x_good, message):
     part = _uniform_partition(g)
     with pytest.raises(PreconditionError, match=message):
         intra_round_matching(g, part, x_good, bound=3.0, seed=0)
+
+
+def test_intra_rejects_malformed_arrays():
+    g = path(3)
+    part = _uniform_partition(g)
+    frac = fractional_matching(g)
+    other = FractionalMatching((0, 1, 5), frac.a, frac.b, frac.x)
+    with pytest.raises(PreconditionError, match="another graph"):
+        intra_round_matching(g, part, other, bound=3.0, seed=0)
+    high = FractionalMatching(g.nodes, frac.a, frac.b, frac.x * 3.0)
+    with pytest.raises(PreconditionError, match=r"of edge \(0, 1\) outside"):
+        intra_round_matching(g, part, high, bound=3.0, seed=0)
 
 
 def test_intra_window_scan_on_pipeline_values():

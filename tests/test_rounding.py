@@ -21,7 +21,7 @@ from localround.rounding import (
 )
 
 from conftest import random_graph, random_objective
-from rounding_reference import reference_evaluate, reference_round_labels
+from rounding_reference import reference_evaluate, reference_is_proper, reference_round_labels
 
 
 def test_evaluate_single_node_integral():
@@ -264,6 +264,78 @@ def test_round_improper_coloring_rejected():
         round_labels(inst, lam, bad)
     with pytest.raises(PreconditionError, match="outside"):
         round_labels(inst, lam, Coloring({0: 0, 1: 1}, 1))
+
+
+@st.composite
+def colorings(draw):
+    """A graph on up to 24 ids anywhere in [0, 2^63) and a coloring of
+    all its nodes: a greedy (proper) one, one with a few nodes recolored,
+    or random colors from a small range, optionally shifted past 2^63."""
+    ids = st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1))
+    nodes = sorted(draw(st.sets(ids, max_size=24)))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
+    g = Graph(nodes=nodes, edges=[e for e in pairs if draw(st.floats(0, 1)) < p])
+    colors = dict(greedy_color(g).colors)
+    kind = draw(st.sampled_from(["greedy", "recolored", "random"]))
+    if kind == "recolored" and nodes:
+        for u in draw(st.lists(st.sampled_from(nodes), max_size=3)):
+            colors[u] = draw(st.integers(0, 3))
+    elif kind == "random":
+        colors = {u: draw(st.integers(0, 3)) for u in nodes}
+    shift = draw(st.sampled_from([0, -5, 2**70]))
+    colors = {u: c + shift for u, c in colors.items()}
+    return g, Coloring(colors, max(colors.values(), default=-1) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colorings())
+def test_is_proper_matches_the_generator(case):
+    g, coloring = case
+    assert is_proper(g, coloring) == reference_is_proper(g, coloring)
+
+
+def test_is_proper_needs_every_color():
+    g = Graph(edges=[(3, 2**60), (2**60, 7)])
+    for colors in ({3: 0, 2**60: 1}, {3: 0, 7: 0}):
+        with pytest.raises(KeyError):
+            is_proper(g, Coloring(colors, 2))
+        with pytest.raises(KeyError):
+            reference_is_proper(g, Coloring(colors, 2))
+
+
+def test_probability_matrix_is_kept_per_node_order():
+    g = Graph(edges=[(0, 5), (5, 9)])
+    inst = UtilityCostInstance(g, 2, {5: ((0.0, 1.0), (0.2, 0.0))})
+    lam = FractionalAssignment({0: (0.5, 0.5), 5: (0.25, 0.75), 9: (1.0, 0.0), 4: (0.0, 1.0)})
+    before = evaluate(inst, lam)
+    kept = lam._rows(g.nodes)
+    assert not kept.flags.writeable
+    assert kept.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
+    # round_labels writes one-hot rows into its own copy, not the kept one
+    round_labels(inst, lam, greedy_color(g))
+    assert lam._rows(g.nodes) is kept
+    assert evaluate(inst, lam) == before
+    other = Graph(edges=[(4, 9)])
+    assert lam._rows(other.nodes).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert lam._rows(g.nodes) is not kept
+
+
+def test_kept_probabilities_still_check_every_call():
+    g = Graph(edges=[(0, 1)])
+    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
+    three = UtilityCostInstance(g, 3)
+    short = FractionalAssignment({0: (0.5, 0.5)})
+    lam = FractionalAssignment({0: (0.5, 0.5), 1: (0.5, 0.5)})
+    ragged = FractionalAssignment({0: (0.5, 0.5), 1: (1.0,)})
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="misses decision node 1"):
+            evaluate(inst, short)
+        with pytest.raises(PreconditionError, match="node 1 needs 2 labels"):
+            evaluate(inst, ragged)
+        assert evaluate(inst, lam) == (0.5, 0.0)
+        with pytest.raises(PreconditionError, match="node 0 needs 3 labels"):
+            evaluate(three, lam)
 
 
 def test_round_charges_ledger():
