@@ -261,6 +261,22 @@ def distinct(codes: np.ndarray) -> np.ndarray:
     return codes[fresh]
 
 
+def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `codes` in order of first occurrence, and the
+    index of each element's value among them."""
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    new = np.empty(len(codes), bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    first = order[new]  # stable: the earliest element of each value
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(len(codes), np.intp)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return codes[np.sort(first)], inverse
+
+
 def square_graph(g: Graph) -> Graph:
     """Graph joining every pair of distinct nodes at distance <= 2 in g.
 

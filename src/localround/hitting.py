@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from numbers import Real
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .errors import ClaimChecker, PreconditionError, leq
-from .graphs import Graph
+from .graphs import Graph, first_seen, node_positions
 from .rounding import (
     FractionalAssignment,
     UtilityCostInstance,
@@ -60,12 +64,13 @@ class BipartiteInstance:
         if self.k is not None and not 1 <= self.k <= self.delta:
             raise PreconditionError(f"k={self.k} outside [1, delta={self.delta}]")
         for u in self.u_nodes:
-            nbrs = self.adj[u]
+            nbrs = self.adj.get(u, ())
             if len(nbrs) != self.delta or len(set(nbrs)) != self.delta:
                 raise PreconditionError(f"left node {u} does not have degree {self.delta}")
             if not vset.issuperset(nbrs):
                 raise PreconditionError(f"left node {u} has a neighbor outside V")
-            if self.weights[u] < 0.0 or not math.isfinite(self.weights[u]):
+            w = self.weights.get(u)
+            if not isinstance(w, Real) or not 0.0 <= w < math.inf:  # NaN too
                 raise PreconditionError(f"bad weight at left node {u}")
 
     @property
@@ -185,6 +190,11 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     2p/T and rounds the step objective with the local rounding engine; a
     chosen batch always satisfies the per-step budget, which makes the
     potential non-increasing and yields the final inequality.
+
+    A step's objective is built as arrays: right node v weighs its live
+    (unhit, nonzero) left neighbours, a pair of right nodes the live left
+    nodes adjacent to both, each summed in left-node order, and pairs keep
+    the order the left nodes first meet them in, so it equals the loop's.
     """
     total_w = inst.total_weight
     result = HittingResult(selected=frozenset())
@@ -205,16 +215,17 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     coloring = greedy_color(cg)
     result.zeta = coloring.num_colors
     lam = FractionalAssignment({v: (1.0 - q, q) for v in inst.v_nodes})
-    n_v = len(inst.v_nodes)
+    n_u, n_v, delta = len(inst.u_nodes), len(inst.v_nodes), inst.delta
     norm = inst.norm
     checks = result.checks
 
-    member_of: dict[int, list[int]] = {v: [] for v in inst.v_nodes}
-    for u in inst.u_nodes:
-        if inst.weights[u] == 0.0:
-            continue
-        for v in inst.adj[u]:
-            member_of[v].append(u)
+    weight = np.fromiter(map(inst.weights.__getitem__, inst.u_nodes), float, n_u)
+    # the positions in cg.nodes (= v_nodes) of each left node's neighbours
+    nbr = node_positions(
+        cg, chain.from_iterable(map(inst.adj.__getitem__, inst.u_nodes)), n_u * delta
+    ).reshape(n_u, delta)
+    first, second = np.triu_indices(delta, 1)  # pairs x < y, x major
+    node_cost = np.repeat([[0.0, norm]], n_v, axis=0)
 
     unhit: set[int] = set(inst.u_nodes)
     selected: set[int] = set()
@@ -235,32 +246,27 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     for i in range(1, t_steps + 1):
         decay = math.exp(-(t_steps - i) / t_steps * inst.p * inst.delta)
         prev_decay = math.exp(-(t_steps - (i - 1)) / t_steps * inst.p * inst.delta)
-        node_terms: dict[int, tuple[tuple[float, float] | None, tuple[float, float] | None]] = {}
-        pair_w: dict[tuple[int, int], float] = {}
-        for v in inst.v_nodes:
-            a_v = sum(inst.weights[u] for u in member_of[v] if u in unhit)
-            urow = (0.0, decay * a_v) if a_v else None
-            crow = (0.0, norm) if norm else None
-            if urow or crow:
-                node_terms[v] = (urow, crow)
-        for u in sorted(unhit):
-            w_u = inst.weights[u]
-            if w_u == 0.0:
-                continue
-            nbrs = inst.adj[u]
-            for x in range(len(nbrs)):
-                for y in range(x + 1, len(nbrs)):
-                    key = (nbrs[x], nbrs[y]) if nbrs[x] < nbrs[y] else (nbrs[y], nbrs[x])
-                    pair_w[key] = pair_w.get(key, 0.0) + w_u
-        edge_terms = {
-            key: (None, ((0.0, 0.0), (0.0, decay * w)))
-            for key, w in pair_w.items()
-        }
-        step_inst = UtilityCostInstance(
+        live = np.fromiter(map(unhit.__contains__, inst.u_nodes), bool, n_u)
+        live &= weight != 0.0
+        rows, w = nbr[live], weight[live]
+        mass = np.bincount(rows.ravel(), np.repeat(w, delta), minlength=n_v)
+        pair = rows[:, first], rows[:, second]
+        codes = np.minimum(*pair).astype(np.int64) * n_v + np.maximum(*pair)
+        keys, term = first_seen(codes.ravel())
+        node_utility = np.zeros((n_v, 2))
+        node_utility[:, 1] = decay * mass
+        edge_cost = np.zeros((len(keys), 2, 2))
+        edge_cost[:, 1, 1] = decay * np.bincount(term, np.repeat(w, len(first)), len(keys))
+        step_inst = UtilityCostInstance.from_arrays(
             cg,
             2,
-            node_terms,
-            edge_terms,
+            np.flatnonzero((mass != 0.0) | (norm != 0.0)),
+            node_utility,
+            node_cost,
+            keys // n_v,
+            keys % n_v,
+            np.zeros_like(edge_cost),
+            edge_cost,
             utility_const=norm * 4.0 * inst.p / t_steps * n_v,
         )
         fu, fc = evaluate(step_inst, lam)

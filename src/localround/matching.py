@@ -17,16 +17,14 @@ path and compute `matching.intra_accept_ratio` from them, so removing
 them is a change to the benchmark's declared layers first.  The support
 graph of the finish is built from position arrays (`edge_subgraph`).
 
-From the doubling to the hand-off to the finish, edge values are stored
-as arrays over node positions (`FractionalMatching`): endpoint positions
-a < b from `Graph.csr()` and one value per edge.  `fractional_matching`
-and `good_edges` list the edges in `g.edges()` order, so the good edges
-are a mask over the fractional values, and `intra_round_matching` takes
-and returns the arrays without resolving ids again.  Every float sum
-keeps the order of the loops it replaced: values and `value()` in edge
-order, each node's load over its edges in edge order, and `loads()`
-keyed in order of first appearance as an endpoint, the order
-approx_matching adds the total load in.
+Edge values pass from stage to stage in one form, arrays over node
+positions (`FractionalMatching`): endpoints a < b and one value per edge;
+an edge dict enters only through `FractionalMatching.from_values`.  The
+good edges are a mask over the fractional values, both in `g.edges()`
+order.  Every float sum keeps the order of the loops it replaced: values
+and `value()` in edge order, each node's load over its edges in edge
+order, and `loads()` keyed in order of first appearance as an endpoint,
+the order approx_matching adds the total load in.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -87,6 +85,21 @@ class FractionalMatching:
         self._values: dict[Edge, float] | None = None
         self._loads: dict[int, float] | None = None
 
+    @classmethod
+    def from_values(cls, g: Graph, values: Mapping[Edge, float]) -> "FractionalMatching":
+        """An edge -> value mapping as arrays over g's nodes, the edges in
+        the mapping's order.  A key that is not an edge (a, b) of g with
+        a < b, or that holds an unknown node or an id of 2^63 or more, is a
+        `PreconditionError`; the values are taken as given."""
+        edges = list(values)
+        ends = node_positions(g, chain.from_iterable(edges), 2 * len(edges))
+        a, b = ends[0::2], ends[1::2]
+        canonical = (a < b) & csr_contains(*g.csr(), a, b)
+        if not canonical.all():
+            bad = edges[canonical.argmin()]
+            raise PreconditionError(f"{bad} is not an edge (a, b) of g with a < b")
+        return cls(g.nodes, a, b, np.fromiter(values.values(), float, len(edges)))
+
     @property
     def values(self) -> dict[Edge, float]:
         if self._values is None:
@@ -114,7 +127,9 @@ class FractionalMatching:
         return self._loads
 
     def value(self) -> float:
-        return sum(self.x.tolist())
+        """The values added left to right in edge order, on every Python:
+        the builtin `sum` compensates float sums from 3.12 on."""
+        return float(np.cumsum(self.x)[-1]) if len(self.x) else 0.0
 
     def restrict(self, keep: np.ndarray) -> "FractionalMatching":
         """The edges with keep[k] true, in edge order."""
@@ -171,22 +186,12 @@ def fractional_matching(
     return FractionalMatching(g.nodes, a, b, np.ldexp(1.0, exponent) / delta)
 
 
-class GoodEdges:
-    """Edges whose endpoints both see few clusters.  `mask` marks them
-    among g's edges in `g.edges()` order; `edges` lists them as id pairs,
-    built on first use and kept."""
+class GoodEdges(NamedTuple):
+    """Nodes that see few clusters, and the mask of the edges among them
+    over g's edges in `g.edges()` order."""
 
-    __slots__ = ("good_nodes", "mask", "_g", "_edges")
-
-    def __init__(self, good_nodes: frozenset[int], mask: np.ndarray, g: Graph):
-        self.good_nodes, self.mask, self._g = good_nodes, mask, g
-        self._edges: tuple[Edge, ...] | None = None
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            self._edges = tuple(compress(self._g.edges(), self.mask.tolist()))
-        return self._edges
+    good_nodes: frozenset[int]
+    mask: np.ndarray
 
 
 def good_edges(g: Graph, partition: Partition, bound: float) -> GoodEdges:
@@ -194,19 +199,19 @@ def good_edges(g: Graph, partition: Partition, bound: float) -> GoodEdges:
     good = cluster_degrees(g, partition) <= bound
     good_nodes = frozenset(compress(g.nodes, good.tolist()))
     a, b = edge_ends(g)
-    return GoodEdges(good_nodes, good[a] & good[b], g)
+    return GoodEdges(good_nodes, good[a] & good[b])
 
 
 def intra_round_matching(
     g: Graph,
     partition: Partition,
-    x_good: Mapping[Edge, float] | FractionalMatching,
+    x_good: FractionalMatching,
     bound: float,
     seed: int,
     n_total: int | None = None,
     retries: int = RETRIES,
     checks: ClaimChecker | None = None,
-) -> dict[Edge, float] | FractionalMatching:
+) -> FractionalMatching:
     """Per-cluster re-rounding of a fractional matching restricted to the
     low-cluster-degree edges.
 
@@ -222,40 +227,25 @@ def intra_round_matching(
     seed, so the outcome per cluster depends only on its own edges, the
     seed, and the cluster label.
 
-    `x_good` is an edge -> value mapping or a `FractionalMatching` over
-    g's nodes, whose position arrays are taken as given; the result has
-    the same form.  The keys of a mapping must be edges (a, b) of g with
-    a < b, and the values lie in [0, 1].  The clusters are decided
-    attempt by attempt, all at once: attempt 0 sets every value as one
-    array and sums every window as a group, (cluster, endpoint) over the
-    endpoints of the edges taken by cluster and then edge, the order in
-    which the per-cluster loop summed them.  Only clusters with a failing
+    `x_good` is over g's nodes, its values in [0, 1].  The clusters are
+    decided attempt by attempt, all at once: attempt 0 sets every value as
+    one array and sums every window as a group, (cluster, endpoint) over
+    the endpoints of the edges taken by cluster and then edge, the order
+    in which the per-cluster loop summed them.  Only clusters with a failing
     window go on to further attempts, and only one with a resampled edge
     can pass on one.  Each cluster attempt still builds its `stream`,
     drawn from or not, as the loop did, so streams and accepted clusters
     keep their counts (the module docstring says why).  Returns the
-    values in the loop's order too: by cluster label, then by edge.
+    new values, in the loop's order too: by cluster label, then by edge.
     """
-    given = isinstance(x_good, FractionalMatching)
-    if given:
-        if x_good.nodes != g.nodes:
-            raise PreconditionError("the fractional matching is over another graph's nodes")
-        a, b, x = x_good.a, x_good.b, x_good.x
-    else:
-        edges = list(x_good)
-        x = np.fromiter(x_good.values(), float, len(edges))
+    if x_good.nodes != g.nodes:
+        raise PreconditionError("the fractional matching is over another graph's nodes")
+    a, b, x = x_good.a, x_good.b, x_good.x
     inside = (x >= 0.0) & (x <= 1.0)  # False for NaN too
     if not inside.all():
         k = inside.argmin()
-        edge = (g.nodes[a[k]], g.nodes[b[k]]) if given else edges[k]
+        edge = g.nodes[a[k]], g.nodes[b[k]]
         raise PreconditionError(f"value {x[k]} of edge {edge} outside [0, 1]")
-    if not given:
-        ends = node_positions(g, chain.from_iterable(edges), 2 * len(edges))
-        a, b = ends[0::2], ends[1::2]
-        canonical = (a < b) & csr_contains(*g.csr(), a, b)
-        if not canonical.all():
-            bad = edges[canonical.argmin()]
-            raise PreconditionError(f"{bad} is not an edge (a, b) of g with a < b")
     checks = checks if checks is not None else ClaimChecker()
     n = n_total if n_total is not None else g.n
     log_n = math.log2(max(2, n))
@@ -291,8 +281,7 @@ def intra_round_matching(
         "intra-window",
         "failed the per-node window",
     )
-    out = FractionalMatching(g.nodes, a, b, values)
-    return out if given else out.values
+    return FractionalMatching(g.nodes, a, b, values)
 
 
 def greedy_maximal_matching(g: Graph) -> frozenset[Edge]:
@@ -319,7 +308,7 @@ def is_matching(edges: frozenset[Edge] | set[Edge]) -> bool:
 
 def finish_matching(
     support: Graph,
-    x_intra: Mapping[Edge, float] | FractionalMatching,
+    x_intra: FractionalMatching,
     ledger: RoundLedger | None = None,
     checks: ClaimChecker | None = None,
 ) -> frozenset[Edge]:
@@ -327,14 +316,11 @@ def finish_matching(
 
     A maximal matching is at least half a maximum one, and a fractional
     matching is at most 3/2 of a maximum one, so the output carries at
-    least (1/2)*(2/3) = 1/3 of the fractional value; 2/9 is checked.
+    least (1/2)*(2/3) = 1/3 of the value of `x_intra`; 2/9 is checked.
     """
     checks = checks if checks is not None else ClaimChecker()
     matching = greedy_maximal_matching(support)
-    if isinstance(x_intra, FractionalMatching):
-        total = x_intra.value()
-    else:
-        total = sum(x_intra.values())
+    total = x_intra.value()
     checks.ok(
         "finish-ratio",
         geq(len(matching), (2.0 / 9.0) * total),
@@ -438,7 +424,8 @@ def approx_matching(
         f"support degree {support.max_degree()} too large",
     )
     matching = finish_matching(support, x_intra, ledger, checks)
-    m_star_lb = len(greedy_maximal_matching(work))
+    # a support with every edge of work is work, so greedy picks the same set
+    m_star_lb = len(matching if support.m == work.m else greedy_maximal_matching(work))
     return MatchingResult(
         matching,
         frac_value,

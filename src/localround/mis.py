@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .graphs import (
     Graph,
     Orientation,
     csr_contains,
+    first_seen,
     induced_subgraph,
     node_positions,
     orient,
@@ -99,17 +100,12 @@ class WitnessArrays(NamedTuple):
     member: np.ndarray
 
 
-Witnesses = Union[Mapping[int, tuple[int, ...]], WitnessArrays]
-
-
 def witness_arrays(
-    h: Graph, orientation: Orientation, witnesses: Witnesses
+    h: Graph, orientation: Orientation, witnesses: Mapping[int, tuple[int, ...]]
 ) -> WitnessArrays:
-    """The witness lists as arrays; arrays are returned as given.  A node
-    outside h, or a witness that is not an in-neighbour of its node, is a
-    `PreconditionError`."""
-    if isinstance(witnesses, WitnessArrays):
-        return witnesses
+    """The witness lists as arrays, the form the floor and the instance
+    build take.  A node outside h, or a witness that is not an
+    in-neighbour of its node, is a `PreconditionError`."""
     sizes = np.fromiter(map(len, witnesses.values()), np.intp, len(witnesses))
     owner = node_positions(h, witnesses, len(witnesses))
     member = node_positions(
@@ -126,26 +122,16 @@ def witness_arrays(
     return WitnessArrays(owner, group, member)
 
 
+def _good_witnesses(h: Graph, orientation: Orientation, checks: ClaimChecker) -> WitnessArrays:
+    """The witness lists of h's good vertices, in id order, as arrays."""
+    good = sorted(good_vertices(h, orientation, checks))
+    return witness_arrays(h, orientation, {v: select_witnesses(h, orientation, v) for v in good})
+
+
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """starts[k], starts[k] + 1, ..., starts[k] + counts[k] - 1 for every k."""
     ends = np.cumsum(counts)
     return np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())
-
-
-def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of `codes` in order of first occurrence, and the
-    index of each element's value among them."""
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    new = np.empty(len(codes), bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    first = order[new]  # stable: the earliest element of each value
-    rank = np.empty(len(first), np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    inverse = np.empty(len(codes), np.intp)
-    inverse[order] = rank[np.cumsum(new) - 1]
-    return codes[np.sort(first)], inverse
 
 
 def intra_round_mis(
@@ -157,7 +143,7 @@ def intra_round_mis(
     retries: int = RETRIES,
     checks: ClaimChecker | None = None,
     orientation: Orientation | None = None,
-    witnesses: Witnesses | None = None,
+    witnesses: WitnessArrays | None = None,
 ) -> dict[int, float]:
     """Per-cluster flooring of the marking probabilities.
 
@@ -179,16 +165,14 @@ def intra_round_mis(
     perfbench's traced runs take these calls as the `seeds` layer's spans
     on the MIS path and compute `mis.intra_accept_ratio` from them, so
     removing them is a change to the benchmark's declared layers first.
+    `witnesses` default to the good vertices' `select_witnesses` lists.
     Returns the values keyed by node, in node order.
     """
     checks = checks if checks is not None else ClaimChecker()
     orientation = orientation or orient(h)
     if witnesses is None:
-        witnesses = {
-            v: select_witnesses(h, orientation, v)
-            for v in sorted(good_vertices(h, orientation, checks))
-        }
-    owner, group, member = witness_arrays(h, orientation, witnesses)
+        witnesses = _good_witnesses(h, orientation, checks)
+    owner, group, member = witnesses
     deg = np.diff(h.csr()[0])
     if (deg == 0).any():
         raise PreconditionError("isolated nodes belong in the output, not here")
@@ -254,7 +238,7 @@ def intra_round_mis(
 
 def build_mis_instance(
     h: Graph,
-    witnesses: Witnesses,
+    witnesses: WitnessArrays,
     orientation: Orientation | None = None,
 ) -> UtilityCostInstance:
     """Removed-edges estimator as a pairwise objective on the square graph.
@@ -264,20 +248,21 @@ def build_mis_instance(
              out-neighbor pairs.  For integral marks, utility - cost
              lower-bounds the number of edges removed this iteration.
 
-    Built as arrays over node positions.  The cost terms are the
-    contributions the loop over good v would make, in its order: each
-    v's witness pairs (i < j) at deg(v), then each witness's
-    out-neighbours at deg(v)/2.  Terms keep the order in which the loop
-    first meets their pair, and each coefficient is summed in loop order
-    (`np.bincount` adds in input order), so the instance equals the
-    loop's bit for bit; the order matters because `round_labels` sums a
-    node's terms in term order.
+    `witnesses` are the lists as `witness_arrays` builds them.  Built as
+    arrays over node positions.  The cost terms are the contributions
+    the loop over good v would make, in its order: each v's witness
+    pairs (i < j) at deg(v), then each witness's out-neighbours at
+    deg(v)/2.  Terms keep the order in which the loop first meets their
+    pair, and each coefficient is summed in loop order (`np.bincount`
+    adds in input order), so the instance equals the loop's bit for bit;
+    the order matters because `round_labels` sums a node's terms in term
+    order.
     """
     orientation = orientation or orient(h)
     conflict = square_graph(h)
     n = h.n
     half_deg = np.diff(h.csr()[0]) / 2.0
-    owner, group, member = witness_arrays(h, orientation, witnesses)
+    owner, group, member = witnesses
     weight = half_deg[owner][group]
     lin = np.bincount(member, weight, minlength=n)
     # witness pairs i < j of one list, i in entry order, j after it
@@ -296,7 +281,7 @@ def build_mis_instance(
     # stable: within each v's list, its pairs stay before its out-neighbours
     order = np.argsort(np.concatenate((group[i], group[e])), kind="stable")
     a, b, cost = a[order], b[order], cost[order]
-    keys, term = _first_seen(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
+    keys, term = first_seen(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
     coef = np.bincount(term, cost, minlength=len(keys))
     node_utility = np.zeros((n, 2))
     node_utility[:, 1] = lin
@@ -305,7 +290,7 @@ def build_mis_instance(
     return UtilityCostInstance.from_arrays(
         conflict,
         2,
-        _first_seen(member)[0],
+        first_seen(member)[0],
         node_utility,
         np.zeros((n, 2)),
         keys // n,
@@ -377,10 +362,7 @@ def luby_derandomized_iteration(
     if h.m == 0:
         raise PreconditionError("iteration needs at least one edge")
     orientation = orient(h)
-    good = good_vertices(h, orientation, checks)
-    witnesses = witness_arrays(
-        h, orientation, {v: select_witnesses(h, orientation, v) for v in sorted(good)}
-    )
+    witnesses = _good_witnesses(h, orientation, checks)
     owner, group, member = witnesses
     inv = np.bincount(group, 1.0 / np.diff(h.csr()[0])[member], minlength=len(owner))
     checks.ok_each(

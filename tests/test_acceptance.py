@@ -31,7 +31,13 @@ from localround.hitting import (
     grouped_hitting_set,
 )
 from localround.matching import approx_matching, fractional_matching
-from localround.mis import good_vertices, intra_round_mis, mis, select_witnesses
+from localround.mis import (
+    good_vertices,
+    intra_round_mis,
+    mis,
+    select_witnesses,
+    witness_arrays,
+)
 from localround.oracles import (
     exact_max_matching,
     exhaustive_hitting_check,
@@ -116,9 +122,8 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
         from localround.clustering import delays_to_partition
 
         part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
-        x = intra_round_mis(
-            g, part, float(g.n + 1), seed=0, orientation=o, witnesses=witnesses
-        )
+        arrays = witness_arrays(g, o, witnesses)
+        x = intra_round_mis(g, part, float(g.n + 1), seed=0, orientation=o, witnesses=arrays)
         for v, members in witnesses.items():
             mass = sum(x[u] for u in members)
             assert 1.0 / 1000.0 - 1e-9 <= mass <= 1.0 / 3.0 + 1e-9
@@ -127,7 +132,7 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
         from localround.mis import build_mis_instance
         from localround.rounding import FractionalAssignment
 
-        inst = build_mis_instance(g, witnesses, o)
+        inst = build_mis_instance(g, arrays, o)
         lam = FractionalAssignment({u: (1 - x[u], x[u]) for u in g.nodes})
         fu, fc = evaluate(inst, lam)
         assert fu - fc >= fu / 3.0 - 1e-9 * (abs(fu) + abs(fc) + 1)

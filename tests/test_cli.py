@@ -193,8 +193,9 @@ def test_missing_file_exits_3(tmp_path):
 
 # sha256 of schema-v1 reports.  Refactors keep reports byte-identical; a
 # change that alters them on purpose updates these and says why in CHANGES.md.
-# Keys are (algo, seed) on DIGEST_GEN, or (algo, seed, gen spec).  At n=80 no
-# two estimator terms tie in a way their order decides; n=2048 pins that too.
+# Keys are (algo, seed) on DIGEST_GEN, or (algo, seed, gen spec), or (algo,
+# seed, gen spec, --f-override).  At n=80 no two estimator terms tie in a way
+# their order decides; n=2048 pins that too.
 DIGEST_GEN = "gnp:n=80,p=0.06,seed=4"
 RECORDED_DIGESTS = {
     ("mis", "3"): "feeb7e2e60da820be96a4d8e53df9928f7ca81fdeb3b97ecea95320d2ec11d96",
@@ -208,6 +209,11 @@ RECORDED_DIGESTS = {
     ("matching", "3", "gnp:n=2048,p=0.004,seed=1"): (
         "53e30c0b08b1b6085fc53ec8682a7b5b5b17cc58d91448eaf33eea5195e85b6f"
     ),
+    # the support keeps 7780 of the 8370 edges, and the matching (912) is not
+    # the greedy bound's (933)
+    ("matching", "3", "gnp:n=2048,p=0.004,seed=1", "15"): (
+        "f4c6333c5df530d03192e8c0031a58c57df673e13f8db4ddb522bb7f25058593"
+    ),
     # max degree 4 and 3: the fractional doubling runs other round counts
     ("matching", "3", "grid:rows=40,cols=40"): (
         "a6d343f4d70264127ba94460f87ded0dbba7d75d8014e8e7496b9b94f547b1dc"
@@ -220,10 +226,12 @@ RECORDED_DIGESTS = {
 
 @pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS), ids="-".join)
 def test_run_report_matches_recorded_digest(tmp_path, key):
-    algo, seed, gen = (*key, DIGEST_GEN)[:3]
+    algo, seed, *rest = key
+    gen = rest[0] if rest else DIGEST_GEN
+    override = ["--f-override", rest[1]] if len(rest) > 1 else []
     out = tmp_path / "r.json"
     assert run_cli(
-        "run", "--gen", gen, "--algo", algo, "--seed", seed, "--out", str(out)
+        "run", "--gen", gen, "--algo", algo, "--seed", seed, *override, "--out", str(out)
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS[key]
 

@@ -155,9 +155,10 @@ def mis_cases(draw):
 def test_intra_round_mis_matches_the_loop(case, salt, limit):
     g, part, bound, n_total, o, witnesses, seed = case
     rig = _rigged(salt, limit)
+    arrays = mis_module.witness_arrays(g, o, witnesses)
     new = _run(
         lambda checks: mis_module.intra_round_mis(
-            g, part, bound, seed, n_total, 3, checks, o, witnesses
+            g, part, bound, seed, n_total, 3, checks, o, arrays
         ),
         mis_module,
         rig,
@@ -212,9 +213,10 @@ def matching_cases(draw):
 def test_intra_round_matching_matches_the_loop(case, salt, limit, retries):
     g, part, x_good, bound, n_total, seed = case
     rig = _rigged(salt, limit)
+    arrays = FractionalMatching.from_values(g, x_good)
     new = _run(
         lambda checks: matching_module.intra_round_matching(
-            g, part, x_good, bound, seed, n_total, retries, checks
+            g, part, arrays, bound, seed, n_total, retries, checks
         ),
         matching_module,
         rig,
@@ -228,29 +230,7 @@ def test_intra_round_matching_matches_the_loop(case, salt, limit, retries):
     )
     out = _assert_same(new, ref)
     if out is not None:
-        # dict order too: approx_matching sums the values in it
-        assert [(e, x.hex()) for e, x in out.items()] == [
-            (e, x.hex()) for e, x in ref[0].items()
-        ]
-    # the array form approx_matching passes: the same values in the same
-    # order, as arrays, with the same counts and streams
-    at = {u: i for i, u in enumerate(g.nodes)}
-    arrays = FractionalMatching(
-        g.nodes,
-        np.array([at[a] for a, _ in x_good], np.intp),
-        np.array([at[b] for _, b in x_good], np.intp),
-        np.array(list(x_good.values()), float),
-    )
-    new = _run(
-        lambda checks: matching_module.intra_round_matching(
-            g, part, arrays, bound, seed, n_total, retries, checks
-        ),
-        matching_module,
-        rig,
-    )
-    out = _assert_same(new, ref)
-    if out is not None:
-        assert isinstance(out, FractionalMatching)
+        # in order too: approx_matching sums the values in it
         assert [(e, x.hex()) for e, x in out.values.items()] == [
             (e, x.hex()) for e, x in ref[0].items()
         ]

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localround.errors import PreconditionError
+import hitting_reference
+from localround.errors import ClaimViolation, PreconditionError
 from localround.graphs import Graph
 from localround.hitting import (
     BipartiteInstance,
@@ -197,6 +200,14 @@ def test_instance_validation():
         BipartiteInstance((1,), (0,), {1: (0,)}, {1: 1.0}, 1, 0.5, math.nan)
     with pytest.raises(PreconditionError, match="finite p"):
         BipartiteInstance((1,), (0,), {1: (0,)}, {1: 1.0}, 1, math.inf, 0.0)
+    # a left node missing from adj or from weights, and a weight that is
+    # not a number
+    with pytest.raises(PreconditionError, match="left node 1 does not have degree 2"):
+        BipartiteInstance((1,), (10, 11), {}, {1: 1.0}, 2, 0.1, 0.0)
+    with pytest.raises(PreconditionError, match="bad weight at left node 1"):
+        BipartiteInstance((1,), (10, 11), {1: (10, 11)}, {}, 2, 0.1, 0.0)
+    with pytest.raises(PreconditionError, match="bad weight at left node 1"):
+        BipartiteInstance((1,), (10, 11), {1: (10, 11)}, {1: "heavy"}, 2, 0.1, 0.0)
 
 
 def test_from_graph_bipartition():
@@ -234,3 +245,81 @@ def test_from_graph_predicate():
     )
     assert inst.u_nodes == (10, 11)
     assert inst.v_nodes == (0, 1, 2)
+
+
+@st.composite
+def hitting_instances(draw):
+    """Basic instances with dense or sparse 60-bit ids, neighbour tuples in
+    a drawn order, weights of which some or all may be zero, norm 0 or
+    not, and delta down to 1."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_v = draw(st.integers(1, 20))
+    delta = draw(st.integers(1, min(n_v, 6)))
+    n_u = draw(st.integers(1, 12))
+    sparse = draw(st.booleans())
+    v_nodes = rng.sample(range(2**60), n_v) if sparse else list(range(n_v))
+    u_nodes = rng.sample(range(2**60), n_u) if sparse else list(range(n_u))
+    zeros = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    weights = {
+        u: 0.0 if rng.random() < zeros else rng.choice([1.0, rng.uniform(0.0, 2.0)])
+        for u in u_nodes
+    }
+    return BipartiteInstance(
+        tuple(u_nodes),
+        tuple(v_nodes),
+        {u: tuple(rng.sample(v_nodes, delta)) for u in u_nodes},
+        weights,
+        delta,
+        draw(st.sampled_from([0.05, 0.2, 0.35, 0.5])),
+        draw(st.sampled_from([0.0, 0.01, 0.2])),
+    )
+
+
+def _outcome(solve, inst):
+    """Everything a run reports, floats as hex; or the error it raised."""
+    try:
+        res = solve(inst)
+    except (PreconditionError, ClaimViolation) as exc:
+        return type(exc), str(exc)
+    return (
+        sorted(res.selected),
+        [float(x).hex() for x in res.phis],
+        [
+            (s.index, sorted(s.chosen))
+            + tuple(float(x).hex() for x in (s.phi, s.good_lhs, s.good_rhs))
+            + tuple(float(x).hex() for x in (s.frac_utility, s.frac_cost))
+            for s in res.steps
+        ],
+        res.rounds_h,
+        res.zeta,
+        list(res.checks.counts.items()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hitting_instances())
+def test_basic_hitting_set_matches_the_dict_build(inst):
+    assert _outcome(basic_hitting_set, inst) == _outcome(
+        hitting_reference.reference_basic_hitting_set, inst
+    )
+
+
+def test_basic_hitting_set_matches_the_dict_build_on_copies():
+    # the copy instances the grouped routine runs, at the benchmark's shape
+    rng = random.Random(41)
+    v_nodes = tuple(range(400))
+    u_nodes = tuple(range(400, 440))
+    inst = BipartiteInstance(
+        u_nodes,
+        v_nodes,
+        {u: tuple(sorted(rng.sample(v_nodes, 8))) for u in u_nodes},
+        {u: rng.uniform(0.0, 2.0) for u in u_nodes},
+        8,
+        0.25,
+        0.05,
+        4,
+    )
+    copies = split_into_copies(inst)
+    assert _outcome(basic_hitting_set, copies) == _outcome(
+        hitting_reference.reference_basic_hitting_set, copies
+    )

@@ -1,7 +1,9 @@
 import math
 import random
-
+import re
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localround.clustering import cluster_constant
 from localround.errors import PreconditionError
@@ -20,7 +22,7 @@ from localround.matching import (
 )
 from localround.oracles import exact_max_matching
 
-from conftest import random_graph
+from conftest import random_graph, relabel
 
 
 def test_fraction_single_edge():
@@ -76,24 +78,24 @@ def test_good_edges_all_good_with_big_bound():
     g = gnp(25, 0.2, seed=3)
     part = _uniform_partition(g)
     ge = good_edges(g, part, bound=float(g.n + 1))
-    assert set(ge.edges) == set(g.edges())
+    assert ge.mask.all() and len(ge.mask) == g.m
 
 
 def test_good_edges_zero_bound_empty():
     g = gnp(25, 0.2, seed=3)
     part = _uniform_partition(g)
     ge = good_edges(g, part, bound=0.0)
-    assert ge.edges == ()
+    assert not ge.mask.any()
     assert ge.good_nodes == frozenset()
 
 
 def test_intra_deterministic_branch_is_fifth():
     g = path(6)
     part = _uniform_partition(g)
-    x = {e: 0.5 for e in g.edges()}
+    x = FractionalMatching.from_values(g, {e: 0.5 for e in g.edges()})
     bound = 1000.0  # huge: every value sits above the keep threshold
     out = intra_round_matching(g, part, x, bound, seed=1)
-    assert out == {e: pytest.approx(0.1) for e in g.edges()}
+    assert out.values == {e: pytest.approx(0.1) for e in g.edges()}
 
 
 def test_intra_two_outcome_small_edge():
@@ -105,8 +107,10 @@ def test_intra_two_outcome_small_edge():
     floor_value = 1.0 / (50000.0 * bound * log_n)
     seen = set()
     for seed in range(30):
-        out = intra_round_matching(g, part, x, bound, seed=seed, n_total=2)
-        val = out[(0, 1)]
+        out = intra_round_matching(
+            g, part, FractionalMatching.from_values(g, x), bound, seed=seed, n_total=2
+        )
+        val = out.values[(0, 1)]
         assert val in (0.0, pytest.approx(floor_value))
         seen.add(round(val, 12))
         # both outcomes satisfy the per-node window
@@ -123,17 +127,49 @@ def test_intra_two_outcome_small_edge():
         ({(0, 1): -0.5}, "outside"),
         ({(0, 1): 3.0}, "outside"),
         ({(0, 1): math.inf}, "outside"),
-        ({(1, 2): 0.5, (1, 0): 0.5}, "not an edge"),
-        ({(0, 2): 0.5}, "not an edge"),
-        ({(0, 5): 0.5}, "unknown node 5"),
-        ({(0, 2**64): 0.5}, "outside"),
     ],
 )
 def test_intra_rejects_malformed_values(x_good, message):
     g = path(3)
     part = _uniform_partition(g)
+    arrays = FractionalMatching.from_values(g, x_good)  # takes values as given
     with pytest.raises(PreconditionError, match=message):
-        intra_round_matching(g, part, x_good, bound=3.0, seed=0)
+        intra_round_matching(g, part, arrays, bound=3.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "x_good, message",
+    [
+        ({(1, 2): 0.5, (1, 0): 0.5}, "(1, 0) is not an edge"),
+        ({(0, 2): 0.5}, "(0, 2) is not an edge"),
+        ({(0, 5): 0.5}, "unknown node 5"),
+        ({(0, 2**63): 0.5}, "outside"),
+        ({(0, 2**64): 0.5}, "outside"),
+    ],
+)
+def test_from_values_rejects_malformed_keys(x_good, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        FractionalMatching.from_values(path(3), x_good)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.sampled_from([0.1, 0.3, 0.7]), st.integers(0, 2**32))
+def test_from_values_round_trips_the_arrays(n, p, seed):
+    # sparse 60-bit ids: the ids' order is not their positions' order
+    g = strip_isolated(gnp(n, p, seed=seed))
+    g = relabel(g if g.m else Graph(edges=[(0, 1)]), random.Random(seed))
+    frac = fractional_matching(g)
+    back = FractionalMatching.from_values(g, frac.values)
+    assert back.nodes is g.nodes
+    assert back.a.tolist() == frac.a.tolist() and back.b.tolist() == frac.b.tolist()
+    assert [x.hex() for x in back.x.tolist()] == [x.hex() for x in frac.x.tolist()]
+    assert list(back.values) == list(frac.values)
+    # a subset in a drawn order keeps that order
+    keep = list(frac.values)
+    random.Random(seed).shuffle(keep)
+    keep = keep[: g.m // 2 + 1]
+    part = FractionalMatching.from_values(g, {e: frac.values[e] for e in keep})
+    assert list(part.values) == keep
 
 
 def test_intra_rejects_malformed_arrays():
@@ -154,8 +190,9 @@ def test_intra_window_scan_on_pipeline_values():
     part = cluster_constant(g, 2, frac.loads())
     bound = float(part.meta["degree_bound"])
     ge = good_edges(g, part, bound)
-    x_good = {e: frac.values[e] for e in ge.edges}
-    out = intra_round_matching(g, part, x_good, bound, seed=9, n_total=g.n)
+    arrays = frac.restrict(ge.mask)
+    x_good = arrays.values
+    out = intra_round_matching(g, part, arrays, bound, seed=9, n_total=g.n).values
     # exhaustive (node, cluster) window scan
     slack = 1.0 / (1000.0 * bound)
     per = {}
@@ -176,28 +213,29 @@ def test_intra_cluster_locality():
     part = cluster_constant(g, 2, frac.loads())
     bound = float(part.meta["degree_bound"])
     ge = good_edges(g, part, bound)
-    x_good = {e: frac.values[e] for e in ge.edges}
-    full = intra_round_matching(g, part, x_good, bound, seed=3, n_total=g.n)
+    arrays = frac.restrict(ge.mask)
+    x_good = arrays.values
+    full = intra_round_matching(g, part, arrays, bound, seed=3, n_total=g.n).values
     # an edge belongs to the cluster of its larger endpoint
     by_cluster: dict[int, list] = {}
-    for e in ge.edges:
+    for e in x_good:
         by_cluster.setdefault(part.assignment[max(e)], []).append(e)
     for c, edges in by_cluster.items():
-        only = {e: x_good[e] for e in edges}
-        alone = intra_round_matching(g, part, only, bound, seed=3, n_total=g.n)
+        only = FractionalMatching.from_values(g, {e: x_good[e] for e in edges})
+        alone = intra_round_matching(g, part, only, bound, seed=3, n_total=g.n).values
         for e in edges:
             assert alone[e] == full[e]
 
 
 def test_finish_single_edge():
     g = Graph(edges=[(0, 1)])
-    m = finish_matching(g, {(0, 1): 0.5})
+    m = finish_matching(g, FractionalMatching.from_values(g, {(0, 1): 0.5}))
     assert m == frozenset({(0, 1)})
 
 
 def test_finish_even_path():
     g = path(6)
-    x = {e: 0.5 for e in g.edges()}
+    x = FractionalMatching.from_values(g, {e: 0.5 for e in g.edges()})
     m = finish_matching(g, x)
     assert is_matching(m)
     assert len(m) >= (2.0 / 9.0) * 2.5
@@ -307,7 +345,7 @@ def test_intra_retry_budget_exhausts(monkeypatch):
     delays = {0: 0, **{leaf: 50 for leaf in range(1, 3001)}}
     part = delays_to_partition(g, delays, alpha=1)
     assert len(part.clusters) == 1
-    x = {e: 1.0 / 20001.0 for e in g.edges()}
+    x = FractionalMatching.from_values(g, {e: 1.0 / 20001.0 for e in g.edges()})
     with pytest.raises(RetryBudgetExceeded, match="cluster 0"):
         intra_round_matching(g, part, x, bound=1.0, seed=0, n_total=2, retries=5)
 
@@ -324,3 +362,27 @@ def test_pipeline_with_sparse_random_ids():
     m_star = len(exact_max_matching(g)) if g.n <= 24 else None
     if m_star is not None:
         assert len(res.matching) >= m_star / 100000.0
+
+
+def test_greedy_bound_reuses_the_finish_when_the_support_is_whole(monkeypatch):
+    import localround.matching as matching_module
+
+    real = matching_module.greedy_maximal_matching
+    passes = []
+
+    def counting(g):
+        passes.append(g.m)
+        return real(g)
+
+    monkeypatch.setattr(matching_module, "greedy_maximal_matching", counting)
+    g = strip_isolated(gnp(300, 0.03, seed=2))
+    res = approx_matching(g, seed=0)
+    # the support is every edge of g: one greedy pass serves both
+    assert passes == [g.m]
+    assert res.matching == real(g)
+    assert res.m_star_lower_bound == len(real(g))
+    # a lower cluster-degree threshold drops edges: the bound takes its own pass
+    passes.clear()
+    res = approx_matching(g, seed=0, f_override=16)
+    assert len(passes) == 2 and passes[0] < g.m == passes[1]
+    assert res.m_star_lower_bound == len(real(g)) > len(res.matching)

@@ -21,6 +21,7 @@ from localround.mis import (
     mis,
     select_witnesses,
     verify_mis,
+    witness_arrays,
 )
 from localround.rounding import FractionalAssignment, evaluate
 
@@ -136,9 +137,11 @@ def test_intra_bound_must_cover_cluster_degree():
     ],
 )
 def test_intra_rejects_malformed_witnesses(witnesses, message):
+    # intra_round_mis takes witness lists only as arrays, and
+    # witness_arrays, the one converter, is where they are checked
     g = path(4)  # oriented 0 -> 1 -> 2 <- 3 by (degree, id)
     with pytest.raises(PreconditionError, match=message):
-        intra_round_mis(g, _singleton_partition(g), 1000.0, seed=0, witnesses=witnesses)
+        witness_arrays(g, orient(g), witnesses)
 
 
 def test_intra_needs_a_partition_of_h():
@@ -154,7 +157,7 @@ def test_iteration_converts_its_witness_lists_once(monkeypatch):
     converted = []
 
     def counting(h, orientation, witnesses):
-        converted.append(not isinstance(witnesses, mis_module.WitnessArrays))
+        converted.append(len(witnesses))
         return real(h, orientation, witnesses)
 
     monkeypatch.setattr(mis_module, "witness_arrays", counting)
@@ -162,7 +165,7 @@ def test_iteration_converts_its_witness_lists_once(monkeypatch):
     part = _singleton_partition(g)
     luby_derandomized_iteration(g, part, float(g.n + 1), seed=1)
     # the floor and the instance build take the arrays the iteration built
-    assert converted == [True, False, False]
+    assert converted == [len(good_vertices(g))]
 
 
 def test_intra_global_windows():
@@ -194,7 +197,7 @@ def test_ok_each_counts_every_element_and_names_the_first_failure():
 def test_instance_single_edge_tables():
     g = Graph(edges=[(0, 1)])
     o = orient(g)
-    witnesses = {1: (0,)}
+    witnesses = witness_arrays(g, o, {1: (0,)})
     x = {0: 0.05, 1: 0.05}
     inst = build_mis_instance(g, witnesses, o)
     # utility is deg(1)/2 * x_0; cost is deg(1)/2 * x_0 * x_1
@@ -212,7 +215,7 @@ def test_instance_triangle_hand_expansion():
     witnesses = {v: select_witnesses(g, o, v) for v in sorted(good)}
     assert witnesses == {2: (1,), 3: (1,)}
     x = {1: 0.1, 2: 0.2, 3: 0.3}
-    inst = build_mis_instance(g, witnesses, o)
+    inst = build_mis_instance(g, witness_arrays(g, o, witnesses), o)
     lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
     utility, cost = evaluate(inst, lam)
     # hand expansion: degrees are all 2, so each good vertex weighs 1
@@ -226,7 +229,9 @@ def test_instance_estimator_slack_on_random_graph():
     part = _singleton_partition(g)
     checks = ClaimChecker()
     o = orient(g)
-    witnesses = {v: select_witnesses(g, o, v) for v in sorted(good_vertices(g))}
+    witnesses = witness_arrays(
+        g, o, {v: select_witnesses(g, o, v) for v in sorted(good_vertices(g))}
+    )
     x = intra_round_mis(g, part, float(g.n + 1), seed=1, orientation=o, witnesses=witnesses)
     inst = build_mis_instance(g, witnesses, o)
     luby_derandomized_iteration(g, part, float(g.n + 1), seed=1, checks=checks)
@@ -257,7 +262,7 @@ def witnessed_graphs(draw):
 
 
 def _assert_terms_match_loop_reference(g, o, witnesses):
-    inst = build_mis_instance(g, witnesses, o)
+    inst = build_mis_instance(g, witness_arrays(g, o, witnesses), o)
     lin, pair_cost = reference_mis_terms(g, witnesses, o)
     # same keys in the same (first-occurrence) order, same values bit for bit
     assert list(inst.node_terms) == list(lin)

@@ -6,7 +6,7 @@ from localround.errors import BudgetExceeded
 from localround.generators import complete, cycle, path
 from localround.graphs import Graph
 from localround.matching import is_matching
-from localround.mis import build_mis_instance
+from localround.mis import build_mis_instance, witness_arrays
 from localround.graphs import orient
 from localround.oracles import (
     OracleBudget,
@@ -80,7 +80,7 @@ def test_round_check_single_edge_closed_form():
     # estimator of the two-node graph: (1/2)x - (1/2)x^2 at uniform x
     g = Graph(edges=[(0, 1)])
     o = orient(g)
-    witnesses = {1: (0,)}
+    witnesses = witness_arrays(g, o, {1: (0,)})
     x = 0.3
     inst = build_mis_instance(g, witnesses, o)
     lam = FractionalAssignment({0: (1 - x, x), 1: (1 - x, x)})
