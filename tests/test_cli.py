@@ -209,6 +209,10 @@ RECORDED_DIGESTS = {
     ("matching", "3", "gnp:n=2048,p=0.004,seed=1"): (
         "53e30c0b08b1b6085fc53ec8682a7b5b5b17cc58d91448eaf33eea5195e85b6f"
     ),
+    # the one pinned path that draws a random number on every iteration
+    ("luby-rand", "5", "gnp:n=2048,p=0.004,seed=1"): (
+        "07f1f74f001239453352f7cc86b0db4965701269b83efa874834a8a526bb9b12"
+    ),
     # the support keeps 7780 of the 8370 edges, and the matching (912) is not
     # the greedy bound's (933)
     ("matching", "3", "gnp:n=2048,p=0.004,seed=1", "15"): (
