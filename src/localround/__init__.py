@@ -62,11 +62,11 @@ from .matching import (
 from .mis import (
     build_mis_instance,
     good_vertices,
+    good_witnesses,
     intra_round_mis,
     luby_derandomized_iteration,
     luby_randomized,
     mis,
-    select_witnesses,
     verify_mis,
 )
 from .oracles import (

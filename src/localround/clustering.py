@@ -22,7 +22,6 @@ the active sets provably empty out after 10*alpha phases.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
@@ -31,11 +30,18 @@ from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, leq
+from .errors import (
+    ClaimChecker,
+    PreconditionError,
+    RetryBudgetExceeded,
+    geq,
+    leq,
+    plain_sum,
+)
 from .graphs import Graph, bfs_distances, distinct, induced_subgraph, two_hop_sets
 from .hitting import BipartiteInstance, grouped_hitting_set
 from .ledger import RoundLedger
-from .seeds import stream
+from .seeds import Stream, stream
 
 
 def base_capacity_exponent(n: int) -> int:
@@ -296,7 +302,7 @@ def cluster_constant(
     group_size = math.ceil(100 * math.log2(log_n_cap))
     rate = 1.0 / 16.0
     thresholds = [occupancy_factor ** (steps - j) for j in range(steps + 1)]
-    total_w = sum(weights[u] for u in g.nodes)
+    total_w = plain_sum(weights[u] for u in g.nodes)
     checks = ClaimChecker()
     checks.ok(
         "shrink-decay",
@@ -348,7 +354,7 @@ def cluster_constant(
             else:
                 nxt = set()
             dropped = [u for u in u_side if len(s_map[u] & nxt) < thresholds[j + 1]]
-            dropped_mass = sum(weights[u] for u in dropped)
+            dropped_mass = plain_sum(weights[u] for u in dropped)
             checks.ok(
                 "shrink-bad-mass",
                 leq(dropped_mass, total_w / (100 * log_n_cap), total_w + 1.0),
@@ -575,7 +581,7 @@ def resample_clusters(
     draws: Mapping[int, Sequence[tuple[int, float]]],
     floor_value: float,
     failing: Callable[[np.ndarray], np.ndarray],
-    rng_for: Callable[[int, int], random.Random],
+    rng_for: Callable[[int, int], Stream],
     retries: int,
     checks: ClaimChecker,
     claim: str,
@@ -588,8 +594,10 @@ def resample_clusters(
     listed in draws[c], in that order, from `rng_for(labels[c], attempt)`:
     item i becomes `floor_value` with probability p, else 0.  The other
     items keep their entries in `values`, so a cluster without draws is
-    decided by attempt 0.  Every attempt of every cluster builds its
-    generator, drawn from or not.  A cluster is accepted, with one
+    decided by attempt 0.  Every attempt of every cluster calls `rng_for`,
+    drawn from or not; a `stream` derives its seed only at its first
+    draw, so an attempt without draws costs no generator.  A cluster is
+    accepted, with one
     `claim` check, once `failing(values)` (a flag per cluster) clears it;
     the first cluster (by label) still failing after `retries` attempts
     raises `RetryBudgetExceeded`, after the checks of the clusters before

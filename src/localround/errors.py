@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
+import operator
+from functools import reduce
+from typing import Callable, Iterable
 
 
 class ParseError(ValueError):
@@ -70,3 +72,11 @@ def leq(a: float, b: float, scale: float | None = None) -> bool:
 
 def geq(a: float, b: float, scale: float | None = None) -> bool:
     return leq(b, a, scale)
+
+
+def plain_sum(values: Iterable[float]) -> float:
+    """`sum`, added left to right one rounded addition at a time.  From
+    Python 3.12 the builtin compensates float rounding, so its last bits,
+    and the claims and reports built on them, would depend on the
+    Python version."""
+    return reduce(operator.add, values, 0)

@@ -4,7 +4,9 @@ Adjacency is stored as sorted tuples keyed by node id, so every iteration
 order downstream is deterministic.  Node ids are arbitrary non-negative
 integers below 2**63; they need not be contiguous, which lets callers
 exercise id-dependent tie-breaking.  `Graph.csr()` gives the same
-adjacency as numpy arrays over node positions, built once per graph.
+adjacency as numpy arrays over node positions, built once per graph;
+the derived structures (`Orientation`, `induced_subgraph`,
+`square_graph`) are built from those arrays, not node by node.
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ def _positions(
     np.cumsum(np.fromiter(map(len, rows), np.intp, n), out=indptr[1:])
     flat = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
     return indptr, np.searchsorted(np.fromiter(nodes, np.int64, n), flat).astype(np.int32)
+
+
+def csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a position adjacency laid out as
+    `Graph.csr()`."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.intp), np.diff(indptr))
+
+
+def _select(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a position adjacency where `keep` is set, each row
+    keeping its order, laid out the same way over the same rows."""
+    sub_ptr = np.zeros(len(indptr), np.intp)
+    np.cumsum(np.bincount(rows[keep], minlength=len(indptr) - 1), out=sub_ptr[1:])
+    return sub_ptr, indices[keep]
 
 
 class Graph:
@@ -221,20 +239,36 @@ def ball(g: Graph, u: int, r: int) -> Graph:
     return induced_subgraph(g, bfs_distances(g, u, limit=r).keys())
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Subgraph on `keep` with all original edges among those nodes."""
-    s = set(keep)
-    for u in s:
-        if u not in g:
-            raise KeyError(f"unknown node {u}")
-    adj = {
-        u: tuple(v for v in g.neighbors(u) if v in s) for u in sorted(s)
-    }
-    return Graph._from_sorted_adj(adj)
+def induced_subgraph(g: Graph, keep: Iterable[int] | np.ndarray) -> Graph:
+    """Subgraph on `keep` with all original edges among those nodes.
+
+    `keep` is a collection of node ids, or a boolean mask over `g.nodes`.
+    Built as arrays from `g.csr()`: the entries whose two ends are kept,
+    renumbered to positions among the kept nodes.
+    """
+    if isinstance(keep, np.ndarray) and keep.dtype == bool:
+        if keep.shape != (g.n,):
+            raise ValueError(f"mask of shape {keep.shape} over {g.n} nodes")
+        mask = keep
+    else:
+        s = set(keep)
+        for u in s:
+            if u not in g:
+                raise KeyError(f"unknown node {u}")
+        mask = np.fromiter(map(s.__contains__, g.nodes), bool, g.n)
+    indptr, nbr = g.csr()
+    rows = csr_rows(indptr)
+    position = np.cumsum(mask) - 1
+    kept = mask[rows] & mask[nbr]
+    count = int(position[-1]) + 1 if g.n else 0
+    sub_ptr = np.zeros(count + 1, np.intp)
+    np.cumsum(np.bincount(position[rows[kept]], minlength=count), out=sub_ptr[1:])
+    nodes = tuple(compress(g.nodes, mask.tolist()))
+    return Graph._from_csr(nodes, sub_ptr, position[nbr[kept]].astype(np.int32))
 
 
 def strip_isolated(g: Graph) -> Graph:
-    return induced_subgraph(g, (u for u in g.nodes if g.degree(u) > 0))
+    return induced_subgraph(g, np.diff(g.csr()[0]) > 0)
 
 
 def two_hop_sets(g: Graph) -> dict[int, frozenset[int]]:
@@ -285,22 +319,33 @@ def square_graph(g: Graph) -> Graph:
     a != w, grouped by a and sorted by w, are the sorted adjacency the
     result needs, which it also keeps as its `csr()`.
     """
+    # each stage's arrays are freed with its helper's frame, before the
+    # next stage's are built: alive together, they would be most of an
+    # MIS solve's peak memory
+    return Graph._from_csr(g.nodes, *_square_csr(g))
+
+
+def _square_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The position adjacency of `square_graph(g)`, laid out as `csr()`."""
+    row, col = np.divmod(distinct(_path_codes(g)), g.n)
+    pair = row != col
+    return np.searchsorted(row[pair], np.arange(g.n + 1)), col[pair].astype(np.int32)
+
+
+def _path_codes(g: Graph) -> np.ndarray:
+    """a * n + w for every directed edge (a, w) of g, then for every path
+    a - v - w, each directed edge (a, v) followed by w in N(v)."""
     n = g.n
     indptr, nbr = g.csr()
     deg = np.diff(indptr)
     src = np.repeat(np.arange(n, dtype=np.int32), deg)
-    # a path a - v - w for every directed edge (a, v) and every w in N(v)
     reach = deg[nbr]
-    first = np.cumsum(reach) - reach
-    far = nbr[np.repeat(indptr[nbr] - first, reach) + np.arange(reach.sum())]
-    codes = np.concatenate((src, np.repeat(src, reach))).astype(np.int64) * n
-    codes += np.concatenate((nbr, far))
-    codes = distinct(codes)
-    row = codes // n
-    col = codes - row * n
-    pair = row != col
-    sq_indptr = np.searchsorted(row[pair], np.arange(n + 1))
-    return Graph._from_csr(g.nodes, sq_indptr, col[pair].astype(np.int32))
+    hop = np.repeat(indptr[nbr] - (np.cumsum(reach) - reach), reach)
+    hop += np.arange(len(hop))
+    codes = np.concatenate((src, np.repeat(src, reach))).astype(np.int64)
+    codes *= n
+    codes += np.concatenate((nbr, nbr[hop]))
+    return codes
 
 
 def edge_subgraph(g: Graph, a: np.ndarray, b: np.ndarray) -> Graph:
@@ -326,7 +371,7 @@ def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     `g.edges()` order: the entries of `csr()` above the diagonal, row by
     row."""
     indptr, nbr = g.csr()
-    row = np.repeat(np.arange(g.n, dtype=np.intp), np.diff(indptr))
+    row = csr_rows(indptr)
     upper = nbr > row
     return row[upper], nbr[upper].astype(np.intp)
 
@@ -380,33 +425,44 @@ class Orientation:
     The edge {u, v} points u -> v exactly when (deg(u), id(u)) is
     lexicographically smaller than (deg(v), id(v)); ids are unique, so
     every edge is oriented exactly once and the orientation is acyclic.
+
+    Held as two position adjacencies laid out as `Graph.csr()`, one of
+    out-neighbours and one of in-neighbours, each row increasing: the
+    entries of g's rows that the rule sends out of, or into, the node.
     """
 
-    __slots__ = ("_out", "_in", "_nodes", "_out_csr")
+    __slots__ = ("_nodes", "_out_csr", "_in_csr")
 
     def __init__(self, g: Graph):
-        key = {u: (g.degree(u), u) for u in g.nodes}
+        indptr, nbr = g.csr()
+        deg = np.diff(indptr)
+        row = csr_rows(indptr)
+        # positions follow ids, so (degree, position) orders as (degree, id)
+        out = (deg[nbr] > deg[row]) | ((deg[nbr] == deg[row]) & (nbr > row))
         self._nodes = g.nodes
-        self._out_csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._out: dict[int, tuple[int, ...]] = {}
-        self._in: dict[int, tuple[int, ...]] = {}
-        for u in g.nodes:
-            ku = key[u]
-            self._out[u] = tuple(v for v in g.neighbors(u) if key[v] > ku)
-            self._in[u] = tuple(v for v in g.neighbors(u) if key[v] < ku)
+        self._out_csr = _select(indptr, nbr, row, out)
+        self._in_csr = _select(indptr, nbr, row, ~out)
+
+    def _view(self, csr: tuple[np.ndarray, np.ndarray], u: int) -> tuple[int, ...]:
+        i = bisect_left(self._nodes, u)
+        if i == len(self._nodes) or self._nodes[i] != u:
+            raise KeyError(u)
+        indptr, indices = csr
+        return tuple(self._nodes[j] for j in indices[indptr[i] : indptr[i + 1]].tolist())
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._out[u]
+        return self._view(self._out_csr, u)
 
     def in_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._in[u]
+        return self._view(self._in_csr, u)
 
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Out-neighbours by node position, laid out as `Graph.csr`.
-        Built on first use and kept."""
-        if self._out_csr is None:
-            self._out_csr = _positions(self._nodes, self._out.values())
+        """Out-neighbours by node position, laid out as `Graph.csr`."""
         return self._out_csr
+
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-neighbours by node position, laid out as `Graph.csr`."""
+        return self._in_csr
 
 
 def orient(g: Graph) -> Orientation:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ClaimChecker, PreconditionError, leq
+from .errors import ClaimChecker, PreconditionError, leq, plain_sum
 from .graphs import Graph, first_seen, node_positions
 from .rounding import (
     FractionalAssignment,
@@ -75,7 +75,7 @@ class BipartiteInstance:
 
     @property
     def total_weight(self) -> float:
-        return sum(self.weights[u] for u in self.u_nodes)
+        return plain_sum(self.weights[u] for u in self.u_nodes)
 
     @property
     def b(self) -> int:
@@ -153,7 +153,7 @@ class HittingResult:
 
 def basic_guarantee(inst: BipartiteInstance, selected: frozenset[int]) -> tuple[float, float]:
     """(achieved, allowed) sides of the basic guarantee for `selected`."""
-    unhit = sum(
+    unhit = plain_sum(
         inst.weights[u]
         for u in inst.u_nodes
         if not selected.intersection(inst.adj[u])
@@ -170,7 +170,7 @@ def grouped_guarantee(inst: BipartiteInstance, selected: frozenset[int]) -> tupl
     if inst.k is None:
         raise PreconditionError("grouped guarantee needs k")
     threshold = 0.5 * (inst.delta // inst.k)
-    under = sum(
+    under = plain_sum(
         inst.weights[u]
         for u in inst.u_nodes
         if len(selected.intersection(inst.adj[u])) <= threshold
@@ -234,7 +234,7 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         decay = math.exp(-(t_steps - step) / t_steps * inst.p * inst.delta)
         rest = (t_steps - step) / t_steps * norm * 4.0 * inst.p * n_v
         return (
-            decay * sum(inst.weights[u] for u in unhit)
+            decay * plain_sum(inst.weights[u] for u in unhit)
             + norm * len(selected)
             + rest
         )
@@ -284,7 +284,10 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             y_u = 1.0 - hit + hit * (hit - 1) / 2.0
             lhs += y_u * inst.weights[u]
         lhs = decay * lhs + norm * len(batch)
-        rhs = prev_decay * sum(inst.weights[u] for u in unhit) + norm * 4.0 * inst.p / t_steps * n_v
+        rhs = (
+            prev_decay * plain_sum(inst.weights[u] for u in unhit)
+            + norm * 4.0 * inst.p / t_steps * n_v
+        )
         checks.ok(
             "step-budget",
             leq(lhs, rhs, scale),

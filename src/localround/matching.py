@@ -11,7 +11,8 @@ The re-rounding decides all clusters in one attempt-major array pass
 (`intra_round_matching`), with the same values, order, claim counts and
 named `stream` calls as the cluster-by-cluster loop it replaced.  Those
 calls stay, one per cluster attempt, although at the paper's constants
-no value falls below the keep threshold and no generator is drawn from:
+no value falls below the keep threshold, no stream is drawn from, and so
+none derives its seed or builds its generator:
 perfbench's traced runs take them as the `seeds` layer's spans on this
 path and compute `matching.intra_accept_ratio` from them, so removing
 them is a change to the benchmark's declared layers first.  The support
@@ -45,7 +46,7 @@ from .clustering import (
     cluster_ranks,
     resample_clusters,
 )
-from .errors import ClaimChecker, PreconditionError, geq, leq
+from .errors import ClaimChecker, PreconditionError, geq, leq, plain_sum
 from .graphs import (
     Edge,
     Graph,
@@ -233,9 +234,10 @@ def intra_round_matching(
     the endpoints of the edges taken by cluster and then edge, the order
     in which the per-cluster loop summed them.  Only clusters with a failing
     window go on to further attempts, and only one with a resampled edge
-    can pass on one.  Each cluster attempt still builds its `stream`,
-    drawn from or not, as the loop did, so streams and accepted clusters
-    keep their counts (the module docstring says why).  Returns the
+    can pass on one.  Each cluster attempt still calls `stream`, as the
+    loop did, so streams and accepted clusters keep their counts (the
+    module docstring says why); a stream derives its seed only if the
+    attempt draws from it.  Returns the
     new values, in the loop's order too: by cluster label, then by edge.
     """
     if x_good.nodes != g.nodes:
@@ -373,8 +375,8 @@ def approx_matching(
     )
 
     ge = good_edges(work, partition, bound)
-    good_load = sum(loads[u] for u in ge.good_nodes)
-    total_load = sum(loads.values())
+    good_load = plain_sum(loads[u] for u in ge.good_nodes)
+    total_load = plain_sum(loads.values())
     checks.ok(
         "good-weight",
         geq(good_load, 0.9 * total_load),

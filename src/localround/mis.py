@@ -37,6 +37,7 @@ from .graphs import (
     Graph,
     Orientation,
     csr_contains,
+    csr_rows,
     first_seen,
     induced_subgraph,
     node_positions,
@@ -67,28 +68,14 @@ def good_vertices(
     if h.m == 0:
         raise PreconditionError("good vertices need at least one edge")
     orientation = orientation or orient(h)
-    good = frozenset(
-        v for v in h.nodes if 3 * len(orientation.in_neighbors(v)) >= h.degree(v)
-    )
+    deg = np.diff(h.csr()[0])
+    good = 3 * np.diff(orientation.in_csr()[0]) >= deg
     checks.ok(
         "good-degree-mass",
-        2 * sum(h.degree(v) for v in good) >= h.m,
+        2 * int(deg[good].sum()) >= h.m,
         "good vertices carry less than half the edges",
     )
-    return good
-
-
-def select_witnesses(h: Graph, orientation: Orientation, v: int) -> tuple[int, ...]:
-    """Prefix of v's in-neighbors (increasing id) whose inverse degrees
-    first reach 1/3; the sum stays at most 4/3 since each term is <= 1."""
-    total = 0.0
-    chosen: list[int] = []
-    for u in orientation.in_neighbors(v):
-        chosen.append(u)
-        total += 1.0 / h.degree(u)
-        if total >= 1.0 / 3.0:
-            return tuple(chosen)
-    raise PreconditionError(f"node {v} is not good: inverse-degree sum {total}")
+    return frozenset(itertools.compress(h.nodes, good.tolist()))
 
 
 class WitnessArrays(NamedTuple):
@@ -122,10 +109,43 @@ def witness_arrays(
     return WitnessArrays(owner, group, member)
 
 
-def _good_witnesses(h: Graph, orientation: Orientation, checks: ClaimChecker) -> WitnessArrays:
-    """The witness lists of h's good vertices, in id order, as arrays."""
-    good = sorted(good_vertices(h, orientation, checks))
-    return witness_arrays(h, orientation, {v: select_witnesses(h, orientation, v) for v in good})
+def good_witnesses(
+    h: Graph, orientation: Orientation | None = None, checks: ClaimChecker | None = None
+) -> WitnessArrays:
+    """The witness lists of h's good vertices, in id order, as arrays.
+
+    A good vertex's witnesses are the shortest prefix of its
+    in-neighbours (increasing id) whose inverse degrees reach 1/3; the
+    sum stays at most 4/3 since each term is <= 1.  The prefixes are
+    found k-major: step k adds the k-th inverse degree to the running
+    sum of every node still short of 1/3, so each sum adds the same
+    terms in the same order as a loop along the node's list.
+    """
+    checks = checks if checks is not None else ClaimChecker()
+    orientation = orientation or orient(h)
+    good = good_vertices(h, orientation, checks)
+    owner = np.flatnonzero(np.fromiter(map(good.__contains__, h.nodes), bool, h.n))
+    in_ptr, in_idx = orientation.in_csr()
+    inv = 1.0 / np.diff(h.csr()[0])
+    start = in_ptr[owner]
+    avail = in_ptr[owner + 1] - start
+    total = np.zeros(len(owner))
+    size = np.zeros(len(owner), np.intp)
+    short = np.flatnonzero(avail > 0)
+    k = 0
+    while len(short):
+        total[short] += inv[in_idx[start[short] + k]]
+        k += 1
+        size[short] = k
+        short = short[(total[short] < 1.0 / 3.0) & (avail[short] > k)]
+    unmet = total < 1.0 / 3.0
+    if unmet.any():
+        i = int(unmet.argmax())
+        raise PreconditionError(
+            f"node {h.nodes[owner[i]]} is not good: inverse-degree sum {float(total[i])}"
+        )
+    member = in_idx[_expand(start, size)].astype(np.intp)
+    return WitnessArrays(owner, np.repeat(np.arange(len(owner)), size), member)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -160,18 +180,19 @@ def intra_round_mis(
     over the out-edges, each in the order the per-cluster loop summed it.
     Only clusters with a failing window go on to further attempts, and
     only a cluster with a resampled member can pass on one.  Each
-    cluster attempt still builds its `stream`, drawn from or not, as the
-    loop did, so streams and accepted clusters keep their counts:
+    cluster attempt still calls `stream`, as the loop did, so streams and
+    accepted clusters keep their counts; a stream derives its seed only
+    if the attempt draws from it, and at the paper's constants none does.
     perfbench's traced runs take these calls as the `seeds` layer's spans
     on the MIS path and compute `mis.intra_accept_ratio` from them, so
     removing them is a change to the benchmark's declared layers first.
-    `witnesses` default to the good vertices' `select_witnesses` lists.
+    `witnesses` default to `good_witnesses(h, orientation)`.
     Returns the values keyed by node, in node order.
     """
     checks = checks if checks is not None else ClaimChecker()
     orientation = orientation or orient(h)
     if witnesses is None:
-        witnesses = _good_witnesses(h, orientation, checks)
+        witnesses = good_witnesses(h, orientation, checks)
     owner, group, member = witnesses
     deg = np.diff(h.csr()[0])
     if (deg == 0).any():
@@ -301,49 +322,56 @@ def build_mis_instance(
 
 
 def _keep_marked(
-    h: Graph, orientation: Orientation, marked: set[int]
-) -> tuple[frozenset[int], frozenset[int], int]:
-    """Marked nodes with no marked out-neighbor, the nodes they remove
-    (themselves and their neighbors), and the number of removed edges."""
-    added = frozenset(
-        u for u in marked if not any(w in marked for w in orientation.out_neighbors(u))
-    )
-    removed = set(added)
-    for u in added:
-        removed.update(h.neighbors(u))
-    edges_removed = sum(
-        1 for u in removed for w in h.neighbors(u) if w not in removed or u < w
-    )
-    return added, frozenset(removed), edges_removed
+    h: Graph, orientation: Orientation, marked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Marked nodes with no marked out-neighbor and the nodes they remove
+    (themselves and their neighbors), as masks over h.nodes like
+    `marked`, and the number of removed edges."""
+    out_ptr, outs = orientation.out_csr()
+    added = marked.copy()
+    added[csr_rows(out_ptr)[marked[outs]]] = False
+    indptr, nbr = h.csr()
+    rows = csr_rows(indptr)
+    removed = added.copy()
+    removed[nbr[added[rows]]] = True
+    # every edge with a removed end, seen once from each end
+    edges_removed = np.count_nonzero(removed[rows] | removed[nbr]) // 2
+    return added, removed, int(edges_removed)
 
 
 def _peel(g: Graph, step: Callable[[Graph], tuple]) -> tuple[set[int], list[float]]:
     """Mark-and-keep loop shared by both MIS algorithms.
 
     Isolated nodes join the output.  `step(current)` returns the nodes it
-    adds, the nodes it removes and the removed-edge count; the survivors
-    minus the nodes left isolated form the next graph.  Returns the chosen
-    nodes and the removed-edge fraction of every iteration.
+    adds and the nodes it removes, as masks over `current.nodes`, and the
+    removed-edge count; the survivors minus the nodes left isolated form
+    the next graph.  Returns the chosen nodes and the removed-edge
+    fraction of every iteration.
     """
     chosen: set[int] = set()
     fractions: list[float] = []
-    current, removed = g, frozenset()
+    current, removed = g, np.zeros(g.n, bool)
     while True:
-        survivors = [u for u in current.nodes if u not in removed]
-        alone = {u for u in survivors if all(w in removed for w in current.neighbors(u))}
-        chosen |= alone
-        current = induced_subgraph(current, (u for u in survivors if u not in alone))
+        indptr, nbr = current.csr()
+        rows = csr_rows(indptr)
+        survivors = ~removed
+        alone = survivors & (np.bincount(rows[survivors[nbr]], minlength=current.n) == 0)
+        chosen.update(itertools.compress(current.nodes, alone.tolist()))
+        current = induced_subgraph(current, survivors & ~alone)
         if current.m == 0:
             return chosen, fractions
         added, removed, edges_removed = step(current)
         fractions.append(edges_removed / current.m)
-        chosen |= added
+        chosen.update(itertools.compress(current.nodes, added.tolist()))
 
 
 @dataclass
 class IterationOutcome:
-    added: frozenset[int]
-    removed: frozenset[int]
+    """The iteration's kept and removed nodes, as masks over `h.nodes`,
+    and the number of removed edges."""
+
+    added: np.ndarray
+    removed: np.ndarray
     edges_removed: int
 
 
@@ -362,7 +390,7 @@ def luby_derandomized_iteration(
     if h.m == 0:
         raise PreconditionError("iteration needs at least one edge")
     orientation = orient(h)
-    witnesses = _good_witnesses(h, orientation, checks)
+    witnesses = good_witnesses(h, orientation, checks)
     owner, group, member = witnesses
     inv = np.bincount(group, 1.0 / np.diff(h.csr()[0])[member], minlength=len(owner))
     checks.ok_each(
@@ -397,9 +425,8 @@ def luby_derandomized_iteration(
         f"rounded estimator {yu - yc} below half of {fu - fc}",
     )
 
-    added, removed, edges_removed = _keep_marked(
-        h, orientation, {u for u in h.nodes if labels[u] == 1}
-    )
+    marked = np.fromiter(map(labels.__getitem__, h.nodes), np.intp, h.n) == 1
+    added, removed, edges_removed = _keep_marked(h, orientation, marked)
     checks.ok(
         "estimator-sound",
         edges_removed + 1e-6 >= yu - yc,
@@ -451,7 +478,7 @@ def mis(
     max_iterations = math.ceil(24000 * math.log(g.m + 1)) + 1 if g.m else 0
     iteration = itertools.count(1)
 
-    def step(current: Graph) -> tuple[frozenset[int], frozenset[int], int]:
+    def step(current: Graph) -> tuple[np.ndarray, np.ndarray, int]:
         outcome = luby_derandomized_iteration(
             current, partition.restrict(current.nodes), bound, seed, g.n,
             ledger, retries, checks,
@@ -491,12 +518,10 @@ def luby_randomized(g: Graph, seed: int) -> LubyResult:
     cap = 10 * g.n + 1000
     iteration = itertools.count(1)
 
-    def step(current: Graph) -> tuple[frozenset[int], frozenset[int], int]:
-        marked = {
-            u
-            for u in current.nodes
-            if rng.random() < 1.0 / (10.0 * current.degree(u))
-        }
+    def step(current: Graph) -> tuple[np.ndarray, np.ndarray, int]:
+        # one draw per node, in node order
+        draws = np.fromiter((rng.random() for _ in current.nodes), float, current.n)
+        marked = draws < 1.0 / (10.0 * np.diff(current.csr()[0]))
         kept = _keep_marked(current, orient(current), marked)
         if next(iteration) > cap:
             raise RetryBudgetExceeded(f"no progress after {cap + 1} iterations")

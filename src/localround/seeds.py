@@ -2,6 +2,8 @@
 
 Every randomized component draws from a stream keyed by a label path, so
 per-cluster retries replay identically regardless of execution order.
+A stream derives its seed and builds its generator at its first draw, so
+a stream that is never drawn from costs no hashing and no generator.
 """
 
 from __future__ import annotations
@@ -20,6 +22,21 @@ def derive_seed(master: int, *labels: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def stream(master: int, *labels: object) -> random.Random:
-    """Independent deterministic RNG for the given label path."""
-    return random.Random(derive_seed(master, *labels))
+class Stream:
+    """The draws of `random.Random(derive_seed(master, *labels))`, with
+    the seed derived and the generator built at the first `random()`."""
+
+    def __init__(self, master: int, labels: tuple[object, ...]):
+        self._master = master
+        self._labels = labels
+
+    def random(self) -> float:
+        # the generator's own bound method shadows this one from now on
+        self.random = random.Random(derive_seed(self._master, *self._labels)).random
+        return self.random()
+
+
+def stream(master: int, *labels: object) -> Stream:
+    """Independent deterministic stream for the given label path.  A
+    master that is not an integer raises here, not at the first draw."""
+    return Stream(int(master), labels)

@@ -1,15 +1,65 @@
-"""Pure-Python reference for the terms of `build_mis_instance`.
+"""Pure-Python references for the MIS iteration's array builds.
 
-This is the dict-and-loop construction the array form in `localround.mis`
-replaced, kept so tests can compare against it: the same keys, in the
-same (first-occurrence) order, with the same coefficients bit for bit.
+These are the dict-and-loop constructions the array forms in
+`localround.graphs` and `localround.mis` replaced, kept so tests can
+compare against them: the orientation's neighbour tuples, the witness
+prefix of each good vertex, and the terms of `build_mis_instance` (the
+same keys, in the same first-occurrence order, with the same
+coefficients bit for bit).
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from localround.errors import PreconditionError
 from localround.graphs import Graph, Orientation
+from localround.mis import WitnessArrays
+
+
+class ReferenceOrientation:
+    """The (degree, id) orientation as two dicts of neighbour tuples."""
+
+    def __init__(self, g: Graph):
+        key = {u: (g.degree(u), u) for u in g.nodes}
+        self._out: dict[int, tuple[int, ...]] = {}
+        self._in: dict[int, tuple[int, ...]] = {}
+        for u in g.nodes:
+            ku = key[u]
+            self._out[u] = tuple(v for v in g.neighbors(u) if key[v] > ku)
+            self._in[u] = tuple(v for v in g.neighbors(u) if key[v] < ku)
+
+    def out_neighbors(self, u: int) -> tuple[int, ...]:
+        return self._out[u]
+
+    def in_neighbors(self, u: int) -> tuple[int, ...]:
+        return self._in[u]
+
+
+def good_vertices(h: Graph, orientation) -> frozenset[int]:
+    """Nodes with at least a third of their edges incoming."""
+    return frozenset(
+        v for v in h.nodes if 3 * len(orientation.in_neighbors(v)) >= h.degree(v)
+    )
+
+
+def select_witnesses(h: Graph, orientation, v: int) -> tuple[int, ...]:
+    """Prefix of v's in-neighbors (increasing id) whose inverse degrees
+    first reach 1/3; the sum stays at most 4/3 since each term is <= 1."""
+    total = 0.0
+    chosen: list[int] = []
+    for u in orientation.in_neighbors(v):
+        chosen.append(u)
+        total += 1.0 / h.degree(u)
+        if total >= 1.0 / 3.0:
+            return tuple(chosen)
+    raise PreconditionError(f"node {v} is not good: inverse-degree sum {total}")
+
+
+def witness_lists(h: Graph, orientation) -> dict[int, tuple[int, ...]]:
+    """`select_witnesses` of every good vertex, in id order."""
+    good = sorted(good_vertices(h, orientation))
+    return {v: select_witnesses(h, orientation, v) for v in good}
 
 
 def reference_mis_terms(
@@ -34,3 +84,11 @@ def reference_mis_terms(
             for w in orientation.out_neighbors(u):
                 bump(u, w, half_deg)
     return lin, pair_cost
+
+
+def witness_ids(g: Graph, w: WitnessArrays) -> dict[int, tuple[int, ...]]:
+    """Witness arrays back as lists of ids keyed by the witnessed node."""
+    out: dict[int, list[int]] = {g.nodes[v]: [] for v in w.owner.tolist()}
+    for k, u in zip(w.group.tolist(), w.member.tolist()):
+        out[g.nodes[w.owner[k]]].append(g.nodes[u])
+    return {v: tuple(members) for v, members in out.items()}

@@ -31,13 +31,7 @@ from localround.hitting import (
     grouped_hitting_set,
 )
 from localround.matching import approx_matching, fractional_matching
-from localround.mis import (
-    good_vertices,
-    intra_round_mis,
-    mis,
-    select_witnesses,
-    witness_arrays,
-)
+from localround.mis import good_witnesses, intra_round_mis, mis
 from localround.oracles import (
     exact_max_matching,
     exhaustive_hitting_check,
@@ -46,6 +40,7 @@ from localround.oracles import (
 from localround.rounding import evaluate, greedy_color, round_labels
 
 from conftest import random_graph, random_hitting_instance, random_objective, sweep_graphs
+from mis_reference import witness_ids
 
 MIS_TIME_BUDGET_S = 300.0
 ROUNDING_TIME_BUDGET_S = 60.0
@@ -117,12 +112,11 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
     # direct rescan of the first iteration on sample graphs
     for g in (gnp(120, 0.05, seed=9), gnp(40, 0.3, seed=8)):
         o = orient(g)
-        good = good_vertices(g, o)
-        witnesses = {v: select_witnesses(g, o, v) for v in sorted(good)}
+        arrays = good_witnesses(g, o)
+        witnesses = witness_ids(g, arrays)
         from localround.clustering import delays_to_partition
 
         part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
-        arrays = witness_arrays(g, o, witnesses)
         x = intra_round_mis(g, part, float(g.n + 1), seed=0, orientation=o, witnesses=arrays)
         for v, members in witnesses.items():
             mass = sum(x[u] for u in members)

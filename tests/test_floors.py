@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floor_reference
+import mis_reference
 from localround.clustering import ClusterGroups, cluster_degree, delays_to_partition
 from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceeded
 from localround.graphs import Graph, orient, strip_isolated
@@ -145,7 +146,7 @@ def mis_cases(draw):
     good = draw(st.permutations(sorted(mis_module.good_vertices(g, o))))
     # witness lists in a drawn order, so entry order is not id order
     witnesses = {
-        v: tuple(draw(st.permutations(mis_module.select_witnesses(g, o, v)))) for v in good
+        v: tuple(draw(st.permutations(mis_reference.select_witnesses(g, o, v)))) for v in good
     }
     return g, part, bound, n_total, o, witnesses, seed
 

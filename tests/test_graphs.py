@@ -199,6 +199,25 @@ def sparse_graphs(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@given(sparse_graphs(), st.data())
+def test_induced_subgraph_from_a_mask_or_ids(g, data):
+    mask = np.array([data.draw(st.booleans()) for _ in g.nodes], bool)
+    keep = {u for u, kept in zip(g.nodes, mask.tolist()) if kept}
+    sub = induced_subgraph(g, mask)
+    assert sub == induced_subgraph(g, keep) == Graph(
+        nodes=keep, edges=[(u, v) for u, v in g.edges() if u in keep and v in keep]
+    )
+    assert all(type(u) is int for u in sub.nodes)
+    rebuilt = Graph._from_sorted_adj({u: sub.neighbors(u) for u in sub.nodes}).csr()
+    assert all(np.array_equal(a, b) for a, b in zip(sub.csr(), rebuilt))
+
+
+def test_induced_subgraph_rejects_a_mask_of_another_length():
+    with pytest.raises(ValueError, match="mask"):
+        induced_subgraph(Graph(edges=[(0, 1), (1, 2)]), np.ones(2, bool))
+
+
+@settings(max_examples=200, deadline=None)
 @given(sparse_graphs())
 def test_square_graph_is_distance_two(g):
     sq = square_graph(g)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hitting_reference
-from localround.errors import ClaimViolation, PreconditionError
+from localround.errors import ClaimViolation, PreconditionError, plain_sum
 from localround.graphs import Graph
 from localround.hitting import (
     BipartiteInstance,
@@ -323,3 +323,15 @@ def test_basic_hitting_set_matches_the_dict_build_on_copies():
     assert _outcome(basic_hitting_set, copies) == _outcome(
         hitting_reference.reference_basic_hitting_set, copies
     )
+
+
+def test_plain_sum_adds_left_to_right():
+    # the guarantees' weight sums: a compensated sum, the builtin's from
+    # Python 3.12 on, gives 1.0 here, and a plain loop gives 0.0
+    values = [1e16, 1.0, -1e16]
+    loop = 0.0
+    for x in values:
+        loop += x
+    assert plain_sum(values) == loop == 0.0
+    assert plain_sum(iter(values)) == 0.0
+    assert plain_sum([]) == 0

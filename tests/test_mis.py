@@ -15,18 +15,19 @@ from localround.ledger import RoundLedger
 from localround.mis import (
     build_mis_instance,
     good_vertices,
+    good_witnesses,
     intra_round_mis,
     luby_derandomized_iteration,
     luby_randomized,
     mis,
-    select_witnesses,
     verify_mis,
     witness_arrays,
 )
 from localround.rounding import FractionalAssignment, evaluate
 
+import mis_reference
 from conftest import random_graph, relabel
-from mis_reference import reference_mis_terms
+from mis_reference import reference_mis_terms, select_witnesses, witness_ids
 
 
 def _singleton_partition(g, alpha=1):
@@ -62,8 +63,7 @@ def test_good_vertices_need_edges():
 
 def test_witnesses_single_low_degree_neighbor():
     g = Graph(edges=[(0, 1)])
-    o = orient(g)
-    assert select_witnesses(g, o, 1) == (0,)
+    assert witness_ids(g, good_witnesses(g)) == {1: (0,)}
 
 
 def test_witnesses_stop_at_third():
@@ -76,8 +76,8 @@ def test_witnesses_stop_at_third():
     g = Graph(edges=edges)
     o = orient(g)
     assert g.degree(0) == g.degree(1) == g.degree(2) == 3
-    witnesses = select_witnesses(g, o, 9)
-    assert witnesses == (0,)
+    witnesses = witness_ids(g, good_witnesses(g, o))
+    assert witnesses[9] == (0,)
 
 
 def test_witness_sums_in_window():
@@ -85,11 +85,53 @@ def test_witness_sums_in_window():
     g = random_graph(rng, 60, 0.1)
     if g.m == 0:
         return
-    o = orient(g)
-    for v in good_vertices(g):
-        members = select_witnesses(g, o, v)
+    for v, members in witness_ids(g, good_witnesses(g)).items():
         total = sum(1.0 / g.degree(u) for u in members)
         assert 1.0 / 3.0 - 1e-12 <= total <= 4.0 / 3.0 + 1e-12
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A graph with sparse 60-bit ids and no isolated node."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_graph(rng, draw(st.integers(2, 50)), draw(st.sampled_from([0.05, 0.15, 0.4])))
+    g = Graph(edges=g.edges()) if g.m else Graph(edges=[(0, 1)])
+    return relabel(g, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_graphs())
+def test_orientation_and_witnesses_match_the_loop_reference(g):
+    o, ref = orient(g), mis_reference.ReferenceOrientation(g)
+    for u in g.nodes:
+        assert o.out_neighbors(u) == ref.out_neighbors(u)
+        assert o.in_neighbors(u) == ref.in_neighbors(u)
+    assert good_vertices(g, o) == mis_reference.good_vertices(g, ref)
+    built = good_witnesses(g, o)
+    expected = witness_arrays(g, o, mis_reference.witness_lists(g, ref))
+    for got, want in zip(built, expected):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_witness_sums_start_from_zero_for_every_node():
+    # nodes 0-2 are a path and hub 10**6 has six in-neighbours 3..8 of
+    # degree 6, each with five leaves: the inverse degrees listed before
+    # the hub's sum to 2 + 6 * 5 = 32, and 1/6 + 1/6 reaches 1/3 from 0
+    # but not as a difference of running totals from 32
+    edges = [(0, 1), (0, 2)]
+    leaf = 10**6 + 1
+    for u in range(3, 9):
+        edges.append((u, 10**6))
+        for _ in range(5):
+            edges.append((u, leaf))
+            leaf += 1
+    g = Graph(edges=edges)
+    sixth = 1.0 / 6.0
+    assert sixth + sixth >= 1.0 / 3.0 > (32.0 + sixth + sixth) - 32.0
+    witnesses = witness_ids(g, good_witnesses(g))
+    assert witnesses[10**6] == (3, 4)
+    ref = mis_reference.ReferenceOrientation(g)
+    assert witnesses == mis_reference.witness_lists(g, ref)
 
 
 def test_intra_deterministic_branch():
@@ -151,7 +193,7 @@ def test_intra_needs_a_partition_of_h():
         intra_round_mis(g, part, 1000.0, seed=0)
 
 
-def test_iteration_converts_its_witness_lists_once(monkeypatch):
+def test_iteration_builds_its_witnesses_without_converting(monkeypatch):
     mis_module = importlib.import_module("localround.mis")
     real = mis_module.witness_arrays
     converted = []
@@ -164,8 +206,9 @@ def test_iteration_converts_its_witness_lists_once(monkeypatch):
     g = strip_isolated(gnp(200, 0.05, seed=4))
     part = _singleton_partition(g)
     luby_derandomized_iteration(g, part, float(g.n + 1), seed=1)
-    # the floor and the instance build take the arrays the iteration built
-    assert converted == [len(good_vertices(g))]
+    # the iteration builds the arrays itself, and the floor and the
+    # instance build take them; no witness mapping is converted
+    assert converted == []
 
 
 def test_intra_global_windows():
@@ -175,8 +218,8 @@ def test_intra_global_windows():
     checks = ClaimChecker()
     out = intra_round_mis(g, part, bound=float(g.n + 1), seed=2, checks=checks)
     o = orient(g)
-    for v in good_vertices(g):
-        mass = sum(out[u] for u in select_witnesses(g, o, v))
+    for members in witness_ids(g, good_witnesses(g, o)).values():
+        mass = sum(out[u] for u in members)
         assert 1.0 / 1000.0 - 1e-12 <= mass <= 1.0 / 3.0 + 1e-12
     for u in g.nodes:
         assert sum(out[w] for w in o.out_neighbors(u)) <= 0.25 + 1e-12
@@ -212,10 +255,10 @@ def test_instance_triangle_hand_expansion():
     o = orient(g)
     good = good_vertices(g)
     assert good == frozenset({2, 3})
-    witnesses = {v: select_witnesses(g, o, v) for v in sorted(good)}
-    assert witnesses == {2: (1,), 3: (1,)}
+    witnesses = good_witnesses(g, o)
+    assert witness_ids(g, witnesses) == {2: (1,), 3: (1,)}
     x = {1: 0.1, 2: 0.2, 3: 0.3}
-    inst = build_mis_instance(g, witness_arrays(g, o, witnesses), o)
+    inst = build_mis_instance(g, witnesses, o)
     lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
     utility, cost = evaluate(inst, lam)
     # hand expansion: degrees are all 2, so each good vertex weighs 1
@@ -229,9 +272,7 @@ def test_instance_estimator_slack_on_random_graph():
     part = _singleton_partition(g)
     checks = ClaimChecker()
     o = orient(g)
-    witnesses = witness_arrays(
-        g, o, {v: select_witnesses(g, o, v) for v in sorted(good_vertices(g))}
-    )
+    witnesses = good_witnesses(g, o)
     x = intra_round_mis(g, part, float(g.n + 1), seed=1, orientation=o, witnesses=witnesses)
     inst = build_mis_instance(g, witnesses, o)
     luby_derandomized_iteration(g, part, float(g.n + 1), seed=1, checks=checks)
@@ -292,8 +333,8 @@ def test_iteration_single_edge():
     g = Graph(edges=[(0, 1)])
     out = luby_derandomized_iteration(g, _singleton_partition(g), 10.0, seed=0)
     assert out.edges_removed == 1
-    assert len(out.added) == 1
-    assert out.removed == frozenset({0, 1})
+    assert out.added.tolist().count(True) == 1
+    assert out.removed.tolist() == [True, True]
 
 
 def test_iteration_star():
