@@ -432,8 +432,10 @@ def cluster_all(
             # known zeros, and no cell is built
             for j in range(1, steps + 1):
                 detail = f"phase {i} level {j}: no important node"
-                for ell in range(sweeps + 1):
-                    checks.ok("pipeline-bad-count", 0 * 2**ell <= n * 2**j, detail)
+                # 0 * 2**ell is 0 at every sweep ell: one outcome per level
+                checks.ok_each(
+                    "pipeline-bad-count", np.full(sweeps + 1, 0 <= n * 2**j), lambda _: detail
+                )
                 checks.ok(
                     "pipeline-active-mass",
                     0 * 2 ** (i * steps + j) <= 2 * log_n_cap * n,

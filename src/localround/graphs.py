@@ -1,20 +1,24 @@
 """Immutable simple undirected graphs with integer node identifiers.
 
-Adjacency is stored as sorted tuples keyed by node id, so every iteration
-order downstream is deterministic.  Node ids are arbitrary non-negative
-integers below 2**63; they need not be contiguous, which lets callers
-exercise id-dependent tie-breaking.  `Graph.csr()` gives the same
-adjacency as numpy arrays over node positions, built once per graph;
+A graph stores its node ids as one increasing tuple and its adjacency as
+position arrays, `Graph.csr()`: the neighbours of nodes[i] are nodes[j]
+for j in indices[indptr[i]:indptr[i + 1]], increasing.  That is its only
+stored form, so every iteration order downstream is deterministic and
 the derived structures (`Orientation`, `induced_subgraph`,
-`square_graph`) are built from those arrays, not node by node.
+`square_graph`) are built from the arrays, not node by node.  Node ids
+are arbitrary non-negative integers below 2**63; they need not be
+contiguous, which lets callers exercise id-dependent tie-breaking.
+`neighbors(u)` reads per-node id tuples that are built from the arrays
+on its first call and kept; only per-node walks (breadth-first search,
+the oracles) call it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import chain, compress
-from typing import Collection, Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,22 +29,16 @@ MAX_ID_BITS = 63
 Edge = tuple[int, int]
 
 
-def _positions(
-    nodes: tuple[int, ...], rows: Collection[tuple[int, ...]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of one id tuple per node of the sorted `nodes`,
-    each id replaced by its position in `nodes`."""
-    n = len(nodes)
-    indptr = np.zeros(n + 1, np.intp)
-    np.cumsum(np.fromiter(map(len, rows), np.intp, n), out=indptr[1:])
-    flat = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
-    return indptr, np.searchsorted(np.fromiter(nodes, np.int64, n), flat).astype(np.int32)
-
-
 def csr_rows(indptr: np.ndarray) -> np.ndarray:
     """The row of every entry of a position adjacency laid out as
     `Graph.csr()`."""
     return np.repeat(np.arange(len(indptr) - 1, dtype=np.intp), np.diff(indptr))
+
+
+def expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + counts[k] - 1 for every k."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())
 
 
 def _select(
@@ -53,43 +51,86 @@ def _select(
     return sub_ptr, indices[keep]
 
 
-class Graph:
-    """Undirected simple graph, immutable after construction."""
+def pair_csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position adjacency, laid out as `Graph.csr()`, of n nodes
+    joined by the pairs (a[k], b[k]), a[k] != b[k]; repeated and reversed
+    pairs are merged.  Each pair is coded row * n + column once per
+    direction, and the distinct codes, increasing, are the rows in order,
+    each sorted."""
+    codes = np.concatenate((a, b)).astype(np.int64) * n + np.concatenate((b, a))
+    row, col = np.divmod(distinct(codes), n)
+    return np.searchsorted(row, np.arange(n + 1)), col.astype(np.int32)
 
-    __slots__ = ("_adj", "_nodes", "_m", "_csr")
+
+def _check_id(u: int) -> int:
+    if u < 0 or u.bit_length() > MAX_ID_BITS:
+        raise ValueError(f"node id {u} outside [0, 2^{MAX_ID_BITS})")
+    return u
+
+
+def _id_arrays(nodes: list, edges: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids as an int64 array and the edges as an (m, 2) one; None when
+    an id does not convert or is negative, an edge is not a pair, or an
+    edge is a self-loop."""
+    try:
+        ids = np.array(nodes, np.int64)
+        ends = np.array(edges, np.int64) if edges else np.zeros((0, 2), np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if ids.shape != (len(nodes),) or ends.shape != (len(edges), 2):
+        return None
+    if (ids < 0).any() or (ends < 0).any() or (ends[:, 0] == ends[:, 1]).any():
+        return None
+    return ids, ends
+
+
+def _checked_id_arrays(nodes: list, edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """`_id_arrays` item by item in input order: every node id, then each
+    edge's two ends and its loop, each converted with `int`; the first bad
+    one raises."""
+    ids = [_check_id(int(u)) for u in nodes]
+    pairs = []
+    for u, v in edges:
+        u, v = _check_id(int(u)), _check_id(int(v))
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        pairs.append((u, v))
+    return np.array(ids, np.int64), np.array(pairs, np.int64).reshape(-1, 2)
+
+
+def _neighbor_tuples(
+    nodes: tuple[int, ...], indptr: np.ndarray, indices: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
+    """Every node's neighbour ids as a tuple, by position.  The tuples
+    hold the given id objects, gathered from an object array, so no new
+    ints are allocated."""
+    ids = np.empty(len(nodes), object)
+    ids[:] = nodes
+    nbrs, ends = ids[indices].tolist(), indptr.tolist()
+    return tuple(tuple(nbrs[ends[i] : ends[i + 1]]) for i in range(len(nodes)))
+
+
+class Graph:
+    """Undirected simple graph, immutable after construction.
+
+    Stored as the increasing id tuple `nodes` and the arrays of `csr()`.
+    The constructor takes any ids and edges, merges repeated and reversed
+    edges, and raises `ValueError` on an id outside [0, 2^63) or a
+    self-loop, naming the first one in input order (the nodes, then the
+    edges).
+    """
+
+    __slots__ = ("_nodes", "_indptr", "_indices", "_view")
 
     def __init__(self, nodes: Iterable[int] = (), edges: Iterable[Edge] = ()):
-        adj: dict[int, set[int]] = {}
-        for u in nodes:
-            adj.setdefault(self._check_id(int(u)), set())
-        for u, v in edges:
-            u, v = self._check_id(int(u)), self._check_id(int(v))
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        self._nodes: tuple[int, ...] = tuple(sorted(adj))
-        self._adj: dict[int, tuple[int, ...]] = {
-            u: tuple(sorted(adj[u])) for u in self._nodes
-        }
-        self._m = sum(len(a) for a in self._adj.values()) // 2
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
-
-    @staticmethod
-    def _check_id(u: int) -> int:
-        if u < 0 or u.bit_length() > MAX_ID_BITS:
-            raise ValueError(f"node id {u} outside [0, 2^{MAX_ID_BITS})")
-        return u
-
-    @classmethod
-    def _from_sorted_adj(cls, adj: dict[int, tuple[int, ...]]) -> "Graph":
-        """Trusted constructor: adj must be symmetric, sorted, loop-free."""
-        g = cls.__new__(cls)
-        g._nodes = tuple(sorted(adj))
-        g._adj = {u: adj[u] for u in g._nodes}
-        g._m = sum(len(a) for a in adj.values()) // 2
-        g._csr = None
-        return g
+        nodes, edges = list(nodes), list(edges)
+        arrays = _id_arrays(nodes, edges)
+        ids, ends = arrays if arrays is not None else _checked_id_arrays(nodes, edges)
+        node_ids = distinct(np.concatenate((ids, ends.ravel())))
+        at = np.searchsorted(node_ids, ends)
+        self._nodes: tuple[int, ...] = tuple(node_ids.tolist())
+        self._indptr, self._indices = pair_csr(len(node_ids), at[:, 0], at[:, 1])
+        self._view: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def _from_csr(
@@ -97,16 +138,9 @@ class Graph:
     ) -> "Graph":
         """Trusted constructor from position arrays laid out as `csr()`
         over the sorted `nodes`: rows symmetric, sorted and loop-free.
-        The tuples hold the given id objects, gathered from an object
-        array, so no new ints are allocated; the arrays are kept as the
-        graph's `csr()`."""
-        ids = np.empty(len(nodes), object)
-        ids[:] = nodes
-        nbrs, ends = ids[indices].tolist(), indptr.tolist()
-        g = cls._from_sorted_adj(
-            {u: tuple(nbrs[ends[i] : ends[i + 1]]) for i, u in enumerate(nodes)}
-        )
-        g._csr = (indptr, indices)
+        Stores what it is given."""
+        g = cls.__new__(cls)
+        g._nodes, g._indptr, g._indices, g._view = nodes, indptr, indices, None
         return g
 
     @property
@@ -115,7 +149,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self._m
+        return len(self._indices) // 2
 
     @property
     def b(self) -> int:
@@ -126,45 +160,67 @@ class Graph:
     def nodes(self) -> tuple[int, ...]:
         return self._nodes
 
+    def _position(self, u: int) -> int:
+        """The position of u in `nodes`, or -1 when u is not a node."""
+        try:
+            i = bisect_left(self._nodes, u)
+        except TypeError:
+            return -1
+        return i if i < len(self._nodes) and self._nodes[i] == u else -1
+
+    def _index(self, u: int) -> int:
+        """The position of u in `nodes`; `KeyError` when u is not a node."""
+        i = self._position(u)
+        if i < 0:
+            raise KeyError(u)
+        return i
+
     def __contains__(self, u: int) -> bool:
-        return u in self._adj
+        return self._position(u) >= 0
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._adj[u]
+        i = self._index(u)
+        if self._view is None:
+            self._view = _neighbor_tuples(self._nodes, self._indptr, self._indices)
+        return self._view[i]
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        i = self._index(u)
+        return int(self._indptr[i + 1] - self._indptr[i])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj.values()), default=0)
+        return int(np.diff(self._indptr).max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:
-        a = self._adj.get(u)
-        if a is None:
+        i, j = self._position(u), self._position(v)
+        if i < 0 or j < 0:
             return False
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
+        row = self._indices[self._indptr[i] : self._indptr[i + 1]]
+        k = int(row.searchsorted(j))
+        return k < len(row) and bool(row[k] == j)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency by position in `nodes`: the neighbours of nodes[i] are
         nodes[j] for j in indices[indptr[i]:indptr[i + 1]], increasing.
-        Built on first use and kept; the graph is immutable."""
-        if self._csr is None:
-            self._csr = _positions(self._nodes, self._adj.values())
-        return self._csr
+        The graph's stored form; the arrays are shared, not copied."""
+        return self._indptr, self._indices
 
     def edges(self) -> Iterator[Edge]:
         """All edges in canonical form, sorted."""
-        for u in self._nodes:
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        a, b = edge_ends(self)
+        node = self._nodes.__getitem__
+        return zip(map(node, a.tolist()), map(node, b.tolist()))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self._adj == other._adj
+        return (
+            isinstance(other, Graph)
+            and self._nodes == other._nodes
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
+        )
 
     def __hash__(self) -> int:  # pragma: no cover - rarely used
-        return hash((self._nodes, tuple(self._adj[u] for u in self._nodes)))
+        return hash((self._nodes, tuple(self._indices.tolist()), tuple(self._indptr.tolist())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -376,17 +432,18 @@ def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return row[upper], nbr[upper].astype(np.intp)
 
 
-def node_positions(g: Graph, ids: Iterable[int], count: int) -> np.ndarray:
-    """The position in `g.nodes` of each of the `count` ids; an id that is
-    not a node of g is a `PreconditionError`."""
+def node_positions(nodes: tuple[int, ...], ids: Iterable[int], count: int) -> np.ndarray:
+    """The position in the increasing id tuple `nodes` (a graph's
+    `nodes`) of each of the `count` ids; an id that is not in `nodes` is a
+    `PreconditionError`."""
     try:
         want = np.fromiter(ids, np.int64, count)
+        known_ids = np.fromiter(nodes, np.int64, len(nodes))
     except OverflowError:
         raise PreconditionError(f"node id outside [0, 2^{MAX_ID_BITS})") from None
-    nodes = np.fromiter(g.nodes, np.int64, g.n)
-    at = np.searchsorted(nodes, want)
-    known = at < g.n
-    known[known] = nodes[at[known]] == want[known]
+    at = np.searchsorted(known_ids, want)
+    known = at < len(nodes)
+    known[known] = known_ids[at[known]] == want[known]
     if not known.all():
         raise PreconditionError(f"unknown node {want[np.argmin(known)]}")
     return at

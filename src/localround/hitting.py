@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, leq, plain_sum
-from .graphs import Graph, first_seen, node_positions
+from .graphs import Graph, first_seen, node_positions, pair_csr
 from .rounding import (
     FractionalAssignment,
     UtilityCostInstance,
@@ -117,17 +117,24 @@ def from_graph(
     )
 
 
+def _neighbor_rows(inst: BipartiteInstance) -> np.ndarray:
+    """The positions in `v_nodes` of every left node's neighbours, one row
+    per left node in `u_nodes` order."""
+    ends = chain.from_iterable(map(inst.adj.__getitem__, inst.u_nodes))
+    n_u = len(inst.u_nodes)
+    return node_positions(inst.v_nodes, ends, n_u * inst.delta).reshape(n_u, inst.delta)
+
+
 def conflict_graph(inst: BipartiteInstance) -> Graph:
-    """Graph on V joining right nodes that share a left neighbor."""
-    adj: dict[int, set[int]] = {v: set() for v in inst.v_nodes}
-    for u in inst.u_nodes:
-        nbrs = inst.adj[u]
-        for i, v in enumerate(nbrs):
-            av = adj[v]
-            for w in nbrs[i + 1 :]:
-                av.add(w)
-                adj[w].add(v)
-    return Graph._from_sorted_adj({v: tuple(sorted(adj[v])) for v in sorted(adj)})
+    """Graph on V joining right nodes that share a left neighbor: every
+    pair of one left node's neighbours, as positions in `v_nodes`, merged
+    by `pair_csr`."""
+    rows = _neighbor_rows(inst)
+    first, second = np.triu_indices(inst.delta, 1)
+    n = len(inst.v_nodes)
+    return Graph._from_csr(
+        inst.v_nodes, *pair_csr(n, rows[:, first].ravel(), rows[:, second].ravel())
+    )
 
 
 @dataclass
@@ -214,16 +221,13 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     cg = conflict_graph(inst)
     coloring = greedy_color(cg)
     result.zeta = coloring.num_colors
-    lam = FractionalAssignment({v: (1.0 - q, q) for v in inst.v_nodes})
+    lam = FractionalAssignment.from_matrix(cg.nodes, np.tile((1.0 - q, q), (len(cg.nodes), 1)))
     n_u, n_v, delta = len(inst.u_nodes), len(inst.v_nodes), inst.delta
     norm = inst.norm
     checks = result.checks
 
     weight = np.fromiter(map(inst.weights.__getitem__, inst.u_nodes), float, n_u)
-    # the positions in cg.nodes (= v_nodes) of each left node's neighbours
-    nbr = node_positions(
-        cg, chain.from_iterable(map(inst.adj.__getitem__, inst.u_nodes)), n_u * delta
-    ).reshape(n_u, delta)
+    nbr = _neighbor_rows(inst)
     first, second = np.triu_indices(delta, 1)  # pairs x < y, x major
     node_cost = np.repeat([[0.0, norm]], n_v, axis=0)
 

@@ -93,7 +93,7 @@ class FractionalMatching:
         a < b, or that holds an unknown node or an id of 2^63 or more, is a
         `PreconditionError`; the values are taken as given."""
         edges = list(values)
-        ends = node_positions(g, chain.from_iterable(edges), 2 * len(edges))
+        ends = node_positions(g.nodes, chain.from_iterable(edges), 2 * len(edges))
         a, b = ends[0::2], ends[1::2]
         canonical = (a < b) & csr_contains(*g.csr(), a, b)
         if not canonical.all():
@@ -287,15 +287,17 @@ def intra_round_matching(
 
 
 def greedy_maximal_matching(g: Graph) -> frozenset[Edge]:
-    """Maximal matching by scanning edges in sorted order."""
-    used: set[int] = set()
-    chosen: list[Edge] = []
-    for a, b in g.edges():
-        if a not in used and b not in used:
-            used.add(a)
-            used.add(b)
-            chosen.append((a, b))
-    return frozenset(chosen)
+    """Maximal matching by scanning edges in sorted order, read as the
+    endpoint positions of `edge_ends`."""
+    a, b = edge_ends(g)
+    used = bytearray(g.n)
+    chosen: list[tuple[int, int]] = []
+    for i, j in zip(a.tolist(), b.tolist()):
+        if not used[i] and not used[j]:
+            used[i] = used[j] = 1
+            chosen.append((i, j))
+    node = g.nodes.__getitem__
+    return frozenset((node(i), node(j)) for i, j in chosen)
 
 
 def is_matching(edges: frozenset[Edge] | set[Edge]) -> bool:

@@ -38,6 +38,7 @@ from .graphs import (
     Orientation,
     csr_contains,
     csr_rows,
+    expand,
     first_seen,
     induced_subgraph,
     node_positions,
@@ -94,9 +95,9 @@ def witness_arrays(
     build take.  A node outside h, or a witness that is not an
     in-neighbour of its node, is a `PreconditionError`."""
     sizes = np.fromiter(map(len, witnesses.values()), np.intp, len(witnesses))
-    owner = node_positions(h, witnesses, len(witnesses))
+    owner = node_positions(h.nodes, witnesses, len(witnesses))
     member = node_positions(
-        h, itertools.chain.from_iterable(witnesses.values()), sizes.sum()
+        h.nodes, itertools.chain.from_iterable(witnesses.values()), sizes.sum()
     )
     group = np.repeat(np.arange(len(owner)), sizes)
     inward = csr_contains(*orientation.out_csr(), member, owner[group])
@@ -144,14 +145,8 @@ def good_witnesses(
         raise PreconditionError(
             f"node {h.nodes[owner[i]]} is not good: inverse-degree sum {float(total[i])}"
         )
-    member = in_idx[_expand(start, size)].astype(np.intp)
+    member = in_idx[expand(start, size)].astype(np.intp)
     return WitnessArrays(owner, np.repeat(np.arange(len(owner)), size), member)
-
-
-def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """starts[k], starts[k] + 1, ..., starts[k] + counts[k] - 1 for every k."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())
 
 
 def intra_round_mis(
@@ -290,12 +285,12 @@ def build_mis_instance(
     size = np.bincount(group, minlength=len(owner))
     later = (np.cumsum(size) - 1)[group] - np.arange(len(member))
     i = np.repeat(np.arange(len(member)), later)
-    j = _expand(np.arange(len(member)) + 1, later)
+    j = expand(np.arange(len(member)) + 1, later)
     # witness -> out-neighbour pairs
     out_ptr, out_idx = orientation.out_csr()
     out_deg = np.diff(out_ptr)[member]
     e = np.repeat(np.arange(len(member)), out_deg)
-    w = out_idx[_expand(out_ptr[member], out_deg)]
+    w = out_idx[expand(out_ptr[member], out_deg)]
     a = np.concatenate((member[i], member[e]))
     b = np.concatenate((member[j], w))
     cost = np.concatenate((2.0 * weight[i], weight[e]))
@@ -402,7 +397,8 @@ def luby_derandomized_iteration(
         h, partition, bound, seed, n_total, retries, checks, orientation, witnesses
     )
     inst = build_mis_instance(h, witnesses, orientation)
-    lam = FractionalAssignment({u: (1.0 - x_intra[u], x_intra[u]) for u in h.nodes})
+    x = np.fromiter(x_intra.values(), float, h.n)
+    lam = FractionalAssignment.from_matrix(h.nodes, np.column_stack((1.0 - x, x)))
     fu, fc = evaluate(inst, lam)
     checks.ok(
         "estimator-slack",
@@ -534,14 +530,20 @@ def luby_randomized(g: Graph, seed: int) -> LubyResult:
 
 
 def verify_mis(g: Graph, selected: frozenset[int] | set[int]) -> bool:
-    """True iff `selected` is independent and dominates every other node."""
+    """True iff `selected` is independent and dominates every other node.
+
+    Decided with a mask of the selected nodes over `g.csr()`: a selected
+    id outside g fails, as does an entry joining two selected nodes or a
+    node neither selected nor next to one.
+    """
     selected = set(selected)
-    if not selected.issubset(g.nodes):
+    chosen = np.fromiter(map(selected.__contains__, g.nodes), bool, g.n)
+    if np.count_nonzero(chosen) != len(selected):
         return False
-    for u in selected:
-        if any(w in selected for w in g.neighbors(u)):
-            return False
-    for u in g.nodes:
-        if u not in selected and not any(w in selected for w in g.neighbors(u)):
-            return False
-    return True
+    indptr, nbr = g.csr()
+    rows = csr_rows(indptr)
+    if (chosen[rows] & chosen[nbr]).any():
+        return False
+    covered = chosen.copy()
+    covered[rows[chosen[nbr]]] = True
+    return bool(covered.all())

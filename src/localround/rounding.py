@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Mapping
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ClaimChecker, PreconditionError, REL_TOL, geq
-from .graphs import Graph, csr_contains
+from .errors import ClaimChecker, PreconditionError, REL_TOL, geq, plain_sum
+from .graphs import Graph, csr_contains, csr_rows, distinct, expand
 from .ledger import RoundLedger
 
 Row = tuple[float, ...]
@@ -45,7 +45,13 @@ Matrix = tuple[Row, ...]
 
 @dataclass(frozen=True)
 class Coloring:
-    """Color index per node; proper on the intended conflict graph."""
+    """Color index per node; proper on the intended conflict graph.
+
+    `greedy_color` gives `colors` as a read-only view of the color array
+    it computed over the graph's node order; `is_proper` and
+    `round_labels` read that array directly for that order, and the dict
+    is built only if something else reads it.
+    """
 
     colors: Mapping[int, int]
     num_colors: int
@@ -55,10 +61,14 @@ class FractionalAssignment:
     """Per-node probability vectors over a common finite label alphabet.
 
     Read-only once built: the probability matrix of one node order is
-    built on first use and kept for that order (`_rows`).
+    kept for that order (`_rows`), built on first use from `probs`, or
+    given to `from_matrix`, in which case `probs` is derived from it on
+    first use.  Both constructors check every vector: it is not empty,
+    its entries lie in [-1e-12, 1 + 1e-12], and its entries, added left
+    to right, sum to 1 within 1e-9; the first node to fail is named.
     """
 
-    __slots__ = ("probs", "_kept")
+    __slots__ = ("_probs", "_kept")
 
     def __init__(self, probs: Mapping[int, Sequence[float]]):
         clean: dict[int, tuple[float, ...]] = {}
@@ -69,11 +79,48 @@ class FractionalAssignment:
             # written so that NaN fails it too
             if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in vec):
                 raise PreconditionError(f"probabilities outside [0,1] at node {node}")
-            if abs(sum(vec) - 1.0) > 1e-9:
-                raise PreconditionError(f"probabilities at node {node} sum to {sum(vec)!r}")
+            total = plain_sum(vec)
+            if abs(total - 1.0) > 1e-9:
+                raise PreconditionError(f"probabilities at node {node} sum to {total!r}")
             clean[node] = vec
-        self.probs = clean
+        self._probs: dict[int, tuple[float, ...]] | None = clean
         self._kept: tuple[tuple[int, ...], np.ndarray | None] | None = None
+
+    @classmethod
+    def from_matrix(cls, nodes: tuple[int, ...], matrix: np.ndarray) -> "FractionalAssignment":
+        """The vector of nodes[i] is row i of `matrix`; `nodes` are distinct
+        ids, such as a graph's `nodes`.  The checks of the constructor run
+        on all rows at once, and a read-only copy of the matrix is kept as
+        the rows of `nodes`."""
+        matrix = np.array(matrix, dtype=float)
+        if matrix.ndim != 2 or len(matrix) != len(nodes):
+            raise PreconditionError(
+                f"probability matrix of shape {matrix.shape} for {len(nodes)} nodes"
+            )
+        if len(nodes) and not matrix.shape[1]:
+            raise PreconditionError(f"empty probability vector at node {nodes[0]}")
+        # written so that NaN fails it too
+        outside = ~((matrix >= -1e-12) & (matrix <= 1.0 + 1e-12)).all(axis=1)
+        total = np.zeros(len(nodes))
+        for column in matrix.T:
+            total += column
+        bad = outside | (np.abs(total - 1.0) > 1e-9)
+        if bad.any():
+            i = int(bad.argmax())
+            if outside[i]:
+                raise PreconditionError(f"probabilities outside [0,1] at node {nodes[i]}")
+            raise PreconditionError(f"probabilities at node {nodes[i]} sum to {float(total[i])!r}")
+        matrix.flags.writeable = False
+        assignment = cls.__new__(cls)
+        assignment._probs, assignment._kept = None, (nodes, matrix)
+        return assignment
+
+    @property
+    def probs(self) -> dict[int, tuple[float, ...]]:
+        if self._probs is None:
+            nodes, matrix = self._kept
+            self._probs = dict(zip(nodes, map(tuple, matrix.tolist())))
+        return self._probs
 
     def __getitem__(self, node: int) -> tuple[float, ...]:
         return self.probs[node]
@@ -130,17 +177,17 @@ def _side_tables(
     return sides
 
 
-class _TermView(Mapping):
-    """Read-only term dict derived from an instance's arrays.  `len` costs
-    nothing; the entries are built on the first other use."""
+class _ArrayView(Mapping):
+    """Read-only dict derived from arrays.  `len` costs nothing; the
+    entries are built on the first other use."""
 
     def __init__(self, size: int, build: Callable[[], dict]):
-        self._size, self._build, self._terms = size, build, None
+        self._size, self._build, self._entries = size, build, None
 
     def _dict(self) -> dict:
-        if self._terms is None:
-            self._terms = self._build()
-        return self._terms
+        if self._entries is None:
+            self._entries = self._build()
+        return self._entries
 
     def __len__(self) -> int:
         return self._size
@@ -150,6 +197,15 @@ class _TermView(Mapping):
 
     def __getitem__(self, key):
         return self._dict()[key]
+
+
+class _ColorView(_ArrayView):
+    """`Coloring.colors` as `greedy_color` computes it: the read-only color
+    array over the node order `nodes`."""
+
+    def __init__(self, nodes: tuple[int, ...], array: np.ndarray):
+        super().__init__(len(nodes), lambda: dict(zip(nodes, array.tolist())))
+        self.nodes, self.array = nodes, array
 
 
 def _matrices(tensor: np.ndarray) -> list[Matrix]:
@@ -311,7 +367,7 @@ class UtilityCostInstance:
             return dict(zip(map(ids.__getitem__, at), rows))
 
         if self._node_view is None:
-            self._node_view = _TermView(len(self._at), build)
+            self._node_view = _ArrayView(len(self._at), build)
         return self._node_view
 
     @property
@@ -322,7 +378,7 @@ class UtilityCostInstance:
             return dict(zip(keys, zip(_matrices(self._wu), _matrices(self._wc))))
 
         if self._edge_view is None:
-            self._edge_view = _TermView(len(self._eu), build)
+            self._edge_view = _ArrayView(len(self._eu), build)
         return self._edge_view
 
     def decision_nodes(self) -> tuple[int, ...]:
@@ -377,28 +433,86 @@ def evaluate(
     return utility, cost
 
 
+# A wave costs a few dozen numpy calls, about what the per-node loop
+# below spends on 8 nodes of an MIS square graph
+_WAVE_NODES = 8
+
+
 def greedy_color(g: Graph) -> Coloring:
-    """First-fit coloring in increasing node id; at most max_degree+1 colors."""
-    colors: dict[int, int] = {}
-    for u in g.nodes:
-        taken = {colors[v] for v in g.neighbors(u) if v in colors}
+    """First-fit coloring in increasing node id; at most max_degree+1 colors.
+
+    Colored in waves over `g.csr()`.  Positions follow ids, so a node's
+    lower neighbours, the ones the sequential loop colors before it, are
+    a prefix of its row.  A node's wave is 0 if it has no lower
+    neighbour, else one more than the largest wave among them.  Each
+    wave is colored at once: every member takes the smallest color that
+    none of its lower neighbours has, read off a (members x colors)
+    table.  No two nodes of one wave are adjacent, and every lower
+    neighbour was colored in an earlier wave, so each node gets the
+    color the sequential loop gives it.  From the first wave after wave 0
+    with fewer than `_WAVE_NODES` nodes on (on a path, wave 1), the nodes
+    left are colored one at a time in id order, which also colors each
+    after its lower neighbours.
+    """
+    indptr, nbr = g.csr()
+    n = g.n
+    row = csr_rows(indptr)
+    lower = np.bincount(row[nbr < row], minlength=n)
+    upper = indptr[:-1] + lower  # where each row's higher neighbours start
+    waiting = lower.copy()  # lower neighbours not yet colored
+    color = np.zeros(n, np.int64)
+    done = lower == 0  # wave 0 takes color 0
+    wave = np.flatnonzero(done)
+    top = 0
+    while True:
+        up = nbr[expand(upper[wave], indptr[wave + 1] - upper[wave])]
+        np.subtract.at(waiting, up, 1)
+        wave = distinct(up[waiting[up] == 0])
+        if len(wave) < _WAVE_NODES:
+            break
+        counts = lower[wave]
+        below = color[nbr[expand(indptr[wave], counts)]]
+        taken = np.zeros((len(wave), top + 2), bool)
+        taken[np.repeat(np.arange(len(wave)), counts), below] = True
+        color[wave] = taken.argmin(axis=1)  # the first color not taken
+        top = max(top, int(color[wave].max()))
+        done[wave] = True
+    rest = np.flatnonzero(~done)
+    counts = lower[rest]
+    below = iter(nbr[expand(indptr[rest], counts)].tolist())
+    colors = color.tolist()
+    for u, k in zip(rest.tolist(), counts.tolist()):
+        taken = {colors[v] for v in islice(below, k)}
         c = 0
         while c in taken:
             c += 1
         colors[u] = c
-    return Coloring(colors, max(colors.values()) + 1 if colors else 0)
+    color = np.array(colors, np.int64)
+    color.flags.writeable = False
+    return Coloring(_ColorView(g.nodes, color), int(color.max()) + 1 if n else 0)
+
+
+def _color_array(nodes: tuple[int, ...], coloring: Coloring) -> np.ndarray:
+    """The colors of `nodes`, in that order, as an int64 array: the one
+    `greedy_color` kept if it colored this order, else read from the
+    dict.  A node without a color raises `KeyError`, a color beyond int64
+    `OverflowError`."""
+    colors = coloring.colors
+    if isinstance(colors, _ColorView) and colors.nodes == nodes:
+        return colors.array
+    return np.array(list(map(colors.__getitem__, nodes)), np.int64)
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     """No edge of g joins two nodes of one color (every edge is read).
 
-    The colors are read into one array in node order and compared across
-    every entry of `g.csr()`; a node without a color raises `KeyError`.
+    The colors, as one array in node order, are compared across every
+    entry of `g.csr()`; a node without a color raises `KeyError`.
     """
-    colors = list(map(coloring.colors.__getitem__, g.nodes))
     try:
-        color = np.array(colors, np.int64)
+        color = _color_array(g.nodes, coloring)
     except OverflowError:  # colors beyond int64: compare their ranks
+        colors = list(map(coloring.colors.__getitem__, g.nodes))
         color = np.unique(np.array(colors, object), return_inverse=True)[1]
     indptr, nbr = g.csr()
     row = np.repeat(color, np.diff(indptr))
@@ -451,7 +565,7 @@ def round_labels(
 
     nodes = g.nodes
     n, nl = len(nodes), inst.num_labels
-    color = np.fromiter((coloring.colors[v] for v in nodes), np.intp, n)
+    color = _color_array(nodes, coloring)
     if n and (color.min() < 0 or color.max() >= coloring.num_colors):
         raise PreconditionError(f"coloring uses a color outside [0, {coloring.num_colors})")
     probs = _probabilities(inst, lam).copy()

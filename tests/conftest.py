@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from localround import graphs
 from localround.graphs import Graph
 from localround.hitting import BipartiteInstance
 from localround.rounding import FractionalAssignment, UtilityCostInstance, evaluate
@@ -151,3 +152,17 @@ def relabel(g: Graph, rng: random.Random, bits: int = 60) -> Graph:
         nodes=fresh.values(),
         edges=((fresh[a], fresh[b]) for a, b in g.edges()),
     )
+
+
+def count_neighbor_tuple_builds(monkeypatch) -> list:
+    """Record, from now on, every graph whose neighbour tuples are built,
+    as a graph over the same arrays."""
+    builds = []
+    build = graphs._neighbor_tuples
+
+    def counted(nodes, indptr, indices):
+        builds.append(Graph._from_csr(nodes, indptr, indices))
+        return build(nodes, indptr, indices)
+
+    monkeypatch.setattr(graphs, "_neighbor_tuples", counted)
+    return builds

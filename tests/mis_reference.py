@@ -3,9 +3,10 @@
 These are the dict-and-loop constructions the array forms in
 `localround.graphs` and `localround.mis` replaced, kept so tests can
 compare against them: the orientation's neighbour tuples, the witness
-prefix of each good vertex, and the terms of `build_mis_instance` (the
+prefix of each good vertex, the terms of `build_mis_instance` (the
 same keys, in the same first-occurrence order, with the same
-coefficients bit for bit).
+coefficients bit for bit), and `verify_mis`'s scan of every neighbour
+tuple.
 """
 
 from __future__ import annotations
@@ -92,3 +93,17 @@ def witness_ids(g: Graph, w: WitnessArrays) -> dict[int, tuple[int, ...]]:
     for k, u in zip(w.group.tolist(), w.member.tolist()):
         out[g.nodes[w.owner[k]]].append(g.nodes[u])
     return {v: tuple(members) for v, members in out.items()}
+
+
+def reference_verify_mis(g: Graph, selected) -> bool:
+    """True iff `selected` is independent and dominates every other node."""
+    selected = set(selected)
+    if not selected.issubset(g.nodes):
+        return False
+    for u in selected:
+        if any(w in selected for w in g.neighbors(u)):
+            return False
+    for u in g.nodes:
+        if u not in selected and not any(w in selected for w in g.neighbors(u)):
+            return False
+    return True

@@ -1,8 +1,9 @@
-"""Pure-Python references for `evaluate`, `round_labels` and `is_proper`.
+"""Pure-Python references for `evaluate`, `round_labels`, `is_proper` and
+`greedy_color`.
 
-These are the term-by-term loop and the per-node generator that the
-array forms in `localround.rounding` replaced, kept so tests can compare
-against them.  They read only the instance's term dicts and perform no
+These are the term-by-term loop, the per-node generator and the per-node
+first-fit loop that the array forms in `localround.rounding` replaced,
+kept so tests can compare against them.  They read only the instance's term dicts and perform no
 checks.
 """
 
@@ -116,3 +117,15 @@ def reference_round_labels(
 def reference_is_proper(g: Graph, coloring: Coloring) -> bool:
     colors = coloring.colors
     return not any(colors[u] in map(colors.__getitem__, g.neighbors(u)) for u in g.nodes)
+
+
+def reference_greedy_color(g: Graph) -> Coloring:
+    """First-fit coloring in increasing node id, one node at a time."""
+    colors: dict[int, int] = {}
+    for u in g.nodes:
+        taken = {colors[v] for v in g.neighbors(u) if v in colors}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[u] = c
+    return Coloring(colors, max(colors.values()) + 1 if colors else 0)

@@ -20,7 +20,8 @@ from localround.graphs import (
     two_hop_sets,
 )
 
-from conftest import random_graph
+from conftest import count_neighbor_tuple_builds, random_graph
+from graphs_reference import ReferenceGraph, same_csr
 
 
 def test_load_two_edge_path():
@@ -208,8 +209,8 @@ def test_induced_subgraph_from_a_mask_or_ids(g, data):
         nodes=keep, edges=[(u, v) for u, v in g.edges() if u in keep and v in keep]
     )
     assert all(type(u) is int for u in sub.nodes)
-    rebuilt = Graph._from_sorted_adj({u: sub.neighbors(u) for u in sub.nodes}).csr()
-    assert all(np.array_equal(a, b) for a, b in zip(sub.csr(), rebuilt))
+    inside = [(u, v) for u, v in g.edges() if u in keep and v in keep]
+    assert same_csr(sub, ReferenceGraph(nodes=keep, edges=inside).csr())
 
 
 def test_induced_subgraph_rejects_a_mask_of_another_length():
@@ -222,14 +223,15 @@ def test_induced_subgraph_rejects_a_mask_of_another_length():
 def test_square_graph_is_distance_two(g):
     sq = square_graph(g)
     assert sq.nodes == g.nodes
+    pairs = []
     for u in g.nodes:
         within = {v for v, d in bfs_distances(g, u, limit=2).items() if 0 < d <= 2}
         assert sq.neighbors(u) == tuple(sorted(within))
         # the tuples hold the graph's own id objects
         assert all(type(v) is int for v in sq.neighbors(u))
+        pairs += [(u, v) for v in within]
     # the position arrays it keeps are the ones its adjacency gives
-    rebuilt = Graph._from_sorted_adj({u: sq.neighbors(u) for u in sq.nodes}).csr()
-    assert all(np.array_equal(a, b) for a, b in zip(sq.csr(), rebuilt))
+    assert same_csr(sq, ReferenceGraph(nodes=g.nodes, edges=pairs).csr())
 
 
 def test_square_graph_of_the_empty_graph():
@@ -254,8 +256,8 @@ def test_csr_lists_neighbours_by_position(g):
 @given(sparse_graphs(), st.data())
 def test_edge_subgraph_matches_the_constructor(g, data):
     edges = [e for e in g.edges() if data.draw(st.booleans())]
-    a = node_positions(g, (e[0] for e in edges), len(edges))
-    b = node_positions(g, (e[1] for e in edges), len(edges))
+    a = node_positions(g.nodes, (e[0] for e in edges), len(edges))
+    b = node_positions(g.nodes, (e[1] for e in edges), len(edges))
     # either orientation of a pair, and any order of the pairs
     flip = np.array([data.draw(st.booleans()) for _ in edges], bool)
     order = np.array(data.draw(st.permutations(range(len(edges)))), np.intp)
@@ -263,15 +265,96 @@ def test_edge_subgraph_matches_the_constructor(g, data):
     sub = edge_subgraph(g, a, b)
     assert sub == Graph(edges=edges)
     assert all(type(u) is int for u in sub.nodes)
-    rebuilt = Graph._from_sorted_adj({u: sub.neighbors(u) for u in sub.nodes}).csr()
-    assert all(np.array_equal(x, y) for x, y in zip(sub.csr(), rebuilt))
+    assert same_csr(sub, ReferenceGraph(edges=edges).csr())
 
 
 def test_node_positions_rejects_unknown_ids():
     g = Graph(nodes=[3, 8, 2**62])
-    assert node_positions(g, [2**62, 3, 8], 3).tolist() == [2, 0, 1]
+    assert node_positions(g.nodes, [2**62, 3, 8], 3).tolist() == [2, 0, 1]
     for bad in (-1, 0, 5, 9, 2**62 + 1):
         with pytest.raises(PreconditionError, match=f"unknown node {bad}"):
-            node_positions(g, [3, bad], 2)
+            node_positions(g.nodes, [3, bad], 2)
     with pytest.raises(PreconditionError, match="outside"):
-        node_positions(g, [3, 2**63], 2)
+        node_positions(g.nodes, [3, 2**63], 2)
+
+
+# ids as sparse as 60 bits, and the ids the constructor must refuse
+ids60 = st.one_of(st.integers(0, 40), st.integers(0, 2**60 - 1))
+bad_ids = st.sampled_from([-1, -(2**63), 2**63, 2**64 + 3])
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Node ids (some isolated), edges among them and a few more ids, with
+    repeated and reversed edges, sometimes self-loops, and sometimes a
+    bad id at a random place."""
+    nodes = draw(st.lists(ids60, max_size=12))
+    pool = nodes + draw(st.lists(ids60, max_size=6))
+    edges = []
+    if pool:
+        ends = st.sampled_from(pool)
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=30))
+        if draw(st.booleans()):
+            edges = [(u, v) for u, v in edges if u != v]
+        if edges:
+            edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=6))]
+            edges = draw(st.permutations(edges))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(bad_ids)
+        if edges and draw(st.booleans()):
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = (edges[k][0], bad) if draw(st.booleans()) else (bad, edges[k][1])
+        else:
+            nodes.insert(draw(st.integers(0, len(nodes))), bad)
+    return nodes, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(constructor_inputs())
+def test_constructor_matches_the_dict_reference(case):
+    nodes, edges = case
+    try:
+        ref = ReferenceGraph(nodes, edges)
+    except ValueError as exc:
+        # the same error, naming the same first bad id or self-loop
+        with pytest.raises(ValueError) as got:
+            Graph(nodes=iter(nodes), edges=iter(edges))
+        assert str(got.value) == str(exc)
+        return
+    g = Graph(nodes=iter(nodes), edges=(e for e in edges))
+    assert g.nodes == ref.nodes and g.m == ref.m
+    assert same_csr(g, ref.csr())
+    assert list(g.edges()) == ref.edges()
+    assert g.max_degree() == max(map(len, ref.adj.values()), default=0)
+    for u in ref.nodes:
+        assert u in g
+        assert g.neighbors(u) == ref.adj[u] and g.degree(u) == len(ref.adj[u])
+        assert all(g.has_edge(u, v) == (v in ref.adj[u]) for v in ref.nodes)
+    assert g == Graph(nodes=ref.nodes, edges=ref.edges())
+    assert hash(g) == hash(Graph(nodes=ref.nodes, edges=ref.edges()))
+
+
+def test_unknown_ids_are_absent():
+    g = Graph(nodes=[2**60], edges=[(3, 9)])
+    for unknown in (0, 4, 2**60 + 1, 2**63, -3, "3", None):
+        assert unknown not in g
+        assert not g.has_edge(3, unknown) and not g.has_edge(unknown, 3)
+        with pytest.raises(KeyError):
+            g.neighbors(unknown)
+        with pytest.raises(KeyError):
+            g.degree(unknown)
+    assert g != Graph(nodes=[2**60], edges=[(3, 8)])
+
+
+def test_neighbor_tuples_are_built_on_first_use_and_kept(monkeypatch):
+    builds = count_neighbor_tuple_builds(monkeypatch)
+    g = Graph(nodes=[7], edges=[(1, 2), (2, 3)])
+    sub = induced_subgraph(square_graph(g), [1, 2, 7])
+    # everything but `neighbors` reads the arrays
+    assert (g.m, g.degree(2), g.max_degree(), g.has_edge(1, 2), 3 in g) == (2, 2, 2, True, True)
+    assert list(sub.edges()) == [(1, 2)] and sub == Graph(nodes=[7], edges=[(2, 1)])
+    assert builds == []
+    assert g.neighbors(2) == (1, 3) and g.neighbors(7) == ()
+    assert builds == [g] and g.neighbors(1) is g.neighbors(1)
+    assert builds == [g]
+

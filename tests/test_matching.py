@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localround import matching
 from localround.clustering import cluster_constant
 from localround.errors import PreconditionError
 from localround.generators import complete, disjoint_edges, gnp, path
@@ -22,7 +23,7 @@ from localround.matching import (
 )
 from localround.oracles import exact_max_matching
 
-from conftest import random_graph, relabel
+from conftest import count_neighbor_tuple_builds, random_graph, relabel
 
 
 def test_fraction_single_edge():
@@ -386,3 +387,22 @@ def test_greedy_bound_reuses_the_finish_when_the_support_is_whole(monkeypatch):
     res = approx_matching(g, seed=0, f_override=16)
     assert len(passes) == 2 and passes[0] < g.m == passes[1]
     assert res.m_star_lower_bound == len(real(g)) > len(res.matching)
+
+
+def test_approx_matching_builds_neighbor_tuples_only_in_its_clustering(monkeypatch):
+    g = gnp(2048, 0.004, seed=1)
+    builds = count_neighbor_tuple_builds(monkeypatch)
+    clustered = []
+
+    def clustering(work, *args):
+        before = len(builds)
+        partition = cluster_constant(work, *args)
+        clustered.extend(builds[before:])
+        return partition
+
+    monkeypatch.setattr(matching, "cluster_constant", clustering)
+    res = approx_matching(g)
+    # none outside the clustering; at the paper's constants every node
+    # ends with the same delay, so the clustering walks no tuple either
+    assert builds == clustered == []
+    assert is_matching(res.matching)

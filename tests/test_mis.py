@@ -26,8 +26,13 @@ from localround.mis import (
 from localround.rounding import FractionalAssignment, evaluate
 
 import mis_reference
-from conftest import random_graph, relabel
-from mis_reference import reference_mis_terms, select_witnesses, witness_ids
+from conftest import count_neighbor_tuple_builds, random_graph, relabel
+from mis_reference import (
+    reference_mis_terms,
+    reference_verify_mis,
+    select_witnesses,
+    witness_ids,
+)
 
 
 def _singleton_partition(g, alpha=1):
@@ -452,3 +457,42 @@ def test_mis_with_sparse_random_ids():
         assert g.b > 32  # genuinely wide identifiers
         res = mis(g)
         assert verify_mis(g, res.independent_set)
+
+
+@st.composite
+def selections(draw):
+    """A graph on sparse 60-bit ids or small ones, isolated nodes included
+    (the empty graph too), and a set to verify: a first-fit maximal
+    independent set, perhaps with nodes added or dropped, or any subset;
+    either perhaps with ids that are not nodes."""
+    n = draw(st.integers(0, 40))
+    g = gnp(n, draw(st.sampled_from([0.0, 0.05, 0.15, 0.5])), seed=draw(st.integers(0, 999)))
+    if draw(st.booleans()):
+        g = relabel(g, random.Random(draw(st.integers(0, 999))))
+    if draw(st.booleans()):
+        chosen = set()
+        for u in g.nodes:
+            if not any(v in chosen for v in g.neighbors(u)):
+                chosen.add(u)
+        for u in draw(st.lists(st.sampled_from(g.nodes), max_size=2)) if n else []:
+            chosen ^= {u}
+    else:
+        chosen = {u for u in g.nodes if draw(st.booleans())}
+    if draw(st.integers(0, 3)) == 0:
+        chosen |= set(draw(st.lists(st.integers(0, 2**63 + 5), min_size=1, max_size=2)))
+    return g, frozenset(chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(selections())
+def test_verify_mis_matches_the_reference(case):
+    g, chosen = case
+    assert verify_mis(g, chosen) == reference_verify_mis(g, chosen)
+
+
+def test_mis_builds_no_neighbor_tuples(monkeypatch):
+    g = gnp(2048, 0.004, seed=1)
+    builds = count_neighbor_tuple_builds(monkeypatch)
+    res = mis(g)
+    assert builds == []
+    assert reference_verify_mis(g, res.independent_set)

@@ -1,13 +1,15 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localround.errors import ClaimChecker, PreconditionError
-from localround.graphs import Graph
+from localround.errors import ClaimChecker, PreconditionError, plain_sum
+from localround.generators import gnp
+from localround.graphs import Graph, induced_subgraph, square_graph
 from localround.ledger import RoundLedger
 from localround.oracles import exhaustive_round_check
 from localround.rounding import (
@@ -20,8 +22,13 @@ from localround.rounding import (
     round_labels,
 )
 
-from conftest import random_graph, random_objective
-from rounding_reference import reference_evaluate, reference_is_proper, reference_round_labels
+from conftest import random_graph, random_objective, relabel
+from rounding_reference import (
+    reference_evaluate,
+    reference_greedy_color,
+    reference_is_proper,
+    reference_round_labels,
+)
 
 
 def test_evaluate_single_node_integral():
@@ -178,6 +185,63 @@ def test_fractional_assignment_rejects_nan():
         FractionalAssignment({0: (math.nan, 1.0), 1: (0.5, 0.5)})
 
 
+@st.composite
+def probability_matrices(draw):
+    """Node ids and a matrix of up to 4 labels whose rows are mostly
+    probability vectors; some rows hold NaN, an entry outside [0, 1], or
+    a sum off 1 by about 1e-9, and some matrices have no columns."""
+    nodes = tuple(draw(st.lists(st.integers(0, 2**60), unique=True, max_size=8)))
+    labels = draw(st.integers(0, 4))
+    rows = []
+    for _ in nodes:
+        raw = [draw(st.floats(0.01, 1.0)) for _ in range(labels)]
+        row = [x / sum(raw) for x in raw]
+        if labels and draw(st.integers(0, 5)) == 0:
+            k = draw(st.integers(0, labels - 1))
+            row[k] = draw(st.sampled_from([math.nan, -0.1, 1.5, -1e-12, 1 + 2e-12]))
+        if labels and draw(st.integers(0, 5)) == 0:
+            row[-1] += draw(st.sampled_from([1e-9, -1.2e-9, 2e-9, 1e-10]))
+        rows.append(row)
+    return nodes, np.array(rows, float).reshape(len(nodes), labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(probability_matrices())
+def test_from_matrix_checks_as_the_constructor_does(case):
+    nodes, matrix = case
+    try:
+        lam = FractionalAssignment(dict(zip(nodes, matrix.tolist())))
+    except PreconditionError as exc:
+        # the same check fails first, at the same node
+        with pytest.raises(PreconditionError) as got:
+            FractionalAssignment.from_matrix(nodes, matrix)
+        assert str(got.value) == str(exc)
+        return
+    kept = FractionalAssignment.from_matrix(nodes, matrix)
+    assert kept._rows(nodes) is kept._rows(nodes) and not kept._rows(nodes).flags.writeable
+    assert np.array_equal(kept._rows(nodes), matrix)
+    assert kept.probs == lam.probs
+    assert all(kept[u] == lam[u] for u in nodes)
+    # another order is built from the dict view of the kept matrix
+    assert kept._rows(nodes[::-1]).tolist() == lam._rows(nodes[::-1]).tolist()
+
+
+def test_both_constructors_sum_left_to_right():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, and 0.6 under
+    # the compensated builtin `sum` of Python 3.12 and later
+    row = (0.1, 0.2, 0.3, 0.4 + 2e-9)
+    want = re.escape(f"node 7 sum to {plain_sum(row)!r}")
+    with pytest.raises(PreconditionError, match=want):
+        FractionalAssignment({7: row})
+    with pytest.raises(PreconditionError, match=want):
+        FractionalAssignment.from_matrix((7,), np.array([row]))
+
+
+def test_from_matrix_needs_one_row_per_node():
+    with pytest.raises(PreconditionError, match="shape"):
+        FractionalAssignment.from_matrix((1, 2), np.ones((1, 2)) / 2)
+
+
 def test_greedy_color_edgeless():
     g = Graph(nodes=[3, 1, 4])
     col = greedy_color(g)
@@ -198,6 +262,48 @@ def test_greedy_color_proper_and_bounded():
     for u, v in g.edges():  # edge-scan properness oracle
         assert col.colors[u] != col.colors[v]
     assert col.num_colors <= g.max_degree() + 1
+
+
+@st.composite
+def color_cases(draw):
+    """G(n, p) on up to 400 nodes, from edgeless to dense, perhaps squared
+    (the graphs the MIS colors), perhaps on sparse 60-bit ids."""
+    n = draw(st.integers(0, 400))
+    p = draw(st.sampled_from([0.0, 0.004, 0.01, 0.03, 0.1, 0.4]))
+    g = gnp(n, p, seed=draw(st.integers(0, 10**6))) if n else Graph()
+    if draw(st.booleans()):
+        g = square_graph(g)
+    if draw(st.booleans()):
+        g = relabel(g, random.Random(draw(st.integers(0, 999))))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(color_cases())
+def test_greedy_color_matches_the_first_fit_loop(g):
+    col, ref = greedy_color(g), reference_greedy_color(g)
+    assert dict(col.colors) == ref.colors and col.num_colors == ref.num_colors
+
+
+def test_greedy_color_matches_the_first_fit_loop_at_scale():
+    # waves of up to 144 nodes and a tail of thin ones
+    sq = square_graph(gnp(8192, 8 / 8191, seed=3))
+    col, ref = greedy_color(sq), reference_greedy_color(sq)
+    assert dict(col.colors) == ref.colors and col.num_colors == ref.num_colors
+
+
+def test_greedy_coloring_keeps_its_color_array():
+    g = random_graph(random.Random(4), 30, 0.2)
+    inst, lam = UtilityCostInstance(g, 2), FractionalAssignment({u: (0.5, 0.5) for u in g.nodes})
+    col = greedy_color(g)
+    assert is_proper(g, col)
+    round_labels(inst, lam, col)
+    # both read the kept array; the dict is built only when read
+    assert col.colors._entries is None
+    assert col.colors == reference_greedy_color(g).colors
+    # another node order reads the dict
+    other = induced_subgraph(g, g.nodes[1:])
+    assert is_proper(other, col) and round_labels(UtilityCostInstance(other, 2), lam, col)
 
 
 def test_round_integral_fixed_point():
