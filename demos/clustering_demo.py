@@ -6,6 +6,8 @@ Run:  python3 demos/clustering_demo.py
 
 import math
 
+import numpy as np
+
 from localround import (
     RoundLedger,
     cluster_all,
@@ -54,7 +56,7 @@ def main():
 
     # deterministic, 0.9 weighted fraction certified
     weights = {u: max(1.0 / g.n, min(1.0, g.degree(u) / g.n)) for u in g.nodes}
-    part = cluster_constant(g, alpha, weights)
+    part = cluster_constant(g, alpha, np.array([weights[u] for u in g.nodes]))
     bound = part.meta["degree_bound"]
     good = [u for u in g.nodes if cluster_degree(g, part, u) <= bound]
     frac = sum(weights[u] for u in good) / sum(weights.values())

@@ -19,6 +19,8 @@ import secrets
 import sys
 import time
 
+import numpy as np
+
 from . import generators
 from .clustering import cluster_all, cluster_constant, mpx_randomized, verify_partition
 from .errors import BudgetExceeded, ClaimViolation, PreconditionError, RetryBudgetExceeded
@@ -169,8 +171,7 @@ def _run_algorithm(g: Graph, args: argparse.Namespace) -> dict:
         if algo == "cluster-all":
             part = cluster_all(g, alpha, ledger)
         elif algo == "cluster-constant":
-            weights = {u: 1.0 / max(1, g.n) for u in g.nodes}
-            part = cluster_constant(g, alpha, weights, ledger)
+            part = cluster_constant(g, alpha, np.full(g.n, 1.0 / max(1, g.n)), ledger)
         else:
             part = mpx_randomized(g, alpha, seed, ledger)
         report = verify_partition(g, part, alpha, part.meta.get("degree_bound"))

@@ -17,15 +17,24 @@ define the delays are computed:
 Both deterministic variants delegate each shrink to the grouped hitting
 set, pricing active nodes with a normalization that doubles per step, so
 the active sets provably empty out after 10*alpha phases.
+
+A `Partition` is stored as arrays by node position: the covered ids and,
+per node, its cluster's label (the centre's id) and its delay.  Every
+construction computes the last phase each node was active in as an int
+array and turns it into the delays 50*alpha - 5*index directly.  When
+all delays are equal, as they are at the paper's constants once the
+first phase empties the active set, every node is its own cluster and
+the labels are the ids.  `restrict`, `cluster_ranks` and
+`cluster_degrees` look ids up with `np.searchsorted`; the dicts
+`clusters`, `assignment` and `delays` are views built only if read.
+Node weights for `cluster_constant` are one float array in node order.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import repeat
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +47,15 @@ from .errors import (
     leq,
     plain_sum,
 )
-from .graphs import Graph, bfs_distances, distinct, induced_subgraph, two_hop_sets
+from .graphs import (
+    ArrayView,
+    Graph,
+    bfs_distances,
+    distinct,
+    induced_subgraph,
+    lookup,
+    two_hop_sets,
+)
 from .hitting import BipartiteInstance, grouped_hitting_set
 from .ledger import RoundLedger
 from .seeds import Stream, stream
@@ -80,80 +97,179 @@ def cluster_degree_bound_fraction(log_n_cap: int, alpha: int) -> int:
     return 10 * alpha * math.ceil(1000 * math.log2(log_n_cap)) ** (log_n_cap // alpha)
 
 
-@dataclass
-class Partition:
-    """Disjoint clusters covering V, with per-cluster center and delays."""
+def _ids(g: Graph) -> np.ndarray:
+    """g's node ids as an increasing int64 array."""
+    return np.fromiter(g.nodes, np.int64, g.n)
 
-    alpha: int
-    clusters: dict[int, frozenset[int]]
-    assignment: dict[int, int]
-    delays: dict[int, int]
-    meta: dict = field(default_factory=dict, repr=False, compare=False)
+
+class Partition:
+    """Disjoint clusters covering a set of nodes, stored as arrays by
+    position.
+
+    `ids` are the covered node ids, int64 and increasing (a graph's
+    `nodes`); node ids[i] belongs to the cluster labelled label[i], the id
+    of the cluster's centre, and was given broadcast delay delay[i].  The
+    arrays are shared, not copied, and are read only.  `clusters` (label
+    -> members, labels increasing), `assignment` (node -> label) and
+    `delays` (node -> delay), both in id order, are read-only views of
+    them: each builds its dict on first use, and `len` builds none.  A
+    partition held as those dicts is converted by `from_dicts`.
+    """
+
+    __slots__ = ("alpha", "ids", "label", "delay", "meta", "_views")
+
+    def __init__(
+        self,
+        alpha: int,
+        ids: np.ndarray,
+        label: np.ndarray,
+        delay: np.ndarray,
+        meta: dict | None = None,
+    ):
+        self.alpha, self.ids, self.label, self.delay = alpha, ids, label, delay
+        self.meta = {} if meta is None else meta
+        self._views: dict[str, ArrayView] = {}
+
+    @classmethod
+    def from_dicts(
+        cls,
+        alpha: int,
+        clusters: Mapping[int, Iterable[int]],
+        assignment: Mapping[int, int],
+        delays: Mapping[int, int],
+    ) -> "Partition":
+        """The partition with these views.  An empty cluster, a node in
+        two clusters, an assignment that disagrees with the clusters, or
+        delays for other nodes than the assignment's is a
+        `PreconditionError`."""
+        listed: dict[int, int] = {}
+        for c, members in clusters.items():
+            if not members:
+                raise PreconditionError(f"empty cluster {c}")
+            for u in members:
+                if listed.setdefault(u, c) != c:
+                    raise PreconditionError(f"clusters overlap at node {u}")
+        if listed != dict(assignment):
+            nodes = listed.keys() | assignment.keys()
+            u = min(u for u in nodes if listed.get(u) != assignment.get(u))
+            raise PreconditionError(f"assignment inconsistent at node {u}")
+        if delays.keys() != assignment.keys():
+            raise PreconditionError("delays and assignment cover different nodes")
+        nodes = sorted(assignment)
+        return cls(
+            alpha,
+            np.array(nodes, np.int64),
+            np.array([assignment[u] for u in nodes], np.int64),
+            np.array([delays[u] for u in nodes], np.int64),
+        )
+
+    def _view(self, name: str, size: Callable[[], int]) -> Mapping:
+        if name not in self._views:
+            self._views[name] = ArrayView(size(), lambda: _build_view(self, name))
+        return self._views[name]
+
+    @property
+    def clusters(self) -> Mapping[int, frozenset[int]]:
+        return self._view("clusters", lambda: len(np.unique(self.label)))
+
+    @property
+    def assignment(self) -> Mapping[int, int]:
+        return self._view("assignment", lambda: len(self.ids))
+
+    @property
+    def delays(self) -> Mapping[int, int]:
+        return self._view("delays", lambda: len(self.ids))
 
     def restrict(self, keep: Iterable[int]) -> "Partition":
-        """Drop all nodes outside `keep`; empty clusters disappear.
+        """Drop all nodes outside `keep`; empty clusters disappear, and ids
+        in `keep` that the partition does not cover are ignored.
 
         Cluster labels (original centers) are preserved even if the
         center node itself is dropped.
         """
-        keep = set(keep)
-        clusters = {}
-        for c, members in self.clusters.items():
-            inside = members & keep
-            if inside:
-                clusters[c] = frozenset(inside)
-        return Partition(
-            self.alpha,
-            clusters,
-            {u: c for u, c in self.assignment.items() if u in keep},
-            {u: d for u, d in self.delays.items() if u in keep},
-        )
+        keep = tuple(keep)
+        try:
+            want = np.array(keep, np.int64)
+        except OverflowError:  # an id beyond int64 is not covered
+            want = np.array([u for u in keep if 0 <= u < 2**63], np.int64)
+        at, found = lookup(self.ids, want)
+        mask = np.zeros(len(self.ids), bool)
+        mask[at[found]] = True
+        return Partition(self.alpha, self.ids[mask], self.label[mask], self.delay[mask])
+
+
+def _build_view(part: Partition, name: str) -> dict:
+    """The dict behind one of `part`'s views, named by its attribute."""
+    ids = part.ids.tolist()
+    if name == "assignment":
+        return dict(zip(ids, part.label.tolist()))
+    if name == "delays":
+        return dict(zip(ids, part.delay.tolist()))
+    order = np.argsort(part.label, kind="stable")
+    labels, start = np.unique(part.label[order], return_index=True)
+    members = np.split(part.ids[order], start[1:])
+    return {c: frozenset(m.tolist()) for c, m in zip(labels.tolist(), members)}
+
+
+def _arrivals(g: Graph, delay: np.ndarray) -> list[int]:
+    """By position, the position of the node whose token reaches each node
+    first: tokens leave node v at time delay[v] and take one round per
+    hop, and ties go to the lower position, which is the lower id."""
+    indptr, nbr = g.csr()
+    ptr, nbrs = indptr.tolist(), nbr.tolist()
+    source = [-1] * g.n
+    heap = list(zip(delay.tolist(), range(g.n), range(g.n)))
+    heapify(heap)
+    while heap:
+        t, c, u = heappop(heap)
+        if source[u] >= 0:
+            continue
+        source[u] = c
+        for w in nbrs[ptr[u] : ptr[u + 1]]:
+            if source[w] < 0:
+                heappush(heap, (t + 1, c, w))
+    return source
 
 
 def delays_to_partition(
-    g: Graph, delays: Mapping[int, int], alpha: int, ledger: RoundLedger | None = None
+    g: Graph,
+    delays: Mapping[int, int] | np.ndarray,
+    alpha: int,
+    ledger: RoundLedger | None = None,
 ) -> Partition:
     """Grow clusters from broadcast delays.
 
     Node u joins the node v minimizing (delays[v] + d(v, u), id(v)); the
     winning token's whole shortest path lands in the same cluster, so
     clusters are connected with internal radius at most max(delays).
-    When all delays are equal, d(u, u) = 0 decides every node: each is its
-    own center, and no arrival is simulated.
+    `delays` map every node of g to its delay, or give them as an int
+    array by position in `g.nodes`.  When all delays are equal, d(u, u) = 0
+    decides every node: each is its own center, the labels are the ids,
+    and no arrival is simulated.
     """
-    missing = [u for u in g.nodes if u not in delays]
-    if missing:
-        raise PreconditionError(f"delays missing for nodes {missing[:5]}")
-    if len({int(delays[v]) for v in g.nodes}) <= 1:
-        # d(u, u) = 0 is the unique minimum of delays[v] + d(v, u) over v
-        assignment = {u: u for u in g.nodes}
+    if isinstance(delays, np.ndarray):
+        if delays.shape != (g.n,):
+            raise PreconditionError(f"delays of shape {delays.shape} for {g.n} nodes")
+        delay = delays.astype(np.int64)
     else:
-        assignment = {}
-        heap = [(int(delays[v]), v, v) for v in g.nodes]
-        heapify(heap)
-        while heap:
-            t, c, u = heappop(heap)
-            if u in assignment:
-                continue
-            assignment[u] = c
-            for w in g.neighbors(u):
-                if w not in assignment:
-                    heappush(heap, (t + 1, c, w))
-    clusters: dict[int, set[int]] = {}
-    for u, c in assignment.items():
-        clusters.setdefault(c, set()).add(u)
-    for c in clusters:
-        # a nonempty cluster's center always claims itself
-        if assignment[c] != c:
-            raise AssertionError(f"center {c} assigned to {assignment[c]}")
+        missing = [u for u in g.nodes if u not in delays]
+        if missing:
+            raise PreconditionError(f"delays missing for nodes {missing[:5]}")
+        delay = np.fromiter(map(int, map(delays.__getitem__, g.nodes)), np.int64, g.n)
+    if (delay == delay[:1]).all():
+        # d(u, u) = 0 is the unique minimum of delays[v] + d(v, u) over v
+        source = np.arange(g.n)
+    else:
+        source = np.array(_arrivals(g, delay), np.intp)
+    # a nonempty cluster's center always claims itself
+    strays = source[source] != source
+    if strays.any():
+        c = int(source[strays.argmax()])
+        raise AssertionError(f"center {g.nodes[c]} assigned to {g.nodes[source[c]]}")
     if ledger is not None:
         ledger.charge("delay-broadcast", 50 * alpha + 2, 50 * alpha + 2)
-    return Partition(
-        alpha,
-        {c: frozenset(members) for c, members in clusters.items()},
-        assignment,
-        {u: int(delays[u]) for u in g.nodes},
-    )
+    ids = _ids(g)
+    return Partition(alpha, ids, ids[source], delay)
 
 
 def nearby_active(g: Graph, u: int, active: Iterable[int], alpha: int) -> frozenset[int]:
@@ -210,18 +326,20 @@ def _all_nearby_active(
 
 
 def _empty_partition(alpha: int) -> Partition:
-    return Partition(alpha, {}, {}, {})
+    empty = np.zeros(0, np.int64)
+    return Partition(alpha, empty, empty, empty)
 
 
 def _finish(
     g: Graph,
     alpha: int,
-    last_active_index: dict[int, int],
+    last_active_index: np.ndarray,
     ledger: RoundLedger | None,
     meta: dict,
 ) -> Partition:
-    delays = {v: 50 * alpha - 5 * last_active_index[v] for v in g.nodes}
-    part = delays_to_partition(g, delays, alpha, ledger)
+    """The partition of the delays 50*alpha - 5*(the last phase each node,
+    by position, was active in)."""
+    part = delays_to_partition(g, 50 * alpha - 5 * last_active_index, alpha, ledger)
     part.meta.update(meta)
     return part
 
@@ -244,13 +362,14 @@ def mpx_randomized(
     rate = math.ldexp(1.0, -(log_n_cap // alpha))
     for attempt in range(attempts):
         rng = stream(seed, "mpx", attempt)
-        active = set(g.nodes)
-        last_index = {v: 0 for v in g.nodes}
+        # positions follow ids: one draw per active node, in id order
+        active = np.arange(g.n)
+        last_index = np.zeros(g.n, np.int64)
         for i in range(10 * alpha):
-            active = {v for v in sorted(active) if rng.random() < rate}
-            for v in active:
-                last_index[v] = i + 1
-        if active:
+            keep = [rng.random() < rate for _ in range(len(active))]
+            active = active[np.array(keep, bool)]
+            last_index[active] = i + 1
+        if len(active):
             continue
         if ledger is not None:
             ledger.charge("active-subsample", 0, 10 * alpha)
@@ -272,13 +391,16 @@ def _charge_shrink(
 def cluster_constant(
     g: Graph,
     alpha: int,
-    weights: Mapping[int, float],
+    weights: np.ndarray,
     ledger: RoundLedger | None = None,
 ) -> Partition:
     """Partition with diameter <= 100*alpha where, weighted by `weights`,
     at least a 0.9 fraction of nodes sees few neighboring clusters.
 
-    Weights must lie in [1/n, 1].  The shrink for step j keeps active
+    `weights` are one float per node, by position in `g.nodes` (a caller
+    holding a node -> weight dict converts it once), and must lie in
+    [1/n, 1]; the first node outside is named.  Their total is added left
+    to right in node order.  The shrink for step j keeps active
     nodes so that few weighted nodes drop below the next occupancy
     threshold, at price norm(i, j) per kept node; the price doubles each
     step, which forces the final active set empty.
@@ -292,17 +414,22 @@ def cluster_constant(
     if g.n == 0:
         return _empty_partition(alpha)
     n = g.n
-    for u in g.nodes:
-        w = weights[u]
-        if not (1.0 / n - 1e-12 <= w <= 1.0 + 1e-12):
-            raise PreconditionError(f"weight {w} at node {u} outside [1/n, 1]")
+    weights = np.asarray(weights, float)
+    if weights.shape != (n,):
+        raise PreconditionError(f"weights of shape {weights.shape} for {n} nodes")
+    # written so that NaN fails it too
+    outside = ~((1.0 / n - 1e-12 <= weights) & (weights <= 1.0 + 1e-12))
+    if outside.any():
+        i = int(outside.argmax())
+        w, u = float(weights[i]), g.nodes[i]
+        raise PreconditionError(f"weight {w} at node {u} outside [1/n, 1]")
     log_n_cap = capacity_exponent(n, alpha)
     steps = log_n_cap // alpha
     occupancy_factor = math.ceil(1000 * math.log2(log_n_cap))
     group_size = math.ceil(100 * math.log2(log_n_cap))
     rate = 1.0 / 16.0
     thresholds = [occupancy_factor ** (steps - j) for j in range(steps + 1)]
-    total_w = plain_sum(weights[u] for u in g.nodes)
+    total_w = plain_sum(weights)
     checks = ClaimChecker()
     checks.ok(
         "shrink-decay",
@@ -318,8 +445,9 @@ def cluster_constant(
             f"active set too large at phase {i} step {j}: {size}",
         )
 
+    ids = _ids(g)
     active = set(g.nodes)
-    last_index = {v: 0 for v in g.nodes}
+    last_index = np.zeros(n, np.int64)
     actives = [frozenset(active)]
     for i in range(10 * alpha):
         s_map, scan_r = _all_nearby_active(g, active, alpha, thresholds[steps - 1])
@@ -328,9 +456,11 @@ def cluster_constant(
         current = set(active)
         for j in range(steps):
             claim_mass(i, j, len(current))
-            u_side = [] if s_map is None else [
-                u for u in g.nodes if len(s_map[u] & current) >= thresholds[j]
+            # positions of the left side, in node order
+            side = [] if s_map is None else [
+                k for k, u in enumerate(g.nodes) if len(s_map[u] & current) >= thresholds[j]
             ]
+            u_side = [g.nodes[k] for k in side]
             if u_side:
                 norm = math.ldexp(1.0, i * steps + j - 2 * log_n_cap)
                 adj = {
@@ -341,7 +471,7 @@ def cluster_constant(
                     tuple(u_side),
                     tuple(sorted(current)),
                     adj,
-                    {u: float(weights[u]) for u in u_side},
+                    dict(zip(u_side, weights[side].tolist())),
                     thresholds[j],
                     rate,
                     norm,
@@ -353,8 +483,8 @@ def cluster_constant(
                 nxt = set(res.selected)
             else:
                 nxt = set()
-            dropped = [u for u in u_side if len(s_map[u] & nxt) < thresholds[j + 1]]
-            dropped_mass = plain_sum(weights[u] for u in dropped)
+            dropped = [k for k, u in zip(side, u_side) if len(s_map[u] & nxt) < thresholds[j + 1]]
+            dropped_mass = plain_sum(weights[dropped])
             checks.ok(
                 "shrink-bad-mass",
                 leq(dropped_mass, total_w / (100 * log_n_cap), total_w + 1.0),
@@ -363,8 +493,7 @@ def cluster_constant(
             current = nxt
         claim_mass(i, steps, len(current))
         active = current
-        for v in active:
-            last_index[v] = i + 1
+        last_index[lookup(ids, np.fromiter(active, np.int64, len(active)))[0]] = i + 1
         actives.append(frozenset(active))
     checks.ok("no-active-at-end", not active, f"{len(active)} nodes still active")
 
@@ -412,8 +541,9 @@ def cluster_all(
         "pipeline shrink decay too weak",
     )
 
+    ids = _ids(g)
     active = set(g.nodes)
-    last_index = {v: 0 for v in g.nodes}
+    last_index = np.zeros(n, np.int64)
     actives = [frozenset(active)]
     for i in range(10 * alpha):
         s_map, scan_r = _all_nearby_active(g, active, alpha, thresholds[0])
@@ -505,8 +635,7 @@ def cluster_all(
             if ledger is not None and rounds > 0:
                 ledger.charge("pipeline-shrink", min(100 * alpha, rounds), rounds)
         active = set(prev_row[sweeps]) if steps >= 1 else set()
-        for v in active:
-            last_index[v] = i + 1
+        last_index[lookup(ids, np.fromiter(active, np.int64, len(active)))[0]] = i + 1
         actives.append(frozenset(active))
     checks.ok("no-active-at-end", not active, f"{len(active)} nodes still active")
 
@@ -520,7 +649,8 @@ def cluster_all(
 
 
 def cluster_degree(g: Graph, partition: Partition, u: int) -> int:
-    """Number of clusters at hop distance <= 1 from u."""
+    """Number of clusters at hop distance <= 1 from u; a per-node helper
+    that reads the `assignment` dict."""
     seen = {partition.assignment[u]}
     for v in g.neighbors(u):
         seen.add(partition.assignment[v])
@@ -531,10 +661,10 @@ def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray
     """The labels of the clusters holding g's nodes, increasing, and the
     index among them of each node's cluster, by position in `g.nodes`.
     A node the partition does not assign is a `PreconditionError`."""
-    label = np.fromiter(map(partition.assignment.get, g.nodes, repeat(-1)), np.int64, g.n)
-    if (label < 0).any():
-        raise PreconditionError(f"partition does not cover node {g.nodes[label.argmin()]}")
-    labels, rank = np.unique(label, return_inverse=True)
+    at, covered = lookup(partition.ids, _ids(g))
+    if not covered.all():
+        raise PreconditionError(f"partition does not cover node {g.nodes[covered.argmin()]}")
+    labels, rank = np.unique(partition.label[at], return_inverse=True)
     return labels.tolist(), rank
 
 
@@ -631,22 +761,14 @@ def verify_partition(
 ) -> dict:
     """Measure strong diameters and cluster degrees; flag violations.
 
-    Raises if `partition` is not a partition of V(g).  Strong diameter is
+    Raises if `partition` does not cover exactly V(g); its arrays hold no
+    empty, overlapping or inconsistent cluster, and `Partition.from_dicts`
+    rejects a dict form that does.  Strong diameter is
     measured inside each cluster's induced subgraph, so a disconnected
     cluster reports an infinite diameter and fails the check.
     """
-    covered: set[int] = set()
-    for c, members in partition.clusters.items():
-        if not members:
-            raise PreconditionError(f"empty cluster {c}")
-        if covered & members:
-            raise PreconditionError("clusters overlap")
-        covered |= members
-    if covered != set(g.nodes):
+    if not np.array_equal(partition.ids, _ids(g)):
         raise PreconditionError("clusters do not cover V")
-    for u, c in partition.assignment.items():
-        if u not in partition.clusters[c]:
-            raise PreconditionError(f"assignment inconsistent at node {u}")
 
     max_diameter = 0.0
     for c in sorted(partition.clusters):

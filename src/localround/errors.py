@@ -6,6 +6,8 @@ import operator
 from functools import reduce
 from typing import Callable, Iterable
 
+import numpy as np
+
 
 class ParseError(ValueError):
     """An edge-list document could not be parsed."""
@@ -74,9 +76,12 @@ def geq(a: float, b: float, scale: float | None = None) -> bool:
     return leq(b, a, scale)
 
 
-def plain_sum(values: Iterable[float]) -> float:
+def plain_sum(values: Iterable[float] | np.ndarray) -> float:
     """`sum`, added left to right one rounded addition at a time.  From
     Python 3.12 the builtin compensates float rounding, so its last bits,
     and the claims and reports built on them, would depend on the
-    Python version."""
+    Python version.  An array is added by `np.cumsum`, which also adds
+    left to right, to the same bits."""
+    if isinstance(values, np.ndarray):
+        return float(np.cumsum(values)[-1]) if len(values) else 0
     return reduce(operator.add, values, 0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -108,6 +108,28 @@ def _neighbor_tuples(
     ids[:] = nodes
     nbrs, ends = ids[indices].tolist(), indptr.tolist()
     return tuple(tuple(nbrs[ends[i] : ends[i + 1]]) for i in range(len(nodes)))
+
+
+class ArrayView(Mapping):
+    """Read-only dict derived from arrays.  `len` costs nothing; the
+    entries are built on the first other use."""
+
+    def __init__(self, size: int, build: Callable[[], dict]):
+        self._size, self._build, self._entries = size, build, None
+
+    def _dict(self) -> dict:
+        if self._entries is None:
+            self._entries = self._build()
+        return self._entries
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __getitem__(self, key):
+        return self._dict()[key]
 
 
 class Graph:
@@ -432,6 +454,15 @@ def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return row[upper], nbr[upper].astype(np.intp)
 
 
+def lookup(known: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `want` would sit in the increasing array `known`
+    (`np.searchsorted`), and whether it is there."""
+    at = np.searchsorted(known, want)
+    found = at < len(known)
+    found[found] = known[at[found]] == want[found]
+    return at, found
+
+
 def node_positions(nodes: tuple[int, ...], ids: Iterable[int], count: int) -> np.ndarray:
     """The position in the increasing id tuple `nodes` (a graph's
     `nodes`) of each of the `count` ids; an id that is not in `nodes` is a
@@ -441,9 +472,7 @@ def node_positions(nodes: tuple[int, ...], ids: Iterable[int], count: int) -> np
         known_ids = np.fromiter(nodes, np.int64, len(nodes))
     except OverflowError:
         raise PreconditionError(f"node id outside [0, 2^{MAX_ID_BITS})") from None
-    at = np.searchsorted(known_ids, want)
-    known = at < len(nodes)
-    known[known] = known_ids[at[known]] == want[known]
+    at, known = lookup(known_ids, want)
     if not known.all():
         raise PreconditionError(f"unknown node {want[np.argmin(known)]}")
     return at

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from numbers import Real
 from typing import Callable, Iterable, Mapping
 
@@ -280,7 +280,8 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             f"step {i}: fractional utility {fu} < 2 * cost {fc}",
         )
         labels = round_labels(step_inst, lam, coloring, checks=checks)
-        batch = frozenset(v for v in inst.v_nodes if labels[v] == 1)
+        # the conflict graph's nodes are v_nodes, in order
+        batch = frozenset(compress(inst.v_nodes, (labels.array == 1).tolist()))
 
         lhs = 0.0
         for u in sorted(unhit):

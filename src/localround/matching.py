@@ -25,7 +25,9 @@ good edges are a mask over the fractional values, both in `g.edges()`
 order.  Every float sum keeps the order of the loops it replaced: values
 and `value()` in edge order, each node's load over its edges in edge
 order, and `loads()` keyed in order of first appearance as an endpoint,
-the order approx_matching adds the total load in.
+the order approx_matching adds the total load in.  The loads reach
+`cluster_constant` as one array by node position, and the good nodes'
+load is added in id order over the good mask.
 """
 
 from __future__ import annotations
@@ -119,10 +121,18 @@ class FractionalMatching:
         order)."""
         return np.bincount(self.ends(), np.repeat(self.x, 2), minlength=len(self.nodes))
 
+    def load_order(self) -> np.ndarray:
+        """The positions of the nodes with an edge, in order of first
+        appearance among the endpoints a[0], b[0], a[1], b[1], ..."""
+        ends = self.ends()
+        first = np.full(len(self.nodes), len(ends))
+        np.minimum.at(first, ends, np.arange(len(ends)))
+        # the first appearances are distinct; nodes without one sort last
+        return np.argsort(first)[: np.count_nonzero(first < len(ends))]
+
     def loads(self) -> dict[int, float]:
         if self._loads is None:
-            seen, first = np.unique(self.ends(), return_index=True)
-            order = seen[np.argsort(first)]
+            order = self.load_order()
             load = self.position_loads()[order]
             self._loads = dict(zip(map(self.nodes.__getitem__, order.tolist()), load.tolist()))
         return self._loads
@@ -130,7 +140,7 @@ class FractionalMatching:
     def value(self) -> float:
         """The values added left to right in edge order, on every Python:
         the builtin `sum` compensates float sums from 3.12 on."""
-        return float(np.cumsum(self.x)[-1]) if len(self.x) else 0.0
+        return float(plain_sum(self.x))
 
     def restrict(self, keep: np.ndarray) -> "FractionalMatching":
         """The edges with keep[k] true, in edge order."""
@@ -188,19 +198,23 @@ def fractional_matching(
 
 
 class GoodEdges(NamedTuple):
-    """Nodes that see few clusters, and the mask of the edges among them
-    over g's edges in `g.edges()` order."""
+    """Nodes that see few clusters, as a mask over g's `nodes`, and the
+    mask of the edges among them over g's edges in `g.edges()` order."""
 
-    good_nodes: frozenset[int]
+    nodes: tuple[int, ...]
+    good: np.ndarray
     mask: np.ndarray
+
+    @property
+    def good_nodes(self) -> frozenset[int]:
+        return frozenset(compress(self.nodes, self.good.tolist()))
 
 
 def good_edges(g: Graph, partition: Partition, bound: float) -> GoodEdges:
     """Nodes with cluster degree <= bound and the edges among them."""
     good = cluster_degrees(g, partition) <= bound
-    good_nodes = frozenset(compress(g.nodes, good.tolist()))
     a, b = edge_ends(g)
-    return GoodEdges(good_nodes, good[a] & good[b])
+    return GoodEdges(g.nodes, good, good[a] & good[b])
 
 
 def intra_round_matching(
@@ -370,15 +384,17 @@ def approx_matching(
         alpha = max(1, math.ceil(base_capacity_exponent(work.n) ** (1.0 / 3.0)))
 
     frac = fractional_matching(work, ledger, checks)
-    loads = frac.loads()
+    # by position; every node of work has an edge, so a load
+    loads = frac.position_loads()
     partition = cluster_constant(work, alpha, loads, ledger)
     bound = float(
         f_override if f_override is not None else partition.meta["degree_bound"]
     )
 
     ge = good_edges(work, partition, bound)
-    good_load = plain_sum(loads[u] for u in ge.good_nodes)
-    total_load = plain_sum(loads.values())
+    # added in id order, and in the order of `frac.loads()`
+    good_load = plain_sum(loads[ge.good])
+    total_load = plain_sum(loads[frac.load_order()])
     checks.ok(
         "good-weight",
         geq(good_load, 0.9 * total_load),

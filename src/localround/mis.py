@@ -421,7 +421,8 @@ def luby_derandomized_iteration(
         f"rounded estimator {yu - yc} below half of {fu - fc}",
     )
 
-    marked = np.fromiter(map(labels.__getitem__, h.nodes), np.intp, h.n) == 1
+    # the conflict graph is h's square, over h's node order
+    marked = labels.array == 1
     added, removed, edges_removed = _keep_marked(h, orientation, marked)
     checks.ok(
         "estimator-sound",

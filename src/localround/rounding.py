@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, REL_TOL, geq, plain_sum
-from .graphs import Graph, csr_contains, csr_rows, distinct, expand
+from .graphs import ArrayView, Graph, csr_contains, csr_rows, distinct, expand
 from .ledger import RoundLedger
 
 Row = tuple[float, ...]
@@ -63,12 +63,14 @@ class FractionalAssignment:
     Read-only once built: the probability matrix of one node order is
     kept for that order (`_rows`), built on first use from `probs`, or
     given to `from_matrix`, in which case `probs` is derived from it on
-    first use.  Both constructors check every vector: it is not empty,
-    its entries lie in [-1e-12, 1 + 1e-12], and its entries, added left
-    to right, sum to 1 within 1e-9; the first node to fail is named.
+    first use.  The value `evaluate` last computed for it is kept with
+    that instance (`_value`).  Both constructors check every vector: it
+    is not empty, its entries lie in [-1e-12, 1 + 1e-12], and its
+    entries, added left to right, sum to 1 within 1e-9; the first node to
+    fail is named.
     """
 
-    __slots__ = ("_probs", "_kept")
+    __slots__ = ("_probs", "_kept", "_value")
 
     def __init__(self, probs: Mapping[int, Sequence[float]]):
         clean: dict[int, tuple[float, ...]] = {}
@@ -85,6 +87,7 @@ class FractionalAssignment:
             clean[node] = vec
         self._probs: dict[int, tuple[float, ...]] | None = clean
         self._kept: tuple[tuple[int, ...], np.ndarray | None] | None = None
+        self._value: tuple[UtilityCostInstance, tuple[float, float]] | None = None
 
     @classmethod
     def from_matrix(cls, nodes: tuple[int, ...], matrix: np.ndarray) -> "FractionalAssignment":
@@ -113,6 +116,7 @@ class FractionalAssignment:
         matrix.flags.writeable = False
         assignment = cls.__new__(cls)
         assignment._probs, assignment._kept = None, (nodes, matrix)
+        assignment._value = None
         return assignment
 
     @property
@@ -177,35 +181,16 @@ def _side_tables(
     return sides
 
 
-class _ArrayView(Mapping):
-    """Read-only dict derived from arrays.  `len` costs nothing; the
-    entries are built on the first other use."""
-
-    def __init__(self, size: int, build: Callable[[], dict]):
-        self._size, self._build, self._entries = size, build, None
-
-    def _dict(self) -> dict:
-        if self._entries is None:
-            self._entries = self._build()
-        return self._entries
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __getitem__(self, key):
-        return self._dict()[key]
-
-
-class _ColorView(_ArrayView):
-    """`Coloring.colors` as `greedy_color` computes it: the read-only color
-    array over the node order `nodes`."""
+class _NodeArray(ArrayView):
+    """A read-only node -> int mapping kept as an int array over the node
+    order `nodes`: `Coloring.colors` as `greedy_color` computes it, and
+    the labels `round_labels` returns.  As a labeling it also keeps the
+    value `evaluate` last computed for it, with that instance (`_value`)."""
 
     def __init__(self, nodes: tuple[int, ...], array: np.ndarray):
         super().__init__(len(nodes), lambda: dict(zip(nodes, array.tolist())))
         self.nodes, self.array = nodes, array
+        self._value: tuple[UtilityCostInstance, tuple[float, float]] | None = None
 
 
 def _matrices(tensor: np.ndarray) -> list[Matrix]:
@@ -367,7 +352,7 @@ class UtilityCostInstance:
             return dict(zip(map(ids.__getitem__, at), rows))
 
         if self._node_view is None:
-            self._node_view = _ArrayView(len(self._at), build)
+            self._node_view = ArrayView(len(self._at), build)
         return self._node_view
 
     @property
@@ -378,7 +363,7 @@ class UtilityCostInstance:
             return dict(zip(keys, zip(_matrices(self._wu), _matrices(self._wc))))
 
         if self._edge_view is None:
-            self._edge_view = _ArrayView(len(self._eu), build)
+            self._edge_view = ArrayView(len(self._eu), build)
         return self._edge_view
 
     def decision_nodes(self) -> tuple[int, ...]:
@@ -389,7 +374,8 @@ def _probabilities(
     inst: UtilityCostInstance, assignment: FractionalAssignment | Mapping[int, int]
 ) -> np.ndarray:
     """The n x L probability matrix of a labeling, rows in node order;
-    read-only for a fractional labeling, which keeps it."""
+    read-only for a fractional labeling, which keeps it.  The labels
+    `round_labels` returned for this node order are read as their array."""
     nodes = inst.conflict_graph.nodes
     n, nl = len(nodes), inst.num_labels
     if isinstance(assignment, FractionalAssignment):
@@ -398,10 +384,13 @@ def _probabilities(
             return rows.reshape(n, nl)
         bad = next(v for v in nodes if len(assignment.probs[v]) != nl)
         raise PreconditionError(f"probability vector at node {bad} needs {nl} labels")
-    try:
-        labels = np.fromiter((assignment[v] for v in nodes), np.intp, n)
-    except KeyError as exc:
-        raise PreconditionError(f"assignment misses decision node {exc.args[0]}") from None
+    if isinstance(assignment, _NodeArray) and assignment.nodes == nodes:
+        labels = assignment.array
+    else:
+        try:
+            labels = np.fromiter((assignment[v] for v in nodes), np.intp, n)
+        except KeyError as exc:
+            raise PreconditionError(f"assignment misses decision node {exc.args[0]}") from None
     if n and (labels.min() < 0 or labels.max() >= nl):
         raise PreconditionError(f"integral labels must lie in [0, {nl})")
     probs = np.zeros((n, nl))
@@ -416,9 +405,23 @@ def evaluate(
     """(utility, cost) of a fractional or integral labeling.
 
     Integral labelings are plain node -> label index mappings; they are
-    evaluated as the degenerate one-hot distribution.
+    evaluated as the degenerate one-hot distribution.  A read-only
+    labeling (a `FractionalAssignment`, or the labels `round_labels`
+    returns) keeps the value computed for it on an instance, so asking
+    again on that instance computes nothing.
     """
-    probs = _probabilities(inst, assignment)
+    kept = isinstance(assignment, (FractionalAssignment, _NodeArray))
+    if kept and assignment._value is not None and assignment._value[0] is inst:
+        return assignment._value[1]
+    value = _objective(inst, _probabilities(inst, assignment))
+    if kept:
+        assignment._value = (inst, value)
+    return value
+
+
+def _objective(inst: UtilityCostInstance, probs: np.ndarray) -> tuple[float, float]:
+    """(utility, cost) of the probability matrix `probs`, rows in node
+    order."""
     pu, pv = probs[inst._eu], probs[inst._ev]
     utility = (
         inst.utility_const
@@ -489,7 +492,7 @@ def greedy_color(g: Graph) -> Coloring:
         colors[u] = c
     color = np.array(colors, np.int64)
     color.flags.writeable = False
-    return Coloring(_ColorView(g.nodes, color), int(color.max()) + 1 if n else 0)
+    return Coloring(_NodeArray(g.nodes, color), int(color.max()) + 1 if n else 0)
 
 
 def _color_array(nodes: tuple[int, ...], coloring: Coloring) -> np.ndarray:
@@ -498,7 +501,7 @@ def _color_array(nodes: tuple[int, ...], coloring: Coloring) -> np.ndarray:
     dict.  A node without a color raises `KeyError`, a color beyond int64
     `OverflowError`."""
     colors = coloring.colors
-    if isinstance(colors, _ColorView) and colors.nodes == nodes:
+    if isinstance(colors, _NodeArray) and colors.nodes == nodes:
         return colors.array
     return np.array(list(map(colors.__getitem__, nodes)), np.int64)
 
@@ -519,13 +522,17 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return not (row == color[nbr]).any()
 
 
-def _conditional(tensors: np.ndarray, first: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Row a of entry k: sum over b of W_k[a, b] * other[k, b], where W_k is
-    the term's tensor read from its first endpoint's side (transposed for
-    the second endpoint).  The sum runs over b left to right, the order of
-    the term-by-term loop that tests keep as the reference, so equal
-    scores, and hence label ties, come out equal bit for bit."""
-    oriented = np.where(first[:, None, None], tensors, tensors.transpose(0, 2, 1))
+def _oriented(tensors: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Entry k's term tensor read from its endpoint's side: as stored
+    where first[k], transposed for the second endpoint."""
+    return np.where(first[:, None, None], tensors, tensors.transpose(0, 2, 1))
+
+
+def _conditional(oriented: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Row a of entry k: sum over b of oriented[k, a, b] * other[k, b].
+    The sum runs over b left to right, the order of the term-by-term loop
+    that tests keep as the reference, so equal scores, and hence label
+    ties, come out equal bit for bit."""
     out = oriented[:, :, 0] * other[:, :1]
     for b in range(1, other.shape[1]):
         out = out + oriented[:, :, b] * other[:, b : b + 1]
@@ -540,7 +547,7 @@ def round_labels(
     charge_label: str = "local-rounding",
     hop_scale: int = 2,
     checks: ClaimChecker | None = None,
-) -> dict[int, int]:
+) -> Mapping[int, int]:
     """Round a fractional labeling to an integral one, never losing value.
 
     Requires utility(lam) - cost(lam) >= 0.1 * utility(lam) and a coloring
@@ -549,6 +556,10 @@ def round_labels(
     utility(l) - cost(l) >= utility(lam) - cost(lam),
     because fixing a node to its best conditional label can only increase
     the conditional expectation of the objective.
+
+    The labels come back as a read-only mapping over the conflict graph's
+    node order, kept as an int array (`array`) that `evaluate` and callers
+    read directly; the dict is built only if something reads an entry.
     """
     checks = checks if checks is not None else ClaimChecker()
     g = inst.conflict_graph
@@ -571,8 +582,11 @@ def round_labels(
     probs = _probabilities(inst, lam).copy()
     one_hot = np.eye(nl)
     base = inst._nu - inst._nc
-    # members of each class, in id order; rank = position within the class
-    order = np.argsort(color, kind="stable")
+    # members of each class, in id order; rank = position within the class.
+    # Colors fit the narrowest unsigned type that holds num_colors - 1, and
+    # numpy sorts 8- and 16-bit keys stably by radix: the same order
+    narrow = color.astype(np.min_scalar_type(max(coloring.num_colors - 1, 0)))
+    order = np.argsort(narrow, kind="stable")
     class_size = np.bincount(color, minlength=coloring.num_colors)
     member_end = np.cumsum(class_size)
     rank = np.empty(n, np.intp)
@@ -583,10 +597,12 @@ def round_labels(
     target = np.concatenate((inst._eu, inst._ev))
     other = np.concatenate((inst._ev, inst._eu))
     term = np.tile(np.arange(num_edges), 2)
-    first = np.arange(2 * num_edges) < num_edges
-    by_class = np.argsort(color[target], kind="stable")
-    target, other, term, first = target[by_class], other[by_class], term[by_class], first[by_class]
+    by_class = np.argsort(narrow[target], kind="stable")
+    target, other, term = target[by_class], other[by_class], term[by_class]
     term_end = np.cumsum(np.bincount(color[target], minlength=coloring.num_colors))
+    # each entry's tensors read from its own endpoint's side, oriented once
+    first = by_class < num_edges
+    wu, wc = _oriented(inst._wu[term], first), _oriented(inst._wc[term], first)
     labels_by_pos = np.zeros(n, np.intp)
     label_cols = np.arange(nl)
 
@@ -599,9 +615,7 @@ def round_labels(
         if k:
             span = slice(term_lo, term_hi)
             po = probs[other[span]]
-            gathered = _conditional(inst._wu[term[span]], first[span], po) - _conditional(
-                inst._wc[term[span]], first[span], po
-            )
+            gathered = _conditional(wu[span], po) - _conditional(wc[span], po)
             # node row first, then the incident terms in term order
             slots = np.concatenate(
                 (np.arange(k * nl), (rank[target[span]][:, None] * nl + label_cols).ravel())
@@ -623,7 +637,8 @@ def round_labels(
         )
         member_lo, term_lo = member_hi, term_hi
 
-    labels = dict(zip(nodes, labels_by_pos.tolist()))
+    labels_by_pos.flags.writeable = False
+    labels = _NodeArray(nodes, labels_by_pos)
     uf, cf = evaluate(inst, labels)
     checks.ok(
         "rounding-consistency",

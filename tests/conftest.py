@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from localround import graphs
 from localround.graphs import Graph
 from localround.hitting import BipartiteInstance
 from localround.rounding import FractionalAssignment, UtilityCostInstance, evaluate
 from localround import generators
+
+
+def by_position(g: Graph, values) -> np.ndarray:
+    """A node -> float mapping as one float per node of g, in node order."""
+    return np.array([values[u] for u in g.nodes], float)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -240,7 +240,7 @@ def test_criterion_07_cluster_constant_weighted(sweep):
         frac = fractional_matching(work)
         loads = frac.loads()
         alpha = max(1, math.ceil(math.log2(max(2, work.n)) ** (1.0 / 3.0)))
-        part = cluster_constant(work, alpha, loads)
+        part = cluster_constant(work, alpha, frac.position_loads())
         bound = cluster_degree_bound_fraction(part.meta["log2_capacity"], alpha)
         good = [u for u in work.nodes if cluster_degree(work, part, u) <= bound]
         total = sum(loads.values())

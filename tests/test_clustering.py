@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from localround.generators import complete, gnp, path
 from localround.graphs import Graph, bfs_distances
 from localround.ledger import RoundLedger
 
-from conftest import random_graph
+from conftest import by_position, random_graph
 
 
 def test_capacity_exponent_basics():
@@ -151,7 +152,7 @@ def test_size_bound_skips_the_nearby_sets(monkeypatch):
         "pipeline-bad-count": 13140,
         "no-active-at-end": 1,
     }
-    part = cluster_constant(g, 2, {u: 1.0 / g.n for u in g.nodes})
+    part = cluster_constant(g, 2, np.full(g.n, 1.0 / g.n))
     assert part.meta["claims"] == {
         "shrink-decay": 1,
         "active-mass": 200,
@@ -187,7 +188,7 @@ def test_mpx_partition_and_determinism():
 def test_cluster_constant_edgeless_all_good():
     g = Graph(nodes=range(10))
     weights = {u: 0.5 for u in g.nodes}
-    part = cluster_constant(g, 2, weights)
+    part = cluster_constant(g, 2, by_position(g, weights))
     assert all(len(m) == 1 for m in part.clusters.values())
     bound = part.meta["degree_bound"]
     good = [u for u in g.nodes if cluster_degree(g, part, u) <= bound]
@@ -197,7 +198,7 @@ def test_cluster_constant_edgeless_all_good():
 def test_cluster_constant_clique():
     g = complete(12)
     weights = {u: 1.0 / 12 for u in g.nodes}
-    part = cluster_constant(g, 2, weights)
+    part = cluster_constant(g, 2, by_position(g, weights))
     report = verify_partition(g, part, 2, part.meta["degree_bound"])
     assert report["ok"]
 
@@ -205,7 +206,7 @@ def test_cluster_constant_clique():
 def test_cluster_constant_weight_window_enforced():
     g = path(4)
     with pytest.raises(PreconditionError):
-        cluster_constant(g, 1, {u: 2.0 for u in g.nodes})
+        cluster_constant(g, 1, np.full(g.n, 2.0))
 
 
 def test_cluster_constant_weighted_good_fraction():
@@ -213,7 +214,7 @@ def test_cluster_constant_weighted_good_fraction():
     rng = random.Random(3)
     weights = {u: min(1.0, 1.0 / g.n + rng.random() * 0.5) for u in g.nodes}
     led = RoundLedger()
-    part = cluster_constant(g, 3, weights, led)
+    part = cluster_constant(g, 3, by_position(g, weights), led)
     bound = part.meta["degree_bound"]
     good = [u for u in g.nodes if cluster_degree(g, part, u) <= bound]
     assert sum(weights[u] for u in good) >= 0.9 * sum(weights.values())
@@ -291,7 +292,7 @@ def test_verify_partition_examples():
     assert report["degree_histogram"] == {1: 5}
 
     g2 = path(10)
-    whole = Partition(
+    whole = Partition.from_dicts(
         1,
         {0: frozenset(g2.nodes)},
         {u: 0 for u in g2.nodes},
@@ -303,7 +304,7 @@ def test_verify_partition_examples():
 
 def test_verify_partition_rejects_non_partition():
     g = path(4)
-    bad = Partition(1, {0: frozenset({0, 1})}, {0: 0, 1: 0}, {0: 0, 1: 0})
+    bad = Partition.from_dicts(1, {0: frozenset({0, 1})}, {0: 0, 1: 0}, {0: 0, 1: 0})
     with pytest.raises(PreconditionError):
         verify_partition(g, bad, 1)
 
@@ -377,7 +378,7 @@ def test_cluster_constant_uniform_weights_at_scale():
     g = gnp(500, 0.01, seed=61)
     alpha = max(1, math.ceil(base_capacity_exponent(g.n) ** (1.0 / 3.0)))
     weights = {u: 1.0 / g.n for u in g.nodes}
-    part = cluster_constant(g, alpha, weights)
+    part = cluster_constant(g, alpha, by_position(g, weights))
     bound = part.meta["degree_bound"]
     good = [u for u in g.nodes if cluster_degree(g, part, u) <= bound]
     assert sum(weights[u] for u in good) >= 0.9 * sum(weights.values())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hitting_reference
+import localround.rounding as rounding
 from localround.errors import ClaimViolation, PreconditionError, plain_sum
 from localround.graphs import Graph
 from localround.hitting import (
@@ -119,6 +120,22 @@ def test_fractional_price_dominance_per_step():
     res = basic_hitting_set(inst)
     for step in res.steps:
         assert step.frac_utility >= 2.0 * step.frac_cost - 1e-9
+
+
+def test_a_step_evaluates_each_labeling_once(monkeypatch):
+    # the step's fractional labeling is evaluated once, for the price
+    # check and the rounding's precondition, and the batch once
+    computed = []
+    objective = rounding._objective
+
+    def counted(inst, probs):
+        computed.append(inst)
+        return objective(inst, probs)
+
+    monkeypatch.setattr(rounding, "_objective", counted)
+    rng = random.Random(19)
+    res = basic_hitting_set(random_hitting_instance(rng, n_u=9, n_v=15, delta=5, p=0.2))
+    assert len(res.steps) > 0 and len(computed) == 2 * len(res.steps)
 
 
 def test_split_wiring_disjoint_blocks():

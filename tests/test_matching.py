@@ -188,7 +188,7 @@ def test_intra_rejects_malformed_arrays():
 def test_intra_window_scan_on_pipeline_values():
     g = strip_isolated(gnp(60, 0.08, seed=4))
     frac = fractional_matching(g)
-    part = cluster_constant(g, 2, frac.loads())
+    part = cluster_constant(g, 2, frac.position_loads())
     bound = float(part.meta["degree_bound"])
     ge = good_edges(g, part, bound)
     arrays = frac.restrict(ge.mask)
@@ -211,7 +211,7 @@ def test_intra_cluster_locality():
     # the values inside one cluster depend only on that cluster's edges
     g = strip_isolated(gnp(50, 0.1, seed=6))
     frac = fractional_matching(g)
-    part = cluster_constant(g, 2, frac.loads())
+    part = cluster_constant(g, 2, frac.position_loads())
     bound = float(part.meta["degree_bound"])
     ge = good_edges(g, part, bound)
     arrays = frac.restrict(ge.mask)

@@ -496,3 +496,20 @@ def test_mis_builds_no_neighbor_tuples(monkeypatch):
     res = mis(g)
     assert builds == []
     assert reference_verify_mis(g, res.independent_set)
+
+
+def test_an_iteration_evaluates_each_labeling_once(monkeypatch):
+    # the fractional marks and the rounded labels each keep the value
+    # computed for them on the instance, so asking again computes nothing
+    rounding = importlib.import_module("localround.rounding")
+    computed = []
+    objective = rounding._objective
+
+    def counted(inst, probs):
+        computed.append(inst)
+        return objective(inst, probs)
+
+    monkeypatch.setattr(rounding, "_objective", counted)
+    res = mis(gnp(2048, 0.004, seed=1))
+    assert res.iterations > 0
+    assert len(computed) == 2 * res.iterations

@@ -306,6 +306,23 @@ def test_greedy_coloring_keeps_its_color_array():
     assert is_proper(other, col) and round_labels(UtilityCostInstance(other, 2), lam, col)
 
 
+def test_rounded_labels_are_a_read_only_array_that_keeps_its_value():
+    rng = random.Random(6)
+    inst, lam = random_objective(rng, max_nodes=25)
+    g = inst.conflict_graph
+    labels = round_labels(inst, lam, greedy_color(g))
+    assert labels._entries is None and not labels.array.flags.writeable
+    value = evaluate(inst, labels)
+    assert evaluate(inst, labels) is value and labels._entries is None
+    assert labels.array.tolist() == [labels[u] for u in g.nodes]
+    assert value == evaluate(inst, dict(labels))
+    # another instance over the same nodes is evaluated afresh
+    ones = (1.0,) * inst.num_labels
+    other = UtilityCostInstance(g, inst.num_labels, {u: (ones, None) for u in g.nodes})
+    assert evaluate(other, labels) == reference_evaluate(other, dict(labels))
+    assert evaluate(inst, lam) is evaluate(inst, lam)
+
+
 def test_round_integral_fixed_point():
     # integral assignment already at the per-node maximizer stays put
     g = Graph(edges=[(0, 1)])
