@@ -351,13 +351,8 @@ def strip_isolated(g: Graph) -> Graph:
 
 def two_hop_sets(g: Graph) -> dict[int, frozenset[int]]:
     """For each node u, the nodes at hop distance <= 2 (including u)."""
-    out: dict[int, frozenset[int]] = {}
-    for u in g.nodes:
-        acc = {u, *g.neighbors(u)}
-        for v in g.neighbors(u):
-            acc.update(g.neighbors(v))
-        out[u] = frozenset(acc)
-    return out
+    square = square_graph(g)
+    return {u: frozenset((u, *square.neighbors(u))) for u in g.nodes}
 
 
 def distinct(codes: np.ndarray) -> np.ndarray:
@@ -486,11 +481,7 @@ def csr_contains(
     rows are sorted, so one binary search per pair decides it."""
     n = len(indptr) - 1
     codes = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-    want = rows.astype(np.int64) * n + cols
-    slot = np.searchsorted(codes, want)
-    hit = slot < len(codes)
-    hit[hit] = codes[slot[hit]] == want[hit]
-    return hit
+    return lookup(codes, rows.astype(np.int64) * n + cols)[1]
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

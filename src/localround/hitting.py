@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from numbers import Real
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -81,40 +81,6 @@ class BipartiteInstance:
     def b(self) -> int:
         ids = list(self.u_nodes) + list(self.v_nodes)
         return max((abs(i).bit_length() for i in ids), default=1) or 1
-
-
-def from_graph(
-    g: Graph,
-    left: Iterable[int] | Callable[[int], bool],
-    weights: Mapping[int, float],
-    p: float,
-    norm: float,
-    k: int | None = None,
-) -> BipartiteInstance:
-    """Build an instance from a bipartition of an existing graph.
-
-    `left` is either the left-side node set or a predicate selecting it.
-    Every left node must have all its neighbors on the right, and all
-    left degrees must agree.
-    """
-    if callable(left):
-        left = [u for u in g.nodes if left(u)]
-    left = sorted(set(left))
-    left_set = set(left)
-    if not left:
-        raise PreconditionError("empty left side")
-    degs = {g.degree(u) for u in left}
-    if len(degs) != 1:
-        raise PreconditionError(f"left degrees differ: {sorted(degs)}")
-    right = sorted(set(g.nodes) - left_set)
-    adj = {}
-    for u in left:
-        if any(v in left_set for v in g.neighbors(u)):
-            raise PreconditionError(f"left node {u} has a left neighbor")
-        adj[u] = g.neighbors(u)
-    return BipartiteInstance(
-        tuple(left), tuple(right), adj, dict(weights), degs.pop(), p, norm, k
-    )
 
 
 def _neighbor_rows(inst: BipartiteInstance) -> np.ndarray:

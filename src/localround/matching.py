@@ -8,24 +8,23 @@ preserves a fixed constant fraction of the matching value, and each
 constant is checked on the computed numbers at run time.
 
 The re-rounding decides all clusters in one attempt-major array pass
-(`intra_round_matching`), with the same values, order, claim counts and
-named `stream` calls as the cluster-by-cluster loop it replaced.  Those
-calls stay, one per cluster attempt, although at the paper's constants
-no value falls below the keep threshold, no stream is drawn from, and so
-none derives its seed or builds its generator:
-perfbench's traced runs take them as the `seeds` layer's spans on this
-path and compute `matching.intra_accept_ratio` from them, so removing
-them is a change to the benchmark's declared layers first.  The support
-graph of the finish is built from position arrays (`edge_subgraph`).
+(`intra_round_matching`).  It calls `stream` once per cluster attempt,
+although at the paper's constants no value falls below the keep
+threshold, no stream is drawn from, and so none derives its seed or
+builds its generator: perfbench's traced runs take these calls as the
+`seeds` layer's spans on this path and compute
+`matching.intra_accept_ratio` from them, so removing them is a change to
+the benchmark's declared layers first.  The support graph of the finish
+is built from position arrays (`edge_subgraph`).
 
 Edge values pass from stage to stage in one form, arrays over node
 positions (`FractionalMatching`): endpoints a < b and one value per edge;
 an edge dict enters only through `FractionalMatching.from_values`.  The
 good edges are a mask over the fractional values, both in `g.edges()`
-order.  Every float sum keeps the order of the loops it replaced: values
-and `value()` in edge order, each node's load over its edges in edge
-order, and `loads()` keyed in order of first appearance as an endpoint,
-the order approx_matching adds the total load in.  The loads reach
+order.  Every float sum runs in one fixed order: values and `value()` in
+edge order, each node's load over its edges in edge order, and `loads()`
+keyed in order of first appearance as an endpoint, the order
+approx_matching adds the total load in.  The loads reach
 `cluster_constant` as one array by node position, and the good nodes'
 load is added in id order over the good mask.
 """
@@ -245,14 +244,12 @@ def intra_round_matching(
     `x_good` is over g's nodes, its values in [0, 1].  The clusters are
     decided attempt by attempt, all at once: attempt 0 sets every value as
     one array and sums every window as a group, (cluster, endpoint) over
-    the endpoints of the edges taken by cluster and then edge, the order
-    in which the per-cluster loop summed them.  Only clusters with a failing
-    window go on to further attempts, and only one with a resampled edge
-    can pass on one.  Each cluster attempt still calls `stream`, as the
-    loop did, so streams and accepted clusters keep their counts (the
-    module docstring says why); a stream derives its seed only if the
-    attempt draws from it.  Returns the
-    new values, in the loop's order too: by cluster label, then by edge.
+    the endpoints of the edges taken by cluster and then edge.  Only
+    clusters with a failing window go on to further attempts, and only
+    one with a resampled edge can pass on one.  Each cluster attempt
+    calls `stream` (the module docstring says why); a stream derives its
+    seed only if the attempt draws from it.  Returns the new values by
+    cluster label, then by edge.
     """
     if x_good.nodes != g.nodes:
         raise PreconditionError("the fractional matching is over another graph's nodes")

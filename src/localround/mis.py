@@ -159,7 +159,7 @@ def intra_round_mis(
     checks: ClaimChecker | None = None,
     orientation: Orientation | None = None,
     witnesses: WitnessArrays | None = None,
-) -> dict[int, float]:
+) -> np.ndarray:
     """Per-cluster flooring of the marking probabilities.
 
     Nodes of degree at most 1000*bound*log2(n) keep probability
@@ -171,18 +171,17 @@ def intra_round_mis(
 
     The clusters are decided attempt by attempt, all at once: attempt 0
     sets every value as one array and sums every window as a group,
-    (cluster, good node) over the witness entries and (cluster, node)
-    over the out-edges, each in the order the per-cluster loop summed it.
-    Only clusters with a failing window go on to further attempts, and
-    only a cluster with a resampled member can pass on one.  Each
-    cluster attempt still calls `stream`, as the loop did, so streams and
-    accepted clusters keep their counts; a stream derives its seed only
-    if the attempt draws from it, and at the paper's constants none does.
-    perfbench's traced runs take these calls as the `seeds` layer's spans
-    on the MIS path and compute `mis.intra_accept_ratio` from them, so
-    removing them is a change to the benchmark's declared layers first.
-    `witnesses` default to `good_witnesses(h, orientation)`.
-    Returns the values keyed by node, in node order.
+    (cluster, good node) over the witness entries in entry order and
+    (cluster, node) over the out-edges in `out_csr()` order.  Only
+    clusters with a failing window go on to further attempts, and only a
+    cluster with a resampled member can pass on one.  Each cluster
+    attempt calls `stream`; a stream derives its seed only if the attempt
+    draws from it, and at the paper's constants none does.  perfbench's
+    traced runs take these calls as the `seeds` layer's spans on the MIS
+    path and compute `mis.intra_accept_ratio` from them, so removing them
+    is a change to the benchmark's declared layers first.  `witnesses`
+    default to `good_witnesses(h, orientation)`.  Returns the values as a
+    float array by position in `h.nodes`.
     """
     checks = checks if checks is not None else ClaimChecker()
     orientation = orientation or orient(h)
@@ -249,7 +248,7 @@ def intra_round_mis(
         leq(out_mass, 1.0 / 4.0),
         lambda u: f"outgoing mass {out_mass[u]} at node {h.nodes[u]} above 1/4",
     )
-    return dict(zip(h.nodes, x.tolist()))
+    return x
 
 
 def build_mis_instance(
@@ -393,11 +392,10 @@ def luby_derandomized_iteration(
         geq(inv, 1.0 / 3.0) & leq(inv, 4.0 / 3.0),
         lambda k: f"witness inverse-degree sum {inv[k]} at node {h.nodes[owner[k]]}",
     )
-    x_intra = intra_round_mis(
+    x = intra_round_mis(
         h, partition, bound, seed, n_total, retries, checks, orientation, witnesses
     )
     inst = build_mis_instance(h, witnesses, orientation)
-    x = np.fromiter(x_intra.values(), float, h.n)
     lam = FractionalAssignment.from_matrix(h.nodes, np.column_stack((1.0 - x, x)))
     fu, fc = evaluate(inst, lam)
     checks.ok(
@@ -411,9 +409,10 @@ def luby_derandomized_iteration(
         # gather + scatter per cluster; weak radius bounded by construction
         radius = 50 * partition.alpha + 2
         ledger.charge("intra-gather", radius, 2 * radius)
-    labels = round_labels(
-        inst, lam, coloring, ledger, "mark-rounding", hop_scale=4, checks=checks
-    )
+    labels = round_labels(inst, lam, coloring, checks=checks)
+    if ledger is not None:
+        # the conflict graph joins nodes at distance two
+        ledger.charge("mark-rounding", 4, 4 * coloring.num_colors)
     yu, yc = evaluate(inst, labels)
     checks.ok(
         "rounded-estimator-half",

@@ -30,14 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Mapping
-from itertools import chain, islice, repeat
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, REL_TOL, geq, plain_sum
 from .graphs import ArrayView, Graph, csr_contains, csr_rows, distinct, expand
-from .ledger import RoundLedger
 
 Row = tuple[float, ...]
 Matrix = tuple[Row, ...]
@@ -147,38 +146,20 @@ class FractionalAssignment:
         return self._kept[1]
 
 
-def _stack(tables: list, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The tables as one (len(tables), *shape) float array; None when some
-    table has the wrong shape or a non-finite entry."""
-    if not tables:
-        return np.zeros((0, *shape))
-    try:
-        arr = np.array(tables, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if arr.shape != (len(tables), *shape) or not np.isfinite(arr).all():
-        return None
-    return arr
-
-
-def _side_tables(
-    terms: Mapping, rows: Sequence[int], shape: tuple[int, ...], describe: Callable
-) -> list[np.ndarray]:
-    """Utility and cost sides of `terms` as two arrays of `shape`, the k-th
-    term in row rows[k]; None tables and rows without a term stay zero.
-    `describe(key)` names a term whose table is malformed."""
-    keys, pairs = list(terms), list(terms.values())
-    sides = []
-    for side in (0, 1):
-        present = [k for k, pair in enumerate(pairs) if pair[side] is not None]
-        values = _stack([pairs[k][side] for k in present], shape[1:])
-        if values is None:
-            bad = next(k for k in present if _stack([pairs[k][side]], shape[1:]) is None)
-            raise PreconditionError(f"bad {describe(keys[bad])}")
-        table = np.zeros(shape)
-        table[np.asarray(rows, np.intp)[present]] = values
-        sides.append(table)
-    return sides
+def _put(utility: np.ndarray, cost: np.ndarray, row: int, pair, name: str) -> None:
+    """Write the two sides of one term into row `row` of the utility and
+    cost tables; a None side stays zero.  A side of the wrong shape or
+    with a non-finite entry is a `PreconditionError` naming `name`."""
+    for table, side in ((utility, pair[0]), (cost, pair[1])):
+        if side is None:
+            continue
+        try:
+            values = np.array(side, dtype=float)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.shape != table.shape[1:] or not np.isfinite(values).all():
+            raise PreconditionError(f"bad {name}")
+        table[row] = values
 
 
 class _NodeArray(ArrayView):
@@ -246,25 +227,22 @@ class UtilityCostInstance:
         if num_labels < 1:
             raise PreconditionError("need at least one label")
         node_terms, edge_terms = node_terms or {}, edge_terms or {}
-        nodes = conflict_graph.nodes
-        index = dict(zip(nodes, range(len(nodes))))
-        n, nl, num_edges = len(nodes), num_labels, len(edge_terms)
-        at = np.fromiter(map(index.get, node_terms, repeat(-1)), np.intp, len(node_terms))
-        if len(at) and at.min() < 0:
-            unknown = next(v for v in node_terms if v not in index)
-            raise PreconditionError(f"term on unknown node {unknown}")
-        nu, nc = _side_tables(node_terms, at, (n, nl), lambda node: f"node table at {node}")
-        ends = map(index.get, chain.from_iterable(edge_terms), repeat(-1))
-        eu, ev = np.fromiter(ends, np.intp, 2 * num_edges).reshape(-1, 2).T
-        if num_edges and min(eu.min(), ev.min()) < 0:
-            u, v = next(e for e in edge_terms if e[0] not in index or e[1] not in index)
-            raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
-        wu, wc = _side_tables(
-            edge_terms,
-            range(num_edges),
-            (num_edges, nl, nl),
-            lambda edge: f"edge table at ({edge[0]},{edge[1]})",
-        )
+        index = dict(zip(conflict_graph.nodes, range(conflict_graph.n)))
+        n, nl, num_edges = conflict_graph.n, num_labels, len(edge_terms)
+        at = []
+        nu, nc = np.zeros((n, nl)), np.zeros((n, nl))
+        for node, pair in node_terms.items():
+            if node not in index:
+                raise PreconditionError(f"term on unknown node {node}")
+            at.append(index[node])
+            _put(nu, nc, index[node], pair, f"node table at {node}")
+        eu, ev = np.zeros(num_edges, np.intp), np.zeros(num_edges, np.intp)
+        wu, wc = np.zeros((num_edges, nl, nl)), np.zeros((num_edges, nl, nl))
+        for k, ((u, v), pair) in enumerate(edge_terms.items()):
+            if u not in index or v not in index:
+                raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
+            eu[k], ev[k] = index[u], index[v]
+            _put(wu, wc, k, pair, f"edge table at ({u},{v})")
         self._set(
             conflict_graph, num_labels, at, nu, nc, eu, ev, wu, wc, utility_const, cost_const
         )
@@ -365,9 +343,6 @@ class UtilityCostInstance:
         if self._edge_view is None:
             self._edge_view = ArrayView(len(self._eu), build)
         return self._edge_view
-
-    def decision_nodes(self) -> tuple[int, ...]:
-        return self.conflict_graph.nodes
 
 
 def _probabilities(
@@ -543,9 +518,6 @@ def round_labels(
     inst: UtilityCostInstance,
     lam: FractionalAssignment,
     coloring: Coloring,
-    ledger: RoundLedger | None = None,
-    charge_label: str = "local-rounding",
-    hop_scale: int = 2,
     checks: ClaimChecker | None = None,
 ) -> Mapping[int, int]:
     """Round a fractional labeling to an integral one, never losing value.
@@ -655,6 +627,4 @@ def round_labels(
         geq(uf - cf, gain0, scale),
         f"rounded objective {(uf - cf)!r} < fractional {gain0!r}",
     )
-    if ledger is not None and coloring.num_colors > 0:
-        ledger.charge(charge_label, hop_scale, hop_scale * coloring.num_colors)
     return labels

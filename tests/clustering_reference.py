@@ -5,17 +5,19 @@ These are the dict forms that the label arrays of
 dicts of frozensets, `delays_to_partition` growing it by a heap of ids,
 `restrict` rebuilding it, and `cluster_constant`'s per-node weight
 check.  Tests compare the arrays against them: the same clusters,
-assignment and delays, and the same errors.
+assignment and delays, and the same errors.  `reference_max_diameter`
+is `verify_partition`'s per-cluster loop over induced subgraphs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from localround.errors import PreconditionError, plain_sum
-from localround.graphs import Graph
+from localround.graphs import Graph, bfs_distances, induced_subgraph
 
 
 @dataclass
@@ -98,3 +100,19 @@ def reference_weight_check(g: Graph, weights: Mapping[int, float]) -> float:
         if not (1.0 / n - 1e-12 <= w <= 1.0 + 1e-12):
             raise PreconditionError(f"weight {w} at node {u} outside [1/n, 1]")
     return plain_sum(weights[u] for u in g.nodes)
+
+
+def reference_max_diameter(g: Graph, partition) -> float:
+    """The largest strong diameter of a cluster, cluster by cluster in
+    label order, a search from every member inside the cluster's induced
+    subgraph; infinite once a cluster is disconnected."""
+    max_diameter = 0.0
+    for c in sorted(partition.clusters):
+        members = partition.clusters[c]
+        sub = induced_subgraph(g, members)
+        for u in members:
+            dist = bfs_distances(sub, u)
+            if len(dist) < len(members):
+                return math.inf
+            max_diameter = max(max_diameter, max(dist.values()))
+    return max_diameter

@@ -1,10 +1,12 @@
-"""Pure-Python reference for the `Graph` constructor.
+"""Pure-Python references for the `Graph` constructor and `two_hop_sets`.
 
 `ReferenceGraph` is the dict of sorted neighbour tuples that `Graph`
 stored before its position arrays became its only form, built by the
 same per-item loop, kept so tests can compare against it: the same ids,
 neighbours, edge count and errors, and the position arrays that
-adjacency gives.
+adjacency gives.  `reference_two_hop_sets` is the nested loop over
+neighbours of neighbours that `two_hop_sets` replaced with the square
+graph.
 """
 
 from __future__ import annotations
@@ -53,3 +55,14 @@ class ReferenceGraph:
 def same_csr(g, expected: tuple[np.ndarray, np.ndarray]) -> bool:
     """Whether g's position arrays hold exactly `expected`."""
     return all(np.array_equal(a, b) for a, b in zip(g.csr(), expected))
+
+
+def reference_two_hop_sets(g) -> dict[int, frozenset[int]]:
+    """For each node u of g, the nodes at hop distance <= 2 (u included)."""
+    out: dict[int, frozenset[int]] = {}
+    for u in g.nodes:
+        acc = {u, *g.neighbors(u)}
+        for v in g.neighbors(u):
+            acc.update(g.neighbors(v))
+        out[u] = frozenset(acc)
+    return out

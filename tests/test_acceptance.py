@@ -118,6 +118,7 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
 
         part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
         x = intra_round_mis(g, part, float(g.n + 1), seed=0, orientation=o, witnesses=arrays)
+        x = dict(zip(g.nodes, x.tolist()))
         for v, members in witnesses.items():
             mass = sum(x[u] for u in members)
             assert 1.0 / 1000.0 - 1e-9 <= mass <= 1.0 / 3.0 + 1e-9

@@ -21,7 +21,7 @@ from localround.graphs import (
 )
 
 from conftest import count_neighbor_tuple_builds, random_graph
-from graphs_reference import ReferenceGraph, same_csr
+from graphs_reference import ReferenceGraph, reference_two_hop_sets, same_csr
 
 
 def test_load_two_edge_path():
@@ -232,6 +232,14 @@ def test_square_graph_is_distance_two(g):
         pairs += [(u, v) for v in within]
     # the position arrays it keeps are the ones its adjacency gives
     assert same_csr(sq, ReferenceGraph(nodes=g.nodes, edges=pairs).csr())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs())
+def test_two_hop_sets_match_the_nested_loop(g):
+    reach = two_hop_sets(g)
+    assert list(reach) == list(g.nodes)
+    assert reach == reference_two_hop_sets(g)
 
 
 def test_square_graph_of_the_empty_graph():

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 import hitting_reference
 import localround.rounding as rounding
 from localround.errors import ClaimViolation, PreconditionError, plain_sum
-from localround.graphs import Graph
 from localround.hitting import (
     BipartiteInstance,
     basic_guarantee,
     basic_hitting_set,
     conflict_graph,
-    from_graph,
     grouped_guarantee,
     grouped_hitting_set,
     split_into_copies,
@@ -227,17 +225,6 @@ def test_instance_validation():
         BipartiteInstance((1,), (10, 11), {1: (10, 11)}, {1: "heavy"}, 2, 0.1, 0.0)
 
 
-def test_from_graph_bipartition():
-    g = Graph(edges=[(10, 0), (10, 1), (11, 1), (11, 2)])
-    inst = from_graph(g, left=[10, 11], weights={10: 1.0, 11: 2.0}, p=0.5, norm=0.1)
-    assert inst.delta == 2
-    assert inst.v_nodes == (0, 1, 2)
-    with pytest.raises(PreconditionError):
-        from_graph(
-            Graph(edges=[(10, 11)]), left=[10, 11], weights={10: 1, 11: 1}, p=0.5, norm=0
-        )
-
-
 def test_oracle_agrees_with_algorithm_success():
     rng = random.Random(37)
     for _ in range(6):
@@ -253,15 +240,6 @@ def test_oracle_agrees_with_algorithm_success():
         lhs, rhs = basic_guarantee(inst, res.selected)
         assert lhs <= rhs * (1 + 1e-9)
         assert exhaustive_hitting_check(inst)
-
-
-def test_from_graph_predicate():
-    g = Graph(edges=[(10, 0), (10, 1), (11, 1), (11, 2)])
-    inst = from_graph(
-        g, lambda u: u >= 10, weights={10: 1.0, 11: 2.0}, p=0.5, norm=0.1
-    )
-    assert inst.u_nodes == (10, 11)
-    assert inst.v_nodes == (0, 1, 2)
 
 
 @st.composite

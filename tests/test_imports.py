@@ -1,0 +1,59 @@
+"""No module of the package (other than `__init__`, which re-exports)
+imports a name it never uses.
+
+A name counts as used when it appears as a name anywhere in the module's
+syntax tree, annotations included; `from __future__` imports are not
+names.  No linter is a dependency, so the check reads the tree itself.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "localround"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# (module, name) bindings kept although the module never reads them:
+# perfbench's own tests pin `clustering` as a site that binds
+# `induced_subgraph` (its IMPORT_SITES), so the import goes with the next
+# change to the benchmark
+KEPT = {("clustering.py", "induced_subgraph")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names `source` imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_detector_finds_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Callable, Mapping\n"
+        "def f(x: Mapping) -> None:\n"
+        "    return np.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["os", "Callable"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    unused = unused_imports((SRC / module).read_text())
+    assert [name for name in unused if (module, name) not in KEPT] == []
+
+
+def test_kept_bindings_are_still_unused_imports():
+    for module, name in KEPT:
+        assert name in unused_imports((SRC / module).read_text())

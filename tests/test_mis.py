@@ -144,8 +144,8 @@ def test_intra_deterministic_branch():
     part = _singleton_partition(g)
     bound = 1000.0
     out = intra_round_mis(g, part, bound, seed=0)
-    for u in g.nodes:
-        assert out[u] == pytest.approx(1.0 / (10.0 * g.degree(u)))
+    for u, x in zip(g.nodes, out.tolist()):
+        assert x == pytest.approx(1.0 / (10.0 * g.degree(u)))
 
 
 def test_intra_probabilistic_branch_two_outcomes():
@@ -156,7 +156,7 @@ def test_intra_probabilistic_branch_two_outcomes():
     bound = 1.0  # cluster degree is 1 for every node: single cluster
     out_values = set()
     for seed in range(6):
-        out = intra_round_mis(g, part, bound, seed=seed, n_total=2)
+        out = dict(zip(g.nodes, intra_round_mis(g, part, bound, seed=seed, n_total=2)))
         hub = out[0]
         floor_value = 1.0 / (10000.0 * bound * 1.0)
         assert hub in (0.0, pytest.approx(floor_value))
@@ -221,7 +221,8 @@ def test_intra_global_windows():
     g = random_graph(rng, 150, 0.05)
     part = _singleton_partition(g)
     checks = ClaimChecker()
-    out = intra_round_mis(g, part, bound=float(g.n + 1), seed=2, checks=checks)
+    x = intra_round_mis(g, part, bound=float(g.n + 1), seed=2, checks=checks)
+    out = dict(zip(g.nodes, x.tolist()))
     o = orient(g)
     for members in witness_ids(g, good_witnesses(g, o)).values():
         mass = sum(out[u] for u in members)
@@ -282,7 +283,7 @@ def test_instance_estimator_slack_on_random_graph():
     inst = build_mis_instance(g, witnesses, o)
     luby_derandomized_iteration(g, part, float(g.n + 1), seed=1, checks=checks)
     assert checks.counts["estimator-slack"] == 1
-    lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
+    lam = FractionalAssignment({u: (1.0 - xu, xu) for u, xu in zip(g.nodes, x.tolist())})
     utility, cost = evaluate(inst, lam)
     assert utility - cost >= utility / 3.0 - 1e-9
 
@@ -401,6 +402,27 @@ def test_mis_deterministic_and_ledger():
     assert led_a.report() == led_b.report()
     labels = {row["label"] for row in led_a.report()["rows"]}
     assert {"delay-broadcast", "mark-rounding", "intra-gather"} <= labels
+
+
+def test_each_iteration_charges_one_rounding_pass(monkeypatch):
+    mis_module = importlib.import_module("localround.mis")
+    real = mis_module.greedy_color
+    colors = []
+
+    def recording(conflict):
+        coloring = real(conflict)
+        colors.append(coloring.num_colors)
+        return coloring
+
+    monkeypatch.setattr(mis_module, "greedy_color", recording)
+    led = RoundLedger()
+    res = mis(gnp(50, 0.08, seed=6), seed=3, ledger=led)
+    at = [k for k, e in enumerate(led.entries) if e.label == "mark-rounding"]
+    assert len(at) == res.iterations == len(colors) > 0
+    rows = [(led.entries[k].radius, led.entries[k].rounds) for k in at]
+    assert rows == [(4, 4 * c) for c in colors]
+    # each right after its iteration's gather
+    assert all(led.entries[k - 1].label == "intra-gather" for k in at)
 
 
 def test_mis_with_f_override_stress():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localround.clustering as clustering_module
+import localround.graphs as graphs_module
 from localround.clustering import (
     Partition,
     cluster_constant,
@@ -30,6 +31,7 @@ from localround.mis import mis
 from clustering_reference import (
     reference_cluster_ranks,
     reference_delays_to_partition,
+    reference_max_diameter,
     reference_weight_check,
 )
 from conftest import by_position, random_graph, relabel
@@ -162,6 +164,33 @@ def test_verify_partition_needs_exactly_the_graph_nodes():
     for other in (part.restrict([0, 1]), bigger):
         with pytest.raises(PreconditionError, match="do not cover V"):
             verify_partition(g, other, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_delays(), st.integers(1, 4))
+def test_verify_partition_measures_what_the_cluster_loop_does(case, labels):
+    g, delays, rng = case
+    grown = delays_to_partition(g, delays, 1)
+    # labels drawn at random make clusters that may be disconnected
+    centre = {u: rng.choice(g.nodes[:labels]) for u in g.nodes}
+    clusters = {c: frozenset(u for u in g.nodes if centre[u] == c) for c in set(centre.values())}
+    drawn = Partition.from_dicts(1, clusters, centre, {u: 0 for u in g.nodes})
+    for part in (grown, drawn):
+        report = verify_partition(g, part, 1)
+        # repr: the same value of the same type (0.0, an int, or inf)
+        assert repr(report["max_diameter"]) == repr(reference_max_diameter(g, part))
+
+
+def test_verify_partition_builds_no_induced_subgraph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_partition built an induced subgraph")
+
+    monkeypatch.setattr(graphs_module, "induced_subgraph", refuse)
+    monkeypatch.setattr(clustering_module, "induced_subgraph", refuse, raising=False)
+    g = gnp(300, 0.02, seed=3)
+    part = delays_to_partition(g, {u: u % 7 for u in g.nodes}, 1)
+    report = verify_partition(g, part, 1)
+    assert repr(report["max_diameter"]) == repr(reference_max_diameter(g, part))
 
 
 def test_the_empty_partition():

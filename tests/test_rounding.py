@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from localround.errors import ClaimChecker, PreconditionError, plain_sum
 from localround.generators import gnp
 from localround.graphs import Graph, induced_subgraph, square_graph
-from localround.ledger import RoundLedger
 from localround.oracles import exhaustive_round_check
 from localround.rounding import (
     Coloring,
@@ -459,16 +458,6 @@ def test_kept_probabilities_still_check_every_call():
         assert evaluate(inst, lam) == (0.5, 0.0)
         with pytest.raises(PreconditionError, match="node 0 needs 3 labels"):
             evaluate(three, lam)
-
-
-def test_round_charges_ledger():
-    rng = random.Random(3)
-    inst, lam = random_objective(rng, max_nodes=6)
-    col = greedy_color(inst.conflict_graph)
-    led = RoundLedger()
-    round_labels(inst, lam, col, ledger=led, charge_label="probe")
-    assert led.report()["rows"][0]["label"] == "probe"
-    assert led.total == 2 * col.num_colors
 
 
 def test_round_deterministic():
