@@ -619,8 +619,8 @@ def cluster_all(
                     selected = set()
                 cell = row[ell - 1] | selected
                 row.append(cell)
-                still_lagging = sum(
-                    1 for u in important if len(s_map[u] & cell) < thresholds[j]
+                still_lagging = len(
+                    [u for u in important if len(s_map[u] & cell) < thresholds[j]]
                 )
                 checks.ok(
                     "pipeline-bad-count",

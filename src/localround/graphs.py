@@ -392,33 +392,40 @@ def square_graph(g: Graph) -> Graph:
     a != w, grouped by a and sorted by w, are the sorted adjacency the
     result needs, which it also keeps as its `csr()`.
     """
-    # each stage's arrays are freed with its helper's frame, before the
-    # next stage's are built: alive together, they would be most of an
-    # MIS solve's peak memory
     return Graph._from_csr(g.nodes, *_square_csr(g))
 
 
+# a square's rows are coded a block of about this many codes at a time,
+# so no temporary outgrows ~0.5 MB: whole-graph code arrays of ~5 MB made
+# the peak memory of a process solving many graphs vary from run to run
+SQUARE_BLOCK = 1 << 16
+
+
 def _square_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The position adjacency of `square_graph(g)`, laid out as `csr()`."""
-    row, col = np.divmod(distinct(_path_codes(g)), g.n)
-    pair = row != col
-    return np.searchsorted(row[pair], np.arange(g.n + 1)), col[pair].astype(np.int32)
-
-
-def _path_codes(g: Graph) -> np.ndarray:
-    """a * n + w for every directed edge (a, w) of g, then for every path
-    a - v - w, each directed edge (a, v) followed by w in N(v)."""
+    """The position adjacency of `square_graph(g)`, laid out as `csr()`.
+    Rows lo..hi-1 code their edges (a, v), then each such edge once per
+    w in N(v); their codes fill a range of their own, so the blocks'
+    distinct codes, in block order, are all the distinct codes in order."""
     n = g.n
     indptr, nbr = g.csr()
-    deg = np.diff(indptr)
-    src = np.repeat(np.arange(n, dtype=np.int32), deg)
-    reach = deg[nbr]
-    hop = np.repeat(indptr[nbr] - (np.cumsum(reach) - reach), reach)
-    hop += np.arange(len(hop))
-    codes = np.concatenate((src, np.repeat(src, reach))).astype(np.int64)
-    codes *= n
-    codes += np.concatenate((nbr, nbr[hop]))
-    return codes
+    reach = np.diff(indptr)[nbr]
+    load = indptr + np.concatenate(([0], np.cumsum(reach)))[indptr]  # codes before each row
+    counts, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.int32)]
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(load, load[lo] + SQUARE_BLOCK, "right")) - 1)
+        src = csr_rows(indptr[lo : hi + 1]) + lo
+        mid, far = nbr[indptr[lo] : indptr[hi]], reach[indptr[lo] : indptr[hi]]
+        codes = np.concatenate((src, np.repeat(src, far))).astype(np.int64) * n
+        codes += np.concatenate((mid, nbr[expand(indptr[mid], far)]))
+        row, col = np.divmod(distinct(codes), n)
+        pair = row != col
+        counts.append(np.bincount(row[pair] - lo, minlength=hi - lo))
+        cols.append(col[pair].astype(np.int32))
+        lo = hi
+    sub_ptr = np.zeros(n + 1, np.intp)
+    np.cumsum(np.concatenate(counts), out=sub_ptr[1:])
+    return sub_ptr, np.concatenate(cols)
 
 
 def edge_subgraph(g: Graph, a: np.ndarray, b: np.ndarray) -> Graph:
@@ -477,11 +484,21 @@ def csr_contains(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Whether cols[k] is in row rows[k] of a position adjacency laid out
-    as `Graph.csr()`, for every k: the codes row * n + column of sorted
-    rows are sorted, so one binary search per pair decides it."""
-    n = len(indptr) - 1
-    codes = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-    return lookup(codes, rows.astype(np.int64) * n + cols)[1]
+    as `Graph.csr()`, for every k: one binary search per pair over its
+    sorted row, all pairs a halving at a time, in arrays the length of
+    the pairs, none the length of the adjacency."""
+    lo, end = indptr[rows], indptr[rows + 1]
+    hi = end.copy()
+    live = np.flatnonzero(lo < hi)
+    while len(live):
+        mid = (lo[live] + hi[live]) // 2
+        right = indices[mid] < cols[live]
+        lo[live[right]] = mid[right] + 1
+        hi[live[~right]] = mid[~right]
+        live = live[lo[live] < hi[live]]
+    found = lo < end
+    found[found] = indices[lo[found]] == cols[found]
+    return found
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

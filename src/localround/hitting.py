@@ -11,6 +11,10 @@ The grouped routine relaxes "no selected neighbor" to "at most half of
 the neighbor blocks hit": it splits every left node into floor(delta/k)
 copies wired to disjoint k-blocks of its neighbors and runs the basic
 routine on the copies.
+
+Every routine reads an instance's two read-only arrays, `nbr` (neighbour
+positions in `v_nodes`) and `weight` (float64), and sums weights left to
+right in id order; a set of right or left nodes is a mask.
 """
 
 from __future__ import annotations
@@ -34,14 +38,19 @@ from .rounding import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BipartiteInstance:
-    """One hitting-set problem.
+    """One hitting-set problem, read-only after construction.
 
     Left nodes all have exactly `delta` neighbors on the right; `p` is the
     sampling rate the guarantees are phrased against, `norm` the price per
     selected right node, and `k` (grouped variant only) the block size in
     [1, delta].  Left and right ids live in separate namespaces.
+
+    Construction checks `adj` and `weights` and stores them as two
+    read-only arrays, rows in `u_nodes` order: `nbr`, the n_u x delta
+    positions in `v_nodes` of each left node's neighbours, each row in
+    `adj` order, and `weight`, each weight as a float64.
     """
 
     u_nodes: tuple[int, ...]
@@ -52,18 +61,19 @@ class BipartiteInstance:
     p: float
     norm: float
     k: int | None = None
+    nbr: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.u_nodes = tuple(sorted(self.u_nodes))
-        self.v_nodes = tuple(sorted(self.v_nodes))
-        vset = set(self.v_nodes)
-        if len(vset) != len(self.v_nodes) or len(set(self.u_nodes)) != len(self.u_nodes):
+        u_nodes, v_nodes = tuple(sorted(self.u_nodes)), tuple(sorted(self.v_nodes))
+        vset = set(v_nodes)
+        if len(vset) != len(v_nodes) or len(set(u_nodes)) != len(u_nodes):
             raise PreconditionError("duplicate node ids within a side")
         if self.delta < 1 or not (0.0 < self.p < math.inf and 0.0 <= self.norm < math.inf):
             raise PreconditionError("need delta >= 1, finite p > 0, finite norm >= 0")
         if self.k is not None and not 1 <= self.k <= self.delta:
             raise PreconditionError(f"k={self.k} outside [1, delta={self.delta}]")
-        for u in self.u_nodes:
+        for u in u_nodes:
             nbrs = self.adj.get(u, ())
             if len(nbrs) != self.delta or len(set(nbrs)) != self.delta:
                 raise PreconditionError(f"left node {u} does not have degree {self.delta}")
@@ -72,35 +82,31 @@ class BipartiteInstance:
             w = self.weights.get(u)
             if not isinstance(w, Real) or not 0.0 <= w < math.inf:  # NaN too
                 raise PreconditionError(f"bad weight at left node {u}")
+        ends = chain.from_iterable(map(self.adj.__getitem__, u_nodes))
+        nbr = node_positions(v_nodes, ends, len(u_nodes) * self.delta).reshape(-1, self.delta)
+        weight = np.fromiter(map(self.weights.__getitem__, u_nodes), np.float64)
+        nbr.flags.writeable = weight.flags.writeable = False
+        # frozen: the fields are set through the instance dict
+        vars(self).update(u_nodes=u_nodes, v_nodes=v_nodes, nbr=nbr, weight=weight)
 
     @property
     def total_weight(self) -> float:
-        return plain_sum(self.weights[u] for u in self.u_nodes)
-
-    @property
-    def b(self) -> int:
-        ids = list(self.u_nodes) + list(self.v_nodes)
-        return max((abs(i).bit_length() for i in ids), default=1) or 1
+        return plain_sum(self.weight)
 
 
-def _neighbor_rows(inst: BipartiteInstance) -> np.ndarray:
-    """The positions in `v_nodes` of every left node's neighbours, one row
-    per left node in `u_nodes` order."""
-    ends = chain.from_iterable(map(inst.adj.__getitem__, inst.u_nodes))
-    n_u = len(inst.u_nodes)
-    return node_positions(inst.v_nodes, ends, n_u * inst.delta).reshape(n_u, inst.delta)
+def _hits(inst: BipartiteInstance, selected: frozenset[int]) -> np.ndarray:
+    """Each left node's number of neighbours in `selected`."""
+    chosen = np.fromiter(map(selected.__contains__, inst.v_nodes), bool, len(inst.v_nodes))
+    return np.count_nonzero(chosen[inst.nbr], axis=1)
 
 
 def conflict_graph(inst: BipartiteInstance) -> Graph:
     """Graph on V joining right nodes that share a left neighbor: every
     pair of one left node's neighbours, as positions in `v_nodes`, merged
     by `pair_csr`."""
-    rows = _neighbor_rows(inst)
     first, second = np.triu_indices(inst.delta, 1)
-    n = len(inst.v_nodes)
-    return Graph._from_csr(
-        inst.v_nodes, *pair_csr(n, rows[:, first].ravel(), rows[:, second].ravel())
-    )
+    a, b = inst.nbr[:, first].ravel(), inst.nbr[:, second].ravel()
+    return Graph._from_csr(inst.v_nodes, *pair_csr(len(inst.v_nodes), a, b))
 
 
 @dataclass
@@ -126,11 +132,7 @@ class HittingResult:
 
 def basic_guarantee(inst: BipartiteInstance, selected: frozenset[int]) -> tuple[float, float]:
     """(achieved, allowed) sides of the basic guarantee for `selected`."""
-    unhit = plain_sum(
-        inst.weights[u]
-        for u in inst.u_nodes
-        if not selected.intersection(inst.adj[u])
-    )
+    unhit = plain_sum(inst.weight[_hits(inst, selected) == 0])
     lhs = unhit + inst.norm * len(selected)
     rhs = math.exp(-inst.p * inst.delta) * inst.total_weight + inst.norm * 4.0 * inst.p * len(
         inst.v_nodes
@@ -143,11 +145,7 @@ def grouped_guarantee(inst: BipartiteInstance, selected: frozenset[int]) -> tupl
     if inst.k is None:
         raise PreconditionError("grouped guarantee needs k")
     threshold = 0.5 * (inst.delta // inst.k)
-    under = plain_sum(
-        inst.weights[u]
-        for u in inst.u_nodes
-        if len(selected.intersection(inst.adj[u])) <= threshold
-    )
+    under = plain_sum(inst.weight[_hits(inst, selected) <= threshold])
     lhs = under + inst.norm * len(selected)
     rhs = 4.0 * (
         math.exp(-inst.p * inst.k) * inst.total_weight
@@ -188,36 +186,26 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     coloring = greedy_color(cg)
     result.zeta = coloring.num_colors
     lam = FractionalAssignment.from_matrix(cg.nodes, np.tile((1.0 - q, q), (len(cg.nodes), 1)))
-    n_u, n_v, delta = len(inst.u_nodes), len(inst.v_nodes), inst.delta
-    norm = inst.norm
-    checks = result.checks
-
-    weight = np.fromiter(map(inst.weights.__getitem__, inst.u_nodes), float, n_u)
-    nbr = _neighbor_rows(inst)
+    n_v, delta, norm = len(inst.v_nodes), inst.delta, inst.norm
+    weight, nbr, checks = inst.weight, inst.nbr, result.checks
     first, second = np.triu_indices(delta, 1)  # pairs x < y, x major
     node_cost = np.repeat([[0.0, norm]], n_v, axis=0)
+    decays = [math.exp(-(t_steps - s) / t_steps * inst.p * delta) for s in range(t_steps + 1)]
 
-    unhit: set[int] = set(inst.u_nodes)
+    unhit = np.ones(len(inst.u_nodes), bool)
     selected: set[int] = set()
 
     def potential(step: int) -> float:
-        decay = math.exp(-(t_steps - step) / t_steps * inst.p * inst.delta)
         rest = (t_steps - step) / t_steps * norm * 4.0 * inst.p * n_v
-        return (
-            decay * plain_sum(inst.weights[u] for u in unhit)
-            + norm * len(selected)
-            + rest
-        )
+        return decays[step] * plain_sum(weight[unhit]) + norm * len(selected) + rest
 
     phi = potential(0)
     result.phis.append(phi)
     scale = abs(phi) + total_w + 1.0
 
     for i in range(1, t_steps + 1):
-        decay = math.exp(-(t_steps - i) / t_steps * inst.p * inst.delta)
-        prev_decay = math.exp(-(t_steps - (i - 1)) / t_steps * inst.p * inst.delta)
-        live = np.fromiter(map(unhit.__contains__, inst.u_nodes), bool, n_u)
-        live &= weight != 0.0
+        decay = decays[i]
+        live = unhit & (weight != 0.0)
         rows, w = nbr[live], weight[live]
         mass = np.bincount(rows.ravel(), np.repeat(w, delta), minlength=n_v)
         pair = rows[:, first], rows[:, second]
@@ -247,16 +235,14 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         )
         labels = round_labels(step_inst, lam, coloring, checks=checks)
         # the conflict graph's nodes are v_nodes, in order
-        batch = frozenset(compress(inst.v_nodes, (labels.array == 1).tolist()))
+        chosen = labels.array == 1
+        batch = frozenset(compress(inst.v_nodes, chosen.tolist()))
 
-        lhs = 0.0
-        for u in sorted(unhit):
-            hit = len(batch.intersection(inst.adj[u]))
-            y_u = 1.0 - hit + hit * (hit - 1) / 2.0
-            lhs += y_u * inst.weights[u]
-        lhs = decay * lhs + norm * len(batch)
+        hit = np.count_nonzero(chosen[nbr], axis=1)
+        y = 1.0 - hit + hit * (hit - 1) / 2.0
+        lhs = decay * plain_sum(y[unhit] * weight[unhit]) + norm * len(batch)
         rhs = (
-            prev_decay * plain_sum(inst.weights[u] for u in unhit)
+            decays[i - 1] * plain_sum(weight[unhit])
             + norm * 4.0 * inst.p / t_steps * n_v
         )
         checks.ok(
@@ -266,7 +252,7 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         )
 
         selected |= batch
-        unhit = {u for u in unhit if not batch.intersection(inst.adj[u])}
+        unhit &= hit == 0
         phi_next = potential(i)
         checks.ok(
             "potential-monotone",
@@ -298,19 +284,16 @@ def split_into_copies(inst: BipartiteInstance) -> BipartiteInstance:
         raise PreconditionError("splitting needs k")
     k = inst.k
     copies = inst.delta // k
-    # extend ids by ceil(log2(delta)) + 2 bits; copy indices always fit
+    # extend ids by ceil(log2(delta)) + 2 bits; copy indices always fit;
+    # the ids stay Python ints, as a shifted 60-bit id outgrows int64
     shift = (inst.delta - 1).bit_length() + 2
-    u_nodes: list[int] = []
-    adj: dict[int, tuple[int, ...]] = {}
-    weights: dict[int, float] = {}
-    for u in inst.u_nodes:
-        nbrs = inst.adj[u]  # already sorted ascending
-        w = 2.0 * inst.weights[u] / copies
-        for j in range(copies):
-            cu = (u << shift) + j
-            u_nodes.append(cu)
-            adj[cu] = tuple(nbrs[j * k : (j + 1) * k])
-            weights[cu] = w
+    ids = np.add.outer(np.array(inst.u_nodes, object) << shift, range(copies))
+    u_nodes = ids.ravel().tolist()
+    # v_nodes is increasing, so sorted positions are sorted ids
+    blocks = np.sort(inst.nbr, axis=1)[:, : copies * k].reshape(-1, k)
+    ends = np.array(inst.v_nodes, np.int64)[blocks].tolist()
+    adj = dict(zip(u_nodes, map(tuple, ends)))
+    weights = dict(zip(u_nodes, np.repeat(2.0 * inst.weight / copies, copies).tolist()))
     return BipartiteInstance(
         tuple(u_nodes), inst.v_nodes, adj, weights, k, inst.p, inst.norm, None
     )

@@ -1,20 +1,25 @@
-"""Pure-Python reference for `localround.hitting.basic_hitting_set`.
+"""Pure-Python references for `localround.hitting`.
 
-This is the routine as it was before each step's objective was built as
-arrays: node terms and pair costs as dicts of nested tuples, handed to
-the dict constructor of `UtilityCostInstance`.  Kept so tests can compare
-against it: the same selection, potentials, steps and claim counts, bit
-for bit.  One line differs: a right node's utility weight is summed with
-`+=` in left-node order, where the routine used the builtin `sum`, which
-adds the same way on Python 3.11 and earlier but has compensated float
-sums from 3.12 on.
+`reference_basic_hitting_set` is `basic_hitting_set` as it was before
+each step's objective was built as arrays: node terms and pair costs as
+dicts of nested tuples, handed to the dict constructor of
+`UtilityCostInstance`, and the unhit left nodes as a set of ids.  Kept so
+tests can compare against it: the same selection, potentials, steps and
+claim counts, bit for bit.  Every weight sum adds left to right in
+left-node id order, as the routine's `plain_sum` over its arrays does;
+the builtin `sum` compensates float rounding from Python 3.12 on, and a
+set of ids iterates in hash-table order.
+
+`reference_split_into_copies`, `reference_basic_guarantee` and
+`reference_grouped_guarantee` are the per-left-node loops over `adj` and
+`weights` that the routines' position and weight arrays replaced.
 """
 
 from __future__ import annotations
 
 import math
 
-from localround.errors import PreconditionError, leq
+from localround.errors import PreconditionError, leq, plain_sum
 from localround.hitting import (
     BipartiteInstance,
     HittingResult,
@@ -68,7 +73,7 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         decay = math.exp(-(t_steps - step) / t_steps * inst.p * inst.delta)
         rest = (t_steps - step) / t_steps * norm * 4.0 * inst.p * n_v
         return (
-            decay * sum(inst.weights[u] for u in unhit)
+            decay * plain_sum(inst.weights[u] for u in sorted(unhit))
             + norm * len(selected)
             + rest
         )
@@ -127,7 +132,7 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             lhs += y_u * inst.weights[u]
         lhs = decay * lhs + norm * len(batch)
         rhs = (
-            prev_decay * sum(inst.weights[u] for u in unhit)
+            prev_decay * plain_sum(inst.weights[u] for u in sorted(unhit))
             + norm * 4.0 * inst.p / t_steps * n_v
         )
         checks.ok(
@@ -153,3 +158,59 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     lhs, rhs = basic_guarantee(inst, result.selected)
     checks.ok("hitting-guarantee", leq(lhs, rhs, scale), f"{lhs} > {rhs}")
     return result
+
+
+def _total_weight(inst: BipartiteInstance) -> float:
+    return plain_sum(inst.weights[u] for u in inst.u_nodes)
+
+
+def reference_basic_guarantee(
+    inst: BipartiteInstance, selected: frozenset[int]
+) -> tuple[float, float]:
+    unhit = plain_sum(
+        inst.weights[u]
+        for u in inst.u_nodes
+        if not selected.intersection(inst.adj[u])
+    )
+    lhs = unhit + inst.norm * len(selected)
+    rhs = math.exp(-inst.p * inst.delta) * _total_weight(inst) + inst.norm * 4.0 * inst.p * len(
+        inst.v_nodes
+    )
+    return lhs, rhs
+
+
+def reference_grouped_guarantee(
+    inst: BipartiteInstance, selected: frozenset[int]
+) -> tuple[float, float]:
+    threshold = 0.5 * (inst.delta // inst.k)
+    under = plain_sum(
+        inst.weights[u]
+        for u in inst.u_nodes
+        if len(selected.intersection(inst.adj[u])) <= threshold
+    )
+    lhs = under + inst.norm * len(selected)
+    rhs = 4.0 * (
+        math.exp(-inst.p * inst.k) * _total_weight(inst)
+        + inst.norm * inst.p * len(inst.v_nodes)
+    )
+    return lhs, rhs
+
+
+def reference_split_into_copies(inst: BipartiteInstance) -> BipartiteInstance:
+    k = inst.k
+    copies = inst.delta // k
+    shift = (inst.delta - 1).bit_length() + 2
+    u_nodes: list[int] = []
+    adj: dict[int, tuple[int, ...]] = {}
+    weights: dict[int, float] = {}
+    for u in inst.u_nodes:
+        nbrs = sorted(inst.adj[u])
+        w = 2.0 * inst.weights[u] / copies
+        for j in range(copies):
+            cu = (u << shift) + j
+            u_nodes.append(cu)
+            adj[cu] = tuple(nbrs[j * k : (j + 1) * k])
+            weights[cu] = w
+    return BipartiteInstance(
+        tuple(u_nodes), inst.v_nodes, adj, weights, k, inst.p, inst.norm, None
+    )

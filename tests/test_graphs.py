@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localround import graphs
 from localround.errors import ParseError, PreconditionError
 from localround.graphs import (
     Graph,
     ball,
     bfs_distances,
+    csr_contains,
     dump_edge_list,
     edge_subgraph,
     induced_subgraph,
@@ -245,6 +247,32 @@ def test_two_hop_sets_match_the_nested_loop(g):
 def test_square_graph_of_the_empty_graph():
     assert square_graph(Graph()) == Graph()
     assert square_graph(Graph(nodes=[5])).neighbors(5) == ()
+
+
+
+def test_csr_contains_matches_the_row_sets():
+    rng = random.Random(11)
+    g = random_graph(rng, 50, 0.1)
+    indptr, nbr = g.csr()
+    rows = np.array([rng.randrange(50) for _ in range(2000)])
+    cols = np.array([rng.randrange(50) for _ in range(2000)])
+    want = [c in set(nbr[indptr[r] : indptr[r + 1]].tolist()) for r, c in zip(rows, cols)]
+    assert 0 < sum(want) < len(want)
+    assert csr_contains(indptr, nbr, rows, cols).tolist() == want
+    none = np.zeros(0, np.intp)
+    assert csr_contains(indptr, nbr, none, none).tolist() == []
+    empty = Graph(nodes=range(3)).csr()
+    assert csr_contains(*empty, np.arange(3), np.arange(3)).tolist() == [False] * 3
+
+@pytest.mark.parametrize("block", [1, 5, 40])
+def test_square_graph_built_in_row_blocks_matches_one_block(monkeypatch, block):
+    # block 1 puts every row in a block of its own, however many codes
+    # it has; isolated nodes make empty rows
+    g = random_graph(random.Random(block), 60, 0.05)
+    whole = square_graph(g)
+    monkeypatch.setattr(graphs, "SQUARE_BLOCK", block)
+    assert same_csr(square_graph(g), whole.csr())
+    assert square_graph(g) == whole
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,15 @@ def test_split_wiring_disjoint_blocks():
     assert split.weights[split.u_nodes[0]] == pytest.approx(1.0)  # 2*w/2
 
 
+def test_split_blocks_neighbours_in_id_order():
+    # adj need not list a left node's neighbours in increasing order
+    inst = BipartiteInstance(
+        (5,), (3, 7, 11, 15), {5: (15, 3, 11, 7)}, {5: 1.0}, 4, 0.6, 0.0, k=2
+    )
+    split = split_into_copies(inst)
+    assert [split.adj[u] for u in split.u_nodes] == [(3, 7), (11, 15)]
+
+
 def test_split_leftover_neighbors_unused():
     nbrs = tuple(range(0, 14, 2))  # 7 neighbors, k=3 -> 2 copies, 1 unused
     inst = BipartiteInstance((9,), nbrs, {9: nbrs}, {9: 2.0}, 7, 0.5, 0.0, k=3)
@@ -225,6 +236,22 @@ def test_instance_validation():
         BipartiteInstance((1,), (10, 11), {1: (10, 11)}, {1: "heavy"}, 2, 0.1, 0.0)
 
 
+def test_instance_stores_read_only_arrays():
+    inst = BipartiteInstance(
+        (20, 10), (7, 3, 5), {10: (5, 3), 20: (7, 3)}, {10: 1, 20: 0.5}, 2, 0.5, 0.0
+    )
+    # rows in u_nodes order, each in adj order, as positions in v_nodes
+    assert inst.u_nodes == (10, 20) and inst.v_nodes == (3, 5, 7)
+    assert inst.nbr.tolist() == [[1, 0], [2, 0]]
+    assert inst.weight.dtype == np.float64 and inst.weight.tolist() == [1.0, 0.5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.norm = 1.0
+    with pytest.raises(ValueError):
+        inst.nbr[0, 0] = 2
+    with pytest.raises(ValueError):
+        inst.weight[0] = 2.0
+
+
 def test_oracle_agrees_with_algorithm_success():
     rng = random.Random(37)
     for _ in range(6):
@@ -267,6 +294,37 @@ def hitting_instances(draw):
         delta,
         draw(st.sampled_from([0.05, 0.2, 0.35, 0.5])),
         draw(st.sampled_from([0.0, 0.01, 0.2])),
+    )
+
+
+def _hex(pair):
+    return tuple(float(x).hex() for x in pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hitting_instances(), st.data())
+def test_copies_and_guarantees_match_the_loops(inst, data):
+    inst = dataclasses.replace(inst, k=data.draw(st.integers(1, inst.delta)))
+    copies = split_into_copies(inst)
+    expected = hitting_reference.reference_split_into_copies(inst)
+    assert copies.u_nodes == expected.u_nodes
+    assert [copies.adj[u] for u in copies.u_nodes] == [
+        expected.adj[u] for u in expected.u_nodes
+    ]
+    assert [float(copies.weights[u]).hex() for u in copies.u_nodes] == [
+        float(expected.weights[u]).hex() for u in expected.u_nodes
+    ]
+    # a selection may name ids outside V: they count towards its size only
+    picked = data.draw(st.lists(st.sampled_from(inst.v_nodes), unique=True))
+    selected = frozenset(picked + data.draw(st.sampled_from([[], [-1]])))
+    assert _hex(basic_guarantee(inst, selected)) == _hex(
+        hitting_reference.reference_basic_guarantee(inst, selected)
+    )
+    assert _hex(basic_guarantee(copies, selected)) == _hex(
+        hitting_reference.reference_basic_guarantee(copies, selected)
+    )
+    assert _hex(grouped_guarantee(inst, selected)) == _hex(
+        hitting_reference.reference_grouped_guarantee(inst, selected)
     )
 
 

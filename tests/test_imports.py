@@ -1,9 +1,12 @@
 """No module of the package (other than `__init__`, which re-exports)
-imports a name it never uses.
+imports a name it never uses, and no module calls the builtin `sum`.
 
 A name counts as used when it appears as a name anywhere in the module's
 syntax tree, annotations included; `from __future__` imports are not
-names.  No linter is a dependency, so the check reads the tree itself.
+names.  The builtin `sum` compensates float rounding from Python 3.12 on,
+so a sum's last bits would depend on the Python version; the package adds
+with `errors.plain_sum` instead (its docstring says more).  No linter is
+a dependency, so the checks read the tree themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "localround"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(p.name for p in SRC.glob("*.py"))
+MODULES = [name for name in PACKAGE if name != "__init__.py"]
 
 # (module, name) bindings kept although the module never reads them:
 # perfbench's own tests pin `clustering` as a site that binds
@@ -34,6 +38,17 @@ def unused_imports(source: str) -> list[str]:
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def builtin_sum_calls(source: str) -> list[int]:
+    """The lines of `source` that call `sum` by its bare name."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
 
 
 def test_detector_finds_unused_names():
@@ -57,3 +72,18 @@ def test_module_uses_every_import(module):
 def test_kept_bindings_are_still_unused_imports():
     for module, name in KEPT:
         assert name in unused_imports((SRC / module).read_text())
+
+
+def test_detector_finds_builtin_sum_calls():
+    source = (
+        "import numpy as np\n"
+        "def f(xs, a):\n"
+        "    total = sum(xs)\n"
+        "    return plain_sum(xs) + a.sum() + np.sum(a) + sum(x for x in xs)\n"
+    )
+    assert builtin_sum_calls(source) == [3, 4]
+
+
+@pytest.mark.parametrize("module", PACKAGE)
+def test_module_never_calls_builtin_sum(module):
+    assert builtin_sum_calls((SRC / module).read_text()) == []
