@@ -12,12 +12,10 @@ from .clustering import (
     capacity_exponent,
     cluster_all,
     cluster_constant,
-    cluster_degree,
     cluster_degree_bound_all,
     cluster_degree_bound_fraction,
     delays_to_partition,
     mpx_randomized,
-    nearby_active,
     verify_partition,
 )
 from .errors import (
@@ -31,7 +29,6 @@ from .generators import KINDS as GENERATORS
 from .graphs import (
     Graph,
     Orientation,
-    ball,
     bfs_distances,
     dump_edge_list,
     induced_subgraph,

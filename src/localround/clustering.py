@@ -114,8 +114,9 @@ class Partition:
     arrays are shared, not copied, and are read only.  `clusters` (label
     -> members, labels increasing), `assignment` (node -> label) and
     `delays` (node -> delay), both in id order, are read-only views of
-    them: each builds its dict on first use, and `len` builds none.  A
-    partition held as those dicts is converted by `from_dicts`.
+    them: each builds its dict on first use, and `len` builds none.  The
+    constructor stores the arrays as given; the constructions build them
+    through `delays_to_partition`.
     """
 
     __slots__ = ("alpha", "ids", "label", "delay", "meta", "_views")
@@ -131,39 +132,6 @@ class Partition:
         self.alpha, self.ids, self.label, self.delay = alpha, ids, label, delay
         self.meta = {} if meta is None else meta
         self._views: dict[str, ArrayView] = {}
-
-    @classmethod
-    def from_dicts(
-        cls,
-        alpha: int,
-        clusters: Mapping[int, Iterable[int]],
-        assignment: Mapping[int, int],
-        delays: Mapping[int, int],
-    ) -> "Partition":
-        """The partition with these views.  An empty cluster, a node in
-        two clusters, an assignment that disagrees with the clusters, or
-        delays for other nodes than the assignment's is a
-        `PreconditionError`."""
-        listed: dict[int, int] = {}
-        for c, members in clusters.items():
-            if not members:
-                raise PreconditionError(f"empty cluster {c}")
-            for u in members:
-                if listed.setdefault(u, c) != c:
-                    raise PreconditionError(f"clusters overlap at node {u}")
-        if listed != dict(assignment):
-            nodes = listed.keys() | assignment.keys()
-            u = min(u for u in nodes if listed.get(u) != assignment.get(u))
-            raise PreconditionError(f"assignment inconsistent at node {u}")
-        if delays.keys() != assignment.keys():
-            raise PreconditionError("delays and assignment cover different nodes")
-        nodes = sorted(assignment)
-        return cls(
-            alpha,
-            np.array(nodes, np.int64),
-            np.array([assignment[u] for u in nodes], np.int64),
-            np.array([delays[u] for u in nodes], np.int64),
-        )
 
     def _view(self, name: str, size: Callable[[], int]) -> Mapping:
         if name not in self._views:
@@ -274,31 +242,12 @@ def delays_to_partition(
     return Partition(alpha, ids, ids[source], delay)
 
 
-def nearby_active(g: Graph, u: int, active: Iterable[int], alpha: int) -> frozenset[int]:
-    """Active nodes within min(d(u, active) + 2, 100*alpha) hops of u."""
-    active_set = frozenset(active)
-    if u not in g:
-        raise KeyError(f"unknown node {u}")
-    if not active_set:
-        return frozenset()
-    cap = 100 * alpha
-    if u in active_set:
-        dist = 0
-    else:
-        reach = bfs_distances(g, u)
-        dist = min((reach[v] for v in active_set if v in reach), default=None)
-        if dist is None:
-            return frozenset()
-    radius = min(dist + 2, cap)
-    return frozenset(
-        v for v in bfs_distances(g, u, limit=radius) if v in active_set
-    )
-
-
 def _all_nearby_active(
     g: Graph, active: set[int], alpha: int, threshold: int
 ) -> tuple[dict[int, frozenset[int]] | None, int]:
-    """`nearby_active` for every node at once; also the max radius read.
+    """For every node u, its nearby-active set: the active nodes within
+    min(d(u, active) + 2, 100*alpha) hops of u, empty when no active node
+    is reachable; also the max radius read.
 
     The map is None when no node's set can reach `threshold` (at least 1):
     every set has at most |active| nodes, and at most 1 + maxdeg**2 while
@@ -650,15 +599,6 @@ def cluster_all(
     return _finish(g, alpha, last_index, ledger, meta)
 
 
-def cluster_degree(g: Graph, partition: Partition, u: int) -> int:
-    """Number of clusters at hop distance <= 1 from u; a per-node helper
-    that reads the `assignment` dict."""
-    seen = {partition.assignment[u]}
-    for v in g.neighbors(u):
-        seen.add(partition.assignment[v])
-    return len(seen)
-
-
 def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray]:
     """The labels of the clusters holding g's nodes, increasing, and the
     index among them of each node's cluster, by position in `g.nodes`.
@@ -671,9 +611,9 @@ def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray
 
 
 def cluster_degrees(g: Graph, partition: Partition) -> np.ndarray:
-    """`cluster_degree` of every node, by position in `g.nodes`: the
-    distinct codes node * k + cluster over each node and its neighbours,
-    counted per node."""
+    """The cluster degree of every node, by position in `g.nodes`: the
+    number of clusters at hop distance <= 1 from it, counted as the
+    distinct codes node * k + cluster over each node and its neighbours."""
     labels, rank = cluster_ranks(g, partition)
     k = max(1, len(labels))
     indptr, nbr = g.csr()
@@ -737,8 +677,11 @@ def resample_clusters(
     raises `RetryBudgetExceeded`, after the checks of the clusters before
     it.  So values, counts and the cluster named are those of a loop that
     retries each cluster in turn, since no cluster's attempts depend on
-    anything outside it.
+    anything outside it.  A `retries` below 1 leaves no attempt to decide
+    a cluster by and is a `PreconditionError`.
     """
+    if retries < 1:
+        raise PreconditionError(f"retry budget {retries} is below 1")
     k = len(labels)
     pending = np.arange(k)
     for attempt in range(retries):
@@ -763,9 +706,8 @@ def verify_partition(
 ) -> dict:
     """Measure strong diameters and cluster degrees; flag violations.
 
-    Raises if `partition` does not cover exactly V(g); its arrays hold no
-    empty, overlapping or inconsistent cluster, and `Partition.from_dicts`
-    rejects a dict form that does.  Strong diameter is
+    Raises if `partition` does not cover exactly V(g); its label array
+    gives every node exactly one cluster.  Strong diameter is
     measured inside each cluster's induced subgraph, so a disconnected
     cluster reports an infinite diameter and fails the check.  The
     subgraphs are read as one graph, g's edges with both ends in one

@@ -213,14 +213,6 @@ class Graph:
     def max_degree(self) -> int:
         return int(np.diff(self._indptr).max(initial=0))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        i, j = self._position(u), self._position(v)
-        if i < 0 or j < 0:
-            return False
-        row = self._indices[self._indptr[i] : self._indptr[i + 1]]
-        k = int(row.searchsorted(j))
-        return k < len(row) and bool(row[k] == j)
-
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency by position in `nodes`: the neighbours of nodes[i] are
         nodes[j] for j in indices[indptr[i]:indptr[i + 1]], increasing.
@@ -306,15 +298,6 @@ def bfs_distances(
                 dist[v] = d + 1
                 queue.append(v)
     return dist
-
-
-def ball(g: Graph, u: int, r: int) -> Graph:
-    """Induced subgraph on the nodes at hop distance <= r from u."""
-    if u not in g:
-        raise KeyError(f"unknown node {u}")
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    return induced_subgraph(g, bfs_distances(g, u, limit=r).keys())
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int] | np.ndarray) -> Graph:
@@ -501,18 +484,6 @@ def csr_contains(
     return found
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for u in g.nodes:
-        if u in seen:
-            continue
-        comp = bfs_distances(g, u).keys()
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 class Orientation:
     """Acyclic edge orientation by increasing (degree, id).
 
@@ -525,7 +496,7 @@ class Orientation:
     entries of g's rows that the rule sends out of, or into, the node.
     """
 
-    __slots__ = ("_nodes", "_out_csr", "_in_csr")
+    __slots__ = ("_out_csr", "_in_csr")
 
     def __init__(self, g: Graph):
         indptr, nbr = g.csr()
@@ -533,22 +504,8 @@ class Orientation:
         row = csr_rows(indptr)
         # positions follow ids, so (degree, position) orders as (degree, id)
         out = (deg[nbr] > deg[row]) | ((deg[nbr] == deg[row]) & (nbr > row))
-        self._nodes = g.nodes
         self._out_csr = _select(indptr, nbr, row, out)
         self._in_csr = _select(indptr, nbr, row, ~out)
-
-    def _view(self, csr: tuple[np.ndarray, np.ndarray], u: int) -> tuple[int, ...]:
-        i = bisect_left(self._nodes, u)
-        if i == len(self._nodes) or self._nodes[i] != u:
-            raise KeyError(u)
-        indptr, indices = csr
-        return tuple(self._nodes[j] for j in indices[indptr[i] : indptr[i + 1]].tolist())
-
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._view(self._out_csr, u)
-
-    def in_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._view(self._in_csr, u)
 
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Out-neighbours by node position, laid out as `Graph.csr`."""

@@ -80,7 +80,11 @@ class BipartiteInstance:
             if not vset.issuperset(nbrs):
                 raise PreconditionError(f"left node {u} has a neighbor outside V")
             w = self.weights.get(u)
-            if not isinstance(w, Real) or not 0.0 <= w < math.inf:  # NaN too
+            try:
+                bad = not isinstance(w, Real) or not 0.0 <= float(w) < math.inf  # NaN too
+            except OverflowError:  # an int or Fraction beyond the floats
+                bad = True
+            if bad:
                 raise PreconditionError(f"bad weight at left node {u}")
         ends = chain.from_iterable(map(self.adj.__getitem__, u_nodes))
         nbr = node_positions(v_nodes, ends, len(u_nodes) * self.delta).reshape(-1, self.delta)

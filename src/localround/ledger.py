@@ -8,7 +8,6 @@ a fixed input and seed, so reports can be diffed byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import PreconditionError
@@ -59,6 +58,3 @@ class RoundLedger:
                 for lbl in order
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.report(), sort_keys=True)

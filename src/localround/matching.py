@@ -22,18 +22,18 @@ positions (`FractionalMatching`): endpoints a < b and one value per edge;
 an edge dict enters only through `FractionalMatching.from_values`.  The
 good edges are a mask over the fractional values, both in `g.edges()`
 order.  Every float sum runs in one fixed order: values and `value()` in
-edge order, each node's load over its edges in edge order, and `loads()`
-keyed in order of first appearance as an endpoint, the order
-approx_matching adds the total load in.  The loads reach
-`cluster_constant` as one array by node position, and the good nodes'
-load is added in id order over the good mask.
+edge order, each node's load over its edges in edge order, and the total
+load over the nodes in order of first appearance as an endpoint
+(`load_order()`).  The loads reach `cluster_constant` as one array by
+node position, and the good nodes' load is added in id order over the
+good mask.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -72,20 +72,17 @@ class FractionalMatching:
     Stored as arrays over the positions of a graph's nodes: `nodes` are
     the graph's ids in increasing order, and edge k joins nodes[a[k]] and
     nodes[b[k]], a[k] < b[k], with value x[k].  `values` (edge -> value,
-    in edge order) and `loads()` (node -> summed value of its edges,
-    added in edge order, keyed in order of first appearance among the
-    endpoints a[0], b[0], a[1], b[1], ...) are the dict views the loops
-    built; each is derived from the arrays on first use and kept.
-    `value()` adds the values in edge order.  Those orders fix every
-    float sum bit for bit.
+    in edge order) is the dict view the loops built, derived from the
+    arrays on first use and kept.  `position_loads()` sums each node's
+    edges in edge order, and `value()` adds the values in edge order.
+    Those orders fix every float sum bit for bit.
     """
 
-    __slots__ = ("nodes", "a", "b", "x", "_values", "_loads")
+    __slots__ = ("nodes", "a", "b", "x", "_values")
 
     def __init__(self, nodes: tuple[int, ...], a: np.ndarray, b: np.ndarray, x: np.ndarray):
         self.nodes, self.a, self.b, self.x = nodes, a, b, x
         self._values: dict[Edge, float] | None = None
-        self._loads: dict[int, float] | None = None
 
     @classmethod
     def from_values(cls, g: Graph, values: Mapping[Edge, float]) -> "FractionalMatching":
@@ -128,13 +125,6 @@ class FractionalMatching:
         np.minimum.at(first, ends, np.arange(len(ends)))
         # the first appearances are distinct; nodes without one sort last
         return np.argsort(first)[: np.count_nonzero(first < len(ends))]
-
-    def loads(self) -> dict[int, float]:
-        if self._loads is None:
-            order = self.load_order()
-            load = self.position_loads()[order]
-            self._loads = dict(zip(map(self.nodes.__getitem__, order.tolist()), load.tolist()))
-        return self._loads
 
     def value(self) -> float:
         """The values added left to right in edge order, on every Python:
@@ -200,20 +190,15 @@ class GoodEdges(NamedTuple):
     """Nodes that see few clusters, as a mask over g's `nodes`, and the
     mask of the edges among them over g's edges in `g.edges()` order."""
 
-    nodes: tuple[int, ...]
     good: np.ndarray
     mask: np.ndarray
-
-    @property
-    def good_nodes(self) -> frozenset[int]:
-        return frozenset(compress(self.nodes, self.good.tolist()))
 
 
 def good_edges(g: Graph, partition: Partition, bound: float) -> GoodEdges:
     """Nodes with cluster degree <= bound and the edges among them."""
     good = cluster_degrees(g, partition) <= bound
     a, b = edge_ends(g)
-    return GoodEdges(g.nodes, good, good[a] & good[b])
+    return GoodEdges(good, good[a] & good[b])
 
 
 def intra_round_matching(
@@ -311,16 +296,6 @@ def greedy_maximal_matching(g: Graph) -> frozenset[Edge]:
     return frozenset((node(i), node(j)) for i, j in chosen)
 
 
-def is_matching(edges: frozenset[Edge] | set[Edge]) -> bool:
-    seen: set[int] = set()
-    for a, b in edges:
-        if a in seen or b in seen or a == b:
-            return False
-        seen.add(a)
-        seen.add(b)
-    return True
-
-
 def finish_matching(
     support: Graph,
     x_intra: FractionalMatching,
@@ -389,7 +364,7 @@ def approx_matching(
     )
 
     ge = good_edges(work, partition, bound)
-    # added in id order, and in the order of `frac.loads()`
+    # added in id order, and in `frac.load_order()`
     good_load = plain_sum(loads[ge.good])
     total_load = plain_sum(loads[frac.load_order()])
     checks.ok(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,12 +36,10 @@ from .errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, l
 from .graphs import (
     Graph,
     Orientation,
-    csr_contains,
     csr_rows,
     expand,
     first_seen,
     induced_subgraph,
-    node_positions,
     orient,
     square_graph,
 )
@@ -86,28 +84,6 @@ class WitnessArrays(NamedTuple):
     owner: np.ndarray
     group: np.ndarray
     member: np.ndarray
-
-
-def witness_arrays(
-    h: Graph, orientation: Orientation, witnesses: Mapping[int, tuple[int, ...]]
-) -> WitnessArrays:
-    """The witness lists as arrays, the form the floor and the instance
-    build take.  A node outside h, or a witness that is not an
-    in-neighbour of its node, is a `PreconditionError`."""
-    sizes = np.fromiter(map(len, witnesses.values()), np.intp, len(witnesses))
-    owner = node_positions(h.nodes, witnesses, len(witnesses))
-    member = node_positions(
-        h.nodes, itertools.chain.from_iterable(witnesses.values()), sizes.sum()
-    )
-    group = np.repeat(np.arange(len(owner)), sizes)
-    inward = csr_contains(*orientation.out_csr(), member, owner[group])
-    if not inward.all():
-        k = inward.argmin()
-        raise PreconditionError(
-            f"witness {h.nodes[member[k]]} of node {h.nodes[owner[group[k]]]}"
-            " is not an in-neighbour"
-        )
-    return WitnessArrays(owner, group, member)
 
 
 def good_witnesses(
@@ -263,7 +239,7 @@ def build_mis_instance(
              out-neighbor pairs.  For integral marks, utility - cost
              lower-bounds the number of edges removed this iteration.
 
-    `witnesses` are the lists as `witness_arrays` builds them.  Built as
+    `witnesses` are the lists as `good_witnesses` builds them.  Built as
     arrays over node positions.  The cost terms are the contributions
     the loop over good v would make, in its order: each v's witness
     pairs (i < j) at deg(v), then each witness's out-neighbours at

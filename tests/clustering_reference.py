@@ -7,6 +7,8 @@ dicts of frozensets, `delays_to_partition` growing it by a heap of ids,
 check.  Tests compare the arrays against them: the same clusters,
 assignment and delays, and the same errors.  `reference_max_diameter`
 is `verify_partition`'s per-cluster loop over induced subgraphs.
+`cluster_degree` is the per-node count behind `cluster_degrees`, and
+`nearby_active` the per-node search behind `_all_nearby_active`.
 """
 
 from __future__ import annotations
@@ -116,3 +118,21 @@ def reference_max_diameter(g: Graph, partition) -> float:
                 return math.inf
             max_diameter = max(max_diameter, max(dist.values()))
     return max_diameter
+
+
+def cluster_degree(g: Graph, partition, u: int) -> int:
+    """Number of clusters at hop distance <= 1 from u, read from the
+    `assignment` dict."""
+    seen = {partition.assignment[u]}
+    for v in g.neighbors(u):
+        seen.add(partition.assignment[v])
+    return len(seen)
+
+
+def nearby_active(g: Graph, u: int, active: Iterable[int], alpha: int) -> frozenset[int]:
+    """Active nodes within min(d(u, active) + 2, 100*alpha) hops of u."""
+    active, reach = frozenset(active), bfs_distances(g, u)
+    dist = min((reach[v] for v in active if v in reach), default=None)
+    if dist is None:
+        return frozenset()
+    return frozenset(v for v in bfs_distances(g, u, limit=min(dist + 2, 100 * alpha)) if v in active)

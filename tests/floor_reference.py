@@ -14,10 +14,13 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from localround.clustering import Partition, cluster_degree
+from localround.clustering import Partition
 from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceeded, geq, leq
 from localround.graphs import Edge, Graph, Orientation
 from localround.seeds import RETRIES, stream
+
+from clustering_reference import cluster_degree
+from graphs_reference import row_ids
 
 
 def reference_intra_round_mis(
@@ -48,8 +51,9 @@ def reference_intra_round_mis(
     for v, members in witnesses.items():
         for u in members:
             in_groups.setdefault(partition.assignment[u], {}).setdefault(v, []).append(u)
+    out_rows = {u: row_ids(h.nodes, orientation.out_csr(), u) for u in h.nodes}
     for u in h.nodes:
-        for w in orientation.out_neighbors(u):
+        for w in out_rows[u]:
             out_groups.setdefault(partition.assignment[w], {}).setdefault(u, []).append(w)
 
     slack = 1.0 / (100.0 * bound)
@@ -93,7 +97,7 @@ def reference_intra_round_mis(
         mass = sum(out[u] for u in members)
         checks.ok("witness-mass-window", geq(mass, 1.0 / 1000.0) and leq(mass, 1.0 / 3.0))
     for u in h.nodes:
-        checks.ok("out-mass-cap", leq(sum(out[w] for w in orientation.out_neighbors(u)), 1.0 / 4.0))
+        checks.ok("out-mass-cap", leq(sum(out[w] for w in out_rows[u]), 1.0 / 4.0))
     return out
 
 

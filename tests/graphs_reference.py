@@ -6,11 +6,13 @@ same per-item loop, kept so tests can compare against it: the same ids,
 neighbours, edge count and errors, and the position arrays that
 adjacency gives.  `reference_two_hop_sets` is the nested loop over
 neighbours of neighbours that `two_hop_sets` replaced with the square
-graph.
+graph.  `row_ids` reads one node's row of a position adjacency as ids,
+the way tests read an `Orientation`'s out- and in-neighbours.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 import numpy as np
@@ -66,3 +68,14 @@ def reference_two_hop_sets(g) -> dict[int, frozenset[int]]:
             acc.update(g.neighbors(v))
         out[u] = frozenset(acc)
     return out
+
+
+def row_ids(nodes: tuple[int, ...], csr: tuple[np.ndarray, np.ndarray], u: int) -> tuple[int, ...]:
+    """The ids in node u's row of a position adjacency laid out as
+    `Graph.csr()` over the increasing ids `nodes`: u's out-neighbours
+    for an orientation's `out_csr()`, its in-neighbours for `in_csr()`."""
+    i = bisect_left(nodes, u)
+    if i == len(nodes) or nodes[i] != u:
+        raise KeyError(u)
+    indptr, indices = csr
+    return tuple(nodes[j] for j in indices[indptr[i] : indptr[i + 1]].tolist())

@@ -2,20 +2,22 @@
 pipeline.
 
 These are the dict loops that the edge arrays in
-`localround.matching.fractional_matching`, `FractionalMatching.loads`
+`localround.matching.fractional_matching`, `FractionalMatching`'s loads
 and `good_edges` replaced, kept so tests can compare against them: the
 same values bit for bit, in the same key order, and the same claim
-counts.
+counts.  `loads` reads a `FractionalMatching`'s loads back as that dict,
+and `is_matching` checks that no two edges share an endpoint.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
 
-from localround.clustering import Partition, cluster_degrees
+from localround.clustering import Partition
 from localround.errors import ClaimChecker, PreconditionError
 from localround.graphs import Edge, Graph
+
+from clustering_reference import cluster_degree
 
 
 def reference_loads(values: dict[Edge, float]) -> dict[int, float]:
@@ -24,6 +26,24 @@ def reference_loads(values: dict[Edge, float]) -> dict[int, float]:
         out[a] = out.get(a, 0.0) + x
         out[b] = out.get(b, 0.0) + x
     return out
+
+
+def loads(frac) -> dict[int, float]:
+    """`frac.position_loads()` keyed by node id, in `frac.load_order()`."""
+    order = frac.load_order().tolist()
+    load = frac.position_loads().tolist()
+    return {frac.nodes[i]: load[i] for i in order}
+
+
+def is_matching(edges) -> bool:
+    """Whether no two of `edges` share an endpoint and none is a loop."""
+    seen: set[int] = set()
+    for a, b in edges:
+        if a in seen or b in seen or a == b:
+            return False
+        seen.add(a)
+        seen.add(b)
+    return True
 
 
 def reference_fractional_matching(g: Graph, checks: ClaimChecker) -> dict[Edge, float]:
@@ -65,7 +85,6 @@ def reference_fractional_matching(g: Graph, checks: ClaimChecker) -> dict[Edge, 
 def reference_good_edges(
     g: Graph, partition: Partition, bound: float
 ) -> tuple[frozenset[int], tuple[Edge, ...]]:
-    good = cluster_degrees(g, partition) <= bound
-    good_nodes = frozenset(compress(g.nodes, good.tolist()))
+    good_nodes = frozenset(u for u in g.nodes if cluster_degree(g, partition, u) <= bound)
     edges = tuple(e for e in g.edges() if e[0] in good_nodes and e[1] in good_nodes)
     return good_nodes, edges

@@ -6,15 +6,19 @@ compare against them: the orientation's neighbour tuples, the witness
 prefix of each good vertex, the terms of `build_mis_instance` (the
 same keys, in the same first-occurrence order, with the same
 coefficients bit for bit), and `verify_mis`'s scan of every neighbour
-tuple.
+tuple.  The functions that take an orientation read it as a
+`ReferenceOrientation`.  `witness_arrays` and `witness_ids` convert
+witness lists keyed by id to and from the arrays the package takes.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from localround.errors import PreconditionError
-from localround.graphs import Graph, Orientation
+from localround.graphs import Graph
 from localround.mis import WitnessArrays
 
 
@@ -64,7 +68,7 @@ def witness_lists(h: Graph, orientation) -> dict[int, tuple[int, ...]]:
 
 
 def reference_mis_terms(
-    h: Graph, witnesses: Mapping[int, tuple[int, ...]], orientation: Orientation
+    h: Graph, witnesses: Mapping[int, tuple[int, ...]], orientation: ReferenceOrientation
 ) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
     """(linear coefficient per node, pair cost per canonical pair)."""
     lin: dict[int, float] = {}
@@ -85,6 +89,19 @@ def reference_mis_terms(
             for w in orientation.out_neighbors(u):
                 bump(u, w, half_deg)
     return lin, pair_cost
+
+
+def witness_arrays(h: Graph, witnesses: Mapping[int, tuple[int, ...]]) -> WitnessArrays:
+    """Witness lists keyed by id as the arrays `good_witnesses` builds:
+    the positions in `h.nodes` of the witnessed nodes, then per witness
+    (in mapping order) its list's index and its own position."""
+    index = {u: i for i, u in enumerate(h.nodes)}
+    lists = list(witnesses.values())
+    return WitnessArrays(
+        np.array([index[v] for v in witnesses], np.intp),
+        np.array([k for k, members in enumerate(lists) for _ in members], np.intp),
+        np.array([index[u] for members in lists for u in members], np.intp),
+    )
 
 
 def witness_ids(g: Graph, w: WitnessArrays) -> dict[int, tuple[int, ...]]:

@@ -17,7 +17,6 @@ from localround.cli import main as cli_main
 from localround.clustering import (
     cluster_all,
     cluster_constant,
-    cluster_degree,
     cluster_degree_bound_all,
     cluster_degree_bound_fraction,
     verify_partition,
@@ -39,7 +38,10 @@ from localround.oracles import (
 )
 from localround.rounding import evaluate, greedy_color, round_labels
 
+import matching_reference
+from clustering_reference import cluster_degree
 from conftest import random_graph, random_hitting_instance, random_objective, sweep_graphs
+from graphs_reference import row_ids
 from mis_reference import witness_ids
 
 MIS_TIME_BUDGET_S = 300.0
@@ -123,7 +125,7 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
             mass = sum(x[u] for u in members)
             assert 1.0 / 1000.0 - 1e-9 <= mass <= 1.0 / 3.0 + 1e-9
         for u in g.nodes:
-            assert sum(x[w] for w in o.out_neighbors(u)) <= 0.25 + 1e-9
+            assert sum(x[w] for w in row_ids(g.nodes, o.out_csr(), u)) <= 0.25 + 1e-9
         from localround.mis import build_mis_instance
         from localround.rounding import FractionalAssignment
 
@@ -239,7 +241,7 @@ def test_criterion_07_cluster_constant_weighted(sweep):
         if work.m == 0:
             continue
         frac = fractional_matching(work)
-        loads = frac.loads()
+        loads = matching_reference.loads(frac)
         alpha = max(1, math.ceil(math.log2(max(2, work.n)) ** (1.0 / 3.0)))
         part = cluster_constant(work, alpha, frac.position_loads())
         bound = cluster_degree_bound_fraction(part.meta["log2_capacity"], alpha)

@@ -270,6 +270,21 @@ def test_precondition_exit_3_writes_report(tmp_path, capsys):
     assert "below the measured cluster degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["mis", "matching"])
+@pytest.mark.parametrize("retries", ["0", "-1"])
+def test_retry_budget_below_one_is_a_precondition(tmp_path, capsys, algo, retries):
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "run", "--gen", DIGEST_GEN, "--algo", algo, "--seed", "3",
+        "--budget-retries", retries, "--out", str(out),
+    )
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["failed_claim"] == "precondition"
+    assert report["result"] == {"error": f"retry budget {retries} is below 1"}
+    assert f"retry budget {retries} is below 1" in capsys.readouterr().err
+
+
 def test_atomic_write_survives_stale_tmp_dir(tmp_path):
     out = tmp_path / "r.json"
     (tmp_path / "r.json.tmp").mkdir()

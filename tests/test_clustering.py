@@ -13,13 +13,11 @@ from localround.clustering import (
     capacity_exponent,
     cluster_all,
     cluster_constant,
-    cluster_degree,
     cluster_degrees,
     cluster_degree_bound_all,
     cluster_degree_bound_fraction,
     delays_to_partition,
     mpx_randomized,
-    nearby_active,
     verify_partition,
 )
 from localround.errors import PreconditionError
@@ -27,6 +25,7 @@ from localround.generators import complete, gnp, path
 from localround.graphs import Graph, bfs_distances
 from localround.ledger import RoundLedger
 
+from clustering_reference import cluster_degree, nearby_active
 from conftest import by_position, random_graph
 
 
@@ -86,26 +85,29 @@ def test_delays_missing_node_rejected():
         delays_to_partition(g, {0: 0, 1: 0}, alpha=1)
 
 
+def _nearby(g, active, alpha):
+    """Every node's nearby-active set; threshold 1 builds them all."""
+    return clustering_module._all_nearby_active(g, active, alpha, 1)[0]
+
+
 def test_nearby_active_examples():
     g = path(6)
-    assert nearby_active(g, 2, set(), alpha=1) == frozenset()
+    assert _nearby(g, set(), alpha=1) is None  # no active node: no sets
     # only u active: everything within distance 2 that is active
-    assert nearby_active(g, 2, {2}, alpha=1) == frozenset({2})
-    assert nearby_active(g, 2, {2, 3, 5}, alpha=1) == frozenset({2, 3})
+    assert _nearby(g, {2}, alpha=1)[2] == frozenset({2})
+    assert _nearby(g, {2, 3, 5}, alpha=1)[2] == frozenset({2, 3})
     # endpoints active: d(3, {0,5}) = 2, so the radius-4 ball catches both
-    got = nearby_active(g, 3, {0, 5}, alpha=1)
-    assert got == frozenset({0, 5})
+    got = _nearby(g, {0, 5}, alpha=1)
+    assert got[3] == frozenset({0, 5})
     # node 1 sits at distance 1 from 0; radius 3 misses the far endpoint
-    assert nearby_active(g, 1, {0, 5}, alpha=1) == frozenset({0})
+    assert got[1] == frozenset({0})
 
 
 def test_nearby_active_radius_cap():
     g = path(300)
     # nearest active node is 250 hops away; the ball caps at 100*alpha
-    got = nearby_active(g, 0, {250}, alpha=1)
-    assert got == frozenset()
-    got = nearby_active(g, 0, {99}, alpha=1)
-    assert got == frozenset({99})
+    assert _nearby(g, {250}, alpha=1)[0] == frozenset()
+    assert _nearby(g, {99}, alpha=1)[0] == frozenset({99})
 
 
 @settings(max_examples=80, deadline=None)
@@ -292,19 +294,16 @@ def test_verify_partition_examples():
     assert report["degree_histogram"] == {1: 5}
 
     g2 = path(10)
-    whole = Partition.from_dicts(
-        1,
-        {0: frozenset(g2.nodes)},
-        {u: 0 for u in g2.nodes},
-        {u: 0 for u in g2.nodes},
-    )
+    zeros = np.zeros(10, np.int64)
+    whole = Partition(1, np.arange(10, dtype=np.int64), zeros, zeros)
     report2 = verify_partition(g2, whole, 1)
     assert report2["max_diameter"] == 9
 
 
 def test_verify_partition_rejects_non_partition():
     g = path(4)
-    bad = Partition.from_dicts(1, {0: frozenset({0, 1})}, {0: 0, 1: 0}, {0: 0, 1: 0})
+    zeros = np.zeros(2, np.int64)
+    bad = Partition(1, np.array([0, 1], np.int64), zeros, zeros)
     with pytest.raises(PreconditionError):
         verify_partition(g, bad, 1)
 

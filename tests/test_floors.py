@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 import floor_reference
 import mis_reference
-from localround.clustering import ClusterGroups, cluster_degree, delays_to_partition
+from localround.clustering import ClusterGroups, delays_to_partition
 from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceeded
 from localround.graphs import Graph, orient, strip_isolated
 from localround.matching import FractionalMatching
 from localround.seeds import derive_seed, stream
 
+from clustering_reference import cluster_degree
 from conftest import random_graph
 
 # `localround.mis` the attribute is the function; the module is wanted
@@ -142,11 +143,11 @@ def mis_cases(draw):
     max_deg = max(cluster_degree(g, part, u) for u in g.nodes)
     bound = max_deg * draw(st.sampled_from([1.0, 2.0, 0.5]))
     n_total = draw(st.sampled_from([2, 5, None]))
-    o = orient(g)
+    o, ref = orient(g), mis_reference.ReferenceOrientation(g)
     good = draw(st.permutations(sorted(mis_module.good_vertices(g, o))))
     # witness lists in a drawn order, so entry order is not id order
     witnesses = {
-        v: tuple(draw(st.permutations(mis_reference.select_witnesses(g, o, v)))) for v in good
+        v: tuple(draw(st.permutations(mis_reference.select_witnesses(g, ref, v)))) for v in good
     }
     return g, part, bound, n_total, o, witnesses, seed
 
@@ -156,7 +157,7 @@ def mis_cases(draw):
 def test_intra_round_mis_matches_the_loop(case, salt, limit):
     g, part, bound, n_total, o, witnesses, seed = case
     rig = _rigged(salt, limit)
-    arrays = mis_module.witness_arrays(g, o, witnesses)
+    arrays = mis_reference.witness_arrays(g, witnesses)
     new = _run(
         lambda checks: mis_module.intra_round_mis(
             g, part, bound, seed, n_total, 3, checks, o, arrays

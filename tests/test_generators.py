@@ -11,7 +11,7 @@ from localround.generators import (
     regular,
     tree,
 )
-from localround.graphs import connected_components, dump_edge_list
+from localround.graphs import bfs_distances, dump_edge_list
 
 
 def test_path_edge_count():
@@ -51,7 +51,7 @@ def test_gnp_density_sane():
 def test_tree_connected():
     g = tree(40, seed=2)
     assert g.m == 39
-    assert len(connected_components(g)) == 1
+    assert len(bfs_distances(g, g.nodes[0])) == g.n  # connected
 
 
 def test_regular_degrees():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,13 +228,14 @@ def test_instance_validation():
     with pytest.raises(PreconditionError, match="finite p"):
         BipartiteInstance((1,), (0,), {1: (0,)}, {1: 1.0}, 1, math.inf, 0.0)
     # a left node missing from adj or from weights, and a weight that is
-    # not a number
+    # not a number or is a Real too large for a float64
     with pytest.raises(PreconditionError, match="left node 1 does not have degree 2"):
         BipartiteInstance((1,), (10, 11), {}, {1: 1.0}, 2, 0.1, 0.0)
     with pytest.raises(PreconditionError, match="bad weight at left node 1"):
         BipartiteInstance((1,), (10, 11), {1: (10, 11)}, {}, 2, 0.1, 0.0)
-    with pytest.raises(PreconditionError, match="bad weight at left node 1"):
-        BipartiteInstance((1,), (10, 11), {1: (10, 11)}, {1: "heavy"}, 2, 0.1, 0.0)
+    for weight in ("heavy", 10**400, Fraction(10**400, 3)):
+        with pytest.raises(PreconditionError, match="bad weight at left node 1"):
+            BipartiteInstance((1,), (10, 11), {1: (10, 11)}, {1: weight}, 2, 0.1, 0.0)
 
 
 def test_instance_stores_read_only_arrays():

@@ -1,12 +1,15 @@
 """No module of the package (other than `__init__`, which re-exports)
-imports a name it never uses, and no module calls the builtin `sum`.
+imports a name it never uses, no module calls the builtin `sum`, and no
+module defines a function or class that the package never reads.
 
 A name counts as used when it appears as a name anywhere in the module's
 syntax tree, annotations included; `from __future__` imports are not
 names.  The builtin `sum` compensates float rounding from Python 3.12 on,
 so a sum's last bits would depend on the Python version; the package adds
-with `errors.plain_sum` instead (its docstring says more).  No linter is
-a dependency, so the checks read the tree themselves.
+with `errors.plain_sum` instead (its docstring says more).  Re-exporting
+a definition from `__init__` is not a read: what only tests use belongs
+in their references.  No linter is a dependency, so the checks read the
+tree themselves.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "localround"
 PACKAGE = sorted(p.name for p in SRC.glob("*.py"))
 MODULES = [name for name in PACKAGE if name != "__init__.py"]
+
+# test references by design (README): their public names only tests read
+REFERENCE_MODULES = {"oracles.py"}
 
 # (module, name) bindings kept although the module never reads them:
 # perfbench's own tests pin `clustering` as a site that binds
@@ -87,3 +93,52 @@ def test_detector_finds_builtin_sum_calls():
 @pytest.mark.parametrize("module", PACKAGE)
 def test_module_never_calls_builtin_sum(module):
     assert builtin_sum_calls((SRC / module).read_text()) == []
+
+
+def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """The (module, name) of every module-level `def` or `class` in
+    `sources` (module -> text) that no module reads, as a name or an
+    attribute, outside the definition itself; in module order, then
+    definition order."""
+    statements = []  # (module, top-level statement, the names it reads)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            reads = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reads.add(node.attr)
+            statements.append((module, stmt, reads))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (module, stmt.name)
+        for module, stmt, _ in statements
+        if isinstance(stmt, defs)
+        and not any(stmt.name in reads for _, other, reads in statements if other is not stmt)
+    ]
+
+
+def test_detector_finds_unread_definitions():
+    sources = {
+        "a.py": (
+            "def used(): return helper()\n"
+            "def helper(): return 1\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Shape:\n    def area(self): return Shape\n"
+            "def by_attribute(): pass\n"
+        ),
+        "b.py": "from .a import used, recursive\nimport a\nx = a.by_attribute\n",
+    }
+    assert unread_definitions(sources) == [("a.py", "used"), ("a.py", "recursive"), ("a.py", "Shape")]
+
+
+def test_package_reads_every_definition():
+    sources = {name: (SRC / name).read_text() for name in PACKAGE}
+    unread = [
+        (module, name)
+        for module, name in unread_definitions(sources)
+        if module != "__init__.py"
+        and not (module in REFERENCE_MODULES and not name.startswith("_"))
+    ]
+    assert unread == []

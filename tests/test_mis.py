@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from localround.clustering import delays_to_partition
 from localround.errors import ClaimChecker, ClaimViolation, PreconditionError
 from localround.generators import complete, gnp, path, tree
-from localround.graphs import Graph, orient, strip_isolated
+from localround.graphs import Graph, orient
 from localround.ledger import RoundLedger
 from localround.mis import (
     build_mis_instance,
@@ -21,16 +21,18 @@ from localround.mis import (
     luby_randomized,
     mis,
     verify_mis,
-    witness_arrays,
 )
 from localround.rounding import FractionalAssignment, evaluate
 
 import mis_reference
 from conftest import count_neighbor_tuple_builds, random_graph, relabel
+from graphs_reference import row_ids
 from mis_reference import (
+    ReferenceOrientation,
     reference_mis_terms,
     reference_verify_mis,
     select_witnesses,
+    witness_arrays,
     witness_ids,
 )
 
@@ -107,13 +109,13 @@ def relabelled_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(relabelled_graphs())
 def test_orientation_and_witnesses_match_the_loop_reference(g):
-    o, ref = orient(g), mis_reference.ReferenceOrientation(g)
+    o, ref = orient(g), ReferenceOrientation(g)
     for u in g.nodes:
-        assert o.out_neighbors(u) == ref.out_neighbors(u)
-        assert o.in_neighbors(u) == ref.in_neighbors(u)
+        assert row_ids(g.nodes, o.out_csr(), u) == ref.out_neighbors(u)
+        assert row_ids(g.nodes, o.in_csr(), u) == ref.in_neighbors(u)
     assert good_vertices(g, o) == mis_reference.good_vertices(g, ref)
     built = good_witnesses(g, o)
-    expected = witness_arrays(g, o, mis_reference.witness_lists(g, ref))
+    expected = witness_arrays(g, mis_reference.witness_lists(g, ref))
     for got, want in zip(built, expected):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -135,8 +137,7 @@ def test_witness_sums_start_from_zero_for_every_node():
     assert sixth + sixth >= 1.0 / 3.0 > (32.0 + sixth + sixth) - 32.0
     witnesses = witness_ids(g, good_witnesses(g))
     assert witnesses[10**6] == (3, 4)
-    ref = mis_reference.ReferenceOrientation(g)
-    assert witnesses == mis_reference.witness_lists(g, ref)
+    assert witnesses == mis_reference.witness_lists(g, ReferenceOrientation(g))
 
 
 def test_intra_deterministic_branch():
@@ -173,47 +174,11 @@ def test_intra_bound_must_cover_cluster_degree():
         intra_round_mis(g, part, bound=1.0, seed=0)  # path sees 3 clusters
 
 
-@pytest.mark.parametrize(
-    "witnesses, message",
-    [
-        ({1: (3,)}, "witness 3 of node 1 is not an in-neighbour"),
-        ({1: (2,)}, "witness 2 of node 1 is not an in-neighbour"),
-        ({2: (1, 7)}, "unknown node 7"),
-        ({7: (1,)}, "unknown node 7"),
-        ({2: (2**64,)}, "outside"),
-    ],
-)
-def test_intra_rejects_malformed_witnesses(witnesses, message):
-    # intra_round_mis takes witness lists only as arrays, and
-    # witness_arrays, the one converter, is where they are checked
-    g = path(4)  # oriented 0 -> 1 -> 2 <- 3 by (degree, id)
-    with pytest.raises(PreconditionError, match=message):
-        witness_arrays(g, orient(g), witnesses)
-
-
 def test_intra_needs_a_partition_of_h():
     g = path(4)
     part = _singleton_partition(g).restrict([0, 1, 2])
     with pytest.raises(PreconditionError, match="does not cover node 3"):
         intra_round_mis(g, part, 1000.0, seed=0)
-
-
-def test_iteration_builds_its_witnesses_without_converting(monkeypatch):
-    mis_module = importlib.import_module("localround.mis")
-    real = mis_module.witness_arrays
-    converted = []
-
-    def counting(h, orientation, witnesses):
-        converted.append(len(witnesses))
-        return real(h, orientation, witnesses)
-
-    monkeypatch.setattr(mis_module, "witness_arrays", counting)
-    g = strip_isolated(gnp(200, 0.05, seed=4))
-    part = _singleton_partition(g)
-    luby_derandomized_iteration(g, part, float(g.n + 1), seed=1)
-    # the iteration builds the arrays itself, and the floor and the
-    # instance build take them; no witness mapping is converted
-    assert converted == []
 
 
 def test_intra_global_windows():
@@ -228,7 +193,7 @@ def test_intra_global_windows():
         mass = sum(out[u] for u in members)
         assert 1.0 / 1000.0 - 1e-12 <= mass <= 1.0 / 3.0 + 1e-12
     for u in g.nodes:
-        assert sum(out[w] for w in o.out_neighbors(u)) <= 0.25 + 1e-12
+        assert sum(out[w] for w in row_ids(g.nodes, o.out_csr(), u)) <= 0.25 + 1e-12
     # one check per good vertex and one per node, as the loops made them
     assert checks.counts["witness-mass-window"] == len(good_vertices(g))
     assert checks.counts["out-mass-cap"] == g.n
@@ -246,7 +211,7 @@ def test_ok_each_counts_every_element_and_names_the_first_failure():
 def test_instance_single_edge_tables():
     g = Graph(edges=[(0, 1)])
     o = orient(g)
-    witnesses = witness_arrays(g, o, {1: (0,)})
+    witnesses = witness_arrays(g, {1: (0,)})
     x = {0: 0.05, 1: 0.05}
     inst = build_mis_instance(g, witnesses, o)
     # utility is deg(1)/2 * x_0; cost is deg(1)/2 * x_0 * x_1
@@ -301,16 +266,16 @@ def witnessed_graphs(draw):
         g = Graph(edges=[(0, 1)])
     if draw(st.booleans()):
         g = relabel(g, rng)
-    o = orient(g)
+    o, ref = orient(g), ReferenceOrientation(g)
     good = draw(st.permutations(sorted(good_vertices(g, o))))
     full = draw(st.booleans())
-    witnesses = {v: o.in_neighbors(v) if full else select_witnesses(g, o, v) for v in good}
+    witnesses = {v: ref.in_neighbors(v) if full else select_witnesses(g, ref, v) for v in good}
     return g, o, witnesses
 
 
 def _assert_terms_match_loop_reference(g, o, witnesses):
-    inst = build_mis_instance(g, witness_arrays(g, o, witnesses), o)
-    lin, pair_cost = reference_mis_terms(g, witnesses, o)
+    inst = build_mis_instance(g, witness_arrays(g, witnesses), o)
+    lin, pair_cost = reference_mis_terms(g, witnesses, ReferenceOrientation(g))
     # same keys in the same (first-occurrence) order, same values bit for bit
     assert list(inst.node_terms) == list(lin)
     assert [inst.node_terms[u] for u in lin] == [((0.0, c), (0.0, 0.0)) for c in lin.values()]
@@ -330,8 +295,8 @@ def test_instance_terms_match_loop_reference(case):
 def test_instance_terms_match_loop_reference_at_scale():
     g = gnp(2000, 8 / 1999, seed=1)
     g = Graph(edges=g.edges())
-    o = orient(g)
-    witnesses = {v: select_witnesses(g, o, v) for v in sorted(good_vertices(g, o))}
+    o, ref = orient(g), ReferenceOrientation(g)
+    witnesses = {v: select_witnesses(g, ref, v) for v in sorted(good_vertices(g, o))}
     _assert_terms_match_loop_reference(g, o, witnesses)
 
 

@@ -16,7 +16,6 @@ import localround.graphs as graphs_module
 from localround.clustering import (
     Partition,
     cluster_constant,
-    cluster_degree,
     cluster_degrees,
     cluster_ranks,
     delays_to_partition,
@@ -29,6 +28,7 @@ from localround.matching import approx_matching
 from localround.mis import mis
 
 from clustering_reference import (
+    cluster_degree,
     reference_cluster_ranks,
     reference_delays_to_partition,
     reference_max_diameter,
@@ -138,24 +138,6 @@ def test_weights_need_one_per_node():
         cluster_constant(path(4), 1, np.full(3, 0.5))
 
 
-def test_from_dicts_round_trips_and_rejects_a_disagreeing_assignment():
-    g = path(5)
-    ref = reference_delays_to_partition(g, {0: 0, 1: 5, 2: 5, 3: 0, 4: 5}, 1)
-    same_views(Partition.from_dicts(1, ref.clusters, ref.assignment, ref.delays), ref)
-    bad = [
-        ({0: frozenset({0, 1}), 2: frozenset()}, {0: 0, 1: 0}, "empty cluster 2"),
-        ({0: frozenset({0, 1}), 1: frozenset({1, 2})}, {0: 0, 1: 0, 2: 1}, "overlap at node 1"),
-        ({0: frozenset({0, 1}), 2: frozenset({2})}, {0: 0, 1: 2, 2: 2}, "inconsistent at node 1"),
-        ({0: frozenset({0, 1})}, {0: 0, 1: 0, 2: 0}, "inconsistent at node 2"),
-    ]
-    for clusters, assignment, message in bad:
-        delays = {u: 0 for u in assignment}
-        with pytest.raises(PreconditionError, match=message):
-            Partition.from_dicts(1, clusters, assignment, delays)
-    with pytest.raises(PreconditionError, match="different nodes"):
-        Partition.from_dicts(1, {0: frozenset({0, 1})}, {0: 0, 1: 0}, {0: 0, 1: 0, 2: 0})
-
-
 def test_verify_partition_needs_exactly_the_graph_nodes():
     g = path(3)
     part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
@@ -172,9 +154,9 @@ def test_verify_partition_measures_what_the_cluster_loop_does(case, labels):
     g, delays, rng = case
     grown = delays_to_partition(g, delays, 1)
     # labels drawn at random make clusters that may be disconnected
-    centre = {u: rng.choice(g.nodes[:labels]) for u in g.nodes}
-    clusters = {c: frozenset(u for u in g.nodes if centre[u] == c) for c in set(centre.values())}
-    drawn = Partition.from_dicts(1, clusters, centre, {u: 0 for u in g.nodes})
+    ids = np.array(g.nodes, np.int64)
+    centre = np.array([rng.choice(g.nodes[:labels]) for u in g.nodes], np.int64)
+    drawn = Partition(1, ids, centre, np.zeros(g.n, np.int64))
     for part in (grown, drawn):
         report = verify_partition(g, part, 1)
         # repr: the same value of the same type (0.0, an int, or inf)
