@@ -6,6 +6,8 @@ Run:  python3 demos/hitting_rounding_demo.py
 
 import random
 
+import numpy as np
+
 from localround import (
     BipartiteInstance,
     FractionalAssignment,
@@ -22,28 +24,30 @@ from localround import (
 
 
 def random_objective(rng, n=9):
-    """A random pairwise objective meeting the rounding precondition."""
+    """A random pairwise objective meeting the rounding precondition.
+
+    Nodes are 0..n-1, so a node's id is its position.  Each node draws
+    its utility row, then its cost row; each edge its utility matrix,
+    then its cost matrix."""
     while True:
         nodes = range(n)
         edges = [(u, v) for u in nodes for v in range(u + 1, n) if rng.random() < 0.5]
         g = Graph(nodes=nodes, edges=edges)
-        node_terms = {
-            u: (
-                (rng.uniform(0, 1), rng.uniform(0, 1)),
-                (rng.uniform(0, 0.3), rng.uniform(0, 0.3)),
-            )
-            for u in nodes
-        }
-        edge_terms = {
-            e: (
-                tuple(tuple(rng.uniform(0, 0.4) for _ in "ab") for _ in "ab"),
-                tuple(tuple(rng.uniform(0, 0.25) for _ in "ab") for _ in "ab"),
-            )
-            for e in g.edges()
-        }
-        inst = UtilityCostInstance(g, 2, node_terms, edge_terms)
+        node_rows = np.array([
+            [rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.3), rng.uniform(0, 0.3)]
+            for _ in nodes
+        ])
+        ends = np.array(list(g.edges()), np.intp).reshape(-1, 2)
+        tables = np.array([
+            [rng.uniform(0, 0.4) for _ in range(4)] + [rng.uniform(0, 0.25) for _ in range(4)]
+            for _ in ends
+        ]).reshape(-1, 2, 2, 2)
+        inst = UtilityCostInstance(
+            g, 2, np.arange(n), node_rows[:, :2], node_rows[:, 2:],
+            ends[:, 0], ends[:, 1], tables[:, 0], tables[:, 1],
+        )
         lam = FractionalAssignment(
-            {u: (q := rng.uniform(0.2, 0.8), 1 - q) for u in nodes}
+            g.nodes, [(q := rng.uniform(0.2, 0.8), 1 - q) for _ in nodes]
         )
         u0, c0 = evaluate(inst, lam)
         if u0 > 0 and u0 - c0 >= 0.1 * u0:
@@ -55,8 +59,7 @@ def rounding_section():
     rng = random.Random(3)
     inst, lam = random_objective(rng)
     u0, c0 = evaluate(inst, lam)
-    labels = round_labels(inst, lam, greedy_color(inst.conflict_graph))
-    uf, cf = evaluate(inst, labels)
+    _, (uf, cf) = round_labels(inst, lam, greedy_color(inst.conflict_graph))
     best, expected = exhaustive_round_check(inst, lam)
     print(f"fractional objective: {u0 - c0:.4f}")
     print(f"rounded objective:    {uf - cf:.4f}  (never below fractional)")

@@ -649,6 +649,13 @@ class ClusterGroups:
         return np.bincount(self.owners[bad], minlength=self.clusters) > 0
 
 
+def check_retries(retries: int) -> None:
+    """A retry budget below 1 leaves no attempt to decide a cluster by,
+    so it is a `PreconditionError`."""
+    if retries < 1:
+        raise PreconditionError(f"retry budget {retries} is below 1")
+
+
 def resample_clusters(
     labels: Sequence[int],
     values: np.ndarray,
@@ -677,11 +684,9 @@ def resample_clusters(
     raises `RetryBudgetExceeded`, after the checks of the clusters before
     it.  So values, counts and the cluster named are those of a loop that
     retries each cluster in turn, since no cluster's attempts depend on
-    anything outside it.  A `retries` below 1 leaves no attempt to decide
-    a cluster by and is a `PreconditionError`.
+    anything outside it.  A `retries` below 1 is refused (`check_retries`).
     """
-    if retries < 1:
-        raise PreconditionError(f"retry budget {retries} is below 1")
+    check_retries(retries)
     k = len(labels)
     pending = np.arange(k)
     for attempt in range(retries):

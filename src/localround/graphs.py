@@ -174,11 +174,6 @@ class Graph:
         return len(self._indices) // 2
 
     @property
-    def b(self) -> int:
-        """Identifier bit width: ceil(log2(max id + 1)), at least 1."""
-        return max((u.bit_length() for u in self._nodes), default=1) or 1
-
-    @property
     def nodes(self) -> tuple[int, ...]:
         return self._nodes
 

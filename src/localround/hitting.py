@@ -189,7 +189,7 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     cg = conflict_graph(inst)
     coloring = greedy_color(cg)
     result.zeta = coloring.num_colors
-    lam = FractionalAssignment.from_matrix(cg.nodes, np.tile((1.0 - q, q), (len(cg.nodes), 1)))
+    lam = FractionalAssignment(cg.nodes, np.tile((1.0 - q, q), (len(cg.nodes), 1)))
     n_v, delta, norm = len(inst.v_nodes), inst.delta, inst.norm
     weight, nbr, checks = inst.weight, inst.nbr, result.checks
     first, second = np.triu_indices(delta, 1)  # pairs x < y, x major
@@ -219,7 +219,7 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         node_utility[:, 1] = decay * mass
         edge_cost = np.zeros((len(keys), 2, 2))
         edge_cost[:, 1, 1] = decay * np.bincount(term, np.repeat(w, len(first)), len(keys))
-        step_inst = UtilityCostInstance.from_arrays(
+        step_inst = UtilityCostInstance(
             cg,
             2,
             np.flatnonzero((mass != 0.0) | (norm != 0.0)),
@@ -237,9 +237,9 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             leq(2.0 * fc, fu),
             f"step {i}: fractional utility {fu} < 2 * cost {fc}",
         )
-        labels = round_labels(step_inst, lam, coloring, checks=checks)
+        labels, _ = round_labels(step_inst, lam, coloring, checks=checks)
         # the conflict graph's nodes are v_nodes, in order
-        chosen = labels.array == 1
+        chosen = labels == 1
         batch = frozenset(compress(inst.v_nodes, chosen.tolist()))
 
         hit = np.count_nonzero(chosen[nbr], axis=1)

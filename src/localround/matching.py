@@ -18,9 +18,8 @@ the benchmark's declared layers first.  The support graph of the finish
 is built from position arrays (`edge_subgraph`).
 
 Edge values pass from stage to stage in one form, arrays over node
-positions (`FractionalMatching`): endpoints a < b and one value per edge;
-an edge dict enters only through `FractionalMatching.from_values`.  The
-good edges are a mask over the fractional values, both in `g.edges()`
+positions (`FractionalMatching`): endpoints a < b and one value per edge.
+The good edges are a mask over the fractional values, both in `g.edges()`
 order.  Every float sum runs in one fixed order: values and `value()` in
 edge order, each node's load over its edges in edge order, and the total
 load over the nodes in order of first appearance as an endpoint
@@ -33,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +40,7 @@ from .clustering import (
     ClusterGroups,
     Partition,
     base_capacity_exponent,
+    check_retries,
     cluster_constant,
     cluster_degrees,
     cluster_ranks,
@@ -51,11 +50,9 @@ from .errors import ClaimChecker, PreconditionError, geq, leq, plain_sum
 from .graphs import (
     Edge,
     Graph,
-    csr_contains,
     distinct,
     edge_ends,
     edge_subgraph,
-    node_positions,
     strip_isolated,
 )
 from .ledger import RoundLedger
@@ -71,41 +68,15 @@ class FractionalMatching:
 
     Stored as arrays over the positions of a graph's nodes: `nodes` are
     the graph's ids in increasing order, and edge k joins nodes[a[k]] and
-    nodes[b[k]], a[k] < b[k], with value x[k].  `values` (edge -> value,
-    in edge order) is the dict view the loops built, derived from the
-    arrays on first use and kept.  `position_loads()` sums each node's
-    edges in edge order, and `value()` adds the values in edge order.
-    Those orders fix every float sum bit for bit.
+    nodes[b[k]], a[k] < b[k], with value x[k].  `position_loads()` sums
+    each node's edges in edge order, and `value()` adds the values in edge
+    order.  Those orders fix every float sum bit for bit.
     """
 
-    __slots__ = ("nodes", "a", "b", "x", "_values")
+    __slots__ = ("nodes", "a", "b", "x")
 
     def __init__(self, nodes: tuple[int, ...], a: np.ndarray, b: np.ndarray, x: np.ndarray):
         self.nodes, self.a, self.b, self.x = nodes, a, b, x
-        self._values: dict[Edge, float] | None = None
-
-    @classmethod
-    def from_values(cls, g: Graph, values: Mapping[Edge, float]) -> "FractionalMatching":
-        """An edge -> value mapping as arrays over g's nodes, the edges in
-        the mapping's order.  A key that is not an edge (a, b) of g with
-        a < b, or that holds an unknown node or an id of 2^63 or more, is a
-        `PreconditionError`; the values are taken as given."""
-        edges = list(values)
-        ends = node_positions(g.nodes, chain.from_iterable(edges), 2 * len(edges))
-        a, b = ends[0::2], ends[1::2]
-        canonical = (a < b) & csr_contains(*g.csr(), a, b)
-        if not canonical.all():
-            bad = edges[canonical.argmin()]
-            raise PreconditionError(f"{bad} is not an edge (a, b) of g with a < b")
-        return cls(g.nodes, a, b, np.fromiter(values.values(), float, len(edges)))
-
-    @property
-    def values(self) -> dict[Edge, float]:
-        if self._values is None:
-            node = self.nodes.__getitem__
-            keys = zip(map(node, self.a.tolist()), map(node, self.b.tolist()))
-            self._values = dict(zip(keys, self.x.tolist()))
-        return self._values
 
     def ends(self) -> np.ndarray:
         """The endpoint positions interleaved: a[0], b[0], a[1], b[1], ..."""
@@ -346,8 +317,10 @@ def approx_matching(
 
     `alpha` defaults to the cube root of the capacity exponent, and the
     cluster-degree threshold to the bound certified by the clustering;
-    both can be overridden for experiments.
+    both can be overridden for experiments.  A `retries` below 1 is
+    refused on every input, edgeless or not.
     """
+    check_retries(retries)
     checks = ClaimChecker()
     work = strip_isolated(g)
     if work.m == 0:

@@ -27,6 +27,7 @@ from .clustering import (
     ClusterGroups,
     Partition,
     base_capacity_exponent,
+    check_retries,
     cluster_all,
     cluster_degrees,
     cluster_ranks,
@@ -278,7 +279,7 @@ def build_mis_instance(
     node_utility[:, 1] = lin
     edge_cost = np.zeros((len(keys), 2, 2))
     edge_cost[:, 1, 1] = coef
-    return UtilityCostInstance.from_arrays(
+    return UtilityCostInstance(
         conflict,
         2,
         first_seen(member)[0],
@@ -372,7 +373,7 @@ def luby_derandomized_iteration(
         h, partition, bound, seed, n_total, retries, checks, orientation, witnesses
     )
     inst = build_mis_instance(h, witnesses, orientation)
-    lam = FractionalAssignment.from_matrix(h.nodes, np.column_stack((1.0 - x, x)))
+    lam = FractionalAssignment(h.nodes, np.column_stack((1.0 - x, x)))
     fu, fc = evaluate(inst, lam)
     checks.ok(
         "estimator-slack",
@@ -385,11 +386,10 @@ def luby_derandomized_iteration(
         # gather + scatter per cluster; weak radius bounded by construction
         radius = 50 * partition.alpha + 2
         ledger.charge("intra-gather", radius, 2 * radius)
-    labels = round_labels(inst, lam, coloring, checks=checks)
+    labels, (yu, yc) = round_labels(inst, lam, coloring, checks=checks)
     if ledger is not None:
         # the conflict graph joins nodes at distance two
         ledger.charge("mark-rounding", 4, 4 * coloring.num_colors)
-    yu, yc = evaluate(inst, labels)
     checks.ok(
         "rounded-estimator-half",
         geq(yu - yc, 0.5 * (fu - fc)),
@@ -397,7 +397,7 @@ def luby_derandomized_iteration(
     )
 
     # the conflict graph is h's square, over h's node order
-    marked = labels.array == 1
+    marked = labels == 1
     added, removed, edges_removed = _keep_marked(h, orientation, marked)
     checks.ok(
         "estimator-sound",
@@ -435,7 +435,9 @@ def mis(
 
     The partition is restricted to the surviving nodes before every
     iteration, and nodes isolated by removals join the output directly.
+    A `retries` below 1 is refused on every input, edgeless or not.
     """
+    check_retries(retries)
     checks = ClaimChecker()
     if g.n == 0:
         return MisResult(frozenset(), 0, [], alpha or 1, 0.0, 0, checks.counts)

@@ -215,9 +215,10 @@ def exhaustive_round_check(
         if cmat is not None:
             mat -= np.asarray(cmat, dtype=float)
         objective += mat[grids[order[u]], grids[order[v]]]
+    rows = dict(zip(lam.nodes, lam.matrix))
     probs = np.ones(grids.shape[1])
     for u in nodes:
-        probs *= np.asarray(lam[u], dtype=float)[grids[order[u]]]
+        probs *= rows[u][grids[order[u]]]
     return float(objective.max()), float((probs * objective).sum())
 
 

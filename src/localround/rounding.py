@@ -6,11 +6,12 @@ depending only on the labels of its own node(s).  For a fractional
 independent label draws; since every term touches at most two nodes, only
 single marginals and pairwise products ever appear.
 
-Objectives are evaluated as arrays.  Nodes are numbered by their position
-in the conflict graph's id order, and a labeling over L labels becomes an
-n x L probability matrix P (one-hot rows for an integral labeling).  With
-the node tables N (n x L) and the edge tensors W (E x L x L) of an
-instance, each side of the objective is
+Every type here has one form, arrays over node positions in the conflict
+graph's id order.  An instance holds the node tables N (n x L) and the
+edge tensors W (E x L x L); a fractional labeling over L labels is an
+n x L probability matrix P; a coloring is one int64 color per node; the
+labels `round_labels` returns are one int per node.  Each side of the
+objective is
 
     const + sum(N * P) + sum over terms e = (u, v) of P[u] . W[e] . P[v].
 
@@ -28,73 +29,66 @@ after another would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Mapping
 from itertools import islice
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ClaimChecker, PreconditionError, REL_TOL, geq, plain_sum
+from .errors import ClaimChecker, PreconditionError, REL_TOL, geq
 from .graphs import ArrayView, Graph, csr_contains, csr_rows, distinct, expand
 
 Row = tuple[float, ...]
 Matrix = tuple[Row, ...]
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Color index per node; proper on the intended conflict graph.
+def is_proper(g: Graph, colors: np.ndarray) -> bool:
+    """No edge of g joins two nodes of one color: `colors` holds one color
+    per node position, compared across every entry of `g.csr()`."""
+    indptr, nbr = g.csr()
+    return not (np.repeat(colors, np.diff(indptr)) == colors[nbr]).any()
 
-    `greedy_color` gives `colors` as a read-only view of the color array
-    it computed over the graph's node order; `is_proper` and
-    `round_labels` read that array directly for that order, and the dict
-    is built only if something else reads it.
+
+class Coloring:
+    """A proper coloring of `graph`, checked once when built.
+
+    `colors` is a read-only int64 array, one color per position in
+    `graph.nodes`, and `num_colors` is one more than the largest color (0
+    on a graph without nodes).  The constructor checks that there is one
+    color per node, none negative, and no edge inside a color
+    (`is_proper`); a failure is a `PreconditionError`.
     """
 
-    colors: Mapping[int, int]
-    num_colors: int
+    __slots__ = ("graph", "colors", "num_colors")
+
+    def __init__(self, graph: Graph, colors: np.ndarray | list[int]):
+        colors = np.array(colors, np.int64)
+        if colors.shape != (graph.n,):
+            raise PreconditionError(f"{colors.shape} colors for {graph.n} nodes")
+        if graph.n and colors.min() < 0:
+            raise PreconditionError("coloring uses a negative color")
+        if not is_proper(graph, colors):
+            raise PreconditionError("coloring is not proper on its graph")
+        colors.flags.writeable = False
+        self.graph, self.colors = graph, colors
+        self.num_colors = int(colors.max()) + 1 if graph.n else 0
 
 
 class FractionalAssignment:
     """Per-node probability vectors over a common finite label alphabet.
 
-    Read-only once built: the probability matrix of one node order is
-    kept for that order (`_rows`), built on first use from `probs`, or
-    given to `from_matrix`, in which case `probs` is derived from it on
-    first use.  The value `evaluate` last computed for it is kept with
-    that instance (`_value`).  Both constructors check every vector: it
-    is not empty, its entries lie in [-1e-12, 1 + 1e-12], and its
-    entries, added left to right, sum to 1 within 1e-9; the first node to
-    fail is named.
+    Row i of the read-only float matrix `matrix` (a copy of the one
+    given) is the vector of nodes[i]; `nodes` are distinct ids, such as a
+    graph's `nodes`.  Every row is checked at once: it is not empty, its
+    entries lie in [-1e-12, 1 + 1e-12], and its entries, added left to
+    right, sum to 1 within 1e-9; the first node to fail is named.  The
+    value `evaluate` last computed for it is kept with that instance
+    (`_value`).
     """
 
-    __slots__ = ("_probs", "_kept", "_value")
+    __slots__ = ("nodes", "matrix", "_value")
 
-    def __init__(self, probs: Mapping[int, Sequence[float]]):
-        clean: dict[int, tuple[float, ...]] = {}
-        for node, vec in probs.items():
-            vec = tuple(float(x) for x in vec)
-            if not vec:
-                raise PreconditionError(f"empty probability vector at node {node}")
-            # written so that NaN fails it too
-            if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in vec):
-                raise PreconditionError(f"probabilities outside [0,1] at node {node}")
-            total = plain_sum(vec)
-            if abs(total - 1.0) > 1e-9:
-                raise PreconditionError(f"probabilities at node {node} sum to {total!r}")
-            clean[node] = vec
-        self._probs: dict[int, tuple[float, ...]] | None = clean
-        self._kept: tuple[tuple[int, ...], np.ndarray | None] | None = None
-        self._value: tuple[UtilityCostInstance, tuple[float, float]] | None = None
-
-    @classmethod
-    def from_matrix(cls, nodes: tuple[int, ...], matrix: np.ndarray) -> "FractionalAssignment":
-        """The vector of nodes[i] is row i of `matrix`; `nodes` are distinct
-        ids, such as a graph's `nodes`.  The checks of the constructor run
-        on all rows at once, and a read-only copy of the matrix is kept as
-        the rows of `nodes`."""
-        matrix = np.array(matrix, dtype=float)
+    def __init__(self, nodes: tuple[int, ...], matrix: np.ndarray):
+        nodes, matrix = tuple(nodes), np.array(matrix, dtype=float)
         if matrix.ndim != 2 or len(matrix) != len(nodes):
             raise PreconditionError(
                 f"probability matrix of shape {matrix.shape} for {len(nodes)} nodes"
@@ -113,64 +107,7 @@ class FractionalAssignment:
                 raise PreconditionError(f"probabilities outside [0,1] at node {nodes[i]}")
             raise PreconditionError(f"probabilities at node {nodes[i]} sum to {float(total[i])!r}")
         matrix.flags.writeable = False
-        assignment = cls.__new__(cls)
-        assignment._probs, assignment._kept = None, (nodes, matrix)
-        assignment._value = None
-        return assignment
-
-    @property
-    def probs(self) -> dict[int, tuple[float, ...]]:
-        if self._probs is None:
-            nodes, matrix = self._kept
-            self._probs = dict(zip(nodes, map(tuple, matrix.tolist())))
-        return self._probs
-
-    def __getitem__(self, node: int) -> tuple[float, ...]:
-        return self.probs[node]
-
-    def _rows(self, nodes: tuple[int, ...]) -> np.ndarray | None:
-        """The vectors of `nodes`, in that order, as one read-only float
-        array, or None when their lengths differ; kept for the last order
-        asked for.  A missing node is a `PreconditionError`."""
-        if self._kept is None or self._kept[0] != nodes:
-            try:
-                rows = [self.probs[v] for v in nodes]
-            except KeyError as exc:
-                raise PreconditionError(f"assignment misses decision node {exc.args[0]}") from None
-            try:
-                matrix = np.array(rows, dtype=float)
-                matrix.flags.writeable = False
-            except ValueError:
-                matrix = None
-            self._kept = (nodes, matrix)
-        return self._kept[1]
-
-
-def _put(utility: np.ndarray, cost: np.ndarray, row: int, pair, name: str) -> None:
-    """Write the two sides of one term into row `row` of the utility and
-    cost tables; a None side stays zero.  A side of the wrong shape or
-    with a non-finite entry is a `PreconditionError` naming `name`."""
-    for table, side in ((utility, pair[0]), (cost, pair[1])):
-        if side is None:
-            continue
-        try:
-            values = np.array(side, dtype=float)
-        except (TypeError, ValueError):
-            values = None
-        if values is None or values.shape != table.shape[1:] or not np.isfinite(values).all():
-            raise PreconditionError(f"bad {name}")
-        table[row] = values
-
-
-class _NodeArray(ArrayView):
-    """A read-only node -> int mapping kept as an int array over the node
-    order `nodes`: `Coloring.colors` as `greedy_color` computes it, and
-    the labels `round_labels` returns.  As a labeling it also keeps the
-    value `evaluate` last computed for it, with that instance (`_value`)."""
-
-    def __init__(self, nodes: tuple[int, ...], array: np.ndarray):
-        super().__init__(len(nodes), lambda: dict(zip(nodes, array.tolist())))
-        self.nodes, self.array = nodes, array
+        self.nodes, self.matrix = nodes, matrix
         self._value: tuple[UtilityCostInstance, tuple[float, float]] | None = None
 
 
@@ -181,22 +118,20 @@ def _matrices(tensor: np.ndarray) -> list[Matrix]:
 class UtilityCostInstance:
     """Conflict graph plus utility/cost tables for nodes and edges.
 
-    node_terms maps node -> (utility_row, cost_row), one value per label;
-    edge_terms maps a canonical (u, v) edge (u < v) to a pair of matrices
-    indexed [label_u][label_v].  Either member of a pair may be None for
-    an all-zero table.  Constant offsets hold label-independent mass.
+    Stored as arrays over node positions in `conflict_graph.nodes` order:
+    `term_nodes` lists the positions of the nodes given a term, in term
+    order; `node_utility`/`node_cost` are the n x L node tables (zero rows
+    for nodes without a term); `edge_u`/`edge_v` are the endpoint
+    positions of the E edge terms, each a conflict edge with
+    edge_u < edge_v, and `edge_utility`/`edge_cost` their E x L x L
+    tensors, indexed [label_u][label_v].  They are kept as `_at`, `_nu`,
+    `_nc`, `_eu`, `_ev`, `_wu` and `_wc`.  Constant offsets hold
+    label-independent mass.  Every check is vectorised.
 
-    Arrays are the one stored form, over node positions in
-    `conflict_graph.nodes` order: `_at` lists the positions of the nodes
-    given a term, in term order; `_nu`/`_nc` are the n x L node
-    utility/cost tables (zero rows for nodes without a term); `_eu`/`_ev`
-    are the endpoint positions of the E edge terms and `_wu`/`_wc` their
-    E x L x L utility/cost tensors.  The constructor converts its dicts to
-    these arrays; `from_arrays` takes them directly.  Both go through the
-    same vectorised checks.  `node_terms` and `edge_terms` are read-only
-    views derived from the arrays on first use and kept, with the keys in
-    the order given and None tables read as zeros; only oracles and tests
-    read their entries.
+    `node_terms` (node -> (utility_row, cost_row)) and `edge_terms`
+    ((u, v) -> pair of matrices) are read-only views derived from the
+    arrays on first use and kept, with the keys in term order; only
+    oracles, perfbench and tests read them.
     """
 
     __slots__ = (
@@ -219,39 +154,6 @@ class UtilityCostInstance:
         self,
         conflict_graph: Graph,
         num_labels: int,
-        node_terms: Mapping[int, tuple[Row | None, Row | None]] | None = None,
-        edge_terms: Mapping[tuple[int, int], tuple[Matrix | None, Matrix | None]] | None = None,
-        utility_const: float = 0.0,
-        cost_const: float = 0.0,
-    ):
-        if num_labels < 1:
-            raise PreconditionError("need at least one label")
-        node_terms, edge_terms = node_terms or {}, edge_terms or {}
-        index = dict(zip(conflict_graph.nodes, range(conflict_graph.n)))
-        n, nl, num_edges = conflict_graph.n, num_labels, len(edge_terms)
-        at = []
-        nu, nc = np.zeros((n, nl)), np.zeros((n, nl))
-        for node, pair in node_terms.items():
-            if node not in index:
-                raise PreconditionError(f"term on unknown node {node}")
-            at.append(index[node])
-            _put(nu, nc, index[node], pair, f"node table at {node}")
-        eu, ev = np.zeros(num_edges, np.intp), np.zeros(num_edges, np.intp)
-        wu, wc = np.zeros((num_edges, nl, nl)), np.zeros((num_edges, nl, nl))
-        for k, ((u, v), pair) in enumerate(edge_terms.items()):
-            if u not in index or v not in index:
-                raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
-            eu[k], ev[k] = index[u], index[v]
-            _put(wu, wc, k, pair, f"edge table at ({u},{v})")
-        self._set(
-            conflict_graph, num_labels, at, nu, nc, eu, ev, wu, wc, utility_const, cost_const
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        conflict_graph: Graph,
-        num_labels: int,
         term_nodes: np.ndarray,
         node_utility: np.ndarray,
         node_cost: np.ndarray,
@@ -261,40 +163,25 @@ class UtilityCostInstance:
         edge_cost: np.ndarray,
         utility_const: float = 0.0,
         cost_const: float = 0.0,
-    ) -> "UtilityCostInstance":
-        """The instance stored as these arrays, laid out as the class
-        docstring says (`term_nodes` becomes `_at`, `node_utility` `_nu`,
-        and so on), after the checks the constructor makes."""
-        inst = cls.__new__(cls)
+    ):
         if num_labels < 1:
             raise PreconditionError("need at least one label")
-        inst._set(
-            conflict_graph,
-            num_labels,
-            term_nodes,
-            node_utility,
-            node_cost,
-            edge_u,
-            edge_v,
-            edge_utility,
-            edge_cost,
-            utility_const,
-            cost_const,
-        )
-        return inst
-
-    def _set(self, g, num_labels, at, nu, nc, eu, ev, wu, wc, utility_const, cost_const):
-        """Check the arrays and store them; every check is vectorised."""
-        n, nl = g.n, num_labels
-        at, eu, ev = (np.asarray(a, np.intp) for a in (at, eu, ev))
-        nu, nc, wu, wc = (np.asarray(a, float) for a in (nu, nc, wu, wc))
+        g, n, nl = conflict_graph, conflict_graph.n, num_labels
+        mismatch = "term arrays do not match the graph and label count"
+        try:
+            at, eu, ev = (np.asarray(a, np.intp) for a in (term_nodes, edge_u, edge_v))
+            nu, nc, wu, wc = (
+                np.asarray(a, float) for a in (node_utility, node_cost, edge_utility, edge_cost)
+            )
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise PreconditionError(mismatch) from None
         num_edges = len(eu)
         if (
             at.ndim != 1 or eu.shape != (num_edges,) or ev.shape != (num_edges,)
             or nu.shape != (n, nl) or nc.shape != (n, nl)
             or wu.shape != (num_edges, nl, nl) or wc.shape != (num_edges, nl, nl)
         ):
-            raise PreconditionError("term arrays do not match the graph and label count")
+            raise PreconditionError(mismatch)
         for name, table in (("node", nu), ("node", nc), ("edge", wu), ("edge", wc)):
             if not np.isfinite(table).all():
                 raise PreconditionError(f"non-finite {name} table entry")
@@ -345,52 +232,24 @@ class UtilityCostInstance:
         return self._edge_view
 
 
-def _probabilities(
-    inst: UtilityCostInstance, assignment: FractionalAssignment | Mapping[int, int]
-) -> np.ndarray:
-    """The n x L probability matrix of a labeling, rows in node order;
-    read-only for a fractional labeling, which keeps it.  The labels
-    `round_labels` returned for this node order are read as their array."""
-    nodes = inst.conflict_graph.nodes
-    n, nl = len(nodes), inst.num_labels
-    if isinstance(assignment, FractionalAssignment):
-        rows = assignment._rows(nodes)
-        if rows is not None and rows.size == n * nl:
-            return rows.reshape(n, nl)
-        bad = next(v for v in nodes if len(assignment.probs[v]) != nl)
-        raise PreconditionError(f"probability vector at node {bad} needs {nl} labels")
-    if isinstance(assignment, _NodeArray) and assignment.nodes == nodes:
-        labels = assignment.array
-    else:
-        try:
-            labels = np.fromiter((assignment[v] for v in nodes), np.intp, n)
-        except KeyError as exc:
-            raise PreconditionError(f"assignment misses decision node {exc.args[0]}") from None
-    if n and (labels.min() < 0 or labels.max() >= nl):
-        raise PreconditionError(f"integral labels must lie in [0, {nl})")
-    probs = np.zeros((n, nl))
-    probs[np.arange(n), labels] = 1.0
-    return probs
+def evaluate(inst: UtilityCostInstance, lam: FractionalAssignment) -> tuple[float, float]:
+    """(utility, cost) of a fractional labeling.
 
-
-def evaluate(
-    inst: UtilityCostInstance,
-    assignment: FractionalAssignment | Mapping[int, int],
-) -> tuple[float, float]:
-    """(utility, cost) of a fractional or integral labeling.
-
-    Integral labelings are plain node -> label index mappings; they are
-    evaluated as the degenerate one-hot distribution.  A read-only
-    labeling (a `FractionalAssignment`, or the labels `round_labels`
-    returns) keeps the value computed for it on an instance, so asking
-    again on that instance computes nothing.
+    `lam` must be over the conflict graph's nodes, in their order, with
+    the instance's label count, or it is a `PreconditionError`.  The value
+    is kept with `lam` for this instance, so asking again computes
+    nothing.
     """
-    kept = isinstance(assignment, (FractionalAssignment, _NodeArray))
-    if kept and assignment._value is not None and assignment._value[0] is inst:
-        return assignment._value[1]
-    value = _objective(inst, _probabilities(inst, assignment))
-    if kept:
-        assignment._value = (inst, value)
+    if lam._value is not None and lam._value[0] is inst:
+        return lam._value[1]
+    if lam.nodes != inst.conflict_graph.nodes:
+        raise PreconditionError("assignment is not over the conflict graph's nodes")
+    if lam.matrix.shape[1] != inst.num_labels:
+        raise PreconditionError(
+            f"probability vectors have {lam.matrix.shape[1]} labels, not {inst.num_labels}"
+        )
+    value = _objective(inst, lam.matrix)
+    lam._value = (inst, value)
     return value
 
 
@@ -418,6 +277,17 @@ _WAVE_NODES = 8
 
 def greedy_color(g: Graph) -> Coloring:
     """First-fit coloring in increasing node id; at most max_degree+1 colors.
+
+    The colors are computed (`_first_fit`) before the `Coloring` checks
+    them, so the check's arrays never coexist with the waves' arrays.
+    """
+    return Coloring(g, _first_fit(g))
+
+
+def _first_fit(g: Graph) -> list[int]:
+    """The first-fit color of every node by position: in increasing id
+    order, each node takes the smallest color none of its lower
+    neighbours has.
 
     Colored in waves over `g.csr()`.  Positions follow ids, so a node's
     lower neighbours, the ones the sequential loop colors before it, are
@@ -465,36 +335,7 @@ def greedy_color(g: Graph) -> Coloring:
         while c in taken:
             c += 1
         colors[u] = c
-    color = np.array(colors, np.int64)
-    color.flags.writeable = False
-    return Coloring(_NodeArray(g.nodes, color), int(color.max()) + 1 if n else 0)
-
-
-def _color_array(nodes: tuple[int, ...], coloring: Coloring) -> np.ndarray:
-    """The colors of `nodes`, in that order, as an int64 array: the one
-    `greedy_color` kept if it colored this order, else read from the
-    dict.  A node without a color raises `KeyError`, a color beyond int64
-    `OverflowError`."""
-    colors = coloring.colors
-    if isinstance(colors, _NodeArray) and colors.nodes == nodes:
-        return colors.array
-    return np.array(list(map(colors.__getitem__, nodes)), np.int64)
-
-
-def is_proper(g: Graph, coloring: Coloring) -> bool:
-    """No edge of g joins two nodes of one color (every edge is read).
-
-    The colors, as one array in node order, are compared across every
-    entry of `g.csr()`; a node without a color raises `KeyError`.
-    """
-    try:
-        color = _color_array(g.nodes, coloring)
-    except OverflowError:  # colors beyond int64: compare their ranks
-        colors = list(map(coloring.colors.__getitem__, g.nodes))
-        color = np.unique(np.array(colors, object), return_inverse=True)[1]
-    indptr, nbr = g.csr()
-    row = np.repeat(color, np.diff(indptr))
-    return not (row == color[nbr]).any()
+    return colors
 
 
 def _oriented(tensors: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -519,19 +360,19 @@ def round_labels(
     lam: FractionalAssignment,
     coloring: Coloring,
     checks: ClaimChecker | None = None,
-) -> Mapping[int, int]:
+) -> tuple[np.ndarray, tuple[float, float]]:
     """Round a fractional labeling to an integral one, never losing value.
 
     Requires utility(lam) - cost(lam) >= 0.1 * utility(lam) and a coloring
-    proper on the conflict graph.  The output satisfies both the 0.9
-    contract and the stronger no-loss bound
-    utility(l) - cost(l) >= utility(lam) - cost(lam),
-    because fixing a node to its best conditional label can only increase
-    the conditional expectation of the objective.
+    of the conflict graph itself (a `Coloring` is proper by construction).
+    The output satisfies both the 0.9 contract and the stronger no-loss
+    bound utility(l) - cost(l) >= utility(lam) - cost(lam), because fixing
+    a node to its best conditional label can only increase the
+    conditional expectation of the objective.
 
-    The labels come back as a read-only mapping over the conflict graph's
-    node order, kept as an int array (`array`) that `evaluate` and callers
-    read directly; the dict is built only if something reads an entry.
+    Returns the labels, a read-only int array over the conflict graph's
+    node positions, and their (utility, cost), computed from the final
+    one-hot matrix as `evaluate` would.
     """
     checks = checks if checks is not None else ClaimChecker()
     g = inst.conflict_graph
@@ -543,15 +384,11 @@ def round_labels(
             f"rounding needs utility-cost >= 0.1*utility; measured "
             f"utility={u0!r} cost={c0!r}"
         )
-    if not is_proper(g, coloring):
-        raise PreconditionError("coloring is not proper on the conflict graph")
+    if coloring.graph is not g:
+        raise PreconditionError("coloring is not of the instance's conflict graph")
 
-    nodes = g.nodes
-    n, nl = len(nodes), inst.num_labels
-    color = _color_array(nodes, coloring)
-    if n and (color.min() < 0 or color.max() >= coloring.num_colors):
-        raise PreconditionError(f"coloring uses a color outside [0, {coloring.num_colors})")
-    probs = _probabilities(inst, lam).copy()
+    n, nl, color = g.n, inst.num_labels, coloring.colors
+    probs = lam.matrix.copy()
     one_hot = np.eye(nl)
     base = inst._nu - inst._nc
     # members of each class, in id order; rank = position within the class.
@@ -575,7 +412,7 @@ def round_labels(
     # each entry's tensors read from its own endpoint's side, oriented once
     first = by_class < num_edges
     wu, wc = _oriented(inst._wu[term], first), _oriented(inst._wc[term], first)
-    labels_by_pos = np.zeros(n, np.intp)
+    labels = np.zeros(n, np.intp)
     label_cols = np.arange(nl)
 
     tracked = gain0
@@ -601,7 +438,7 @@ def round_labels(
             mixed = (probs[members] * scores).sum(axis=1)
             tracked += float((scores[np.arange(k), best] - mixed).sum())
             probs[members] = one_hot[best]
-            labels_by_pos[members] = best
+            labels[members] = best
         checks.ok(
             "rounding-monotone",
             geq(tracked, before, scale),
@@ -609,9 +446,9 @@ def round_labels(
         )
         member_lo, term_lo = member_hi, term_hi
 
-    labels_by_pos.flags.writeable = False
-    labels = _NodeArray(nodes, labels_by_pos)
-    uf, cf = evaluate(inst, labels)
+    labels.flags.writeable = False
+    # every row of probs is now the one-hot row of its label
+    uf, cf = _objective(inst, probs)
     checks.ok(
         "rounding-consistency",
         abs((uf - cf) - tracked) <= 1e-6 * scale,
@@ -627,4 +464,4 @@ def round_labels(
         geq(uf - cf, gain0, scale),
         f"rounded objective {(uf - cf)!r} < fractional {gain0!r}",
     )
-    return labels
+    return labels, (uf, cf)

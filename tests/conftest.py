@@ -12,6 +12,8 @@ from localround.hitting import BipartiteInstance
 from localround.rounding import FractionalAssignment, UtilityCostInstance, evaluate
 from localround import generators
 
+from rounding_reference import assignment, instance
+
 
 def by_position(g: Graph, values) -> np.ndarray:
     """A node -> float mapping as one float per node of g, in node order."""
@@ -34,7 +36,7 @@ def random_assignment(
         raw = [rng.random() + 0.05 for _ in range(num_labels)]
         total = sum(raw)
         probs[u] = tuple(x / total for x in raw)
-    return FractionalAssignment(probs)
+    return assignment(nodes, probs)
 
 
 def random_objective(
@@ -72,7 +74,7 @@ def random_objective(
                     for _ in range(num_labels)
                 )
                 edge_terms[e] = (umat, cmat)
-        inst = UtilityCostInstance(g, num_labels, node_terms, edge_terms)
+        inst = instance(g, num_labels, node_terms, edge_terms)
         lam = random_assignment(rng, nodes, num_labels)
         if not require_precondition:
             return inst, lam

@@ -7,7 +7,8 @@ neighbours, edge count and errors, and the position arrays that
 adjacency gives.  `reference_two_hop_sets` is the nested loop over
 neighbours of neighbours that `two_hop_sets` replaced with the square
 graph.  `row_ids` reads one node's row of a position adjacency as ids,
-the way tests read an `Orientation`'s out- and in-neighbours.
+the way tests read an `Orientation`'s out- and in-neighbours, and
+`id_bits` gives a graph's identifier bit width.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def reference_two_hop_sets(g) -> dict[int, frozenset[int]]:
             acc.update(g.neighbors(v))
         out[u] = frozenset(acc)
     return out
+
+
+def id_bits(g) -> int:
+    """Identifier bit width: ceil(log2(max id + 1)), at least 1."""
+    return max((u.bit_length() for u in g.nodes), default=1) or 1
 
 
 def row_ids(nodes: tuple[int, ...], csr: tuple[np.ndarray, np.ndarray], u: int) -> tuple[int, ...]:

@@ -2,13 +2,13 @@
 
 `reference_basic_hitting_set` is `basic_hitting_set` as it was before
 each step's objective was built as arrays: node terms and pair costs as
-dicts of nested tuples, handed to the dict constructor of
-`UtilityCostInstance`, and the unhit left nodes as a set of ids.  Kept so
-tests can compare against it: the same selection, potentials, steps and
-claim counts, bit for bit.  Every weight sum adds left to right in
-left-node id order, as the routine's `plain_sum` over its arrays does;
-the builtin `sum` compensates float rounding from Python 3.12 on, and a
-set of ids iterates in hash-table order.
+dicts of nested tuples, turned into a `UtilityCostInstance` by
+`rounding_reference.instance`, and the unhit left nodes as a set of
+ids.  Kept so tests can compare against it: the same selection,
+potentials, steps and claim counts, bit for bit.  Every weight sum adds
+left to right in left-node id order, as the routine's `plain_sum` over
+its arrays does; the builtin `sum` compensates float rounding from
+Python 3.12 on, and a set of ids iterates in hash-table order.
 
 `reference_split_into_copies`, `reference_basic_guarantee` and
 `reference_grouped_guarantee` are the per-left-node loops over `adj` and
@@ -27,13 +27,9 @@ from localround.hitting import (
     basic_guarantee,
     conflict_graph,
 )
-from localround.rounding import (
-    FractionalAssignment,
-    UtilityCostInstance,
-    evaluate,
-    greedy_color,
-    round_labels,
-)
+from localround.rounding import evaluate, greedy_color, round_labels
+
+from rounding_reference import assignment, instance
 
 
 def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
@@ -54,7 +50,7 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     cg = conflict_graph(inst)
     coloring = greedy_color(cg)
     result.zeta = coloring.num_colors
-    lam = FractionalAssignment({v: (1.0 - q, q) for v in inst.v_nodes})
+    lam = assignment(cg.nodes, {v: (1.0 - q, q) for v in inst.v_nodes})
     n_v = len(inst.v_nodes)
     norm = inst.norm
     checks = result.checks
@@ -109,7 +105,7 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             key: (None, ((0.0, 0.0), (0.0, decay * w)))
             for key, w in pair_w.items()
         }
-        step_inst = UtilityCostInstance(
+        step_inst = instance(
             cg,
             2,
             node_terms,
@@ -122,8 +118,8 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             leq(2.0 * fc, fu),
             f"step {i}: fractional utility {fu} < 2 * cost {fc}",
         )
-        labels = round_labels(step_inst, lam, coloring, checks=checks)
-        batch = frozenset(v for v in inst.v_nodes if labels[v] == 1)
+        labels, _ = round_labels(step_inst, lam, coloring, checks=checks)
+        batch = frozenset(v for v, lab in zip(cg.nodes, labels.tolist()) if lab == 1)
 
         lhs = 0.0
         for u in sorted(unhit):

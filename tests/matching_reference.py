@@ -6,16 +6,23 @@ These are the dict loops that the edge arrays in
 and `good_edges` replaced, kept so tests can compare against them: the
 same values bit for bit, in the same key order, and the same claim
 counts.  `loads` reads a `FractionalMatching`'s loads back as that dict,
-and `is_matching` checks that no two edges share an endpoint.
+`values` its edge values as the edge -> value dict, `from_values` builds
+one from such a dict, and `is_matching` checks that no two edges share an
+endpoint.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Mapping
+
+import numpy as np
 
 from localround.clustering import Partition
 from localround.errors import ClaimChecker, PreconditionError
-from localround.graphs import Edge, Graph
+from localround.graphs import Edge, Graph, csr_contains, node_positions
+from localround.matching import FractionalMatching
 
 from clustering_reference import cluster_degree
 
@@ -26,6 +33,28 @@ def reference_loads(values: dict[Edge, float]) -> dict[int, float]:
         out[a] = out.get(a, 0.0) + x
         out[b] = out.get(b, 0.0) + x
     return out
+
+
+def from_values(g: Graph, values: Mapping[Edge, float]) -> FractionalMatching:
+    """An edge -> value mapping as arrays over g's nodes, the edges in
+    the mapping's order.  A key that is not an edge (a, b) of g with
+    a < b, or that holds an unknown node or an id of 2^63 or more, is a
+    `PreconditionError`; the values are taken as given."""
+    edges = list(values)
+    ends = node_positions(g.nodes, chain.from_iterable(edges), 2 * len(edges))
+    a, b = ends[0::2], ends[1::2]
+    canonical = (a < b) & csr_contains(*g.csr(), a, b)
+    if not canonical.all():
+        bad = edges[canonical.argmin()]
+        raise PreconditionError(f"{bad} is not an edge (a, b) of g with a < b")
+    return FractionalMatching(g.nodes, a, b, np.fromiter(values.values(), float, len(edges)))
+
+
+def values(frac: FractionalMatching) -> dict[Edge, float]:
+    """The edge -> value dict of `frac`, in edge order."""
+    node = frac.nodes.__getitem__
+    keys = zip(map(node, frac.a.tolist()), map(node, frac.b.tolist()))
+    return dict(zip(keys, frac.x.tolist()))
 
 
 def loads(frac) -> dict[int, float]:

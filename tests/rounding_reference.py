@@ -1,21 +1,107 @@
-"""Pure-Python references for `evaluate`, `round_labels`, `is_proper` and
-`greedy_color`.
+"""Pure-Python references for `evaluate`, `round_labels`, `is_proper`,
+`greedy_color` and the checks of `FractionalAssignment`, and the dict
+builders tests draw instances with.
 
-These are the term-by-term loop, the per-node generator and the per-node
-first-fit loop that the array forms in `localround.rounding` replaced,
-kept so tests can compare against them.  They read only the instance's term dicts and perform no
-checks.
+The references are the term-by-term loop, the per-node generator, the
+per-node first-fit loop and the per-node check loop that the array forms
+in `localround.rounding` replaced, kept so tests can compare against
+them.  They read only the instance's term dicts, and only the check loop
+checks anything.
+
+`instance` and `assignment` build the one array form of an instance and a
+fractional labeling from node-keyed dicts, the form the tests write
+them in; `integral` gives an integral labeling as its one-hot fractional
+labeling, the form `evaluate` takes.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from localround.errors import PreconditionError, plain_sum
 from localround.graphs import Graph
 from localround.rounding import Coloring, FractionalAssignment, UtilityCostInstance
 
 Row = tuple[float, ...]
 Matrix = tuple[Row, ...]
+
+
+def instance(
+    g: Graph,
+    num_labels: int,
+    node_terms: Mapping[int, tuple[Row | None, Row | None]] | None = None,
+    edge_terms: Mapping[tuple[int, int], tuple[Matrix | None, Matrix | None]] | None = None,
+    utility_const: float = 0.0,
+    cost_const: float = 0.0,
+) -> UtilityCostInstance:
+    """The instance with these terms: node -> (utility row, cost row) and
+    (u, v) -> (utility matrix, cost matrix), u < v, keys in term order and
+    a None table read as zeros."""
+    node_terms, edge_terms = node_terms or {}, edge_terms or {}
+    index = {u: i for i, u in enumerate(g.nodes)}
+    n, nl, k = g.n, num_labels, len(edge_terms)
+    nu, nc = np.zeros((n, nl)), np.zeros((n, nl))
+    for u, (urow, crow) in node_terms.items():
+        for table, row in ((nu, urow), (nc, crow)):
+            if row is not None:
+                table[index[u]] = row
+    wu, wc = np.zeros((k, nl, nl)), np.zeros((k, nl, nl))
+    for e, (umat, cmat) in enumerate(edge_terms.values()):
+        for tensor, mat in ((wu, umat), (wc, cmat)):
+            if mat is not None:
+                tensor[e] = mat
+    ends = np.array([(index[u], index[v]) for u, v in edge_terms], np.intp).reshape(k, 2)
+    return UtilityCostInstance(
+        g,
+        num_labels,
+        [index[u] for u in node_terms],
+        nu,
+        nc,
+        ends[:, 0],
+        ends[:, 1],
+        wu,
+        wc,
+        utility_const,
+        cost_const,
+    )
+
+
+def assignment(nodes: Sequence[int], probs: Mapping[int, Sequence[float]]) -> FractionalAssignment:
+    """The fractional labeling whose vector at node u is probs[u], rows in
+    `nodes` order (a graph's `nodes`); every vector has the same length."""
+    rows = [tuple(map(float, probs[u])) for u in nodes]
+    width = len(rows[0]) if rows else 0
+    return FractionalAssignment(tuple(nodes), np.array(rows, float).reshape(len(rows), width))
+
+
+def integral(inst: UtilityCostInstance, labels) -> FractionalAssignment:
+    """An integral labeling (node -> label, or one label per position) as
+    the one-hot fractional labeling over the conflict graph's nodes."""
+    nodes = inst.conflict_graph.nodes
+    if isinstance(labels, Mapping):
+        labels = [labels[u] for u in nodes]
+    return FractionalAssignment(nodes, np.eye(inst.num_labels)[np.asarray(labels, np.intp)])
+
+
+def reference_check_probabilities(probs: Mapping[int, Sequence[float]]) -> None:
+    """The per-node checks `FractionalAssignment` makes, one vector at a
+    time in key order, raising the message it raises."""
+    for node, vec in probs.items():
+        vec = tuple(float(x) for x in vec)
+        if not vec:
+            raise PreconditionError(f"empty probability vector at node {node}")
+        # written so that NaN fails it too
+        if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in vec):
+            raise PreconditionError(f"probabilities outside [0,1] at node {node}")
+        total = plain_sum(vec)
+        if abs(total - 1.0) > 1e-9:
+            raise PreconditionError(f"probabilities at node {node} sum to {total!r}")
+
+
+def _rows(lam: FractionalAssignment) -> dict[int, list[float]]:
+    return dict(zip(lam.nodes, lam.matrix.tolist()))
 
 
 def _node_value(row: Row | None, probs: Sequence[float]) -> float:
@@ -45,7 +131,7 @@ def reference_evaluate(
     assignment: FractionalAssignment | Mapping[int, int],
 ) -> tuple[float, float]:
     if isinstance(assignment, FractionalAssignment):
-        probs = assignment.probs
+        probs = _rows(assignment)
     else:
         probs = {v: _one_hot(inst.num_labels, lab) for v, lab in assignment.items()}
     utility = inst.utility_const
@@ -65,7 +151,7 @@ def reference_round_labels(
     inst: UtilityCostInstance, lam: FractionalAssignment, coloring: Coloring
 ) -> dict[int, int]:
     g = inst.conflict_graph
-    probs: dict[int, list[float]] = {v: list(lam[v]) for v in g.nodes}
+    probs = _rows(lam)
     incident: dict[int, list[tuple[int, bool, Matrix | None, Matrix | None]]] = {
         v: [] for v in g.nodes
     }
@@ -74,8 +160,8 @@ def reference_round_labels(
         incident[v].append((u, False, umat, cmat))
 
     by_class: list[list[int]] = [[] for _ in range(coloring.num_colors)]
-    for v in g.nodes:
-        by_class[coloring.colors[v]].append(v)
+    for v, c in zip(g.nodes, coloring.colors.tolist()):
+        by_class[c].append(v)
 
     labels: dict[int, int] = {}
     nl = inst.num_labels
@@ -114,12 +200,11 @@ def reference_round_labels(
     return labels
 
 
-def reference_is_proper(g: Graph, coloring: Coloring) -> bool:
-    colors = coloring.colors
+def reference_is_proper(g: Graph, colors: Mapping[int, int]) -> bool:
     return not any(colors[u] in map(colors.__getitem__, g.neighbors(u)) for u in g.nodes)
 
 
-def reference_greedy_color(g: Graph) -> Coloring:
+def reference_greedy_color(g: Graph) -> dict[int, int]:
     """First-fit coloring in increasing node id, one node at a time."""
     colors: dict[int, int] = {}
     for u in g.nodes:
@@ -128,4 +213,4 @@ def reference_greedy_color(g: Graph) -> Coloring:
         while c in taken:
             c += 1
         colors[u] = c
-    return Coloring(colors, max(colors.values()) + 1 if colors else 0)
+    return colors

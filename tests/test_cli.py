@@ -273,16 +273,18 @@ def test_precondition_exit_3_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize("algo", ["mis", "matching"])
 @pytest.mark.parametrize("retries", ["0", "-1"])
 def test_retry_budget_below_one_is_a_precondition(tmp_path, capsys, algo, retries):
-    out = tmp_path / "r.json"
-    code = run_cli(
-        "run", "--gen", DIGEST_GEN, "--algo", algo, "--seed", "3",
-        "--budget-retries", retries, "--out", str(out),
-    )
-    assert code == 3
-    report = json.loads(out.read_text())
-    assert report["failed_claim"] == "precondition"
-    assert report["result"] == {"error": f"retry budget {retries} is below 1"}
-    assert f"retry budget {retries} is below 1" in capsys.readouterr().err
+    # refused on edgeless inputs too, which never reach a floor
+    for gen in (DIGEST_GEN, "path:n=1", "gnp:n=6,p=0.0,seed=1"):
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "run", "--gen", gen, "--algo", algo, "--seed", "3",
+            "--budget-retries", retries, "--out", str(out),
+        )
+        assert code == 3, gen
+        report = json.loads(out.read_text())
+        assert report["failed_claim"] == "precondition"
+        assert report["result"] == {"error": f"retry budget {retries} is below 1"}
+        assert f"retry budget {retries} is below 1" in capsys.readouterr().err
 
 
 def test_atomic_write_survives_stale_tmp_dir(tmp_path):

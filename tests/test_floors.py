@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floor_reference
+import matching_reference
 import mis_reference
 from localround.clustering import ClusterGroups, delays_to_partition
 from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceeded
 from localround.graphs import Graph, orient, strip_isolated
-from localround.matching import FractionalMatching
 from localround.seeds import derive_seed, stream
 
 from clustering_reference import cluster_degree
@@ -216,7 +216,7 @@ def matching_cases(draw):
 def test_intra_round_matching_matches_the_loop(case, salt, limit, retries):
     g, part, x_good, bound, n_total, seed = case
     rig = _rigged(salt, limit)
-    arrays = FractionalMatching.from_values(g, x_good)
+    arrays = matching_reference.from_values(g, x_good)
     new = _run(
         lambda checks: matching_module.intra_round_matching(
             g, part, arrays, bound, seed, n_total, retries, checks
@@ -234,7 +234,7 @@ def test_intra_round_matching_matches_the_loop(case, salt, limit, retries):
     out = _assert_same(new, ref)
     if out is not None:
         # in order too: approx_matching sums the values in it
-        assert [(e, x.hex()) for e, x in out.values.items()] == [
+        assert [(e, x.hex()) for e, x in matching_reference.values(out).items()] == [
             (e, x.hex()) for e, x in ref[0].items()
         ]
 

@@ -22,7 +22,7 @@ from localround.graphs import (
 )
 
 from conftest import count_neighbor_tuple_builds, random_graph
-from graphs_reference import ReferenceGraph, reference_two_hop_sets, row_ids, same_csr
+from graphs_reference import ReferenceGraph, id_bits, reference_two_hop_sets, row_ids, same_csr
 
 
 def test_load_two_edge_path():
@@ -80,9 +80,9 @@ def test_roundtrip_dump():
 
 
 def test_id_bit_width():
-    assert Graph(nodes=[0]).b == 1
-    assert Graph(nodes=[0, 7]).b == 3
-    assert Graph(nodes=[2**62]).b == 63
+    assert id_bits(Graph(nodes=[0])) == 1
+    assert id_bits(Graph(nodes=[0, 7])) == 3
+    assert id_bits(Graph(nodes=[2**62])) == 63
 
 
 # the r-hop ball around u is read as the nodes of bfs_distances(g, u, limit=r)

@@ -139,6 +139,29 @@ def test_a_step_evaluates_each_labeling_once(monkeypatch):
     assert len(res.steps) > 0 and len(computed) == 2 * len(res.steps)
 
 
+def test_a_solve_checks_its_coloring_once(monkeypatch):
+    # shaped like the benchmark's hitting workload: the copies have
+    # delta = k = 4 and p = 0.25, so the solve runs 10 steps on one coloring
+    proper, computed = [], []
+    is_proper, objective = rounding.is_proper, rounding._objective
+
+    def counted_proper(g, colors):
+        proper.append(g)
+        return is_proper(g, colors)
+
+    def counted(inst, probs):
+        computed.append(inst)
+        return objective(inst, probs)
+
+    monkeypatch.setattr(rounding, "is_proper", counted_proper)
+    monkeypatch.setattr(rounding, "_objective", counted)
+    rng = random.Random(8)
+    inst = random_hitting_instance(rng, n_u=40, n_v=200, delta=8, p=0.25, norm=0.05, k=4)
+    res = grouped_hitting_set(inst)
+    assert len(res.steps) == 10
+    assert len(proper) == 1 and len(computed) == 2 * len(res.steps)
+
+
 def test_split_wiring_disjoint_blocks():
     nbrs = (3, 7, 11, 15)
     inst = BipartiteInstance((5,), nbrs, {5: nbrs}, {5: 1.0}, 4, 0.6, 0.0, k=2)

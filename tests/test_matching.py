@@ -23,12 +23,12 @@ from localround.matching import (
 from localround.oracles import exact_max_matching
 
 from conftest import count_neighbor_tuple_builds, random_graph, relabel
-from matching_reference import is_matching
+from matching_reference import from_values, is_matching, values
 
 
 def test_fraction_single_edge():
     frac = fractional_matching(Graph(edges=[(0, 1)]))
-    assert frac.values == {(0, 1): 1.0}
+    assert values(frac) == {(0, 1): 1.0}
     assert frac.value() == 1.0
 
 
@@ -36,7 +36,7 @@ def test_fraction_star():
     g = Graph(edges=[(0, leaf) for leaf in range(1, 6)])
     frac = fractional_matching(g)
     # the center saturates immediately: every edge stays at 1/5
-    assert all(0.125 <= x <= 0.5 for x in frac.values.values())
+    assert all(0.125 <= x <= 0.5 for x in values(frac).values())
     assert frac.position_loads()[0] <= 1.0 + 1e-12
     assert frac.value() >= 1.0 / 5.0  # maximum matching is one edge
 
@@ -63,7 +63,7 @@ def test_fraction_loads_battery():
             continue
         frac = fractional_matching(g)
         delta = g.max_degree()
-        for x in frac.values.values():
+        for x in values(frac).values():
             assert x >= 1.0 / delta - 1e-12  # never below the start value
         assert all(v <= 1.0 + 1e-12 for v in frac.position_loads().tolist())
 
@@ -92,10 +92,10 @@ def test_good_edges_zero_bound_empty():
 def test_intra_deterministic_branch_is_fifth():
     g = path(6)
     part = _uniform_partition(g)
-    x = FractionalMatching.from_values(g, {e: 0.5 for e in g.edges()})
+    x = from_values(g, {e: 0.5 for e in g.edges()})
     bound = 1000.0  # huge: every value sits above the keep threshold
     out = intra_round_matching(g, part, x, bound, seed=1)
-    assert out.values == {e: pytest.approx(0.1) for e in g.edges()}
+    assert values(out) == {e: pytest.approx(0.1) for e in g.edges()}
 
 
 def test_intra_two_outcome_small_edge():
@@ -108,9 +108,9 @@ def test_intra_two_outcome_small_edge():
     seen = set()
     for seed in range(30):
         out = intra_round_matching(
-            g, part, FractionalMatching.from_values(g, x), bound, seed=seed, n_total=2
+            g, part, from_values(g, x), bound, seed=seed, n_total=2
         )
-        val = out.values[(0, 1)]
+        val = values(out)[(0, 1)]
         assert val in (0.0, pytest.approx(floor_value))
         seen.add(round(val, 12))
         # both outcomes satisfy the per-node window
@@ -132,7 +132,7 @@ def test_intra_two_outcome_small_edge():
 def test_intra_rejects_malformed_values(x_good, message):
     g = path(3)
     part = _uniform_partition(g)
-    arrays = FractionalMatching.from_values(g, x_good)  # takes values as given
+    arrays = from_values(g, x_good)  # takes values as given
     with pytest.raises(PreconditionError, match=message):
         intra_round_matching(g, part, arrays, bound=3.0, seed=0)
 
@@ -149,7 +149,7 @@ def test_intra_rejects_malformed_values(x_good, message):
 )
 def test_from_values_rejects_malformed_keys(x_good, message):
     with pytest.raises(PreconditionError, match=re.escape(message)):
-        FractionalMatching.from_values(path(3), x_good)
+        from_values(path(3), x_good)
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,17 +159,17 @@ def test_from_values_round_trips_the_arrays(n, p, seed):
     g = strip_isolated(gnp(n, p, seed=seed))
     g = relabel(g if g.m else Graph(edges=[(0, 1)]), random.Random(seed))
     frac = fractional_matching(g)
-    back = FractionalMatching.from_values(g, frac.values)
+    back = from_values(g, values(frac))
     assert back.nodes is g.nodes
     assert back.a.tolist() == frac.a.tolist() and back.b.tolist() == frac.b.tolist()
     assert [x.hex() for x in back.x.tolist()] == [x.hex() for x in frac.x.tolist()]
-    assert list(back.values) == list(frac.values)
+    assert list(values(back)) == list(values(frac))
     # a subset in a drawn order keeps that order
-    keep = list(frac.values)
+    keep = list(values(frac))
     random.Random(seed).shuffle(keep)
     keep = keep[: g.m // 2 + 1]
-    part = FractionalMatching.from_values(g, {e: frac.values[e] for e in keep})
-    assert list(part.values) == keep
+    part = from_values(g, {e: values(frac)[e] for e in keep})
+    assert list(values(part)) == keep
 
 
 def test_intra_rejects_malformed_arrays():
@@ -191,8 +191,8 @@ def test_intra_window_scan_on_pipeline_values():
     bound = float(part.meta["degree_bound"])
     ge = good_edges(g, part, bound)
     arrays = frac.restrict(ge.mask)
-    x_good = arrays.values
-    out = intra_round_matching(g, part, arrays, bound, seed=9, n_total=g.n).values
+    x_good = values(arrays)
+    out = values(intra_round_matching(g, part, arrays, bound, seed=9, n_total=g.n))
     # exhaustive (node, cluster) window scan
     slack = 1.0 / (1000.0 * bound)
     per = {}
@@ -214,28 +214,28 @@ def test_intra_cluster_locality():
     bound = float(part.meta["degree_bound"])
     ge = good_edges(g, part, bound)
     arrays = frac.restrict(ge.mask)
-    x_good = arrays.values
-    full = intra_round_matching(g, part, arrays, bound, seed=3, n_total=g.n).values
+    x_good = values(arrays)
+    full = values(intra_round_matching(g, part, arrays, bound, seed=3, n_total=g.n))
     # an edge belongs to the cluster of its larger endpoint
     by_cluster: dict[int, list] = {}
     for e in x_good:
         by_cluster.setdefault(part.assignment[max(e)], []).append(e)
     for c, edges in by_cluster.items():
-        only = FractionalMatching.from_values(g, {e: x_good[e] for e in edges})
-        alone = intra_round_matching(g, part, only, bound, seed=3, n_total=g.n).values
+        only = from_values(g, {e: x_good[e] for e in edges})
+        alone = values(intra_round_matching(g, part, only, bound, seed=3, n_total=g.n))
         for e in edges:
             assert alone[e] == full[e]
 
 
 def test_finish_single_edge():
     g = Graph(edges=[(0, 1)])
-    m = finish_matching(g, FractionalMatching.from_values(g, {(0, 1): 0.5}))
+    m = finish_matching(g, from_values(g, {(0, 1): 0.5}))
     assert m == frozenset({(0, 1)})
 
 
 def test_finish_even_path():
     g = path(6)
-    x = FractionalMatching.from_values(g, {e: 0.5 for e in g.edges()})
+    x = from_values(g, {e: 0.5 for e in g.edges()})
     m = finish_matching(g, x)
     assert is_matching(m)
     assert len(m) >= (2.0 / 9.0) * 2.5
@@ -345,7 +345,7 @@ def test_intra_retry_budget_exhausts(monkeypatch):
     delays = {0: 0, **{leaf: 50 for leaf in range(1, 3001)}}
     part = delays_to_partition(g, delays, alpha=1)
     assert len(part.clusters) == 1
-    x = FractionalMatching.from_values(g, {e: 1.0 / 20001.0 for e in g.edges()})
+    x = from_values(g, {e: 1.0 / 20001.0 for e in g.edges()})
     with pytest.raises(RetryBudgetExceeded, match="cluster 0"):
         intra_round_matching(g, part, x, bound=1.0, seed=0, n_total=2, retries=5)
 

@@ -26,7 +26,7 @@ from localround.rounding import FractionalAssignment, evaluate
 
 import mis_reference
 from conftest import count_neighbor_tuple_builds, random_graph, relabel
-from graphs_reference import row_ids
+from graphs_reference import id_bits, row_ids
 from mis_reference import (
     ReferenceOrientation,
     reference_mis_terms,
@@ -215,7 +215,7 @@ def test_instance_single_edge_tables():
     x = {0: 0.05, 1: 0.05}
     inst = build_mis_instance(g, witnesses, o)
     # utility is deg(1)/2 * x_0; cost is deg(1)/2 * x_0 * x_1
-    lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
+    lam = FractionalAssignment(g.nodes, [(1.0 - x[u], x[u]) for u in g.nodes])
     utility, cost = evaluate(inst, lam)
     assert utility == pytest.approx(0.5 * 0.05)
     assert cost == pytest.approx(0.5 * 0.05 * 0.05)
@@ -230,7 +230,7 @@ def test_instance_triangle_hand_expansion():
     assert witness_ids(g, witnesses) == {2: (1,), 3: (1,)}
     x = {1: 0.1, 2: 0.2, 3: 0.3}
     inst = build_mis_instance(g, witnesses, o)
-    lam = FractionalAssignment({u: (1.0 - x[u], x[u]) for u in g.nodes})
+    lam = FractionalAssignment(g.nodes, [(1.0 - x[u], x[u]) for u in g.nodes])
     utility, cost = evaluate(inst, lam)
     # hand expansion: degrees are all 2, so each good vertex weighs 1
     assert utility == pytest.approx(x[1] + x[1])
@@ -248,7 +248,7 @@ def test_instance_estimator_slack_on_random_graph():
     inst = build_mis_instance(g, witnesses, o)
     luby_derandomized_iteration(g, part, float(g.n + 1), seed=1, checks=checks)
     assert checks.counts["estimator-slack"] == 1
-    lam = FractionalAssignment({u: (1.0 - xu, xu) for u, xu in zip(g.nodes, x.tolist())})
+    lam = FractionalAssignment(g.nodes, np.column_stack((1.0 - x, x)))
     utility, cost = evaluate(inst, lam)
     assert utility - cost >= utility / 3.0 - 1e-9
 
@@ -441,7 +441,7 @@ def test_mis_with_sparse_random_ids():
     for seed in range(4):
         base = gnp(40, 0.12, seed=seed)
         g = relabel(base, rng)
-        assert g.b > 32  # genuinely wide identifiers
+        assert id_bits(g) > 32  # genuinely wide identifiers
         res = mis(g)
         assert verify_mis(g, res.independent_set)
 
@@ -486,17 +486,24 @@ def test_mis_builds_no_neighbor_tuples(monkeypatch):
 
 
 def test_an_iteration_evaluates_each_labeling_once(monkeypatch):
-    # the fractional marks and the rounded labels each keep the value
-    # computed for them on the instance, so asking again computes nothing
+    # the fractional marks keep the value computed for them on the
+    # instance, and the rounding returns the value of its labels, so each
+    # is computed once; the iteration's one coloring is checked once
     rounding = importlib.import_module("localround.rounding")
-    computed = []
-    objective = rounding._objective
+    computed, proper = [], []
+    objective, is_proper = rounding._objective, rounding.is_proper
 
     def counted(inst, probs):
         computed.append(inst)
         return objective(inst, probs)
 
+    def counted_proper(g, colors):
+        proper.append(g)
+        return is_proper(g, colors)
+
     monkeypatch.setattr(rounding, "_objective", counted)
+    monkeypatch.setattr(rounding, "is_proper", counted_proper)
     res = mis(gnp(2048, 0.004, seed=1))
     assert res.iterations > 0
     assert len(computed) == 2 * res.iterations
+    assert len(proper) == res.iterations

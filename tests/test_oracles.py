@@ -14,11 +14,12 @@ from localround.oracles import (
     exhaustive_round_check,
 )
 from localround.hitting import BipartiteInstance
-from localround.rounding import FractionalAssignment, UtilityCostInstance, evaluate
+from localround.rounding import evaluate
 
 from conftest import random_graph, random_objective
 from matching_reference import is_matching
 from mis_reference import witness_arrays
+from rounding_reference import assignment, instance
 
 
 def test_matching_path_and_clique():
@@ -70,8 +71,8 @@ def test_matching_budget_refusal():
 
 def test_round_check_one_node():
     g = Graph(nodes=[0])
-    inst = UtilityCostInstance(g, 2, {0: ((0.2, 0.9), (0.0, 0.1))})
-    lam = FractionalAssignment({0: (0.25, 0.75)})
+    inst = instance(g, 2, {0: ((0.2, 0.9), (0.0, 0.1))})
+    lam = assignment(g.nodes, {0: (0.25, 0.75)})
     best, expected = exhaustive_round_check(inst, lam)
     assert best == pytest.approx(0.8)
     assert expected == pytest.approx(0.25 * 0.2 + 0.75 * 0.8)
@@ -84,7 +85,7 @@ def test_round_check_single_edge_closed_form():
     witnesses = witness_arrays(g, {1: (0,)})
     x = 0.3
     inst = build_mis_instance(g, witnesses, o)
-    lam = FractionalAssignment({0: (1 - x, x), 1: (1 - x, x)})
+    lam = assignment(g.nodes, {0: (1 - x, x), 1: (1 - x, x)})
     _, expected = exhaustive_round_check(inst, lam)
     assert expected == pytest.approx(0.5 * x - 0.5 * x * x)
 
@@ -100,8 +101,8 @@ def test_round_check_matches_pairwise_evaluate():
 
 def test_round_check_budget():
     g = Graph(nodes=range(25))
-    inst = UtilityCostInstance(g, 2)
-    lam = FractionalAssignment({u: (0.5, 0.5) for u in g.nodes})
+    inst = instance(g, 2)
+    lam = assignment(g.nodes, {u: (0.5, 0.5) for u in g.nodes})
     with pytest.raises(BudgetExceeded):
         exhaustive_round_check(inst, lam, OracleBudget(max_label_tuples=2**20))
 

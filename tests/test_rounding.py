@@ -23,6 +23,10 @@ from localround.rounding import (
 
 from conftest import random_graph, random_objective, relabel
 from rounding_reference import (
+    assignment,
+    instance,
+    integral,
+    reference_check_probabilities,
     reference_evaluate,
     reference_greedy_color,
     reference_is_proper,
@@ -32,17 +36,15 @@ from rounding_reference import (
 
 def test_evaluate_single_node_integral():
     g = Graph(nodes=[0])
-    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
-    assert evaluate(inst, {0: 1}) == (1.0, 0.0)
-    assert evaluate(inst, {0: 0}) == (0.0, 0.0)
+    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    assert evaluate(inst, integral(inst, {0: 1})) == (1.0, 0.0)
+    assert evaluate(inst, integral(inst, {0: 0})) == (0.0, 0.0)
 
 
 def test_evaluate_pairwise_product():
     g = Graph(edges=[(0, 1)])
-    inst = UtilityCostInstance(
-        g, 2, edge_terms={(0, 1): (((0.0, 0.0), (0.0, 1.0)), None)}
-    )
-    lam = FractionalAssignment({0: (0.5, 0.5), 1: (0.5, 0.5)})
+    inst = instance(g, 2, edge_terms={(0, 1): (((0.0, 0.0), (0.0, 1.0)), None)})
+    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
     utility, cost = evaluate(inst, lam)
     assert utility == pytest.approx(0.25)
     assert cost == 0.0
@@ -59,46 +61,32 @@ def test_evaluate_matches_exhaustive_expectation():
 
 def test_evaluate_missing_node():
     g = Graph(nodes=[0, 1])
-    inst = UtilityCostInstance(g, 2)
-    with pytest.raises(PreconditionError):
-        evaluate(inst, {0: 1})
+    inst = instance(g, 2)
+    for nodes in ((0,), (1, 0), (0, 1, 2)):
+        lam = assignment(nodes, {u: (0.0, 1.0) for u in nodes})
+        with pytest.raises(PreconditionError, match="not over the conflict graph's nodes"):
+            evaluate(inst, lam)
 
 
 def test_instance_rejects_non_conflict_edge_terms():
     g = Graph(nodes=[0, 1])  # no edge
-    with pytest.raises(PreconditionError):
-        UtilityCostInstance(g, 2, edge_terms={(0, 1): (None, None)})
-
-
-@pytest.mark.parametrize(
-    "node_terms,edge_terms,match",
-    [
-        ({7: ((0.0, 1.0), None)}, None, "unknown node 7"),
-        ({0: ((0.0, 1.0, 2.0), None)}, None, "bad node table at 0"),
-        ({1: (None, (0.0, math.inf))}, None, "bad node table at 1"),
-        (None, {(0, 1): (((0.0, 1.0), (1.0,)), None)}, r"bad edge table at \(0,1\)"),
-        (None, {(0, 1): (None, ((0.0, 1.0), (math.nan, 0.0)))}, r"bad edge table at \(0,1\)"),
-        (None, {(1, 0): (None, None)}, "not a conflict edge"),
-    ],
-)
-def test_instance_rejects_malformed_terms(node_terms, edge_terms, match):
-    g = Graph(edges=[(0, 1)])
-    with pytest.raises(PreconditionError, match=match):
-        UtilityCostInstance(g, 2, node_terms, edge_terms)
+    edge = dict(edge_u=np.array([0]), edge_v=np.array([1]))
+    with pytest.raises(PreconditionError, match=r"\(0,1\) is not a conflict edge"):
+        UtilityCostInstance(g, 2, **_arrays(2, 1, **edge))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("const", ["utility_const", "cost_const"])
 def test_instance_rejects_non_finite_constants(const, value):
-    g = Graph(edges=[(0, 1)])
+    g = Graph(edges=[(0, 1), (1, 2)])
     with pytest.raises(PreconditionError, match="constants must be finite"):
-        UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)}, **{const: value})
+        UtilityCostInstance(g, 2, **_path_arrays(**{const: value}))
 
 
 def test_term_views_keep_keys_order_and_length():
     g = Graph(edges=[(0, 1), (1, 2), (0, 2)])
     zero = ((0.0, 0.0), (0.0, 0.0))
-    inst = UtilityCostInstance(
+    inst = instance(
         g,
         2,
         {2: ((1.0, 2.0), None), 0: (None, (0.5, 0.0))},
@@ -115,34 +103,47 @@ def test_term_views_keep_keys_order_and_length():
     ]
 
 
+def _arrays(n, num_edges, **change):
+    """Constructor arguments for n nodes, 2 labels and `num_edges` edge
+    terms, every table zero and no node term, with `change` applied."""
+    args = dict(
+        term_nodes=np.zeros(0, np.intp),
+        node_utility=np.zeros((n, 2)),
+        node_cost=np.zeros((n, 2)),
+        edge_u=np.zeros(num_edges, np.intp),
+        edge_v=np.zeros(num_edges, np.intp),
+        edge_utility=np.zeros((num_edges, 2, 2)),
+        edge_cost=np.zeros((num_edges, 2, 2)),
+    )
+    return {**args, **change}
+
+
 def _path_arrays(**change):
-    """from_arrays arguments for one node term at 0 and an edge term on
+    """Constructor arguments for one node term at 0 and an edge term on
     (0, 1) of the path 0 - 1 - 2, with `change` applied."""
     node_utility = np.zeros((3, 2))
     node_utility[0] = (0.0, 1.0)
     edge_cost = np.zeros((1, 2, 2))
     edge_cost[0, 1, 1] = 0.5
-    args = dict(
+    args = _arrays(
+        3,
+        1,
         term_nodes=np.array([0]),
         node_utility=node_utility,
-        node_cost=np.zeros((3, 2)),
-        edge_u=np.array([0]),
         edge_v=np.array([1]),
-        edge_utility=np.zeros((1, 2, 2)),
         edge_cost=edge_cost,
     )
     return {**args, **change}
 
 
 def test_from_arrays_matches_the_dict_constructor():
+    # the dict builder the tests draw instances with gives the same arrays
     g = Graph(edges=[(0, 1), (1, 2)])
-    arrays = UtilityCostInstance.from_arrays(g, 2, **_path_arrays())
-    terms = UtilityCostInstance(
-        g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): (None, ((0.0, 0.0), (0.0, 0.5)))}
-    )
+    arrays = UtilityCostInstance(g, 2, **_path_arrays())
+    terms = instance(g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): (None, ((0.0, 0.0), (0.0, 0.5)))})
     assert dict(arrays.node_terms) == dict(terms.node_terms)
     assert dict(arrays.edge_terms) == dict(terms.edge_terms)
-    lam = FractionalAssignment({0: (0.5, 0.5), 1: (0.25, 0.75), 2: (1.0, 0.0)})
+    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.25, 0.75), 2: (1.0, 0.0)})
     assert evaluate(arrays, lam) == evaluate(terms, lam)
 
 
@@ -160,28 +161,34 @@ def test_from_arrays_matches_the_dict_constructor():
         ({"edge_cost": np.zeros((1, 2, 3))}, "do not match"),
         ({"node_utility": np.zeros((2, 2))}, "do not match"),
         ({"utility_const": math.nan}, "constants must be finite"),
+        ({"term_nodes": np.array([7])}, "node term position outside"),
+        ({"node_utility": np.zeros((3, 3))}, "do not match"),
+        ({"term_nodes": np.array([0, 1]), "node_cost": np.array([[0, 0], [0, math.inf], [0, 0]])},
+         "non-finite node"),
+        ({"edge_utility": [[[0.0, 1.0], [1.0]]]}, "do not match"),
+        ({"edge_cost": np.array([[[0.0, 1.0], [math.nan, 0.0]]])}, "non-finite edge"),
+        ({"edge_u": np.array([3])}, "edge term position outside"),
+        ({"term_nodes": np.array([-1])}, "node term position outside"),
     ],
 )
 def test_from_arrays_rejects_malformed_arrays(change, match):
     g = Graph(edges=[(0, 1), (1, 2)])
     with pytest.raises(PreconditionError, match=match):
-        UtilityCostInstance.from_arrays(g, 2, **_path_arrays(**change))
+        UtilityCostInstance(g, 2, **_path_arrays(**change))
     with pytest.raises(PreconditionError, match="at least one label"):
-        UtilityCostInstance.from_arrays(g, 0, **_path_arrays())
+        UtilityCostInstance(g, 0, **_path_arrays())
 
 
 def test_evaluate_rejects_malformed_labelings():
     g = Graph(edges=[(0, 1)])
-    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
-    with pytest.raises(PreconditionError, match="lie in"):
-        evaluate(inst, {0: 1, 1: 2})
-    with pytest.raises(PreconditionError, match="node 1 needs 2 labels"):
-        evaluate(inst, FractionalAssignment({0: (0.5, 0.5), 1: (1.0,)}))
+    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    with pytest.raises(PreconditionError, match="have 3 labels, not 2"):
+        evaluate(inst, assignment(g.nodes, {0: (0.5, 0.5, 0.0), 1: (1.0, 0.0, 0.0)}))
 
 
 def test_fractional_assignment_rejects_nan():
     with pytest.raises(PreconditionError, match="outside"):
-        FractionalAssignment({0: (math.nan, 1.0), 1: (0.5, 0.5)})
+        FractionalAssignment((0, 1), [(math.nan, 1.0), (0.5, 0.5)])
 
 
 @st.composite
@@ -209,20 +216,16 @@ def probability_matrices(draw):
 def test_from_matrix_checks_as_the_constructor_does(case):
     nodes, matrix = case
     try:
-        lam = FractionalAssignment(dict(zip(nodes, matrix.tolist())))
+        reference_check_probabilities(dict(zip(nodes, matrix.tolist())))
     except PreconditionError as exc:
         # the same check fails first, at the same node
         with pytest.raises(PreconditionError) as got:
-            FractionalAssignment.from_matrix(nodes, matrix)
+            FractionalAssignment(nodes, matrix)
         assert str(got.value) == str(exc)
         return
-    kept = FractionalAssignment.from_matrix(nodes, matrix)
-    assert kept._rows(nodes) is kept._rows(nodes) and not kept._rows(nodes).flags.writeable
-    assert np.array_equal(kept._rows(nodes), matrix)
-    assert kept.probs == lam.probs
-    assert all(kept[u] == lam[u] for u in nodes)
-    # another order is built from the dict view of the kept matrix
-    assert kept._rows(nodes[::-1]).tolist() == lam._rows(nodes[::-1]).tolist()
+    lam = FractionalAssignment(list(nodes), matrix)
+    assert lam.nodes == nodes and not lam.matrix.flags.writeable
+    assert np.array_equal(lam.matrix, matrix) and lam.matrix is not matrix
 
 
 def test_both_constructors_sum_left_to_right():
@@ -231,36 +234,40 @@ def test_both_constructors_sum_left_to_right():
     row = (0.1, 0.2, 0.3, 0.4 + 2e-9)
     want = re.escape(f"node 7 sum to {plain_sum(row)!r}")
     with pytest.raises(PreconditionError, match=want):
-        FractionalAssignment({7: row})
+        reference_check_probabilities({7: row})
     with pytest.raises(PreconditionError, match=want):
-        FractionalAssignment.from_matrix((7,), np.array([row]))
+        FractionalAssignment((7,), np.array([row]))
 
 
 def test_from_matrix_needs_one_row_per_node():
     with pytest.raises(PreconditionError, match="shape"):
-        FractionalAssignment.from_matrix((1, 2), np.ones((1, 2)) / 2)
+        FractionalAssignment((1, 2), np.ones((1, 2)) / 2)
+    with pytest.raises(PreconditionError, match="shape"):
+        FractionalAssignment((1, 2), np.ones(2) / 2)
 
 
 def test_greedy_color_edgeless():
     g = Graph(nodes=[3, 1, 4])
     col = greedy_color(g)
-    assert set(col.colors.values()) == {0}
+    assert col.colors.tolist() == [0, 0, 0] and col.num_colors == 1
+    assert greedy_color(Graph()).num_colors == 0
 
 
 def test_greedy_color_clique():
     g = Graph(edges=[(a, b) for a in range(4) for b in range(a + 1, 4)])
     col = greedy_color(g)
     assert col.num_colors == 4
-    assert len(set(col.colors.values())) == 4
+    assert len(set(col.colors.tolist())) == 4
 
 
 def test_greedy_color_proper_and_bounded():
     rng = random.Random(9)
     g = random_graph(rng, 50, 0.1)
     col = greedy_color(g)
+    colors = dict(zip(g.nodes, col.colors.tolist()))
     for u, v in g.edges():  # edge-scan properness oracle
-        assert col.colors[u] != col.colors[v]
-    assert col.num_colors <= g.max_degree() + 1
+        assert colors[u] != colors[v]
+    assert col.graph is g and col.num_colors <= g.max_degree() + 1
 
 
 @st.composite
@@ -281,76 +288,71 @@ def color_cases(draw):
 @given(color_cases())
 def test_greedy_color_matches_the_first_fit_loop(g):
     col, ref = greedy_color(g), reference_greedy_color(g)
-    assert dict(col.colors) == ref.colors and col.num_colors == ref.num_colors
+    assert col.colors.tolist() == [ref[u] for u in g.nodes]
+    assert col.num_colors == max(ref.values(), default=-1) + 1
 
 
 def test_greedy_color_matches_the_first_fit_loop_at_scale():
     # waves of up to 144 nodes and a tail of thin ones
     sq = square_graph(gnp(8192, 8 / 8191, seed=3))
     col, ref = greedy_color(sq), reference_greedy_color(sq)
-    assert dict(col.colors) == ref.colors and col.num_colors == ref.num_colors
+    assert col.colors.tolist() == [ref[u] for u in sq.nodes]
+    assert col.num_colors == max(ref.values()) + 1
 
 
 def test_greedy_coloring_keeps_its_color_array():
     g = random_graph(random.Random(4), 30, 0.2)
-    inst, lam = UtilityCostInstance(g, 2), FractionalAssignment({u: (0.5, 0.5) for u in g.nodes})
+    inst, lam = instance(g, 2), assignment(g.nodes, {u: (0.5, 0.5) for u in g.nodes})
     col = greedy_color(g)
-    assert is_proper(g, col)
-    round_labels(inst, lam, col)
-    # both read the kept array; the dict is built only when read
-    assert col.colors._entries is None
-    assert col.colors == reference_greedy_color(g).colors
-    # another node order reads the dict
+    assert not col.colors.flags.writeable and col.colors.dtype == np.int64
+    assert is_proper(g, col.colors) and round_labels(inst, lam, col)[0].tolist() == [0] * g.n
+    # a coloring belongs to its graph: another node order is refused
     other = induced_subgraph(g, g.nodes[1:])
-    assert is_proper(other, col) and round_labels(UtilityCostInstance(other, 2), lam, col)
+    half = assignment(other.nodes, {u: (0.5, 0.5) for u in other.nodes})
+    with pytest.raises(PreconditionError, match="not of the instance's conflict graph"):
+        round_labels(instance(other, 2), half, col)
 
 
 def test_rounded_labels_are_a_read_only_array_that_keeps_its_value():
     rng = random.Random(6)
     inst, lam = random_objective(rng, max_nodes=25)
     g = inst.conflict_graph
-    labels = round_labels(inst, lam, greedy_color(g))
-    assert labels._entries is None and not labels.array.flags.writeable
-    value = evaluate(inst, labels)
-    assert evaluate(inst, labels) is value and labels._entries is None
-    assert labels.array.tolist() == [labels[u] for u in g.nodes]
-    assert value == evaluate(inst, dict(labels))
-    # another instance over the same nodes is evaluated afresh
-    ones = (1.0,) * inst.num_labels
-    other = UtilityCostInstance(g, inst.num_labels, {u: (ones, None) for u in g.nodes})
-    assert evaluate(other, labels) == reference_evaluate(other, dict(labels))
+    labels, value = round_labels(inst, lam, greedy_color(g))
+    assert not labels.flags.writeable and labels.shape == (g.n,)
+    # the value returned is the one evaluate gives the one-hot labeling
+    assert value == evaluate(inst, integral(inst, labels))
+    want = reference_evaluate(inst, dict(zip(g.nodes, labels.tolist())))
+    assert value == pytest.approx(want, rel=1e-9, abs=1e-12)
     assert evaluate(inst, lam) is evaluate(inst, lam)
 
 
 def test_round_integral_fixed_point():
     # integral assignment already at the per-node maximizer stays put
     g = Graph(edges=[(0, 1)])
-    inst = UtilityCostInstance(
+    inst = instance(
         g,
         2,
         {0: ((0.0, 2.0), None), 1: ((0.0, 2.0), None)},
         {(0, 1): (None, ((0.0, 0.0), (0.0, 1.0)))},
     )
-    lam = FractionalAssignment({0: (0.0, 1.0), 1: (0.0, 1.0)})
-    labels = round_labels(inst, lam, greedy_color(g))
-    assert labels == {0: 1, 1: 1}
-    before = evaluate(inst, lam)
-    after = evaluate(inst, labels)
-    assert before == after
+    lam = assignment(g.nodes, {0: (0.0, 1.0), 1: (0.0, 1.0)})
+    labels, after = round_labels(inst, lam, greedy_color(g))
+    assert labels.tolist() == [1, 1]
+    assert evaluate(inst, lam) == after
 
 
 def test_round_single_node_picks_maximizer():
     g = Graph(nodes=[0])
-    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
-    lam = FractionalAssignment({0: (0.3, 0.7)})
-    assert round_labels(inst, lam, greedy_color(g)) == {0: 1}
+    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    lam = assignment(g.nodes, {0: (0.3, 0.7)})
+    assert round_labels(inst, lam, greedy_color(g))[0].tolist() == [1]
 
 
 def test_round_ties_prefer_smaller_label():
     g = Graph(nodes=[0])
-    inst = UtilityCostInstance(g, 2, {0: ((0.5, 0.5), None)})
-    lam = FractionalAssignment({0: (0.5, 0.5)})
-    assert round_labels(inst, lam, greedy_color(g)) == {0: 0}
+    inst = instance(g, 2, {0: ((0.5, 0.5), None)})
+    lam = assignment(g.nodes, {0: (0.5, 0.5)})
+    assert round_labels(inst, lam, greedy_color(g))[0].tolist() == [0]
 
 
 def test_round_contract_on_random_instances():
@@ -358,9 +360,8 @@ def test_round_contract_on_random_instances():
     for _ in range(60):
         inst, lam = random_objective(rng, max_nodes=8)
         col = greedy_color(inst.conflict_graph)
-        labels = round_labels(inst, lam, col)
+        _, (uf, cf) = round_labels(inst, lam, col)
         u0, c0 = evaluate(inst, lam)
-        uf, cf = evaluate(inst, labels)
         assert uf - cf >= 0.9 * (u0 - c0) - 1e-9
         assert uf - cf >= (u0 - c0) - 1e-9
         best, expected = exhaustive_round_check(inst, lam)
@@ -370,93 +371,99 @@ def test_round_contract_on_random_instances():
 
 def test_round_precondition_rejected_with_measurements():
     g = Graph(nodes=[0])
-    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), (0.0, 0.99))})
-    lam = FractionalAssignment({0: (0.0, 1.0)})
+    inst = instance(g, 2, {0: ((0.0, 1.0), (0.0, 0.99))})
+    lam = assignment(g.nodes, {0: (0.0, 1.0)})
     with pytest.raises(PreconditionError, match="utility"):
         round_labels(inst, lam, greedy_color(g))
 
 
 def test_round_improper_coloring_rejected():
     g = Graph(edges=[(0, 1)])
-    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
-    lam = FractionalAssignment({0: (0.5, 0.5), 1: (0.5, 0.5)})
-    bad = Coloring({0: 0, 1: 0}, 1)
-    assert not is_proper(g, bad)
+    assert not is_proper(g, np.array([0, 0]))
     with pytest.raises(PreconditionError, match="proper"):
-        round_labels(inst, lam, bad)
-    with pytest.raises(PreconditionError, match="outside"):
-        round_labels(inst, lam, Coloring({0: 0, 1: 1}, 1))
+        Coloring(g, [0, 0])
+    with pytest.raises(PreconditionError, match="negative"):
+        Coloring(g, [0, -1])
+    # a proper coloring of an equal graph is still not this graph's
+    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
+    with pytest.raises(PreconditionError, match="not of the instance's conflict graph"):
+        round_labels(inst, lam, Coloring(Graph(edges=[(0, 1)]), [0, 1]))
+    assert round_labels(inst, lam, Coloring(g, [1, 0]))[0].tolist() == [1, 0]
 
 
 @st.composite
 def colorings(draw):
-    """A graph on up to 24 ids anywhere in [0, 2^63) and a coloring of
-    all its nodes: a greedy (proper) one, one with a few nodes recolored,
-    or random colors from a small range, optionally shifted past 2^63."""
+    """A graph on up to 24 ids anywhere in [0, 2^63) and colors by node
+    position: a greedy (proper) coloring, one with a few nodes recolored,
+    or random colors from a small range, optionally shifted below 0."""
     ids = st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1))
     nodes = sorted(draw(st.sets(ids, max_size=24)))
     pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
     p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
     g = Graph(nodes=nodes, edges=[e for e in pairs if draw(st.floats(0, 1)) < p])
-    colors = dict(greedy_color(g).colors)
+    colors = greedy_color(g).colors.tolist()
     kind = draw(st.sampled_from(["greedy", "recolored", "random"]))
     if kind == "recolored" and nodes:
-        for u in draw(st.lists(st.sampled_from(nodes), max_size=3)):
-            colors[u] = draw(st.integers(0, 3))
+        for i in draw(st.lists(st.integers(0, len(nodes) - 1), max_size=3)):
+            colors[i] = draw(st.integers(0, 3))
     elif kind == "random":
-        colors = {u: draw(st.integers(0, 3)) for u in nodes}
-    shift = draw(st.sampled_from([0, -5, 2**70]))
-    colors = {u: c + shift for u, c in colors.items()}
-    return g, Coloring(colors, max(colors.values(), default=-1) + 1)
+        colors = [draw(st.integers(0, 3)) for _ in nodes]
+    shift = draw(st.sampled_from([0, -5]))
+    return g, np.array(colors, np.int64) + shift
 
 
 @settings(max_examples=300, deadline=None)
 @given(colorings())
 def test_is_proper_matches_the_generator(case):
-    g, coloring = case
-    assert is_proper(g, coloring) == reference_is_proper(g, coloring)
+    g, colors = case
+    proper = reference_is_proper(g, dict(zip(g.nodes, colors.tolist())))
+    assert is_proper(g, colors) == proper
+    if proper and (not g.n or colors.min() >= 0):
+        assert Coloring(g, colors).colors.tolist() == colors.tolist()
+    else:
+        with pytest.raises(PreconditionError):
+            Coloring(g, colors)
 
 
 def test_is_proper_needs_every_color():
     g = Graph(edges=[(3, 2**60), (2**60, 7)])
     for colors in ({3: 0, 2**60: 1}, {3: 0, 7: 0}):
+        with pytest.raises(PreconditionError, match=r"\(2,\) colors for 3 nodes"):
+            Coloring(g, list(colors.values()))
         with pytest.raises(KeyError):
-            is_proper(g, Coloring(colors, 2))
-        with pytest.raises(KeyError):
-            reference_is_proper(g, Coloring(colors, 2))
+            reference_is_proper(g, colors)
 
 
 def test_probability_matrix_is_kept_per_node_order():
     g = Graph(edges=[(0, 5), (5, 9)])
-    inst = UtilityCostInstance(g, 2, {5: ((0.0, 1.0), (0.2, 0.0))})
-    lam = FractionalAssignment({0: (0.5, 0.5), 5: (0.25, 0.75), 9: (1.0, 0.0), 4: (0.0, 1.0)})
+    inst = instance(g, 2, {5: ((0.0, 1.0), (0.2, 0.0))})
+    lam = assignment(g.nodes, {0: (0.5, 0.5), 5: (0.25, 0.75), 9: (1.0, 0.0)})
     before = evaluate(inst, lam)
-    kept = lam._rows(g.nodes)
+    kept = lam.matrix
     assert not kept.flags.writeable
     assert kept.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
     # round_labels writes one-hot rows into its own copy, not the kept one
     round_labels(inst, lam, greedy_color(g))
-    assert lam._rows(g.nodes) is kept
+    assert lam.matrix is kept and kept.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
     assert evaluate(inst, lam) == before
-    other = Graph(edges=[(4, 9)])
-    assert lam._rows(other.nodes).tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert lam._rows(g.nodes) is not kept
+    # the matrix is over one node order; another graph's is refused
+    other = Graph(edges=[(0, 5), (5, 9), (9, 10)])
+    with pytest.raises(PreconditionError, match="not over the conflict graph's nodes"):
+        evaluate(instance(other, 2), lam)
 
 
 def test_kept_probabilities_still_check_every_call():
     g = Graph(edges=[(0, 1)])
-    inst = UtilityCostInstance(g, 2, {0: ((0.0, 1.0), None)})
-    three = UtilityCostInstance(g, 3)
-    short = FractionalAssignment({0: (0.5, 0.5)})
-    lam = FractionalAssignment({0: (0.5, 0.5), 1: (0.5, 0.5)})
-    ragged = FractionalAssignment({0: (0.5, 0.5), 1: (1.0,)})
+    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    three = instance(g, 3)
+    short = assignment((0,), {0: (0.5, 0.5)})
+    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
     for _ in range(2):
-        with pytest.raises(PreconditionError, match="misses decision node 1"):
+        with pytest.raises(PreconditionError, match="not over the conflict graph's nodes"):
             evaluate(inst, short)
-        with pytest.raises(PreconditionError, match="node 1 needs 2 labels"):
-            evaluate(inst, ragged)
         assert evaluate(inst, lam) == (0.5, 0.0)
-        with pytest.raises(PreconditionError, match="node 0 needs 3 labels"):
+        with pytest.raises(PreconditionError, match="have 2 labels, not 3"):
             evaluate(three, lam)
 
 
@@ -464,7 +471,8 @@ def test_round_deterministic():
     rng = random.Random(12)
     inst, lam = random_objective(rng, max_nodes=7)
     col = greedy_color(inst.conflict_graph)
-    assert round_labels(inst, lam, col) == round_labels(inst, lam, col)
+    (first, value), (again, repeat) = round_labels(inst, lam, col), round_labels(inst, lam, col)
+    assert first.tolist() == again.tolist() and value == repeat
 
 
 def test_round_monotone_counted():
@@ -482,18 +490,17 @@ def test_round_monotone_counted():
 def test_round_never_below_fractional(seed):
     rng = random.Random(seed)
     inst, lam = random_objective(rng, max_nodes=6)
-    labels = round_labels(inst, lam, greedy_color(inst.conflict_graph))
+    _, (uf, cf) = round_labels(inst, lam, greedy_color(inst.conflict_graph))
     u0, c0 = evaluate(inst, lam)
-    uf, cf = evaluate(inst, labels)
     assert uf - cf >= (u0 - c0) - 1e-9
 
 
 def test_three_label_alphabet():
     rng = random.Random(21)
     inst, lam = random_objective(rng, max_nodes=5, num_labels=3)
-    labels = round_labels(inst, lam, greedy_color(inst.conflict_graph))
-    assert set(labels) == set(inst.conflict_graph.nodes)
-    assert all(0 <= lab < 3 for lab in labels.values())
+    labels, _ = round_labels(inst, lam, greedy_color(inst.conflict_graph))
+    assert labels.shape == (inst.conflict_graph.n,)
+    assert all(0 <= lab < 3 for lab in labels.tolist())
 
 
 @st.composite
@@ -528,7 +535,7 @@ def objectives(draw):
         for _, cost in (*node_terms.values(), *edge_terms.values())
         if cost is not None
     )
-    inst = UtilityCostInstance(g, nl, node_terms, edge_terms, utility_const=10 * cost_mass + 1)
+    inst = instance(g, nl, node_terms, edge_terms, utility_const=10 * cost_mass + 1)
 
     probs = {}
     for u in nodes:
@@ -540,16 +547,13 @@ def objectives(draw):
             raw = [draw(st.floats(0.0, 1.0)) for _ in range(nl)]
             total = sum(raw)
             probs[u] = tuple(x / total for x in raw) if total > 0 else (1.0,) + (0.0,) * (nl - 1)
-    integral = {u: draw(st.integers(0, nl - 1)) for u in nodes}
+    labels = {u: draw(st.integers(0, nl - 1)) for u in nodes}
 
     col = greedy_color(g)
     stride, flip = draw(st.integers(1, 2)), draw(st.booleans())
     top = stride * col.num_colors
-    coloring = Coloring(
-        {u: (top - 1 - stride * c if flip else stride * c) for u, c in col.colors.items()},
-        top,
-    )
-    return inst, FractionalAssignment(probs), integral, coloring
+    coloring = Coloring(g, top - 1 - stride * col.colors if flip else stride * col.colors)
+    return inst, assignment(g.nodes, probs), labels, coloring
 
 
 def _close(a, b):
@@ -559,11 +563,12 @@ def _close(a, b):
 @settings(max_examples=300, deadline=None)
 @given(objectives())
 def test_array_path_matches_loop_reference(case):
-    inst, lam, integral, coloring = case
-    for assignment in (lam, integral):
-        got, want = evaluate(inst, assignment), reference_evaluate(inst, assignment)
+    inst, lam, labels, coloring = case
+    for fractional, given in ((lam, lam), (integral(inst, labels), labels)):
+        got, want = evaluate(inst, fractional), reference_evaluate(inst, given)
         assert _close(got[0], want[0]) and _close(got[1], want[1])
-    labels = round_labels(inst, lam, coloring)
-    assert labels == reference_round_labels(inst, lam, coloring)
-    got, want = evaluate(inst, labels), reference_evaluate(inst, labels)
+    rounded, got = round_labels(inst, lam, coloring)
+    want_labels = reference_round_labels(inst, lam, coloring)
+    assert rounded.tolist() == [want_labels[u] for u in inst.conflict_graph.nodes]
+    want = reference_evaluate(inst, want_labels)
     assert _close(got[0], want[0]) and _close(got[1], want[1])
