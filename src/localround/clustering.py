@@ -54,8 +54,10 @@ from .graphs import (
     bfs_distances,
     csr_rows,
     distinct,
+    distinct_inverse,
     induced_subgraph,  # not called here; perfbench's tests pin this import
     lookup,
+    stable_order,
     two_hop_sets,
 )
 from .hitting import BipartiteInstance, grouped_hitting_set
@@ -175,10 +177,9 @@ def _build_view(part: Partition, name: str) -> dict:
         return dict(zip(ids, part.label.tolist()))
     if name == "delays":
         return dict(zip(ids, part.delay.tolist()))
-    order = np.argsort(part.label, kind="stable")
-    labels, start = np.unique(part.label[order], return_index=True)
-    members = np.split(part.ids[order], start[1:])
-    return {c: frozenset(m.tolist()) for c, m in zip(labels.tolist(), members)}
+    order, ranked = stable_order(part.label)
+    members = np.split(part.ids[order], np.flatnonzero(np.diff(ranked)) + 1)
+    return {c: frozenset(m.tolist()) for c, m in zip(distinct(ranked).tolist(), members)}
 
 
 def _arrivals(g: Graph, delay: np.ndarray) -> list[int]:
@@ -606,7 +607,7 @@ def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray
     at, covered = lookup(partition.ids, _ids(g))
     if not covered.all():
         raise PreconditionError(f"partition does not cover node {g.nodes[covered.argmin()]}")
-    labels, rank = np.unique(partition.label[at], return_inverse=True)
+    labels, rank = distinct_inverse(partition.label[at])
     return labels.tolist(), rank
 
 
@@ -627,10 +628,11 @@ class ClusterGroups:
     """Sums over groups of entries, for the windows of a per-cluster
     floor: entry k adds the value of item items[k] to the group of
     codes[k], and that group belongs to cluster codes[k] // stride, one
-    of `clusters`.  Groups are numbered by increasing code (`keys`)."""
+    of `clusters`.  Groups are numbered by increasing code (`keys`), and
+    one `distinct_inverse` finds each entry's group."""
 
     def __init__(self, codes: np.ndarray, items: np.ndarray, stride: int, clusters: int):
-        self.keys, self.groups = np.unique(codes, return_inverse=True)
+        self.keys, self.groups = distinct_inverse(codes)
         self.owners = self.keys // stride
         self.items = items
         self.clusters = clusters
@@ -722,7 +724,8 @@ def verify_partition(
     if not np.array_equal(partition.ids, _ids(g)):
         raise PreconditionError("clusters do not cover V")
 
-    _, cluster, size = np.unique(partition.label, return_inverse=True, return_counts=True)
+    cluster = distinct_inverse(partition.label)[1]
+    size = np.bincount(cluster)
     indptr, nbr = g.csr()
     rows = csr_rows(indptr)
     same = cluster[rows] == cluster[nbr]

@@ -333,33 +333,70 @@ def two_hop_sets(g: Graph) -> dict[int, frozenset[int]]:
     return {u: frozenset((u, *square.neighbors(u))) for u in g.nodes}
 
 
+def _fresh(ranked: np.ndarray) -> np.ndarray:
+    """Whether each element of an increasing array differs from the one
+    before it; the first does."""
+    fresh = np.empty(len(ranked), bool)
+    fresh[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    return fresh
+
+
 def distinct(codes: np.ndarray) -> np.ndarray:
     """The distinct values of an integer array, increasing; sorts `codes`
     in place, then masks repeats.  `np.unique` gives the same, but on the
     653k codes of `square_graph` on an n=8192 average-degree-8 graph it
     took 0.49-0.62 s under numpy 2.4.6, against 10 ms for sort plus
-    mask."""
+    mask.  `distinct_inverse` also gives each element's index among
+    them."""
     codes.sort()
-    fresh = np.empty(len(codes), bool)
-    fresh[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-    return codes[fresh]
+    return codes[_fresh(codes)]
+
+
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What `np.argsort(keys, kind="stable")` returns, and `keys` in that
+    order, for an integer array.  Sorts the int64 values key * len + index,
+    which are distinct and order as (key, index), and splits them with
+    one `divmod`: under numpy 2.4.6 on 2 vCPUs a stable argsort of int64
+    keys took about 3 ms against 0.6 ms for this at 33k keys, and 100
+    against 13 ms at 600k.  A negative key, or one with key * len above
+    2^63, as a node id may be, takes the stable argsort."""
+    n = len(keys)
+    if n and (keys.min() < 0 or (int(keys.max()) + 1) * n > 1 << 63):
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = keys.astype(np.int64) * n
+    packed += np.arange(n)
+    packed.sort()
+    order = np.empty_like(packed)
+    np.divmod(packed, n, out=(packed, order))
+    return order, packed
+
+
+def distinct_inverse(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an integer array, increasing, and the index
+    of each element's value among them: what `np.unique(codes,
+    return_inverse=True)` returns, through one `stable_order`."""
+    order, ranked = stable_order(codes)
+    fresh = _fresh(ranked)
+    inverse = np.empty(len(codes), np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ranked[fresh], inverse
 
 
 def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of `codes` in order of first occurrence, and the
-    index of each element's value among them."""
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    new = np.empty(len(codes), bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    first = order[new]  # stable: the earliest element of each value
-    rank = np.empty(len(first), np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
+    index of each element's value among them.  One `stable_order` puts the
+    earliest element of each value first among its equals; marking those
+    elements by index orders them by occurrence without a second sort."""
+    order, ranked = stable_order(codes)
+    fresh = _fresh(ranked)
+    first = np.zeros(len(codes), bool)
+    first[order[fresh]] = True
+    rank = np.cumsum(first) - 1  # among the first occurrences, by index
     inverse = np.empty(len(codes), np.intp)
-    inverse[order] = rank[np.cumsum(new) - 1]
-    return codes[np.sort(first)], inverse
+    inverse[order] = rank[order[fresh]][np.cumsum(fresh) - 1]
+    return codes[first], inverse
 
 
 def square_graph(g: Graph) -> Graph:

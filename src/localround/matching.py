@@ -14,8 +14,14 @@ threshold, no stream is drawn from, and so none derives its seed or
 builds its generator: perfbench's traced runs take these calls as the
 `seeds` layer's spans on this path and compute
 `matching.intra_accept_ratio` from them, so removing them is a change to
-the benchmark's declared layers first.  The support graph of the finish
-is built from position arrays (`edge_subgraph`).
+the benchmark's declared layers first.  It orders the edges by cluster
+with one sort of packed int64 codes (`cluster_edge_order`); a
+`np.lexsort` took 14 ms of a 60 ms solve at n=8192 (numpy 2.4.6, 2
+vCPUs).  The support graph of the finish is the working graph itself
+when every edge keeps a positive value, else it is built from position
+arrays (`edge_subgraph`).  The finish decides its greedy matching in
+rounds of array operations and scans only the last few edges one at a
+time (`greedy_maximal_matching`).
 
 Edge values pass from stage to stage in one form, arrays over node
 positions (`FractionalMatching`): endpoints a < b and one value per edge.
@@ -53,6 +59,7 @@ from .graphs import (
     distinct,
     edge_ends,
     edge_subgraph,
+    stable_order,
     strip_isolated,
 )
 from .ledger import RoundLedger
@@ -118,11 +125,11 @@ def fractional_matching(
 
     The edges are g's in `g.edges()` order, as positions from `g.csr()`,
     and edge k's value is 2**t[k] / delta, delta = max_degree, for one
-    int exponent array t.  A round is one `np.bincount` of 2**t over the
-    interleaved endpoints (exact integers in float64), and every edge
-    tests the loads from before the round.  Each value is
-    `np.ldexp(1.0, t) / delta`, equal bit for bit to the int quotient
-    (1 << t) / delta.
+    int exponent array t.  A round adds one `np.bincount` of 2**t over
+    the a ends to one over the b ends (exact integers in float64, so the
+    same in any order), and every edge tests the loads from before the
+    round.  Each value is `np.ldexp(1.0, t) / delta`, equal bit for bit
+    to the int quotient (1 << t) / delta.
     """
     checks = checks if checks is not None else ClaimChecker()
     deg = np.diff(g.csr()[0])
@@ -132,11 +139,11 @@ def fractional_matching(
     if g.m == 0:
         return FractionalMatching(g.nodes, a, b, np.zeros(0))
     delta = int(deg.max())
-    ends = _interleave(a, b)
     exponent = np.zeros(g.m, np.int64)
 
     def numerators() -> np.ndarray:
-        return np.bincount(ends, np.repeat(np.left_shift(1, exponent), 2), minlength=g.n)
+        w = np.left_shift(1, exponent)
+        return np.bincount(a, w, minlength=g.n) + np.bincount(b, w, minlength=g.n)
 
     iterations = math.ceil(math.log2(delta)) if delta > 1 else 0
     for _ in range(iterations):
@@ -197,10 +204,12 @@ def intra_round_matching(
     seed, so the outcome per cluster depends only on its own edges, the
     seed, and the cluster label.
 
-    `x_good` is over g's nodes, its values in [0, 1].  The clusters are
-    decided attempt by attempt, all at once: attempt 0 sets every value as
-    one array and sums every window as a group, (cluster, endpoint) over
-    the endpoints of the edges taken by cluster and then edge.  Only
+    `x_good` is over g's nodes, its values in [0, 1], its edges in any
+    order.  The edges are put in order by (cluster, a, b) with one sort
+    (`cluster_edge_order`), and the clusters are decided attempt by
+    attempt, all at once: attempt 0 sets every value as one array and
+    sums every window as a group, (cluster, endpoint) over the endpoints
+    of the edges in that order (`ClusterGroups`).  Only
     clusters with a failing window go on to further attempts, and only
     one with a resampled edge can pass on one.  Each cluster attempt
     calls `stream` (the module docstring says why); a stream derives its
@@ -223,9 +232,10 @@ def intra_round_matching(
     slack = 1.0 / (1000.0 * bound)
 
     labels, rank = cluster_ranks(g, partition)
-    order = np.lexsort((b, a, rank[b]))
-    used, owner = np.unique(rank[b][order], return_inverse=True)
+    order = cluster_edge_order(rank[b], a, b, len(labels), g.n)
     x, a, b = x[order], a[order], b[order]
+    used = distinct(rank[b])  # rank[b] is now increasing
+    owner = np.searchsorted(used, rank[b])
 
     items = np.repeat(np.arange(len(x)), 2)
     groups = ClusterGroups(
@@ -253,18 +263,74 @@ def intra_round_matching(
     return FractionalMatching(g.nodes, a, b, values)
 
 
+def cluster_edge_order(
+    major: np.ndarray, a: np.ndarray, b: np.ndarray, k: int, n: int
+) -> np.ndarray:
+    """The order of the edges (a[e], b[e]) by (major[e], a[e], b[e]), which
+    `np.lexsort((b, a, major))` gives, for major in [0, k) and distinct
+    pairs of positions in [0, n), n^2 below 2^63.  The codes
+    (major * n + a) * n + b are distinct, so one plain argsort of them
+    gives that order; when k * n^2 exceeds 2^63, the pairs are ordered
+    first and `stable_order` then orders them by `major`."""
+    if k * n * n <= 1 << 63:
+        return np.argsort((major.astype(np.int64) * n + a) * n + b)
+    order = np.argsort(a.astype(np.int64) * n + b)
+    return order[stable_order(major[order])[0]]
+
+
+# Rounds run on at least this many live edges, and stop after one that
+# decides fewer.  On fewer, a round's arrays fall under 1 KB, and numpy
+# keeps freed blocks that small in a cache by size: with a hand-off at 32
+# edges, the late rounds' many small sizes left perfbench's matching-gnp
+# peak RSS 4.8% above the scan's (10 runs of 40 s)
+_ROUND_EDGES = 1024
+
+
 def greedy_maximal_matching(g: Graph) -> frozenset[Edge]:
     """Maximal matching by scanning edges in sorted order, read as the
-    endpoint positions of `edge_ends`."""
+    endpoint positions of `edge_ends`: the lexicographically first one.
+
+    Decided in rounds over the live edges, all undecided at first.  In a
+    round, every live edge whose index is the smallest among the live
+    edges at both of its endpoints joins the matching, and then every
+    live edge at a matched node is dropped.  An edge that joins has every
+    earlier edge at its endpoints dropped, by a matched node that is not
+    one of its own, so the scan takes it too; an edge that is dropped
+    meets a matched node, so the scan skips it.  Once fewer than
+    `_ROUND_EDGES` edges are live, or a round decides fewer than that (on
+    a path by increasing id, round 1), the live edges left are scanned in
+    order.  The smallest live index at each node is one `np.minimum.at`
+    per side, which is slow under numpy 1.24 (ufunc.at was sped up in
+    1.25).  Every round's temporaries are the length of its live edges.
+    """
     a, b = edge_ends(g)
-    used = bytearray(g.n)
-    chosen: list[tuple[int, int]] = []
-    for i, j in zip(a.tolist(), b.tolist()):
+    m = len(a)
+    live = np.arange(m)
+    least = np.full(g.n, m)  # the smallest live edge index at each node
+    matched = np.zeros(g.n, bool)
+    chosen: list[np.ndarray] = []
+    while len(live) >= _ROUND_EDGES:
+        ea, eb = a[live], b[live]
+        least[ea] = least[eb] = m
+        np.minimum.at(least, ea, live)
+        np.minimum.at(least, eb, live)
+        win = (least[ea] == live) & (least[eb] == live)
+        matched[ea[win]] = matched[eb[win]] = True
+        chosen.append(live[win])
+        keep = ~(matched[ea] | matched[eb])
+        decided = len(live) - np.count_nonzero(keep)
+        live = live[keep]
+        if decided < _ROUND_EDGES:
+            break
+    used = bytearray(matched.tobytes())
+    rest = []
+    for e, i, j in zip(live.tolist(), a[live].tolist(), b[live].tolist()):
         if not used[i] and not used[j]:
             used[i] = used[j] = 1
-            chosen.append((i, j))
+            rest.append(e)
+    picked = np.concatenate((*chosen, np.array(rest, np.intp)))
     node = g.nodes.__getitem__
-    return frozenset((node(i), node(j)) for i, j in chosen)
+    return frozenset(zip(map(node, a[picked].tolist()), map(node, b[picked].tolist())))
 
 
 def finish_matching(
@@ -381,7 +447,10 @@ def approx_matching(
         f"re-rounded value {intra_value} below {good_value}/10 - {slack}",
     )
 
-    support = edge_subgraph(work, a[x > 0.0], b[x > 0.0])
+    kept = x > 0.0
+    # every edge of work kept: edge_subgraph would rebuild work itself
+    full = len(x) == work.m and kept.all()
+    support = work if full else edge_subgraph(work, a[kept], b[kept])
     log_n = math.log2(max(2, work.n))
     checks.ok(
         "support-degree",

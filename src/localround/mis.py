@@ -43,6 +43,7 @@ from .graphs import (
     induced_subgraph,
     orient,
     square_graph,
+    stable_order,
 )
 from .ledger import RoundLedger
 from .rounding import (
@@ -271,7 +272,7 @@ def build_mis_instance(
     b = np.concatenate((member[j], w))
     cost = np.concatenate((2.0 * weight[i], weight[e]))
     # stable: within each v's list, its pairs stay before its out-neighbours
-    order = np.argsort(np.concatenate((group[i], group[e])), kind="stable")
+    order = stable_order(np.concatenate((group[i], group[e])))[0]
     a, b, cost = a[order], b[order], cost[order]
     keys, term = first_seen(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
     coef = np.bincount(term, cost, minlength=len(keys))

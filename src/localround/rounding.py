@@ -53,15 +53,19 @@ class Coloring:
 
     `colors` is a read-only int64 array, one color per position in
     `graph.nodes`, and `num_colors` is one more than the largest color (0
-    on a graph without nodes).  The constructor checks that there is one
-    color per node, none negative, and no edge inside a color
-    (`is_proper`); a failure is a `PreconditionError`.
+    on a graph without nodes).  The constructor checks that the colors are
+    integers, one per node, none negative, and that no edge lies inside a
+    color (`is_proper`); a failure is a `PreconditionError`.  A float
+    color is refused, not truncated, even when it is whole.
     """
 
     __slots__ = ("graph", "colors", "num_colors")
 
     def __init__(self, graph: Graph, colors: np.ndarray | list[int]):
-        colors = np.array(colors, np.int64)
+        given = np.asarray(colors)
+        if given.size and given.dtype.kind not in "iu":
+            raise PreconditionError(f"coloring uses non-integer colors of type {given.dtype}")
+        colors = given.astype(np.int64)
         if colors.shape != (graph.n,):
             raise PreconditionError(f"{colors.shape} colors for {graph.n} nodes")
         if graph.n and colors.min() < 0:

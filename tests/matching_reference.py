@@ -8,7 +8,8 @@ same values bit for bit, in the same key order, and the same claim
 counts.  `loads` reads a `FractionalMatching`'s loads back as that dict,
 `values` its edge values as the edge -> value dict, `from_values` builds
 one from such a dict, and `is_matching` checks that no two edges share an
-endpoint.
+endpoint.  `reference_greedy_maximal_matching` is the one-edge-at-a-time
+scan that `greedy_maximal_matching` decides in rounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from localround.clustering import Partition
 from localround.errors import ClaimChecker, PreconditionError
-from localround.graphs import Edge, Graph, csr_contains, node_positions
+from localround.graphs import Edge, Graph, csr_contains, edge_ends, node_positions
 from localround.matching import FractionalMatching
 
 from clustering_reference import cluster_degree
@@ -62,6 +63,20 @@ def loads(frac) -> dict[int, float]:
     order = frac.load_order().tolist()
     load = frac.position_loads().tolist()
     return {frac.nodes[i]: load[i] for i in order}
+
+
+def reference_greedy_maximal_matching(g: Graph) -> frozenset[Edge]:
+    """Maximal matching by scanning edges in sorted order, read as the
+    endpoint positions of `edge_ends`."""
+    a, b = edge_ends(g)
+    used = bytearray(g.n)
+    chosen: list[tuple[int, int]] = []
+    for i, j in zip(a.tolist(), b.tolist()):
+        if not used[i] and not used[j]:
+            used[i] = used[j] = 1
+            chosen.append((i, j))
+    node = g.nodes.__getitem__
+    return frozenset((node(i), node(j)) for i, j in chosen)
 
 
 def is_matching(edges) -> bool:

@@ -11,13 +11,16 @@ from localround.graphs import (
     Graph,
     bfs_distances,
     csr_contains,
+    distinct_inverse,
     dump_edge_list,
     edge_subgraph,
+    first_seen,
     induced_subgraph,
     load_graph,
     node_positions,
     orient,
     square_graph,
+    stable_order,
     two_hop_sets,
 )
 
@@ -390,3 +393,63 @@ def test_neighbor_tuples_are_built_on_first_use_and_kept(monkeypatch):
     assert builds == [g] and g.neighbors(1) is g.neighbors(1)
     assert builds == [g]
 
+
+
+def check_stable_order(keys: np.ndarray) -> None:
+    """`stable_order`, `distinct_inverse` and `first_seen` of `keys`
+    against a stable argsort, `np.unique` and a loop."""
+    order, ranked = stable_order(keys)
+    expected = np.argsort(keys, kind="stable")
+    assert order.tolist() == expected.tolist()
+    assert ranked.tolist() == keys[expected].tolist()
+    values, inverse = distinct_inverse(keys)
+    want_values, want_inverse = np.unique(keys, return_inverse=True)
+    assert values.tolist() == want_values.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+    seen: dict[int, int] = {}
+    index = [seen.setdefault(k, len(seen)) for k in keys.tolist()]
+    values, inverse = first_seen(keys)
+    assert values.tolist() == list(seen) and inverse.tolist() == index
+
+
+@pytest.mark.parametrize(
+    "keys, packed",
+    [
+        ([], True),
+        ([7], True),
+        ([3, 3, 3, 3], True),
+        ([2**62], True),  # 2^62 * 1 + 0 fits
+        ([2**61 - 1, 0, 2**61 - 1, 5], True),  # the largest keys that fit 4 indices
+        ([2**61, 0, 0, 0], False),  # 2^61 * 4 is 2^63
+        ([2**62, 1, 2**62], False),
+        ([2**63 - 1, 2**63 - 1], False),
+        ([-1, 4, -1, 0], False),
+        ([-(2**63), 2**63 - 1, -(2**63)], False),
+    ],
+)
+def test_stable_order_branches(keys, packed, monkeypatch):
+    stable_sorts = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        stable_sorts.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.np, "argsort", counted)
+    stable_order(np.array(keys, np.int64))
+    monkeypatch.undo()
+    assert stable_sorts == ([] if packed else ["stable"])
+    check_stable_order(np.array(keys, np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 9), max_size=80),
+        st.lists(st.integers(-3, 3), max_size=30),
+        st.lists(st.integers(0, 2**63 - 1), max_size=30),
+        st.lists(st.sampled_from([0, 1, 2**62, 2**62 + 1, 2**63 - 1]), max_size=30),
+    )
+)
+def test_stable_order_matches_numpy(keys):
+    check_stable_order(np.array(keys, np.int64))

@@ -6,7 +6,11 @@ A name counts as used when it appears as a name anywhere in the module's
 syntax tree, annotations included; `from __future__` imports are not
 names.  The builtin `sum` compensates float rounding from Python 3.12 on,
 so a sum's last bits would depend on the Python version; the package adds
-with `errors.plain_sum` instead (its docstring says more).  Re-exporting
+with `errors.plain_sum` instead (its docstring says more).  No module
+calls `lexsort` or passes `return_inverse=`, and a stable `argsort` runs
+only where `STABLE_ARGSORTS` allows it: a stable argsort of int64 keys is
+several times slower than sorting them, so the package sorts packed keys
+through `graphs.stable_order` instead.  Re-exporting
 a definition from `__init__` is not a read: what only tests use belongs
 in their references.  No linter is a dependency, so the checks read the
 tree themselves.
@@ -31,6 +35,16 @@ REFERENCE_MODULES = {"oracles.py"}
 # `induced_subgraph` (its IMPORT_SITES), so the import goes with the next
 # change to the benchmark
 KEPT = {("clustering.py", "induced_subgraph")}
+
+
+# (module, function, sorted expression) of the stable argsorts allowed:
+# `stable_order`'s fallback for keys too large to pack, and `round_labels`'
+# colour keys, 8- or 16-bit, which numpy sorts stably by radix
+STABLE_ARGSORTS = {
+    ("graphs.py", "stable_order", "keys"),
+    ("rounding.py", "round_labels", "narrow"),
+    ("rounding.py", "round_labels", "narrow[target]"),
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -93,6 +107,70 @@ def test_detector_finds_builtin_sum_calls():
 @pytest.mark.parametrize("module", PACKAGE)
 def test_module_never_calls_builtin_sum(module):
     assert builtin_sum_calls((SRC / module).read_text()) == []
+
+
+def slow_sorts(source: str) -> list[tuple[str, str, str]]:
+    """Every `lexsort` call, `return_inverse=` keyword and stable (or
+    merge) `argsort` in `source`, called by name or as an attribute, as
+    (what, the enclosing top-level function or class, the first argument
+    or the keyword), in line order."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            arg = ast.unparse(node.args[0]) if node.args else ""
+            where = getattr(stmt, "name", "")
+            kinds = [k.value for k in node.keywords if k.arg == "kind"]
+            if name == "lexsort":
+                found.append((node.lineno, "lexsort", where, arg))
+            elif name == "argsort" and any(
+                isinstance(k, ast.Constant) and k.value in ("stable", "mergesort") for k in kinds
+            ):
+                found.append((node.lineno, "stable argsort", where, arg))
+            if any(k.arg == "return_inverse" for k in node.keywords):
+                found.append((node.lineno, "return_inverse", where, "return_inverse"))
+    return [item[1:] for item in sorted(found)]
+
+
+def test_detector_finds_slow_sorts():
+    source = (
+        "import numpy as np\n"
+        "def f(keys, a, b):\n"
+        "    order = np.lexsort((b, a))\n"
+        "    u, inv = np.unique(keys, return_inverse=True)\n"
+        "    return keys.argsort(kind='stable'), np.argsort(a, kind='mergesort')\n"
+        "class C:\n"
+        "    def g(self, keys):\n"
+        "        return np.argsort(keys), np.sort(keys, kind='stable'), np.unique(keys)\n"
+    )
+    assert slow_sorts(source) == [
+        ("lexsort", "f", "(b, a)"),
+        ("return_inverse", "f", "return_inverse"),
+        ("stable argsort", "f", ""),
+        ("stable argsort", "f", "a"),
+    ]
+
+
+@pytest.mark.parametrize("module", PACKAGE)
+def test_module_sorts_only_through_packed_keys(module):
+    sorts = slow_sorts((SRC / module).read_text())
+    assert [
+        item
+        for item in sorts
+        if not (item[0] == "stable argsort" and (module, *item[1:]) in STABLE_ARGSORTS)
+    ] == []
+
+
+def test_allowed_stable_argsorts_are_still_there():
+    found = {
+        (module, *item[1:])
+        for module in PACKAGE
+        for item in slow_sorts((SRC / module).read_text())
+    }
+    assert STABLE_ARGSORTS <= found
 
 
 def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:

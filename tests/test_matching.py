@@ -1,19 +1,23 @@
 import math
 import random
 import re
+from unittest.mock import patch
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localround import matching
 from localround.clustering import cluster_constant
 from localround.errors import PreconditionError
-from localround.generators import complete, disjoint_edges, gnp, path
+from localround.generators import complete, disjoint_edges, gnp, grid, path
 from localround.graphs import Graph, strip_isolated
 from localround.ledger import RoundLedger
 from localround.matching import (
     FractionalMatching,
     approx_matching,
+    cluster_edge_order,
     finish_matching,
     fractional_matching,
     good_edges,
@@ -23,7 +27,12 @@ from localround.matching import (
 from localround.oracles import exact_max_matching
 
 from conftest import count_neighbor_tuple_builds, random_graph, relabel
-from matching_reference import from_values, is_matching, values
+from matching_reference import (
+    from_values,
+    is_matching,
+    reference_greedy_maximal_matching,
+    values,
+)
 
 
 def test_fraction_single_edge():
@@ -251,6 +260,71 @@ def test_greedy_maximal_is_maximal():
         used = {v for e in m for v in e}
         for e in g.edges():
             assert e[0] in used or e[1] in used
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(4, 9), (2**21, 2**21), (2**22, 2**21), (3, 2**31)]),
+    st.integers(0, 2**32),
+)
+def test_cluster_edge_order_is_a_lexsort(bounds, seed):
+    # k * n^2 is at most 2^63 for the first two bounds (the second at
+    # equality, so the largest code is 2^63 - 1) and beyond it for the rest
+    k, n = bounds
+    rng = random.Random(seed)
+    near = lambda top: rng.choice([rng.randrange(top), top - 1 - rng.randrange(min(top, 3))])
+    pairs = {tuple(sorted((near(n), near(n)))) for _ in range(rng.randrange(40))}
+    pairs = [(u, v) for u, v in pairs if u != v]
+    rng.shuffle(pairs)
+    a = np.array([u for u, _ in pairs], np.intp)
+    b = np.array([v for _, v in pairs], np.intp)
+    major = np.array([near(k) for _ in pairs], np.intp)
+    assert cluster_edge_order(major, a, b, k, n).tolist() == np.lexsort((b, a, major)).tolist()
+
+
+def greedy_input(kind: str, n: int, seed: int) -> Graph:
+    """One graph of a family on about n nodes: gnp of average degree 1,
+    4 or 16, a path by increasing or shuffled ids, a star around any of
+    its ids, a grid, such a gnp graph with sparse 60-bit ids, or n nodes
+    without edges."""
+    rng = random.Random(seed)
+    p = min(1.0, rng.choice([1, 4, 16]) / max(1, n - 1))
+    if kind == "gnp":
+        return gnp(n, p, seed)
+    if kind == "path":
+        return path(n)
+    if kind == "shuffled-path":
+        ids = list(range(n))
+        rng.shuffle(ids)
+        return Graph(nodes=ids, edges=zip(ids, ids[1:]))
+    if kind == "star":
+        hub = rng.randrange(n + 1)
+        return Graph(edges=[(hub, u) for u in range(n + 1) if u != hub])
+    if kind == "grid":
+        return grid(1 + n // 10, 1 + n % 10)
+    if kind == "sparse":
+        return relabel(gnp(n, p, seed), rng)
+    return Graph(nodes=range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["gnp", "path", "shuffled-path", "star", "grid", "sparse", "empty"]),
+    st.integers(0, 160),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 4, 32, None]),
+)
+@example("path", 20001, 0, None)
+@example("gnp", 3000, 7, None)
+def test_greedy_rounds_match_the_scan(kind, n, seed, hand_off):
+    # the rounds must pick what the one-edge-at-a-time scan picks, also
+    # on inputs that hand off to the scan early (paths) or late (gnp);
+    # a lower hand-off runs rounds on these small graphs, and 1 runs
+    # rounds until no edge is live
+    g = greedy_input(kind, n, seed)
+    limit = matching._ROUND_EDGES if hand_off is None else hand_off
+    with patch.object(matching, "_ROUND_EDGES", limit):
+        assert greedy_maximal_matching(g) == reference_greedy_maximal_matching(g)
 
 
 def test_pipeline_empty_graph():

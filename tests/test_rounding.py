@@ -384,6 +384,12 @@ def test_round_improper_coloring_rejected():
         Coloring(g, [0, 0])
     with pytest.raises(PreconditionError, match="negative"):
         Coloring(g, [0, -1])
+    # refused, not truncated to the proper coloring [0, 1]
+    for colors in ([0.9, 1.2], np.array([0.0, 1.0]), [0, 1.0], [True, False]):
+        with pytest.raises(PreconditionError, match="non-integer"):
+            Coloring(g, colors)
+    assert Coloring(g, np.array([1, 0], np.uint8)).colors.tolist() == [1, 0]
+    assert Coloring(Graph(), []).num_colors == 0
     # a proper coloring of an equal graph is still not this graph's
     inst = instance(g, 2, {0: ((0.0, 1.0), None)})
     lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
