@@ -121,7 +121,7 @@ class Partition:
     through `delays_to_partition`.
     """
 
-    __slots__ = ("alpha", "ids", "label", "delay", "meta", "_views")
+    __slots__ = ("alpha", "ids", "label", "delay", "meta", "_views", "_ranks")
 
     def __init__(
         self,
@@ -134,6 +134,7 @@ class Partition:
         self.alpha, self.ids, self.label, self.delay = alpha, ids, label, delay
         self.meta = {} if meta is None else meta
         self._views: dict[str, ArrayView] = {}
+        self._ranks: tuple[Graph, np.ndarray, np.ndarray] | None = None
 
     def _view(self, name: str, size: Callable[[], int]) -> Mapping:
         if name not in self._views:
@@ -603,12 +604,19 @@ def cluster_all(
 def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray]:
     """The labels of the clusters holding g's nodes, increasing, and the
     index among them of each node's cluster, by position in `g.nodes`.
-    A node the partition does not assign is a `PreconditionError`."""
-    at, covered = lookup(partition.ids, _ids(g))
-    if not covered.all():
-        raise PreconditionError(f"partition does not cover node {g.nodes[covered.argmin()]}")
-    labels, rank = distinct_inverse(partition.label[at])
-    return labels.tolist(), rank
+    A node the partition does not assign is a `PreconditionError`.  The
+    arrays for the last graph asked about are kept with the partition,
+    so the stages of one run that ask about one graph share them; the
+    rank array is read-only."""
+    kept = partition._ranks
+    if kept is None or kept[0] is not g:
+        at, covered = lookup(partition.ids, _ids(g))
+        if not covered.all():
+            raise PreconditionError(f"partition does not cover node {g.nodes[covered.argmin()]}")
+        labels, rank = distinct_inverse(partition.label[at])
+        rank.flags.writeable = False
+        kept = partition._ranks = g, labels, rank
+    return kept[1].tolist(), kept[2]
 
 
 def cluster_degrees(g: Graph, partition: Partition) -> np.ndarray:

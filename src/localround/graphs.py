@@ -10,7 +10,8 @@ are arbitrary non-negative integers below 2**63; they need not be
 contiguous, which lets callers exercise id-dependent tie-breaking.
 `neighbors(u)` reads per-node id tuples that are built from the arrays
 on its first call and kept; only per-node walks (breadth-first search,
-the oracles) call it.
+the oracles) call it.  `edge_ends(g)` keeps its arrays with g the same
+way, so the stages of one matching run share them.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class Graph:
     edges).
     """
 
-    __slots__ = ("_nodes", "_indptr", "_indices", "_view")
+    __slots__ = ("_nodes", "_indptr", "_indices", "_view", "_ends")
 
     def __init__(self, nodes: Iterable[int] = (), edges: Iterable[Edge] = ()):
         nodes, edges = list(nodes), list(edges)
@@ -153,6 +154,7 @@ class Graph:
         self._nodes: tuple[int, ...] = tuple(node_ids.tolist())
         self._indptr, self._indices = pair_csr(len(node_ids), at[:, 0], at[:, 1])
         self._view: tuple[tuple[int, ...], ...] | None = None
+        self._ends: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def _from_csr(
@@ -162,7 +164,7 @@ class Graph:
         over the sorted `nodes`: rows symmetric, sorted and loop-free.
         Stores what it is given."""
         g = cls.__new__(cls)
-        g._nodes, g._indptr, g._indices, g._view = nodes, indptr, indices, None
+        g._nodes, g._indptr, g._indices, g._view, g._ends = nodes, indptr, indices, None, None
         return g
 
     @property
@@ -403,9 +405,9 @@ def square_graph(g: Graph) -> Graph:
     """Graph joining every pair of distinct nodes at distance <= 2 in g.
 
     Built as arrays over node positions: every edge (a, v) and every path
-    a - v - w becomes the int64 code a * n + w; the distinct codes with
-    a != w, grouped by a and sorted by w, are the sorted adjacency the
-    result needs, which it also keeps as its `csr()`.
+    a - v - w becomes one int64 code of the pair (a, w); the distinct
+    codes with a != w, grouped by a and sorted by w, are the sorted
+    adjacency the result needs, which it also keeps as its `csr()`.
     """
     return Graph._from_csr(g.nodes, *_square_csr(g))
 
@@ -419,9 +421,11 @@ SQUARE_BLOCK = 1 << 16
 def _square_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The position adjacency of `square_graph(g)`, laid out as `csr()`.
     Rows lo..hi-1 code their edges (a, v), then each such edge once per
-    w in N(v); their codes fill a range of their own, so the blocks'
-    distinct codes, in block order, are all the distinct codes in order."""
+    w in N(v), as a << s | w with 2^s >= n, decoded with a shift and a
+    mask; their codes fill a range of their own, so the blocks' distinct
+    codes, in block order, are all the distinct codes in order."""
     n = g.n
+    shift = max(n - 1, 1).bit_length()  # a code is row << shift | column
     indptr, nbr = g.csr()
     reach = np.diff(indptr)[nbr]
     load = indptr + np.concatenate(([0], np.cumsum(reach)))[indptr]  # codes before each row
@@ -431,9 +435,10 @@ def _square_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         hi = max(lo + 1, int(np.searchsorted(load, load[lo] + SQUARE_BLOCK, "right")) - 1)
         src = csr_rows(indptr[lo : hi + 1]) + lo
         mid, far = nbr[indptr[lo] : indptr[hi]], reach[indptr[lo] : indptr[hi]]
-        codes = np.concatenate((src, np.repeat(src, far))).astype(np.int64) * n
-        codes += np.concatenate((mid, nbr[expand(indptr[mid], far)]))
-        row, col = np.divmod(distinct(codes), n)
+        codes = np.concatenate((src, np.repeat(src, far))).astype(np.int64) << shift
+        codes |= np.concatenate((mid, nbr[expand(indptr[mid], far)]))
+        codes = distinct(codes)
+        row, col = codes >> shift, codes & ((1 << shift) - 1)
         pair = row != col
         counts.append(np.bincount(row[pair] - lo, minlength=hi - lo))
         cols.append(col[pair].astype(np.int32))
@@ -464,11 +469,16 @@ def edge_subgraph(g: Graph, a: np.ndarray, b: np.ndarray) -> Graph:
 def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The endpoint positions (a, b), a < b, of every edge of g in
     `g.edges()` order: the entries of `csr()` above the diagonal, row by
-    row."""
-    indptr, nbr = g.csr()
-    row = csr_rows(indptr)
-    upper = nbr > row
-    return row[upper], nbr[upper].astype(np.intp)
+    row.  Computed on the first call, then kept with g; the arrays are
+    read-only and shared by every caller."""
+    if g._ends is None:
+        indptr, nbr = g.csr()
+        row = csr_rows(indptr)
+        upper = nbr > row
+        a, b = row[upper], nbr[upper].astype(np.intp)
+        a.flags.writeable = b.flags.writeable = False
+        g._ends = a, b
+    return g._ends
 
 
 def lookup(known: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,19 +510,25 @@ def csr_contains(
 ) -> np.ndarray:
     """Whether cols[k] is in row rows[k] of a position adjacency laid out
     as `Graph.csr()`, for every k: one binary search per pair over its
-    sorted row, all pairs a halving at a time, in arrays the length of
-    the pairs, none the length of the adjacency."""
-    lo, end = indptr[rows], indptr[rows + 1]
-    hi = end.copy()
-    live = np.flatnonzero(lo < hi)
-    while len(live):
-        mid = (lo[live] + hi[live]) // 2
-        right = indices[mid] < cols[live]
-        lo[live[right]] = mid[right] + 1
-        hi[live[~right]] = mid[~right]
-        live = live[lo[live] < hi[live]]
-    found = lo < end
-    found[found] = indices[lo[found]] == cols[found]
+    sorted row, all pairs at once.  Each pair narrows [start, start +
+    count) to the first entry not below its column; a round halves every
+    count, so ceil(log2(longest row + 1)) rounds settle them all, each
+    one `np.where` pass over all pairs, settled ones included.  Every
+    temporary is the length of the pairs, none the length of the
+    adjacency."""
+    start, end = indptr[rows], indptr[rows + 1]
+    count = end - start
+    for _ in range(int(count.max(initial=0)).bit_length()):
+        half = count >> 1
+        mid = start + half
+        # a settled pair (count 0) moves only from its row's end, to just
+        # past it (count -1), and stays there: not found either way; mid
+        # is past the adjacency only at the end of the last row
+        right = indices.take(mid, mode="clip") < cols
+        start = np.where(right, mid + 1, start)
+        count = np.where(right, count - half - 1, half)
+    found = start < end
+    found[found] = indices[start[found]] == cols[found]
     return found
 
 

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, leq, plain_sum
-from .graphs import Graph, first_seen, node_positions, pair_csr
+from .graphs import ArrayView, Graph, first_seen, node_positions, pair_csr
 from .rounding import (
     FractionalAssignment,
     UtilityCostInstance,
@@ -50,7 +50,8 @@ class BipartiteInstance:
     Construction checks `adj` and `weights` and stores them as two
     read-only arrays, rows in `u_nodes` order: `nbr`, the n_u x delta
     positions in `v_nodes` of each left node's neighbours, each row in
-    `adj` order, and `weight`, each weight as a float64.
+    `adj` order, and `weight`, each weight as a float64.  `from_arrays`
+    builds an instance from those two arrays instead.
     """
 
     u_nodes: tuple[int, ...]
@@ -67,12 +68,7 @@ class BipartiteInstance:
     def __post_init__(self) -> None:
         u_nodes, v_nodes = tuple(sorted(self.u_nodes)), tuple(sorted(self.v_nodes))
         vset = set(v_nodes)
-        if len(vset) != len(v_nodes) or len(set(u_nodes)) != len(u_nodes):
-            raise PreconditionError("duplicate node ids within a side")
-        if self.delta < 1 or not (0.0 < self.p < math.inf and 0.0 <= self.norm < math.inf):
-            raise PreconditionError("need delta >= 1, finite p > 0, finite norm >= 0")
-        if self.k is not None and not 1 <= self.k <= self.delta:
-            raise PreconditionError(f"k={self.k} outside [1, delta={self.delta}]")
+        _check_sides(u_nodes, v_nodes, self.delta, self.p, self.norm, self.k)
         for u in u_nodes:
             nbrs = self.adj.get(u, ())
             if len(nbrs) != self.delta or len(set(nbrs)) != self.delta:
@@ -93,9 +89,95 @@ class BipartiteInstance:
         # frozen: the fields are set through the instance dict
         vars(self).update(u_nodes=u_nodes, v_nodes=v_nodes, nbr=nbr, weight=weight)
 
+    @classmethod
+    def from_arrays(
+        cls,
+        u_nodes: tuple[int, ...],
+        v_nodes: tuple[int, ...],
+        nbr: np.ndarray,
+        weight: np.ndarray,
+        delta: int,
+        p: float,
+        norm: float,
+        k: int | None = None,
+    ) -> "BipartiteInstance":
+        """The instance whose left node u_nodes[i] has the neighbours
+        v_nodes[j] for j in row i of the n_u x delta position array `nbr`,
+        in row order, and the weight weight[i]; both id tuples increasing.
+        It equals what the constructor builds from the matching `adj` and
+        `weights`, and the constructor's checks run on the arrays at once,
+        with the same `PreconditionError`s: a row with a repeated position
+        does not have degree delta, a position outside [0, len(v_nodes))
+        is a neighbour outside V, and a weight must be finite and
+        non-negative; the first failing left node in id order is named.
+        `adj` and `weights` are views built from the arrays on first read.
+        """
+        u_nodes, v_nodes = tuple(u_nodes), tuple(v_nodes)
+        if list(u_nodes) != sorted(u_nodes) or list(v_nodes) != sorted(v_nodes):
+            raise PreconditionError("node ids must be increasing")
+        _check_sides(u_nodes, v_nodes, delta, p, norm, k)
+        nbr, weight = np.array(nbr, np.intp), np.array(weight, np.float64)
+        if nbr.shape != (len(u_nodes), delta) or weight.shape != (len(u_nodes),):
+            raise PreconditionError(
+                f"arrays of shape {nbr.shape} and {weight.shape} for "
+                f"{len(u_nodes)} left nodes of degree {delta}"
+            )
+        rows = np.sort(nbr, axis=1)
+        repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        outside = (rows[:, 0] < 0) | (rows[:, -1] >= len(v_nodes))
+        bad_weight = ~((weight >= 0.0) & (weight < math.inf))  # NaN too
+        failed = repeated | outside | bad_weight
+        if failed.any():
+            i = int(failed.argmax())
+            u = u_nodes[i]
+            if repeated[i]:
+                raise PreconditionError(f"left node {u} does not have degree {delta}")
+            if outside[i]:
+                raise PreconditionError(f"left node {u} has a neighbor outside V")
+            raise PreconditionError(f"bad weight at left node {u}")
+        nbr.flags.writeable = weight.flags.writeable = False
+        ids = np.empty(len(v_nodes), object)
+        ids[:] = v_nodes
+
+        def adjacency() -> dict:
+            return dict(zip(u_nodes, map(tuple, ids[nbr].tolist())))
+
+        inst = cls.__new__(cls)
+        # frozen: the fields are set through the instance dict
+        vars(inst).update(
+            u_nodes=u_nodes,
+            v_nodes=v_nodes,
+            adj=ArrayView(len(u_nodes), adjacency),
+            weights=ArrayView(len(u_nodes), lambda: dict(zip(u_nodes, weight.tolist()))),
+            delta=delta,
+            p=p,
+            norm=norm,
+            k=k,
+            nbr=nbr,
+            weight=weight,
+        )
+        return inst
+
     @property
     def total_weight(self) -> float:
         return plain_sum(self.weight)
+
+
+def _check_sides(
+    u_nodes: tuple[int, ...],
+    v_nodes: tuple[int, ...],
+    delta: int,
+    p: float,
+    norm: float,
+    k: int | None,
+) -> None:
+    """The checks of an instance that read no neighbours or weights."""
+    if len(set(v_nodes)) != len(v_nodes) or len(set(u_nodes)) != len(u_nodes):
+        raise PreconditionError("duplicate node ids within a side")
+    if delta < 1 or not (0.0 < p < math.inf and 0.0 <= norm < math.inf):
+        raise PreconditionError("need delta >= 1, finite p > 0, finite norm >= 0")
+    if k is not None and not 1 <= k <= delta:
+        raise PreconditionError(f"k={k} outside [1, delta={delta}]")
 
 
 def _hits(inst: BipartiteInstance, selected: frozenset[int]) -> np.ndarray:
@@ -288,18 +370,16 @@ def split_into_copies(inst: BipartiteInstance) -> BipartiteInstance:
         raise PreconditionError("splitting needs k")
     k = inst.k
     copies = inst.delta // k
-    # extend ids by ceil(log2(delta)) + 2 bits; copy indices always fit;
-    # the ids stay Python ints, as a shifted 60-bit id outgrows int64
+    # extend ids by ceil(log2(delta)) + 2 bits; copy indices always fit,
+    # so the copy ids are increasing; they stay Python ints, as a shifted
+    # 60-bit id outgrows int64
     shift = (inst.delta - 1).bit_length() + 2
     ids = np.add.outer(np.array(inst.u_nodes, object) << shift, range(copies))
-    u_nodes = ids.ravel().tolist()
     # v_nodes is increasing, so sorted positions are sorted ids
     blocks = np.sort(inst.nbr, axis=1)[:, : copies * k].reshape(-1, k)
-    ends = np.array(inst.v_nodes, np.int64)[blocks].tolist()
-    adj = dict(zip(u_nodes, map(tuple, ends)))
-    weights = dict(zip(u_nodes, np.repeat(2.0 * inst.weight / copies, copies).tolist()))
-    return BipartiteInstance(
-        tuple(u_nodes), inst.v_nodes, adj, weights, k, inst.p, inst.norm, None
+    weight = np.repeat(2.0 * inst.weight / copies, copies)
+    return BipartiteInstance.from_arrays(
+        tuple(ids.ravel().tolist()), inst.v_nodes, blocks, weight, k, inst.p, inst.norm
     )
 
 

@@ -35,7 +35,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, REL_TOL, geq
-from .graphs import ArrayView, Graph, csr_contains, csr_rows, distinct, expand
+from .graphs import ArrayView, Graph, csr_contains, csr_rows, expand
 
 Row = tuple[float, ...]
 Matrix = tuple[Row, ...]
@@ -274,16 +274,27 @@ def _objective(inst: UtilityCostInstance, probs: np.ndarray) -> tuple[float, flo
     return utility, cost
 
 
-# A wave costs a few dozen numpy calls, about what the per-node loop
-# below spends on 8 nodes of an MIS square graph
+# A wave costs about 25 numpy calls and a readiness pass over all n
+# nodes: on the square of G(8192, 8/n) (numpy 2.4.6, 2 vCPUs) 21 us plus
+# 2.3 ns per node, against 5.9 us per node for the per-node loop below,
+# so at n = 8192 a wave of 8 nodes costs what the loop does.  From the
+# first wave smaller than max(8, n / 2048) nodes the loop colors the
+# rest, so no wave's pass costs much more than the loop would spend on
+# its nodes, however many waves a graph has
 _WAVE_NODES = 8
+_WAVE_SHARE = 2048
+
+# a node's table of taken colors has this many color columns and one
+# overflow column for every color past them, so it costs at most 65 bytes
+_TAKEN_COLUMNS = 64
 
 
 def greedy_color(g: Graph) -> Coloring:
     """First-fit coloring in increasing node id; at most max_degree+1 colors.
 
-    The colors are computed (`_first_fit`) before the `Coloring` checks
-    them, so the check's arrays never coexist with the waves' arrays.
+    The colors are computed (`_first_fit`, whose table of taken colors
+    costs at most 65 bytes per node) before the `Coloring` checks them,
+    so the check's arrays never coexist with the waves' arrays.
     """
     return Coloring(g, _first_fit(g))
 
@@ -295,57 +306,88 @@ def _first_fit(g: Graph) -> list[int]:
 
     Colored in waves over `g.csr()`.  Positions follow ids, so a node's
     lower neighbours, the ones the sequential loop colors before it, are
-    a prefix of its row.  A node's wave is 0 if it has no lower
-    neighbour, else one more than the largest wave among them.  Each
-    wave is colored at once: every member takes the smallest color that
-    none of its lower neighbours has, read off a (members x colors)
-    table.  No two nodes of one wave are adjacent, and every lower
-    neighbour was colored in an earlier wave, so each node gets the
-    color the sequential loop gives it.  From the first wave after wave 0
-    with fewer than `_WAVE_NODES` nodes on (on a path, wave 1), the nodes
-    left are colored one at a time in id order, which also colors each
-    after its lower neighbours.
+    a prefix of its row and its higher neighbours the rest.  A node's
+    wave is 0 if it has no lower neighbour, else one more than the
+    largest wave among them.  No two nodes of one wave are adjacent, and
+    every lower neighbour was colored in an earlier wave, so coloring a
+    wave at once gives each member the color the sequential loop gives
+    it.
+
+    Colors are pushed, not pulled: once a wave is colored, each member
+    marks its color in the row of every higher neighbour in a table of
+    taken colors, n rows of min(`_TAKEN_COLUMNS`, max lower degree + 1)
+    color columns and one overflow column that a color at or past the
+    last of them marks.  The higher neighbours' row entries also count
+    down each node's uncolored lower neighbours, in one `np.bincount`
+    over all nodes; the nodes that reach zero are the next wave.  A
+    member reads its color off its table row with one `argmin`: the
+    first column not taken, the overflow column meaning the color just
+    past the last color column.  A member whose row is taken throughout
+    reads its lower neighbours' colors instead.  From the first wave
+    after wave 0 with fewer than max(`_WAVE_NODES`, n / `_WAVE_SHARE`)
+    nodes on (on a path, wave 1), the nodes left are colored one at a
+    time in id order, which also colors each after its lower neighbours.
     """
     indptr, nbr = g.csr()
     n = g.n
     row = csr_rows(indptr)
     lower = np.bincount(row[nbr < row], minlength=n)
     upper = indptr[:-1] + lower  # where each row's higher neighbours start
-    waiting = lower.copy()  # lower neighbours not yet colored
+    waiting = lower.copy()  # lower neighbours not yet colored; -1 once colored
     color = np.zeros(n, np.int64)
-    done = lower == 0  # wave 0 takes color 0
-    wave = np.flatnonzero(done)
-    top = 0
+    over = min(_TAKEN_COLUMNS, int(lower.max(initial=0)) + 1)  # the overflow column
+    taken = np.zeros((n, over + 1), bool)
+    wave = np.flatnonzero(lower == 0)  # wave 0 takes color 0
+    waiting[wave] = -1
+    cut = max(_WAVE_NODES, n // _WAVE_SHARE)
     while True:
-        up = nbr[expand(upper[wave], indptr[wave + 1] - upper[wave])]
-        np.subtract.at(waiting, up, 1)
-        wave = distinct(up[waiting[up] == 0])
-        if len(wave) < _WAVE_NODES:
+        counts = indptr[wave + 1] - upper[wave]
+        up = nbr[expand(upper[wave], counts)]
+        taken[up, np.repeat(np.minimum(color[wave], over), counts)] = True
+        waiting -= np.bincount(up, minlength=n)
+        wave = np.flatnonzero(waiting == 0)
+        if len(wave) < cut:
             break
-        counts = lower[wave]
-        below = color[nbr[expand(indptr[wave], counts)]]
-        taken = np.zeros((len(wave), top + 2), bool)
-        taken[np.repeat(np.arange(len(wave)), counts), below] = True
-        color[wave] = taken.argmin(axis=1)  # the first color not taken
-        top = max(top, int(color[wave].max()))
-        done[wave] = True
-    rest = np.flatnonzero(~done)
+        waiting[wave] = -1
+        rows = taken[wave]
+        first = rows.argmin(axis=1)  # the first color not taken
+        full = rows[np.arange(len(wave)), first]
+        if full.any():
+            members = wave[full]
+            counts = lower[members]
+            below = color[nbr[expand(indptr[members], counts)]]
+            table = np.zeros((len(members), int(below.max()) + 2), bool)
+            table[np.repeat(np.arange(len(members)), counts), below] = True
+            first[full] = table.argmin(axis=1)
+        color[wave] = first
+    del taken  # freed before the per-node loop builds its lists
+    rest = np.flatnonzero(waiting >= 0)
     counts = lower[rest]
     below = iter(nbr[expand(indptr[rest], counts)].tolist())
     colors = color.tolist()
     for u, k in zip(rest.tolist(), counts.tolist()):
-        taken = {colors[v] for v in islice(below, k)}
+        used = {colors[v] for v in islice(below, k)}
         c = 0
-        while c in taken:
+        while c in used:
             c += 1
         colors[u] = c
     return colors
 
 
-def _oriented(tensors: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Entry k's term tensor read from its endpoint's side: as stored
-    where first[k], transposed for the second endpoint."""
-    return np.where(first[:, None, None], tensors, tensors.transpose(0, 2, 1))
+def _oriented(tensors: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The E x L x L term tensors read from the side of each of `entries`,
+    numbered as `round_labels` lists its entries: entry k < E is term k
+    from its first endpoint, which reads the tensor as stored, and entry
+    E + k is term k from its second endpoint, which reads it transposed.
+    The tensors and their transposes are one 2E-row table of flattened
+    tensors, and each entry's number is its row: one gather, where
+    np.where(first, T[term], T[term].transpose(0, 2, 1)) takes two
+    gathers and a select."""
+    num_terms, nl = len(tensors), tensors.shape[1]
+    flat = tensors.reshape(num_terms, nl * nl)
+    transposed = flat.take(np.arange(nl * nl).reshape(nl, nl).T.ravel(), axis=1)
+    rows = np.concatenate((flat, transposed)).take(entries, axis=0)
+    return rows.reshape(len(entries), nl, nl)
 
 
 def _conditional(oriented: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -373,6 +415,14 @@ def round_labels(
     bound utility(l) - cost(l) >= utility(lam) - cost(lam), because fixing
     a node to its best conditional label can only increase the
     conditional expectation of the objective.
+
+    Every term enters once per endpoint, grouped by that endpoint's
+    color class and kept in term order within it.  Each such entry reads
+    its utility and cost tensors from its own endpoint's side, as stored
+    for the term's first endpoint and transposed for its second, in one
+    gather per table by the entry's index: its own-side index k for term
+    k's first endpoint, its transposed index E + k for the second
+    (`_oriented`).
 
     Returns the labels, a read-only int array over the conflict graph's
     node positions, and their (utility, cost), computed from the final
@@ -406,16 +456,13 @@ def round_labels(
     rank[order] = np.arange(n) - np.repeat(member_end - class_size, class_size)
     # every term once per endpoint, grouped by that endpoint's class and
     # kept in term order within it (the order each node sums its terms in)
-    num_edges = len(inst._eu)
     target = np.concatenate((inst._eu, inst._ev))
     other = np.concatenate((inst._ev, inst._eu))
-    term = np.tile(np.arange(num_edges), 2)
     by_class = np.argsort(narrow[target], kind="stable")
-    target, other, term = target[by_class], other[by_class], term[by_class]
+    target, other = target[by_class], other[by_class]
     term_end = np.cumsum(np.bincount(color[target], minlength=coloring.num_colors))
     # each entry's tensors read from its own endpoint's side, oriented once
-    first = by_class < num_edges
-    wu, wc = _oriented(inst._wu[term], first), _oriented(inst._wc[term], first)
+    wu, wc = _oriented(inst._wu, by_class), _oriented(inst._wc, by_class)
     labels = np.zeros(n, np.intp)
     label_cols = np.arange(nl)
 

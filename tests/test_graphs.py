@@ -269,6 +269,21 @@ def test_csr_contains_matches_the_row_sets():
     empty = Graph(nodes=range(3)).csr()
     assert csr_contains(*empty, np.arange(3), np.arange(3)).tolist() == [False] * 3
 
+
+@pytest.mark.parametrize("last", [17, 0])
+def test_csr_contains_at_row_length_boundaries(last):
+    # rows of length 0, 1, 2^k - 1, 2^k and 2^k + 1 hold the columns 3, 5,
+    # 7, ...; every row is asked about every column below, between and
+    # past its entries, the last row too, whether it is long or empty
+    lengths = [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, last]
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = np.concatenate([2 * np.arange(k, dtype=np.int32) + 3 for k in lengths])
+    cols = np.arange(2 * max(lengths) + 6)
+    rows = np.repeat(np.arange(len(lengths)), len(cols))
+    cols = np.tile(cols, len(lengths))
+    want = [c % 2 == 1 and 3 <= c < 2 * lengths[r] + 3 for r, c in zip(rows, cols)]
+    assert csr_contains(indptr, indices, rows, cols).tolist() == want
+
 @pytest.mark.parametrize("block", [1, 5, 40])
 def test_square_graph_built_in_row_blocks_matches_one_block(monkeypatch, block):
     # block 1 puts every row in a block of its own, however many codes

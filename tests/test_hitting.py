@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,78 @@ def test_copies_and_guarantees_match_the_loops(inst, data):
     assert _hex(grouped_guarantee(inst, selected)) == _hex(
         hitting_reference.reference_grouped_guarantee(inst, selected)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(hitting_instances(), st.data())
+def test_from_arrays_builds_what_the_constructor_builds(inst, data):
+    inst = dataclasses.replace(inst, k=data.draw(st.sampled_from([None, 1, inst.delta])))
+    built = BipartiteInstance.from_arrays(
+        inst.u_nodes, inst.v_nodes, inst.nbr, inst.weight, inst.delta, inst.p, inst.norm, inst.k
+    )
+    assert built == inst
+    assert [built.adj[u] for u in built.u_nodes] == [inst.adj[u] for u in inst.u_nodes]
+    assert built.nbr.tolist() == inst.nbr.tolist()
+    assert built.weight.tobytes() == inst.weight.tobytes()
+    assert not built.nbr.flags.writeable and not built.weight.flags.writeable
+
+
+# left nodes 1 and 2 of degree 2 over V = (10, 11, 12); a position j
+# outside [0, 3) stands for the id 20 + j, which is not in V
+BASE = dict(
+    nbr=[[0, 1], [1, 2]], weight=[1.0, 0.5], u_nodes=(1, 2), delta=2, p=0.1, norm=0.0, k=None
+)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(nbr=[[0, 1], [2, 2]]), "left node 2 does not have degree 2"),
+        (dict(nbr=[[0, 3], [1, 2]]), "left node 1 has a neighbor outside V"),
+        (dict(nbr=[[0, 1], [-1, 2]]), "left node 2 has a neighbor outside V"),
+        (dict(weight=[1.0, -0.5]), "bad weight at left node 2"),
+        (dict(weight=[math.nan, 0.5]), "bad weight at left node 1"),
+        (dict(weight=[1.0, math.inf]), "bad weight at left node 2"),
+        # the first failing node is named, and its first failing check
+        (dict(nbr=[[0, 1], [3, 3]], weight=[-1.0, 0.5]), "bad weight at left node 1"),
+        (dict(nbr=[[0, 1], [3, 3]], weight=[1.0, -1.0]), "left node 2 does not have degree 2"),
+        (dict(nbr=[[0, 1], [1, 3]], weight=[1.0, -1.0]), "left node 2 has a neighbor outside V"),
+        (dict(u_nodes=(1, 1)), "duplicate node ids within a side"),
+        (dict(delta=0, nbr=[[], []]), "need delta >= 1"),
+        (dict(p=0.0), "need delta >= 1, finite p > 0"),
+        (dict(norm=math.inf), "finite norm >= 0"),
+        (dict(k=3), "k=3 outside"),
+    ],
+)
+def test_from_arrays_refuses_what_the_constructor_refuses(change, message):
+    case = {**BASE, **change}
+    v_nodes = (10, 11, 12)
+    adj = {
+        u: tuple(v_nodes[j] if 0 <= j < 3 else 20 + j for j in row)
+        for u, row in zip(case["u_nodes"], case["nbr"])
+    }
+    scalars = case["delta"], case["p"], case["norm"], case["k"]
+    with pytest.raises(PreconditionError, match=re.escape(message)) as given_dicts:
+        BipartiteInstance(
+            case["u_nodes"], v_nodes, adj, dict(zip(case["u_nodes"], case["weight"])), *scalars
+        )
+    with pytest.raises(PreconditionError) as given_arrays:
+        BipartiteInstance.from_arrays(
+            case["u_nodes"], v_nodes, np.array(case["nbr"]), case["weight"], *scalars
+        )
+    assert str(given_arrays.value) == str(given_dicts.value)
+
+
+def test_from_arrays_needs_increasing_ids_and_matching_shapes():
+    v_nodes = (10, 11, 12)
+    with pytest.raises(PreconditionError, match="node ids must be increasing"):
+        BipartiteInstance.from_arrays((2, 1), v_nodes, [[0, 1], [1, 2]], [1.0, 1.0], 2, 0.1, 0.0)
+    with pytest.raises(PreconditionError, match="node ids must be increasing"):
+        BipartiteInstance.from_arrays((1, 2), (11, 10), [[0, 1], [0, 1]], [1.0, 1.0], 2, 0.1, 0.0)
+    shapes = ([[0, 1]], [1.0, 1.0]), ([[0, 1], [1, 2]], [1.0]), ([[0], [1]], [1.0, 1.0])
+    for nbr, weight in shapes:
+        with pytest.raises(PreconditionError, match="arrays of shape"):
+            BipartiteInstance.from_arrays((1, 2), v_nodes, nbr, weight, 2, 0.1, 0.0)
 
 
 def _outcome(solve, inst):

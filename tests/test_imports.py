@@ -10,7 +10,9 @@ with `errors.plain_sum` instead (its docstring says more).  No module
 calls `lexsort` or passes `return_inverse=`, and a stable `argsort` runs
 only where `STABLE_ARGSORTS` allows it: a stable argsort of int64 keys is
 several times slower than sorting them, so the package sorts packed keys
-through `graphs.stable_order` instead.  Re-exporting
+through `graphs.stable_order` instead.  No module reads a numpy
+function added after numpy 1.24, the oldest numpy the package supports
+(`NUMPY_AFTER_1_24`).  Re-exporting
 a definition from `__init__` is not a read: what only tests use belongs
 in their references.  No linter is a dependency, so the checks read the
 tree themselves.
@@ -220,3 +222,71 @@ def test_package_reads_every_definition():
         and not (module in REFERENCE_MODULES and not name.startswith("_"))
     ]
     assert unread == []
+
+
+# numpy functions that numpy 1.24, the oldest numpy CI runs, does not have
+NUMPY_AFTER_1_24 = {
+    "concat",
+    "bitwise_count",
+    "unique_values",
+    "unique_counts",
+    "unique_inverse",
+    "unique_all",
+    "permute_dims",
+    "matrix_transpose",
+    "vecdot",
+    "isdtype",
+    "astype",
+    "cumulative_sum",
+    "cumulative_prod",
+    "trapezoid",
+}
+
+
+def numpy_names_after_1_24(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every name in `NUMPY_AFTER_1_24` that `source`
+    reads from numpy, as an attribute of a name `import numpy` binds or
+    by `from numpy import`, in line order.  A method of an array, such as
+    `x.astype`, is not one."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in NUMPY_AFTER_1_24]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr in NUMPY_AFTER_1_24
+        ):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_detector_finds_numpy_names_after_1_24():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy import concat, zeros\n"
+        "def f(a, b):\n"
+        "    x = np.astype(a, float) + a.astype(float) + np.concatenate((a, b))\n"
+        "    return numpy.vecdot(a, b), np.unique_counts(a), np.unique(a), np.cumsum(a)\n"
+    )
+    assert numpy_names_after_1_24(source) == [
+        (3, "concat"),
+        (5, "astype"),
+        (6, "unique_counts"),
+        (6, "vecdot"),
+    ]
+
+
+@pytest.mark.parametrize("module", PACKAGE)
+def test_module_reads_no_numpy_name_after_1_24(module):
+    assert numpy_names_after_1_24((SRC / module).read_text()) == []

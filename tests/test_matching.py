@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localround import matching
+from localround import clustering, matching
 from localround.clustering import cluster_constant
 from localround.errors import PreconditionError
 from localround.generators import complete, disjoint_edges, gnp, grid, path
@@ -33,6 +33,34 @@ from matching_reference import (
     reference_greedy_maximal_matching,
     values,
 )
+
+
+@pytest.mark.parametrize("g", [gnp(300, 0.02, seed=5), path(40)])
+def test_a_solve_shares_its_edge_ends_and_cluster_ranks(monkeypatch, g):
+    # every stage that asks for one graph's edge ends, or for one graph's
+    # cluster ranks under one partition, reads the same arrays
+    seen: dict[tuple, list] = {}
+    real_ends, real_ranks = matching.edge_ends, clustering.cluster_ranks
+
+    def ends(graph):
+        out = real_ends(graph)
+        seen.setdefault(("ends", id(graph)), []).append(out[0])
+        return out
+
+    def ranks(graph, partition):
+        out = real_ranks(graph, partition)
+        seen.setdefault(("ranks", id(graph), id(partition)), []).append(out[1])
+        return out
+
+    monkeypatch.setattr(matching, "edge_ends", ends)
+    monkeypatch.setattr(matching, "cluster_ranks", ranks)
+    monkeypatch.setattr(clustering, "cluster_ranks", ranks)
+    approx_matching(g)
+    calls = {key[0]: 0 for key in seen}
+    for key, arrays in seen.items():
+        assert all(a is arrays[0] for a in arrays) and not arrays[0].flags.writeable
+        calls[key[0]] = max(calls[key[0]], len(arrays))
+    assert calls == {"ends": 3, "ranks": 3}
 
 
 def test_fraction_single_edge():

@@ -1,12 +1,14 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localround import rounding
 from localround.errors import ClaimChecker, PreconditionError, plain_sum
 from localround.generators import gnp
 from localround.graphs import Graph, induced_subgraph, square_graph
@@ -285,11 +287,95 @@ def color_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(color_cases())
-def test_greedy_color_matches_the_first_fit_loop(g):
-    col, ref = greedy_color(g), reference_greedy_color(g)
+@given(color_cases(), st.sampled_from([1, 2, 3, 64]))
+def test_greedy_color_matches_the_first_fit_loop(g, columns):
+    # with few color columns, many wave members read their lower
+    # neighbours' colors, and many colors land in the overflow column
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rounding, "_TAKEN_COLUMNS", columns)
+        col = greedy_color(g)
+    ref = reference_greedy_color(g)
     assert col.colors.tolist() == [ref[u] for u in g.nodes]
     assert col.num_colors == max(ref.values(), default=-1) + 1
+
+
+def interleaved_cliques(count: int, size: int) -> Graph:
+    """`count` disjoint cliques of `size` nodes, clique c on the ids c,
+    c + count, c + 2 * count, ...: wave i is node i of every clique."""
+    return Graph(
+        edges=[
+            (a * count + c, b * count + c)
+            for c in range(count)
+            for a in range(size)
+            for b in range(a + 1, size)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "g, colors",
+    [
+        # waves of 20 nodes take colors 64-69, past the 64 color columns
+        (interleaved_cliques(20, 70), 70),
+        (gnp(400, 0.6, seed=3), 75),
+        # the centre, with the highest id, has 399 lower neighbours
+        (Graph(edges=[(u, 399) for u in range(399)]), 2),
+        # 8 paths on interleaved ids: waves of 8 nodes, fewer than
+        # n / _WAVE_SHARE at n = 20000, so the loop colors all but wave 0
+        (Graph(edges=[(u, u + 8) for u in range(20000 - 8)]), 2),
+    ],
+)
+def test_greedy_color_past_the_color_columns(g, colors):
+    col, ref = greedy_color(g), reference_greedy_color(g)
+    assert col.colors.tolist() == [ref[u] for u in g.nodes]
+    assert col.num_colors == colors
+
+
+# bytes per node that one coloring may trace on `clique_and_path`
+COLOR_BYTES_PER_NODE = 240
+
+
+@pytest.fixture(scope="module")
+def clique_and_path() -> Graph:
+    """A 150-clique, whose last node has 149 lower neighbours, and a
+    200000-node path whose odd nodes have ids above both neighbours', so
+    waves 0 and 1 color the whole path while the table is live."""
+    length = 200_000
+    ids = [150 + (i // 2 if i % 2 == 0 else length // 2 + i // 2) for i in range(length)]
+    clique = [(a, b) for a in range(150) for b in range(a + 1, 150)]
+    return Graph(edges=clique + list(zip(ids, ids[1:])))
+
+
+def traced_bytes_per_node(g: Graph) -> float:
+    tracemalloc.start()
+    try:
+        greedy_color(g)
+        return tracemalloc.get_traced_memory()[1] / g.n
+    finally:
+        tracemalloc.stop()
+
+
+def test_color_table_memory_is_linear(clique_and_path):
+    # 65 bytes per node for the table, the rest for the waves' arrays
+    assert traced_bytes_per_node(clique_and_path) < COLOR_BYTES_PER_NODE
+
+
+def test_memory_bound_catches_an_uncapped_color_table(clique_and_path, monkeypatch):
+    # 151 columns, one per possible color of the clique, and the overflow
+    monkeypatch.setattr(rounding, "_TAKEN_COLUMNS", 10**9)
+    assert traced_bytes_per_node(clique_and_path) >= COLOR_BYTES_PER_NODE
+
+
+@pytest.mark.parametrize("nl", [1, 2, 3, 4])
+@pytest.mark.parametrize("terms, entries", [(0, 0), (1, 1), (6, 0), (6, 40)])
+def test_oriented_reads_each_entry_from_its_side(nl, terms, entries):
+    rng = np.random.default_rng(nl * 100 + entries)
+    tensors = rng.standard_normal((terms, nl, nl))
+    index = rng.integers(0, 2 * terms, entries) if terms else np.zeros(0, np.intp)
+    term, first = index % max(terms, 1), index < terms
+    got = rounding._oriented(tensors, index)
+    want = np.where(first[:, None, None], tensors[term], tensors[term].transpose(0, 2, 1))
+    assert got.shape == (entries, nl, nl) and np.array_equal(got, want)
 
 
 def test_greedy_color_matches_the_first_fit_loop_at_scale():
