@@ -383,8 +383,11 @@ def approx_matching(
 
     `alpha` defaults to the cube root of the capacity exponent, and the
     cluster-degree threshold to the bound certified by the clustering;
-    both can be overridden for experiments.  A `retries` below 1 is
-    refused on every input, edgeless or not.
+    both can be overridden for experiments.  An overridden threshold
+    whose good nodes carry less than 0.9 of the fractional load is
+    refused (`PreconditionError`); the certified one is a guarantee, so
+    there the same shortfall is a `good-weight` claim violation.  A
+    `retries` below 1 is refused on every input, edgeless or not.
     """
     check_retries(retries)
     checks = ClaimChecker()
@@ -406,9 +409,14 @@ def approx_matching(
     # added in id order, and in `frac.load_order()`
     good_load = plain_sum(loads[ge.good])
     total_load = plain_sum(loads[frac.load_order()])
+    heavy_enough = geq(good_load, 0.9 * total_load)
+    if f_override is not None and not heavy_enough:
+        raise PreconditionError(
+            f"bound {bound} leaves good nodes carrying {good_load} < 0.9 * {total_load}"
+        )
     checks.ok(
         "good-weight",
-        geq(good_load, 0.9 * total_load),
+        heavy_enough,
         f"good nodes carry {good_load} < 0.9 * {total_load}",
     )
     frac_value = frac.value()

@@ -24,7 +24,12 @@ so no term joins two nodes of one color class: every member's conditional
 scores read only rows of P outside its class, which fixing the class does
 not change.  One gather of the class's incident terms and one scatter of
 the chosen one-hot rows therefore give exactly what fixing the members one
-after another would.
+after another would.  A node no edge term touches scores its node row
+whatever the others' labels, so all of them are decided at once, before
+the walk, and the walk visits only the nodes that carry edge terms.  An
+edge utility table that is +0.0 throughout (the MIS and hitting-set
+objectives price pairs only as cost) is found once, when the instance is
+built, and neither oriented, conditioned nor evaluated.
 """
 
 from __future__ import annotations
@@ -43,9 +48,18 @@ Matrix = tuple[Row, ...]
 
 def is_proper(g: Graph, colors: np.ndarray) -> bool:
     """No edge of g joins two nodes of one color: `colors` holds one color
-    per node position, compared across every entry of `g.csr()`."""
+    per node position, compared across every entry of `g.csr()`.  The
+    colors are first shifted to start at 0 and held in the narrowest
+    unsigned type that fits them, so each entry's comparison moves one or
+    two bytes, not eight; comparing only the entries above the diagonal
+    would cost more than it saves, since finding them takes a pass of
+    its own."""
+    if not g.n:
+        return True
     indptr, nbr = g.csr()
-    return not (np.repeat(colors, np.diff(indptr)) == colors[nbr]).any()
+    shifted = colors - colors.min()
+    narrow = shifted.astype(np.min_scalar_type(int(shifted.max())))
+    return not (np.repeat(narrow, np.diff(indptr)) == narrow[nbr]).any()
 
 
 class Coloring:
@@ -130,7 +144,9 @@ class UtilityCostInstance:
     edge_u < edge_v, and `edge_utility`/`edge_cost` their E x L x L
     tensors, indexed [label_u][label_v].  They are kept as `_at`, `_nu`,
     `_nc`, `_eu`, `_ev`, `_wu` and `_wc`.  Constant offsets hold
-    label-independent mass.  Every check is vectorised.
+    label-independent mass.  Every check is vectorised.  Whether the
+    edge utility tensors are +0.0 throughout is decided once, here
+    (`_flat_wu`), so that evaluation and rounding can skip them.
 
     `node_terms` (node -> (utility_row, cost_row)) and `edge_terms`
     ((u, v) -> pair of matrices) are read-only views derived from the
@@ -150,6 +166,7 @@ class UtilityCostInstance:
         "_ev",
         "_wu",
         "_wc",
+        "_flat_wu",
         "_node_view",
         "_edge_view",
     )
@@ -211,6 +228,8 @@ class UtilityCostInstance:
         self.utility_const, self.cost_const = utility_const, cost_const
         self._at, self._nu, self._nc = at, nu, nc
         self._eu, self._ev, self._wu, self._wc = eu, ev, wu, wc
+        # +0.0 only: a -0.0 entry could give -0.0 where a skip gives +0.0
+        self._flat_wu = not (wu.any() or np.signbit(wu).any())
         self._node_view = self._edge_view = None
 
     @property
@@ -259,13 +278,11 @@ def evaluate(inst: UtilityCostInstance, lam: FractionalAssignment) -> tuple[floa
 
 def _objective(inst: UtilityCostInstance, probs: np.ndarray) -> tuple[float, float]:
     """(utility, cost) of the probability matrix `probs`, rows in node
-    order."""
+    order.  A +0.0 edge utility table adds 0.0, the value its einsum
+    gives."""
     pu, pv = probs[inst._eu], probs[inst._ev]
-    utility = (
-        inst.utility_const
-        + float((inst._nu * probs).sum())
-        + float(np.einsum("ea,eab,eb->", pu, inst._wu, pv))
-    )
+    pairs = 0.0 if inst._flat_wu else float(np.einsum("ea,eab,eb->", pu, inst._wu, pv))
+    utility = inst.utility_const + float((inst._nu * probs).sum()) + pairs
     cost = (
         inst.cost_const
         + float((inst._nc * probs).sum())
@@ -287,6 +304,12 @@ _WAVE_SHARE = 2048
 # a node's table of taken colors has this many color columns and one
 # overflow column for every color past them, so it costs at most 65 bytes
 _TAKEN_COLUMNS = 64
+
+# the per-node loop turns this many nodes at a time, and their lower
+# neighbours, into Python lists, so the lists cost a bounded amount
+# however many nodes the loop colors (a path by increasing id: all of
+# them)
+_TAIL_NODES = 4096
 
 
 def greedy_color(g: Graph) -> Coloring:
@@ -362,15 +385,17 @@ def _first_fit(g: Graph) -> list[int]:
         color[wave] = first
     del taken  # freed before the per-node loop builds its lists
     rest = np.flatnonzero(waiting >= 0)
-    counts = lower[rest]
-    below = iter(nbr[expand(indptr[rest], counts)].tolist())
     colors = color.tolist()
-    for u, k in zip(rest.tolist(), counts.tolist()):
-        used = {colors[v] for v in islice(below, k)}
-        c = 0
-        while c in used:
-            c += 1
-        colors[u] = c
+    for lo in range(0, len(rest), _TAIL_NODES):
+        part = rest[lo : lo + _TAIL_NODES]
+        counts = lower[part]
+        below = iter(nbr[expand(indptr[part], counts)].tolist())
+        for u, k in zip(part.tolist(), counts.tolist()):
+            used = {colors[v] for v in islice(below, k)}
+            c = 0
+            while c in used:
+                c += 1
+            colors[u] = c
     return colors
 
 
@@ -416,16 +441,26 @@ def round_labels(
     a node to its best conditional label can only increase the
     conditional expectation of the objective.
 
-    Every term enters once per endpoint, grouped by that endpoint's
-    color class and kept in term order within it.  Each such entry reads
-    its utility and cost tensors from its own endpoint's side, as stored
-    for the term's first endpoint and transposed for its second, in one
-    gather per table by the entry's index: its own-side index k for term
-    k's first endpoint, its transposed index E + k for the second
-    (`_oriented`).
+    A node that no edge term touches scores its node row, 0.0 + (N_u -
+    N_c) as one `np.bincount` gives it, and takes that row's first
+    maximum at once.  The class loop walks only the nodes that carry
+    entries: every term enters once per endpoint, grouped by that
+    endpoint's color class and kept in term order within it.  Each such
+    entry reads its utility and cost tensors from its own endpoint's
+    side, as stored for the term's first endpoint and transposed for its
+    second, in one gather per table by the entry's index: its own-side
+    index k for term k's first endpoint, its transposed index E + k for
+    the second (`_oriented`).  A +0.0 utility table is skipped, and an
+    entry scores 0.0 minus its cost, which the bincount's +0.0 start
+    turns into the same sum.
+
+    The monotone claim is checked once per color class after the loop:
+    a class gains the sum over its members of score[label] - sum over b
+    of lam[:, b] * score[:, b], and the running total from the
+    fractional value must never drop.
 
     Returns the labels, a read-only int array over the conflict graph's
-    node positions, and their (utility, cost), computed from the final
+    node positions, and their (utility, cost), computed from their
     one-hot matrix as `evaluate` would.
     """
     checks = checks if checks is not None else ClaimChecker()
@@ -441,69 +476,84 @@ def round_labels(
     if coloring.graph is not g:
         raise PreconditionError("coloring is not of the instance's conflict graph")
 
-    n, nl, color = g.n, inst.num_labels, coloring.colors
-    probs = lam.matrix.copy()
+    n, nl, color, num_colors = g.n, inst.num_labels, coloring.colors, coloring.num_colors
+    p0 = lam.matrix
+    probs = p0.copy()  # written only at nodes with entries, the only rows read
     one_hot = np.eye(nl)
     base = inst._nu - inst._nc
-    # members of each class, in id order; rank = position within the class.
-    # Colors fit the narrowest unsigned type that holds num_colors - 1, and
-    # numpy sorts 8- and 16-bit keys stably by radix: the same order
-    narrow = color.astype(np.min_scalar_type(max(coloring.num_colors - 1, 0)))
-    order = np.argsort(narrow, kind="stable")
-    class_size = np.bincount(color, minlength=coloring.num_colors)
-    member_end = np.cumsum(class_size)
-    rank = np.empty(n, np.intp)
-    rank[order] = np.arange(n) - np.repeat(member_end - class_size, class_size)
-    # every term once per endpoint, grouped by that endpoint's class and
-    # kept in term order within it (the order each node sums its terms in)
+    # a node without entries keeps its node row and its first maximum
+    scores = 0.0 + base
+    labels = scores.argmax(axis=1)
+    # nodes with entries in each class, in id order; rank = position within
+    # the class.  Colors fit the narrowest unsigned type that holds
+    # num_colors - 1, and numpy sorts 8- and 16-bit keys stably by radix:
+    # the same order
     target = np.concatenate((inst._eu, inst._ev))
     other = np.concatenate((inst._ev, inst._eu))
+    touched = np.zeros(n, bool)
+    touched[target] = True
+    narrow = color.astype(np.min_scalar_type(max(num_colors - 1, 0)))
+    order = np.argsort(narrow, kind="stable")
+    order = order[touched[order]]
+    class_size = np.bincount(color[order], minlength=num_colors)
+    member_end = np.cumsum(class_size)
+    rank = np.empty(n, np.intp)
+    rank[order] = np.arange(len(order)) - np.repeat(member_end - class_size, class_size)
+    # every term once per endpoint, grouped by that endpoint's class and
+    # kept in term order within it (the order each node sums its terms in)
     by_class = np.argsort(narrow[target], kind="stable")
     target, other = target[by_class], other[by_class]
-    term_end = np.cumsum(np.bincount(color[target], minlength=coloring.num_colors))
+    term_end = np.cumsum(np.bincount(color[target], minlength=num_colors))
     # each entry's tensors read from its own endpoint's side, oriented once
-    wu, wc = _oriented(inst._wu, by_class), _oriented(inst._wc, by_class)
-    labels = np.zeros(n, np.intp)
+    wu = None if inst._flat_wu else _oriented(inst._wu, by_class)
+    wc = _oriented(inst._wc, by_class)
     label_cols = np.arange(nl)
 
-    tracked = gain0
     member_lo = term_lo = 0
     for member_hi, term_hi in zip(member_end.tolist(), term_end.tolist()):
-        before = tracked
         members = order[member_lo:member_hi]
         k = len(members)
         if k:
             span = slice(term_lo, term_hi)
             po = probs[other[span]]
-            gathered = _conditional(wu[span], po) - _conditional(wc[span], po)
+            cost = _conditional(wc[span], po)
+            gathered = 0.0 - cost if wu is None else _conditional(wu[span], po) - cost
             # node row first, then the incident terms in term order
             slots = np.concatenate(
                 (np.arange(k * nl), (rank[target[span]][:, None] * nl + label_cols).ravel())
             )
-            scores = np.bincount(
+            chosen = np.bincount(
                 slots,
                 np.concatenate((base[members].ravel(), gathered.ravel())),
                 minlength=k * nl,
             ).reshape(k, nl)
-            best = scores.argmax(axis=1)  # first maximum: ties go to the lowest label
-            mixed = (probs[members] * scores).sum(axis=1)
-            tracked += float((scores[np.arange(k), best] - mixed).sum())
-            probs[members] = one_hot[best]
+            best = chosen.argmax(axis=1)  # first maximum: ties go to the lowest label
+            scores[members] = chosen
             labels[members] = best
-        checks.ok(
-            "rounding-monotone",
-            geq(tracked, before, scale),
-            f"objective dropped {before!r} -> {tracked!r} within a color class",
-        )
+            probs[members] = one_hot[best]
         member_lo, term_lo = member_hi, term_hi
 
+    # each node's gain over its fractional row, summed per class in id
+    # order, and the running total over the classes
+    mixed = p0[:, 0] * scores[:, 0]
+    for b in range(1, nl):
+        mixed = mixed + p0[:, b] * scores[:, b]
+    gain = scores[np.arange(n), labels] - mixed
+    tracked = np.cumsum(np.concatenate(([gain0], np.bincount(color, gain, num_colors))))
+    checks.ok_each(
+        "rounding-monotone",
+        geq(tracked[1:], tracked[:-1], scale),
+        lambda c: f"objective dropped {float(tracked[c])!r} -> {float(tracked[c + 1])!r} "
+        f"within color class {c}",
+    )
+    final = float(tracked[-1])
+
     labels.flags.writeable = False
-    # every row of probs is now the one-hot row of its label
-    uf, cf = _objective(inst, probs)
+    uf, cf = _objective(inst, one_hot[labels])
     checks.ok(
         "rounding-consistency",
-        abs((uf - cf) - tracked) <= 1e-6 * scale,
-        f"tracked objective {tracked!r} != evaluated {(uf - cf)!r}",
+        abs((uf - cf) - final) <= 1e-6 * scale,
+        f"tracked objective {final!r} != evaluated {(uf - cf)!r}",
     )
     checks.ok(
         "rounding-contract",

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
 import localround.cli
+import localround.matching
 from localround import generators
 from localround.cli import UsageError, main, parse_gen_spec
 from localround.errors import RetryBudgetExceeded
@@ -136,18 +138,31 @@ def test_run_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_claim_violation_exits_2(tmp_path):
+def test_run_claim_violation_exits_2(tmp_path, monkeypatch):
     star = tmp_path / "star.edges"
     star.write_text("".join(f"0 {i}\n" for i in range(1, 7)))
     out = tmp_path / "fail.json"
+    # a clustering that certifies a tiny degree bound breaks the good-node
+    # stage guarantees
+    real = localround.matching.cluster_constant
+
+    def certifying_two(*args):
+        partition = real(*args)
+        partition.meta["degree_bound"] = 2
+        return partition
+
+    monkeypatch.setattr(localround.matching, "cluster_constant", certifying_two)
+    code = run_cli("run", "--graph", str(star), "--algo", "matching", "--seed", "0", "--out", str(out))
+    assert code == 2
+    report = json.loads(out.read_text())
+    assert report["failed_claim"] in ("good-weight", "good-mass")
+    # the same bound given as an override is refused as a precondition
     code = run_cli(
         "run", "--graph", str(star), "--algo", "matching",
         "--f-override", "2", "--seed", "0", "--out", str(out),
     )
-    assert code == 2
-    report = json.loads(out.read_text())
-    # the tiny degree bound breaks the good-node stage guarantees
-    assert report["failed_claim"] in ("good-weight", "good-mass")
+    assert code == 3
+    assert json.loads(out.read_text())["failed_claim"] == "precondition"
 
 
 def test_randomized_algos_require_seed():
@@ -268,6 +283,24 @@ def test_precondition_exit_3_writes_report(tmp_path, capsys):
     assert report["failed_claim"] == "precondition"
     assert "below the measured cluster degree" in report["result"]["error"]
     assert "below the measured cluster degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, code", [("8", 3), ("12", 3), ("13", 0), ("15", 0)])
+def test_matching_refuses_an_override_that_leaves_too_little_load(tmp_path, override, code):
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--gen", "gnp:n=2048,p=0.004,seed=1", "--algo", "matching", "--seed", "3",
+        "--f-override", override, "--out", str(out),
+    ) == code
+    report = json.loads(out.read_text())
+    if code:
+        assert report["failed_claim"] == "precondition"
+        assert re.fullmatch(
+            rf"bound {override}\.0 leaves good nodes carrying \S+ < 0\.9 \* \S+",
+            report["result"]["error"],
+        )
+    else:
+        assert report["failed_claim"] is None and report["result"]["checks"]["good-weight"] == 1
 
 
 @pytest.mark.parametrize("algo", ["mis", "matching"])

@@ -486,3 +486,49 @@ def test_plain_sum_adds_left_to_right():
     assert plain_sum(values) == loop == 0.0
     assert plain_sum(iter(values)) == 0.0
     assert plain_sum([]) == 0
+
+
+# a seeded grouped solve at the benchmark's shape, |V| = 600: every phi,
+# and each step's chosen count and fractional (utility, cost), as hex
+PINNED_PHIS = [
+    "0x1.25a05399a5cbbp+6", "0x1.fea648544c66ep+4", "0x1.cedec2f19acfep+4",
+    "0x1.9eedaec856749p+4", "0x1.6efbe91a1f3d0p+4", "0x1.3f0ba27cd2cf1p+4",
+    "0x1.0f1d033a04f92p+4", "0x1.be606faff3891p+3", "0x1.5e66666666667p+3",
+    "0x1.fcccccccccccep+2", "0x1.3cccccccccccdp+2",
+]
+PINNED_STEPS = [
+    (94, "0x1.9304cbedf51aap+3", "0x1.1c1b09fa96548p+1"),
+    (3, "0x1.8619880b20a73p+1", "0x1.80ea3ace78193p+0"),
+    (1, "0x1.823ef975af1b3p+1", "0x1.80563f04da443p+0"),
+    (0, "0x1.80ef3785f48a8p+1", "0x1.8023e1edb17b5p+0"),
+    (0, "0x1.81086023e0a77p+1", "0x1.8027a80561b2dp+0"),
+    (0, "0x1.81242e1f641dfp+1", "0x1.802bd3b7e89e3p+0"),
+    (0, "0x1.8142e8b5b896ap+1", "0x1.80306fb4dbb05p+0"),
+    (1, "0x1.8164dea21e4f7p+1", "0x1.803587cb848c1p+0"),
+    (0, "0x1.8000000000000p+1", "0x1.8000000000002p+0"),
+    (0, "0x1.8000000000000p+1", "0x1.8000000000002p+0"),
+]
+
+
+def test_grouped_solve_is_pinned_bit_for_bit():
+    rng = random.Random(2020)
+    v_nodes = tuple(range(600))
+    u_nodes = tuple(range(600, 660))
+    inst = BipartiteInstance(
+        u_nodes,
+        v_nodes,
+        {u: tuple(sorted(rng.sample(v_nodes, 8))) for u in u_nodes},
+        {u: rng.uniform(0.0, 2.0) for u in u_nodes},
+        8,
+        0.25,
+        0.05,
+        4,
+    )
+    res = grouped_hitting_set(inst)
+    assert [x.hex() for x in res.phis] == PINNED_PHIS
+    assert [
+        (len(s.chosen), s.frac_utility.hex(), s.frac_cost.hex()) for s in res.steps
+    ] == PINNED_STEPS
+    assert (len(res.selected), sum(res.selected), res.zeta, res.rounds_h) == (99, 25680, 7, 140)
+    # one monotone check per color class and step
+    assert res.checks.counts["rounding-monotone"] == res.zeta * len(res.steps)

@@ -12,7 +12,9 @@ only where `STABLE_ARGSORTS` allows it: a stable argsort of int64 keys is
 several times slower than sorting them, so the package sorts packed keys
 through `graphs.stable_order` instead.  No module reads a numpy
 function added after numpy 1.24, the oldest numpy the package supports
-(`NUMPY_AFTER_1_24`).  Re-exporting
+(`NUMPY_AFTER_1_24`), and no module calls a ufunc's `at` outside
+`UFUNC_AT_CALLS`: numpy 1.24 runs `np.add.at` and its kin an element at a
+time, many times slower than `np.bincount` or a sorted reduction.  Re-exporting
 a definition from `__init__` is not a read: what only tests use belongs
 in their references.  No linter is a dependency, so the checks read the
 tree themselves.
@@ -290,3 +292,59 @@ def test_detector_finds_numpy_names_after_1_24():
 @pytest.mark.parametrize("module", PACKAGE)
 def test_module_reads_no_numpy_name_after_1_24(module):
     assert numpy_names_after_1_24((SRC / module).read_text()) == []
+
+
+# (top-level function or class, called expression) of every ufunc `at`
+# call allowed, by module: the smallest live index at each node, where a
+# scatter-minimum has no cheaper numpy form
+UFUNC_AT_CALLS = {
+    "matching.py": [
+        ("FractionalMatching", "np.minimum.at"),
+        ("greedy_maximal_matching", "np.minimum.at"),
+        ("greedy_maximal_matching", "np.minimum.at"),
+    ],
+}
+
+
+def ufunc_at_calls(source: str) -> list[tuple[str, str]]:
+    """(the enclosing top-level function or class, the called expression)
+    of every call of an attribute named `at` in `source`, in line order.
+    The package defines no `at` of its own, so each is a ufunc's, however
+    the ufunc was bound."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "at"
+            ):
+                found.append((node.lineno, getattr(stmt, "name", ""), ast.unparse(node.func)))
+    return [item[1:] for item in sorted(found)]
+
+
+def test_detector_finds_ufunc_at_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy import add\n"
+        "def f(a, i, v):\n"
+        "    np.add.at(a, i, v)\n"
+        "    add.at(a, i, 1)\n"
+        "    return np.bincount(i, v), a.at\n"
+        "class C:\n"
+        "    def g(self, a, i):\n"
+        "        return np.minimum.at(a, i, 0)\n"
+        "np.maximum.at(a, i, 0)\n"
+    )
+    assert ufunc_at_calls(source) == [
+        ("f", "np.add.at"),
+        ("f", "add.at"),
+        ("C", "np.minimum.at"),
+        ("", "np.maximum.at"),
+    ]
+
+
+@pytest.mark.parametrize("module", PACKAGE)
+def test_module_calls_no_ufunc_at_outside_the_allowed(module):
+    # equality, so an allowed call that goes also leaves the list
+    assert ufunc_at_calls((SRC / module).read_text()) == UFUNC_AT_CALLS.get(module, [])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from localround import clustering, matching
 from localround.clustering import cluster_constant
-from localround.errors import PreconditionError
+from localround.errors import ClaimViolation, PreconditionError
 from localround.generators import complete, disjoint_edges, gnp, grid, path
 from localround.graphs import Graph, strip_isolated
 from localround.ledger import RoundLedger
@@ -507,3 +507,21 @@ def test_approx_matching_builds_neighbor_tuples_only_in_its_clustering(monkeypat
     # ends with the same delay, so the clustering walks no tuple either
     assert builds == clustered == []
     assert is_matching(res.matching)
+
+
+def test_low_override_is_a_precondition_and_the_certified_bound_a_claim(monkeypatch):
+    g = gnp(2048, 0.004, seed=1)
+    with pytest.raises(PreconditionError, match=r"bound 8\.0 leaves good nodes carrying"):
+        approx_matching(g, seed=3, f_override=8)
+    assert approx_matching(g, seed=3, f_override=13).checks["good-weight"] == 1
+    # the same threshold certified by the clustering stays a guarantee
+    real = matching.cluster_constant
+
+    def certifying_eight(*args):
+        partition = real(*args)
+        partition.meta["degree_bound"] = 8
+        return partition
+
+    monkeypatch.setattr(matching, "cluster_constant", certifying_eight)
+    with pytest.raises(ClaimViolation, match="good-weight"):
+        approx_matching(g, seed=3)

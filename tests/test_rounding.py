@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localround import rounding
-from localround.errors import ClaimChecker, PreconditionError, plain_sum
+from localround.errors import ClaimChecker, ClaimViolation, PreconditionError, plain_sum
 from localround.generators import gnp
-from localround.graphs import Graph, induced_subgraph, square_graph
+from localround.graphs import Graph, edge_ends, induced_subgraph, square_graph
 from localround.oracles import exhaustive_round_check
 from localround.rounding import (
     Coloring,
@@ -287,12 +287,14 @@ def color_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(color_cases(), st.sampled_from([1, 2, 3, 64]))
-def test_greedy_color_matches_the_first_fit_loop(g, columns):
+@given(color_cases(), st.sampled_from([1, 2, 3, 64]), st.sampled_from([1, 3, 4096]))
+def test_greedy_color_matches_the_first_fit_loop(g, columns, tail):
     # with few color columns, many wave members read their lower
-    # neighbours' colors, and many colors land in the overflow column
+    # neighbours' colors, and many colors land in the overflow column;
+    # with short tail chunks, a node's lower neighbours lie in earlier chunks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rounding, "_TAKEN_COLUMNS", columns)
+        patch.setattr(rounding, "_TAIL_NODES", tail)
         col = greedy_color(g)
     ref = reference_greedy_color(g)
     assert col.colors.tolist() == [ref[u] for u in g.nodes]
@@ -364,6 +366,34 @@ def test_memory_bound_catches_an_uncapped_color_table(clique_and_path, monkeypat
     # 151 columns, one per possible color of the clique, and the overflow
     monkeypatch.setattr(rounding, "_TAKEN_COLUMNS", 10**9)
     assert traced_bytes_per_node(clique_and_path) >= COLOR_BYTES_PER_NODE
+
+
+# bytes per node that one coloring may trace on `clique_and_path_by_id`:
+# 122 measured with numpy 2.4.6 (the peak is the waves', not the loop's),
+# 161 when the loop turns the whole path into lists at once
+TAIL_BYTES_PER_NODE = 140
+
+
+@pytest.fixture(scope="module")
+def clique_and_path_by_id() -> Graph:
+    """A 150-clique and a 200000-node path by increasing id: every wave
+    after wave 0 has one node, so the per-node loop colors the path."""
+    length = 200_000
+    clique = [(a, b) for a in range(150) for b in range(a + 1, 150)]
+    return Graph(edges=clique + [(150 + i, 151 + i) for i in range(length - 1)])
+
+
+def test_first_fit_loop_memory_is_bounded(clique_and_path_by_id):
+    g = clique_and_path_by_id
+    assert traced_bytes_per_node(g) < TAIL_BYTES_PER_NODE
+    colors = greedy_color(g).colors
+    assert colors[:150].tolist() == list(range(150))
+    assert colors[150:].tolist() == [i % 2 for i in range(g.n - 150)]
+
+
+def test_memory_bound_catches_an_unchunked_loop(clique_and_path_by_id, monkeypatch):
+    monkeypatch.setattr(rounding, "_TAIL_NODES", 10**9)
+    assert traced_bytes_per_node(clique_and_path_by_id) >= TAIL_BYTES_PER_NODE
 
 
 @pytest.mark.parametrize("nl", [1, 2, 3, 4])
@@ -518,6 +548,24 @@ def test_is_proper_matches_the_generator(case):
             Coloring(g, colors)
 
 
+@pytest.mark.parametrize("n", [2, 3, 300])
+@pytest.mark.parametrize("ends", ["first and last", "last two"])
+def test_is_proper_finds_a_lone_bad_edge_at_the_ends(n, ends):
+    # a path on all but the last position, colored 0, 1, 0, 1, ..., and
+    # one edge from the last position to a node of its color
+    a, b = (0, n - 1) if ends == "first and last" else (n - 2, n - 1)
+    colors = np.arange(n) % 2
+    colors[b] = colors[a]
+    ids = [5 * i + 2**40 for i in range(n)]
+    g = Graph(nodes=ids, edges=list(zip(ids[:-1], ids[1:-1])) + [(ids[a], ids[b])])
+    assert reference_is_proper(g, dict(zip(ids, colors.tolist()))) is False
+    assert not is_proper(g, colors) and not is_proper(g, colors - 7)
+    with pytest.raises(PreconditionError, match="not proper"):
+        Coloring(g, colors)
+    colors[b] = 2  # the only bad edge mended
+    assert is_proper(g, colors) and is_proper(g, colors - 7)
+
+
 def test_is_proper_needs_every_color():
     g = Graph(edges=[(3, 2**60), (2**60, 7)])
     for colors in ({3: 0, 2**60: 1}, {3: 0, 7: 0}):
@@ -575,6 +623,21 @@ def test_round_monotone_counted():
     round_labels(inst, lam, col, checks=checks)
     assert checks.counts["rounding-monotone"] == col.num_colors
     assert checks.counts["rounding-no-loss"] == 1
+
+
+def test_round_monotone_names_the_first_class_that_drops(monkeypatch):
+    rng = random.Random(15)
+    inst, lam = random_objective(rng, max_nodes=7)
+    col = greedy_color(inst.conflict_graph)
+    real = rounding.geq
+
+    def third_class_drops(a, b, scale=None):
+        held = real(a, b, scale)
+        return held & (np.arange(len(held)) != 2) if isinstance(held, np.ndarray) else held
+
+    monkeypatch.setattr(rounding, "geq", third_class_drops)
+    with pytest.raises(ClaimViolation, match=r"rounding-monotone: .* within color class 2$"):
+        round_labels(inst, lam, Coloring(inst.conflict_graph, 3 * col.colors + 3))
 
 
 @settings(max_examples=25, deadline=None)
@@ -659,8 +722,75 @@ def test_array_path_matches_loop_reference(case):
     for fractional, given in ((lam, lam), (integral(inst, labels), labels)):
         got, want = evaluate(inst, fractional), reference_evaluate(inst, given)
         assert _close(got[0], want[0]) and _close(got[1], want[1])
-    rounded, got = round_labels(inst, lam, coloring)
+    checks = ClaimChecker()
+    rounded, got = round_labels(inst, lam, coloring, checks=checks)
+    # one monotone check per color class, empty ones (stride 2) included
+    assert checks.counts["rounding-monotone"] == coloring.num_colors
     want_labels = reference_round_labels(inst, lam, coloring)
     assert rounded.tolist() == [want_labels[u] for u in inst.conflict_graph.nodes]
     want = reference_evaluate(inst, want_labels)
     assert _close(got[0], want[0]) and _close(got[1], want[1])
+
+
+def hitting_shaped(seed: int, edge_utility: str):
+    """A hitting step's objective, shaped as `basic_hitting_set` builds
+    it: 300 nodes, each with a node term, a few dozen pair terms, so most
+    nodes carry no edge entry, and an edge utility table that is +0.0,
+    -0.0, or zero except for some entries."""
+    rng = np.random.default_rng(seed)
+    n, norm = 300, 0.05
+    g = gnp(n, 0.05, seed=seed)
+    a, b = edge_ends(g)
+    pick = rng.choice(len(a), size=min(40, len(a)), replace=False)
+    pick.sort()
+    eu, ev = a[pick], b[pick]
+    node_utility = np.zeros((n, 2))
+    node_utility[:, 1] = rng.uniform(0.0, 0.2, n) * (rng.random(n) < 0.3)
+    node_cost = np.repeat([[0.0, norm]], n, axis=0)
+    edge_cost = np.zeros((len(pick), 2, 2))
+    edge_cost[:, 1, 1] = rng.uniform(0.0, 0.3, len(pick))
+    wu = np.zeros_like(edge_cost)
+    if edge_utility == "-0.0":
+        wu = -wu
+    elif edge_utility == "partly zero":
+        wu[::3, 1, 1] = rng.uniform(0.0, 0.2, len(wu[::3]))
+        wu[1::3, 0, 1] = -0.0
+    inst = UtilityCostInstance(
+        g, 2, np.arange(n), node_utility, node_cost, eu, ev, wu, edge_cost, utility_const=20.0
+    )
+    q = rng.choice([0.05, 0.25, 0.5])
+    lam = FractionalAssignment(g.nodes, np.tile((1.0 - q, q), (n, 1)))
+    return inst, lam
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("edge_utility", ["+0.0", "-0.0", "partly zero"])
+def test_hitting_shaped_rounding_matches_the_loop(seed, edge_utility):
+    inst, lam = hitting_shaped(seed, edge_utility)
+    g = inst.conflict_graph
+    for coloring in (greedy_color(g), Coloring(g, 2 * greedy_color(g).colors)):
+        checks = ClaimChecker()
+        labels, got = round_labels(inst, lam, coloring, checks=checks)
+        want = reference_round_labels(inst, lam, coloring)
+        assert labels.tolist() == [want[u] for u in g.nodes]
+        expected = reference_evaluate(inst, want)
+        assert _close(got[0], expected[0]) and _close(got[1], expected[1])
+        assert checks.counts["rounding-monotone"] == coloring.num_colors
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_skipping_a_zero_utility_table_changes_no_bit(seed):
+    inst, lam = hitting_shaped(seed, "+0.0")
+    coloring = greedy_color(inst.conflict_graph)
+    skipped = evaluate(inst, lam), round_labels(inst, lam, coloring)
+    assert inst._flat_wu
+    # the same instance through the general path, the zero table read
+    inst._flat_wu = False
+    fresh = FractionalAssignment(lam.nodes, lam.matrix)
+    read = evaluate(inst, fresh), round_labels(inst, fresh, coloring)
+    assert [x.hex() for x in skipped[0]] == [x.hex() for x in read[0]]
+    assert skipped[1][0].tolist() == read[1][0].tolist()
+    assert [x.hex() for x in skipped[1][1]] == [x.hex() for x in read[1][1]]
+    # a -0.0 or partly zero table is read, never skipped
+    assert not hitting_shaped(seed, "-0.0")[0]._flat_wu
+    assert not hitting_shaped(seed, "partly zero")[0]._flat_wu
