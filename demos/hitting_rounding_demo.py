@@ -27,8 +27,7 @@ def random_objective(rng, n=9):
     """A random pairwise objective meeting the rounding precondition.
 
     Nodes are 0..n-1, so a node's id is its position.  Each node draws
-    its utility row, then its cost row; each edge its utility matrix,
-    then its cost matrix."""
+    its utility row, then its cost row; each edge its cost matrix."""
     while True:
         nodes = range(n)
         edges = [(u, v) for u in nodes for v in range(u + 1, n) if rng.random() < 0.5]
@@ -38,13 +37,10 @@ def random_objective(rng, n=9):
             for _ in nodes
         ])
         ends = np.array(list(g.edges()), np.intp).reshape(-1, 2)
-        tables = np.array([
-            [rng.uniform(0, 0.4) for _ in range(4)] + [rng.uniform(0, 0.25) for _ in range(4)]
-            for _ in ends
-        ]).reshape(-1, 2, 2, 2)
+        costs = np.array([[rng.uniform(0, 0.25) for _ in range(4)] for _ in ends])
         inst = UtilityCostInstance(
-            g, 2, np.arange(n), node_rows[:, :2], node_rows[:, 2:],
-            ends[:, 0], ends[:, 1], tables[:, 0], tables[:, 1],
+            g, 2, node_rows[:, :2], node_rows[:, 2:], ends[:, 0], ends[:, 1],
+            costs.reshape(-1, 2, 2),
         )
         lam = FractionalAssignment(
             g.nodes, [(q := rng.uniform(0.2, 0.8), 1 - q) for _ in nodes]

@@ -24,8 +24,9 @@ construction computes the last phase each node was active in as an int
 array and turns it into the delays 50*alpha - 5*index directly.  When
 all delays are equal, as they are at the paper's constants once the
 first phase empties the active set, every node is its own cluster and
-the labels are the ids.  `restrict`, `cluster_ranks` and
-`cluster_degrees` look ids up with `np.searchsorted`; the dicts
+the labels are the ids.  `cluster_ranks` and `cluster_degrees` look
+a graph's ids up with `np.searchsorted`, so a partition of g also
+serves every subgraph of g; the dicts
 `clusters`, `assignment` and `delays` are views built only if read.
 Node weights for `cluster_constant` are one float array in node order.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -152,23 +153,6 @@ class Partition:
     @property
     def delays(self) -> Mapping[int, int]:
         return self._view("delays", lambda: len(self.ids))
-
-    def restrict(self, keep: Iterable[int]) -> "Partition":
-        """Drop all nodes outside `keep`; empty clusters disappear, and ids
-        in `keep` that the partition does not cover are ignored.
-
-        Cluster labels (original centers) are preserved even if the
-        center node itself is dropped.
-        """
-        keep = tuple(keep)
-        try:
-            want = np.array(keep, np.int64)
-        except OverflowError:  # an id beyond int64 is not covered
-            want = np.array([u for u in keep if 0 <= u < 2**63], np.int64)
-        at, found = lookup(self.ids, want)
-        mask = np.zeros(len(self.ids), bool)
-        mask[at[found]] = True
-        return Partition(self.alpha, self.ids[mask], self.label[mask], self.delay[mask])
 
 
 def _build_view(part: Partition, name: str) -> dict:
@@ -757,5 +741,5 @@ def verify_partition(
         "max_diameter": max_diameter,
         "max_cluster_degree": max_degree,
         "degree_histogram": histogram,
-        "num_clusters": len(partition.clusters),
+        "num_clusters": len(size),
     }

@@ -304,12 +304,10 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         step_inst = UtilityCostInstance(
             cg,
             2,
-            np.flatnonzero((mass != 0.0) | (norm != 0.0)),
             node_utility,
             node_cost,
             keys // n_v,
             keys % n_v,
-            np.zeros_like(edge_cost),
             edge_cost,
             utility_const=norm * 4.0 * inst.p / t_steps * n_v,
         )

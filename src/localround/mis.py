@@ -281,15 +281,7 @@ def build_mis_instance(
     edge_cost = np.zeros((len(keys), 2, 2))
     edge_cost[:, 1, 1] = coef
     return UtilityCostInstance(
-        conflict,
-        2,
-        first_seen(member)[0],
-        node_utility,
-        np.zeros((n, 2)),
-        keys // n,
-        keys % n,
-        np.zeros_like(edge_cost),
-        edge_cost,
+        conflict, 2, node_utility, np.zeros((n, 2)), keys // n, keys % n, edge_cost
     )
 
 
@@ -434,8 +426,8 @@ def mis(
 ) -> MisResult:
     """Maximal independent set of g; clusters once, then iterates.
 
-    The partition is restricted to the surviving nodes before every
-    iteration, and nodes isolated by removals join the output directly.
+    Every iteration reads the one partition at its surviving nodes, and
+    nodes isolated by removals join the output directly.
     A `retries` below 1 is refused on every input, edgeless or not.
     """
     check_retries(retries)
@@ -455,8 +447,7 @@ def mis(
 
     def step(current: Graph) -> tuple[np.ndarray, np.ndarray, int]:
         outcome = luby_derandomized_iteration(
-            current, partition.restrict(current.nodes), bound, seed, g.n,
-            ledger, retries, checks,
+            current, partition, bound, seed, g.n, ledger, retries, checks
         )
         k = next(iteration)
         checks.ok(

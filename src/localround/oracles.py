@@ -200,21 +200,11 @@ def exhaustive_round_check(
         raise BudgetExceeded(f"{tuples} labelings exceed the oracle budget")
     order = {u: i for i, u in enumerate(nodes)}
     grids = np.indices((inst.num_labels,) * n).reshape(n, -1)
-    objective = np.full(grids.shape[1], inst.utility_const - inst.cost_const)
+    objective = np.full(grids.shape[1], inst.utility_const)
     for u, (urow, crow) in inst.node_terms.items():
-        row = np.zeros(inst.num_labels)
-        if urow is not None:
-            row += np.asarray(urow, dtype=float)
-        if crow is not None:
-            row -= np.asarray(crow, dtype=float)
-        objective += row[grids[order[u]]]
-    for (u, v), (umat, cmat) in inst.edge_terms.items():
-        mat = np.zeros((inst.num_labels, inst.num_labels))
-        if umat is not None:
-            mat += np.asarray(umat, dtype=float)
-        if cmat is not None:
-            mat -= np.asarray(cmat, dtype=float)
-        objective += mat[grids[order[u]], grids[order[v]]]
+        objective += (np.asarray(urow) - np.asarray(crow))[grids[order[u]]]
+    for (u, v), cmat in inst.edge_terms.items():
+        objective -= np.asarray(cmat)[grids[order[u]], grids[order[v]]]
     rows = dict(zip(lam.nodes, lam.matrix))
     probs = np.ones(grids.shape[1])
     for u in nodes:

@@ -1,19 +1,21 @@
 """Pairwise objectives over labelings and deterministic local rounding.
 
-An objective is a sum of per-node terms and per-conflict-edge terms, each
-depending only on the labels of its own node(s).  For a fractional
-(probabilistic) labeling the objective is its expectation under per-node
-independent label draws; since every term touches at most two nodes, only
-single marginals and pairwise products ever appear.
+An objective gives each node a utility and a cost per label and each
+conflict edge a cost per pair of labels, each term depending only on the
+labels of its own node(s).  For a fractional (probabilistic) labeling the
+objective is its expectation under per-node independent label draws;
+since every term touches at most two nodes, only single marginals and
+pairwise products ever appear.
 
 Every type here has one form, arrays over node positions in the conflict
-graph's id order.  An instance holds the node tables N (n x L) and the
-edge tensors W (E x L x L); a fractional labeling over L labels is an
-n x L probability matrix P; a coloring is one int64 color per node; the
-labels `round_labels` returns are one int per node.  Each side of the
-objective is
+graph's id order.  An instance holds the node utility and cost tables
+N_u and N_c (n x L) and the pair cost tensors W (E x L x L); a
+fractional labeling over L labels is an n x L probability matrix P; a
+coloring is one int64 color per node; the labels `round_labels` returns
+are one int per node.  The objective is
 
-    const + sum(N * P) + sum over terms e = (u, v) of P[u] . W[e] . P[v].
+    utility = const + sum(N_u * P)
+    cost    = sum(N_c * P) + sum over terms e = (u, v) of P[u] . W[e] . P[v].
 
 `round_labels` converts a fractional labeling into an integral one whose
 utility-minus-cost never drops below the fractional value: it walks the
@@ -26,10 +28,7 @@ not change.  One gather of the class's incident terms and one scatter of
 the chosen one-hot rows therefore give exactly what fixing the members one
 after another would.  A node no edge term touches scores its node row
 whatever the others' labels, so all of them are decided at once, before
-the walk, and the walk visits only the nodes that carry edge terms.  An
-edge utility table that is +0.0 throughout (the MIS and hitting-set
-objectives price pairs only as cost) is found once, when the instance is
-built, and neither oriented, conditioned nor evaluated.
+the walk, and the walk visits only the nodes that carry edge terms.
 """
 
 from __future__ import annotations
@@ -134,39 +133,31 @@ def _matrices(tensor: np.ndarray) -> list[Matrix]:
 
 
 class UtilityCostInstance:
-    """Conflict graph plus utility/cost tables for nodes and edges.
+    """Conflict graph plus node utility, node cost and pair cost tables.
 
     Stored as arrays over node positions in `conflict_graph.nodes` order:
-    `term_nodes` lists the positions of the nodes given a term, in term
-    order; `node_utility`/`node_cost` are the n x L node tables (zero rows
-    for nodes without a term); `edge_u`/`edge_v` are the endpoint
-    positions of the E edge terms, each a conflict edge with
-    edge_u < edge_v, and `edge_utility`/`edge_cost` their E x L x L
-    tensors, indexed [label_u][label_v].  They are kept as `_at`, `_nu`,
-    `_nc`, `_eu`, `_ev`, `_wu` and `_wc`.  Constant offsets hold
-    label-independent mass.  Every check is vectorised.  Whether the
-    edge utility tensors are +0.0 throughout is decided once, here
-    (`_flat_wu`), so that evaluation and rounding can skip them.
+    `node_utility`/`node_cost` are the n x L node tables;
+    `edge_u`/`edge_v` are the endpoint positions of the E pair terms,
+    each a conflict edge with edge_u < edge_v, and `edge_cost` their
+    E x L x L cost tensors, indexed [label_u][label_v].  They are kept as
+    `_nu`, `_nc`, `_eu`, `_ev` and `_wc`.  `utility_const` holds
+    label-independent utility.  Every check is vectorised.
 
-    `node_terms` (node -> (utility_row, cost_row)) and `edge_terms`
-    ((u, v) -> pair of matrices) are read-only views derived from the
-    arrays on first use and kept, with the keys in term order; only
-    oracles, perfbench and tests read them.
+    `node_terms` (node -> (utility_row, cost_row), the nodes with a
+    nonzero row in id order) and `edge_terms` ((u, v) -> cost matrix, in
+    term order) are read-only views derived from the arrays on first use
+    and kept; only oracles, perfbench and tests read them.
     """
 
     __slots__ = (
         "conflict_graph",
         "num_labels",
         "utility_const",
-        "cost_const",
-        "_at",
         "_nu",
         "_nc",
         "_eu",
         "_ev",
-        "_wu",
         "_wc",
-        "_flat_wu",
         "_node_view",
         "_edge_view",
     )
@@ -175,48 +166,34 @@ class UtilityCostInstance:
         self,
         conflict_graph: Graph,
         num_labels: int,
-        term_nodes: np.ndarray,
         node_utility: np.ndarray,
         node_cost: np.ndarray,
         edge_u: np.ndarray,
         edge_v: np.ndarray,
-        edge_utility: np.ndarray,
         edge_cost: np.ndarray,
         utility_const: float = 0.0,
-        cost_const: float = 0.0,
     ):
         if num_labels < 1:
             raise PreconditionError("need at least one label")
         g, n, nl = conflict_graph, conflict_graph.n, num_labels
         mismatch = "term arrays do not match the graph and label count"
         try:
-            at, eu, ev = (np.asarray(a, np.intp) for a in (term_nodes, edge_u, edge_v))
-            nu, nc, wu, wc = (
-                np.asarray(a, float) for a in (node_utility, node_cost, edge_utility, edge_cost)
-            )
+            eu, ev = (np.asarray(a, np.intp) for a in (edge_u, edge_v))
+            nu, nc, wc = (np.asarray(a, float) for a in (node_utility, node_cost, edge_cost))
         except (TypeError, ValueError):  # ragged, or not numbers
             raise PreconditionError(mismatch) from None
         num_edges = len(eu)
         if (
-            at.ndim != 1 or eu.shape != (num_edges,) or ev.shape != (num_edges,)
-            or nu.shape != (n, nl) or nc.shape != (n, nl)
-            or wu.shape != (num_edges, nl, nl) or wc.shape != (num_edges, nl, nl)
+            eu.shape != (num_edges,) or ev.shape != (num_edges,)
+            or nu.shape != (n, nl) or nc.shape != (n, nl) or wc.shape != (num_edges, nl, nl)
         ):
             raise PreconditionError(mismatch)
-        for name, table in (("node", nu), ("node", nc), ("edge", wu), ("edge", wc)):
+        for name, table in (("node", nu), ("node", nc), ("edge", wc)):
             if not np.isfinite(table).all():
                 raise PreconditionError(f"non-finite {name} table entry")
-        utility_const, cost_const = float(utility_const), float(cost_const)
-        if not (np.isfinite(utility_const) and np.isfinite(cost_const)):
-            raise PreconditionError(
-                f"constants must be finite: utility {utility_const!r}, cost {cost_const!r}"
-            )
-        if len(at) and (at.min() < 0 or at.max() >= n):
-            raise PreconditionError(f"node term position outside [0, {n})")
-        given = np.zeros(n, bool)
-        given[at] = True
-        if given.sum() != len(at) or nu[~given].any() or nc[~given].any():
-            raise PreconditionError("node terms must be distinct and cover every nonzero row")
+        utility_const = float(utility_const)
+        if not np.isfinite(utility_const):
+            raise PreconditionError(f"constants must be finite: utility {utility_const!r}")
         if num_edges and (min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n):
             raise PreconditionError(f"edge term position outside [0, {n})")
         conflict = (eu < ev) & csr_contains(*g.csr(), eu, ev)
@@ -224,31 +201,28 @@ class UtilityCostInstance:
             k = int(conflict.argmin())
             u, v = g.nodes[eu[k]], g.nodes[ev[k]]
             raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge")
-        self.conflict_graph, self.num_labels = g, num_labels
-        self.utility_const, self.cost_const = utility_const, cost_const
-        self._at, self._nu, self._nc = at, nu, nc
-        self._eu, self._ev, self._wu, self._wc = eu, ev, wu, wc
-        # +0.0 only: a -0.0 entry could give -0.0 where a skip gives +0.0
-        self._flat_wu = not (wu.any() or np.signbit(wu).any())
+        self.conflict_graph, self.num_labels, self.utility_const = g, num_labels, utility_const
+        self._nu, self._nc, self._eu, self._ev, self._wc = nu, nc, eu, ev, wc
         self._node_view = self._edge_view = None
 
     @property
     def node_terms(self) -> Mapping[int, tuple[Row, Row]]:
-        def build() -> dict:
-            at, ids = self._at.tolist(), self.conflict_graph.nodes
-            rows = zip(map(tuple, self._nu[at].tolist()), map(tuple, self._nc[at].tolist()))
-            return dict(zip(map(ids.__getitem__, at), rows))
-
         if self._node_view is None:
-            self._node_view = ArrayView(len(self._at), build)
+            at = np.flatnonzero(self._nu.any(axis=1) | self._nc.any(axis=1)).tolist()
+
+            def build() -> dict:
+                rows = zip(map(tuple, self._nu[at].tolist()), map(tuple, self._nc[at].tolist()))
+                return dict(zip(map(self.conflict_graph.nodes.__getitem__, at), rows))
+
+            self._node_view = ArrayView(len(at), build)
         return self._node_view
 
     @property
-    def edge_terms(self) -> Mapping[tuple[int, int], tuple[Matrix, Matrix]]:
+    def edge_terms(self) -> Mapping[tuple[int, int], Matrix]:
         def build() -> dict:
             node = self.conflict_graph.nodes.__getitem__
             keys = zip(map(node, self._eu.tolist()), map(node, self._ev.tolist()))
-            return dict(zip(keys, zip(_matrices(self._wu), _matrices(self._wc))))
+            return dict(zip(keys, _matrices(self._wc)))
 
         if self._edge_view is None:
             self._edge_view = ArrayView(len(self._eu), build)
@@ -278,16 +252,10 @@ def evaluate(inst: UtilityCostInstance, lam: FractionalAssignment) -> tuple[floa
 
 def _objective(inst: UtilityCostInstance, probs: np.ndarray) -> tuple[float, float]:
     """(utility, cost) of the probability matrix `probs`, rows in node
-    order.  A +0.0 edge utility table adds 0.0, the value its einsum
-    gives."""
+    order."""
     pu, pv = probs[inst._eu], probs[inst._ev]
-    pairs = 0.0 if inst._flat_wu else float(np.einsum("ea,eab,eb->", pu, inst._wu, pv))
-    utility = inst.utility_const + float((inst._nu * probs).sum()) + pairs
-    cost = (
-        inst.cost_const
-        + float((inst._nc * probs).sum())
-        + float(np.einsum("ea,eab,eb->", pu, inst._wc, pv))
-    )
+    utility = inst.utility_const + float((inst._nu * probs).sum())
+    cost = float((inst._nc * probs).sum()) + float(np.einsum("ea,eab,eb->", pu, inst._wc, pv))
     return utility, cost
 
 
@@ -446,13 +414,11 @@ def round_labels(
     maximum at once.  The class loop walks only the nodes that carry
     entries: every term enters once per endpoint, grouped by that
     endpoint's color class and kept in term order within it.  Each such
-    entry reads its utility and cost tensors from its own endpoint's
-    side, as stored for the term's first endpoint and transposed for its
-    second, in one gather per table by the entry's index: its own-side
-    index k for term k's first endpoint, its transposed index E + k for
-    the second (`_oriented`).  A +0.0 utility table is skipped, and an
-    entry scores 0.0 minus its cost, which the bincount's +0.0 start
-    turns into the same sum.
+    entry reads its cost tensor from its own endpoint's side, as stored
+    for the term's first endpoint and transposed for its second, in one
+    gather by the entry's index: its own-side index k for term k's first
+    endpoint, its transposed index E + k for the second (`_oriented`).
+    An entry scores 0.0 minus its cost.
 
     The monotone claim is checked once per color class after the loop:
     a class gains the sum over its members of score[label] - sum over b
@@ -504,8 +470,7 @@ def round_labels(
     by_class = np.argsort(narrow[target], kind="stable")
     target, other = target[by_class], other[by_class]
     term_end = np.cumsum(np.bincount(color[target], minlength=num_colors))
-    # each entry's tensors read from its own endpoint's side, oriented once
-    wu = None if inst._flat_wu else _oriented(inst._wu, by_class)
+    # each entry's tensor read from its own endpoint's side, oriented once
     wc = _oriented(inst._wc, by_class)
     label_cols = np.arange(nl)
 
@@ -515,9 +480,7 @@ def round_labels(
         k = len(members)
         if k:
             span = slice(term_lo, term_hi)
-            po = probs[other[span]]
-            cost = _conditional(wc[span], po)
-            gathered = 0.0 - cost if wu is None else _conditional(wu[span], po) - cost
+            gathered = 0.0 - _conditional(wc[span], probs[other[span]])
             # node row first, then the incident terms in term order
             slots = np.concatenate(
                 (np.arange(k * nl), (rank[target[span]][:, None] * nl + label_cols).ravel())

@@ -3,9 +3,9 @@
 These are the dict forms that the label arrays of
 `localround.clustering.Partition` replaced: the partition as per-node
 dicts of frozensets, `delays_to_partition` growing it by a heap of ids,
-`restrict` rebuilding it, and `cluster_constant`'s per-node weight
-check.  Tests compare the arrays against them: the same clusters,
-assignment and delays, and the same errors.  `reference_max_diameter`
+and `cluster_constant`'s per-node weight check.  Tests compare the
+arrays against them: the same clusters, assignment and delays, and the
+same errors.  `reference_max_diameter`
 is `verify_partition`'s per-cluster loop over induced subgraphs.
 `cluster_degree` is the per-node count behind `cluster_degrees`, and
 `nearby_active` the per-node search behind `_all_nearby_active`.
@@ -32,19 +32,6 @@ class ReferencePartition:
     delays: dict[int, int]
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def restrict(self, keep: Iterable[int]) -> "ReferencePartition":
-        keep = set(keep)
-        clusters = {}
-        for c, members in self.clusters.items():
-            inside = members & keep
-            if inside:
-                clusters[c] = frozenset(inside)
-        return ReferencePartition(
-            self.alpha,
-            clusters,
-            {u: c for u, c in self.assignment.items() if u in keep},
-            {u: d for u, d in self.delays.items() if u in keep},
-        )
 
 
 def reference_delays_to_partition(

@@ -7,6 +7,7 @@ import random
 import numpy as np
 
 from localround import graphs
+from localround.clustering import Partition
 from localround.graphs import Graph
 from localround.hitting import BipartiteInstance
 from localround.rounding import FractionalAssignment, UtilityCostInstance, evaluate
@@ -18,6 +19,13 @@ from rounding_reference import assignment, instance
 def by_position(g: Graph, values) -> np.ndarray:
     """A node -> float mapping as one float per node of g, in node order."""
     return np.array([values[u] for u in g.nodes], float)
+
+
+def partition_rows(part: Partition, h: Graph) -> Partition:
+    """The partition of h's nodes alone, built from h's rows of `part`'s
+    arrays."""
+    rows = np.isin(part.ids, np.array(h.nodes, np.int64))
+    return Partition(part.alpha, part.ids[rows], part.label[rows], part.delay[rows])
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -65,15 +73,10 @@ def random_objective(
         edge_terms = {}
         for e in g.edges():
             if rng.random() < 0.8:
-                umat = tuple(
-                    tuple(rng.uniform(0.0, 0.4) for _ in range(num_labels))
-                    for _ in range(num_labels)
-                )
-                cmat = tuple(
+                edge_terms[e] = tuple(
                     tuple(rng.uniform(0.0, 0.25) for _ in range(num_labels))
                     for _ in range(num_labels)
                 )
-                edge_terms[e] = (umat, cmat)
         inst = instance(g, num_labels, node_terms, edge_terms)
         lam = random_assignment(rng, nodes, num_labels)
         if not require_precondition:

@@ -101,10 +101,7 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
                 for y in range(x + 1, len(nbrs)):
                     key = (nbrs[x], nbrs[y]) if nbrs[x] < nbrs[y] else (nbrs[y], nbrs[x])
                     pair_w[key] = pair_w.get(key, 0.0) + w_u
-        edge_terms = {
-            key: (None, ((0.0, 0.0), (0.0, decay * w)))
-            for key, w in pair_w.items()
-        }
+        edge_terms = {key: ((0.0, 0.0), (0.0, decay * w)) for key, w in pair_w.items()}
         step_inst = instance(
             cg,
             2,

@@ -32,13 +32,12 @@ def instance(
     g: Graph,
     num_labels: int,
     node_terms: Mapping[int, tuple[Row | None, Row | None]] | None = None,
-    edge_terms: Mapping[tuple[int, int], tuple[Matrix | None, Matrix | None]] | None = None,
+    edge_terms: Mapping[tuple[int, int], Matrix | None] | None = None,
     utility_const: float = 0.0,
-    cost_const: float = 0.0,
 ) -> UtilityCostInstance:
     """The instance with these terms: node -> (utility row, cost row) and
-    (u, v) -> (utility matrix, cost matrix), u < v, keys in term order and
-    a None table read as zeros."""
+    (u, v) -> cost matrix, u < v, edge keys in term order and a None
+    table read as zeros."""
     node_terms, edge_terms = node_terms or {}, edge_terms or {}
     index = {u: i for i, u in enumerate(g.nodes)}
     n, nl, k = g.n, num_labels, len(edge_terms)
@@ -47,25 +46,12 @@ def instance(
         for table, row in ((nu, urow), (nc, crow)):
             if row is not None:
                 table[index[u]] = row
-    wu, wc = np.zeros((k, nl, nl)), np.zeros((k, nl, nl))
-    for e, (umat, cmat) in enumerate(edge_terms.values()):
-        for tensor, mat in ((wu, umat), (wc, cmat)):
-            if mat is not None:
-                tensor[e] = mat
+    wc = np.zeros((k, nl, nl))
+    for e, cmat in enumerate(edge_terms.values()):
+        if cmat is not None:
+            wc[e] = cmat
     ends = np.array([(index[u], index[v]) for u, v in edge_terms], np.intp).reshape(k, 2)
-    return UtilityCostInstance(
-        g,
-        num_labels,
-        [index[u] for u in node_terms],
-        nu,
-        nc,
-        ends[:, 0],
-        ends[:, 1],
-        wu,
-        wc,
-        utility_const,
-        cost_const,
-    )
+    return UtilityCostInstance(g, num_labels, nu, nc, ends[:, 0], ends[:, 1], wc, utility_const)
 
 
 def assignment(nodes: Sequence[int], probs: Mapping[int, Sequence[float]]) -> FractionalAssignment:
@@ -104,15 +90,11 @@ def _rows(lam: FractionalAssignment) -> dict[int, list[float]]:
     return dict(zip(lam.nodes, lam.matrix.tolist()))
 
 
-def _node_value(row: Row | None, probs: Sequence[float]) -> float:
-    if row is None:
-        return 0.0
+def _node_value(row: Row, probs: Sequence[float]) -> float:
     return sum(p * x for p, x in zip(probs, row) if p != 0.0)
 
 
-def _edge_value(mat: Matrix | None, pu: Sequence[float], pv: Sequence[float]) -> float:
-    if mat is None:
-        return 0.0
+def _edge_value(mat: Matrix, pu: Sequence[float], pv: Sequence[float]) -> float:
     total = 0.0
     for a, pa in enumerate(pu):
         if pa == 0.0:
@@ -134,16 +116,13 @@ def reference_evaluate(
         probs = _rows(assignment)
     else:
         probs = {v: _one_hot(inst.num_labels, lab) for v, lab in assignment.items()}
-    utility = inst.utility_const
-    cost = inst.cost_const
+    utility, cost = inst.utility_const, 0.0
     for node, (urow, crow) in inst.node_terms.items():
         p = probs[node]
         utility += _node_value(urow, p)
         cost += _node_value(crow, p)
-    for (u, v), (umat, cmat) in inst.edge_terms.items():
-        pu, pv = probs[u], probs[v]
-        utility += _edge_value(umat, pu, pv)
-        cost += _edge_value(cmat, pu, pv)
+    for (u, v), cmat in inst.edge_terms.items():
+        cost += _edge_value(cmat, probs[u], probs[v])
     return utility, cost
 
 
@@ -152,12 +131,10 @@ def reference_round_labels(
 ) -> dict[int, int]:
     g = inst.conflict_graph
     probs = _rows(lam)
-    incident: dict[int, list[tuple[int, bool, Matrix | None, Matrix | None]]] = {
-        v: [] for v in g.nodes
-    }
-    for (u, v), (umat, cmat) in inst.edge_terms.items():
-        incident[u].append((v, True, umat, cmat))
-        incident[v].append((u, False, umat, cmat))
+    incident: dict[int, list[tuple[int, bool, Matrix]]] = {v: [] for v in g.nodes}
+    for (u, v), cmat in inst.edge_terms.items():
+        incident[u].append((v, True, cmat))
+        incident[v].append((u, False, cmat))
 
     by_class: list[list[int]] = [[] for _ in range(coloring.num_colors)]
     for v, c in zip(g.nodes, coloring.colors.tolist()):
@@ -168,31 +145,20 @@ def reference_round_labels(
     for members in by_class:
         for v in members:
             scores = [0.0] * nl
-            urow, crow = inst.node_terms.get(v, (None, None))
-            if urow is not None:
+            if v in inst.node_terms:
+                urow, crow = inst.node_terms[v]
                 for a in range(nl):
                     scores[a] += urow[a]
-            if crow is not None:
                 for a in range(nl):
                     scores[a] -= crow[a]
-            for w, v_is_first, umat, cmat in incident[v]:
+            for w, v_is_first, cmat in incident[v]:
                 pw = probs[w]
                 for a in range(nl):
                     acc = 0.0
-                    if umat is not None:
-                        if v_is_first:
-                            acc += sum(p * x for p, x in zip(pw, umat[a]) if p != 0.0)
-                        else:
-                            acc += sum(
-                                pw[b] * umat[b][a] for b in range(nl) if pw[b] != 0.0
-                            )
-                    if cmat is not None:
-                        if v_is_first:
-                            acc -= sum(p * x for p, x in zip(pw, cmat[a]) if p != 0.0)
-                        else:
-                            acc -= sum(
-                                pw[b] * cmat[b][a] for b in range(nl) if pw[b] != 0.0
-                            )
+                    if v_is_first:
+                        acc -= sum(p * x for p, x in zip(pw, cmat[a]) if p != 0.0)
+                    else:
+                        acc -= sum(pw[b] * cmat[b][a] for b in range(nl) if pw[b] != 0.0)
                     scores[a] += acc
             best = max(range(nl), key=lambda a: (scores[a], -a))
             labels[v] = best

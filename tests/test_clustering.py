@@ -321,20 +321,9 @@ def test_cluster_degrees_match_the_per_node_count(seed, n, p):
 
 def test_cluster_degrees_need_every_node_assigned():
     g = path(4)
-    part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1).restrict([0, 1, 3])
+    part = delays_to_partition(Graph(nodes=[0, 1, 3]), {0: 0, 1: 0, 3: 0}, 1)
     with pytest.raises(PreconditionError, match="does not cover node 2"):
         cluster_degrees(g, part)
-
-
-def test_partition_restrict():
-    g = gnp(30, 0.2, seed=2)
-    part = cluster_all(g, 2)
-    keep = set(list(g.nodes)[:15])
-    sub = part.restrict(keep)
-    assert set(sub.assignment) == keep
-    for c, members in sub.clusters.items():
-        assert members <= keep
-        assert members == part.clusters[c] & keep
 
 
 def test_mpx_baseline_against_deterministic():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localround.clustering import delays_to_partition
+from localround.clustering import cluster_degrees, delays_to_partition
 from localround.errors import ClaimChecker, ClaimViolation, PreconditionError
 from localround.generators import complete, gnp, path, tree
-from localround.graphs import Graph, orient
+from localround.graphs import Graph, induced_subgraph, orient
 from localround.ledger import RoundLedger
 from localround.mis import (
     build_mis_instance,
@@ -25,7 +25,7 @@ from localround.mis import (
 from localround.rounding import FractionalAssignment, evaluate
 
 import mis_reference
-from conftest import count_neighbor_tuple_builds, random_graph, relabel
+from conftest import count_neighbor_tuple_builds, partition_rows, random_graph, relabel
 from graphs_reference import id_bits, row_ids
 from mis_reference import (
     ReferenceOrientation,
@@ -176,9 +176,44 @@ def test_intra_bound_must_cover_cluster_degree():
 
 def test_intra_needs_a_partition_of_h():
     g = path(4)
-    part = _singleton_partition(g).restrict([0, 1, 2])
+    part = _singleton_partition(path(3))
     with pytest.raises(PreconditionError, match="does not cover node 3"):
         intra_round_mis(g, part, 1000.0, seed=0)
+
+
+def _subgraph_case(kind):
+    """A graph g, a partition of it, a subgraph h of g without isolated
+    nodes, a bound and a node count: for a seed, multi-node clusters from
+    random delays; for "hub", one cluster holding a 1501-leaf star and a
+    path, h the star, whose hub the tiny bound sends to resampling."""
+    if kind == "hub":
+        g = Graph(edges=[(0, leaf) for leaf in range(1, 1502)] + [(1501, 1502), (1502, 1503)])
+        h = induced_subgraph(g, range(1502))
+        return g, _one_cluster_partition(g), h, 1.0, 2
+    rng = random.Random(kind)
+    g = random_graph(rng, 120, 0.06)
+    part = delays_to_partition(g, {u: rng.randint(0, 3) for u in g.nodes}, 1)
+    kept = induced_subgraph(g, [u for u in g.nodes if rng.random() < 0.7])
+    h = induced_subgraph(kept, [u for u in kept.nodes if kept.degree(u)])
+    return g, part, h, float(h.n + 1), g.n
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2, "hub"])
+def test_a_subgraph_floors_alike_with_the_whole_partition(kind):
+    # what `mis` relies on to pass its one partition to every iteration:
+    # on a subgraph h of g, g's partition gives the cluster degrees and
+    # the floored values, claims included, of the partition of h's rows
+    g, part, h, bound, n_total = _subgraph_case(kind)
+    sub = partition_rows(part, h)
+    assert sub.ids.size == h.n < g.n
+    assert cluster_degrees(h, part).tolist() == cluster_degrees(h, sub).tolist()
+    for seed in range(3):
+        runs = []
+        for given in (part, sub):
+            checks = ClaimChecker()
+            x = intra_round_mis(h, given, bound, seed, n_total, checks=checks)
+            runs.append((x.tolist(), checks.counts))
+        assert runs[0] == runs[1]
 
 
 def test_intra_global_windows():
@@ -276,13 +311,13 @@ def witnessed_graphs(draw):
 def _assert_terms_match_loop_reference(g, o, witnesses):
     inst = build_mis_instance(g, witness_arrays(g, witnesses), o)
     lin, pair_cost = reference_mis_terms(g, witnesses, ReferenceOrientation(g))
-    # same keys in the same (first-occurrence) order, same values bit for bit
-    assert list(inst.node_terms) == list(lin)
-    assert [inst.node_terms[u] for u in lin] == [((0.0, c), (0.0, 0.0)) for c in lin.values()]
+    # the same node terms (listed in id order) and the same pair terms in
+    # the same (first-occurrence) order, values bit for bit
+    assert list(inst.node_terms) == sorted(lin)
+    assert dict(inst.node_terms) == {u: ((0.0, c), (0.0, 0.0)) for u, c in lin.items()}
     assert list(inst.edge_terms) == list(pair_cost)
-    zero = ((0.0, 0.0), (0.0, 0.0))
     assert [inst.edge_terms[k] for k in pair_cost] == [
-        (zero, ((0.0, 0.0), (0.0, c))) for c in pair_cost.values()
+        ((0.0, 0.0), (0.0, c)) for c in pair_cost.values()
     ]
 
 

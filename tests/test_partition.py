@@ -1,6 +1,6 @@
 """The label arrays of `Partition` against the dict forms they replaced
-(`clustering_reference`): the same views, restrictions, ranks and
-errors, and no dict built on the solvers' paths."""
+(`clustering_reference`): the same views, ranks and errors, and no
+dict built on the solvers' paths."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from clustering_reference import (
     reference_max_diameter,
     reference_weight_check,
 )
-from conftest import by_position, random_graph, relabel
+from conftest import by_position, partition_rows, random_graph, relabel
 
 
 @st.composite
@@ -88,23 +88,28 @@ def test_missing_delays_are_named_like_the_reference(case, drop):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs_with_delays(), st.floats(0.0, 1.0), st.integers(0, 4))
-def test_restrict_matches_the_reference(case, share, unknown):
+@given(graphs_with_delays(), st.floats(0.0, 1.0))
+def test_a_subgraph_reads_its_rows_of_the_partition(case, share):
+    # ranks and cluster degrees on a subgraph h are the same whether read
+    # from g's partition or from the partition of h's rows alone
     g, delays, rng = case
     part = delays_to_partition(g, delays, 1)
     ref = reference_delays_to_partition(g, delays, 1)
-    keep = [u for u in g.nodes if rng.random() < share]
-    # ids the partition does not cover are ignored, 2**63 and beyond too
-    keep += [rng.getrandbits(62) for _ in range(unknown)] + [2**63 + unknown] * (unknown > 2)
-    rng.shuffle(keep)
-    sub, ref_sub = part.restrict(keep), ref.restrict(keep)
-    same_views(sub, ref_sub)
-    h = induced_subgraph(g, [u for u in keep if u in g])
+    h = induced_subgraph(g, [u for u in g.nodes if rng.random() < share])
+    sub = partition_rows(part, h)
+    labels, rank = cluster_ranks(h, part)
+    want = reference_cluster_ranks(h, ref)
+    assert (labels, rank.tolist()) == want
     labels, rank = cluster_ranks(h, sub)
-    assert (labels, rank.tolist()) == reference_cluster_ranks(h, ref_sub)
-    assert cluster_degrees(h, sub).tolist() == [cluster_degree(h, ref_sub, u) for u in h.nodes]
-    # on all of g, the first node left out is named
-    expected = outcome(lambda: reference_cluster_ranks(g, ref_sub))
+    assert (labels, rank.tolist()) == want
+    degrees = [cluster_degree(h, ref, u) for u in h.nodes]
+    assert cluster_degrees(h, part).tolist() == cluster_degrees(h, sub).tolist() == degrees
+    # on all of g, the first node left out of h's rows is named
+    kept = set(h.nodes)
+    first = next((u for u in g.nodes if u not in kept), None)
+    expected = None
+    if first is not None:
+        expected = (PreconditionError, f"partition does not cover node {first}")
     assert outcome(lambda: cluster_ranks(g, sub)) == expected
 
 
@@ -143,7 +148,7 @@ def test_verify_partition_needs_exactly_the_graph_nodes():
     part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
     assert verify_partition(g, part, 1)["num_clusters"] == 3
     bigger = delays_to_partition(path(4), {u: 0 for u in range(4)}, 1)
-    for other in (part.restrict([0, 1]), bigger):
+    for other in (partition_rows(part, path(2)), bigger):
         with pytest.raises(PreconditionError, match="do not cover V"):
             verify_partition(g, other, 1)
 
@@ -178,7 +183,6 @@ def test_verify_partition_builds_no_induced_subgraph(monkeypatch):
 def test_the_empty_partition():
     part = delays_to_partition(Graph(), {}, 1)
     assert len(part.clusters) == 0 and dict(part.assignment) == {}
-    assert part.restrict([3]).ids.size == 0
 
 
 def test_solvers_build_no_partition_dict(monkeypatch):

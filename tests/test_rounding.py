@@ -45,11 +45,11 @@ def test_evaluate_single_node_integral():
 
 def test_evaluate_pairwise_product():
     g = Graph(edges=[(0, 1)])
-    inst = instance(g, 2, edge_terms={(0, 1): (((0.0, 0.0), (0.0, 1.0)), None)})
+    inst = instance(g, 2, edge_terms={(0, 1): ((0.0, 0.0), (0.0, 1.0))})
     lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
     utility, cost = evaluate(inst, lam)
-    assert utility == pytest.approx(0.25)
-    assert cost == 0.0
+    assert utility == 0.0
+    assert cost == pytest.approx(0.25)
 
 
 def test_evaluate_matches_exhaustive_expectation():
@@ -78,63 +78,52 @@ def test_instance_rejects_non_conflict_edge_terms():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("const", ["utility_const", "cost_const"])
-def test_instance_rejects_non_finite_constants(const, value):
+def test_instance_rejects_non_finite_constants(value):
     g = Graph(edges=[(0, 1), (1, 2)])
     with pytest.raises(PreconditionError, match="constants must be finite"):
-        UtilityCostInstance(g, 2, **_path_arrays(**{const: value}))
+        UtilityCostInstance(g, 2, **_path_arrays(utility_const=value))
 
 
 def test_term_views_keep_keys_order_and_length():
+    # node terms are the nodes with a nonzero row, in id order; edge terms
+    # keep their order, a zero cost matrix included
     g = Graph(edges=[(0, 1), (1, 2), (0, 2)])
     zero = ((0.0, 0.0), (0.0, 0.0))
     inst = instance(
         g,
         2,
-        {2: ((1.0, 2.0), None), 0: (None, (0.5, 0.0))},
-        {(1, 2): (None, ((0.0, 1.0), (2.0, 3.0))), (0, 1): (((1.0, 0.0), zero[1]), None)},
+        {2: ((1.0, 2.0), None), 1: (None, None), 0: (None, (0.5, 0.0))},
+        {(1, 2): ((0.0, 1.0), (2.0, 3.0)), (0, 1): None},
     )
     assert len(inst.node_terms) == 2 and len(inst.edge_terms) == 2
     assert list(inst.node_terms.items()) == [
-        (2, ((1.0, 2.0), (0.0, 0.0))),
         (0, ((0.0, 0.0), (0.5, 0.0))),
+        (2, ((1.0, 2.0), (0.0, 0.0))),
     ]
-    assert list(inst.edge_terms.items()) == [
-        ((1, 2), (zero, ((0.0, 1.0), (2.0, 3.0)))),
-        ((0, 1), (((1.0, 0.0), (0.0, 0.0)), zero)),
-    ]
+    assert list(inst.edge_terms.items()) == [((1, 2), ((0.0, 1.0), (2.0, 3.0))), ((0, 1), zero)]
 
 
 def _arrays(n, num_edges, **change):
     """Constructor arguments for n nodes, 2 labels and `num_edges` edge
-    terms, every table zero and no node term, with `change` applied."""
+    terms, every table zero, with `change` applied."""
     args = dict(
-        term_nodes=np.zeros(0, np.intp),
         node_utility=np.zeros((n, 2)),
         node_cost=np.zeros((n, 2)),
         edge_u=np.zeros(num_edges, np.intp),
         edge_v=np.zeros(num_edges, np.intp),
-        edge_utility=np.zeros((num_edges, 2, 2)),
         edge_cost=np.zeros((num_edges, 2, 2)),
     )
     return {**args, **change}
 
 
 def _path_arrays(**change):
-    """Constructor arguments for one node term at 0 and an edge term on
+    """Constructor arguments for a node utility at 0 and an edge term on
     (0, 1) of the path 0 - 1 - 2, with `change` applied."""
     node_utility = np.zeros((3, 2))
     node_utility[0] = (0.0, 1.0)
     edge_cost = np.zeros((1, 2, 2))
     edge_cost[0, 1, 1] = 0.5
-    args = _arrays(
-        3,
-        1,
-        term_nodes=np.array([0]),
-        node_utility=node_utility,
-        edge_v=np.array([1]),
-        edge_cost=edge_cost,
-    )
+    args = _arrays(3, 1, node_utility=node_utility, edge_v=np.array([1]), edge_cost=edge_cost)
     return {**args, **change}
 
 
@@ -142,7 +131,7 @@ def test_from_arrays_matches_the_dict_constructor():
     # the dict builder the tests draw instances with gives the same arrays
     g = Graph(edges=[(0, 1), (1, 2)])
     arrays = UtilityCostInstance(g, 2, **_path_arrays())
-    terms = instance(g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): (None, ((0.0, 0.0), (0.0, 0.5)))})
+    terms = instance(g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): ((0.0, 0.0), (0.0, 0.5))})
     assert dict(arrays.node_terms) == dict(terms.node_terms)
     assert dict(arrays.edge_terms) == dict(terms.edge_terms)
     lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.25, 0.75), 2: (1.0, 0.0)})
@@ -155,22 +144,21 @@ def test_from_arrays_matches_the_dict_constructor():
         ({"edge_v": np.array([2])}, r"\(0,2\) is not a conflict edge"),
         ({"edge_u": np.array([1]), "edge_v": np.array([0])}, r"\(1,0\) is not a conflict edge"),
         ({"edge_v": np.array([3])}, "edge term position outside"),
-        ({"term_nodes": np.array([0, 0])}, "distinct"),
-        ({"term_nodes": np.array([1])}, "cover every nonzero row"),
-        ({"term_nodes": np.array([5])}, "node term position outside"),
+        ({"edge_u": np.array([1]), "edge_v": np.array([1])}, r"\(1,1\) is not a conflict edge"),
+        ({"edge_v": np.array([1, 2])}, "do not match"),
+        ({"edge_v": np.array([-1])}, "edge term position outside"),
         ({"node_cost": np.full((3, 2), math.nan)}, "non-finite node"),
-        ({"edge_utility": np.full((1, 2, 2), math.inf)}, "non-finite edge"),
+        ({"edge_cost": np.full((1, 2, 2), math.inf)}, "non-finite edge"),
         ({"edge_cost": np.zeros((1, 2, 3))}, "do not match"),
         ({"node_utility": np.zeros((2, 2))}, "do not match"),
         ({"utility_const": math.nan}, "constants must be finite"),
-        ({"term_nodes": np.array([7])}, "node term position outside"),
+        ({"node_cost": [["0", "x"]] * 3}, "do not match"),
         ({"node_utility": np.zeros((3, 3))}, "do not match"),
-        ({"term_nodes": np.array([0, 1]), "node_cost": np.array([[0, 0], [0, math.inf], [0, 0]])},
-         "non-finite node"),
-        ({"edge_utility": [[[0.0, 1.0], [1.0]]]}, "do not match"),
+        ({"node_cost": np.array([[0, 0], [0, math.inf], [0, 0]])}, "non-finite node"),
+        ({"edge_cost": [[[0.0, 1.0], [1.0]]]}, "do not match"),
         ({"edge_cost": np.array([[[0.0, 1.0], [math.nan, 0.0]]])}, "non-finite edge"),
         ({"edge_u": np.array([3])}, "edge term position outside"),
-        ({"term_nodes": np.array([-1])}, "node term position outside"),
+        ({"edge_u": np.zeros((1, 1), np.intp)}, "do not match"),
     ],
 )
 def test_from_arrays_rejects_malformed_arrays(change, match):
@@ -449,7 +437,7 @@ def test_round_integral_fixed_point():
         g,
         2,
         {0: ((0.0, 2.0), None), 1: ((0.0, 2.0), None)},
-        {(0, 1): (None, ((0.0, 0.0), (0.0, 1.0)))},
+        {(0, 1): ((0.0, 0.0), (0.0, 1.0))},
     )
     lam = assignment(g.nodes, {0: (0.0, 1.0), 1: (0.0, 1.0)})
     labels, after = round_labels(inst, lam, greedy_color(g))
@@ -682,14 +670,11 @@ def objectives(draw):
         return tuple(tuple(draw(value) for _ in range(nl)) for _ in range(nl))
 
     node_terms = {u: (table((nl,)), table((nl,))) for u in nodes if draw(st.booleans())}
-    edge_terms = {e: (table((nl, nl)), table((nl, nl))) for e in edges if draw(st.booleans())}
+    edge_terms = {e: table((nl, nl)) for e in edges if draw(st.booleans())}
     # a large enough constant keeps utility - cost >= 0.1 * utility; it
     # moves no score, so it cannot hide a label difference
-    cost_mass = sum(
-        float(np.sum(cost))
-        for _, cost in (*node_terms.values(), *edge_terms.values())
-        if cost is not None
-    )
+    costs = [cost for _, cost in node_terms.values()] + list(edge_terms.values())
+    cost_mass = sum(float(np.sum(cost)) for cost in costs if cost is not None)
     inst = instance(g, nl, node_terms, edge_terms, utility_const=10 * cost_mass + 1)
 
     probs = {}
@@ -732,31 +717,23 @@ def test_array_path_matches_loop_reference(case):
     assert _close(got[0], want[0]) and _close(got[1], want[1])
 
 
-def hitting_shaped(seed: int, edge_utility: str):
+def hitting_shaped(seed: int):
     """A hitting step's objective, shaped as `basic_hitting_set` builds
-    it: 300 nodes, each with a node term, a few dozen pair terms, so most
-    nodes carry no edge entry, and an edge utility table that is +0.0,
-    -0.0, or zero except for some entries."""
+    it: 300 nodes, each with a node term, and a few dozen pair terms, so
+    most nodes carry no edge entry."""
     rng = np.random.default_rng(seed)
     n, norm = 300, 0.05
     g = gnp(n, 0.05, seed=seed)
     a, b = edge_ends(g)
     pick = rng.choice(len(a), size=min(40, len(a)), replace=False)
     pick.sort()
-    eu, ev = a[pick], b[pick]
     node_utility = np.zeros((n, 2))
     node_utility[:, 1] = rng.uniform(0.0, 0.2, n) * (rng.random(n) < 0.3)
     node_cost = np.repeat([[0.0, norm]], n, axis=0)
     edge_cost = np.zeros((len(pick), 2, 2))
     edge_cost[:, 1, 1] = rng.uniform(0.0, 0.3, len(pick))
-    wu = np.zeros_like(edge_cost)
-    if edge_utility == "-0.0":
-        wu = -wu
-    elif edge_utility == "partly zero":
-        wu[::3, 1, 1] = rng.uniform(0.0, 0.2, len(wu[::3]))
-        wu[1::3, 0, 1] = -0.0
     inst = UtilityCostInstance(
-        g, 2, np.arange(n), node_utility, node_cost, eu, ev, wu, edge_cost, utility_const=20.0
+        g, 2, node_utility, node_cost, a[pick], b[pick], edge_cost, utility_const=20.0
     )
     q = rng.choice([0.05, 0.25, 0.5])
     lam = FractionalAssignment(g.nodes, np.tile((1.0 - q, q), (n, 1)))
@@ -764,9 +741,8 @@ def hitting_shaped(seed: int, edge_utility: str):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("edge_utility", ["+0.0", "-0.0", "partly zero"])
-def test_hitting_shaped_rounding_matches_the_loop(seed, edge_utility):
-    inst, lam = hitting_shaped(seed, edge_utility)
+def test_hitting_shaped_rounding_matches_the_loop(seed):
+    inst, lam = hitting_shaped(seed)
     g = inst.conflict_graph
     for coloring in (greedy_color(g), Coloring(g, 2 * greedy_color(g).colors)):
         checks = ClaimChecker()
@@ -776,21 +752,3 @@ def test_hitting_shaped_rounding_matches_the_loop(seed, edge_utility):
         expected = reference_evaluate(inst, want)
         assert _close(got[0], expected[0]) and _close(got[1], expected[1])
         assert checks.counts["rounding-monotone"] == coloring.num_colors
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_skipping_a_zero_utility_table_changes_no_bit(seed):
-    inst, lam = hitting_shaped(seed, "+0.0")
-    coloring = greedy_color(inst.conflict_graph)
-    skipped = evaluate(inst, lam), round_labels(inst, lam, coloring)
-    assert inst._flat_wu
-    # the same instance through the general path, the zero table read
-    inst._flat_wu = False
-    fresh = FractionalAssignment(lam.nodes, lam.matrix)
-    read = evaluate(inst, fresh), round_labels(inst, fresh, coloring)
-    assert [x.hex() for x in skipped[0]] == [x.hex() for x in read[0]]
-    assert skipped[1][0].tolist() == read[1][0].tolist()
-    assert [x.hex() for x in skipped[1][1]] == [x.hex() for x in read[1][1]]
-    # a -0.0 or partly zero table is read, never skipped
-    assert not hitting_shaped(seed, "-0.0")[0]._flat_wu
-    assert not hitting_shaped(seed, "partly zero")[0]._flat_wu
