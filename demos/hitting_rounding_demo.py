@@ -10,8 +10,8 @@ import numpy as np
 
 from localround import (
     BipartiteInstance,
+    CliqueCover,
     FractionalAssignment,
-    Graph,
     UtilityCostInstance,
     basic_guarantee,
     basic_hitting_set,
@@ -27,23 +27,25 @@ def random_objective(rng, n=9):
     """A random pairwise objective meeting the rounding precondition.
 
     Nodes are 0..n-1, so a node's id is its position.  Each node draws
-    its utility row, then its cost row; each edge its cost matrix."""
+    its utility row, then its cost row; each edge its cost matrix.  The
+    conflict graph is given by its cliques: here one hub per edge, so
+    edge k's ends are the hub entries 2k and 2k + 1."""
     while True:
-        nodes = range(n)
+        nodes = tuple(range(n))
         edges = [(u, v) for u in nodes for v in range(u + 1, n) if rng.random() < 0.5]
-        g = Graph(nodes=nodes, edges=edges)
+        cover = CliqueCover(nodes, np.arange(0, 2 * len(edges) + 1, 2), np.ravel(edges))
         node_rows = np.array([
             [rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.3), rng.uniform(0, 0.3)]
             for _ in nodes
         ])
-        ends = np.array(list(g.edges()), np.intp).reshape(-1, 2)
-        costs = np.array([[rng.uniform(0, 0.25) for _ in range(4)] for _ in ends])
+        costs = np.array([[rng.uniform(0, 0.25) for _ in range(4)] for _ in edges])
+        first = 2 * np.arange(len(edges))
         inst = UtilityCostInstance(
-            g, 2, node_rows[:, :2], node_rows[:, 2:], ends[:, 0], ends[:, 1],
+            cover, 2, node_rows[:, :2], node_rows[:, 2:], first, first + 1,
             costs.reshape(-1, 2, 2),
         )
         lam = FractionalAssignment(
-            g.nodes, [(q := rng.uniform(0.2, 0.8), 1 - q) for _ in nodes]
+            nodes, [(q := rng.uniform(0.2, 0.8), 1 - q) for _ in nodes]
         )
         u0, c0 = evaluate(inst, lam)
         if u0 > 0 and u0 - c0 >= 0.1 * u0:

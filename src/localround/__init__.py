@@ -73,6 +73,7 @@ from .oracles import (
     exhaustive_round_check,
 )
 from .rounding import (
+    CliqueCover,
     Coloring,
     FractionalAssignment,
     UtilityCostInstance,

@@ -1,10 +1,12 @@
 """Command-line surface: graph generation, algorithm runs, benchmarks.
 
 Exit codes: 0 success, 2 a checked guarantee failed or a retry budget ran
-out (the report names which), 3 usage error or, with a report naming
-"precondition", an algorithm refused its input, 4 an oracle refused its
-budget.  Run reports are JSON (schema "v1") and byte-identical for
-identical config and master seed.
+out (the report names which), 3 usage error (a malformed flag value or
+edge list, or a file that cannot be read or written) or, with a report
+naming "precondition", an algorithm refused its input, 4 an oracle
+refused its budget.  Every exit 3 prints an `error:` line on stderr.  Run
+reports are JSON (schema "v1") and byte-identical for identical config
+and master seed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ import numpy as np
 
 from . import generators
 from .clustering import cluster_all, cluster_constant, mpx_randomized, verify_partition
-from .errors import BudgetExceeded, ClaimViolation, PreconditionError, RetryBudgetExceeded
+from .errors import (
+    BudgetExceeded,
+    ClaimViolation,
+    ParseError,
+    PreconditionError,
+    RetryBudgetExceeded,
+)
 from .graphs import Graph, dump_edge_list, load_graph
 from .ledger import RoundLedger
 from .matching import approx_matching
@@ -255,7 +263,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    ns = [int(x) for x in args.ns.split(",") if x]
+    try:
+        ns = [int(x) for x in args.ns.split(",") if x]
+    except ValueError:
+        raise UsageError(f"--ns takes comma-separated integers, got {args.ns!r}") from None
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     bad = [a for a in algos if a not in ALGORITHMS]
     if bad:
@@ -297,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_bench(args)
-    except (UsageError, PreconditionError, FileNotFoundError) as exc:
+    except (UsageError, PreconditionError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BudgetExceeded as exc:

@@ -11,7 +11,9 @@ contiguous, which lets callers exercise id-dependent tie-breaking.
 `neighbors(u)` reads per-node id tuples that are built from the arrays
 on its first call and kept; only per-node walks (breadth-first search,
 the oracles) call it.  `edge_ends(g)` keeps its arrays with g the same
-way, so the stages of one matching run share them.
+way, so the stages of one matching run share them.  `square_graph`
+serves only `two_hop_sets`: the rounding in `mis` works on the square
+through its cliques, the closed neighbourhoods, and never builds it.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ def expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _select(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of a position adjacency where `keep` is set, each row
-    keeping its order, laid out the same way over the same rows."""
+    """The entries of a position adjacency that `keep` picks, a mask or
+    increasing entry indices, each row keeping its order, laid out the
+    same way over the same rows."""
     sub_ptr = np.zeros(len(indptr), np.intp)
     np.cumsum(np.bincount(rows[keep], minlength=len(indptr) - 1), out=sub_ptr[1:])
     return sub_ptr, indices[keep]
@@ -367,7 +370,7 @@ def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n and (keys.min() < 0 or (int(keys.max()) + 1) * n > 1 << 63):
         order = np.argsort(keys, kind="stable")
         return order, keys[order]
-    packed = keys.astype(np.int64) * n
+    packed = keys.astype(np.int64, copy=False) * n
     packed += np.arange(n)
     packed.sort()
     order = np.empty_like(packed)
@@ -387,10 +390,12 @@ def distinct_inverse(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of `codes` in order of first occurrence, and the
-    index of each element's value among them.  One `stable_order` puts the
-    earliest element of each value first among its equals; marking those
-    elements by index orders them by occurrence without a second sort."""
+    """The index of the first occurrence of each distinct value of
+    `codes`, in order of occurrence, and the index of each element's value
+    among them; codes[first] are the distinct values in that order.  One
+    `stable_order` puts the earliest element of each value first among
+    its equals; marking those elements by index orders them by occurrence
+    without a second sort."""
     order, ranked = stable_order(codes)
     fresh = _fresh(ranked)
     first = np.zeros(len(codes), bool)
@@ -398,7 +403,7 @@ def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.cumsum(first) - 1  # among the first occurrences, by index
     inverse = np.empty(len(codes), np.intp)
     inverse[order] = rank[order[fresh]][np.cumsum(fresh) - 1]
-    return codes[first], inverse
+    return np.flatnonzero(first), inverse
 
 
 def square_graph(g: Graph) -> Graph:
@@ -505,33 +510,6 @@ def node_positions(nodes: tuple[int, ...], ids: Iterable[int], count: int) -> np
     return at
 
 
-def csr_contains(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Whether cols[k] is in row rows[k] of a position adjacency laid out
-    as `Graph.csr()`, for every k: one binary search per pair over its
-    sorted row, all pairs at once.  Each pair narrows [start, start +
-    count) to the first entry not below its column; a round halves every
-    count, so ceil(log2(longest row + 1)) rounds settle them all, each
-    one `np.where` pass over all pairs, settled ones included.  Every
-    temporary is the length of the pairs, none the length of the
-    adjacency."""
-    start, end = indptr[rows], indptr[rows + 1]
-    count = end - start
-    for _ in range(int(count.max(initial=0)).bit_length()):
-        half = count >> 1
-        mid = start + half
-        # a settled pair (count 0) moves only from its row's end, to just
-        # past it (count -1), and stays there: not found either way; mid
-        # is past the adjacency only at the end of the last row
-        right = indices.take(mid, mode="clip") < cols
-        start = np.where(right, mid + 1, start)
-        count = np.where(right, count - half - 1, half)
-    found = start < end
-    found[found] = indices[start[found]] == cols[found]
-    return found
-
-
 class Orientation:
     """Acyclic edge orientation by increasing (degree, id).
 
@@ -542,9 +520,10 @@ class Orientation:
     Held as two position adjacencies laid out as `Graph.csr()`, one of
     out-neighbours and one of in-neighbours, each row increasing: the
     entries of g's rows that the rule sends out of, or into, the node.
+    Each keeps the index of its entries among g's.
     """
 
-    __slots__ = ("_out_csr", "_in_csr")
+    __slots__ = ("_out_csr", "_in_csr", "_out_at", "_in_at")
 
     def __init__(self, g: Graph):
         indptr, nbr = g.csr()
@@ -552,8 +531,9 @@ class Orientation:
         row = csr_rows(indptr)
         # positions follow ids, so (degree, position) orders as (degree, id)
         out = (deg[nbr] > deg[row]) | ((deg[nbr] == deg[row]) & (nbr > row))
-        self._out_csr = _select(indptr, nbr, row, out)
-        self._in_csr = _select(indptr, nbr, row, ~out)
+        self._out_at, self._in_at = np.flatnonzero(out), np.flatnonzero(~out)
+        self._out_csr = _select(indptr, nbr, row, self._out_at)
+        self._in_csr = _select(indptr, nbr, row, self._in_at)
 
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Out-neighbours by node position, laid out as `Graph.csr`."""
@@ -562,6 +542,15 @@ class Orientation:
     def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """In-neighbours by node position, laid out as `Graph.csr`."""
         return self._in_csr
+
+    def out_entries(self) -> np.ndarray:
+        """The entry of g's `csr()` behind each entry of `out_csr()`:
+        out_csr()[1] is g.csr()[1][out_entries()]."""
+        return self._out_at
+
+    def in_entries(self) -> np.ndarray:
+        """The entry of g's `csr()` behind each entry of `in_csr()`."""
+        return self._in_at
 
 
 def orient(g: Graph) -> Orientation:

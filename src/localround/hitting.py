@@ -28,8 +28,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, leq, plain_sum
-from .graphs import ArrayView, Graph, first_seen, node_positions, pair_csr
+from .graphs import ArrayView, first_seen, node_positions
 from .rounding import (
+    CliqueCover,
     FractionalAssignment,
     UtilityCostInstance,
     evaluate,
@@ -186,13 +187,14 @@ def _hits(inst: BipartiteInstance, selected: frozenset[int]) -> np.ndarray:
     return np.count_nonzero(chosen[inst.nbr], axis=1)
 
 
-def conflict_graph(inst: BipartiteInstance) -> Graph:
-    """Graph on V joining right nodes that share a left neighbor: every
-    pair of one left node's neighbours, as positions in `v_nodes`, merged
-    by `pair_csr`."""
-    first, second = np.triu_indices(inst.delta, 1)
-    a, b = inst.nbr[:, first].ravel(), inst.nbr[:, second].ravel()
-    return Graph._from_csr(inst.v_nodes, *pair_csr(len(inst.v_nodes), a, b))
+def conflict_graph(inst: BipartiteInstance) -> CliqueCover:
+    """The conflict graph on V, given by its cliques: right nodes
+    conflict when they share a left neighbour, so each left node's
+    neighbours, as increasing positions in `v_nodes`, form one hub, hub i
+    for u_nodes[i]."""
+    n_u, delta = inst.nbr.shape
+    hub_ptr = np.arange(0, n_u * delta + 1, delta)
+    return CliqueCover(inst.v_nodes, hub_ptr, np.sort(inst.nbr, axis=1).ravel())
 
 
 @dataclass
@@ -252,6 +254,8 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     (unhit, nonzero) left neighbours, a pair of right nodes the live left
     nodes adjacent to both, each summed in left-node order, and pairs keep
     the order the left nodes first meet them in, so it equals the loop's.
+    A pair names its ends' entries in the hub of the first left node that
+    meets it.
     """
     total_w = inst.total_weight
     result = HittingResult(selected=frozenset())
@@ -275,6 +279,11 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     n_v, delta, norm = len(inst.v_nodes), inst.delta, inst.norm
     weight, nbr, checks = inst.weight, inst.nbr, result.checks
     first, second = np.triu_indices(delta, 1)  # pairs x < y, x major
+    # the entry in cg of each neighbour: row i's hub is row i sorted
+    entry = np.empty(nbr.shape, np.intp)
+    np.put_along_axis(
+        entry, np.argsort(nbr, axis=1), np.arange(nbr.size).reshape(nbr.shape), axis=1
+    )
     node_cost = np.repeat([[0.0, norm]], n_v, axis=0)
     decays = [math.exp(-(t_steps - s) / t_steps * inst.p * delta) for s in range(t_steps + 1)]
 
@@ -292,22 +301,24 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     for i in range(1, t_steps + 1):
         decay = decays[i]
         live = unhit & (weight != 0.0)
-        rows, w = nbr[live], weight[live]
+        rows, w, at = nbr[live], weight[live], entry[live]
         mass = np.bincount(rows.ravel(), np.repeat(w, delta), minlength=n_v)
         pair = rows[:, first], rows[:, second]
         codes = np.minimum(*pair).astype(np.int64) * n_v + np.maximum(*pair)
-        keys, term = first_seen(codes.ravel())
+        seen, term = first_seen(codes.ravel())
         node_utility = np.zeros((n_v, 2))
         node_utility[:, 1] = decay * mass
-        edge_cost = np.zeros((len(keys), 2, 2))
-        edge_cost[:, 1, 1] = decay * np.bincount(term, np.repeat(w, len(first)), len(keys))
+        edge_cost = np.zeros((len(seen), 2, 2))
+        edge_cost[:, 1, 1] = decay * np.bincount(term, np.repeat(w, len(first)), len(seen))
+        # a hub's members increase with their entries
+        ends = at[:, first].ravel()[seen], at[:, second].ravel()[seen]
         step_inst = UtilityCostInstance(
             cg,
             2,
             node_utility,
             node_cost,
-            keys // n_v,
-            keys % n_v,
+            np.minimum(*ends),
+            np.maximum(*ends),
             edge_cost,
             utility_const=norm * 4.0 * inst.p / t_steps * n_v,
         )

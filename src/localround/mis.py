@@ -47,6 +47,7 @@ from .graphs import (
 )
 from .ledger import RoundLedger
 from .rounding import (
+    CliqueCover,
     FractionalAssignment,
     UtilityCostInstance,
     evaluate,
@@ -169,15 +170,18 @@ def intra_round_mis(
     deg = np.diff(h.csr()[0])
     if (deg == 0).any():
         raise PreconditionError("isolated nodes belong in the output, not here")
+    max_cluster_deg = int(cluster_degrees(h, partition).max(initial=0))
+    # before any division by the bound, and written so that NaN fails
+    if not bound > 0.0:
+        raise PreconditionError(f"bound {bound} is not a positive number")
+    if not bound >= max_cluster_deg:
+        raise PreconditionError(
+            f"bound {bound} below the measured cluster degree {max_cluster_deg}"
+        )
     n = n_total if n_total is not None else h.n
     log_n = math.log2(max(2, n))
     deg_cutoff = 1000.0 * bound * log_n
     floor_value = 1.0 / (10000.0 * bound * log_n)
-    max_cluster_deg = int(cluster_degrees(h, partition).max(initial=0))
-    if bound < max_cluster_deg:
-        raise PreconditionError(
-            f"bound {bound} below the measured cluster degree {max_cluster_deg}"
-        )
 
     labels, rank = cluster_ranks(h, partition)
     slack = 1.0 / (100.0 * bound)
@@ -229,6 +233,26 @@ def intra_round_mis(
     return x
 
 
+def closed_neighbourhoods(h: Graph) -> tuple[CliqueCover, np.ndarray, np.ndarray]:
+    """The cover of h's square by the closed neighbourhoods N[v] of h, hub
+    v holding v and its neighbours in increasing order: two nodes share a
+    hub exactly when they lie within distance 2.  Also the entry of every
+    entry of `h.csr()` in its row's hub, and each node's own entry in its
+    hub.  Row v of `h.csr()` becomes hub v with v slotted in after its
+    lower neighbours, so an entry moves by its row plus one when it lies
+    above the diagonal."""
+    indptr, nbr = h.csr()
+    n = h.n
+    row = csr_rows(indptr)
+    above = nbr > row
+    hub_at = np.arange(len(nbr)) + row + above
+    members = np.repeat(np.arange(n), np.diff(indptr) + 1)  # the slot no neighbour takes is v's
+    members[hub_at] = nbr
+    hub_ptr = indptr + np.arange(n + 1)
+    own_at = hub_ptr[:-1] + np.bincount(row[~above], minlength=n)
+    return CliqueCover(h.nodes, hub_ptr, members), hub_at, own_at
+
+
 def build_mis_instance(
     h: Graph,
     witnesses: WitnessArrays,
@@ -241,47 +265,70 @@ def build_mis_instance(
              out-neighbor pairs.  For integral marks, utility - cost
              lower-bounds the number of edges removed this iteration.
 
-    `witnesses` are the lists as `good_witnesses` builds them.  Built as
-    arrays over node positions.  The cost terms are the contributions
-    the loop over good v would make, in its order: each v's witness
-    pairs (i < j) at deg(v), then each witness's out-neighbours at
-    deg(v)/2.  Terms keep the order in which the loop first meets their
-    pair, and each coefficient is summed in loop order (`np.bincount`
-    adds in input order), so the instance equals the loop's bit for bit;
-    the order matters because `round_labels` sums a node's terms in term
-    order.
+    `witnesses` are the lists as `good_witnesses` builds them, each a
+    prefix of its node's in-neighbours.  Built as arrays over node
+    positions.  The cost terms are the contributions the loop over good v
+    would make, in its order: each v's witness pairs (i < j) at deg(v),
+    then each witness's out-neighbours at deg(v)/2.  Terms keep the order
+    in which the loop first meets their pair, and each coefficient is
+    summed in loop order (`np.bincount` adds in input order), so the
+    instance equals the loop's bit for bit; the order matters because
+    `round_labels` sums a node's terms in term order.
+
+    The conflict graph is h's square, given by the closed neighbourhoods
+    of h (`closed_neighbourhoods`); the square itself is never built.
+    Each term names its two ends' entries in one hub, taken where the
+    loop first meets it: a witness pair of v in hub v, a witness u and
+    its out-neighbour in hub u.
     """
     orientation = orientation or orient(h)
-    conflict = square_graph(h)
+    conflict, hub_at, own_at = closed_neighbourhoods(h)
     n = h.n
     half_deg = np.diff(h.csr()[0]) / 2.0
     owner, group, member = witnesses
     weight = half_deg[owner][group]
     lin = np.bincount(member, weight, minlength=n)
-    # witness pairs i < j of one list, i in entry order, j after it
+    # each witness's entry in its list's hub, from its in-neighbour entry
     size = np.bincount(group, minlength=len(owner))
+    in_ptr = orientation.in_csr()[0]
+    not_prefixes = "witness lists are not prefixes of their in-neighbours"
+    if (size > np.diff(in_ptr)[owner]).any():
+        raise PreconditionError(not_prefixes)
+    listed = hub_at[orientation.in_entries()[expand(in_ptr[owner], size)]]
+    if not np.array_equal(conflict.members[listed], member):
+        raise PreconditionError(not_prefixes)
+    # witness pairs i < j of one list, i in entry order, j after it
     later = (np.cumsum(size) - 1)[group] - np.arange(len(member))
     i = np.repeat(np.arange(len(member)), later)
     j = expand(np.arange(len(member)) + 1, later)
     # witness -> out-neighbour pairs
-    out_ptr, out_idx = orientation.out_csr()
+    out_ptr = orientation.out_csr()[0]
     out_deg = np.diff(out_ptr)[member]
     e = np.repeat(np.arange(len(member)), out_deg)
-    w = out_idx[expand(out_ptr[member], out_deg)]
-    a = np.concatenate((member[i], member[e]))
-    b = np.concatenate((member[j], w))
-    cost = np.concatenate((2.0 * weight[i], weight[e]))
+    out_at = hub_at[orientation.out_entries()[expand(out_ptr[member], out_deg)]]
+    del hub_at
     # stable: within each v's list, its pairs stay before its out-neighbours
     order = stable_order(np.concatenate((group[i], group[e])))[0]
-    a, b, cost = a[order], b[order], cost[order]
-    keys, term = first_seen(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
-    coef = np.bincount(term, cost, minlength=len(keys))
+    # each term's two entries in one hub, whose members increase with
+    # their entries, so the lower entry holds the lower end
+    own = own_at[member[e]]
+    low = np.concatenate((listed[i], np.minimum(own, out_at)))
+    high = np.concatenate((listed[j], np.maximum(own, out_at)))
+    cost = np.concatenate((2.0 * weight[i], weight[e]))
+    del i, j, e, own, out_at
+    codes = conflict.members[low]
+    codes *= n
+    codes += conflict.members[high]
+    codes = codes[order]
+    first, term = first_seen(codes)
+    coef = np.bincount(term, cost[order], minlength=len(first))
     node_utility = np.zeros((n, 2))
     node_utility[:, 1] = lin
-    edge_cost = np.zeros((len(keys), 2, 2))
+    edge_cost = np.zeros((len(first), 2, 2))
     edge_cost[:, 1, 1] = coef
+    kept = order[first]
     return UtilityCostInstance(
-        conflict, 2, node_utility, np.zeros((n, 2)), keys // n, keys % n, edge_cost
+        conflict, 2, node_utility, np.zeros((n, 2)), low[kept], high[kept], edge_cost
     )
 
 

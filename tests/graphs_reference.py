@@ -8,7 +8,10 @@ adjacency gives.  `reference_two_hop_sets` is the nested loop over
 neighbours of neighbours that `two_hop_sets` replaced with the square
 graph.  `row_ids` reads one node's row of a position adjacency as ids,
 the way tests read an `Orientation`'s out- and in-neighbours, and
-`id_bits` gives a graph's identifier bit width.
+`id_bits` gives a graph's identifier bit width.  `csr_contains` is the
+vectorised binary search that checked rounding terms against the square
+graph before the conflict graph became a clique cover; the matching
+reference still looks edges up with it.
 """
 
 from __future__ import annotations
@@ -85,3 +88,30 @@ def row_ids(nodes: tuple[int, ...], csr: tuple[np.ndarray, np.ndarray], u: int) 
         raise KeyError(u)
     indptr, indices = csr
     return tuple(nodes[j] for j in indices[indptr[i] : indptr[i + 1]].tolist())
+
+
+def csr_contains(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Whether cols[k] is in row rows[k] of a position adjacency laid out
+    as `Graph.csr()`, for every k: one binary search per pair over its
+    sorted row, all pairs at once.  Each pair narrows [start, start +
+    count) to the first entry not below its column; a round halves every
+    count, so ceil(log2(longest row + 1)) rounds settle them all, each
+    one `np.where` pass over all pairs, settled ones included.  Every
+    temporary is the length of the pairs, none the length of the
+    adjacency."""
+    start, end = indptr[rows], indptr[rows + 1]
+    count = end - start
+    for _ in range(int(count.max(initial=0)).bit_length()):
+        half = count >> 1
+        mid = start + half
+        # a settled pair (count 0) moves only from its row's end, to just
+        # past it (count -1), and stays there: not found either way; mid
+        # is past the adjacency only at the end of the last row
+        right = indices.take(mid, mode="clip") < cols
+        start = np.where(right, mid + 1, start)
+        count = np.where(right, count - half - 1, half)
+    found = start < end
+    found[found] = indices[start[found]] == cols[found]
+    return found

@@ -22,10 +22,11 @@ import numpy as np
 
 from localround.clustering import Partition
 from localround.errors import ClaimChecker, PreconditionError
-from localround.graphs import Edge, Graph, csr_contains, edge_ends, node_positions
+from localround.graphs import Edge, Graph, edge_ends, node_positions
 from localround.matching import FractionalMatching
 
 from clustering_reference import cluster_degree
+from graphs_reference import csr_contains
 
 
 def reference_loads(values: dict[Edge, float]) -> dict[int, float]:

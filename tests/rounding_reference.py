@@ -6,41 +6,81 @@ The references are the term-by-term loop, the per-node generator, the
 per-node first-fit loop and the per-node check loop that the array forms
 in `localround.rounding` replaced, kept so tests can compare against
 them.  They read only the instance's term dicts, and only the check loop
-checks anything.
+checks anything.  `csr_first_fit` is the first-fit in waves over a
+graph's sorted adjacency that colored the materialised square (and the
+hitting sets' pair graph) before the conflict graph became a clique
+cover, kept as the reference the cover's coloring must equal.
 
-`instance` and `assignment` build the one array form of an instance and a
-fractional labeling from node-keyed dicts, the form the tests write
-them in; `integral` gives an integral labeling as its one-hot fractional
+`edge_cover` gives a graph as a clique cover with one hub per edge, and
+`conflict_pairs` the graph a cover describes.  `instance` and
+`assignment` build the one array form of an instance and a fractional
+labeling from node-keyed dicts, the form the tests write them in;
+`integral` gives an integral labeling as its one-hot fractional
 labeling, the form `evaluate` takes.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from localround.errors import PreconditionError, plain_sum
-from localround.graphs import Graph
-from localround.rounding import Coloring, FractionalAssignment, UtilityCostInstance
+from localround.graphs import Graph, csr_rows, edge_ends, expand
+from localround.rounding import CliqueCover, Coloring, FractionalAssignment, UtilityCostInstance
 
 Row = tuple[float, ...]
 Matrix = tuple[Row, ...]
 
 
+def edge_cover(g: Graph) -> CliqueCover:
+    """g as a clique cover: one hub per edge, in `g.edges()` order, so two
+    nodes conflict exactly when g joins them."""
+    a, b = edge_ends(g)
+    return CliqueCover(g.nodes, np.arange(0, 2 * len(a) + 1, 2), np.column_stack((a, b)).ravel())
+
+
+def conflict_pairs(cover: CliqueCover) -> Graph:
+    """The graph on the cover's nodes joining every two members of a hub."""
+    ptr, members = cover.hub_ptr.tolist(), cover.members.tolist()
+    node = cover.nodes.__getitem__
+    edges = []
+    for lo, hi in zip(ptr, ptr[1:]):
+        hub = members[lo:hi]
+        edges += [(node(a), node(b)) for i, a in enumerate(hub) for b in hub[i + 1 :]]
+    return Graph(nodes=cover.nodes, edges=edges)
+
+
+def hub_entries(cover: CliqueCover) -> dict[tuple[int, int], tuple[int, int]]:
+    """(u, v), u < v, of every conflicting pair of ids -> the entries of u
+    and v in the first hub that holds both."""
+    ptr, members = cover.hub_ptr.tolist(), cover.members.tolist()
+    found: dict[tuple[int, int], tuple[int, int]] = {}
+    for lo, hi in zip(ptr, ptr[1:]):
+        for i in range(lo, hi):
+            for j in range(i + 1, hi):
+                pair = (cover.nodes[members[i]], cover.nodes[members[j]])
+                found.setdefault(pair, (i, j))
+    return found
+
+
 def instance(
-    g: Graph,
+    conflict: Graph | CliqueCover,
     num_labels: int,
     node_terms: Mapping[int, tuple[Row | None, Row | None]] | None = None,
     edge_terms: Mapping[tuple[int, int], Matrix | None] | None = None,
     utility_const: float = 0.0,
 ) -> UtilityCostInstance:
-    """The instance with these terms: node -> (utility row, cost row) and
-    (u, v) -> cost matrix, u < v, edge keys in term order and a None
-    table read as zeros."""
+    """The instance with these terms on a conflict graph, a graph (taken
+    as its `edge_cover`) or a clique cover: node -> (utility row, cost
+    row) and (u, v) -> cost matrix, u < v, edge keys in term order and a
+    None table read as zeros.  Each term names its ends' entries in the
+    first hub that holds both."""
+    cover = edge_cover(conflict) if isinstance(conflict, Graph) else conflict
     node_terms, edge_terms = node_terms or {}, edge_terms or {}
-    index = {u: i for i, u in enumerate(g.nodes)}
-    n, nl, k = g.n, num_labels, len(edge_terms)
+    index = {u: i for i, u in enumerate(cover.nodes)}
+    n, nl, k = cover.n, num_labels, len(edge_terms)
     nu, nc = np.zeros((n, nl)), np.zeros((n, nl))
     for u, (urow, crow) in node_terms.items():
         for table, row in ((nu, urow), (nc, crow)):
@@ -50,8 +90,9 @@ def instance(
     for e, cmat in enumerate(edge_terms.values()):
         if cmat is not None:
             wc[e] = cmat
-    ends = np.array([(index[u], index[v]) for u, v in edge_terms], np.intp).reshape(k, 2)
-    return UtilityCostInstance(g, num_labels, nu, nc, ends[:, 0], ends[:, 1], wc, utility_const)
+    entries = hub_entries(cover) if k else {}
+    ends = np.array([entries[e] for e in edge_terms], np.intp).reshape(k, 2)
+    return UtilityCostInstance(cover, num_labels, nu, nc, ends[:, 0], ends[:, 1], wc, utility_const)
 
 
 def assignment(nodes: Sequence[int], probs: Mapping[int, Sequence[float]]) -> FractionalAssignment:
@@ -177,6 +218,46 @@ def reference_greedy_color(g: Graph) -> dict[int, int]:
         taken = {colors[v] for v in g.neighbors(u) if v in colors}
         c = 0
         while c in taken:
+            c += 1
+        colors[u] = c
+    return colors
+
+
+def csr_first_fit(g: Graph) -> list[int]:
+    """The first-fit color of every node of g by position, in waves over
+    `g.csr()`: a node's lower neighbours are a prefix of its row, a wave
+    is the nodes whose lower neighbours are all colored, and each member
+    marks its color in the rows of its higher neighbours in a table of
+    taken colors, one column per color up to the largest lower degree.
+    From the first wave after wave 0 with fewer than 8 nodes, the rest
+    are colored one at a time in id order."""
+    indptr, nbr = g.csr()
+    n = g.n
+    row = csr_rows(indptr)
+    lower = np.bincount(row[nbr < row], minlength=n)
+    upper = indptr[:-1] + lower
+    waiting = lower.copy()
+    color = np.zeros(n, np.int64)
+    taken = np.zeros((n, int(lower.max(initial=0)) + 1), bool)
+    wave = np.flatnonzero(lower == 0)
+    waiting[wave] = -1
+    while True:
+        counts = indptr[wave + 1] - upper[wave]
+        up = nbr[expand(upper[wave], counts)]
+        taken[up, np.repeat(color[wave], counts)] = True
+        waiting -= np.bincount(up, minlength=n)
+        wave = np.flatnonzero(waiting == 0)
+        if len(wave) < 8:
+            break
+        waiting[wave] = -1
+        color[wave] = taken[wave].argmin(axis=1)
+    rest = np.flatnonzero(waiting >= 0)
+    colors = color.tolist()
+    below = iter(nbr[expand(indptr[rest], lower[rest])].tolist())
+    for u, k in zip(rest.tolist(), lower[rest].tolist()):
+        used = {colors[v] for v in islice(below, k)}
+        c = 0
+        while c in used:
             c += 1
         colors[u] = c
     return colors

@@ -206,6 +206,37 @@ def test_missing_file_exits_3(tmp_path):
     ) == 3
 
 
+def test_bench_refuses_sizes_that_are_not_integers(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--ns", "30,abc", "--out", str(out)) == 3
+    assert "error: --ns takes comma-separated integers, got '30,abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_paths_that_cannot_be_read_or_written_exit_3(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for args in (
+        ("run", "--graph", str(folder), "--algo", "mis"),
+        ("run", "--gen", "path:n=5", "--algo", "mis", "--out", str(folder)),
+        ("gen", "--kind", "path", "--n", "5", "--out", str(folder)),
+        ("bench", "--ns", "10", "--out", str(folder)),
+    ):
+        assert run_cli(*args) == 3, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err, args
+    # the folder is left as it was, and no temporary file beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+    assert list(folder.iterdir()) == []
+
+
+def test_malformed_edge_list_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("0 1\n0 x\n")
+    assert run_cli("run", "--graph", str(bad), "--algo", "mis") == 3
+    assert "error: line 2: non-integer token in '0 x'" in capsys.readouterr().err
+
+
 # sha256 of schema-v1 reports.  Refactors keep reports byte-identical; a
 # change that alters them on purpose updates these and says why in CHANGES.md.
 # Keys are (algo, seed) on DIGEST_GEN, or (algo, seed, gen spec), or (algo,
@@ -283,6 +314,21 @@ def test_precondition_exit_3_writes_report(tmp_path, capsys):
     assert report["failed_claim"] == "precondition"
     assert "below the measured cluster degree" in report["result"]["error"]
     assert "below the measured cluster degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["0", "-2", "nan"])
+def test_mis_refuses_an_override_that_is_not_positive(tmp_path, capsys, override):
+    # 0 divided by zero and nan ran into the retry budget before they were refused
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "run", "--gen", "gnp:n=30,p=0.2", "--algo", "mis",
+        "--f-override", override, "--out", str(out),
+    )
+    assert code == 3
+    report = json.loads(out.read_text())
+    want = f"bound {float(override)} is not a positive number"
+    assert report["failed_claim"] == "precondition" and report["result"] == {"error": want}
+    assert f"error: {want}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override, code", [("8", 3), ("12", 3), ("13", 0), ("15", 0)])

@@ -10,7 +10,6 @@ from localround.errors import ParseError, PreconditionError
 from localround.graphs import (
     Graph,
     bfs_distances,
-    csr_contains,
     distinct_inverse,
     dump_edge_list,
     edge_subgraph,
@@ -25,7 +24,14 @@ from localround.graphs import (
 )
 
 from conftest import count_neighbor_tuple_builds, random_graph
-from graphs_reference import ReferenceGraph, id_bits, reference_two_hop_sets, row_ids, same_csr
+from graphs_reference import (
+    ReferenceGraph,
+    csr_contains,
+    id_bits,
+    reference_two_hop_sets,
+    row_ids,
+    same_csr,
+)
 
 
 def test_load_two_edge_path():
@@ -136,6 +142,23 @@ def test_orient_triangle_ties_by_id():
     assert row_ids(g.nodes, o.out_csr(), 1) == (2, 3)
     assert row_ids(g.nodes, o.out_csr(), 2) == (3,)
     assert row_ids(g.nodes, o.in_csr(), 3) == (1, 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_orientation_keeps_the_entries_it_selects(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, 40, 0.15)
+    indptr, nbr = g.csr()
+    o = orient(g)
+    for (ptr, idx), at in ((o.out_csr(), o.out_entries()), (o.in_csr(), o.in_entries())):
+        assert idx.tolist() == nbr[at].tolist()
+        # the entries of each row, in row order
+        assert (np.diff(at) > 0).all() and np.searchsorted(indptr, at, "right").tolist() == (
+            np.repeat(np.arange(g.n), np.diff(ptr)) + 1
+        ).tolist()
+    # every entry of g goes one way
+    both = np.concatenate((o.out_entries(), o.in_entries()))
+    assert sorted(both.tolist()) == list(range(len(nbr)))
 
 
 def test_orient_acyclic_and_out_weight():
@@ -423,8 +446,10 @@ def check_stable_order(keys: np.ndarray) -> None:
     assert inverse.tolist() == want_inverse.tolist()
     seen: dict[int, int] = {}
     index = [seen.setdefault(k, len(seen)) for k in keys.tolist()]
-    values, inverse = first_seen(keys)
-    assert values.tolist() == list(seen) and inverse.tolist() == index
+    first = [keys.tolist().index(k) for k in seen]
+    at, inverse = first_seen(keys)
+    assert at.tolist() == first and inverse.tolist() == index
+    assert keys[at].tolist() == list(seen)
 
 
 @pytest.mark.parametrize(

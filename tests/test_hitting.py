@@ -24,12 +24,16 @@ from localround.hitting import (
 from localround.oracles import exhaustive_hitting_check
 
 from conftest import random_hitting_instance
+from rounding_reference import conflict_pairs
 
 
 def test_conflict_graph_triangle():
-    inst = BipartiteInstance((9,), (1, 2, 3), {9: (1, 2, 3)}, {9: 1.0}, 3, 0.5, 0.0)
+    inst = BipartiteInstance((9,), (1, 2, 3), {9: (3, 1, 2)}, {9: 1.0}, 3, 0.5, 0.0)
     cg = conflict_graph(inst)
-    assert set(cg.edges()) == {(1, 2), (1, 3), (2, 3)}
+    # one hub, the left node's neighbours as increasing positions
+    assert cg.nodes == (1, 2, 3)
+    assert cg.hub_ptr.tolist() == [0, 3] and cg.members.tolist() == [0, 1, 2]
+    assert set(conflict_pairs(cg).edges()) == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_conflict_graph_disjoint_neighborhoods():
@@ -43,7 +47,7 @@ def test_conflict_graph_disjoint_neighborhoods():
         0.0,
     )
     cg = conflict_graph(inst)
-    assert set(cg.edges()) == {(0, 1), (2, 3)}
+    assert set(conflict_pairs(cg).edges()) == {(0, 1), (2, 3)}
 
 
 def test_conflict_graph_matches_pair_enumeration():
@@ -56,7 +60,7 @@ def test_conflict_graph_matches_pair_enumeration():
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1 :]:
                 expected.add((min(a, b), max(a, b)))
-    assert set(cg.edges()) == expected
+    assert set(conflict_pairs(cg).edges()) == expected
 
 
 def test_forced_hit():

@@ -36,9 +36,9 @@ REFERENCE_MODULES = {"oracles.py"}
 
 # (module, name) bindings kept although the module never reads them:
 # perfbench's own tests pin `clustering` as a site that binds
-# `induced_subgraph` (its IMPORT_SITES), so the import goes with the next
-# change to the benchmark
-KEPT = {("clustering.py", "induced_subgraph")}
+# `induced_subgraph`, and `mis` as one that binds `square_graph` (its
+# IMPORT_SITES), so these imports go with the next change to the benchmark
+KEPT = {("clustering.py", "induced_subgraph"), ("mis.py", "square_graph")}
 
 
 # (module, function, sorted expression) of the stable argsorts allowed:

@@ -1,19 +1,26 @@
 import importlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localround.clustering import cluster_degrees, delays_to_partition
+from localround.clustering import (
+    base_capacity_exponent,
+    cluster_all,
+    cluster_degrees,
+    delays_to_partition,
+)
 from localround.errors import ClaimChecker, ClaimViolation, PreconditionError
 from localround.generators import complete, gnp, path, tree
-from localround.graphs import Graph, induced_subgraph, orient
+from localround.graphs import Graph, induced_subgraph, orient, square_graph, strip_isolated
 from localround.ledger import RoundLedger
 from localround.mis import (
     build_mis_instance,
+    closed_neighbourhoods,
     good_vertices,
     good_witnesses,
     intra_round_mis,
@@ -26,6 +33,7 @@ from localround.rounding import FractionalAssignment, evaluate
 
 import mis_reference
 from conftest import count_neighbor_tuple_builds, partition_rows, random_graph, relabel
+from rounding_reference import conflict_pairs
 from graphs_reference import id_bits, row_ids
 from mis_reference import (
     ReferenceOrientation,
@@ -174,6 +182,16 @@ def test_intra_bound_must_cover_cluster_degree():
         intra_round_mis(g, part, bound=1.0, seed=0)  # path sees 3 clusters
 
 
+@pytest.mark.parametrize("bound", [0.0, -0.0, -3.0, -math.inf, math.nan])
+def test_intra_refuses_a_bound_that_is_not_positive(bound):
+    # refused before the floor divides by it; NaN fails every comparison,
+    # so it must not slip past the cluster-degree check either
+    g = Graph(edges=[(0, leaf) for leaf in range(1, 6)])
+    part = _one_cluster_partition(g)
+    with pytest.raises(PreconditionError, match=rf"^bound {bound} is not a positive number$"):
+        intra_round_mis(g, part, bound, seed=0)
+
+
 def test_intra_needs_a_partition_of_h():
     g = path(4)
     part = _singleton_partition(path(3))
@@ -286,6 +304,32 @@ def test_instance_estimator_slack_on_random_graph():
     lam = FractionalAssignment(g.nodes, np.column_stack((1.0 - x, x)))
     utility, cost = evaluate(inst, lam)
     assert utility - cost >= utility / 3.0 - 1e-9
+
+
+def test_instance_needs_witness_lists_that_are_in_neighbour_prefixes():
+    g = Graph(edges=[(0, 1), (0, 2), (0, 3)])  # the leaves point into the centre
+    o = orient(g)
+    inst = build_mis_instance(g, witness_arrays(g, {0: (1, 2)}), o)
+    assert list(inst.edge_terms) == [(1, 2), (0, 1), (0, 2)]
+    for lists in ({0: (2,)}, {0: (1, 3)}, {0: (2, 1)}, {1: (0,)}):
+        with pytest.raises(PreconditionError, match="not prefixes of their in-neighbours"):
+            build_mis_instance(g, witness_arrays(g, lists), o)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_neighbourhoods_lay_out_each_row_with_its_node(seed):
+    rng = random.Random(seed)
+    h = relabel(random_graph(rng, 60, 0.08), rng) if seed % 2 else gnp(300, 0.02, seed=seed)
+    cover, hub_at, own_at = closed_neighbourhoods(h)
+    indptr, nbr = h.csr()
+    assert cover.nodes == h.nodes and conflict_pairs(cover) == square_graph(h)
+    for v in range(h.n):  # hub v is N[v], increasing
+        hub = cover.members[cover.hub_ptr[v] : cover.hub_ptr[v + 1]].tolist()
+        assert hub == sorted([v, *nbr[indptr[v] : indptr[v + 1]].tolist()])
+    # where each entry of h's rows, and each node itself, sits in its hub
+    assert cover.members[hub_at].tolist() == nbr.tolist()
+    assert cover.hub[hub_at].tolist() == np.repeat(np.arange(h.n), np.diff(indptr)).tolist()
+    assert cover.members[own_at].tolist() == cover.hub[own_at].tolist() == list(range(h.n))
 
 
 @st.composite
@@ -518,6 +562,57 @@ def test_mis_builds_no_neighbor_tuples(monkeypatch):
     res = mis(g)
     assert builds == []
     assert reference_verify_mis(g, res.independent_set)
+
+
+def test_mis_builds_no_square_graph(monkeypatch):
+    # the rounding colors and checks the square through its cliques
+    graphs_module = importlib.import_module("localround.graphs")
+    mis_module = importlib.import_module("localround.mis")
+
+    def refuse(g):
+        raise AssertionError("square_graph called")
+
+    monkeypatch.setattr(graphs_module, "square_graph", refuse)
+    monkeypatch.setattr(mis_module, "square_graph", refuse)
+    for g in (gnp(2048, 0.004, seed=1), path(300), Graph(edges=[(0, 1)])):
+        res = mis(g, seed=3)
+        assert res.iterations > 0 and reference_verify_mis(g, res.independent_set)
+
+
+# bytes per edge that one derandomized iteration may trace on
+# G(4096, 8/n): 327-329 measured with numpy 2.4.6 over generator seeds
+# 1-2; 392-394 when the rounding colored and checked h's square itself,
+# and 401-402 when the iteration holds the square beside its cliques
+ITERATION_BYTES_PER_EDGE = 360
+
+
+def traced_iteration_bytes_per_edge(seed: int) -> float:
+    g = strip_isolated(gnp(4096, 8 / 4095, seed=seed))
+    part = cluster_all(g, max(1, math.ceil(math.sqrt(base_capacity_exponent(g.n)))))
+    bound = float(part.meta["degree_bound"])
+    tracemalloc.start()
+    try:
+        luby_derandomized_iteration(g, part, bound, 0, g.n)
+        return tracemalloc.get_traced_memory()[1] / g.m
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_iteration_memory_per_edge_is_bounded(seed):
+    assert traced_iteration_bytes_per_edge(seed) < ITERATION_BYTES_PER_EDGE
+
+
+def test_iteration_memory_bound_catches_a_kept_square(monkeypatch):
+    mis_module = importlib.import_module("localround.mis")
+    real, kept = mis_module.closed_neighbourhoods, []
+
+    def with_square(h):
+        kept.append(square_graph(h))
+        return real(h)
+
+    monkeypatch.setattr(mis_module, "closed_neighbourhoods", with_square)
+    assert traced_iteration_bytes_per_edge(1) >= ITERATION_BYTES_PER_EDGE
 
 
 def test_an_iteration_evaluates_each_labeling_once(monkeypatch):

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from localround import rounding
 from localround.errors import ClaimChecker, ClaimViolation, PreconditionError, plain_sum
-from localround.generators import gnp
-from localround.graphs import Graph, edge_ends, induced_subgraph, square_graph
+from localround.generators import cycle, gnp, grid, path, regular
+from localround.hitting import conflict_graph, split_into_copies
+from localround.graphs import Graph, induced_subgraph, square_graph
+from localround.mis import closed_neighbourhoods
 from localround.oracles import exhaustive_round_check
 from localround.rounding import (
+    CliqueCover,
     Coloring,
     FractionalAssignment,
     UtilityCostInstance,
@@ -23,9 +27,10 @@ from localround.rounding import (
     round_labels,
 )
 
-from conftest import random_graph, random_objective, relabel
+from conftest import random_graph, random_hitting_instance, random_objective, relabel
 from rounding_reference import (
     assignment,
+    edge_cover,
     instance,
     integral,
     reference_check_probabilities,
@@ -33,6 +38,8 @@ from rounding_reference import (
     reference_greedy_color,
     reference_is_proper,
     reference_round_labels,
+    csr_first_fit,
+    conflict_pairs,
 )
 
 
@@ -71,15 +78,24 @@ def test_evaluate_missing_node():
 
 
 def test_instance_rejects_non_conflict_edge_terms():
-    g = Graph(nodes=[0, 1])  # no edge
-    edge = dict(edge_u=np.array([0]), edge_v=np.array([1]))
+    alone = CliqueCover((0, 1), [0, 1, 2], [0, 1])  # two hubs of one node each
+    edge = dict(entry_u=np.array([0]), entry_v=np.array([1]))
     with pytest.raises(PreconditionError, match=r"\(0,1\) is not a conflict edge"):
-        UtilityCostInstance(g, 2, **_arrays(2, 1, **edge))
+        UtilityCostInstance(alone, 2, **_arrays(2, 1, **edge))
+    # a pair that conflicts must still be named by one hub's entries
+    path = edge_cover(Graph(edges=[(0, 1), (1, 2)]))  # entries 0 1 | 1 2
+    twice = CliqueCover((0, 1, 2), [0, 2, 4], [0, 1, 0, 1])
+    with pytest.raises(PreconditionError, match=r"\(0,1\) is not a conflict edge of one hub"):
+        UtilityCostInstance(twice, 2, **_arrays(3, 1, entry_v=np.array([3])))
+    named = UtilityCostInstance(twice, 2, **_arrays(3, 1, entry_v=np.array([1])))
+    assert list(named.edge_terms) == [(0, 1)]
+    with pytest.raises(PreconditionError, match=r"\(1,2\) is not a conflict edge of one hub"):
+        UtilityCostInstance(path, 2, **_arrays(3, 1, entry_u=np.array([1]), entry_v=np.array([3])))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_instance_rejects_non_finite_constants(value):
-    g = Graph(edges=[(0, 1), (1, 2)])
+    g = edge_cover(Graph(edges=[(0, 1), (1, 2)]))
     with pytest.raises(PreconditionError, match="constants must be finite"):
         UtilityCostInstance(g, 2, **_path_arrays(utility_const=value))
 
@@ -109,8 +125,8 @@ def _arrays(n, num_edges, **change):
     args = dict(
         node_utility=np.zeros((n, 2)),
         node_cost=np.zeros((n, 2)),
-        edge_u=np.zeros(num_edges, np.intp),
-        edge_v=np.zeros(num_edges, np.intp),
+        entry_u=np.zeros(num_edges, np.intp),
+        entry_v=np.zeros(num_edges, np.intp),
         edge_cost=np.zeros((num_edges, 2, 2)),
     )
     return {**args, **change}
@@ -118,19 +134,20 @@ def _arrays(n, num_edges, **change):
 
 def _path_arrays(**change):
     """Constructor arguments for a node utility at 0 and an edge term on
-    (0, 1) of the path 0 - 1 - 2, with `change` applied."""
+    (0, 1) of the path 0 - 1 - 2, whose `edge_cover` has the entries
+    0, 1 (hub 0) and 1, 2 (hub 1), with `change` applied."""
     node_utility = np.zeros((3, 2))
     node_utility[0] = (0.0, 1.0)
     edge_cost = np.zeros((1, 2, 2))
     edge_cost[0, 1, 1] = 0.5
-    args = _arrays(3, 1, node_utility=node_utility, edge_v=np.array([1]), edge_cost=edge_cost)
+    args = _arrays(3, 1, node_utility=node_utility, entry_v=np.array([1]), edge_cost=edge_cost)
     return {**args, **change}
 
 
 def test_from_arrays_matches_the_dict_constructor():
     # the dict builder the tests draw instances with gives the same arrays
     g = Graph(edges=[(0, 1), (1, 2)])
-    arrays = UtilityCostInstance(g, 2, **_path_arrays())
+    arrays = UtilityCostInstance(edge_cover(g), 2, **_path_arrays())
     terms = instance(g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): ((0.0, 0.0), (0.0, 0.5))})
     assert dict(arrays.node_terms) == dict(terms.node_terms)
     assert dict(arrays.edge_terms) == dict(terms.edge_terms)
@@ -141,12 +158,12 @@ def test_from_arrays_matches_the_dict_constructor():
 @pytest.mark.parametrize(
     "change,match",
     [
-        ({"edge_v": np.array([2])}, r"\(0,2\) is not a conflict edge"),
-        ({"edge_u": np.array([1]), "edge_v": np.array([0])}, r"\(1,0\) is not a conflict edge"),
-        ({"edge_v": np.array([3])}, "edge term position outside"),
-        ({"edge_u": np.array([1]), "edge_v": np.array([1])}, r"\(1,1\) is not a conflict edge"),
-        ({"edge_v": np.array([1, 2])}, "do not match"),
-        ({"edge_v": np.array([-1])}, "edge term position outside"),
+        ({"entry_v": np.array([3])}, r"\(0,2\) is not a conflict edge"),
+        ({"entry_u": np.array([1]), "entry_v": np.array([0])}, r"\(1,0\) is not a conflict edge"),
+        ({"entry_v": np.array([4])}, "edge term position outside"),
+        ({"entry_u": np.array([1]), "entry_v": np.array([2])}, r"\(1,1\) is not a conflict edge"),
+        ({"entry_v": np.array([1, 2])}, "do not match"),
+        ({"entry_v": np.array([-1])}, "edge term position outside"),
         ({"node_cost": np.full((3, 2), math.nan)}, "non-finite node"),
         ({"edge_cost": np.full((1, 2, 2), math.inf)}, "non-finite edge"),
         ({"edge_cost": np.zeros((1, 2, 3))}, "do not match"),
@@ -157,12 +174,12 @@ def test_from_arrays_matches_the_dict_constructor():
         ({"node_cost": np.array([[0, 0], [0, math.inf], [0, 0]])}, "non-finite node"),
         ({"edge_cost": [[[0.0, 1.0], [1.0]]]}, "do not match"),
         ({"edge_cost": np.array([[[0.0, 1.0], [math.nan, 0.0]]])}, "non-finite edge"),
-        ({"edge_u": np.array([3])}, "edge term position outside"),
-        ({"edge_u": np.zeros((1, 1), np.intp)}, "do not match"),
+        ({"entry_u": np.array([4])}, "edge term position outside"),
+        ({"entry_u": np.zeros((1, 1), np.intp)}, "do not match"),
     ],
 )
 def test_from_arrays_rejects_malformed_arrays(change, match):
-    g = Graph(edges=[(0, 1), (1, 2)])
+    g = edge_cover(Graph(edges=[(0, 1), (1, 2)]))
     with pytest.raises(PreconditionError, match=match):
         UtilityCostInstance(g, 2, **_path_arrays(**change))
     with pytest.raises(PreconditionError, match="at least one label"):
@@ -237,53 +254,56 @@ def test_from_matrix_needs_one_row_per_node():
 
 
 def test_greedy_color_edgeless():
-    g = Graph(nodes=[3, 1, 4])
-    col = greedy_color(g)
+    col = greedy_color(edge_cover(Graph(nodes=[3, 1, 4])))
     assert col.colors.tolist() == [0, 0, 0] and col.num_colors == 1
-    assert greedy_color(Graph()).num_colors == 0
+    assert greedy_color(edge_cover(Graph())).num_colors == 0
 
 
 def test_greedy_color_clique():
     g = Graph(edges=[(a, b) for a in range(4) for b in range(a + 1, 4)])
-    col = greedy_color(g)
-    assert col.num_colors == 4
-    assert len(set(col.colors.tolist())) == 4
+    for cover in (edge_cover(g), CliqueCover(g.nodes, [0, 4], [0, 1, 2, 3])):
+        col = greedy_color(cover)
+        assert col.colors.tolist() == [0, 1, 2, 3] and col.num_colors == 4
 
 
 def test_greedy_color_proper_and_bounded():
     rng = random.Random(9)
     g = random_graph(rng, 50, 0.1)
-    col = greedy_color(g)
+    cover = edge_cover(g)
+    col = greedy_color(cover)
     colors = dict(zip(g.nodes, col.colors.tolist()))
     for u, v in g.edges():  # edge-scan properness oracle
         assert colors[u] != colors[v]
-    assert col.graph is g and col.num_colors <= g.max_degree() + 1
+    assert col.graph is cover and col.num_colors <= g.max_degree() + 1
 
 
 @st.composite
 def color_cases(draw):
-    """G(n, p) on up to 400 nodes, from edgeless to dense, perhaps squared
-    (the graphs the MIS colors), perhaps on sparse 60-bit ids."""
+    """A clique cover and the graph it describes: G(n, p) on up to 400
+    nodes, from edgeless to dense, perhaps on sparse 60-bit ids, as its
+    `edge_cover` or as the closed neighbourhoods that cover its square
+    (the cover the MIS colors)."""
     n = draw(st.integers(0, 400))
     p = draw(st.sampled_from([0.0, 0.004, 0.01, 0.03, 0.1, 0.4]))
     g = gnp(n, p, seed=draw(st.integers(0, 10**6))) if n else Graph()
     if draw(st.booleans()):
-        g = square_graph(g)
-    if draw(st.booleans()):
         g = relabel(g, random.Random(draw(st.integers(0, 999))))
-    return g
+    if draw(st.booleans()):
+        return closed_neighbourhoods(g)[0], square_graph(g)
+    return edge_cover(g), g
 
 
 @settings(max_examples=150, deadline=None)
 @given(color_cases(), st.sampled_from([1, 2, 3, 64]), st.sampled_from([1, 3, 4096]))
-def test_greedy_color_matches_the_first_fit_loop(g, columns, tail):
+def test_greedy_color_matches_the_first_fit_loop(case, columns, tail):
     # with few color columns, many wave members read their lower
     # neighbours' colors, and many colors land in the overflow column;
     # with short tail chunks, a node's lower neighbours lie in earlier chunks
+    cover, g = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rounding, "_TAKEN_COLUMNS", columns)
         patch.setattr(rounding, "_TAIL_NODES", tail)
-        col = greedy_color(g)
+        col = greedy_color(cover)
     ref = reference_greedy_color(g)
     assert col.colors.tolist() == [ref[u] for u in g.nodes]
     assert col.num_colors == max(ref.values(), default=-1) + 1
@@ -316,31 +336,33 @@ def interleaved_cliques(count: int, size: int) -> Graph:
     ],
 )
 def test_greedy_color_past_the_color_columns(g, colors):
-    col, ref = greedy_color(g), reference_greedy_color(g)
+    col, ref = greedy_color(edge_cover(g)), reference_greedy_color(g)
     assert col.colors.tolist() == [ref[u] for u in g.nodes]
     assert col.num_colors == colors
 
 
-# bytes per node that one coloring may trace on `clique_and_path`
+# bytes per node that one coloring may trace on `clique_and_path`: 207
+# measured with numpy 2.4.6, 336 with a color column per possible color
 COLOR_BYTES_PER_NODE = 240
 
 
 @pytest.fixture(scope="module")
-def clique_and_path() -> Graph:
-    """A 150-clique, whose last node has 149 lower neighbours, and a
-    200000-node path whose odd nodes have ids above both neighbours', so
-    waves 0 and 1 color the whole path while the table is live."""
+def clique_and_path() -> CliqueCover:
+    """The edge cover of a 150-clique, whose last node has 149 lower
+    neighbours, and a 200000-node path whose odd nodes have ids above
+    both neighbours', so waves 0 and 1 color the whole path while the
+    table is live."""
     length = 200_000
     ids = [150 + (i // 2 if i % 2 == 0 else length // 2 + i // 2) for i in range(length)]
     clique = [(a, b) for a in range(150) for b in range(a + 1, 150)]
-    return Graph(edges=clique + list(zip(ids, ids[1:])))
+    return edge_cover(Graph(edges=clique + list(zip(ids, ids[1:]))))
 
 
-def traced_bytes_per_node(g: Graph) -> float:
+def traced_bytes_per_node(cover: CliqueCover) -> float:
     tracemalloc.start()
     try:
-        greedy_color(g)
-        return tracemalloc.get_traced_memory()[1] / g.n
+        greedy_color(cover)
+        return tracemalloc.get_traced_memory()[1] / cover.n
     finally:
         tracemalloc.stop()
 
@@ -357,31 +379,153 @@ def test_memory_bound_catches_an_uncapped_color_table(clique_and_path, monkeypat
 
 
 # bytes per node that one coloring may trace on `clique_and_path_by_id`:
-# 122 measured with numpy 2.4.6 (the peak is the waves', not the loop's),
-# 161 when the loop turns the whole path into lists at once
+# 130 measured with numpy 2.4.6 (the peak is the waves', not the loop's),
+# 174 when the loop turns the whole path into lists at once
 TAIL_BYTES_PER_NODE = 140
 
 
 @pytest.fixture(scope="module")
-def clique_and_path_by_id() -> Graph:
-    """A 150-clique and a 200000-node path by increasing id: every wave
-    after wave 0 has one node, so the per-node loop colors the path."""
+def clique_and_path_graph() -> Graph:
+    """A 150-clique and a 200000-node path by increasing id."""
     length = 200_000
     clique = [(a, b) for a in range(150) for b in range(a + 1, 150)]
     return Graph(edges=clique + [(150 + i, 151 + i) for i in range(length - 1)])
 
 
+@pytest.fixture(scope="module")
+def clique_and_path_by_id(clique_and_path_graph) -> CliqueCover:
+    """The edge cover of `clique_and_path_graph`: every wave after wave 0
+    has one node, so the per-node loop colors the path."""
+    return edge_cover(clique_and_path_graph)
+
+
 def test_first_fit_loop_memory_is_bounded(clique_and_path_by_id):
-    g = clique_and_path_by_id
-    assert traced_bytes_per_node(g) < TAIL_BYTES_PER_NODE
-    colors = greedy_color(g).colors
+    cover = clique_and_path_by_id
+    assert traced_bytes_per_node(cover) < TAIL_BYTES_PER_NODE
+    colors = greedy_color(cover).colors
     assert colors[:150].tolist() == list(range(150))
-    assert colors[150:].tolist() == [i % 2 for i in range(g.n - 150)]
+    assert colors[150:].tolist() == [i % 2 for i in range(cover.n - 150)]
 
 
 def test_memory_bound_catches_an_unchunked_loop(clique_and_path_by_id, monkeypatch):
     monkeypatch.setattr(rounding, "_TAIL_NODES", 10**9)
     assert traced_bytes_per_node(clique_and_path_by_id) >= TAIL_BYTES_PER_NODE
+
+
+SQUARE_CASES = {
+    "gnp": lambda: gnp(4096, 8 / 4095, seed=5),
+    # by increasing id, every wave after wave 0 has one node: the loop
+    "path by id": lambda: path(5000),
+    "cycle by id": lambda: cycle(5000),
+    "grid 40x40": lambda: grid(40, 40),
+    "regular(1000, 3)": lambda: regular(1000, 3, seed=2),
+    **{
+        f"random ids {k}": (lambda k=k: relabel(gnp(600, 0.012, seed=k), random.Random(k)))
+        for k in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_CASES)
+def test_closed_neighbourhoods_color_as_the_square(name):
+    # the cover describes exactly the square, and coloring it gives the
+    # first-fit coloring of the materialised square bit for bit
+    h = SQUARE_CASES[name]()
+    cover, sq = closed_neighbourhoods(h)[0], square_graph(h)
+    assert conflict_pairs(cover) == sq
+    col = greedy_color(cover)
+    assert col.colors.tolist() == csr_first_fit(sq)
+    ref = reference_greedy_color(sq)
+    assert col.colors.tolist() == [ref[u] for u in sq.nodes]
+
+
+def test_closed_neighbourhoods_color_the_memory_case_as_the_square(clique_and_path_graph):
+    h = clique_and_path_graph
+    colors = greedy_color(closed_neighbourhoods(h)[0]).colors.tolist()
+    assert colors == csr_first_fit(square_graph(h))
+    # a clique's square is itself; a path's by increasing id repeats 0 1 2
+    assert colors[:150] == list(range(150))
+    assert colors[150:] == [i % 3 for i in range(h.n - 150)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_copy_instances_color_as_their_pair_graph(seed):
+    # shaped like the benchmark's grouped solves: |V| = 400, |U| = 40,
+    # delta = 8 split into blocks of k = 4
+    rng = random.Random(seed)
+    copies = split_into_copies(
+        random_hitting_instance(rng, n_u=40, n_v=400, delta=8, p=0.25, norm=0.05, k=4)
+    )
+    cover = conflict_graph(copies)
+    rows = copies.adj.values()
+    pairs = Graph(nodes=copies.v_nodes, edges=[e for row in rows for e in combinations(row, 2)])
+    assert conflict_pairs(cover) == pairs
+    assert greedy_color(cover).colors.tolist() == csr_first_fit(pairs)
+
+
+def test_a_color_repeated_inside_one_hub_is_refused():
+    # 0 and 2 share only hub 1, N[1], and are not adjacent in the path
+    h = path(3)
+    cover = closed_neighbourhoods(h)[0]
+    assert cover.hub_ptr.tolist() == [0, 2, 5, 7]
+    assert cover.members.tolist() == [0, 1, 0, 1, 2, 1, 2]
+    assert reference_is_proper(h, {0: 0, 1: 1, 2: 0})
+    assert not is_proper(cover, np.array([0, 1, 0]))
+    with pytest.raises(PreconditionError, match="not proper"):
+        Coloring(cover, [0, 1, 0])
+    assert Coloring(cover, [0, 1, 2]).num_colors == 3
+    # at scale: one node of a proper coloring takes the color of a node
+    # two hops away
+    h = gnp(2048, 8 / 2047, seed=4)
+    cover, sq = closed_neighbourhoods(h)[0], square_graph(h)
+    colors = greedy_color(cover).colors.copy()
+    u = next(u for u in range(h.n) if set(sq.neighbors(u)) - set(h.neighbors(u)))
+    w = min(set(sq.neighbors(u)) - set(h.neighbors(u)))
+    colors[w] = colors[u]
+    assert not is_proper(cover, colors)
+    with pytest.raises(PreconditionError, match="not proper"):
+        Coloring(cover, colors)
+
+
+@pytest.mark.parametrize(
+    "hub_ptr, members, match",
+    [
+        ([0, 2], [1, 1], "not increasing"),
+        ([0, 2, 3], [2, 1, 0], "not increasing"),
+        ([0, 2], [0, 3], r"outside \[0, 3\)"),
+        ([0, 2], [-1, 0], r"outside \[0, 3\)"),
+        ([0, 3], [0, 1], "do not lay out"),
+        ([1, 2], [0, 1], "do not lay out"),
+        ([0, 2, 1, 2], [0, 1], "do not lay out"),
+        ([], [], "do not lay out"),
+        ([0, 2], [0.0, 1.0], "integer arrays"),
+        ([[0, 2]], [0, 1], "integer arrays"),
+    ],
+)
+def test_clique_cover_checks_its_layout(hub_ptr, members, match):
+    with pytest.raises(PreconditionError, match=match):
+        CliqueCover((4, 5, 6), hub_ptr, members)
+
+
+def test_clique_cover_keeps_read_only_copies():
+    hub_ptr, members = np.array([0, 2, 2, 5]), np.array([0, 2, 0, 1, 2])
+    cover = CliqueCover((4, 5, 6), hub_ptr, members)
+    # an empty hub is allowed; a hub may repeat another's members
+    assert cover.n == 3 and cover.hub.tolist() == [0, 0, 2, 2, 2]
+    for array in (cover.hub_ptr, cover.members, cover.hub):
+        assert not array.flags.writeable and array.dtype == np.intp
+    members[0] = 1
+    assert cover.members[0] == 0
+    assert greedy_color(cover).colors.tolist() == [0, 1, 2]
+
+
+def test_is_proper_ranks_colors_too_far_apart_to_code():
+    # 2 hubs times a color span near 2^62 overflows the hub code
+    cover = CliqueCover((1, 2, 3), [0, 2, 4], [0, 1, 1, 2])
+    big = 2**62
+    assert is_proper(cover, np.array([0, big, 0]))
+    assert not is_proper(cover, np.array([0, big, big]))
+    assert not is_proper(cover, np.array([big, big, 0]))
 
 
 @pytest.mark.parametrize("nl", [1, 2, 3, 4])
@@ -391,25 +535,27 @@ def test_oriented_reads_each_entry_from_its_side(nl, terms, entries):
     tensors = rng.standard_normal((terms, nl, nl))
     index = rng.integers(0, 2 * terms, entries) if terms else np.zeros(0, np.intp)
     term, first = index % max(terms, 1), index < terms
-    got = rounding._oriented(tensors, index)
+    got = rounding._oriented(tensors)[index].reshape(entries, nl, nl)
     want = np.where(first[:, None, None], tensors[term], tensors[term].transpose(0, 2, 1))
     assert got.shape == (entries, nl, nl) and np.array_equal(got, want)
 
 
 def test_greedy_color_matches_the_first_fit_loop_at_scale():
     # waves of up to 144 nodes and a tail of thin ones
-    sq = square_graph(gnp(8192, 8 / 8191, seed=3))
-    col, ref = greedy_color(sq), reference_greedy_color(sq)
-    assert col.colors.tolist() == [ref[u] for u in sq.nodes]
+    h = gnp(8192, 8 / 8191, seed=3)
+    sq = square_graph(h)
+    col, ref = greedy_color(closed_neighbourhoods(h)[0]), reference_greedy_color(sq)
+    assert col.colors.tolist() == [ref[u] for u in sq.nodes] == csr_first_fit(sq)
     assert col.num_colors == max(ref.values()) + 1
 
 
 def test_greedy_coloring_keeps_its_color_array():
     g = random_graph(random.Random(4), 30, 0.2)
     inst, lam = instance(g, 2), assignment(g.nodes, {u: (0.5, 0.5) for u in g.nodes})
-    col = greedy_color(g)
+    cover = inst.conflict_graph
+    col = greedy_color(cover)
     assert not col.colors.flags.writeable and col.colors.dtype == np.int64
-    assert is_proper(g, col.colors) and round_labels(inst, lam, col)[0].tolist() == [0] * g.n
+    assert is_proper(cover, col.colors) and round_labels(inst, lam, col)[0].tolist() == [0] * g.n
     # a coloring belongs to its graph: another node order is refused
     other = induced_subgraph(g, g.nodes[1:])
     half = assignment(other.nodes, {u: (0.5, 0.5) for u in other.nodes})
@@ -421,7 +567,7 @@ def test_rounded_labels_are_a_read_only_array_that_keeps_its_value():
     rng = random.Random(6)
     inst, lam = random_objective(rng, max_nodes=25)
     g = inst.conflict_graph
-    labels, value = round_labels(inst, lam, greedy_color(g))
+    labels, value = round_labels(inst, lam, greedy_color(inst.conflict_graph))
     assert not labels.flags.writeable and labels.shape == (g.n,)
     # the value returned is the one evaluate gives the one-hot labeling
     assert value == evaluate(inst, integral(inst, labels))
@@ -440,7 +586,7 @@ def test_round_integral_fixed_point():
         {(0, 1): ((0.0, 0.0), (0.0, 1.0))},
     )
     lam = assignment(g.nodes, {0: (0.0, 1.0), 1: (0.0, 1.0)})
-    labels, after = round_labels(inst, lam, greedy_color(g))
+    labels, after = round_labels(inst, lam, greedy_color(inst.conflict_graph))
     assert labels.tolist() == [1, 1]
     assert evaluate(inst, lam) == after
 
@@ -449,14 +595,14 @@ def test_round_single_node_picks_maximizer():
     g = Graph(nodes=[0])
     inst = instance(g, 2, {0: ((0.0, 1.0), None)})
     lam = assignment(g.nodes, {0: (0.3, 0.7)})
-    assert round_labels(inst, lam, greedy_color(g))[0].tolist() == [1]
+    assert round_labels(inst, lam, greedy_color(inst.conflict_graph))[0].tolist() == [1]
 
 
 def test_round_ties_prefer_smaller_label():
     g = Graph(nodes=[0])
     inst = instance(g, 2, {0: ((0.5, 0.5), None)})
     lam = assignment(g.nodes, {0: (0.5, 0.5)})
-    assert round_labels(inst, lam, greedy_color(g))[0].tolist() == [0]
+    assert round_labels(inst, lam, greedy_color(inst.conflict_graph))[0].tolist() == [0]
 
 
 def test_round_contract_on_random_instances():
@@ -478,28 +624,29 @@ def test_round_precondition_rejected_with_measurements():
     inst = instance(g, 2, {0: ((0.0, 1.0), (0.0, 0.99))})
     lam = assignment(g.nodes, {0: (0.0, 1.0)})
     with pytest.raises(PreconditionError, match="utility"):
-        round_labels(inst, lam, greedy_color(g))
+        round_labels(inst, lam, greedy_color(inst.conflict_graph))
 
 
 def test_round_improper_coloring_rejected():
     g = Graph(edges=[(0, 1)])
-    assert not is_proper(g, np.array([0, 0]))
+    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    cover = inst.conflict_graph
+    assert not is_proper(cover, np.array([0, 0]))
     with pytest.raises(PreconditionError, match="proper"):
-        Coloring(g, [0, 0])
+        Coloring(cover, [0, 0])
     with pytest.raises(PreconditionError, match="negative"):
-        Coloring(g, [0, -1])
+        Coloring(cover, [0, -1])
     # refused, not truncated to the proper coloring [0, 1]
     for colors in ([0.9, 1.2], np.array([0.0, 1.0]), [0, 1.0], [True, False]):
         with pytest.raises(PreconditionError, match="non-integer"):
-            Coloring(g, colors)
-    assert Coloring(g, np.array([1, 0], np.uint8)).colors.tolist() == [1, 0]
-    assert Coloring(Graph(), []).num_colors == 0
-    # a proper coloring of an equal graph is still not this graph's
-    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+            Coloring(cover, colors)
+    assert Coloring(cover, np.array([1, 0], np.uint8)).colors.tolist() == [1, 0]
+    assert Coloring(edge_cover(Graph()), []).num_colors == 0
+    # a proper coloring of an equal cover is still not this instance's
     lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
     with pytest.raises(PreconditionError, match="not of the instance's conflict graph"):
-        round_labels(inst, lam, Coloring(Graph(edges=[(0, 1)]), [0, 1]))
-    assert round_labels(inst, lam, Coloring(g, [1, 0]))[0].tolist() == [1, 0]
+        round_labels(inst, lam, Coloring(edge_cover(g), [0, 1]))
+    assert round_labels(inst, lam, Coloring(cover, [1, 0]))[0].tolist() == [1, 0]
 
 
 @st.composite
@@ -512,7 +659,7 @@ def colorings(draw):
     pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
     p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
     g = Graph(nodes=nodes, edges=[e for e in pairs if draw(st.floats(0, 1)) < p])
-    colors = greedy_color(g).colors.tolist()
+    colors = greedy_color(edge_cover(g)).colors.tolist()
     kind = draw(st.sampled_from(["greedy", "recolored", "random"]))
     if kind == "recolored" and nodes:
         for i in draw(st.lists(st.integers(0, len(nodes) - 1), max_size=3)):
@@ -527,13 +674,14 @@ def colorings(draw):
 @given(colorings())
 def test_is_proper_matches_the_generator(case):
     g, colors = case
+    cover = edge_cover(g)
     proper = reference_is_proper(g, dict(zip(g.nodes, colors.tolist())))
-    assert is_proper(g, colors) == proper
+    assert is_proper(cover, colors) == proper
     if proper and (not g.n or colors.min() >= 0):
-        assert Coloring(g, colors).colors.tolist() == colors.tolist()
+        assert Coloring(cover, colors).colors.tolist() == colors.tolist()
     else:
         with pytest.raises(PreconditionError):
-            Coloring(g, colors)
+            Coloring(cover, colors)
 
 
 @pytest.mark.parametrize("n", [2, 3, 300])
@@ -546,19 +694,20 @@ def test_is_proper_finds_a_lone_bad_edge_at_the_ends(n, ends):
     colors[b] = colors[a]
     ids = [5 * i + 2**40 for i in range(n)]
     g = Graph(nodes=ids, edges=list(zip(ids[:-1], ids[1:-1])) + [(ids[a], ids[b])])
+    cover = edge_cover(g)
     assert reference_is_proper(g, dict(zip(ids, colors.tolist()))) is False
-    assert not is_proper(g, colors) and not is_proper(g, colors - 7)
+    assert not is_proper(cover, colors) and not is_proper(cover, colors - 7)
     with pytest.raises(PreconditionError, match="not proper"):
-        Coloring(g, colors)
+        Coloring(cover, colors)
     colors[b] = 2  # the only bad edge mended
-    assert is_proper(g, colors) and is_proper(g, colors - 7)
+    assert is_proper(cover, colors) and is_proper(cover, colors - 7)
 
 
 def test_is_proper_needs_every_color():
     g = Graph(edges=[(3, 2**60), (2**60, 7)])
     for colors in ({3: 0, 2**60: 1}, {3: 0, 7: 0}):
         with pytest.raises(PreconditionError, match=r"\(2,\) colors for 3 nodes"):
-            Coloring(g, list(colors.values()))
+            Coloring(edge_cover(g), list(colors.values()))
         with pytest.raises(KeyError):
             reference_is_proper(g, colors)
 
@@ -572,7 +721,7 @@ def test_probability_matrix_is_kept_per_node_order():
     assert not kept.flags.writeable
     assert kept.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
     # round_labels writes one-hot rows into its own copy, not the kept one
-    round_labels(inst, lam, greedy_color(g))
+    round_labels(inst, lam, greedy_color(inst.conflict_graph))
     assert lam.matrix is kept and kept.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
     assert evaluate(inst, lam) == before
     # the matrix is over one node order; another graph's is refused
@@ -689,10 +838,11 @@ def objectives(draw):
             probs[u] = tuple(x / total for x in raw) if total > 0 else (1.0,) + (0.0,) * (nl - 1)
     labels = {u: draw(st.integers(0, nl - 1)) for u in nodes}
 
-    col = greedy_color(g)
+    col = greedy_color(inst.conflict_graph)
     stride, flip = draw(st.integers(1, 2)), draw(st.booleans())
     top = stride * col.num_colors
-    coloring = Coloring(g, top - 1 - stride * col.colors if flip else stride * col.colors)
+    colors = top - 1 - stride * col.colors if flip else stride * col.colors
+    coloring = Coloring(inst.conflict_graph, colors)
     return inst, assignment(g.nodes, probs), labels, coloring
 
 
@@ -724,16 +874,17 @@ def hitting_shaped(seed: int):
     rng = np.random.default_rng(seed)
     n, norm = 300, 0.05
     g = gnp(n, 0.05, seed=seed)
-    a, b = edge_ends(g)
-    pick = rng.choice(len(a), size=min(40, len(a)), replace=False)
+    pick = rng.choice(g.m, size=min(40, g.m), replace=False)
     pick.sort()
     node_utility = np.zeros((n, 2))
     node_utility[:, 1] = rng.uniform(0.0, 0.2, n) * (rng.random(n) < 0.3)
     node_cost = np.repeat([[0.0, norm]], n, axis=0)
     edge_cost = np.zeros((len(pick), 2, 2))
     edge_cost[:, 1, 1] = rng.uniform(0.0, 0.3, len(pick))
+    # edge k is hub k of the edge cover, its ends the entries 2k and 2k + 1
     inst = UtilityCostInstance(
-        g, 2, node_utility, node_cost, a[pick], b[pick], edge_cost, utility_const=20.0
+        edge_cover(g), 2, node_utility, node_cost, 2 * pick, 2 * pick + 1, edge_cost,
+        utility_const=20.0,
     )
     q = rng.choice([0.05, 0.25, 0.5])
     lam = FractionalAssignment(g.nodes, np.tile((1.0 - q, q), (n, 1)))
