@@ -6,7 +6,8 @@ edge list, or a file that cannot be read or written) or, with a report
 naming "precondition", an algorithm refused its input, 4 an oracle
 refused its budget.  Every exit 3 prints an `error:` line on stderr.  Run
 reports are JSON (schema "v1") and byte-identical for identical config
-and master seed.
+and master seed; an `--f-override` that is not finite is echoed as its
+text, since JSON has no number for it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import secrets
 import sys
@@ -211,6 +213,14 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
+def _json_number(value: float | None) -> float | str | None:
+    """`value` as JSON takes it: a float that is not finite, which JSON
+    has no number for, as its text ("inf", "-inf" or "nan")."""
+    if value is None or math.isfinite(value):
+        return value
+    return str(value)
+
+
 def _emit_report(args: argparse.Namespace, source: dict, body: dict, failed: str | None) -> None:
     report = {
         "schema_version": "v1",
@@ -218,7 +228,7 @@ def _emit_report(args: argparse.Namespace, source: dict, body: dict, failed: str
             "source": source,
             "algo": args.algo,
             "alpha": args.alpha,
-            "f_override": args.f_override,
+            "f_override": _json_number(args.f_override),
             "seed": args.seed,
             "budget_retries": args.budget_retries,
         },

@@ -34,8 +34,9 @@ Node weights for `cluster_constant` are one float array in node order.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import AbstractSet, Callable, Mapping, Sequence
 
 import numpy as np
@@ -606,10 +607,15 @@ def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray
 def cluster_degrees(g: Graph, partition: Partition) -> np.ndarray:
     """The cluster degree of every node, by position in `g.nodes`: the
     number of clusters at hop distance <= 1 from it, counted as the
-    distinct codes node * k + cluster over each node and its neighbours."""
+    distinct codes node * k + cluster over each node and its neighbours.
+    When g's nodes lie in g.n clusters, every node is its own cluster, as
+    at the paper's constants, and a node's degree plus one is its count:
+    no code is sorted."""
     labels, rank = cluster_ranks(g, partition)
-    k = max(1, len(labels))
     indptr, nbr = g.csr()
+    if len(labels) == g.n:
+        return np.diff(indptr) + 1
+    k = max(1, len(labels))
     node = np.arange(g.n, dtype=np.int64)
     codes = np.concatenate((node, np.repeat(node, np.diff(indptr)))) * k
     codes += np.concatenate((rank, rank[nbr]))
@@ -650,6 +656,16 @@ def check_retries(retries: int) -> None:
         raise PreconditionError(f"retry budget {retries} is below 1")
 
 
+def check_bound(bound: float) -> None:
+    """A cluster-degree threshold is divided by, so one that is not a
+    finite positive number is a `PreconditionError`; written so that NaN
+    fails too."""
+    if not bound > 0.0:
+        raise PreconditionError(f"bound {bound} is not a positive number")
+    if bound == math.inf:
+        raise PreconditionError(f"bound {bound} is not finite")
+
+
 def resample_clusters(
     labels: Sequence[int],
     values: np.ndarray,
@@ -671,8 +687,10 @@ def resample_clusters(
     items keep their entries in `values`, so a cluster without draws is
     decided by attempt 0.  Every attempt of every cluster calls `rng_for`,
     drawn from or not; a `stream` derives its seed only at its first
-    draw, so an attempt without draws costs no generator.  A cluster is
-    accepted, with one
+    draw, so an attempt without draws costs no generator.  The clusters
+    without draws make their calls through one `map` whose results are
+    dropped as they come, so no list of streams is kept; only the
+    clusters with draws are looped over.  A cluster is accepted, with one
     `claim` check, once `failing(values)` (a flag per cluster) clears it;
     the first cluster (by label) still failing after `retries` attempts
     raises `RetryBudgetExceeded`, after the checks of the clusters before
@@ -682,11 +700,16 @@ def resample_clusters(
     """
     check_retries(retries)
     k = len(labels)
+    drawn = np.zeros(k, bool)
+    drawn[list(draws)] = True
+    label = labels.__getitem__
     pending = np.arange(k)
     for attempt in range(retries):
-        for c in pending.tolist():
+        busy = drawn[pending]
+        deque(map(rng_for, map(label, pending[~busy].tolist()), repeat(attempt)), maxlen=0)
+        for c in pending[busy].tolist():
             rng = rng_for(labels[c], attempt)
-            for i, p in draws.get(c, ()):
+            for i, p in draws[c]:
                 values[i] = floor_value if rng.random() < p else 0.0
         pending = pending[failing(values)[pending]]
         if not len(pending):

@@ -305,7 +305,10 @@ def induced_subgraph(g: Graph, keep: Iterable[int] | np.ndarray) -> Graph:
 
     `keep` is a collection of node ids, or a boolean mask over `g.nodes`.
     Built as arrays from `g.csr()`: the entries whose two ends are kept,
-    renumbered to positions among the kept nodes.
+    renumbered to positions among the kept nodes.  When every dropped
+    node is isolated, as in `strip_isolated`, every entry is kept, so
+    the kept rows' offsets are g's own and only the entries are
+    renumbered.
     """
     if isinstance(keep, np.ndarray) and keep.dtype == bool:
         if keep.shape != (g.n,):
@@ -318,13 +321,16 @@ def induced_subgraph(g: Graph, keep: Iterable[int] | np.ndarray) -> Graph:
                 raise KeyError(f"unknown node {u}")
         mask = np.fromiter(map(s.__contains__, g.nodes), bool, g.n)
     indptr, nbr = g.csr()
-    rows = csr_rows(indptr)
     position = np.cumsum(mask) - 1
+    nodes = tuple(compress(g.nodes, mask.tolist()))
+    if not np.diff(indptr)[~mask].any():
+        sub_ptr = indptr[np.append(mask, True)].astype(np.intp, copy=False)
+        return Graph._from_csr(nodes, sub_ptr, position[nbr].astype(np.int32))
+    rows = csr_rows(indptr)
     kept = mask[rows] & mask[nbr]
-    count = int(position[-1]) + 1 if g.n else 0
+    count = len(nodes)
     sub_ptr = np.zeros(count + 1, np.intp)
     np.cumsum(np.bincount(position[rows[kept]], minlength=count), out=sub_ptr[1:])
-    nodes = tuple(compress(g.nodes, mask.tolist()))
     return Graph._from_csr(nodes, sub_ptr, position[nbr[kept]].astype(np.int32))
 
 

@@ -14,14 +14,20 @@ threshold, no stream is drawn from, and so none derives its seed or
 builds its generator: perfbench's traced runs take these calls as the
 `seeds` layer's spans on this path and compute
 `matching.intra_accept_ratio` from them, so removing them is a change to
-the benchmark's declared layers first.  It orders the edges by cluster
-with one sort of packed int64 codes (`cluster_edge_order`); a
+the benchmark's declared layers first.  The calls are kept, but made
+cheaply: through a `functools.partial` of this module's `stream`, taken
+when the re-rounding runs, with the clusters that draw nothing making
+theirs in one `map` (`resample_clusters`).  It orders the edges by
+cluster with one sort of packed int64 codes (`cluster_edge_order`); a
 `np.lexsort` took 14 ms of a 60 ms solve at n=8192 (numpy 2.4.6, 2
-vCPUs).  The support graph of the finish is the working graph itself
-when every edge keeps a positive value, else it is built from position
-arrays (`edge_subgraph`).  The finish decides its greedy matching in
-rounds of array operations and scans only the last few edges one at a
-time (`greedy_maximal_matching`).
+vCPUs).  At the paper's constants every node is its own cluster, so the
+cluster degrees are the degrees plus one and need no sort
+(`cluster_degrees`), and the re-rounded value clears the value floor
+without its slack, which is then not counted.  The support graph of the
+finish is the working graph itself when every edge keeps a positive
+value, else it is built from position arrays (`edge_subgraph`).  The
+finish decides its greedy matching in rounds of array operations and
+scans only the last few edges one at a time (`greedy_maximal_matching`).
 
 Edge values pass from stage to stage in one form, arrays over node
 positions (`FractionalMatching`): endpoints a < b and one value per edge.
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +53,7 @@ from .clustering import (
     ClusterGroups,
     Partition,
     base_capacity_exponent,
+    check_bound,
     check_retries,
     cluster_constant,
     cluster_degrees,
@@ -56,6 +64,7 @@ from .errors import ClaimChecker, PreconditionError, geq, leq, plain_sum
 from .graphs import (
     Edge,
     Graph,
+    _fresh,
     distinct,
     edge_ends,
     edge_subgraph,
@@ -205,11 +214,14 @@ def intra_round_matching(
     seed, and the cluster label.
 
     `x_good` is over g's nodes, its values in [0, 1], its edges in any
-    order.  The edges are put in order by (cluster, a, b) with one sort
+    order; a bound that is not a finite positive number is refused
+    (`check_bound`).  The edges are put in order by (cluster, a, b) with one sort
     (`cluster_edge_order`), and the clusters are decided attempt by
     attempt, all at once: attempt 0 sets every value as one array and
     sums every window as a group, (cluster, endpoint) over the endpoints
-    of the edges in that order (`ClusterGroups`).  Only
+    of the edges in that order (`ClusterGroups`); the clusters used, and
+    each edge's index among them, come from the changes of the sorted
+    cluster ranks, with no second sort.  Only
     clusters with a failing window go on to further attempts, and only
     one with a resampled edge can pass on one.  Each cluster attempt
     calls `stream` (the module docstring says why); a stream derives its
@@ -224,6 +236,7 @@ def intra_round_matching(
         k = inside.argmin()
         edge = g.nodes[a[k]], g.nodes[b[k]]
         raise PreconditionError(f"value {x[k]} of edge {edge} outside [0, 1]")
+    check_bound(bound)  # before any division by it
     checks = checks if checks is not None else ClaimChecker()
     n = n_total if n_total is not None else g.n
     log_n = math.log2(max(2, n))
@@ -234,8 +247,12 @@ def intra_round_matching(
     labels, rank = cluster_ranks(g, partition)
     order = cluster_edge_order(rank[b], a, b, len(labels), g.n)
     x, a, b = x[order], a[order], b[order]
-    used = distinct(rank[b])  # rank[b] is now increasing
-    owner = np.searchsorted(used, rank[b])
+    # rank[b] is now increasing: a cluster's index among the used ones
+    # counts the changes of rank up to its edges
+    ranked = rank[b]
+    fresh = _fresh(ranked)
+    used, owner = ranked[fresh], np.cumsum(fresh) - 1
+    del ranked, fresh
 
     items = np.repeat(np.arange(len(x)), 2)
     groups = ClusterGroups(
@@ -254,7 +271,7 @@ def intra_round_matching(
         draws,
         floor_value,
         lambda trial: groups.failing(trial, lo, hi),
-        lambda c, attempt: stream(seed, "matching-intra", c, attempt),
+        partial(stream, seed, "matching-intra"),
         retries,
         checks,
         "intra-window",
@@ -387,9 +404,12 @@ def approx_matching(
     whose good nodes carry less than 0.9 of the fractional load is
     refused (`PreconditionError`); the certified one is a guarantee, so
     there the same shortfall is a `good-weight` claim violation.  A
-    `retries` below 1 is refused on every input, edgeless or not.
+    `retries` below 1, or an override that is not a finite positive
+    number, is refused on every input, edgeless or not.
     """
     check_retries(retries)
+    if f_override is not None:
+        check_bound(float(f_override))
     checks = ClaimChecker()
     work = strip_isolated(g)
     if work.m == 0:
@@ -443,12 +463,15 @@ def approx_matching(
         "re-rounded values are not a fractional matching",
     )
     intra_value = x_intra.value()
-    # (endpoint, cluster) pairs over the edges, each owned by the cluster
-    # of its larger endpoint
-    rank = cluster_ranks(work, partition)[1]
-    codes = x_intra.ends().astype(np.int64) * work.n + np.repeat(rank[b], 2)
-    touched = len(distinct(codes))
-    slack = touched / (2.0 * 1000.0 * bound)
+    # a slack >= 0 only lowers the floor, so it is counted only for a
+    # value below good_value / 10: the (endpoint, cluster) pairs over the
+    # edges, each owned by the cluster of its larger endpoint
+    slack = 0.0
+    if not intra_value >= good_value / 10.0:
+        rank = cluster_ranks(work, partition)[1]
+        codes = x_intra.ends().astype(np.int64) * work.n + np.repeat(rank[b], 2)
+        touched = len(distinct(codes))
+        slack = touched / (2.0 * 1000.0 * bound)
     checks.ok(
         "intra-value-floor",
         geq(intra_value, good_value / 10.0 - slack),

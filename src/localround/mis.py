@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from .clustering import (
     ClusterGroups,
     Partition,
     base_capacity_exponent,
+    check_bound,
     check_retries,
     cluster_all,
     cluster_degrees,
@@ -43,7 +45,6 @@ from .graphs import (
     induced_subgraph,
     orient,
     square_graph,
-    stable_order,
 )
 from .ledger import RoundLedger
 from .rounding import (
@@ -158,7 +159,12 @@ def intra_round_mis(
     draws from it, and at the paper's constants none does.  perfbench's
     traced runs take these calls as the `seeds` layer's spans on the MIS
     path and compute `mis.intra_accept_ratio` from them, so removing them
-    is a change to the benchmark's declared layers first.  `witnesses`
+    is a change to the benchmark's declared layers first.  The calls go
+    through a `functools.partial` of this module's `stream`, taken at
+    call time, and `resample_clusters` makes those of the clusters
+    without draws in one `map`.  The bound check reads the cluster
+    degrees, which need no sort when every node is its own cluster
+    (`cluster_degrees`).  `witnesses`
     default to `good_witnesses(h, orientation)`.  Returns the values as a
     float array by position in `h.nodes`.
     """
@@ -171,9 +177,7 @@ def intra_round_mis(
     if (deg == 0).any():
         raise PreconditionError("isolated nodes belong in the output, not here")
     max_cluster_deg = int(cluster_degrees(h, partition).max(initial=0))
-    # before any division by the bound, and written so that NaN fails
-    if not bound > 0.0:
-        raise PreconditionError(f"bound {bound} is not a positive number")
+    check_bound(bound)  # before any division by it
     if not bound >= max_cluster_deg:
         raise PreconditionError(
             f"bound {bound} below the measured cluster degree {max_cluster_deg}"
@@ -211,7 +215,7 @@ def intra_round_mis(
         draws,
         floor_value,
         lambda trial: groups.failing(trial, lo, hi),
-        lambda c, attempt: stream(seed, "mis-intra", c, attempt),
+        partial(stream, seed, "mis-intra"),
         retries,
         checks,
         "intra-cluster-window",
@@ -307,8 +311,17 @@ def build_mis_instance(
     e = np.repeat(np.arange(len(member)), out_deg)
     out_at = hub_at[orientation.out_entries()[expand(out_ptr[member], out_deg)]]
     del hub_at
-    # stable: within each v's list, its pairs stay before its out-neighbours
-    order = stable_order(np.concatenate((group[i], group[e])))[0]
+    # the terms by list, each list's pairs before its out-neighbour pairs:
+    # both halves are already in list order, so each list's two runs are
+    # placed by their counts, the order a stable sort by list would give
+    pair_count = size * (size - 1) // 2
+    out_count = np.diff(np.concatenate(([0], np.cumsum(out_deg)))[np.cumsum(size)], prepend=0)
+    first_pair = np.cumsum(pair_count) - pair_count
+    first_out = len(i) + np.cumsum(out_count) - out_count
+    order = expand(
+        np.column_stack((first_pair, first_out)).ravel(),
+        np.column_stack((pair_count, out_count)).ravel(),
+    )
     # each term's two entries in one hub, whose members increase with
     # their entries, so the lower entry holds the lower end
     own = own_at[member[e]]
@@ -475,9 +488,12 @@ def mis(
 
     Every iteration reads the one partition at its surviving nodes, and
     nodes isolated by removals join the output directly.
-    A `retries` below 1 is refused on every input, edgeless or not.
+    A `retries` below 1, or an `f_override` that is not a finite positive
+    number, is refused on every input, edgeless or not.
     """
     check_retries(retries)
+    if f_override is not None:
+        check_bound(float(f_override))
     checks = ClaimChecker()
     if g.n == 0:
         return MisResult(frozenset(), 0, [], alpha or 1, 0.0, 0, checks.counts)

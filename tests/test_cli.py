@@ -331,6 +331,38 @@ def test_mis_refuses_an_override_that_is_not_positive(tmp_path, capsys, override
     assert f"error: {want}" in capsys.readouterr().err
 
 
+def _strict_json(text: str):
+    """JSON as the standard defines it: NaN and Infinity are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("algo", ["mis", "matching", "cluster-all"])
+@pytest.mark.parametrize("override", ["inf", "-inf", "nan"])
+def test_an_override_that_is_not_finite_leaves_a_strict_json_report(
+    tmp_path, capsys, algo, override
+):
+    # mis and matching refuse it; cluster-all reads no override; each
+    # report echoes it as text, which JSON has no number for
+    for gen in ("gnp:n=30,p=0.2", "path:n=1"):
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "run", "--gen", gen, "--algo", algo, f"--f-override={override}", "--out", str(out),
+        )
+        report = _strict_json(out.read_text())
+        assert report["config"]["f_override"] == override
+        if algo == "cluster-all":
+            assert code == 0 and report["failed_claim"] is None
+            continue
+        want = "not finite" if override == "inf" else "not a positive number"
+        assert code == 3 and report["failed_claim"] == "precondition"
+        assert report["result"] == {"error": f"bound {override} is {want}"}
+        assert f"error: bound {override} is {want}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override, code", [("8", 3), ("12", 3), ("13", 0), ("15", 0)])
 def test_matching_refuses_an_override_that_leaves_too_little_load(tmp_path, override, code):
     out = tmp_path / "r.json"

@@ -22,7 +22,7 @@ from localround.clustering import (
 )
 from localround.errors import PreconditionError
 from localround.generators import complete, gnp, path
-from localround.graphs import Graph, bfs_distances
+from localround.graphs import Graph, bfs_distances, induced_subgraph
 from localround.ledger import RoundLedger
 
 from clustering_reference import cluster_degree, nearby_active
@@ -317,6 +317,44 @@ def test_cluster_degrees_match_the_per_node_count(seed, n, p):
     assert cluster_degrees(g, part).tolist() == [
         cluster_degree(g, part, u) for u in g.nodes
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 40),
+    st.sampled_from([0.05, 0.2, 0.6]),
+    st.sampled_from([0.3, 0.7, 1.0]),
+)
+def test_cluster_degrees_of_singletons_match_the_per_node_count(seed, n, p, share):
+    # equal delays make every node its own cluster, as at the paper's
+    # constants; the partition of g also serves g's induced subgraphs
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    part = delays_to_partition(g, np.zeros(g.n, np.int64), 1)
+    sub = induced_subgraph(g, [u for u in g.nodes if rng.random() < share])
+    for h in (g, sub):
+        assert cluster_degrees(h, part).tolist() == [cluster_degree(h, part, u) for u in h.nodes]
+
+
+def test_cluster_degrees_sort_codes_only_for_a_merged_cluster(monkeypatch):
+    sorted_sizes = []
+    real = clustering_module.distinct
+
+    def recording(codes):
+        sorted_sizes.append(len(codes))
+        return real(codes)
+
+    monkeypatch.setattr(clustering_module, "distinct", recording)
+    g = path(5)
+    singletons = delays_to_partition(g, np.zeros(5, np.int64), 1)
+    assert cluster_degrees(g, singletons).tolist() == [2, 3, 3, 3, 2]
+    assert sorted_sizes == []
+    # node 1 starts late, so node 0's token claims it: clusters {0, 1}, {2}, {3}, {4}
+    merged = delays_to_partition(g, np.array([0, 1, 0, 0, 0]), 1)
+    assert cluster_degrees(g, merged).tolist() == [cluster_degree(g, merged, u) for u in g.nodes]
+    assert cluster_degrees(g, merged).tolist() == [1, 2, 3, 3, 2]
+    assert sorted_sizes == [5 + 2 * 4] * 2
 
 
 def test_cluster_degrees_need_every_node_assigned():

@@ -243,6 +243,41 @@ def test_induced_subgraph_from_a_mask_or_ids(g, data):
     assert same_csr(sub, ReferenceGraph(nodes=keep, edges=inside).csr())
 
 
+def _assert_induced_matches_the_reference(g, mask):
+    keep = [u for u, kept in zip(g.nodes, mask.tolist()) if kept]
+    inside = [(u, v) for u, v in g.edges() if u in keep and v in keep]
+    sub = induced_subgraph(g, mask)
+    assert sub.nodes == tuple(keep) and sub == induced_subgraph(g, keep)
+    assert same_csr(sub, ReferenceGraph(nodes=keep, edges=inside).csr())
+    assert [a.dtype for a in sub.csr()] == [np.intp, np.int32]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs(), st.data())
+def test_induced_subgraph_dropping_only_isolated_nodes(g, data):
+    # every entry stays, so the kept rows keep g's offsets
+    deg = np.diff(g.csr()[0]).tolist()
+    mask = np.array([d > 0 or data.draw(st.booleans()) for d in deg], bool)
+    _assert_induced_matches_the_reference(g, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs(), st.data())
+def test_induced_subgraph_dropping_a_node_with_an_edge(g, data):
+    deg = np.diff(g.csr()[0])
+    if not deg.any():
+        g = Graph(nodes=g.nodes, edges=[(0, 2**62), (2**62, 2**63 - 1)])
+        deg = np.diff(g.csr()[0])
+    mask = np.array([data.draw(st.booleans()) for _ in g.nodes], bool)
+    mask[data.draw(st.sampled_from(np.flatnonzero(deg).tolist()))] = False
+    _assert_induced_matches_the_reference(g, mask)
+
+
+def test_induced_subgraph_of_the_empty_graph():
+    _assert_induced_matches_the_reference(Graph(), np.zeros(0, bool))
+    assert induced_subgraph(Graph(), ()) == Graph()
+
+
 def test_induced_subgraph_rejects_a_mask_of_another_length():
     with pytest.raises(ValueError, match="mask"):
         induced_subgraph(Graph(edges=[(0, 1), (1, 2)]), np.ones(2, bool))

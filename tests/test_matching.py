@@ -60,7 +60,10 @@ def test_a_solve_shares_its_edge_ends_and_cluster_ranks(monkeypatch, g):
     for key, arrays in seen.items():
         assert all(a is arrays[0] for a in arrays) and not arrays[0].flags.writeable
         calls[key[0]] = max(calls[key[0]], len(arrays))
-    assert calls == {"ends": 3, "ranks": 3}
+    # the ranks serve the cluster degrees and the re-rounding; the value
+    # floor reads them only for a value below good_value / 10, and here
+    # no value falls that low
+    assert calls == {"ends": 3, "ranks": 2}
 
 
 def test_fraction_single_edge():
@@ -219,6 +222,15 @@ def test_intra_rejects_malformed_arrays():
     high = FractionalMatching(g.nodes, frac.a, frac.b, frac.x * 3.0)
     with pytest.raises(PreconditionError, match=r"of edge \(0, 1\) outside"):
         intra_round_matching(g, part, high, bound=3.0, seed=0)
+
+
+@pytest.mark.parametrize("bound", [0.0, -3.0, math.nan, math.inf])
+def test_intra_refuses_a_bound_that_is_not_finite_and_positive(bound):
+    # 0 divided by zero, and NaN ran into the retry budget
+    g = path(3)
+    want = "not finite" if bound == math.inf else "not a positive number"
+    with pytest.raises(PreconditionError, match=rf"^bound {bound} is {want}$"):
+        intra_round_matching(g, _uniform_partition(g), fractional_matching(g), bound, seed=0)
 
 
 def test_intra_window_scan_on_pipeline_values():
@@ -525,3 +537,38 @@ def test_low_override_is_a_precondition_and_the_certified_bound_a_claim(monkeypa
     monkeypatch.setattr(matching, "cluster_constant", certifying_eight)
     with pytest.raises(ClaimViolation, match="good-weight"):
         approx_matching(g, seed=3)
+
+
+@pytest.mark.parametrize("value, passes", [(0.09996, True), (0.0994, False)])
+def test_the_value_floor_counts_its_slack_only_below_a_tenth(monkeypatch, value, passes):
+    # one edge: good value 1.0, bound 2 and two (endpoint, cluster) pairs,
+    # so the floor is 1/10 - 2 / (2 * 1000 * 2) = 0.0995; a re-rounded
+    # value in [0.0995, 0.1) passes only once that slack is counted
+    real = matching.intra_round_matching
+
+    def lowered(*args):
+        x = real(*args)
+        return FractionalMatching(x.nodes, x.a, x.b, np.full(len(x.x), value))
+
+    monkeypatch.setattr(matching, "intra_round_matching", lowered)
+    g = Graph(edges=[(0, 1)])
+    if passes:
+        res = approx_matching(g, f_override=2)
+        assert res.intra_value == value and res.checks["intra-value-floor"] == 1
+        return
+    with pytest.raises(ClaimViolation) as err:
+        approx_matching(g, f_override=2)
+    assert (err.value.claim, err.value.detail) == (
+        "intra-value-floor",
+        f"re-rounded value {value} below 1.0/10 - 0.0005",
+    )
+
+
+@pytest.mark.parametrize("override", [math.inf, -math.inf, math.nan, 0.0, -2.0])
+@pytest.mark.parametrize("g", [path(6), Graph(nodes=[0, 1])])
+def test_an_override_that_is_not_finite_and_positive_is_refused(monkeypatch, g, override):
+    # refused before the clustering runs, edgeless input or not
+    monkeypatch.setattr(matching, "cluster_constant", None)
+    want = "not finite" if override == math.inf else "not a positive number"
+    with pytest.raises(PreconditionError, match=rf"^bound {override} is {want}$"):
+        approx_matching(g, f_override=override)

@@ -192,6 +192,22 @@ def test_intra_refuses_a_bound_that_is_not_positive(bound):
         intra_round_mis(g, part, bound, seed=0)
 
 
+@pytest.mark.parametrize("override", [math.inf, -math.inf, math.nan, 0.0, -2.0])
+@pytest.mark.parametrize("g", [path(6), Graph(nodes=[0, 1])])
+def test_mis_refuses_an_override_that_is_not_finite_and_positive(monkeypatch, g, override):
+    # refused before the clustering runs, edgeless input or not
+    monkeypatch.setattr(importlib.import_module("localround.mis"), "cluster_all", None)
+    want = "not finite" if override == math.inf else "not a positive number"
+    with pytest.raises(PreconditionError, match=rf"^bound {override} is {want}$"):
+        mis(g, f_override=override)
+
+
+def test_intra_refuses_an_infinite_bound():
+    g = Graph(edges=[(0, leaf) for leaf in range(1, 6)])
+    with pytest.raises(PreconditionError, match="^bound inf is not finite$"):
+        intra_round_mis(g, _one_cluster_partition(g), math.inf, seed=0)
+
+
 def test_intra_needs_a_partition_of_h():
     g = path(4)
     part = _singleton_partition(path(3))
