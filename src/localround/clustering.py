@@ -26,9 +26,9 @@ all delays are equal, as they are at the paper's constants once the
 first phase empties the active set, every node is its own cluster and
 the labels are the ids.  `cluster_ranks` and `cluster_degrees` look
 a graph's ids up with `np.searchsorted`, so a partition of g also
-serves every subgraph of g; the dicts
-`clusters`, `assignment` and `delays` are views built only if read.
-Node weights for `cluster_constant` are one float array in node order.
+serves every subgraph of g.  Node weights for `cluster_constant` are
+one float array in node order, and the active ids each phase leaves,
+kept in `meta["actives"]`, one increasing int64 array per phase.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .errors import (
     plain_sum,
 )
 from .graphs import (
-    ArrayView,
     Graph,
     _select,
     bfs_distances,
@@ -59,7 +58,6 @@ from .graphs import (
     distinct_inverse,
     induced_subgraph,  # not called here; perfbench's tests pin this import
     lookup,
-    stable_order,
     two_hop_sets,
 )
 from .hitting import BipartiteInstance, grouped_hitting_set
@@ -115,15 +113,12 @@ class Partition:
     `ids` are the covered node ids, int64 and increasing (a graph's
     `nodes`); node ids[i] belongs to the cluster labelled label[i], the id
     of the cluster's centre, and was given broadcast delay delay[i].  The
-    arrays are shared, not copied, and are read only.  `clusters` (label
-    -> members, labels increasing), `assignment` (node -> label) and
-    `delays` (node -> delay), both in id order, are read-only views of
-    them: each builds its dict on first use, and `len` builds none.  The
-    constructor stores the arrays as given; the constructions build them
-    through `delays_to_partition`.
+    arrays are shared, not copied, and are read only.  The constructor
+    stores the arrays as given; the constructions build them through
+    `delays_to_partition`.
     """
 
-    __slots__ = ("alpha", "ids", "label", "delay", "meta", "_views", "_ranks")
+    __slots__ = ("alpha", "ids", "label", "delay", "meta", "_ranks")
 
     def __init__(
         self,
@@ -135,37 +130,12 @@ class Partition:
     ):
         self.alpha, self.ids, self.label, self.delay = alpha, ids, label, delay
         self.meta = {} if meta is None else meta
-        self._views: dict[str, ArrayView] = {}
         self._ranks: tuple[Graph, np.ndarray, np.ndarray] | None = None
 
-    def _view(self, name: str, size: Callable[[], int]) -> Mapping:
-        if name not in self._views:
-            self._views[name] = ArrayView(size(), lambda: _build_view(self, name))
-        return self._views[name]
-
     @property
-    def clusters(self) -> Mapping[int, frozenset[int]]:
-        return self._view("clusters", lambda: len(np.unique(self.label)))
-
-    @property
-    def assignment(self) -> Mapping[int, int]:
-        return self._view("assignment", lambda: len(self.ids))
-
-    @property
-    def delays(self) -> Mapping[int, int]:
-        return self._view("delays", lambda: len(self.ids))
-
-
-def _build_view(part: Partition, name: str) -> dict:
-    """The dict behind one of `part`'s views, named by its attribute."""
-    ids = part.ids.tolist()
-    if name == "assignment":
-        return dict(zip(ids, part.label.tolist()))
-    if name == "delays":
-        return dict(zip(ids, part.delay.tolist()))
-    order, ranked = stable_order(part.label)
-    members = np.split(part.ids[order], np.flatnonzero(np.diff(ranked)) + 1)
-    return {c: frozenset(m.tolist()) for c, m in zip(distinct(ranked).tolist(), members)}
+    def clusters(self) -> np.ndarray:
+        """The distinct labels, increasing, as a new int64 array."""
+        return distinct(self.label.astype(np.int64))
 
 
 def _arrivals(g: Graph, delay: np.ndarray) -> list[int]:
@@ -190,7 +160,7 @@ def _arrivals(g: Graph, delay: np.ndarray) -> list[int]:
 
 def delays_to_partition(
     g: Graph,
-    delays: Mapping[int, int] | np.ndarray,
+    delays: np.ndarray,
     alpha: int,
     ledger: RoundLedger | None = None,
 ) -> Partition:
@@ -199,20 +169,14 @@ def delays_to_partition(
     Node u joins the node v minimizing (delays[v] + d(v, u), id(v)); the
     winning token's whole shortest path lands in the same cluster, so
     clusters are connected with internal radius at most max(delays).
-    `delays` map every node of g to its delay, or give them as an int
-    array by position in `g.nodes`.  When all delays are equal, d(u, u) = 0
-    decides every node: each is its own center, the labels are the ids,
-    and no arrival is simulated.
+    `delays` is an int array, one delay per node by position in
+    `g.nodes`.  When all delays are equal, d(u, u) = 0 decides every
+    node: each is its own center, the labels are the ids, and no arrival
+    is simulated.
     """
-    if isinstance(delays, np.ndarray):
-        if delays.shape != (g.n,):
-            raise PreconditionError(f"delays of shape {delays.shape} for {g.n} nodes")
-        delay = delays.astype(np.int64)
-    else:
-        missing = [u for u in g.nodes if u not in delays]
-        if missing:
-            raise PreconditionError(f"delays missing for nodes {missing[:5]}")
-        delay = np.fromiter(map(int, map(delays.__getitem__, g.nodes)), np.int64, g.n)
+    if delays.shape != (g.n,):
+        raise PreconditionError(f"delays of shape {delays.shape} for {g.n} nodes")
+    delay = delays.astype(np.int64)
     if (delay == delay[:1]).all():
         # d(u, u) = 0 is the unique minimum of delays[v] + d(v, u) over v
         source = np.arange(g.n)
@@ -386,7 +350,7 @@ def cluster_constant(
     ids = _ids(g)
     active = set(g.nodes)
     last_index = np.zeros(n, np.int64)
-    actives = [frozenset(active)]
+    actives = [ids]
     for i in range(10 * alpha):
         s_map, scan_r = _all_nearby_active(g, active, alpha, thresholds[steps - 1])
         if ledger is not None and scan_r > 0:
@@ -431,8 +395,8 @@ def cluster_constant(
             current = nxt
         claim_mass(i, steps, len(current))
         active = current
-        last_index[lookup(ids, np.fromiter(active, np.int64, len(active)))[0]] = i + 1
-        actives.append(frozenset(active))
+        actives.append(np.sort(np.fromiter(active, np.int64, len(active))))
+        last_index[lookup(ids, actives[-1])[0]] = i + 1
     checks.ok("no-active-at-end", not active, f"{len(active)} nodes still active")
 
     meta = {
@@ -482,7 +446,7 @@ def cluster_all(
     ids = _ids(g)
     active = set(g.nodes)
     last_index = np.zeros(n, np.int64)
-    actives = [frozenset(active)]
+    actives = [ids]
     for i in range(10 * alpha):
         s_map, scan_r = _all_nearby_active(g, active, alpha, thresholds[0])
         if ledger is not None and scan_r > 0:
@@ -510,7 +474,7 @@ def cluster_all(
                     detail,
                 )
             active = set()
-            actives.append(frozenset(active))
+            actives.append(ids[:0])
             continue
         wave_rounds: dict[int, int] = {}
         # rows are only read, so one frozen copy can fill every cell
@@ -573,8 +537,8 @@ def cluster_all(
             if ledger is not None and rounds > 0:
                 ledger.charge("pipeline-shrink", min(100 * alpha, rounds), rounds)
         active = set(prev_row[sweeps]) if steps >= 1 else set()
-        last_index[lookup(ids, np.fromiter(active, np.int64, len(active)))[0]] = i + 1
-        actives.append(frozenset(active))
+        actives.append(np.sort(np.fromiter(active, np.int64, len(active))))
+        last_index[lookup(ids, actives[-1])[0]] = i + 1
     checks.ok("no-active-at-end", not active, f"{len(active)} nodes still active")
 
     meta = {
@@ -592,13 +556,20 @@ def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray
     A node the partition does not assign is a `PreconditionError`.  The
     arrays for the last graph asked about are kept with the partition,
     so the stages of one run that ask about one graph share them; the
-    rank array is read-only."""
+    rank array is read-only.  When every node of g is its own cluster,
+    as at the paper's constants, the labels are g's ids and the ranks
+    0..n-1, and nothing is sorted."""
     kept = partition._ranks
     if kept is None or kept[0] is not g:
-        at, covered = lookup(partition.ids, _ids(g))
+        ids = _ids(g)
+        at, covered = lookup(partition.ids, ids)
         if not covered.all():
             raise PreconditionError(f"partition does not cover node {g.nodes[covered.argmin()]}")
-        labels, rank = distinct_inverse(partition.label[at])
+        label = partition.label[at]
+        if np.array_equal(label, ids):
+            labels, rank = ids, np.arange(g.n)
+        else:
+            labels, rank = distinct_inverse(label)
         rank.flags.writeable = False
         kept = partition._ranks = g, labels, rank
     return kept[1].tolist(), kept[2]

@@ -5,9 +5,11 @@ position arrays, `Graph.csr()`: the neighbours of nodes[i] are nodes[j]
 for j in indices[indptr[i]:indptr[i + 1]], increasing.  That is its only
 stored form, so every iteration order downstream is deterministic and
 the derived structures (`Orientation`, `induced_subgraph`,
-`square_graph`) are built from the arrays, not node by node.  Node ids
-are arbitrary non-negative integers below 2**63; they need not be
-contiguous, which lets callers exercise id-dependent tie-breaking.
+`square_graph`) are built from the arrays, not node by node;
+`induced_subgraph` takes the nodes it keeps as a boolean mask over the
+node positions.  Node ids are arbitrary non-negative integers below
+2**63; they need not be contiguous, which lets callers exercise
+id-dependent tie-breaking.
 `neighbors(u)` reads per-node id tuples that are built from the arrays
 on its first call and kept; only per-node walks (breadth-first search,
 the oracles) call it.  `edge_ends(g)` keeps its arrays with g the same
@@ -21,11 +23,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError
 
 MAX_ID_BITS = 63
 
@@ -112,28 +114,6 @@ def _neighbor_tuples(
     ids[:] = nodes
     nbrs, ends = ids[indices].tolist(), indptr.tolist()
     return tuple(tuple(nbrs[ends[i] : ends[i + 1]]) for i in range(len(nodes)))
-
-
-class ArrayView(Mapping):
-    """Read-only dict derived from arrays.  `len` costs nothing; the
-    entries are built on the first other use."""
-
-    def __init__(self, size: int, build: Callable[[], dict]):
-        self._size, self._build, self._entries = size, build, None
-
-    def _dict(self) -> dict:
-        if self._entries is None:
-            self._entries = self._build()
-        return self._entries
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __getitem__(self, key):
-        return self._dict()[key]
 
 
 class Graph:
@@ -300,26 +280,18 @@ def bfs_distances(
     return dist
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int] | np.ndarray) -> Graph:
-    """Subgraph on `keep` with all original edges among those nodes.
+def induced_subgraph(g: Graph, mask: np.ndarray) -> Graph:
+    """Subgraph on the nodes that the boolean mask `mask` over `g.nodes`
+    keeps, with all original edges among them.
 
-    `keep` is a collection of node ids, or a boolean mask over `g.nodes`.
     Built as arrays from `g.csr()`: the entries whose two ends are kept,
     renumbered to positions among the kept nodes.  When every dropped
     node is isolated, as in `strip_isolated`, every entry is kept, so
     the kept rows' offsets are g's own and only the entries are
     renumbered.
     """
-    if isinstance(keep, np.ndarray) and keep.dtype == bool:
-        if keep.shape != (g.n,):
-            raise ValueError(f"mask of shape {keep.shape} over {g.n} nodes")
-        mask = keep
-    else:
-        s = set(keep)
-        for u in s:
-            if u not in g:
-                raise KeyError(f"unknown node {u}")
-        mask = np.fromiter(map(s.__contains__, g.nodes), bool, g.n)
+    if mask.dtype != bool or mask.shape != (g.n,):
+        raise ValueError(f"mask of {mask.dtype} and shape {mask.shape} over {g.n} nodes")
     indptr, nbr = g.csr()
     position = np.cumsum(mask) - 1
     nodes = tuple(compress(g.nodes, mask.tolist()))
@@ -499,21 +471,6 @@ def lookup(known: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     found = at < len(known)
     found[found] = known[at[found]] == want[found]
     return at, found
-
-
-def node_positions(nodes: tuple[int, ...], ids: Iterable[int], count: int) -> np.ndarray:
-    """The position in the increasing id tuple `nodes` (a graph's
-    `nodes`) of each of the `count` ids; an id that is not in `nodes` is a
-    `PreconditionError`."""
-    try:
-        want = np.fromiter(ids, np.int64, count)
-        known_ids = np.fromiter(nodes, np.int64, len(nodes))
-    except OverflowError:
-        raise PreconditionError(f"node id outside [0, 2^{MAX_ID_BITS})") from None
-    at, known = lookup(known_ids, want)
-    if not known.all():
-        raise PreconditionError(f"unknown node {want[np.argmin(known)]}")
-    return at
 
 
 class Orientation:

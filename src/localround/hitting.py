@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from functools import cached_property
+from itertools import chain, compress, repeat, takewhile
 from numbers import Real
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, leq, plain_sum
-from .graphs import ArrayView, first_seen, node_positions
+from .graphs import first_seen
 from .rounding import (
     CliqueCover,
     FractionalAssignment,
@@ -39,7 +40,7 @@ from .rounding import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BipartiteInstance:
     """One hitting-set problem, read-only after construction.
 
@@ -48,47 +49,54 @@ class BipartiteInstance:
     selected right node, and `k` (grouped variant only) the block size in
     [1, delta].  Left and right ids live in separate namespaces.
 
-    Construction checks `adj` and `weights` and stores them as two
-    read-only arrays, rows in `u_nodes` order: `nbr`, the n_u x delta
-    positions in `v_nodes` of each left node's neighbours, each row in
-    `adj` order, and `weight`, each weight as a float64.  `from_arrays`
-    builds an instance from those two arrays instead.
+    An instance is two read-only arrays, rows in `u_nodes` order: `nbr`,
+    the n_u x delta positions in `v_nodes` of each left node's
+    neighbours, and `weight`, each weight as a float64.  The constructor
+    takes them as the dicts `adj` (left node -> neighbour ids) and
+    `weights` (left node -> weight), in any id order; `from_arrays`
+    takes the arrays.  `adj` and `weights` read back as those dicts,
+    built from the arrays on first read, each row in `nbr` order.
     """
 
     u_nodes: tuple[int, ...]
     v_nodes: tuple[int, ...]
-    adj: Mapping[int, tuple[int, ...]]
-    weights: Mapping[int, float]
+    nbr: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
     delta: int
     p: float
     norm: float
     k: int | None = None
-    nbr: np.ndarray = field(init=False, repr=False, compare=False)
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        u_nodes, v_nodes = tuple(sorted(self.u_nodes)), tuple(sorted(self.v_nodes))
-        vset = set(v_nodes)
-        _check_sides(u_nodes, v_nodes, self.delta, self.p, self.norm, self.k)
-        for u in u_nodes:
-            nbrs = self.adj.get(u, ())
-            if len(nbrs) != self.delta or len(set(nbrs)) != self.delta:
-                raise PreconditionError(f"left node {u} does not have degree {self.delta}")
-            if not vset.issuperset(nbrs):
-                raise PreconditionError(f"left node {u} has a neighbor outside V")
-            w = self.weights.get(u)
-            try:
-                bad = not isinstance(w, Real) or not 0.0 <= float(w) < math.inf  # NaN too
-            except OverflowError:  # an int or Fraction beyond the floats
-                bad = True
-            if bad:
-                raise PreconditionError(f"bad weight at left node {u}")
-        ends = chain.from_iterable(map(self.adj.__getitem__, u_nodes))
-        nbr = node_positions(v_nodes, ends, len(u_nodes) * self.delta).reshape(-1, self.delta)
-        weight = np.fromiter(map(self.weights.__getitem__, u_nodes), np.float64)
-        nbr.flags.writeable = weight.flags.writeable = False
+    def __init__(
+        self,
+        u_nodes: Iterable[int],
+        v_nodes: Iterable[int],
+        adj: Mapping[int, Sequence[int]],
+        weights: Mapping[int, Real],
+        delta: int,
+        p: float,
+        norm: float,
+        k: int | None = None,
+    ):
+        """Checks each left node's row length, in id order, then the rows
+        before the first of another length as `from_arrays` does, with its
+        messages, so that the first failing left node is named, and its
+        first failing check: degree, neighbours in V, weight.  A node
+        missing from `adj` does not have degree delta, and a weight that
+        is missing, not a real number or beyond the floats is bad."""
+        u_nodes, v_nodes = tuple(sorted(u_nodes)), tuple(sorted(v_nodes))
+        _check_sides(u_nodes, v_nodes, delta, p, norm, k)
+        rows = list(takewhile(lambda row: len(row) == delta, (adj.get(u, ()) for u in u_nodes)))
+        head = u_nodes[: len(rows)]
+        index = dict(zip(v_nodes, range(len(v_nodes))))
+        ends = map(index.get, chain.from_iterable(rows), repeat(-1))
+        nbr = np.fromiter(ends, np.intp, len(head) * delta).reshape(-1, delta)
+        weight = list(map(_as_float, map(weights.get, head)))
+        inst = self.from_arrays(head, v_nodes, nbr, weight, delta, p, norm, k)
+        if len(head) < len(u_nodes):
+            raise PreconditionError(f"left node {u_nodes[len(head)]} does not have degree {delta}")
         # frozen: the fields are set through the instance dict
-        vars(self).update(u_nodes=u_nodes, v_nodes=v_nodes, nbr=nbr, weight=weight)
+        vars(self).update(vars(inst))
 
     @classmethod
     def from_arrays(
@@ -105,13 +113,11 @@ class BipartiteInstance:
         """The instance whose left node u_nodes[i] has the neighbours
         v_nodes[j] for j in row i of the n_u x delta position array `nbr`,
         in row order, and the weight weight[i]; both id tuples increasing.
-        It equals what the constructor builds from the matching `adj` and
-        `weights`, and the constructor's checks run on the arrays at once,
-        with the same `PreconditionError`s: a row with a repeated position
-        does not have degree delta, a position outside [0, len(v_nodes))
-        is a neighbour outside V, and a weight must be finite and
-        non-negative; the first failing left node in id order is named.
-        `adj` and `weights` are views built from the arrays on first read.
+        Every row is checked at once: a row with a repeated position does
+        not have degree delta, a position outside [0, len(v_nodes)) is a
+        neighbour outside V, and a weight must be finite and
+        non-negative; the first failing left node in id order is named,
+        in a `PreconditionError`.
         """
         u_nodes, v_nodes = tuple(u_nodes), tuple(v_nodes)
         if list(u_nodes) != sorted(u_nodes) or list(v_nodes) != sorted(v_nodes):
@@ -137,19 +143,11 @@ class BipartiteInstance:
                 raise PreconditionError(f"left node {u} has a neighbor outside V")
             raise PreconditionError(f"bad weight at left node {u}")
         nbr.flags.writeable = weight.flags.writeable = False
-        ids = np.empty(len(v_nodes), object)
-        ids[:] = v_nodes
-
-        def adjacency() -> dict:
-            return dict(zip(u_nodes, map(tuple, ids[nbr].tolist())))
-
         inst = cls.__new__(cls)
         # frozen: the fields are set through the instance dict
         vars(inst).update(
             u_nodes=u_nodes,
             v_nodes=v_nodes,
-            adj=ArrayView(len(u_nodes), adjacency),
-            weights=ArrayView(len(u_nodes), lambda: dict(zip(u_nodes, weight.tolist()))),
             delta=delta,
             p=p,
             norm=norm,
@@ -159,9 +157,30 @@ class BipartiteInstance:
         )
         return inst
 
+    @cached_property
+    def adj(self) -> dict[int, tuple[int, ...]]:
+        ids = np.empty(len(self.v_nodes), object)
+        ids[:] = self.v_nodes
+        return dict(zip(self.u_nodes, map(tuple, ids[self.nbr].tolist())))
+
+    @cached_property
+    def weights(self) -> dict[int, float]:
+        return dict(zip(self.u_nodes, self.weight.tolist()))
+
     @property
     def total_weight(self) -> float:
         return plain_sum(self.weight)
+
+
+def _as_float(w: object) -> float:
+    """w as a float, or NaN, which the weight check refuses, when w is not
+    a real number or is one beyond the floats."""
+    if isinstance(w, float):  # most weights; much faster than the `Real` check
+        return w
+    try:
+        return float(w) if isinstance(w, Real) else math.nan
+    except OverflowError:  # an int or Fraction beyond the floats
+        return math.nan
 
 
 def _check_sides(

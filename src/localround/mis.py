@@ -60,8 +60,9 @@ from .seeds import RETRIES, stream
 
 def good_vertices(
     h: Graph, orientation: Orientation | None = None, checks: ClaimChecker | None = None
-) -> frozenset[int]:
-    """Nodes with at least a third of their edges incoming.
+) -> np.ndarray:
+    """Whether each node, by position in `h.nodes`, has at least a third
+    of its edges incoming: the good nodes, as a boolean mask.
 
     Their degrees always carry at least half of all edges: an edge into a
     non-good node charges two edges leaving it, so at most half the edges
@@ -78,7 +79,7 @@ def good_vertices(
         2 * int(deg[good].sum()) >= h.m,
         "good vertices carry less than half the edges",
     )
-    return frozenset(itertools.compress(h.nodes, good.tolist()))
+    return good
 
 
 class WitnessArrays(NamedTuple):
@@ -104,8 +105,7 @@ def good_witnesses(
     """
     checks = checks if checks is not None else ClaimChecker()
     orientation = orientation or orient(h)
-    good = good_vertices(h, orientation, checks)
-    owner = np.flatnonzero(np.fromiter(map(good.__contains__, h.nodes), bool, h.n))
+    owner = np.flatnonzero(good_vertices(h, orientation, checks))
     in_ptr, in_idx = orientation.in_csr()
     inv = 1.0 / np.diff(h.csr()[0])
     start = in_ptr[owner]

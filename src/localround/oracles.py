@@ -198,17 +198,16 @@ def exhaustive_round_check(
     tuples = inst.num_labels**n
     if tuples > budget.max_label_tuples:
         raise BudgetExceeded(f"{tuples} labelings exceed the oracle budget")
-    order = {u: i for i, u in enumerate(nodes)}
     grids = np.indices((inst.num_labels,) * n).reshape(n, -1)
     objective = np.full(grids.shape[1], inst.utility_const)
-    for u, (urow, crow) in inst.node_terms.items():
-        objective += (np.asarray(urow) - np.asarray(crow))[grids[order[u]]]
-    for (u, v), cmat in inst.edge_terms.items():
-        objective -= np.asarray(cmat)[grids[order[u]], grids[order[v]]]
+    for i, row in enumerate(inst.node_utility - inst.node_cost):
+        objective += row[grids[i]]
+    for (a, b), cmat in zip(inst.edge_terms.tolist(), inst.edge_cost):
+        objective -= cmat[grids[a], grids[b]]
     rows = dict(zip(lam.nodes, lam.matrix))
     probs = np.ones(grids.shape[1])
-    for u in nodes:
-        probs *= rows[u][grids[order[u]]]
+    for i, u in enumerate(nodes):
+        probs *= rows[u][grids[i]]
     return float(objective.max()), float((probs * objective).sum())
 
 
@@ -219,7 +218,6 @@ def exhaustive_hitting_check(
     n_v = len(inst.v_nodes)
     if (1 << n_v) > budget.max_label_tuples:
         raise BudgetExceeded(f"2^{n_v} subsets exceed the oracle budget")
-    position = {v: i for i, v in enumerate(inst.v_nodes)}
     subsets = np.arange(1 << n_v, dtype=np.int64)
     popcount = np.zeros(len(subsets), dtype=np.int64)
     for bit in range(n_v):
@@ -232,10 +230,10 @@ def exhaustive_hitting_check(
     else:
         threshold = 0.5 * (inst.delta // inst.k)
         rhs = 4.0 * (math.exp(-inst.p * inst.k) * total_w + inst.norm * inst.p * n_v)
-    for u in inst.u_nodes:
+    for row, weight in zip(inst.nbr.tolist(), inst.weight.tolist()):
         hits = np.zeros(len(subsets), dtype=np.int64)
-        for v in inst.adj[u]:
-            hits += (subsets >> position[v]) & 1
-        lhs += inst.weights[u] * (hits <= threshold)
+        for j in row:
+            hits += (subsets >> j) & 1
+        lhs += weight * (hits <= threshold)
     slack = 1e-9 * (abs(rhs) + 1.0)
     return bool(np.any(lhs <= rhs + slack))

@@ -46,16 +46,12 @@ the walk, and the walk visits only the nodes that carry edge terms.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from itertools import islice
 
 import numpy as np
 
 from .errors import ClaimChecker, PreconditionError, REL_TOL, geq
-from .graphs import ArrayView, csr_rows, distinct_inverse, expand, stable_order
-
-Row = tuple[float, ...]
-Matrix = tuple[Row, ...]
+from .graphs import csr_rows, distinct_inverse, expand, stable_order
 
 
 class CliqueCover:
@@ -188,41 +184,31 @@ class FractionalAssignment:
         self._value: tuple[UtilityCostInstance, tuple[float, float]] | None = None
 
 
-def _matrices(tensor: np.ndarray) -> list[Matrix]:
-    return [tuple(map(tuple, mat)) for mat in tensor.tolist()]
-
-
 class UtilityCostInstance:
     """Conflict graph plus node utility, node cost and pair cost tables.
 
-    The conflict graph is a `CliqueCover`, and the tables are arrays over
-    its node positions: `node_utility`/`node_cost` are the n x L node
-    tables, and `edge_cost` the E x L x L cost tensors of the E pair
-    terms, indexed [label_u][label_v].  Pair term k names its two ends by
-    their entries in the cover's `members`, `entry_u[k]` and
-    `entry_v[k]`: both entries must lie in one hub, which makes the pair
-    a conflict edge, and the first must hold the lower position.  The
-    ends' positions are kept as `_eu` and `_ev`, the tables as `_nu`,
-    `_nc` and `_wc`.  `utility_const` holds label-independent utility.
-    Every check is vectorised.
-
-    `node_terms` (node -> (utility_row, cost_row), the nodes with a
-    nonzero row in id order) and `edge_terms` ((u, v) -> cost matrix, in
-    term order) are read-only views derived from the arrays on first use
-    and kept; only oracles, perfbench and tests read them.
+    The conflict graph is a `CliqueCover`, and the tables are float
+    arrays over its node positions, kept under the names they are given
+    by: `node_utility`/`node_cost` are the n x L node tables, and
+    `edge_cost` the E x L x L cost tensors of the E pair terms, indexed
+    [label_u][label_v].  Pair term k names its two ends by their entries
+    in the cover's `members`, `entry_u[k]` and `entry_v[k]`: both entries
+    must lie in one hub, which makes the pair a conflict edge, and the
+    first must hold the lower position.  The ends' positions are kept as
+    `_eu` and `_ev`; `edge_terms` gives them as one E x 2 array.
+    `utility_const` holds label-independent utility.  Every check is
+    vectorised.
     """
 
     __slots__ = (
         "conflict_graph",
         "num_labels",
         "utility_const",
-        "_nu",
-        "_nc",
+        "node_utility",
+        "node_cost",
+        "edge_cost",
         "_eu",
         "_ev",
-        "_wc",
-        "_node_view",
-        "_edge_view",
     )
 
     def __init__(
@@ -267,31 +253,14 @@ class UtilityCostInstance:
             u, v = cover.nodes[eu[k]], cover.nodes[ev[k]]
             raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge of one hub")
         self.conflict_graph, self.num_labels, self.utility_const = cover, num_labels, utility_const
-        self._nu, self._nc, self._eu, self._ev, self._wc = nu, nc, eu, ev, wc
-        self._node_view = self._edge_view = None
+        self.node_utility, self.node_cost, self.edge_cost = nu, nc, wc
+        self._eu, self._ev = eu, ev
 
     @property
-    def node_terms(self) -> Mapping[int, tuple[Row, Row]]:
-        if self._node_view is None:
-            at = np.flatnonzero(self._nu.any(axis=1) | self._nc.any(axis=1)).tolist()
-
-            def build() -> dict:
-                rows = zip(map(tuple, self._nu[at].tolist()), map(tuple, self._nc[at].tolist()))
-                return dict(zip(map(self.conflict_graph.nodes.__getitem__, at), rows))
-
-            self._node_view = ArrayView(len(at), build)
-        return self._node_view
-
-    @property
-    def edge_terms(self) -> Mapping[tuple[int, int], Matrix]:
-        def build() -> dict:
-            node = self.conflict_graph.nodes.__getitem__
-            keys = zip(map(node, self._eu.tolist()), map(node, self._ev.tolist()))
-            return dict(zip(keys, _matrices(self._wc)))
-
-        if self._edge_view is None:
-            self._edge_view = ArrayView(len(self._eu), build)
-        return self._edge_view
+    def edge_terms(self) -> np.ndarray:
+        """The positions of every pair term's two ends, lower first, as a
+        new E x 2 array."""
+        return np.column_stack((self._eu, self._ev))
 
 
 def evaluate(inst: UtilityCostInstance, lam: FractionalAssignment) -> tuple[float, float]:
@@ -319,8 +288,9 @@ def _objective(inst: UtilityCostInstance, probs: np.ndarray) -> tuple[float, flo
     """(utility, cost) of the probability matrix `probs`, rows in node
     order."""
     pu, pv = probs[inst._eu], probs[inst._ev]
-    utility = inst.utility_const + float((inst._nu * probs).sum())
-    cost = float((inst._nc * probs).sum()) + float(np.einsum("ea,eab,eb->", pu, inst._wc, pv))
+    utility = inst.utility_const + float((inst.node_utility * probs).sum())
+    cost = float((inst.node_cost * probs).sum())
+    cost += float(np.einsum("ea,eab,eb->", pu, inst.edge_cost, pv))
     return utility, cost
 
 
@@ -540,7 +510,7 @@ def round_labels(
     p0 = lam.matrix
     probs = p0.copy()  # written only at nodes with entries, the only rows read
     one_hot = np.eye(nl)
-    base = inst._nu - inst._nc
+    base = inst.node_utility - inst.node_cost
     # a node without entries keeps its node row and its first maximum
     scores = 0.0 + base
     labels = scores.argmax(axis=1)
@@ -565,7 +535,7 @@ def round_labels(
     target, other = target[by_class], other[by_class]
     term_end = np.cumsum(np.bincount(color[target], minlength=num_colors))
     # every term's tensor as read from each side, oriented once
-    sides = _oriented(inst._wc)
+    sides = _oriented(inst.edge_cost)
     label_cols = np.arange(nl)
 
     member_lo = term_lo = 0

@@ -5,10 +5,14 @@ These are the dict forms that the label arrays of
 dicts of frozensets, `delays_to_partition` growing it by a heap of ids,
 and `cluster_constant`'s per-node weight check.  Tests compare the
 arrays against them: the same clusters, assignment and delays, and the
-same errors.  `reference_max_diameter`
-is `verify_partition`'s per-cluster loop over induced subgraphs.
-`cluster_degree` is the per-node count behind `cluster_degrees`, and
-`nearby_active` the per-node search behind `_all_nearby_active`.
+same errors.  `reference_partition` reads a `Partition`'s arrays as
+that dict form, and `grow` runs `delays_to_partition` on delays written
+as a node -> delay dict.  The functions below that take a partition
+read its dicts, so they take a `ReferencePartition`.
+`reference_max_diameter` is `verify_partition`'s per-cluster loop over
+induced subgraphs.  `cluster_degree` is the per-node count behind
+`cluster_degrees`, and `nearby_active` the per-node search behind
+`_all_nearby_active`.
 """
 
 from __future__ import annotations
@@ -18,8 +22,13 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from localround.clustering import Partition, delays_to_partition
 from localround.errors import PreconditionError, plain_sum
 from localround.graphs import Graph, bfs_distances, induced_subgraph
+
+from graphs_reference import node_mask
 
 
 @dataclass
@@ -32,6 +41,28 @@ class ReferencePartition:
     delays: dict[int, int]
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
+
+def reference_partition(part: Partition) -> ReferencePartition:
+    """The dict form of a partition's arrays: label -> members, node ->
+    label and node -> delay, each in increasing key order."""
+    ids, labels = part.ids.tolist(), part.label.tolist()
+    clusters: dict[int, set[int]] = {c: set() for c in sorted(set(labels))}
+    for u, c in zip(ids, labels):
+        clusters[c].add(u)
+    return ReferencePartition(
+        part.alpha,
+        {c: frozenset(members) for c, members in clusters.items()},
+        dict(zip(ids, labels)),
+        dict(zip(ids, part.delay.tolist())),
+        part.meta,
+    )
+
+
+def grow(g: Graph, delays: Mapping[int, int], alpha: int) -> Partition:
+    """`delays_to_partition` of the delays node -> delay, given to it as
+    the int array by position in `g.nodes` it takes; a node without a
+    delay is a `KeyError`."""
+    return delays_to_partition(g, np.array([delays[u] for u in g.nodes], np.int64), alpha)
 
 
 def reference_delays_to_partition(
@@ -98,7 +129,7 @@ def reference_max_diameter(g: Graph, partition) -> float:
     max_diameter = 0.0
     for c in sorted(partition.clusters):
         members = partition.clusters[c]
-        sub = induced_subgraph(g, members)
+        sub = induced_subgraph(g, node_mask(g, members))
         for u in members:
             dist = bfs_distances(sub, u)
             if len(dist) < len(members):

@@ -19,7 +19,7 @@ from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceed
 from localround.graphs import Edge, Graph, Orientation
 from localround.seeds import RETRIES, stream
 
-from clustering_reference import cluster_degree
+from clustering_reference import cluster_degree, reference_partition
 from graphs_reference import row_ids
 
 
@@ -40,7 +40,8 @@ def reference_intra_round_mis(
     log_n = math.log2(max(2, n))
     deg_cutoff = 1000.0 * bound * log_n
     floor_value = 1.0 / (10000.0 * bound * log_n)
-    max_cluster_deg = max((cluster_degree(h, partition, u) for u in h.nodes), default=0)
+    ref = reference_partition(partition)
+    max_cluster_deg = max((cluster_degree(h, ref, u) for u in h.nodes), default=0)
     if bound < max_cluster_deg:
         raise PreconditionError(
             f"bound {bound} below the measured cluster degree {max_cluster_deg}"
@@ -50,16 +51,16 @@ def reference_intra_round_mis(
     out_groups: dict[int, dict[int, list[int]]] = {}
     for v, members in witnesses.items():
         for u in members:
-            in_groups.setdefault(partition.assignment[u], {}).setdefault(v, []).append(u)
+            in_groups.setdefault(ref.assignment[u], {}).setdefault(v, []).append(u)
     out_rows = {u: row_ids(h.nodes, orientation.out_csr(), u) for u in h.nodes}
     for u in h.nodes:
         for w in out_rows[u]:
-            out_groups.setdefault(partition.assignment[w], {}).setdefault(u, []).append(w)
+            out_groups.setdefault(ref.assignment[w], {}).setdefault(u, []).append(w)
 
     slack = 1.0 / (100.0 * bound)
     out: dict[int, float] = {}
-    for c in sorted(partition.clusters):
-        members = sorted(partition.clusters[c])
+    for c in sorted(ref.clusters):
+        members = sorted(ref.clusters[c])
         for attempt in range(retries):
             rng = stream(seed, "mis-intra", c, attempt)
             trial: dict[int, float] = {}
@@ -118,8 +119,9 @@ def reference_intra_round_matching(
     floor_value = 1.0 / (50000.0 * bound * log_n)
 
     by_cluster: dict[int, list[Edge]] = {}
+    assignment = reference_partition(partition).assignment
     for e in x_good:
-        by_cluster.setdefault(partition.assignment[max(e)], []).append(e)
+        by_cluster.setdefault(assignment[max(e)], []).append(e)
 
     out: dict[Edge, float] = {}
     for c in sorted(by_cluster):

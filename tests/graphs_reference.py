@@ -11,7 +11,10 @@ the way tests read an `Orientation`'s out- and in-neighbours, and
 `id_bits` gives a graph's identifier bit width.  `csr_contains` is the
 vectorised binary search that checked rounding terms against the square
 graph before the conflict graph became a clique cover; the matching
-reference still looks edges up with it.
+reference still looks edges up with it.  `node_positions` is the id
+lookup that built hitting instances from their dicts, and `node_mask`
+the id form `induced_subgraph` took besides its mask: tests name nodes
+by id and pass the mask.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from localround.graphs import MAX_ID_BITS
+from localround.errors import PreconditionError
+from localround.graphs import MAX_ID_BITS, Graph, lookup
 
 
 def _check_id(u: int) -> int:
@@ -115,3 +119,28 @@ def csr_contains(
     found = start < end
     found[found] = indices[start[found]] == cols[found]
     return found
+
+
+def node_positions(nodes: tuple[int, ...], ids: Iterable[int], count: int) -> np.ndarray:
+    """The position in the increasing id tuple `nodes` (a graph's
+    `nodes`) of each of the `count` ids; an id that is not in `nodes` is a
+    `PreconditionError`."""
+    try:
+        want = np.fromiter(ids, np.int64, count)
+        known_ids = np.fromiter(nodes, np.int64, len(nodes))
+    except OverflowError:
+        raise PreconditionError(f"node id outside [0, 2^{MAX_ID_BITS})") from None
+    at, known = lookup(known_ids, want)
+    if not known.all():
+        raise PreconditionError(f"unknown node {want[np.argmin(known)]}")
+    return at
+
+
+def node_mask(g: Graph, ids: Iterable[int]) -> np.ndarray:
+    """The boolean mask over `g.nodes` of the given ids, the form
+    `induced_subgraph` takes; an id that is not a node is a `KeyError`."""
+    keep = set(ids)
+    for u in keep:
+        if u not in g:
+            raise KeyError(f"unknown node {u}")
+    return np.fromiter(map(keep.__contains__, g.nodes), bool, g.n)

@@ -22,11 +22,11 @@ import numpy as np
 
 from localround.clustering import Partition
 from localround.errors import ClaimChecker, PreconditionError
-from localround.graphs import Edge, Graph, edge_ends, node_positions
+from localround.graphs import Edge, Graph, edge_ends
 from localround.matching import FractionalMatching
 
-from clustering_reference import cluster_degree
-from graphs_reference import csr_contains
+from clustering_reference import cluster_degree, reference_partition
+from graphs_reference import csr_contains, node_positions
 
 
 def reference_loads(values: dict[Edge, float]) -> dict[int, float]:
@@ -130,6 +130,7 @@ def reference_fractional_matching(g: Graph, checks: ClaimChecker) -> dict[Edge, 
 def reference_good_edges(
     g: Graph, partition: Partition, bound: float
 ) -> tuple[frozenset[int], tuple[Edge, ...]]:
-    good_nodes = frozenset(u for u in g.nodes if cluster_degree(g, partition, u) <= bound)
+    ref = reference_partition(partition)
+    good_nodes = frozenset(u for u in g.nodes if cluster_degree(g, ref, u) <= bound)
     edges = tuple(e for e in g.edges() if e[0] in good_nodes and e[1] in good_nodes)
     return good_nodes, edges

@@ -8,12 +8,14 @@ same keys, in the same first-occurrence order, with the same
 coefficients bit for bit), and `verify_mis`'s scan of every neighbour
 tuple.  The functions that take an orientation read it as a
 `ReferenceOrientation`.  `witness_arrays` and `witness_ids` convert
-witness lists keyed by id to and from the arrays the package takes.
+witness lists keyed by id to and from the arrays the package takes, and
+`good_ids` reads a good-vertex mask as the ids it picks.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from itertools import compress
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,11 +43,15 @@ class ReferenceOrientation:
         return self._in[u]
 
 
-def good_vertices(h: Graph, orientation) -> frozenset[int]:
-    """Nodes with at least a third of their edges incoming."""
-    return frozenset(
-        v for v in h.nodes if 3 * len(orientation.in_neighbors(v)) >= h.degree(v)
-    )
+def good_vertices(h: Graph, orientation) -> list[bool]:
+    """Whether each node, in id order, has at least a third of its edges
+    incoming."""
+    return [3 * len(orientation.in_neighbors(v)) >= h.degree(v) for v in h.nodes]
+
+
+def good_ids(h: Graph, good: Sequence[bool] | np.ndarray) -> list[int]:
+    """The ids, increasing, of the nodes a mask over `h.nodes` picks."""
+    return list(compress(h.nodes, np.asarray(good, bool).tolist()))
 
 
 def select_witnesses(h: Graph, orientation, v: int) -> tuple[int, ...]:
@@ -63,7 +69,7 @@ def select_witnesses(h: Graph, orientation, v: int) -> tuple[int, ...]:
 
 def witness_lists(h: Graph, orientation) -> dict[int, tuple[int, ...]]:
     """`select_witnesses` of every good vertex, in id order."""
-    good = sorted(good_vertices(h, orientation))
+    good = good_ids(h, good_vertices(h, orientation))
     return {v: select_witnesses(h, orientation, v) for v in good}
 
 

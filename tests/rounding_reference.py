@@ -5,7 +5,8 @@ builders tests draw instances with.
 The references are the term-by-term loop, the per-node generator, the
 per-node first-fit loop and the per-node check loop that the array forms
 in `localround.rounding` replaced, kept so tests can compare against
-them.  They read only the instance's term dicts, and only the check loop
+them.  They read only the instance's term dicts, `node_terms` and
+`edge_terms`, the dict form of its arrays, and only the check loop
 checks anything.  `csr_first_fit` is the first-fit in waves over a
 graph's sorted adjacency that colored the materialised square (and the
 hitting sets' pair graph) before the conflict graph became a clique
@@ -95,6 +96,22 @@ def instance(
     return UtilityCostInstance(cover, num_labels, nu, nc, ends[:, 0], ends[:, 1], wc, utility_const)
 
 
+def node_terms(inst: UtilityCostInstance) -> dict[int, tuple[Row, Row]]:
+    """node -> (utility row, cost row) of the nodes with a nonzero row of
+    the instance's node tables, in id order."""
+    at = np.flatnonzero(inst.node_utility.any(axis=1) | inst.node_cost.any(axis=1)).tolist()
+    rows = zip(map(tuple, inst.node_utility[at].tolist()), map(tuple, inst.node_cost[at].tolist()))
+    return dict(zip(map(inst.conflict_graph.nodes.__getitem__, at), rows))
+
+
+def edge_terms(inst: UtilityCostInstance) -> dict[tuple[int, int], Matrix]:
+    """(u, v) -> cost matrix of every pair term of the instance, ends as
+    ids, in term order."""
+    node = inst.conflict_graph.nodes.__getitem__
+    ends = [(node(a), node(b)) for a, b in inst.edge_terms.tolist()]
+    return dict(zip(ends, (tuple(map(tuple, mat)) for mat in inst.edge_cost.tolist())))
+
+
 def assignment(nodes: Sequence[int], probs: Mapping[int, Sequence[float]]) -> FractionalAssignment:
     """The fractional labeling whose vector at node u is probs[u], rows in
     `nodes` order (a graph's `nodes`); every vector has the same length."""
@@ -158,11 +175,11 @@ def reference_evaluate(
     else:
         probs = {v: _one_hot(inst.num_labels, lab) for v, lab in assignment.items()}
     utility, cost = inst.utility_const, 0.0
-    for node, (urow, crow) in inst.node_terms.items():
+    for node, (urow, crow) in node_terms(inst).items():
         p = probs[node]
         utility += _node_value(urow, p)
         cost += _node_value(crow, p)
-    for (u, v), cmat in inst.edge_terms.items():
+    for (u, v), cmat in edge_terms(inst).items():
         cost += _edge_value(cmat, probs[u], probs[v])
     return utility, cost
 
@@ -173,7 +190,8 @@ def reference_round_labels(
     g = inst.conflict_graph
     probs = _rows(lam)
     incident: dict[int, list[tuple[int, bool, Matrix]]] = {v: [] for v in g.nodes}
-    for (u, v), cmat in inst.edge_terms.items():
+    rows = node_terms(inst)
+    for (u, v), cmat in edge_terms(inst).items():
         incident[u].append((v, True, cmat))
         incident[v].append((u, False, cmat))
 
@@ -186,8 +204,8 @@ def reference_round_labels(
     for members in by_class:
         for v in members:
             scores = [0.0] * nl
-            if v in inst.node_terms:
-                urow, crow = inst.node_terms[v]
+            if v in rows:
+                urow, crow = rows[v]
                 for a in range(nl):
                     scores[a] += urow[a]
                 for a in range(nl):

@@ -11,6 +11,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from localround.cli import main as cli_main
@@ -39,7 +40,7 @@ from localround.oracles import (
 from localround.rounding import evaluate, greedy_color, round_labels
 
 import matching_reference
-from clustering_reference import cluster_degree
+from clustering_reference import cluster_degree, reference_partition
 from conftest import random_graph, random_hitting_instance, random_objective, sweep_graphs
 from graphs_reference import row_ids
 from mis_reference import witness_ids
@@ -97,7 +98,7 @@ def test_criterion_02_removed_edges_floor(mis_sweep):
     from localround.clustering import delays_to_partition
 
     for g in (gnp(90, 0.07, seed=123), Graph(edges=[(0, 1)])):
-        part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
+        part = delays_to_partition(g, np.zeros(g.n, np.int64), 1)
         out = luby_derandomized_iteration(g, part, float(g.n + 1), seed=0)
         assert out.edges_removed * 24000 >= g.m
     _report("2 removed-edges-floor", f"{iterations} iterations, zero tolerance")
@@ -118,7 +119,7 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
         witnesses = witness_ids(g, arrays)
         from localround.clustering import delays_to_partition
 
-        part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
+        part = delays_to_partition(g, np.zeros(g.n, np.int64), 1)
         x = intra_round_mis(g, part, float(g.n + 1), seed=0, orientation=o, witnesses=arrays)
         x = dict(zip(g.nodes, x.tolist()))
         for v, members in witnesses.items():
@@ -223,7 +224,7 @@ def test_criterion_06_cluster_all_bounds(sweep):
         assert report["ok"], name
         assert report["max_diameter"] <= 100 * alpha, name
         assert report["max_cluster_degree"] <= bound, name
-        assert part.meta["actives"][-1] == frozenset(), name
+        assert part.meta["actives"][-1].tolist() == [], name
         claims = part.meta["claims"]
         assert claims.get("pipeline-bad-count", 0) > 0, name
         assert claims.get("pipeline-active-mass", 0) > 0, name
@@ -244,7 +245,8 @@ def test_criterion_07_cluster_constant_weighted(sweep):
         alpha = max(1, math.ceil(math.log2(max(2, work.n)) ** (1.0 / 3.0)))
         part = cluster_constant(work, alpha, frac.position_loads())
         bound = cluster_degree_bound_fraction(part.meta["log2_capacity"], alpha)
-        good = [u for u in work.nodes if cluster_degree(work, part, u) <= bound]
+        ref = reference_partition(part)
+        good = [u for u in work.nodes if cluster_degree(work, ref, u) <= bound]
         total = sum(loads.values())
         assert sum(loads[u] for u in good) >= 0.9 * total - 1e-9, name
         claims = part.meta["claims"]

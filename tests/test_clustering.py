@@ -25,8 +25,9 @@ from localround.generators import complete, gnp, path
 from localround.graphs import Graph, bfs_distances, induced_subgraph
 from localround.ledger import RoundLedger
 
-from clustering_reference import cluster_degree, nearby_active
+from clustering_reference import cluster_degree, grow, nearby_active, reference_partition
 from conftest import by_position, random_graph
+from graphs_reference import node_mask
 
 
 def test_capacity_exponent_basics():
@@ -47,17 +48,17 @@ def test_degree_bounds_grow_with_capacity():
 
 def test_zero_delays_give_singletons():
     g = random_graph(random.Random(1), 12, 0.3)
-    part = delays_to_partition(g, {u: 0 for u in g.nodes}, alpha=1)
-    assert all(len(members) == 1 for members in part.clusters.values())
-    assert all(part.assignment[u] == u for u in g.nodes)
+    part = delays_to_partition(g, np.zeros(g.n, np.int64), alpha=1)
+    assert part.clusters.tolist() == list(g.nodes)
+    assert part.label.tolist() == list(g.nodes)
 
 
 def test_single_early_broadcaster_takes_path():
     g = path(3)
     alpha = 1
     delays = {0: 0, 1: 50 * alpha, 2: 50 * alpha}
-    part = delays_to_partition(g, delays, alpha)
-    assert part.clusters == {0: frozenset({0, 1, 2})}
+    part = grow(g, delays, alpha)
+    assert reference_partition(part).clusters == {0: frozenset({0, 1, 2})}
 
 
 def test_delays_match_bruteforce_argmin():
@@ -65,7 +66,8 @@ def test_delays_match_bruteforce_argmin():
     g = random_graph(rng, 40, 0.1)
     alpha = 2
     delays = {u: rng.randrange(0, 50 * alpha + 1) for u in g.nodes}
-    part = delays_to_partition(g, delays, alpha)
+    part = grow(g, delays, alpha)
+    assignment = reference_partition(part).assignment
     # O(n^2) oracle: all-pairs BFS then lexicographic argmin per node
     for u in g.nodes:
         best = None
@@ -76,13 +78,13 @@ def test_delays_match_bruteforce_argmin():
             key = (delays[v] + dist[u], v)
             if best is None or key < best:
                 best = key
-        assert part.assignment[u] == best[1]
+        assert assignment[u] == best[1]
 
 
 def test_delays_missing_node_rejected():
     g = path(3)
-    with pytest.raises(PreconditionError):
-        delays_to_partition(g, {0: 0, 1: 0}, alpha=1)
+    with pytest.raises(PreconditionError, match=r"delays of shape \(2,\) for 3 nodes"):
+        delays_to_partition(g, np.zeros(2, np.int64), alpha=1)
 
 
 def _nearby(g, active, alpha):
@@ -174,14 +176,14 @@ def test_mpx_alpha_equals_capacity_is_half_rate():
 def test_mpx_single_node():
     g = Graph(nodes=[7])
     part = mpx_randomized(g, 2, seed=1)
-    assert part.clusters == {7: frozenset({7})}
+    assert reference_partition(part).clusters == {7: frozenset({7})}
 
 
 def test_mpx_partition_and_determinism():
     g = gnp(120, 0.05, seed=9)
     a = mpx_randomized(g, 3, seed=4)
     b = mpx_randomized(g, 3, seed=4)
-    assert a.clusters == b.clusters
+    assert reference_partition(a) == reference_partition(b)
     report = verify_partition(g, a, 3)
     assert report["ok"]
     assert report["max_diameter"] <= 100 * 3
@@ -191,9 +193,9 @@ def test_cluster_constant_edgeless_all_good():
     g = Graph(nodes=range(10))
     weights = {u: 0.5 for u in g.nodes}
     part = cluster_constant(g, 2, by_position(g, weights))
-    assert all(len(m) == 1 for m in part.clusters.values())
-    bound = part.meta["degree_bound"]
-    good = [u for u in g.nodes if cluster_degree(g, part, u) <= bound]
+    assert part.clusters.tolist() == list(g.nodes)
+    bound, ref = part.meta["degree_bound"], reference_partition(part)
+    good = [u for u in g.nodes if cluster_degree(g, ref, u) <= bound]
     assert sum(weights[u] for u in good) >= 0.9 * sum(weights.values())
 
 
@@ -217,10 +219,10 @@ def test_cluster_constant_weighted_good_fraction():
     weights = {u: min(1.0, 1.0 / g.n + rng.random() * 0.5) for u in g.nodes}
     led = RoundLedger()
     part = cluster_constant(g, 3, by_position(g, weights), led)
-    bound = part.meta["degree_bound"]
-    good = [u for u in g.nodes if cluster_degree(g, part, u) <= bound]
+    bound, ref = part.meta["degree_bound"], reference_partition(part)
+    good = [u for u in g.nodes if cluster_degree(g, ref, u) <= bound]
     assert sum(weights[u] for u in good) >= 0.9 * sum(weights.values())
-    assert part.meta["actives"][-1] == frozenset()
+    assert part.meta["actives"][-1].tolist() == []
     assert led.total > 0
 
 
@@ -243,7 +245,7 @@ def test_cluster_all_path_bounds():
     assert report["ok"]
     assert report["max_diameter"] <= 100 * alpha
     assert report["max_cluster_degree"] <= bound
-    assert part.meta["actives"][-1] == frozenset()
+    assert part.meta["actives"][-1].tolist() == []
 
 
 def test_cluster_all_active_sets_vanish_and_claims_recorded():
@@ -252,7 +254,8 @@ def test_cluster_all_active_sets_vanish_and_claims_recorded():
     claims = part.meta["claims"]
     assert claims["no-active-at-end"] == 1
     assert claims["pipeline-bad-count"] > 0
-    assert part.meta["actives"][1] == frozenset()  # nothing survives phase 0
+    assert part.meta["actives"][0].tolist() == list(g.nodes)
+    assert part.meta["actives"][1].tolist() == []  # nothing survives phase 0
 
 
 def test_cluster_degree_bound_via_surviving_radius():
@@ -261,7 +264,8 @@ def test_cluster_degree_bound_via_surviving_radius():
     g = gnp(60, 0.08, seed=21)
     alpha = 2
     part = cluster_all(g, alpha)
-    actives = part.meta["actives"]
+    actives = [frozenset(a.tolist()) for a in part.meta["actives"]]
+    ref = reference_partition(part)
     rng = random.Random(2)
     for u in rng.sample(g.nodes, 10):
         r_u = 0
@@ -270,17 +274,15 @@ def test_cluster_degree_bound_via_surviving_radius():
             if s_i and not (s_i & actives[i + 1]):
                 r_u = max(r_u, len(s_i))
         if r_u:
-            assert cluster_degree(g, part, u) <= 10 * alpha * r_u
+            assert cluster_degree(g, ref, u) <= 10 * alpha * r_u
 
 
 def test_cluster_connectivity_and_center_radius():
     g = gnp(70, 0.07, seed=8)
     alpha = 2
     part = cluster_all(g, alpha)
-    from localround.graphs import induced_subgraph
-
-    for c, members in part.clusters.items():
-        sub = induced_subgraph(g, members)
+    for c, members in reference_partition(part).clusters.items():
+        sub = induced_subgraph(g, node_mask(g, members))
         dist = bfs_distances(sub, c)
         assert set(dist) == set(members)  # connected through the cluster
         assert max(dist.values()) <= 50 * alpha
@@ -288,7 +290,7 @@ def test_cluster_connectivity_and_center_radius():
 
 def test_verify_partition_examples():
     g = Graph(nodes=range(5))
-    part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
+    part = delays_to_partition(g, np.zeros(5, np.int64), 1)
     report = verify_partition(g, part, 1)
     assert report["max_diameter"] == 0
     assert report["degree_histogram"] == {1: 5}
@@ -313,10 +315,9 @@ def test_verify_partition_rejects_non_partition():
 def test_cluster_degrees_match_the_per_node_count(seed, n, p):
     rng = random.Random(seed)
     g = random_graph(rng, n, p)
-    part = delays_to_partition(g, {u: rng.randint(0, 4) for u in g.nodes}, 1)
-    assert cluster_degrees(g, part).tolist() == [
-        cluster_degree(g, part, u) for u in g.nodes
-    ]
+    part = grow(g, {u: rng.randint(0, 4) for u in g.nodes}, 1)
+    ref = reference_partition(part)
+    assert cluster_degrees(g, part).tolist() == [cluster_degree(g, ref, u) for u in g.nodes]
 
 
 @settings(max_examples=100, deadline=None)
@@ -332,9 +333,10 @@ def test_cluster_degrees_of_singletons_match_the_per_node_count(seed, n, p, shar
     rng = random.Random(seed)
     g = random_graph(rng, n, p)
     part = delays_to_partition(g, np.zeros(g.n, np.int64), 1)
-    sub = induced_subgraph(g, [u for u in g.nodes if rng.random() < share])
+    sub = induced_subgraph(g, node_mask(g, [u for u in g.nodes if rng.random() < share]))
+    ref = reference_partition(part)
     for h in (g, sub):
-        assert cluster_degrees(h, part).tolist() == [cluster_degree(h, part, u) for u in h.nodes]
+        assert cluster_degrees(h, part).tolist() == [cluster_degree(h, ref, u) for u in h.nodes]
 
 
 def test_cluster_degrees_sort_codes_only_for_a_merged_cluster(monkeypatch):
@@ -352,14 +354,15 @@ def test_cluster_degrees_sort_codes_only_for_a_merged_cluster(monkeypatch):
     assert sorted_sizes == []
     # node 1 starts late, so node 0's token claims it: clusters {0, 1}, {2}, {3}, {4}
     merged = delays_to_partition(g, np.array([0, 1, 0, 0, 0]), 1)
-    assert cluster_degrees(g, merged).tolist() == [cluster_degree(g, merged, u) for u in g.nodes]
+    ref = reference_partition(merged)
+    assert cluster_degrees(g, merged).tolist() == [cluster_degree(g, ref, u) for u in g.nodes]
     assert cluster_degrees(g, merged).tolist() == [1, 2, 3, 3, 2]
     assert sorted_sizes == [5 + 2 * 4] * 2
 
 
 def test_cluster_degrees_need_every_node_assigned():
     g = path(4)
-    part = delays_to_partition(Graph(nodes=[0, 1, 3]), {0: 0, 1: 0, 3: 0}, 1)
+    part = delays_to_partition(Graph(nodes=[0, 1, 3]), np.zeros(3, np.int64), 1)
     with pytest.raises(PreconditionError, match="does not cover node 2"):
         cluster_degrees(g, part)
 
@@ -405,8 +408,8 @@ def test_cluster_constant_uniform_weights_at_scale():
     alpha = max(1, math.ceil(base_capacity_exponent(g.n) ** (1.0 / 3.0)))
     weights = {u: 1.0 / g.n for u in g.nodes}
     part = cluster_constant(g, alpha, by_position(g, weights))
-    bound = part.meta["degree_bound"]
-    good = [u for u in g.nodes if cluster_degree(g, part, u) <= bound]
+    bound, ref = part.meta["degree_bound"], reference_partition(part)
+    good = [u for u in g.nodes if cluster_degree(g, ref, u) <= bound]
     assert sum(weights[u] for u in good) >= 0.9 * sum(weights.values())
     report = verify_partition(g, part, alpha)
     assert report["ok"]

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 import floor_reference
 import matching_reference
 import mis_reference
-from localround.clustering import ClusterGroups, delays_to_partition
+from localround.clustering import ClusterGroups
 from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceeded
 from localround.graphs import Graph, orient, strip_isolated
 from localround.seeds import derive_seed, stream
 
-from clustering_reference import cluster_degree
+from clustering_reference import cluster_degree, grow, reference_partition
 from conftest import random_graph
 
 # `localround.mis` the attribute is the function; the module is wanted
@@ -122,7 +122,7 @@ def _hub_pair(rng: random.Random, leaves: int):
     )
     delays = {u: 2 for u in g.nodes}
     delays[a] = delays[b] = 0
-    return g, delays_to_partition(g, delays, 1), {b: (a, rest[leaves])}
+    return g, grow(g, delays, 1), {b: (a, rest[leaves])}
 
 
 @st.composite
@@ -139,12 +139,13 @@ def mis_cases(draw):
         0, draw(st.booleans()),
     )
     g = strip_isolated(g)
-    part = delays_to_partition(g, {u: delays[u] for u in g.nodes}, 1)
-    max_deg = max(cluster_degree(g, part, u) for u in g.nodes)
+    part = grow(g, delays, 1)
+    ref = reference_partition(part)
+    max_deg = max(cluster_degree(g, ref, u) for u in g.nodes)
     bound = max_deg * draw(st.sampled_from([1.0, 2.0, 0.5]))
     n_total = draw(st.sampled_from([2, 5, None]))
     o, ref = orient(g), mis_reference.ReferenceOrientation(g)
-    good = draw(st.permutations(sorted(mis_module.good_vertices(g, o))))
+    good = draw(st.permutations(mis_reference.good_ids(g, mis_module.good_vertices(g, o))))
     # witness lists in a drawn order, so entry order is not id order
     witnesses = {
         v: tuple(draw(st.permutations(mis_reference.select_witnesses(g, ref, v)))) for v in good
@@ -189,7 +190,7 @@ def matching_cases(draw):
         leaves, draw(st.booleans()),
     )
     g = strip_isolated(g)
-    part = delays_to_partition(g, {u: delays[u] for u in g.nodes}, 1)
+    part = grow(g, delays, 1)
     bound = draw(st.sampled_from([1.0, 2.0, 4.0]))
     # with n_total = 2, a hub whose edges all miss falls below its window
     n_total = 2 if leaves else draw(st.sampled_from([2, 3, None]))

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matching_reference
-from localround.clustering import cluster_degrees, delays_to_partition
+from localround.clustering import cluster_degrees
 from localround.errors import ClaimChecker
 from localround.generators import gnp, path
 from localround.graphs import Graph, strip_isolated
 from localround.matching import FractionalMatching, fractional_matching, good_edges
 
+from clustering_reference import grow
 from conftest import relabel
 
 
@@ -67,7 +68,7 @@ def test_fractional_matching_matches_the_loop(g):
 @given(graphs(), st.integers(0, 2**32), st.sampled_from([0.0, 1.0, 2.0, 3.0, None]))
 def test_good_edges_match_the_loop(g, seed, bound):
     rng = random.Random(seed)
-    part = delays_to_partition(g, {u: rng.randint(0, 3) for u in g.nodes}, 1)
+    part = grow(g, {u: rng.randint(0, 3) for u in g.nodes}, 1)
     if bound is None:
         bound = float(cluster_degrees(g, part).max())
     ge = good_edges(g, part, bound)

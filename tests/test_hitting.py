@@ -331,10 +331,17 @@ def _hex(pair):
     return tuple(float(x).hex() for x in pair)
 
 
+def with_k(inst, k):
+    """The same instance with the block size k."""
+    return BipartiteInstance.from_arrays(
+        inst.u_nodes, inst.v_nodes, inst.nbr, inst.weight, inst.delta, inst.p, inst.norm, k
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(hitting_instances(), st.data())
 def test_copies_and_guarantees_match_the_loops(inst, data):
-    inst = dataclasses.replace(inst, k=data.draw(st.integers(1, inst.delta)))
+    inst = with_k(inst, data.draw(st.integers(1, inst.delta)))
     copies = split_into_copies(inst)
     expected = hitting_reference.reference_split_into_copies(inst)
     assert copies.u_nodes == expected.u_nodes
@@ -361,11 +368,14 @@ def test_copies_and_guarantees_match_the_loops(inst, data):
 @settings(max_examples=100, deadline=None)
 @given(hitting_instances(), st.data())
 def test_from_arrays_builds_what_the_constructor_builds(inst, data):
-    inst = dataclasses.replace(inst, k=data.draw(st.sampled_from([None, 1, inst.delta])))
-    built = BipartiteInstance.from_arrays(
-        inst.u_nodes, inst.v_nodes, inst.nbr, inst.weight, inst.delta, inst.p, inst.norm, inst.k
+    k = data.draw(st.sampled_from([None, 1, inst.delta]))
+    given = BipartiteInstance(
+        inst.u_nodes, inst.v_nodes, inst.adj, inst.weights, inst.delta, inst.p, inst.norm, k
     )
-    assert built == inst
+    built = with_k(inst, k)
+    scalars = ("u_nodes", "v_nodes", "delta", "p", "norm", "k")
+    assert [getattr(built, name) for name in scalars] == [getattr(given, name) for name in scalars]
+    assert built.adj == given.adj and built.weights == given.weights
     assert [built.adj[u] for u in built.u_nodes] == [inst.adj[u] for u in inst.u_nodes]
     assert built.nbr.tolist() == inst.nbr.tolist()
     assert built.weight.tobytes() == inst.weight.tobytes()
@@ -373,7 +383,8 @@ def test_from_arrays_builds_what_the_constructor_builds(inst, data):
 
 
 # left nodes 1 and 2 of degree 2 over V = (10, 11, 12); a position j
-# outside [0, 3) stands for the id 20 + j, which is not in V
+# outside [0, 3) stands for the id 20 + j, which is not in V, and a row
+# of None for a row of another length, which only `adj` can give
 BASE = dict(
     nbr=[[0, 1], [1, 2]], weight=[1.0, 0.5], u_nodes=(1, 2), delta=2, p=0.1, norm=0.0, k=None
 )
@@ -397,25 +408,36 @@ BASE = dict(
         (dict(p=0.0), "need delta >= 1, finite p > 0"),
         (dict(norm=math.inf), "finite norm >= 0"),
         (dict(k=3), "k=3 outside"),
+        # a row of another length, or a weight that is not a real number,
+        # which only the dicts can give, fails its node in the same order
+        (dict(nbr=[[0, 3], None]), "left node 1 has a neighbor outside V"),
+        (dict(nbr=[[0, 1], None], weight=[-1.0, 0.5]), "bad weight at left node 1"),
+        (dict(nbr=[None, [0, 3]]), "left node 1 does not have degree 2"),
+        (dict(nbr=[[0, 1], [3, 3]], weight=["heavy", 0.5]), "bad weight at left node 1"),
+        (dict(nbr=[[0, 3], [0, 1]], weight=[1.0, 10**400]), "left node 1 has a neighbor outside V"),
     ],
 )
 def test_from_arrays_refuses_what_the_constructor_refuses(change, message):
+    # both constructors run one check path; each refuses with the message
     case = {**BASE, **change}
     v_nodes = (10, 11, 12)
     adj = {
-        u: tuple(v_nodes[j] if 0 <= j < 3 else 20 + j for j in row)
+        u: (0,) if row is None else tuple(v_nodes[j] if 0 <= j < 3 else 20 + j for j in row)
         for u, row in zip(case["u_nodes"], case["nbr"])
     }
     scalars = case["delta"], case["p"], case["norm"], case["k"]
-    with pytest.raises(PreconditionError, match=re.escape(message)) as given_dicts:
+    with pytest.raises(PreconditionError, match=re.escape(message)):
         BipartiteInstance(
             case["u_nodes"], v_nodes, adj, dict(zip(case["u_nodes"], case["weight"])), *scalars
         )
-    with pytest.raises(PreconditionError) as given_arrays:
+    if any(row is None for row in case["nbr"]) or not all(
+        isinstance(w, float) for w in case["weight"]
+    ):
+        return  # no array holds these
+    with pytest.raises(PreconditionError, match=re.escape(message)):
         BipartiteInstance.from_arrays(
             case["u_nodes"], v_nodes, np.array(case["nbr"]), case["weight"], *scalars
         )
-    assert str(given_arrays.value) == str(given_dicts.value)
 
 
 def test_from_arrays_needs_increasing_ids_and_matching_shapes():

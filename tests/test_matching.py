@@ -26,6 +26,7 @@ from localround.matching import (
 )
 from localround.oracles import exact_max_matching
 
+from clustering_reference import grow, reference_partition
 from conftest import count_neighbor_tuple_builds, random_graph, relabel
 from matching_reference import (
     from_values,
@@ -111,7 +112,7 @@ def test_fraction_loads_battery():
 def _uniform_partition(g, alpha=1):
     from localround.clustering import delays_to_partition
 
-    return delays_to_partition(g, {u: 0 for u in g.nodes}, alpha)
+    return delays_to_partition(g, np.zeros(g.n, np.int64), alpha)
 
 
 def test_good_edges_all_good_with_big_bound():
@@ -244,9 +245,10 @@ def test_intra_window_scan_on_pipeline_values():
     out = values(intra_round_matching(g, part, arrays, bound, seed=9, n_total=g.n))
     # exhaustive (node, cluster) window scan
     slack = 1.0 / (1000.0 * bound)
+    assignment = reference_partition(part).assignment
     per = {}
     for e, x in x_good.items():
-        c = part.assignment[max(e)]
+        c = assignment[max(e)]
         for v in e:
             base, new = per.setdefault((v, c), [0.0, 0.0])
             per[(v, c)] = [base + x, new + out[e]]
@@ -267,8 +269,9 @@ def test_intra_cluster_locality():
     full = values(intra_round_matching(g, part, arrays, bound, seed=3, n_total=g.n))
     # an edge belongs to the cluster of its larger endpoint
     by_cluster: dict[int, list] = {}
+    assignment = reference_partition(part).assignment
     for e in x_good:
-        by_cluster.setdefault(part.assignment[max(e)], []).append(e)
+        by_cluster.setdefault(assignment[max(e)], []).append(e)
     for c, edges in by_cluster.items():
         only = from_values(g, {e: x_good[e] for e in edges})
         alone = values(intra_round_matching(g, part, only, bound, seed=3, n_total=g.n))
@@ -451,13 +454,11 @@ def test_intra_retry_budget_exhausts(monkeypatch):
     # cluster cannot reach its lower window, so every attempt fails
     import localround.matching as matching_module
     from localround.errors import RetryBudgetExceeded
-    from localround.clustering import delays_to_partition
-
     monkeypatch.setattr(matching_module, "stream", lambda *a: _NeverSample())
     edges = [(0, leaf) for leaf in range(1, 3001)]
     g = Graph(edges=edges)
     delays = {0: 0, **{leaf: 50 for leaf in range(1, 3001)}}
-    part = delays_to_partition(g, delays, alpha=1)
+    part = grow(g, delays, alpha=1)
     assert len(part.clusters) == 1
     x = from_values(g, {e: 1.0 / 20001.0 for e in g.edges()})
     with pytest.raises(RetryBudgetExceeded, match="cluster 0"):

@@ -32,11 +32,13 @@ from localround.mis import (
 from localround.rounding import FractionalAssignment, evaluate
 
 import mis_reference
+from clustering_reference import grow
 from conftest import count_neighbor_tuple_builds, partition_rows, random_graph, relabel
-from rounding_reference import conflict_pairs
-from graphs_reference import id_bits, row_ids
+from rounding_reference import conflict_pairs, edge_terms, node_terms
+from graphs_reference import id_bits, node_mask, row_ids
 from mis_reference import (
     ReferenceOrientation,
+    good_ids,
     reference_mis_terms,
     reference_verify_mis,
     select_witnesses,
@@ -46,27 +48,27 @@ from mis_reference import (
 
 
 def _singleton_partition(g, alpha=1):
-    return delays_to_partition(g, {u: 0 for u in g.nodes}, alpha)
+    return delays_to_partition(g, np.zeros(g.n, np.int64), alpha)
 
 
 def _one_cluster_partition(g, alpha=1):
-    center = min(g.nodes)
-    delays = {u: 50 * alpha for u in g.nodes}
-    delays[center] = 0
+    delays = np.full(g.n, 50 * alpha, np.int64)
+    delays[0] = 0  # the lowest id
     return delays_to_partition(g, delays, alpha)
 
 
 def test_good_vertices_single_edge():
     g = Graph(edges=[(4, 9)])
     good = good_vertices(g)
-    assert good == frozenset({9})  # equal degrees: larger id wins the edge
+    # equal degrees: larger id wins the edge
+    assert good.dtype == bool and good.tolist() == [False, True]
 
 
 def test_good_vertices_edge_mass():
     rng = random.Random(3)
     g = random_graph(rng, 100, 0.05)
     checks = ClaimChecker()
-    good = good_vertices(g, checks=checks)
+    good = good_ids(g, good_vertices(g, checks=checks))
     assert 2 * sum(g.degree(v) for v in good) >= g.m
     assert checks.counts["good-degree-mass"] == 1
 
@@ -121,7 +123,7 @@ def test_orientation_and_witnesses_match_the_loop_reference(g):
     for u in g.nodes:
         assert row_ids(g.nodes, o.out_csr(), u) == ref.out_neighbors(u)
         assert row_ids(g.nodes, o.in_csr(), u) == ref.in_neighbors(u)
-    assert good_vertices(g, o) == mis_reference.good_vertices(g, ref)
+    assert good_vertices(g, o).tolist() == mis_reference.good_vertices(g, ref)
     built = good_witnesses(g, o)
     expected = witness_arrays(g, mis_reference.witness_lists(g, ref))
     for got, want in zip(built, expected):
@@ -222,13 +224,13 @@ def _subgraph_case(kind):
     path, h the star, whose hub the tiny bound sends to resampling."""
     if kind == "hub":
         g = Graph(edges=[(0, leaf) for leaf in range(1, 1502)] + [(1501, 1502), (1502, 1503)])
-        h = induced_subgraph(g, range(1502))
+        h = induced_subgraph(g, node_mask(g, range(1502)))
         return g, _one_cluster_partition(g), h, 1.0, 2
     rng = random.Random(kind)
     g = random_graph(rng, 120, 0.06)
-    part = delays_to_partition(g, {u: rng.randint(0, 3) for u in g.nodes}, 1)
-    kept = induced_subgraph(g, [u for u in g.nodes if rng.random() < 0.7])
-    h = induced_subgraph(kept, [u for u in kept.nodes if kept.degree(u)])
+    part = grow(g, {u: rng.randint(0, 3) for u in g.nodes}, 1)
+    kept = induced_subgraph(g, node_mask(g, [u for u in g.nodes if rng.random() < 0.7]))
+    h = induced_subgraph(kept, node_mask(kept, [u for u in kept.nodes if kept.degree(u)]))
     return g, part, h, float(h.n + 1), g.n
 
 
@@ -264,7 +266,7 @@ def test_intra_global_windows():
     for u in g.nodes:
         assert sum(out[w] for w in row_ids(g.nodes, o.out_csr(), u)) <= 0.25 + 1e-12
     # one check per good vertex and one per node, as the loops made them
-    assert checks.counts["witness-mass-window"] == len(good_vertices(g))
+    assert checks.counts["witness-mass-window"] == np.count_nonzero(good_vertices(g))
     assert checks.counts["out-mass-cap"] == g.n
 
 
@@ -293,8 +295,7 @@ def test_instance_single_edge_tables():
 def test_instance_triangle_hand_expansion():
     g = Graph(edges=[(1, 2), (2, 3), (1, 3)])
     o = orient(g)
-    good = good_vertices(g)
-    assert good == frozenset({2, 3})
+    assert good_ids(g, good_vertices(g)) == [2, 3]
     witnesses = good_witnesses(g, o)
     assert witness_ids(g, witnesses) == {2: (1,), 3: (1,)}
     x = {1: 0.1, 2: 0.2, 3: 0.3}
@@ -326,7 +327,7 @@ def test_instance_needs_witness_lists_that_are_in_neighbour_prefixes():
     g = Graph(edges=[(0, 1), (0, 2), (0, 3)])  # the leaves point into the centre
     o = orient(g)
     inst = build_mis_instance(g, witness_arrays(g, {0: (1, 2)}), o)
-    assert list(inst.edge_terms) == [(1, 2), (0, 1), (0, 2)]
+    assert list(edge_terms(inst)) == [(1, 2), (0, 1), (0, 2)]
     for lists in ({0: (2,)}, {0: (1, 3)}, {0: (2, 1)}, {1: (0,)}):
         with pytest.raises(PreconditionError, match="not prefixes of their in-neighbours"):
             build_mis_instance(g, witness_arrays(g, lists), o)
@@ -362,7 +363,7 @@ def witnessed_graphs(draw):
     if draw(st.booleans()):
         g = relabel(g, rng)
     o, ref = orient(g), ReferenceOrientation(g)
-    good = draw(st.permutations(sorted(good_vertices(g, o))))
+    good = draw(st.permutations(good_ids(g, good_vertices(g, o))))
     full = draw(st.booleans())
     witnesses = {v: ref.in_neighbors(v) if full else select_witnesses(g, ref, v) for v in good}
     return g, o, witnesses
@@ -373,10 +374,12 @@ def _assert_terms_match_loop_reference(g, o, witnesses):
     lin, pair_cost = reference_mis_terms(g, witnesses, ReferenceOrientation(g))
     # the same node terms (listed in id order) and the same pair terms in
     # the same (first-occurrence) order, values bit for bit
-    assert list(inst.node_terms) == sorted(lin)
-    assert dict(inst.node_terms) == {u: ((0.0, c), (0.0, 0.0)) for u, c in lin.items()}
-    assert list(inst.edge_terms) == list(pair_cost)
-    assert [inst.edge_terms[k] for k in pair_cost] == [
+    nodes, pairs = node_terms(inst), edge_terms(inst)
+    assert list(nodes) == sorted(lin)
+    assert nodes == {u: ((0.0, c), (0.0, 0.0)) for u, c in lin.items()}
+    assert len(inst.edge_terms) == len(pair_cost)
+    assert list(pairs) == list(pair_cost)
+    assert [pairs[k] for k in pair_cost] == [
         ((0.0, 0.0), (0.0, c)) for c in pair_cost.values()
     ]
 
@@ -391,7 +394,7 @@ def test_instance_terms_match_loop_reference_at_scale():
     g = gnp(2000, 8 / 1999, seed=1)
     g = Graph(edges=g.edges())
     o, ref = orient(g), ReferenceOrientation(g)
-    witnesses = {v: select_witnesses(g, ref, v) for v in sorted(good_vertices(g, o))}
+    witnesses = {v: select_witnesses(g, ref, v) for v in good_ids(g, good_vertices(g, o))}
     _assert_terms_match_loop_reference(g, o, witnesses)
 
 

@@ -1,6 +1,6 @@
 """The label arrays of `Partition` against the dict forms they replaced
-(`clustering_reference`): the same views, ranks and errors, and no
-dict built on the solvers' paths."""
+(`clustering_reference`): the same clusters, assignment and delays,
+ranks and errors."""
 
 from __future__ import annotations
 
@@ -24,17 +24,18 @@ from localround.clustering import (
 from localround.errors import PreconditionError, plain_sum
 from localround.generators import gnp, path
 from localround.graphs import Graph, induced_subgraph
-from localround.matching import approx_matching
-from localround.mis import mis
 
 from clustering_reference import (
     cluster_degree,
+    grow,
     reference_cluster_ranks,
     reference_delays_to_partition,
     reference_max_diameter,
+    reference_partition,
     reference_weight_check,
 )
 from conftest import by_position, partition_rows, random_graph, relabel
+from graphs_reference import node_mask
 
 
 @st.composite
@@ -49,13 +50,11 @@ def graphs_with_delays(draw):
     return g, {u: base + rng.randint(0, spread) for u in g.nodes}, rng
 
 
-def same_views(part: Partition, ref) -> None:
-    assert len(part.clusters) == len(ref.clusters)
-    assert dict(part.clusters) == ref.clusters
-    assert dict(part.assignment) == ref.assignment
-    assert dict(part.delays) == ref.delays
-    assert list(part.clusters) == sorted(ref.clusters)
-    assert part.ids.tolist() == list(part.assignment) == sorted(ref.assignment)
+def same_partition(part: Partition, ref) -> None:
+    assert part.clusters.dtype == np.int64
+    assert part.clusters.tolist() == sorted(ref.clusters)
+    assert part.ids.tolist() == sorted(ref.assignment)
+    assert reference_partition(part) == ref
 
 
 def outcome(call):
@@ -70,21 +69,7 @@ def outcome(call):
 @given(graphs_with_delays())
 def test_partition_arrays_match_the_dict_reference(case):
     g, delays, _ = case
-    part = delays_to_partition(g, delays, 2)
-    same_views(part, reference_delays_to_partition(g, delays, 2))
-    by_array = delays_to_partition(g, np.array([delays[u] for u in g.nodes], np.int64), 2)
-    assert np.array_equal(by_array.label, part.label)
-    assert np.array_equal(by_array.delay, part.delay)
-
-
-@settings(max_examples=100, deadline=None)
-@given(graphs_with_delays(), st.integers(1, 8))
-def test_missing_delays_are_named_like_the_reference(case, drop):
-    g, delays, rng = case
-    for u in rng.sample(g.nodes, min(drop, g.n)):
-        del delays[u]
-    expected = outcome(lambda: reference_delays_to_partition(g, delays, 1))
-    assert outcome(lambda: delays_to_partition(g, delays, 1)) == expected
+    same_partition(grow(g, delays, 2), reference_delays_to_partition(g, delays, 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,9 +78,9 @@ def test_a_subgraph_reads_its_rows_of_the_partition(case, share):
     # ranks and cluster degrees on a subgraph h are the same whether read
     # from g's partition or from the partition of h's rows alone
     g, delays, rng = case
-    part = delays_to_partition(g, delays, 1)
+    part = grow(g, delays, 1)
     ref = reference_delays_to_partition(g, delays, 1)
-    h = induced_subgraph(g, [u for u in g.nodes if rng.random() < share])
+    h = induced_subgraph(g, node_mask(g, [u for u in g.nodes if rng.random() < share]))
     sub = partition_rows(part, h)
     labels, rank = cluster_ranks(h, part)
     want = reference_cluster_ranks(h, ref)
@@ -145,9 +130,9 @@ def test_weights_need_one_per_node():
 
 def test_verify_partition_needs_exactly_the_graph_nodes():
     g = path(3)
-    part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
+    part = delays_to_partition(g, np.zeros(g.n, np.int64), 1)
     assert verify_partition(g, part, 1)["num_clusters"] == 3
-    bigger = delays_to_partition(path(4), {u: 0 for u in range(4)}, 1)
+    bigger = delays_to_partition(path(4), np.zeros(4, np.int64), 1)
     for other in (partition_rows(part, path(2)), bigger):
         with pytest.raises(PreconditionError, match="do not cover V"):
             verify_partition(g, other, 1)
@@ -157,7 +142,7 @@ def test_verify_partition_needs_exactly_the_graph_nodes():
 @given(graphs_with_delays(), st.integers(1, 4))
 def test_verify_partition_measures_what_the_cluster_loop_does(case, labels):
     g, delays, rng = case
-    grown = delays_to_partition(g, delays, 1)
+    grown = grow(g, delays, 1)
     # labels drawn at random make clusters that may be disconnected
     ids = np.array(g.nodes, np.int64)
     centre = np.array([rng.choice(g.nodes[:labels]) for u in g.nodes], np.int64)
@@ -165,7 +150,8 @@ def test_verify_partition_measures_what_the_cluster_loop_does(case, labels):
     for part in (grown, drawn):
         report = verify_partition(g, part, 1)
         # repr: the same value of the same type (0.0, an int, or inf)
-        assert repr(report["max_diameter"]) == repr(reference_max_diameter(g, part))
+        ref = reference_partition(part)
+        assert repr(report["max_diameter"]) == repr(reference_max_diameter(g, ref))
 
 
 def test_verify_partition_builds_no_induced_subgraph(monkeypatch):
@@ -175,31 +161,59 @@ def test_verify_partition_builds_no_induced_subgraph(monkeypatch):
     monkeypatch.setattr(graphs_module, "induced_subgraph", refuse)
     monkeypatch.setattr(clustering_module, "induced_subgraph", refuse, raising=False)
     g = gnp(300, 0.02, seed=3)
-    part = delays_to_partition(g, {u: u % 7 for u in g.nodes}, 1)
+    part = grow(g, {u: u % 7 for u in g.nodes}, 1)
     report = verify_partition(g, part, 1)
-    assert repr(report["max_diameter"]) == repr(reference_max_diameter(g, part))
+    assert repr(report["max_diameter"]) == repr(reference_max_diameter(g, reference_partition(part)))
 
 
 def test_the_empty_partition():
-    part = delays_to_partition(Graph(), {}, 1)
-    assert len(part.clusters) == 0 and dict(part.assignment) == {}
+    part = delays_to_partition(Graph(), np.zeros(0, np.int64), 1)
+    assert len(part.clusters) == 0 and part.ids.tolist() == []
 
 
-def test_solvers_build_no_partition_dict(monkeypatch):
-    built = []
-    build = clustering_module._build_view
+@pytest.mark.parametrize("seed", range(30))
+def test_cluster_ranks_sort_only_a_merged_partition(monkeypatch, seed):
+    # when every node of h is its own cluster, as at the paper's
+    # constants, the labels are h's ids and the ranks 0..n-1, and no
+    # label is sorted; a merged partition still sorts its labels once
+    sorts = []
+    real = clustering_module.distinct_inverse
 
-    def counted(part, name):
-        built.append(name)
-        return build(part, name)
+    def recording(codes):
+        sorts.append(len(codes))
+        return real(codes)
 
-    monkeypatch.setattr(clustering_module, "_build_view", counted)
-    g = gnp(2048, 0.004, seed=1)
-    assert mis(g).iterations > 0
-    assert approx_matching(g).matching
-    assert built == []
-    # the wrapper sees a build when one happens, and only the first
-    part = delays_to_partition(g, {u: 0 for u in g.nodes}, 1)
-    assert len(part.clusters) == g.n and built == []
-    assert part.assignment[5] == 5 and part.assignment[6] == 6
-    assert built == ["assignment"]
+    monkeypatch.setattr(clustering_module, "distinct_inverse", recording)
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.2]))
+    if seed % 3:
+        g = relabel(g, rng)
+    spread = 0 if seed % 2 else 3
+    delays = {u: rng.randint(0, spread) for u in g.nodes}
+    part, ref = grow(g, delays, 1), reference_delays_to_partition(g, delays, 1)
+    h = induced_subgraph(g, node_mask(g, [u for u in g.nodes if rng.random() < 0.7]))
+    for graph in (g, h):
+        sorts.clear()
+        labels, rank = cluster_ranks(graph, part)
+        assert (labels, rank.tolist()) == reference_cluster_ranks(graph, ref)
+        assert not rank.flags.writeable
+        merged = labels != list(graph.nodes)
+        assert sorts == ([graph.n] if merged else [])
+    if not spread:
+        assert sorts == []
+
+
+def test_a_merged_partition_still_sorts_its_labels(monkeypatch):
+    sorts = []
+    real = clustering_module.distinct_inverse
+    monkeypatch.setattr(
+        clustering_module, "distinct_inverse", lambda codes: sorts.append(len(codes)) or real(codes)
+    )
+    g = path(5)
+    singletons = delays_to_partition(g, np.zeros(5, np.int64), 1)
+    labels, rank = cluster_ranks(g, singletons)
+    assert (labels, rank.tolist(), sorts) == ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [])
+    # node 1 starts late, so node 0's token claims it: clusters {0, 1}, {2}, {3}, {4}
+    merged = delays_to_partition(g, np.array([0, 1, 0, 0, 0]), 1)
+    labels, rank = cluster_ranks(g, merged)
+    assert (labels, rank.tolist(), sorts) == ([0, 2, 3, 4], [0, 0, 1, 2, 3], [5])

@@ -32,7 +32,9 @@ from rounding_reference import (
     assignment,
     edge_cover,
     instance,
+    edge_terms,
     integral,
+    node_terms,
     reference_check_probabilities,
     reference_evaluate,
     reference_greedy_color,
@@ -88,7 +90,7 @@ def test_instance_rejects_non_conflict_edge_terms():
     with pytest.raises(PreconditionError, match=r"\(0,1\) is not a conflict edge of one hub"):
         UtilityCostInstance(twice, 2, **_arrays(3, 1, entry_v=np.array([3])))
     named = UtilityCostInstance(twice, 2, **_arrays(3, 1, entry_v=np.array([1])))
-    assert list(named.edge_terms) == [(0, 1)]
+    assert named.edge_terms.tolist() == [[0, 1]]
     with pytest.raises(PreconditionError, match=r"\(1,2\) is not a conflict edge of one hub"):
         UtilityCostInstance(path, 2, **_arrays(3, 1, entry_u=np.array([1]), entry_v=np.array([3])))
 
@@ -102,7 +104,8 @@ def test_instance_rejects_non_finite_constants(value):
 
 def test_term_views_keep_keys_order_and_length():
     # node terms are the nodes with a nonzero row, in id order; edge terms
-    # keep their order, a zero cost matrix included
+    # keep their order, a zero cost matrix included: in the arrays, and in
+    # the dict form of them that the references read
     g = Graph(edges=[(0, 1), (1, 2), (0, 2)])
     zero = ((0.0, 0.0), (0.0, 0.0))
     inst = instance(
@@ -111,12 +114,14 @@ def test_term_views_keep_keys_order_and_length():
         {2: ((1.0, 2.0), None), 1: (None, None), 0: (None, (0.5, 0.0))},
         {(1, 2): ((0.0, 1.0), (2.0, 3.0)), (0, 1): None},
     )
-    assert len(inst.node_terms) == 2 and len(inst.edge_terms) == 2
-    assert list(inst.node_terms.items()) == [
+    assert inst.node_utility.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]
+    assert inst.node_cost.tolist() == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    assert len(inst.edge_terms) == 2 and inst.edge_terms.tolist() == [[1, 2], [0, 1]]
+    assert list(node_terms(inst).items()) == [
         (0, ((0.0, 0.0), (0.5, 0.0))),
         (2, ((1.0, 2.0), (0.0, 0.0))),
     ]
-    assert list(inst.edge_terms.items()) == [((1, 2), ((0.0, 1.0), (2.0, 3.0))), ((0, 1), zero)]
+    assert list(edge_terms(inst).items()) == [((1, 2), ((0.0, 1.0), (2.0, 3.0))), ((0, 1), zero)]
 
 
 def _arrays(n, num_edges, **change):
@@ -149,8 +154,8 @@ def test_from_arrays_matches_the_dict_constructor():
     g = Graph(edges=[(0, 1), (1, 2)])
     arrays = UtilityCostInstance(edge_cover(g), 2, **_path_arrays())
     terms = instance(g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): ((0.0, 0.0), (0.0, 0.5))})
-    assert dict(arrays.node_terms) == dict(terms.node_terms)
-    assert dict(arrays.edge_terms) == dict(terms.edge_terms)
+    for table in ("node_utility", "node_cost", "edge_terms", "edge_cost"):
+        assert getattr(arrays, table).tolist() == getattr(terms, table).tolist()
     lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.25, 0.75), 2: (1.0, 0.0)})
     assert evaluate(arrays, lam) == evaluate(terms, lam)
 
@@ -557,7 +562,7 @@ def test_greedy_coloring_keeps_its_color_array():
     assert not col.colors.flags.writeable and col.colors.dtype == np.int64
     assert is_proper(cover, col.colors) and round_labels(inst, lam, col)[0].tolist() == [0] * g.n
     # a coloring belongs to its graph: another node order is refused
-    other = induced_subgraph(g, g.nodes[1:])
+    other = induced_subgraph(g, np.arange(g.n) > 0)
     half = assignment(other.nodes, {u: (0.5, 0.5) for u in other.nodes})
     with pytest.raises(PreconditionError, match="not of the instance's conflict graph"):
         round_labels(instance(other, 2), half, col)
