@@ -1,4 +1,4 @@
-"""The derandomization core: no-loss rounding of pairwise objectives,
+"""The derandomization core: no-loss rounding of marking objectives,
 and the potential-driven hitting set built on top of it.
 
 Run:  python3 demos/hitting_rounding_demo.py
@@ -24,29 +24,24 @@ from localround import (
 
 
 def random_objective(rng, n=9):
-    """A random pairwise objective meeting the rounding precondition.
+    """A random marking objective meeting the rounding precondition.
 
-    Nodes are 0..n-1, so a node's id is its position.  Each node draws
-    its utility row, then its cost row; each edge its cost matrix.  The
-    conflict graph is given by its cliques: here one hub per edge, so
-    edge k's ends are the hub entries 2k and 2k + 1."""
+    Nodes are 0..n-1, so a node's id is its position.  Each node draws the
+    utility and the cost it brings when marked; each edge the cost it
+    charges when both of its ends are marked.  The conflict graph is given
+    by its cliques: here one hub per edge, so edge k's ends are the hub
+    entries 2k and 2k + 1."""
     while True:
         nodes = tuple(range(n))
         edges = [(u, v) for u in nodes for v in range(u + 1, n) if rng.random() < 0.5]
         cover = CliqueCover(nodes, np.arange(0, 2 * len(edges) + 1, 2), np.ravel(edges))
-        node_rows = np.array([
-            [rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.3), rng.uniform(0, 0.3)]
-            for _ in nodes
-        ])
-        costs = np.array([[rng.uniform(0, 0.25) for _ in range(4)] for _ in edges])
+        node_values = np.array([(rng.uniform(0, 1), rng.uniform(0, 0.3)) for _ in nodes])
+        costs = np.array([rng.uniform(0, 0.25) for _ in edges])
         first = 2 * np.arange(len(edges))
         inst = UtilityCostInstance(
-            cover, 2, node_rows[:, :2], node_rows[:, 2:], first, first + 1,
-            costs.reshape(-1, 2, 2),
+            cover, node_values[:, 0], node_values[:, 1], first, first + 1, costs
         )
-        lam = FractionalAssignment(
-            nodes, [(q := rng.uniform(0.2, 0.8), 1 - q) for _ in nodes]
-        )
+        lam = FractionalAssignment(nodes, [rng.uniform(0.2, 0.8) for _ in nodes])
         u0, c0 = evaluate(inst, lam)
         if u0 > 0 and u0 - c0 >= 0.1 * u0:
             return inst, lam

@@ -3,7 +3,7 @@
 Capabilities: low-diameter low-cluster-degree partitions (randomized
 baseline and two deterministic constructions), weighted hitting sets on
 uniform-degree bipartite systems, a no-loss local rounding engine for
-pairwise objectives, a derandomized maximal independent set, and a
+marking objectives, a derandomized maximal independent set, and a
 constant-factor approximate maximum matching.
 """
 

@@ -116,8 +116,9 @@ def _call_generator(kind: str, params: dict[str, int | float]) -> Graph:
 def parse_gen_spec(spec: str) -> Graph:
     """Build a graph from "kind:key=value,...".  Seed defaults to 0.
 
-    Keys are the generator's parameter names; `seed` is accepted by every
-    kind.  gnp's p is a float, every other value an integer written as one.
+    Keys are the generator's parameter names, each given at most once;
+    `seed` is accepted by every kind.  gnp's p is a float, every other
+    value an integer written as one.
     """
     kind, _, rest = spec.partition(":")
     if kind not in generators.KINDS:
@@ -128,6 +129,8 @@ def parse_gen_spec(spec: str) -> Graph:
             key, _, value = item.partition("=")
             if not value:
                 raise UsageError(f"bad generator parameter {item!r}")
+            if key in params:
+                raise UsageError(f"generator parameter {key} given twice")
             try:
                 params[key] = float(value) if key == "p" else int(value)
             except ValueError:

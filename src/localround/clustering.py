@@ -64,6 +64,9 @@ from .hitting import BipartiteInstance, grouped_hitting_set
 from .ledger import RoundLedger
 from .seeds import Stream, stream
 
+# seeded attempts `mpx_randomized` makes before RetryBudgetExceeded
+MPX_ATTEMPTS = 5
+
 
 def base_capacity_exponent(n: int) -> int:
     """Smallest exponent L with 2**L >= n**2 (and at least 2)."""
@@ -251,18 +254,17 @@ def mpx_randomized(
     alpha: int,
     seed: int,
     ledger: RoundLedger | None = None,
-    attempts: int = 5,
 ) -> Partition:
     """Randomized baseline: keep each active node with rate 2**(-L/alpha).
 
     Retries with a derived seed if any node survives all 10*alpha phases
-    (vanishingly unlikely); fails after `attempts` tries.
+    (vanishingly unlikely); fails after `MPX_ATTEMPTS` tries.
     """
     if g.n == 0:
         return _empty_partition(alpha)
     log_n_cap = capacity_exponent(g.n, alpha)
     rate = math.ldexp(1.0, -(log_n_cap // alpha))
-    for attempt in range(attempts):
+    for attempt in range(MPX_ATTEMPTS):
         rng = stream(seed, "mpx", attempt)
         # positions follow ids: one draw per active node, in id order
         active = np.arange(g.n)
@@ -277,7 +279,7 @@ def mpx_randomized(
             ledger.charge("active-subsample", 0, 10 * alpha)
         return _finish(g, alpha, last_index, ledger, {"log2_capacity": log_n_cap})
     raise RetryBudgetExceeded(
-        f"active nodes survived all phases in {attempts} seeded attempts"
+        f"active nodes survived all phases in {MPX_ATTEMPTS} seeded attempts"
     )
 
 

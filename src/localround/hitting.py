@@ -294,7 +294,7 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     cg = conflict_graph(inst)
     coloring = greedy_color(cg)
     result.zeta = coloring.num_colors
-    lam = FractionalAssignment(cg.nodes, np.tile((1.0 - q, q), (len(cg.nodes), 1)))
+    lam = FractionalAssignment(cg.nodes, np.full(len(cg.nodes), q))
     n_v, delta, norm = len(inst.v_nodes), inst.delta, inst.norm
     weight, nbr, checks = inst.weight, inst.nbr, result.checks
     first, second = np.triu_indices(delta, 1)  # pairs x < y, x major
@@ -303,7 +303,7 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     np.put_along_axis(
         entry, np.argsort(nbr, axis=1), np.arange(nbr.size).reshape(nbr.shape), axis=1
     )
-    node_cost = np.repeat([[0.0, norm]], n_v, axis=0)
+    node_cost = np.full(n_v, norm)
     decays = [math.exp(-(t_steps - s) / t_steps * inst.p * delta) for s in range(t_steps + 1)]
 
     unhit = np.ones(len(inst.u_nodes), bool)
@@ -325,20 +325,15 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         pair = rows[:, first], rows[:, second]
         codes = np.minimum(*pair).astype(np.int64) * n_v + np.maximum(*pair)
         seen, term = first_seen(codes.ravel())
-        node_utility = np.zeros((n_v, 2))
-        node_utility[:, 1] = decay * mass
-        edge_cost = np.zeros((len(seen), 2, 2))
-        edge_cost[:, 1, 1] = decay * np.bincount(term, np.repeat(w, len(first)), len(seen))
         # a hub's members increase with their entries
         ends = at[:, first].ravel()[seen], at[:, second].ravel()[seen]
         step_inst = UtilityCostInstance(
             cg,
-            2,
-            node_utility,
+            decay * mass,
             node_cost,
             np.minimum(*ends),
             np.maximum(*ends),
-            edge_cost,
+            decay * np.bincount(term, np.repeat(w, len(first)), len(seen)),
             utility_const=norm * 4.0 * inst.p / t_steps * n_v,
         )
         fu, fc = evaluate(step_inst, lam)
@@ -347,9 +342,8 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             leq(2.0 * fc, fu),
             f"step {i}: fractional utility {fu} < 2 * cost {fc}",
         )
-        labels, _ = round_labels(step_inst, lam, coloring, checks=checks)
         # the conflict graph's nodes are v_nodes, in order
-        chosen = labels == 1
+        chosen, _ = round_labels(step_inst, lam, coloring, checks=checks)
         batch = frozenset(compress(inst.v_nodes, chosen.tolist()))
 
         hit = np.count_nonzero(chosen[nbr], axis=1)

@@ -277,7 +277,7 @@ def build_mis_instance(
     in which the loop first meets their pair, and each coefficient is
     summed in loop order (`np.bincount` adds in input order), so the
     instance equals the loop's bit for bit; the order matters because
-    `round_labels` sums a node's terms in term order.
+    `round_labels` sums a node's terms in an order set by term order.
 
     The conflict graph is h's square, given by the closed neighbourhoods
     of h (`closed_neighbourhoods`); the square itself is never built.
@@ -335,14 +335,8 @@ def build_mis_instance(
     codes = codes[order]
     first, term = first_seen(codes)
     coef = np.bincount(term, cost[order], minlength=len(first))
-    node_utility = np.zeros((n, 2))
-    node_utility[:, 1] = lin
-    edge_cost = np.zeros((len(first), 2, 2))
-    edge_cost[:, 1, 1] = coef
     kept = order[first]
-    return UtilityCostInstance(
-        conflict, 2, node_utility, np.zeros((n, 2)), low[kept], high[kept], edge_cost
-    )
+    return UtilityCostInstance(conflict, lin, np.zeros(n), low[kept], high[kept], coef)
 
 
 def _keep_marked(
@@ -426,7 +420,7 @@ def luby_derandomized_iteration(
         h, partition, bound, seed, n_total, retries, checks, orientation, witnesses
     )
     inst = build_mis_instance(h, witnesses, orientation)
-    lam = FractionalAssignment(h.nodes, np.column_stack((1.0 - x, x)))
+    lam = FractionalAssignment(h.nodes, x)
     fu, fc = evaluate(inst, lam)
     checks.ok(
         "estimator-slack",
@@ -439,7 +433,7 @@ def luby_derandomized_iteration(
         # gather + scatter per cluster; weak radius bounded by construction
         radius = 50 * partition.alpha + 2
         ledger.charge("intra-gather", radius, 2 * radius)
-    labels, (yu, yc) = round_labels(inst, lam, coloring, checks=checks)
+    marked, (yu, yc) = round_labels(inst, lam, coloring, checks=checks)
     if ledger is not None:
         # the conflict graph joins nodes at distance two
         ledger.charge("mark-rounding", 4, 4 * coloring.num_colors)
@@ -450,7 +444,6 @@ def luby_derandomized_iteration(
     )
 
     # the conflict graph is h's square, over h's node order
-    marked = labels == 1
     added, removed, edges_removed = _keep_marked(h, orientation, marked)
     checks.ok(
         "estimator-sound",

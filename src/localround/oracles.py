@@ -190,24 +190,23 @@ def exhaustive_round_check(
 ) -> tuple[float, float]:
     """(best integral objective, expected objective under lam).
 
-    Enumerates every labeling; the expectation uses the product
+    Enumerates all 2^n markings; the expectation uses the product
     distribution, which must match the pairwise evaluation exactly.
     """
     nodes = inst.conflict_graph.nodes
     n = len(nodes)
-    tuples = inst.num_labels**n
-    if tuples > budget.max_label_tuples:
-        raise BudgetExceeded(f"{tuples} labelings exceed the oracle budget")
-    grids = np.indices((inst.num_labels,) * n).reshape(n, -1)
+    if (1 << n) > budget.max_label_tuples:
+        raise BudgetExceeded(f"2^{n} markings exceed the oracle budget")
+    grids = np.indices((2,) * n).reshape(n, -1).astype(bool)
     objective = np.full(grids.shape[1], inst.utility_const)
-    for i, row in enumerate(inst.node_utility - inst.node_cost):
-        objective += row[grids[i]]
-    for (a, b), cmat in zip(inst.edge_terms.tolist(), inst.edge_cost):
-        objective -= cmat[grids[a], grids[b]]
-    rows = dict(zip(lam.nodes, lam.matrix))
+    for marked, value in zip(grids, (inst.node_utility - inst.node_cost).tolist()):
+        objective += value * marked
+    for (a, b), cost in zip(inst.edge_terms.tolist(), inst.pair_cost.tolist()):
+        objective -= cost * (grids[a] & grids[b])
+    x = dict(zip(lam.nodes, lam.x.tolist()))
     probs = np.ones(grids.shape[1])
-    for i, u in enumerate(nodes):
-        probs *= rows[u][grids[i]]
+    for marked, u in zip(grids, nodes):
+        probs *= np.where(marked, x[u], 1.0 - x[u])
     return float(objective.max()), float((probs * objective).sum())
 
 

@@ -1,11 +1,12 @@
-"""Pairwise objectives over labelings and deterministic local rounding.
+"""Marking objectives over a conflict graph and deterministic local rounding.
 
-An objective gives each node a utility and a cost per label and each
-conflict edge a cost per pair of labels, each term depending only on the
-labels of its own node(s).  For a fractional (probabilistic) labeling the
-objective is its expectation under per-node independent label draws;
-since every term touches at most two nodes, only single marginals and
-pairwise products ever appear.
+A marking objective scores a choice of marked nodes.  Each node has a
+utility and a cost, earned and paid when it is marked, and each pair
+term a cost, paid when both of its ends are marked; a utility constant
+is earned whatever is marked.  For fractional marks, one marking
+probability per node with every node drawn independently, the objective
+is its expectation; since every term touches at most two nodes, only
+the single probabilities and their pairwise products ever appear.
 
 The conflict graph has one form, a clique cover (`CliqueCover`): a CSR
 of "hubs" over node positions, each hub's members increasing, two nodes
@@ -21,27 +22,28 @@ a color (`is_proper`, one sort of the hub entries), and a pair term is a
 conflict edge because it names its two ends' entries in one hub.
 
 Every other type here has one form, arrays over node positions in the
-conflict graph's id order.  An instance holds the node utility and cost
-tables N_u and N_c (n x L) and the pair cost tensors W (E x L x L); a
-fractional labeling over L labels is an n x L probability matrix P; a
-coloring is one int64 color per node; the labels `round_labels` returns
-are one int per node.  The objective is
+conflict graph's id order.  An instance holds the node utilities and
+costs (one value per node) and the pair costs (one value per term); a
+fractional marking is one probability x per node; a coloring is one
+int64 color per node; the marks `round_labels` returns are one bool per
+node.  The objective is
 
-    utility = const + sum(N_u * P)
-    cost    = sum(N_c * P) + sum over terms e = (u, v) of P[u] . W[e] . P[v].
+    utility = const + sum(node_utility * x)
+    cost    = sum(node_cost * x) + sum over terms e = (u, v) of pair_cost[e] * x[u] * x[v].
 
-`round_labels` converts a fractional labeling into an integral one whose
+`round_labels` converts a fractional marking into an integral one whose
 utility-minus-cost never drops below the fractional value: it walks the
 color classes of a proper coloring of the conflict graph in increasing
-order and fixes each node to the label maximizing the conditional
-expectation of the terms it participates in.  A term is a conflict edge,
-so no term joins two nodes of one color class: every member's conditional
-scores read only rows of P outside its class, which fixing the class does
-not change.  One gather of the class's incident terms and one scatter of
-the chosen one-hot rows therefore give exactly what fixing the members one
-after another would.  A node no edge term touches scores its node row
-whatever the others' labels, so all of them are decided at once, before
-the walk, and the walk visits only the nodes that carry edge terms.
+order and marks each node exactly when marking it raises the
+conditional expectation of the terms it participates in.  A term is a
+conflict edge, so no term joins two nodes of one color class: every
+member's score reads only probabilities outside its class, which fixing
+the class does not change.  One gather of the class's incident terms
+and one scatter of the chosen marks therefore give exactly what fixing
+the members one after another would.  A node no pair term touches scores
+its node term whatever the others' marks, so all of them are decided at
+once, before the walk, and the walk visits only the nodes that carry
+pair terms.
 """
 
 from __future__ import annotations
@@ -147,66 +149,56 @@ class Coloring:
 
 
 class FractionalAssignment:
-    """Per-node probability vectors over a common finite label alphabet.
+    """One marking probability per node.
 
-    Row i of the read-only float matrix `matrix` (a copy of the one
-    given) is the vector of nodes[i]; `nodes` are distinct ids, such as a
-    graph's `nodes`.  Every row is checked at once: it is not empty, its
-    entries lie in [-1e-12, 1 + 1e-12], and its entries, added left to
-    right, sum to 1 within 1e-9; the first node to fail is named.  The
-    value `evaluate` last computed for it is kept with that instance
-    (`_value`).
+    `x` is a read-only float array, a copy of the one given: x[i] is the
+    probability that nodes[i] is marked, and `nodes` are distinct ids,
+    such as a graph's `nodes`.  Every probability is checked at once: it
+    lies in [0, 1], which NaN does not, and the first node to fail is
+    named.  The value `evaluate` last computed for it is kept with that
+    instance (`_value`).
     """
 
-    __slots__ = ("nodes", "matrix", "_value")
+    __slots__ = ("nodes", "x", "_value")
 
-    def __init__(self, nodes: tuple[int, ...], matrix: np.ndarray):
-        nodes, matrix = tuple(nodes), np.array(matrix, dtype=float)
-        if matrix.ndim != 2 or len(matrix) != len(nodes):
+    def __init__(self, nodes: tuple[int, ...], x: np.ndarray):
+        nodes, x = tuple(nodes), np.array(x, dtype=float)
+        if x.shape != (len(nodes),):
             raise PreconditionError(
-                f"probability matrix of shape {matrix.shape} for {len(nodes)} nodes"
+                f"marking probabilities of shape {x.shape} for {len(nodes)} nodes"
             )
-        if len(nodes) and not matrix.shape[1]:
-            raise PreconditionError(f"empty probability vector at node {nodes[0]}")
         # written so that NaN fails it too
-        outside = ~((matrix >= -1e-12) & (matrix <= 1.0 + 1e-12)).all(axis=1)
-        total = np.zeros(len(nodes))
-        for column in matrix.T:
-            total += column
-        bad = outside | (np.abs(total - 1.0) > 1e-9)
-        if bad.any():
-            i = int(bad.argmax())
-            if outside[i]:
-                raise PreconditionError(f"probabilities outside [0,1] at node {nodes[i]}")
-            raise PreconditionError(f"probabilities at node {nodes[i]} sum to {float(total[i])!r}")
-        matrix.flags.writeable = False
-        self.nodes, self.matrix = nodes, matrix
+        outside = ~((x >= 0.0) & (x <= 1.0))
+        if outside.any():
+            raise PreconditionError(
+                f"probability outside [0,1] at node {nodes[int(outside.argmax())]}"
+            )
+        x.flags.writeable = False
+        self.nodes, self.x = nodes, x
         self._value: tuple[UtilityCostInstance, tuple[float, float]] | None = None
 
 
 class UtilityCostInstance:
-    """Conflict graph plus node utility, node cost and pair cost tables.
+    """Conflict graph plus node utilities, node costs and pair costs.
 
-    The conflict graph is a `CliqueCover`, and the tables are float
-    arrays over its node positions, kept under the names they are given
-    by: `node_utility`/`node_cost` are the n x L node tables, and
-    `edge_cost` the E x L x L cost tensors of the E pair terms, indexed
-    [label_u][label_v].  Pair term k names its two ends by their entries
-    in the cover's `members`, `entry_u[k]` and `entry_v[k]`: both entries
-    must lie in one hub, which makes the pair a conflict edge, and the
-    first must hold the lower position.  The ends' positions are kept as
-    `_eu` and `_ev`; `edge_terms` gives them as one E x 2 array.
-    `utility_const` holds label-independent utility.  Every check is
+    The conflict graph is a `CliqueCover`.  `node_utility` and `node_cost`
+    are float arrays of one value per node position, earned and paid when
+    the node is marked, and `pair_cost` one float per pair term, paid when
+    both of its ends are marked.  Pair term k names its two ends by their
+    entries in the cover's `members`, `entry_u[k]` and `entry_v[k]`: both
+    entries must lie in one hub, which makes the pair a conflict edge, and
+    the first must hold the lower position.  The ends' positions are kept
+    as `_eu` and `_ev`; `edge_terms` gives them as one E x 2 array.
+    `utility_const` is earned whatever is marked.  Every check is
     vectorised.
     """
 
     __slots__ = (
         "conflict_graph",
-        "num_labels",
         "utility_const",
         "node_utility",
         "node_cost",
-        "edge_cost",
+        "pair_cost",
         "_eu",
         "_ev",
     )
@@ -214,32 +206,29 @@ class UtilityCostInstance:
     def __init__(
         self,
         conflict_graph: CliqueCover,
-        num_labels: int,
         node_utility: np.ndarray,
         node_cost: np.ndarray,
         entry_u: np.ndarray,
         entry_v: np.ndarray,
-        edge_cost: np.ndarray,
+        pair_cost: np.ndarray,
         utility_const: float = 0.0,
     ):
-        if num_labels < 1:
-            raise PreconditionError("need at least one label")
-        cover, n, nl = conflict_graph, conflict_graph.n, num_labels
-        mismatch = "term arrays do not match the graph and label count"
+        cover, n = conflict_graph, conflict_graph.n
+        mismatch = "term arrays do not match the graph"
         try:
             at_u, at_v = (np.asarray(a, np.intp) for a in (entry_u, entry_v))
-            nu, nc, wc = (np.asarray(a, float) for a in (node_utility, node_cost, edge_cost))
+            nu, nc, wc = (np.asarray(a, float) for a in (node_utility, node_cost, pair_cost))
         except (TypeError, ValueError):  # ragged, or not numbers
             raise PreconditionError(mismatch) from None
         num_edges = len(at_u)
         if (
             at_u.shape != (num_edges,) or at_v.shape != (num_edges,)
-            or nu.shape != (n, nl) or nc.shape != (n, nl) or wc.shape != (num_edges, nl, nl)
+            or nu.shape != (n,) or nc.shape != (n,) or wc.shape != (num_edges,)
         ):
             raise PreconditionError(mismatch)
-        for name, table in (("node", nu), ("node", nc), ("edge", wc)):
-            if not np.isfinite(table).all():
-                raise PreconditionError(f"non-finite {name} table entry")
+        for name, values in (("node", nu), ("node", nc), ("edge", wc)):
+            if not np.isfinite(values).all():
+                raise PreconditionError(f"non-finite {name} term")
         utility_const = float(utility_const)
         if not np.isfinite(utility_const):
             raise PreconditionError(f"constants must be finite: utility {utility_const!r}")
@@ -252,8 +241,8 @@ class UtilityCostInstance:
             k = int(conflict.argmin())
             u, v = cover.nodes[eu[k]], cover.nodes[ev[k]]
             raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge of one hub")
-        self.conflict_graph, self.num_labels, self.utility_const = cover, num_labels, utility_const
-        self.node_utility, self.node_cost, self.edge_cost = nu, nc, wc
+        self.conflict_graph, self.utility_const = cover, utility_const
+        self.node_utility, self.node_cost, self.pair_cost = nu, nc, wc
         self._eu, self._ev = eu, ev
 
     @property
@@ -264,33 +253,26 @@ class UtilityCostInstance:
 
 
 def evaluate(inst: UtilityCostInstance, lam: FractionalAssignment) -> tuple[float, float]:
-    """(utility, cost) of a fractional labeling.
+    """(utility, cost) of a fractional marking.
 
-    `lam` must be over the conflict graph's nodes, in their order, with
-    the instance's label count, or it is a `PreconditionError`.  The value
-    is kept with `lam` for this instance, so asking again computes
-    nothing.
+    `lam` must be over the conflict graph's nodes, in their order, or it
+    is a `PreconditionError`.  The value is kept with `lam` for this
+    instance, so asking again computes nothing.
     """
     if lam._value is not None and lam._value[0] is inst:
         return lam._value[1]
     if lam.nodes != inst.conflict_graph.nodes:
         raise PreconditionError("assignment is not over the conflict graph's nodes")
-    if lam.matrix.shape[1] != inst.num_labels:
-        raise PreconditionError(
-            f"probability vectors have {lam.matrix.shape[1]} labels, not {inst.num_labels}"
-        )
-    value = _objective(inst, lam.matrix)
+    value = _objective(inst, lam.x)
     lam._value = (inst, value)
     return value
 
 
-def _objective(inst: UtilityCostInstance, probs: np.ndarray) -> tuple[float, float]:
-    """(utility, cost) of the probability matrix `probs`, rows in node
-    order."""
-    pu, pv = probs[inst._eu], probs[inst._ev]
-    utility = inst.utility_const + float((inst.node_utility * probs).sum())
-    cost = float((inst.node_cost * probs).sum())
-    cost += float(np.einsum("ea,eab,eb->", pu, inst.edge_cost, pv))
+def _objective(inst: UtilityCostInstance, x: np.ndarray) -> tuple[float, float]:
+    """(utility, cost) of the marking probabilities `x`, in node order."""
+    utility = inst.utility_const + float((inst.node_utility * x).sum())
+    cost = float((inst.node_cost * x).sum())
+    cost += float((inst.pair_cost * x[inst._eu] * x[inst._ev]).sum())
     return utility, cost
 
 
@@ -426,72 +408,41 @@ def _first_fit(cover: CliqueCover) -> list[int]:
     return colors
 
 
-def _oriented(tensors: np.ndarray) -> np.ndarray:
-    """The E x L x L term tensors as read from each side, each flattened
-    to one row of L * L, numbered as `round_labels` numbers its entries:
-    row k < E is term k from its first endpoint, the tensor as stored,
-    and row E + k is term k from its second endpoint, the tensor
-    transposed.  One 2E-row table, so a class reads its entries with one
-    gather, where np.where(first, T[term], T[term].transpose(0, 2, 1))
-    takes two gathers and a select; the transposes are written straight
-    into the table's second half.  Gathering class by class, not all
-    entries at once, keeps a second table of this size from ever being
-    live: on G(4096, 8/n) the MIS iteration's traced peak fell from 344
-    to 327 bytes per edge (numpy 2.4.6), for up to 0.5 ms more per call
-    at n = 8192 (2 vCPUs)."""
-    num_terms, nl = len(tensors), tensors.shape[1]
-    flat = tensors.reshape(num_terms, nl * nl)
-    table = np.empty((2 * num_terms, nl * nl))
-    table[:num_terms] = flat
-    flat.take(np.arange(nl * nl).reshape(nl, nl).T.ravel(), axis=1, out=table[num_terms:])
-    return table
-
-
-def _conditional(oriented: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Row a of entry k: sum over b of oriented[k, a, b] * other[k, b].
-    The sum runs over b left to right, the order of the term-by-term loop
-    that tests keep as the reference, so equal scores, and hence label
-    ties, come out equal bit for bit."""
-    out = oriented[:, :, 0] * other[:, :1]
-    for b in range(1, other.shape[1]):
-        out = out + oriented[:, :, b] * other[:, b : b + 1]
-    return out
-
-
 def round_labels(
     inst: UtilityCostInstance,
     lam: FractionalAssignment,
     coloring: Coloring,
     checks: ClaimChecker | None = None,
 ) -> tuple[np.ndarray, tuple[float, float]]:
-    """Round a fractional labeling to an integral one, never losing value.
+    """Round a fractional marking to an integral one, never losing value.
 
     Requires utility(lam) - cost(lam) >= 0.1 * utility(lam) and a coloring
     of the conflict graph itself (a `Coloring` is proper by construction).
     The output satisfies both the 0.9 contract and the stronger no-loss
-    bound utility(l) - cost(l) >= utility(lam) - cost(lam), because fixing
-    a node to its best conditional label can only increase the
-    conditional expectation of the objective.
+    bound utility(marks) - cost(marks) >= utility(lam) - cost(lam),
+    because fixing a node to its better conditional choice can only
+    increase the conditional expectation of the objective.
 
-    A node that no edge term touches scores its node row, 0.0 + (N_u -
-    N_c) as one `np.bincount` gives it, and takes that row's first
-    maximum at once.  The class loop walks only the nodes that carry
-    entries: every term enters once per endpoint, grouped by that
-    endpoint's color class and kept in term order within it.  Each such
-    entry reads its cost tensor from its own endpoint's side, as stored
-    for the term's first endpoint and transposed for its second, in one
-    gather per class by the entry's index: its own-side index k for term
-    k's first endpoint, its transposed index E + k for the second
-    (`_oriented`).  An entry scores 0.0 minus its cost.
+    A node's score is what marking it adds to that expectation: 0.0 +
+    (utility - cost), then 0.0 - pair_cost * x[other] for each pair term
+    it is an end of, where x[other] is the other end's probability, or
+    its mark once fixed.  One `np.bincount` adds them: the node term,
+    then the terms the node is the lower end of, then those it is the
+    higher end of, each in term order.  A node is marked when its score
+    is above 0.0, so a tie leaves it unmarked.  A node that no pair term
+    touches scores its node term alone and is decided at once.  The class
+    loop walks only the nodes that carry entries: every term enters once
+    per endpoint, its lower ends first, grouped by that endpoint's color
+    class, and one gather per class reads the other ends' probabilities.
 
     The monotone claim is checked once per color class after the loop:
-    a class gains the sum over its members of score[label] - sum over b
-    of lam[:, b] * score[:, b], and the running total from the
-    fractional value must never drop.
+    a class gains the sum over its members of (score if marked, else 0)
+    - x * score, and the running total from the fractional value must
+    never drop.
 
-    Returns the labels, a read-only int array over the conflict graph's
-    node positions, and their (utility, cost), computed from their
-    one-hot matrix as `evaluate` would.
+    Returns the marks, a read-only bool array over the conflict graph's
+    node positions, and their (utility, cost), computed as `evaluate`
+    would for the integral marking.
     """
     checks = checks if checks is not None else ClaimChecker()
     g = inst.conflict_graph
@@ -506,14 +457,11 @@ def round_labels(
     if coloring.graph is not g:
         raise PreconditionError("coloring is not of the instance's conflict graph")
 
-    n, nl, color, num_colors = g.n, inst.num_labels, coloring.colors, coloring.num_colors
-    p0 = lam.matrix
-    probs = p0.copy()  # written only at nodes with entries, the only rows read
-    one_hot = np.eye(nl)
-    base = inst.node_utility - inst.node_cost
-    # a node without entries keeps its node row and its first maximum
-    scores = 0.0 + base
-    labels = scores.argmax(axis=1)
+    n, color, num_colors = g.n, coloring.colors, coloring.num_colors
+    x0 = lam.x
+    probs = x0.copy()  # written only at nodes with entries, the only ones read
+    # every score starts as the node term's, which a node without entries keeps
+    scores = inst.node_utility - inst.node_cost
     # nodes with entries in each class, in id order; rank = position within
     # the class.  Colors fit the narrowest unsigned type that holds
     # num_colors - 1, and numpy sorts 8- and 16-bit keys stably by radix:
@@ -530,13 +478,11 @@ def round_labels(
     rank = np.empty(n, np.intp)
     rank[order] = np.arange(len(order)) - np.repeat(member_end - class_size, class_size)
     # every term once per endpoint, grouped by that endpoint's class and
-    # kept in term order within it (the order each node sums its terms in)
+    # kept in entry order within it (the order each node sums its terms in)
     by_class = np.argsort(narrow[target], kind="stable")
     target, other = target[by_class], other[by_class]
+    cost = np.concatenate((inst.pair_cost, inst.pair_cost))[by_class]
     term_end = np.cumsum(np.bincount(color[target], minlength=num_colors))
-    # every term's tensor as read from each side, oriented once
-    sides = _oriented(inst.edge_cost)
-    label_cols = np.arange(nl)
 
     member_lo = term_lo = 0
     for member_hi, term_hi in zip(member_end.tolist(), term_end.tolist()):
@@ -544,29 +490,20 @@ def round_labels(
         k = len(members)
         if k:
             span = slice(term_lo, term_hi)
-            oriented = sides.take(by_class[span], axis=0).reshape(-1, nl, nl)
-            gathered = 0.0 - _conditional(oriented, probs[other[span]])
-            # node row first, then the incident terms in term order
-            slots = np.concatenate(
-                (np.arange(k * nl), (rank[target[span]][:, None] * nl + label_cols).ravel())
-            )
+            # node first, then the incident terms in term order
             chosen = np.bincount(
-                slots,
-                np.concatenate((base[members].ravel(), gathered.ravel())),
-                minlength=k * nl,
-            ).reshape(k, nl)
-            best = chosen.argmax(axis=1)  # first maximum: ties go to the lowest label
+                np.concatenate((np.arange(k), rank[target[span]])),
+                np.concatenate((scores[members], 0.0 - cost[span] * probs[other[span]])),
+                minlength=k,
+            )
             scores[members] = chosen
-            labels[members] = best
-            probs[members] = one_hot[best]
+            probs[members] = chosen > 0.0
         member_lo, term_lo = member_hi, term_hi
 
-    # each node's gain over its fractional row, summed per class in id
+    # each node's gain over its fractional mark, summed per class in id
     # order, and the running total over the classes
-    mixed = p0[:, 0] * scores[:, 0]
-    for b in range(1, nl):
-        mixed = mixed + p0[:, b] * scores[:, b]
-    gain = scores[np.arange(n), labels] - mixed
+    marked = scores > 0.0
+    gain = np.where(marked, scores, 0.0) - x0 * scores
     tracked = np.cumsum(np.concatenate(([gain0], np.bincount(color, gain, num_colors))))
     checks.ok_each(
         "rounding-monotone",
@@ -576,8 +513,8 @@ def round_labels(
     )
     final = float(tracked[-1])
 
-    labels.flags.writeable = False
-    uf, cf = _objective(inst, one_hot[labels])
+    marked.flags.writeable = False
+    uf, cf = _objective(inst, marked.astype(float))
     checks.ok(
         "rounding-consistency",
         abs((uf - cf) - final) <= 1e-6 * scale,
@@ -593,4 +530,4 @@ def round_labels(
         geq(uf - cf, gain0, scale),
         f"rounded objective {(uf - cf)!r} < fractional {gain0!r}",
     )
-    return labels, (uf, cf)
+    return marked, (uf, cf)

@@ -36,25 +36,13 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(nodes=nodes, edges=edges)
 
 
-def random_assignment(
-    rng: random.Random, nodes, num_labels: int = 2
-) -> FractionalAssignment:
-    probs = {}
-    for u in nodes:
-        raw = [rng.random() + 0.05 for _ in range(num_labels)]
-        total = sum(raw)
-        probs[u] = tuple(x / total for x in raw)
-    return assignment(nodes, probs)
-
-
 def random_objective(
     rng: random.Random,
     max_nodes: int = 8,
-    num_labels: int = 2,
     require_precondition: bool = True,
 ) -> tuple[UtilityCostInstance, FractionalAssignment]:
-    """Random instance plus assignment; resamples until the rounding
-    precondition holds when requested."""
+    """Random marking objective plus fractional marking; resamples until
+    the rounding precondition holds when requested."""
     while True:
         n = rng.randint(1, max_nodes)
         nodes = sorted(rng.sample(range(3 * max_nodes), n))
@@ -65,20 +53,10 @@ def random_objective(
             if rng.random() < 0.5
         ]
         g = Graph(nodes=nodes, edges=edges)
-        node_terms = {}
-        for u in nodes:
-            urow = tuple(rng.uniform(0.0, 1.0) for _ in range(num_labels))
-            crow = tuple(rng.uniform(0.0, 0.35) for _ in range(num_labels))
-            node_terms[u] = (urow, crow)
-        edge_terms = {}
-        for e in g.edges():
-            if rng.random() < 0.8:
-                edge_terms[e] = tuple(
-                    tuple(rng.uniform(0.0, 0.25) for _ in range(num_labels))
-                    for _ in range(num_labels)
-                )
-        inst = instance(g, num_labels, node_terms, edge_terms)
-        lam = random_assignment(rng, nodes, num_labels)
+        node_terms = {u: (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.35)) for u in nodes}
+        pair_terms = {e: rng.uniform(0.0, 0.25) for e in g.edges() if rng.random() < 0.8}
+        inst = instance(g, node_terms, pair_terms)
+        lam = assignment(nodes, {u: rng.random() for u in nodes})
         if not require_precondition:
             return inst, lam
         u0, c0 = evaluate(inst, lam)

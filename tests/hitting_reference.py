@@ -2,7 +2,7 @@
 
 `reference_basic_hitting_set` is `basic_hitting_set` as it was before
 each step's objective was built as arrays: node terms and pair costs as
-dicts of nested tuples, turned into a `UtilityCostInstance` by
+dicts, turned into a `UtilityCostInstance` by
 `rounding_reference.instance`, and the unhit left nodes as a set of
 ids.  Kept so tests can compare against it: the same selection,
 potentials, steps and claim counts, bit for bit.  Every weight sum adds
@@ -50,7 +50,7 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     cg = conflict_graph(inst)
     coloring = greedy_color(cg)
     result.zeta = coloring.num_colors
-    lam = assignment(cg.nodes, {v: (1.0 - q, q) for v in inst.v_nodes})
+    lam = assignment(cg.nodes, {v: q for v in inst.v_nodes})
     n_v = len(inst.v_nodes)
     norm = inst.norm
     checks = result.checks
@@ -88,10 +88,8 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             for u in member_of[v]:
                 if u in unhit:
                     a_v += inst.weights[u]
-            urow = (0.0, decay * a_v) if a_v else None
-            crow = (0.0, norm) if norm else None
-            if urow or crow:
-                node_terms[v] = (urow, crow)
+            if a_v or norm:
+                node_terms[v] = (decay * a_v, norm)
         for u in sorted(unhit):
             w_u = inst.weights[u]
             if w_u == 0.0:
@@ -101,12 +99,11 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
                 for y in range(x + 1, len(nbrs)):
                     key = (nbrs[x], nbrs[y]) if nbrs[x] < nbrs[y] else (nbrs[y], nbrs[x])
                     pair_w[key] = pair_w.get(key, 0.0) + w_u
-        edge_terms = {key: ((0.0, 0.0), (0.0, decay * w)) for key, w in pair_w.items()}
+        pair_terms = {key: decay * w for key, w in pair_w.items()}
         step_inst = instance(
             cg,
-            2,
             node_terms,
-            edge_terms,
+            pair_terms,
             utility_const=norm * 4.0 * inst.p / t_steps * n_v,
         )
         fu, fc = evaluate(step_inst, lam)
@@ -115,8 +112,8 @@ def reference_basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             leq(2.0 * fc, fu),
             f"step {i}: fractional utility {fu} < 2 * cost {fc}",
         )
-        labels, _ = round_labels(step_inst, lam, coloring, checks=checks)
-        batch = frozenset(v for v, lab in zip(cg.nodes, labels.tolist()) if lab == 1)
+        marked, _ = round_labels(step_inst, lam, coloring, checks=checks)
+        batch = frozenset(v for v, mark in zip(cg.nodes, marked.tolist()) if mark)
 
         lhs = 0.0
         for u in sorted(unhit):

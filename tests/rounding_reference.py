@@ -1,6 +1,6 @@
 """Pure-Python references for `evaluate`, `round_labels`, `is_proper`,
-`greedy_color` and the checks of `FractionalAssignment`, and the dict
-builders tests draw instances with.
+`greedy_color` and the check of `FractionalAssignment`, and the dict
+builders tests draw marking objectives with.
 
 The references are the term-by-term loop, the per-node generator, the
 per-node first-fit loop and the per-node check loop that the array forms
@@ -15,9 +15,9 @@ cover, kept as the reference the cover's coloring must equal.
 `edge_cover` gives a graph as a clique cover with one hub per edge, and
 `conflict_pairs` the graph a cover describes.  `instance` and
 `assignment` build the one array form of an instance and a fractional
-labeling from node-keyed dicts, the form the tests write them in;
-`integral` gives an integral labeling as its one-hot fractional
-labeling, the form `evaluate` takes.
+marking from node-keyed dicts, the form the tests write them in;
+`integral` gives an integral marking as the fractional marking of
+probabilities 0 and 1, the form `evaluate` takes.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from localround.errors import PreconditionError, plain_sum
+from localround.errors import PreconditionError
 from localround.graphs import Graph, csr_rows, edge_ends, expand
 from localround.rounding import CliqueCover, Coloring, FractionalAssignment, UtilityCostInstance
-
-Row = tuple[float, ...]
-Matrix = tuple[Row, ...]
 
 
 def edge_cover(g: Graph) -> CliqueCover:
@@ -68,161 +65,117 @@ def hub_entries(cover: CliqueCover) -> dict[tuple[int, int], tuple[int, int]]:
 
 def instance(
     conflict: Graph | CliqueCover,
-    num_labels: int,
-    node_terms: Mapping[int, tuple[Row | None, Row | None]] | None = None,
-    edge_terms: Mapping[tuple[int, int], Matrix | None] | None = None,
+    node_terms: Mapping[int, tuple[float | None, float | None]] | None = None,
+    pair_terms: Mapping[tuple[int, int], float | None] | None = None,
     utility_const: float = 0.0,
 ) -> UtilityCostInstance:
     """The instance with these terms on a conflict graph, a graph (taken
-    as its `edge_cover`) or a clique cover: node -> (utility row, cost
-    row) and (u, v) -> cost matrix, u < v, edge keys in term order and a
-    None table read as zeros.  Each term names its ends' entries in the
-    first hub that holds both."""
+    as its `edge_cover`) or a clique cover: node -> (utility, cost) when
+    marked and (u, v) -> cost when both are marked, u < v, pair keys in
+    term order and a None value read as zero.  Each term names its ends'
+    entries in the first hub that holds both."""
     cover = edge_cover(conflict) if isinstance(conflict, Graph) else conflict
-    node_terms, edge_terms = node_terms or {}, edge_terms or {}
+    node_terms, pair_terms = node_terms or {}, pair_terms or {}
     index = {u: i for i, u in enumerate(cover.nodes)}
-    n, nl, k = cover.n, num_labels, len(edge_terms)
-    nu, nc = np.zeros((n, nl)), np.zeros((n, nl))
-    for u, (urow, crow) in node_terms.items():
-        for table, row in ((nu, urow), (nc, crow)):
-            if row is not None:
-                table[index[u]] = row
-    wc = np.zeros((k, nl, nl))
-    for e, cmat in enumerate(edge_terms.values()):
-        if cmat is not None:
-            wc[e] = cmat
-    entries = hub_entries(cover) if k else {}
-    ends = np.array([entries[e] for e in edge_terms], np.intp).reshape(k, 2)
-    return UtilityCostInstance(cover, num_labels, nu, nc, ends[:, 0], ends[:, 1], wc, utility_const)
+    nu, nc = np.zeros(cover.n), np.zeros(cover.n)
+    for u, (utility, cost) in node_terms.items():
+        nu[index[u]], nc[index[u]] = utility or 0.0, cost or 0.0
+    wc = np.array([cost or 0.0 for cost in pair_terms.values()], float)
+    entries = hub_entries(cover) if pair_terms else {}
+    k = len(pair_terms)
+    ends = np.array([entries[e] for e in pair_terms], np.intp).reshape(k, 2)
+    return UtilityCostInstance(cover, nu, nc, ends[:, 0], ends[:, 1], wc, utility_const)
 
 
-def node_terms(inst: UtilityCostInstance) -> dict[int, tuple[Row, Row]]:
-    """node -> (utility row, cost row) of the nodes with a nonzero row of
-    the instance's node tables, in id order."""
-    at = np.flatnonzero(inst.node_utility.any(axis=1) | inst.node_cost.any(axis=1)).tolist()
-    rows = zip(map(tuple, inst.node_utility[at].tolist()), map(tuple, inst.node_cost[at].tolist()))
-    return dict(zip(map(inst.conflict_graph.nodes.__getitem__, at), rows))
+def node_terms(inst: UtilityCostInstance) -> dict[int, tuple[float, float]]:
+    """node -> (utility, cost) of the nodes with a nonzero utility or
+    cost, in id order."""
+    at = np.flatnonzero((inst.node_utility != 0.0) | (inst.node_cost != 0.0)).tolist()
+    values = zip(inst.node_utility[at].tolist(), inst.node_cost[at].tolist())
+    return dict(zip(map(inst.conflict_graph.nodes.__getitem__, at), values))
 
 
-def edge_terms(inst: UtilityCostInstance) -> dict[tuple[int, int], Matrix]:
-    """(u, v) -> cost matrix of every pair term of the instance, ends as
-    ids, in term order."""
+def edge_terms(inst: UtilityCostInstance) -> dict[tuple[int, int], float]:
+    """(u, v) -> cost of every pair term of the instance, ends as ids, in
+    term order."""
     node = inst.conflict_graph.nodes.__getitem__
     ends = [(node(a), node(b)) for a, b in inst.edge_terms.tolist()]
-    return dict(zip(ends, (tuple(map(tuple, mat)) for mat in inst.edge_cost.tolist())))
+    return dict(zip(ends, inst.pair_cost.tolist()))
 
 
-def assignment(nodes: Sequence[int], probs: Mapping[int, Sequence[float]]) -> FractionalAssignment:
-    """The fractional labeling whose vector at node u is probs[u], rows in
-    `nodes` order (a graph's `nodes`); every vector has the same length."""
-    rows = [tuple(map(float, probs[u])) for u in nodes]
-    width = len(rows[0]) if rows else 0
-    return FractionalAssignment(tuple(nodes), np.array(rows, float).reshape(len(rows), width))
+def assignment(nodes: Sequence[int], probs: Mapping[int, float]) -> FractionalAssignment:
+    """The fractional marking whose probability at node u is probs[u], in
+    `nodes` order (a graph's `nodes`)."""
+    return FractionalAssignment(tuple(nodes), np.array([probs[u] for u in nodes], float))
 
 
-def integral(inst: UtilityCostInstance, labels) -> FractionalAssignment:
-    """An integral labeling (node -> label, or one label per position) as
-    the one-hot fractional labeling over the conflict graph's nodes."""
+def integral(inst: UtilityCostInstance, marks) -> FractionalAssignment:
+    """An integral marking (node -> mark, or one mark per position) as the
+    fractional marking of probabilities 0 and 1 over the conflict graph's
+    nodes."""
     nodes = inst.conflict_graph.nodes
-    if isinstance(labels, Mapping):
-        labels = [labels[u] for u in nodes]
-    return FractionalAssignment(nodes, np.eye(inst.num_labels)[np.asarray(labels, np.intp)])
+    if isinstance(marks, Mapping):
+        marks = [marks[u] for u in nodes]
+    return FractionalAssignment(nodes, np.asarray(marks, float))
 
 
-def reference_check_probabilities(probs: Mapping[int, Sequence[float]]) -> None:
-    """The per-node checks `FractionalAssignment` makes, one vector at a
-    time in key order, raising the message it raises."""
-    for node, vec in probs.items():
-        vec = tuple(float(x) for x in vec)
-        if not vec:
-            raise PreconditionError(f"empty probability vector at node {node}")
+def reference_check_probabilities(probs: Mapping[int, float]) -> None:
+    """The per-node check `FractionalAssignment` makes, one probability at
+    a time in key order, raising the message it raises."""
+    for node, x in probs.items():
         # written so that NaN fails it too
-        if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in vec):
-            raise PreconditionError(f"probabilities outside [0,1] at node {node}")
-        total = plain_sum(vec)
-        if abs(total - 1.0) > 1e-9:
-            raise PreconditionError(f"probabilities at node {node} sum to {total!r}")
-
-
-def _rows(lam: FractionalAssignment) -> dict[int, list[float]]:
-    return dict(zip(lam.nodes, lam.matrix.tolist()))
-
-
-def _node_value(row: Row, probs: Sequence[float]) -> float:
-    return sum(p * x for p, x in zip(probs, row) if p != 0.0)
-
-
-def _edge_value(mat: Matrix, pu: Sequence[float], pv: Sequence[float]) -> float:
-    total = 0.0
-    for a, pa in enumerate(pu):
-        if pa == 0.0:
-            continue
-        row = mat[a]
-        total += pa * sum(pb * x for pb, x in zip(pv, row) if pb != 0.0)
-    return total
-
-
-def _one_hot(num_labels: int, label: int) -> tuple[float, ...]:
-    return tuple(1.0 if i == label else 0.0 for i in range(num_labels))
+        if not 0.0 <= float(x) <= 1.0:
+            raise PreconditionError(f"probability outside [0,1] at node {node}")
 
 
 def reference_evaluate(
     inst: UtilityCostInstance,
-    assignment: FractionalAssignment | Mapping[int, int],
+    assignment: FractionalAssignment | Mapping[int, bool],
 ) -> tuple[float, float]:
     if isinstance(assignment, FractionalAssignment):
-        probs = _rows(assignment)
+        probs = dict(zip(assignment.nodes, assignment.x.tolist()))
     else:
-        probs = {v: _one_hot(inst.num_labels, lab) for v, lab in assignment.items()}
+        probs = {v: float(mark) for v, mark in assignment.items()}
     utility, cost = inst.utility_const, 0.0
-    for node, (urow, crow) in node_terms(inst).items():
-        p = probs[node]
-        utility += _node_value(urow, p)
-        cost += _node_value(crow, p)
-    for (u, v), cmat in edge_terms(inst).items():
-        cost += _edge_value(cmat, probs[u], probs[v])
+    for node, (node_utility, node_cost) in node_terms(inst).items():
+        utility += probs[node] * node_utility
+        cost += probs[node] * node_cost
+    for (u, v), pair_cost in edge_terms(inst).items():
+        cost += pair_cost * probs[u] * probs[v]
     return utility, cost
 
 
 def reference_round_labels(
     inst: UtilityCostInstance, lam: FractionalAssignment, coloring: Coloring
-) -> dict[int, int]:
+) -> dict[int, bool]:
     g = inst.conflict_graph
-    probs = _rows(lam)
-    incident: dict[int, list[tuple[int, bool, Matrix]]] = {v: [] for v in g.nodes}
+    probs = dict(zip(lam.nodes, lam.x.tolist()))
+    incident: dict[int, list[tuple[int, float]]] = {v: [] for v in g.nodes}
     rows = node_terms(inst)
-    for (u, v), cmat in edge_terms(inst).items():
-        incident[u].append((v, True, cmat))
-        incident[v].append((u, False, cmat))
+    # a node sums the terms it is the lower end of, then those it is the
+    # higher end of, each in term order
+    for (u, v), cost in edge_terms(inst).items():
+        incident[u].append((v, cost))
+    for (u, v), cost in edge_terms(inst).items():
+        incident[v].append((u, cost))
 
     by_class: list[list[int]] = [[] for _ in range(coloring.num_colors)]
     for v, c in zip(g.nodes, coloring.colors.tolist()):
         by_class[c].append(v)
 
-    labels: dict[int, int] = {}
-    nl = inst.num_labels
+    marks: dict[int, bool] = {}
     for members in by_class:
         for v in members:
-            scores = [0.0] * nl
+            score = 0.0
             if v in rows:
-                urow, crow = rows[v]
-                for a in range(nl):
-                    scores[a] += urow[a]
-                for a in range(nl):
-                    scores[a] -= crow[a]
-            for w, v_is_first, cmat in incident[v]:
-                pw = probs[w]
-                for a in range(nl):
-                    acc = 0.0
-                    if v_is_first:
-                        acc -= sum(p * x for p, x in zip(pw, cmat[a]) if p != 0.0)
-                    else:
-                        acc -= sum(pw[b] * cmat[b][a] for b in range(nl) if pw[b] != 0.0)
-                    scores[a] += acc
-            best = max(range(nl), key=lambda a: (scores[a], -a))
-            labels[v] = best
-            probs[v] = list(_one_hot(nl, best))
-    return labels
+                utility, cost = rows[v]
+                score += utility
+                score -= cost
+            for w, cost in incident[v]:
+                score += 0.0 - cost * probs[w]
+            marks[v] = score > 0.0
+            probs[v] = float(marks[v])
+    return marks
 
 
 def reference_is_proper(g: Graph, colors: Mapping[int, int]) -> bool:

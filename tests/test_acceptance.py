@@ -131,7 +131,7 @@ def test_criterion_03_estimator_and_mass_windows(mis_sweep):
         from localround.rounding import FractionalAssignment
 
         inst = build_mis_instance(g, arrays, o)
-        lam = FractionalAssignment(g.nodes, [(1 - x[u], x[u]) for u in g.nodes])
+        lam = FractionalAssignment(g.nodes, [x[u] for u in g.nodes])
         fu, fc = evaluate(inst, lam)
         assert fu - fc >= fu / 3.0 - 1e-9 * (abs(fu) + abs(fc) + 1)
     _report("3 estimator-and-windows", "all iterations, 1e-9 relative tolerance")

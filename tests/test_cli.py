@@ -69,7 +69,7 @@ def test_gen_names_the_missing_parameter(tmp_path, capsys):
     assert "generator regular missing parameter d" in capsys.readouterr().err
 
 
-def test_parse_gen_spec_errors():
+def test_parse_gen_spec_errors(capsys):
     with pytest.raises(Exception):
         parse_gen_spec("nope:n=4")
     for spec in ("gnp:n=10,p=0.1,foo=1", "path:n=5,zzz=1"):
@@ -77,6 +77,13 @@ def test_parse_gen_spec_errors():
             parse_gen_spec(spec)
         assert run_cli("run", "--gen", spec, "--algo", "mis") == 3
     assert parse_gen_spec("path:n=5,seed=2").m == 4  # seed is accepted everywhere
+    # a repeated key is refused, not settled by its last value
+    for spec in ("gnp:n=50,p=0.1,n=3", "path:n=5,seed=1,seed=1"):
+        with pytest.raises(UsageError, match="given twice"):
+            parse_gen_spec(spec)
+        capsys.readouterr()
+        assert run_cli("run", "--gen", spec, "--algo", "mis") == 3
+        assert capsys.readouterr().err.startswith("error: generator parameter ")
 
 
 @pytest.mark.parametrize(
@@ -270,6 +277,17 @@ RECORDED_DIGESTS = {
     ),
     ("matching", "3", "regular:n=1000,d=3,seed=1"): (
         "6ce4a076874233fe603a5e6aaf59b2123fdc8db5032faf2da220b1082f0c89ef"
+    ),
+    # mis off gnp: a grid, a 3-regular graph, and a path, whose colouring of
+    # the square leaves most nodes to the first-fit per-node loop
+    ("mis", "3", "grid:rows=40,cols=40"): (
+        "0411522b4032c7c344e97ebb060a4d22bc49259e8353e4884c16e150f29b5cf7"
+    ),
+    ("mis", "3", "regular:n=1000,d=3,seed=1"): (
+        "285cfaf2fefac653f39c214fe3dd5534ee34093c2065dd383e8c7d37d1d1cc54"
+    ),
+    ("mis", "3", "path:n=3000"): (
+        "4e93187d79665a8e94501f7436d17f5e519770b7db901f557b75a54e343a61e1"
     ),
 }
 

@@ -397,10 +397,17 @@ def test_mpx_retry_budget(monkeypatch):
     import localround.clustering as clustering_module
     from localround.errors import RetryBudgetExceeded
 
-    monkeypatch.setattr(clustering_module, "stream", lambda *a: _AlwaysKeep())
+    streams = []
+
+    def always_keep(*labels):
+        streams.append(labels)
+        return _AlwaysKeep()
+
+    monkeypatch.setattr(clustering_module, "stream", always_keep)
     g = path(6)
-    with pytest.raises(RetryBudgetExceeded):
-        mpx_randomized(g, 2, seed=0, attempts=3)
+    with pytest.raises(RetryBudgetExceeded, match="in 5 seeded attempts"):
+        mpx_randomized(g, 2, seed=0)
+    assert streams == [(0, "mpx", attempt) for attempt in range(5)]
 
 
 def test_cluster_constant_uniform_weights_at_scale():

@@ -523,7 +523,7 @@ PINNED_PHIS = [
     "0x1.fcccccccccccep+2", "0x1.3cccccccccccdp+2",
 ]
 PINNED_STEPS = [
-    (94, "0x1.9304cbedf51aap+3", "0x1.1c1b09fa96548p+1"),
+    (94, "0x1.9304cbedf51aap+3", "0x1.1c1b09fa9654ep+1"),
     (3, "0x1.8619880b20a73p+1", "0x1.80ea3ace78193p+0"),
     (1, "0x1.823ef975af1b3p+1", "0x1.80563f04da443p+0"),
     (0, "0x1.80ef3785f48a8p+1", "0x1.8023e1edb17b5p+0"),

@@ -286,7 +286,7 @@ def test_instance_single_edge_tables():
     x = {0: 0.05, 1: 0.05}
     inst = build_mis_instance(g, witnesses, o)
     # utility is deg(1)/2 * x_0; cost is deg(1)/2 * x_0 * x_1
-    lam = FractionalAssignment(g.nodes, [(1.0 - x[u], x[u]) for u in g.nodes])
+    lam = FractionalAssignment(g.nodes, [x[u] for u in g.nodes])
     utility, cost = evaluate(inst, lam)
     assert utility == pytest.approx(0.5 * 0.05)
     assert cost == pytest.approx(0.5 * 0.05 * 0.05)
@@ -300,7 +300,7 @@ def test_instance_triangle_hand_expansion():
     assert witness_ids(g, witnesses) == {2: (1,), 3: (1,)}
     x = {1: 0.1, 2: 0.2, 3: 0.3}
     inst = build_mis_instance(g, witnesses, o)
-    lam = FractionalAssignment(g.nodes, [(1.0 - x[u], x[u]) for u in g.nodes])
+    lam = FractionalAssignment(g.nodes, [x[u] for u in g.nodes])
     utility, cost = evaluate(inst, lam)
     # hand expansion: degrees are all 2, so each good vertex weighs 1
     assert utility == pytest.approx(x[1] + x[1])
@@ -318,7 +318,7 @@ def test_instance_estimator_slack_on_random_graph():
     inst = build_mis_instance(g, witnesses, o)
     luby_derandomized_iteration(g, part, float(g.n + 1), seed=1, checks=checks)
     assert checks.counts["estimator-slack"] == 1
-    lam = FractionalAssignment(g.nodes, np.column_stack((1.0 - x, x)))
+    lam = FractionalAssignment(g.nodes, x)
     utility, cost = evaluate(inst, lam)
     assert utility - cost >= utility / 3.0 - 1e-9
 
@@ -376,12 +376,10 @@ def _assert_terms_match_loop_reference(g, o, witnesses):
     # the same (first-occurrence) order, values bit for bit
     nodes, pairs = node_terms(inst), edge_terms(inst)
     assert list(nodes) == sorted(lin)
-    assert nodes == {u: ((0.0, c), (0.0, 0.0)) for u, c in lin.items()}
+    assert nodes == {u: (c, 0.0) for u, c in lin.items()}
     assert len(inst.edge_terms) == len(pair_cost)
     assert list(pairs) == list(pair_cost)
-    assert [pairs[k] for k in pair_cost] == [
-        ((0.0, 0.0), (0.0, c)) for c in pair_cost.values()
-    ]
+    assert [pairs[k] for k in pair_cost] == list(pair_cost.values())
 
 
 @settings(max_examples=200, deadline=None)

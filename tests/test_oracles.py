@@ -71,8 +71,9 @@ def test_matching_budget_refusal():
 
 def test_round_check_one_node():
     g = Graph(nodes=[0])
-    inst = instance(g, 2, {0: ((0.2, 0.9), (0.0, 0.1))})
-    lam = assignment(g.nodes, {0: (0.25, 0.75)})
+    # 0.2 unmarked and 0.9 - 0.1 marked
+    inst = instance(g, {0: (0.7, 0.1)}, utility_const=0.2)
+    lam = assignment(g.nodes, {0: 0.75})
     best, expected = exhaustive_round_check(inst, lam)
     assert best == pytest.approx(0.8)
     assert expected == pytest.approx(0.25 * 0.2 + 0.75 * 0.8)
@@ -85,7 +86,7 @@ def test_round_check_single_edge_closed_form():
     witnesses = witness_arrays(g, {1: (0,)})
     x = 0.3
     inst = build_mis_instance(g, witnesses, o)
-    lam = assignment(g.nodes, {0: (1 - x, x), 1: (1 - x, x)})
+    lam = assignment(g.nodes, {0: x, 1: x})
     _, expected = exhaustive_round_check(inst, lam)
     assert expected == pytest.approx(0.5 * x - 0.5 * x * x)
 
@@ -101,8 +102,8 @@ def test_round_check_matches_pairwise_evaluate():
 
 def test_round_check_budget():
     g = Graph(nodes=range(25))
-    inst = instance(g, 2)
-    lam = assignment(g.nodes, {u: (0.5, 0.5) for u in g.nodes})
+    inst = instance(g)
+    lam = assignment(g.nodes, {u: 0.5 for u in g.nodes})
     with pytest.raises(BudgetExceeded):
         exhaustive_round_check(inst, lam, OracleBudget(max_label_tuples=2**20))
 

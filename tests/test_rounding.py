@@ -1,6 +1,5 @@
 import math
 import random
-import re
 import tracemalloc
 from itertools import combinations
 
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localround import rounding
-from localround.errors import ClaimChecker, ClaimViolation, PreconditionError, plain_sum
+from localround.errors import ClaimChecker, ClaimViolation, PreconditionError
 from localround.generators import cycle, gnp, grid, path, regular
 from localround.hitting import conflict_graph, split_into_copies
 from localround.graphs import Graph, induced_subgraph, square_graph
@@ -47,15 +46,15 @@ from rounding_reference import (
 
 def test_evaluate_single_node_integral():
     g = Graph(nodes=[0])
-    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    inst = instance(g, {0: (1.0, None)})
     assert evaluate(inst, integral(inst, {0: 1})) == (1.0, 0.0)
     assert evaluate(inst, integral(inst, {0: 0})) == (0.0, 0.0)
 
 
 def test_evaluate_pairwise_product():
     g = Graph(edges=[(0, 1)])
-    inst = instance(g, 2, edge_terms={(0, 1): ((0.0, 0.0), (0.0, 1.0))})
-    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
+    inst = instance(g, pair_terms={(0, 1): 1.0})
+    lam = assignment(g.nodes, {0: 0.5, 1: 0.5})
     utility, cost = evaluate(inst, lam)
     assert utility == 0.0
     assert cost == pytest.approx(0.25)
@@ -72,9 +71,9 @@ def test_evaluate_matches_exhaustive_expectation():
 
 def test_evaluate_missing_node():
     g = Graph(nodes=[0, 1])
-    inst = instance(g, 2)
+    inst = instance(g)
     for nodes in ((0,), (1, 0), (0, 1, 2)):
-        lam = assignment(nodes, {u: (0.0, 1.0) for u in nodes})
+        lam = assignment(nodes, {u: 1.0 for u in nodes})
         with pytest.raises(PreconditionError, match="not over the conflict graph's nodes"):
             evaluate(inst, lam)
 
@@ -83,80 +82,73 @@ def test_instance_rejects_non_conflict_edge_terms():
     alone = CliqueCover((0, 1), [0, 1, 2], [0, 1])  # two hubs of one node each
     edge = dict(entry_u=np.array([0]), entry_v=np.array([1]))
     with pytest.raises(PreconditionError, match=r"\(0,1\) is not a conflict edge"):
-        UtilityCostInstance(alone, 2, **_arrays(2, 1, **edge))
+        UtilityCostInstance(alone, **_arrays(2, 1, **edge))
     # a pair that conflicts must still be named by one hub's entries
     path = edge_cover(Graph(edges=[(0, 1), (1, 2)]))  # entries 0 1 | 1 2
     twice = CliqueCover((0, 1, 2), [0, 2, 4], [0, 1, 0, 1])
     with pytest.raises(PreconditionError, match=r"\(0,1\) is not a conflict edge of one hub"):
-        UtilityCostInstance(twice, 2, **_arrays(3, 1, entry_v=np.array([3])))
-    named = UtilityCostInstance(twice, 2, **_arrays(3, 1, entry_v=np.array([1])))
+        UtilityCostInstance(twice, **_arrays(3, 1, entry_v=np.array([3])))
+    named = UtilityCostInstance(twice, **_arrays(3, 1, entry_v=np.array([1])))
     assert named.edge_terms.tolist() == [[0, 1]]
     with pytest.raises(PreconditionError, match=r"\(1,2\) is not a conflict edge of one hub"):
-        UtilityCostInstance(path, 2, **_arrays(3, 1, entry_u=np.array([1]), entry_v=np.array([3])))
+        UtilityCostInstance(path, **_arrays(3, 1, entry_u=np.array([1]), entry_v=np.array([3])))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_instance_rejects_non_finite_constants(value):
     g = edge_cover(Graph(edges=[(0, 1), (1, 2)]))
     with pytest.raises(PreconditionError, match="constants must be finite"):
-        UtilityCostInstance(g, 2, **_path_arrays(utility_const=value))
+        UtilityCostInstance(g, **_path_arrays(utility_const=value))
 
 
 def test_term_views_keep_keys_order_and_length():
-    # node terms are the nodes with a nonzero row, in id order; edge terms
-    # keep their order, a zero cost matrix included: in the arrays, and in
-    # the dict form of them that the references read
+    # node terms are the nodes with a nonzero utility or cost, in id order;
+    # pair terms keep their order, a zero cost included: in the arrays, and
+    # in the dict form of them that the references read
     g = Graph(edges=[(0, 1), (1, 2), (0, 2)])
-    zero = ((0.0, 0.0), (0.0, 0.0))
     inst = instance(
         g,
-        2,
-        {2: ((1.0, 2.0), None), 1: (None, None), 0: (None, (0.5, 0.0))},
-        {(1, 2): ((0.0, 1.0), (2.0, 3.0)), (0, 1): None},
+        {2: (2.0, None), 1: (None, None), 0: (None, 0.5)},
+        {(1, 2): 3.0, (0, 1): None},
     )
-    assert inst.node_utility.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]
-    assert inst.node_cost.tolist() == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    assert inst.node_utility.tolist() == [0.0, 0.0, 2.0]
+    assert inst.node_cost.tolist() == [0.5, 0.0, 0.0]
     assert len(inst.edge_terms) == 2 and inst.edge_terms.tolist() == [[1, 2], [0, 1]]
-    assert list(node_terms(inst).items()) == [
-        (0, ((0.0, 0.0), (0.5, 0.0))),
-        (2, ((1.0, 2.0), (0.0, 0.0))),
-    ]
-    assert list(edge_terms(inst).items()) == [((1, 2), ((0.0, 1.0), (2.0, 3.0))), ((0, 1), zero)]
+    assert inst.pair_cost.tolist() == [3.0, 0.0]
+    assert list(node_terms(inst).items()) == [(0, (0.0, 0.5)), (2, (2.0, 0.0))]
+    assert list(edge_terms(inst).items()) == [((1, 2), 3.0), ((0, 1), 0.0)]
 
 
 def _arrays(n, num_edges, **change):
-    """Constructor arguments for n nodes, 2 labels and `num_edges` edge
-    terms, every table zero, with `change` applied."""
+    """Constructor arguments for n nodes and `num_edges` pair terms, every
+    value zero, with `change` applied."""
     args = dict(
-        node_utility=np.zeros((n, 2)),
-        node_cost=np.zeros((n, 2)),
+        node_utility=np.zeros(n),
+        node_cost=np.zeros(n),
         entry_u=np.zeros(num_edges, np.intp),
         entry_v=np.zeros(num_edges, np.intp),
-        edge_cost=np.zeros((num_edges, 2, 2)),
+        pair_cost=np.zeros(num_edges),
     )
     return {**args, **change}
 
 
 def _path_arrays(**change):
-    """Constructor arguments for a node utility at 0 and an edge term on
+    """Constructor arguments for a node utility at 0 and a pair term on
     (0, 1) of the path 0 - 1 - 2, whose `edge_cover` has the entries
     0, 1 (hub 0) and 1, 2 (hub 1), with `change` applied."""
-    node_utility = np.zeros((3, 2))
-    node_utility[0] = (0.0, 1.0)
-    edge_cost = np.zeros((1, 2, 2))
-    edge_cost[0, 1, 1] = 0.5
-    args = _arrays(3, 1, node_utility=node_utility, entry_v=np.array([1]), edge_cost=edge_cost)
+    node_utility = np.array([1.0, 0.0, 0.0])
+    args = _arrays(3, 1, node_utility=node_utility, entry_v=np.array([1]), pair_cost=[0.5])
     return {**args, **change}
 
 
 def test_from_arrays_matches_the_dict_constructor():
     # the dict builder the tests draw instances with gives the same arrays
     g = Graph(edges=[(0, 1), (1, 2)])
-    arrays = UtilityCostInstance(edge_cover(g), 2, **_path_arrays())
-    terms = instance(g, 2, {0: ((0.0, 1.0), None)}, {(0, 1): ((0.0, 0.0), (0.0, 0.5))})
-    for table in ("node_utility", "node_cost", "edge_terms", "edge_cost"):
+    arrays = UtilityCostInstance(edge_cover(g), **_path_arrays())
+    terms = instance(g, {0: (1.0, None)}, {(0, 1): 0.5})
+    for table in ("node_utility", "node_cost", "edge_terms", "pair_cost"):
         assert getattr(arrays, table).tolist() == getattr(terms, table).tolist()
-    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.25, 0.75), 2: (1.0, 0.0)})
+    lam = assignment(g.nodes, {0: 0.5, 1: 0.75, 2: 0.0})
     assert evaluate(arrays, lam) == evaluate(terms, lam)
 
 
@@ -169,16 +161,17 @@ def test_from_arrays_matches_the_dict_constructor():
         ({"entry_u": np.array([1]), "entry_v": np.array([2])}, r"\(1,1\) is not a conflict edge"),
         ({"entry_v": np.array([1, 2])}, "do not match"),
         ({"entry_v": np.array([-1])}, "edge term position outside"),
-        ({"node_cost": np.full((3, 2), math.nan)}, "non-finite node"),
-        ({"edge_cost": np.full((1, 2, 2), math.inf)}, "non-finite edge"),
-        ({"edge_cost": np.zeros((1, 2, 3))}, "do not match"),
-        ({"node_utility": np.zeros((2, 2))}, "do not match"),
+        ({"node_cost": np.full(3, math.nan)}, "non-finite node"),
+        ({"pair_cost": np.full(1, math.inf)}, "non-finite edge"),
+        ({"pair_cost": np.zeros(2)}, "do not match"),
+        ({"node_utility": np.zeros(2)}, "do not match"),
         ({"utility_const": math.nan}, "constants must be finite"),
-        ({"node_cost": [["0", "x"]] * 3}, "do not match"),
-        ({"node_utility": np.zeros((3, 3))}, "do not match"),
-        ({"node_cost": np.array([[0, 0], [0, math.inf], [0, 0]])}, "non-finite node"),
-        ({"edge_cost": [[[0.0, 1.0], [1.0]]]}, "do not match"),
-        ({"edge_cost": np.array([[[0.0, 1.0], [math.nan, 0.0]]])}, "non-finite edge"),
+        ({"node_cost": ["0", "x", "0"]}, "do not match"),
+        # the n x 2 table of a label alphabet is refused
+        ({"node_utility": np.zeros((3, 2))}, "do not match"),
+        ({"node_cost": np.array([0, math.inf, 0])}, "non-finite node"),
+        ({"pair_cost": [[0.0, 1.0], [1.0]]}, "do not match"),
+        ({"pair_cost": np.array([math.nan])}, "non-finite edge"),
         ({"entry_u": np.array([4])}, "edge term position outside"),
         ({"entry_u": np.zeros((1, 1), np.intp)}, "do not match"),
     ],
@@ -186,76 +179,47 @@ def test_from_arrays_matches_the_dict_constructor():
 def test_from_arrays_rejects_malformed_arrays(change, match):
     g = edge_cover(Graph(edges=[(0, 1), (1, 2)]))
     with pytest.raises(PreconditionError, match=match):
-        UtilityCostInstance(g, 2, **_path_arrays(**change))
-    with pytest.raises(PreconditionError, match="at least one label"):
-        UtilityCostInstance(g, 0, **_path_arrays())
-
-
-def test_evaluate_rejects_malformed_labelings():
-    g = Graph(edges=[(0, 1)])
-    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
-    with pytest.raises(PreconditionError, match="have 3 labels, not 2"):
-        evaluate(inst, assignment(g.nodes, {0: (0.5, 0.5, 0.0), 1: (1.0, 0.0, 0.0)}))
+        UtilityCostInstance(g, **_path_arrays(**change))
 
 
 def test_fractional_assignment_rejects_nan():
     with pytest.raises(PreconditionError, match="outside"):
-        FractionalAssignment((0, 1), [(math.nan, 1.0), (0.5, 0.5)])
+        FractionalAssignment((0, 1), [math.nan, 0.5])
 
 
 @st.composite
-def probability_matrices(draw):
-    """Node ids and a matrix of up to 4 labels whose rows are mostly
-    probability vectors; some rows hold NaN, an entry outside [0, 1], or
-    a sum off 1 by about 1e-9, and some matrices have no columns."""
+def probability_vectors(draw):
+    """Node ids and one marking probability per node, mostly in [0, 1];
+    some are NaN or just or well outside [0, 1]."""
     nodes = tuple(draw(st.lists(st.integers(0, 2**60), unique=True, max_size=8)))
-    labels = draw(st.integers(0, 4))
-    rows = []
-    for _ in nodes:
-        raw = [draw(st.floats(0.01, 1.0)) for _ in range(labels)]
-        row = [x / sum(raw) for x in raw]
-        if labels and draw(st.integers(0, 5)) == 0:
-            k = draw(st.integers(0, labels - 1))
-            row[k] = draw(st.sampled_from([math.nan, -0.1, 1.5, -1e-12, 1 + 2e-12]))
-        if labels and draw(st.integers(0, 5)) == 0:
-            row[-1] += draw(st.sampled_from([1e-9, -1.2e-9, 2e-9, 1e-10]))
-        rows.append(row)
-    return nodes, np.array(rows, float).reshape(len(nodes), labels)
+    special = st.sampled_from([math.nan, -0.1, 1.5, -1e-12, 1 + 2e-12, -0.0, 0.0, 1.0])
+    x = [draw(special if draw(st.integers(0, 3)) == 0 else st.floats(0.0, 1.0)) for _ in nodes]
+    return nodes, np.array(x, float)
 
 
 @settings(max_examples=400, deadline=None)
-@given(probability_matrices())
+@given(probability_vectors())
 def test_from_matrix_checks_as_the_constructor_does(case):
-    nodes, matrix = case
+    nodes, x = case
     try:
-        reference_check_probabilities(dict(zip(nodes, matrix.tolist())))
+        reference_check_probabilities(dict(zip(nodes, x.tolist())))
     except PreconditionError as exc:
         # the same check fails first, at the same node
         with pytest.raises(PreconditionError) as got:
-            FractionalAssignment(nodes, matrix)
+            FractionalAssignment(nodes, x)
         assert str(got.value) == str(exc)
         return
-    lam = FractionalAssignment(list(nodes), matrix)
-    assert lam.nodes == nodes and not lam.matrix.flags.writeable
-    assert np.array_equal(lam.matrix, matrix) and lam.matrix is not matrix
-
-
-def test_both_constructors_sum_left_to_right():
-    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, and 0.6 under
-    # the compensated builtin `sum` of Python 3.12 and later
-    row = (0.1, 0.2, 0.3, 0.4 + 2e-9)
-    want = re.escape(f"node 7 sum to {plain_sum(row)!r}")
-    with pytest.raises(PreconditionError, match=want):
-        reference_check_probabilities({7: row})
-    with pytest.raises(PreconditionError, match=want):
-        FractionalAssignment((7,), np.array([row]))
+    lam = FractionalAssignment(list(nodes), x)
+    assert lam.nodes == nodes and not lam.x.flags.writeable
+    assert np.array_equal(lam.x, x) and lam.x is not x
 
 
 def test_from_matrix_needs_one_row_per_node():
     with pytest.raises(PreconditionError, match="shape"):
-        FractionalAssignment((1, 2), np.ones((1, 2)) / 2)
+        FractionalAssignment((1, 2), np.ones(1) / 2)
+    # the n x 2 matrix of a label alphabet is refused
     with pytest.raises(PreconditionError, match="shape"):
-        FractionalAssignment((1, 2), np.ones(2) / 2)
+        FractionalAssignment((1, 2), np.ones((2, 2)) / 2)
 
 
 def test_greedy_color_edgeless():
@@ -533,18 +497,6 @@ def test_is_proper_ranks_colors_too_far_apart_to_code():
     assert not is_proper(cover, np.array([big, big, 0]))
 
 
-@pytest.mark.parametrize("nl", [1, 2, 3, 4])
-@pytest.mark.parametrize("terms, entries", [(0, 0), (1, 1), (6, 0), (6, 40)])
-def test_oriented_reads_each_entry_from_its_side(nl, terms, entries):
-    rng = np.random.default_rng(nl * 100 + entries)
-    tensors = rng.standard_normal((terms, nl, nl))
-    index = rng.integers(0, 2 * terms, entries) if terms else np.zeros(0, np.intp)
-    term, first = index % max(terms, 1), index < terms
-    got = rounding._oriented(tensors)[index].reshape(entries, nl, nl)
-    want = np.where(first[:, None, None], tensors[term], tensors[term].transpose(0, 2, 1))
-    assert got.shape == (entries, nl, nl) and np.array_equal(got, want)
-
-
 def test_greedy_color_matches_the_first_fit_loop_at_scale():
     # waves of up to 144 nodes and a tail of thin ones
     h = gnp(8192, 8 / 8191, seed=3)
@@ -556,27 +508,27 @@ def test_greedy_color_matches_the_first_fit_loop_at_scale():
 
 def test_greedy_coloring_keeps_its_color_array():
     g = random_graph(random.Random(4), 30, 0.2)
-    inst, lam = instance(g, 2), assignment(g.nodes, {u: (0.5, 0.5) for u in g.nodes})
+    inst, lam = instance(g), assignment(g.nodes, {u: 0.5 for u in g.nodes})
     cover = inst.conflict_graph
     col = greedy_color(cover)
     assert not col.colors.flags.writeable and col.colors.dtype == np.int64
-    assert is_proper(cover, col.colors) and round_labels(inst, lam, col)[0].tolist() == [0] * g.n
+    assert is_proper(cover, col.colors) and not round_labels(inst, lam, col)[0].any()
     # a coloring belongs to its graph: another node order is refused
     other = induced_subgraph(g, np.arange(g.n) > 0)
-    half = assignment(other.nodes, {u: (0.5, 0.5) for u in other.nodes})
+    half = assignment(other.nodes, {u: 0.5 for u in other.nodes})
     with pytest.raises(PreconditionError, match="not of the instance's conflict graph"):
-        round_labels(instance(other, 2), half, col)
+        round_labels(instance(other), half, col)
 
 
 def test_rounded_labels_are_a_read_only_array_that_keeps_its_value():
     rng = random.Random(6)
     inst, lam = random_objective(rng, max_nodes=25)
     g = inst.conflict_graph
-    labels, value = round_labels(inst, lam, greedy_color(inst.conflict_graph))
-    assert not labels.flags.writeable and labels.shape == (g.n,)
-    # the value returned is the one evaluate gives the one-hot labeling
-    assert value == evaluate(inst, integral(inst, labels))
-    want = reference_evaluate(inst, dict(zip(g.nodes, labels.tolist())))
+    marked, value = round_labels(inst, lam, greedy_color(inst.conflict_graph))
+    assert not marked.flags.writeable and marked.shape == (g.n,) and marked.dtype == bool
+    # the value returned is the one evaluate gives the integral marking
+    assert value == evaluate(inst, integral(inst, marked))
+    want = reference_evaluate(inst, dict(zip(g.nodes, marked.tolist())))
     assert value == pytest.approx(want, rel=1e-9, abs=1e-12)
     assert evaluate(inst, lam) is evaluate(inst, lam)
 
@@ -584,30 +536,26 @@ def test_rounded_labels_are_a_read_only_array_that_keeps_its_value():
 def test_round_integral_fixed_point():
     # integral assignment already at the per-node maximizer stays put
     g = Graph(edges=[(0, 1)])
-    inst = instance(
-        g,
-        2,
-        {0: ((0.0, 2.0), None), 1: ((0.0, 2.0), None)},
-        {(0, 1): ((0.0, 0.0), (0.0, 1.0))},
-    )
-    lam = assignment(g.nodes, {0: (0.0, 1.0), 1: (0.0, 1.0)})
-    labels, after = round_labels(inst, lam, greedy_color(inst.conflict_graph))
-    assert labels.tolist() == [1, 1]
+    inst = instance(g, {0: (2.0, None), 1: (2.0, None)}, {(0, 1): 1.0})
+    lam = assignment(g.nodes, {0: 1.0, 1: 1.0})
+    marked, after = round_labels(inst, lam, greedy_color(inst.conflict_graph))
+    assert marked.tolist() == [True, True]
     assert evaluate(inst, lam) == after
 
 
 def test_round_single_node_picks_maximizer():
     g = Graph(nodes=[0])
-    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
-    lam = assignment(g.nodes, {0: (0.3, 0.7)})
-    assert round_labels(inst, lam, greedy_color(inst.conflict_graph))[0].tolist() == [1]
+    inst = instance(g, {0: (1.0, None)})
+    lam = assignment(g.nodes, {0: 0.7})
+    assert round_labels(inst, lam, greedy_color(inst.conflict_graph))[0].tolist() == [True]
 
 
 def test_round_ties_prefer_smaller_label():
+    # marking adds 0.5 - 0.5 = 0: a tie, which leaves the node unmarked
     g = Graph(nodes=[0])
-    inst = instance(g, 2, {0: ((0.5, 0.5), None)})
-    lam = assignment(g.nodes, {0: (0.5, 0.5)})
-    assert round_labels(inst, lam, greedy_color(inst.conflict_graph))[0].tolist() == [0]
+    inst = instance(g, {0: (0.5, 0.5)}, utility_const=1.0)
+    lam = assignment(g.nodes, {0: 0.5})
+    assert round_labels(inst, lam, greedy_color(inst.conflict_graph))[0].tolist() == [False]
 
 
 def test_round_contract_on_random_instances():
@@ -626,15 +574,15 @@ def test_round_contract_on_random_instances():
 
 def test_round_precondition_rejected_with_measurements():
     g = Graph(nodes=[0])
-    inst = instance(g, 2, {0: ((0.0, 1.0), (0.0, 0.99))})
-    lam = assignment(g.nodes, {0: (0.0, 1.0)})
+    inst = instance(g, {0: (1.0, 0.99)})
+    lam = assignment(g.nodes, {0: 1.0})
     with pytest.raises(PreconditionError, match="utility"):
         round_labels(inst, lam, greedy_color(inst.conflict_graph))
 
 
 def test_round_improper_coloring_rejected():
     g = Graph(edges=[(0, 1)])
-    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
+    inst = instance(g, {0: (1.0, None)})
     cover = inst.conflict_graph
     assert not is_proper(cover, np.array([0, 0]))
     with pytest.raises(PreconditionError, match="proper"):
@@ -648,10 +596,10 @@ def test_round_improper_coloring_rejected():
     assert Coloring(cover, np.array([1, 0], np.uint8)).colors.tolist() == [1, 0]
     assert Coloring(edge_cover(Graph()), []).num_colors == 0
     # a proper coloring of an equal cover is still not this instance's
-    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
+    lam = assignment(g.nodes, {0: 0.5, 1: 0.5})
     with pytest.raises(PreconditionError, match="not of the instance's conflict graph"):
         round_labels(inst, lam, Coloring(edge_cover(g), [0, 1]))
-    assert round_labels(inst, lam, Coloring(cover, [1, 0]))[0].tolist() == [1, 0]
+    assert round_labels(inst, lam, Coloring(cover, [1, 0]))[0].tolist() == [True, False]
 
 
 @st.composite
@@ -719,34 +667,31 @@ def test_is_proper_needs_every_color():
 
 def test_probability_matrix_is_kept_per_node_order():
     g = Graph(edges=[(0, 5), (5, 9)])
-    inst = instance(g, 2, {5: ((0.0, 1.0), (0.2, 0.0))})
-    lam = assignment(g.nodes, {0: (0.5, 0.5), 5: (0.25, 0.75), 9: (1.0, 0.0)})
+    inst = instance(g, {5: (1.0, 0.2)})
+    lam = assignment(g.nodes, {0: 0.5, 5: 0.75, 9: 0.0})
     before = evaluate(inst, lam)
-    kept = lam.matrix
+    kept = lam.x
     assert not kept.flags.writeable
-    assert kept.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
-    # round_labels writes one-hot rows into its own copy, not the kept one
+    assert kept.tolist() == [0.5, 0.75, 0.0]
+    # round_labels writes the marks into its own copy, not the kept one
     round_labels(inst, lam, greedy_color(inst.conflict_graph))
-    assert lam.matrix is kept and kept.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
+    assert lam.x is kept and kept.tolist() == [0.5, 0.75, 0.0]
     assert evaluate(inst, lam) == before
-    # the matrix is over one node order; another graph's is refused
+    # the probabilities are over one node order; another graph's is refused
     other = Graph(edges=[(0, 5), (5, 9), (9, 10)])
     with pytest.raises(PreconditionError, match="not over the conflict graph's nodes"):
-        evaluate(instance(other, 2), lam)
+        evaluate(instance(other), lam)
 
 
 def test_kept_probabilities_still_check_every_call():
     g = Graph(edges=[(0, 1)])
-    inst = instance(g, 2, {0: ((0.0, 1.0), None)})
-    three = instance(g, 3)
-    short = assignment((0,), {0: (0.5, 0.5)})
-    lam = assignment(g.nodes, {0: (0.5, 0.5), 1: (0.5, 0.5)})
+    inst = instance(g, {0: (1.0, None)})
+    short = assignment((0,), {0: 0.5})
+    lam = assignment(g.nodes, {0: 0.5, 1: 0.5})
     for _ in range(2):
         with pytest.raises(PreconditionError, match="not over the conflict graph's nodes"):
             evaluate(inst, short)
         assert evaluate(inst, lam) == (0.5, 0.0)
-        with pytest.raises(PreconditionError, match="have 2 labels, not 3"):
-            evaluate(three, lam)
 
 
 def test_round_deterministic():
@@ -792,63 +737,40 @@ def test_round_never_below_fractional(seed):
     assert uf - cf >= (u0 - c0) - 1e-9
 
 
-def test_three_label_alphabet():
-    rng = random.Random(21)
-    inst, lam = random_objective(rng, max_nodes=5, num_labels=3)
-    labels, _ = round_labels(inst, lam, greedy_color(inst.conflict_graph))
-    assert labels.shape == (inst.conflict_graph.n,)
-    assert all(0 <= lab < 3 for lab in labels.tolist())
-
-
 @st.composite
 def objectives(draw):
-    """Instance, fractional and integral labelings, and a proper coloring.
+    """Instance, fractional and integral markings, and a proper coloring.
 
-    Node ids are sparse, some conflict edges carry no term, and any table
-    may be None.  Integer-valued tables with probabilities in eighths make
-    every score exact, so equal scores (label ties) are common.
+    Node ids are sparse, some conflict edges carry no term, and any value
+    may be None.  Integer values with probabilities in eighths make every
+    score exact, so scores of exactly 0 (ties) are common.
     """
-    nl = draw(st.integers(1, 4))
     nodes = sorted(draw(st.sets(st.integers(0, 200), min_size=1, max_size=7)))
     pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
     edges = [e for e in pairs if draw(st.booleans())]
     g = Graph(nodes=nodes, edges=edges)
     exact = draw(st.booleans())
     value = st.integers(0, 3).map(float) if exact else st.floats(0.0, 1.0)
+    maybe = st.one_of(st.none(), value, value, value)
 
-    def table(shape):
-        if draw(st.integers(0, 3)) == 0:
-            return None
-        if len(shape) == 1:
-            return tuple(draw(value) for _ in range(nl))
-        return tuple(tuple(draw(value) for _ in range(nl)) for _ in range(nl))
-
-    node_terms = {u: (table((nl,)), table((nl,))) for u in nodes if draw(st.booleans())}
-    edge_terms = {e: table((nl, nl)) for e in edges if draw(st.booleans())}
+    node_terms = {u: (draw(maybe), draw(maybe)) for u in nodes if draw(st.booleans())}
+    pair_terms = {e: draw(maybe) for e in edges if draw(st.booleans())}
     # a large enough constant keeps utility - cost >= 0.1 * utility; it
-    # moves no score, so it cannot hide a label difference
-    costs = [cost for _, cost in node_terms.values()] + list(edge_terms.values())
-    cost_mass = sum(float(np.sum(cost)) for cost in costs if cost is not None)
-    inst = instance(g, nl, node_terms, edge_terms, utility_const=10 * cost_mass + 1)
+    # moves no score, so it cannot hide a difference in the marks
+    costs = [cost for _, cost in node_terms.values()] + list(pair_terms.values())
+    cost_mass = sum(cost for cost in costs if cost is not None)
+    inst = instance(g, node_terms, pair_terms, utility_const=10 * cost_mass + 1)
 
-    probs = {}
-    for u in nodes:
-        if exact:
-            cuts = sorted(draw(st.lists(st.integers(0, 8), min_size=nl - 1, max_size=nl - 1)))
-            bounds = [0, *cuts, 8]
-            probs[u] = tuple((hi - lo) / 8 for lo, hi in zip(bounds, bounds[1:]))
-        else:
-            raw = [draw(st.floats(0.0, 1.0)) for _ in range(nl)]
-            total = sum(raw)
-            probs[u] = tuple(x / total for x in raw) if total > 0 else (1.0,) + (0.0,) * (nl - 1)
-    labels = {u: draw(st.integers(0, nl - 1)) for u in nodes}
+    eighths = st.integers(0, 8).map(lambda k: k / 8)
+    probs = {u: draw(eighths if exact else st.floats(0.0, 1.0)) for u in nodes}
+    marks = {u: draw(st.booleans()) for u in nodes}
 
     col = greedy_color(inst.conflict_graph)
     stride, flip = draw(st.integers(1, 2)), draw(st.booleans())
     top = stride * col.num_colors
     colors = top - 1 - stride * col.colors if flip else stride * col.colors
     coloring = Coloring(inst.conflict_graph, colors)
-    return inst, assignment(g.nodes, probs), labels, coloring
+    return inst, assignment(g.nodes, probs), marks, coloring
 
 
 def _close(a, b):
@@ -858,41 +780,38 @@ def _close(a, b):
 @settings(max_examples=300, deadline=None)
 @given(objectives())
 def test_array_path_matches_loop_reference(case):
-    inst, lam, labels, coloring = case
-    for fractional, given in ((lam, lam), (integral(inst, labels), labels)):
+    inst, lam, marks, coloring = case
+    for fractional, given in ((lam, lam), (integral(inst, marks), marks)):
         got, want = evaluate(inst, fractional), reference_evaluate(inst, given)
         assert _close(got[0], want[0]) and _close(got[1], want[1])
     checks = ClaimChecker()
     rounded, got = round_labels(inst, lam, coloring, checks=checks)
     # one monotone check per color class, empty ones (stride 2) included
     assert checks.counts["rounding-monotone"] == coloring.num_colors
-    want_labels = reference_round_labels(inst, lam, coloring)
-    assert rounded.tolist() == [want_labels[u] for u in inst.conflict_graph.nodes]
-    want = reference_evaluate(inst, want_labels)
+    want_marks = reference_round_labels(inst, lam, coloring)
+    assert rounded.tolist() == [want_marks[u] for u in inst.conflict_graph.nodes]
+    want = reference_evaluate(inst, want_marks)
     assert _close(got[0], want[0]) and _close(got[1], want[1])
 
 
 def hitting_shaped(seed: int):
     """A hitting step's objective, shaped as `basic_hitting_set` builds
     it: 300 nodes, each with a node term, and a few dozen pair terms, so
-    most nodes carry no edge entry."""
+    most nodes carry no pair entry."""
     rng = np.random.default_rng(seed)
     n, norm = 300, 0.05
     g = gnp(n, 0.05, seed=seed)
     pick = rng.choice(g.m, size=min(40, g.m), replace=False)
     pick.sort()
-    node_utility = np.zeros((n, 2))
-    node_utility[:, 1] = rng.uniform(0.0, 0.2, n) * (rng.random(n) < 0.3)
-    node_cost = np.repeat([[0.0, norm]], n, axis=0)
-    edge_cost = np.zeros((len(pick), 2, 2))
-    edge_cost[:, 1, 1] = rng.uniform(0.0, 0.3, len(pick))
+    node_utility = rng.uniform(0.0, 0.2, n) * (rng.random(n) < 0.3)
+    pair_cost = rng.uniform(0.0, 0.3, len(pick))
     # edge k is hub k of the edge cover, its ends the entries 2k and 2k + 1
     inst = UtilityCostInstance(
-        edge_cover(g), 2, node_utility, node_cost, 2 * pick, 2 * pick + 1, edge_cost,
+        edge_cover(g), node_utility, np.full(n, norm), 2 * pick, 2 * pick + 1, pair_cost,
         utility_const=20.0,
     )
     q = rng.choice([0.05, 0.25, 0.5])
-    lam = FractionalAssignment(g.nodes, np.tile((1.0 - q, q), (n, 1)))
+    lam = FractionalAssignment(g.nodes, np.full(n, q))
     return inst, lam
 
 

@@ -79,7 +79,7 @@ def test_edge_term_counts_that_perfbench_reads(monkeypatch):
     def recording(side, real):
         def round_labels(inst, *args, **kwargs):
             counts[side].append(len(inst.edge_terms))
-            assert inst.edge_terms.shape == (len(inst.edge_cost), 2)
+            assert inst.edge_terms.shape == (len(inst.pair_cost), 2)
             return real(inst, *args, **kwargs)
 
         return round_labels
