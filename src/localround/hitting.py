@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat, takewhile
+from itertools import chain, repeat, takewhile
 from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
@@ -56,12 +56,15 @@ class BipartiteInstance:
     `weights` (left node -> weight), in any id order; `from_arrays`
     takes the arrays.  `adj` and `weights` read back as those dicts,
     built from the arrays on first read, each row in `nbr` order.
+    `total_weight` is the weights added left to right in id order,
+    which must stay below the largest float.
     """
 
     u_nodes: tuple[int, ...]
     v_nodes: tuple[int, ...]
     nbr: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
+    total_weight: float = field(repr=False)
     delta: int
     p: float
     norm: float
@@ -83,7 +86,8 @@ class BipartiteInstance:
         messages, so that the first failing left node is named, and its
         first failing check: degree, neighbours in V, weight.  A node
         missing from `adj` does not have degree delta, and a weight that
-        is missing, not a real number or beyond the floats is bad."""
+        is missing, not a real number or beyond the floats is bad.  The
+        total of those rows' weights is checked after them."""
         u_nodes, v_nodes = tuple(sorted(u_nodes)), tuple(sorted(v_nodes))
         _check_sides(u_nodes, v_nodes, delta, p, norm, k)
         rows = list(takewhile(lambda row: len(row) == delta, (adj.get(u, ()) for u in u_nodes)))
@@ -117,7 +121,8 @@ class BipartiteInstance:
         not have degree delta, a position outside [0, len(v_nodes)) is a
         neighbour outside V, and a weight must be finite and
         non-negative; the first failing left node in id order is named,
-        in a `PreconditionError`.
+        in a `PreconditionError`.  Then the weights' total must be finite
+        too.
         """
         u_nodes, v_nodes = tuple(u_nodes), tuple(v_nodes)
         if list(u_nodes) != sorted(u_nodes) or list(v_nodes) != sorted(v_nodes):
@@ -142,6 +147,10 @@ class BipartiteInstance:
             if outside[i]:
                 raise PreconditionError(f"left node {u} has a neighbor outside V")
             raise PreconditionError(f"bad weight at left node {u}")
+        with np.errstate(over="ignore"):  # an infinite total is refused below
+            total_weight = plain_sum(weight)
+        if not math.isfinite(total_weight):
+            raise PreconditionError("the weights add up to more than the largest float")
         nbr.flags.writeable = weight.flags.writeable = False
         inst = cls.__new__(cls)
         # frozen: the fields are set through the instance dict
@@ -154,6 +163,7 @@ class BipartiteInstance:
             k=k,
             nbr=nbr,
             weight=weight,
+            total_weight=total_weight,
         )
         return inst
 
@@ -166,10 +176,6 @@ class BipartiteInstance:
     @cached_property
     def weights(self) -> dict[int, float]:
         return dict(zip(self.u_nodes, self.weight.tolist()))
-
-    @property
-    def total_weight(self) -> float:
-        return plain_sum(self.weight)
 
 
 def _as_float(w: object) -> float:
@@ -200,10 +206,24 @@ def _check_sides(
         raise PreconditionError(f"k={k} outside [1, delta={delta}]")
 
 
-def _hits(inst: BipartiteInstance, selected: frozenset[int]) -> np.ndarray:
-    """Each left node's number of neighbours in `selected`."""
-    chosen = np.fromiter(map(selected.__contains__, inst.v_nodes), bool, len(inst.v_nodes))
-    return np.count_nonzero(chosen[inst.nbr], axis=1)
+def _mask(inst: BipartiteInstance, selected: frozenset[int]) -> np.ndarray:
+    """`selected` as one bool per position in `v_nodes`; a selected id
+    outside V is a `PreconditionError` that names it."""
+    outside = selected.difference(inst.v_nodes)
+    if outside:
+        raise PreconditionError(f"selected node {min(outside)} is not in V")
+    return np.fromiter(map(selected.__contains__, inst.v_nodes), bool, len(inst.v_nodes))
+
+
+def _hits(inst: BipartiteInstance, picked: np.ndarray) -> np.ndarray:
+    """Each left node's number of neighbours among the positions the mask
+    `picked` holds."""
+    return np.count_nonzero(picked[inst.nbr], axis=1)
+
+
+def _ids(inst: BipartiteInstance, picked: np.ndarray) -> frozenset[int]:
+    """The ids of the positions the mask `picked` holds."""
+    return frozenset(map(inst.v_nodes.__getitem__, np.flatnonzero(picked).tolist()))
 
 
 def conflict_graph(inst: BipartiteInstance) -> CliqueCover:
@@ -235,12 +255,19 @@ class HittingResult:
     rounds_h: int = 0
     zeta: int = 0
     checks: ClaimChecker = field(default_factory=ClaimChecker)
+    # `selected` as a read-only mask over the solved instance's v_nodes
+    picked: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def basic_guarantee(inst: BipartiteInstance, selected: frozenset[int]) -> tuple[float, float]:
-    """(achieved, allowed) sides of the basic guarantee for `selected`."""
-    unhit = plain_sum(inst.weight[_hits(inst, selected) == 0])
-    lhs = unhit + inst.norm * len(selected)
+    """(achieved, allowed) sides of the basic guarantee for `selected`, a
+    set of ids in V."""
+    return _basic_sides(inst, _mask(inst, selected))
+
+
+def _basic_sides(inst: BipartiteInstance, picked: np.ndarray) -> tuple[float, float]:
+    unhit = plain_sum(inst.weight[_hits(inst, picked) == 0])
+    lhs = unhit + inst.norm * int(np.count_nonzero(picked))
     rhs = math.exp(-inst.p * inst.delta) * inst.total_weight + inst.norm * 4.0 * inst.p * len(
         inst.v_nodes
     )
@@ -248,12 +275,17 @@ def basic_guarantee(inst: BipartiteInstance, selected: frozenset[int]) -> tuple[
 
 
 def grouped_guarantee(inst: BipartiteInstance, selected: frozenset[int]) -> tuple[float, float]:
-    """(achieved, allowed) sides of the grouped guarantee for `selected`."""
+    """(achieved, allowed) sides of the grouped guarantee for `selected`, a
+    set of ids in V."""
     if inst.k is None:
         raise PreconditionError("grouped guarantee needs k")
+    return _grouped_sides(inst, _mask(inst, selected))
+
+
+def _grouped_sides(inst: BipartiteInstance, picked: np.ndarray) -> tuple[float, float]:
     threshold = 0.5 * (inst.delta // inst.k)
-    under = plain_sum(inst.weight[_hits(inst, selected) <= threshold])
-    lhs = under + inst.norm * len(selected)
+    under = plain_sum(inst.weight[_hits(inst, picked) <= threshold])
+    lhs = under + inst.norm * int(np.count_nonzero(picked))
     rhs = 4.0 * (
         math.exp(-inst.p * inst.k) * inst.total_weight
         + inst.norm * inst.p * len(inst.v_nodes)
@@ -269,17 +301,23 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     chosen batch always satisfies the per-step budget, which makes the
     potential non-increasing and yields the final inequality.
 
-    A step's objective is built as arrays: right node v weighs its live
+    What no step changes is done once per solve: the conflict graph and
+    its coloring, and the pair table, every left node's pairs of
+    neighbours in row order, each as the int64 code of its two positions
+    and as its ends' entries in the left node's hub, checked once to lie
+    in that hub (`CliqueCover.pair_ends`).  A step's objective is built
+    as arrays from the table's live rows: right node v weighs its live
     (unhit, nonzero) left neighbours, a pair of right nodes the live left
     nodes adjacent to both, each summed in left-node order, and pairs keep
-    the order the left nodes first meet them in, so it equals the loop's.
-    A pair names its ends' entries in the hub of the first left node that
-    meets it.
+    the order the left nodes first meet them in, so it equals the loop's;
+    only its new values are checked, for finiteness.  The selection, the
+    batches' union, is a mask over `v_nodes` until the solve returns it.
     """
     total_w = inst.total_weight
     result = HittingResult(selected=frozenset())
     if not inst.u_nodes or total_w == 0.0:
         # nothing to hit: the empty selection already meets the guarantee
+        result.picked = np.zeros(len(inst.v_nodes), bool)
         lhs, rhs = basic_guarantee(inst, frozenset())
         result.checks.ok("hitting-guarantee", leq(lhs, rhs), f"{lhs} > {rhs}")
         return result
@@ -298,20 +336,28 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
     n_v, delta, norm = len(inst.v_nodes), inst.delta, inst.norm
     weight, nbr, checks = inst.weight, inst.nbr, result.checks
     first, second = np.triu_indices(delta, 1)  # pairs x < y, x major
-    # the entry in cg of each neighbour: row i's hub is row i sorted
+    # the entry in cg of each neighbour: row i's hub is row i sorted, so a
+    # hub's members increase with their entries
     entry = np.empty(nbr.shape, np.intp)
     np.put_along_axis(
         entry, np.argsort(nbr, axis=1), np.arange(nbr.size).reshape(nbr.shape), axis=1
     )
-    node_cost = np.full(n_v, norm)
+    pair = entry[:, first], entry[:, second]
+    ends = cg.pair_ends(np.minimum(*pair).ravel(), np.maximum(*pair).ravel())
+    low, high = (end.reshape(len(nbr), len(first)) for end in ends)
+    codes = low.astype(np.int64) * n_v + high
+    node_cost = np.full(n_v, norm)  # finite, as norm is
+    utility_const = norm * 4.0 * inst.p / t_steps * n_v
     decays = [math.exp(-(t_steps - s) / t_steps * inst.p * delta) for s in range(t_steps + 1)]
 
+    nonzero = weight != 0.0
     unhit = np.ones(len(inst.u_nodes), bool)
-    selected: set[int] = set()
+    unhit_w = total_w  # the weight of the unhit left nodes
+    picked = np.zeros(n_v, bool)
 
     def potential(step: int) -> float:
         rest = (t_steps - step) / t_steps * norm * 4.0 * inst.p * n_v
-        return decays[step] * plain_sum(weight[unhit]) + norm * len(selected) + rest
+        return decays[step] * unhit_w + norm * int(np.count_nonzero(picked)) + rest
 
     phi = potential(0)
     result.phis.append(phi)
@@ -319,22 +365,18 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
 
     for i in range(1, t_steps + 1):
         decay = decays[i]
-        live = unhit & (weight != 0.0)
-        rows, w, at = nbr[live], weight[live], entry[live]
-        mass = np.bincount(rows.ravel(), np.repeat(w, delta), minlength=n_v)
-        pair = rows[:, first], rows[:, second]
-        codes = np.minimum(*pair).astype(np.int64) * n_v + np.maximum(*pair)
-        seen, term = first_seen(codes.ravel())
-        # a hub's members increase with their entries
-        ends = at[:, first].ravel()[seen], at[:, second].ravel()[seen]
-        step_inst = UtilityCostInstance(
+        live = unhit & nonzero
+        w = weight[live]
+        mass = np.bincount(nbr[live].ravel(), np.repeat(w, delta), minlength=n_v)
+        seen, term = first_seen(codes[live].ravel())
+        step_inst = UtilityCostInstance._over_checked_pairs(
             cg,
             decay * mass,
             node_cost,
-            np.minimum(*ends),
-            np.maximum(*ends),
+            low[live].ravel()[seen],
+            high[live].ravel()[seen],
             decay * np.bincount(term, np.repeat(w, len(first)), len(seen)),
-            utility_const=norm * 4.0 * inst.p / t_steps * n_v,
+            utility_const,
         )
         fu, fc = evaluate(step_inst, lam)
         checks.ok(
@@ -344,23 +386,20 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
         )
         # the conflict graph's nodes are v_nodes, in order
         chosen, _ = round_labels(step_inst, lam, coloring, checks=checks)
-        batch = frozenset(compress(inst.v_nodes, chosen.tolist()))
 
         hit = np.count_nonzero(chosen[nbr], axis=1)
         y = 1.0 - hit + hit * (hit - 1) / 2.0
-        lhs = decay * plain_sum(y[unhit] * weight[unhit]) + norm * len(batch)
-        rhs = (
-            decays[i - 1] * plain_sum(weight[unhit])
-            + norm * 4.0 * inst.p / t_steps * n_v
-        )
+        lhs = decay * plain_sum(y[unhit] * weight[unhit]) + norm * int(np.count_nonzero(chosen))
+        rhs = decays[i - 1] * unhit_w + norm * 4.0 * inst.p / t_steps * n_v
         checks.ok(
             "step-budget",
             leq(lhs, rhs, scale),
             f"step {i}: batch breaks the per-step budget ({lhs} > {rhs})",
         )
 
-        selected |= batch
+        picked |= chosen
         unhit &= hit == 0
+        unhit_w = plain_sum(weight[unhit])
         phi_next = potential(i)
         checks.ok(
             "potential-monotone",
@@ -368,14 +407,15 @@ def basic_hitting_set(inst: BipartiteInstance) -> HittingResult:
             f"step {i}: potential rose {phi} -> {phi_next}",
         )
         result.steps.append(
-            HittingStep(i, batch, phi_next, lhs, rhs, fu, fc)
+            HittingStep(i, _ids(inst, chosen), phi_next, lhs, rhs, fu, fc)
         )
         result.phis.append(phi_next)
         result.rounds_h += 2 * coloring.num_colors
         phi = phi_next
 
-    result.selected = frozenset(selected)
-    lhs, rhs = basic_guarantee(inst, result.selected)
+    picked.flags.writeable = False
+    result.selected, result.picked = _ids(inst, picked), picked
+    lhs, rhs = _basic_sides(inst, picked)
     checks.ok("hitting-guarantee", leq(lhs, rhs, scale), f"{lhs} > {rhs}")
     return result
 
@@ -410,12 +450,13 @@ def grouped_hitting_set(inst: BipartiteInstance) -> HittingResult:
     if inst.k is None:
         raise PreconditionError("grouped variant needs k")
     if not inst.u_nodes or inst.total_weight == 0.0:
-        result = HittingResult(selected=frozenset())
+        result = HittingResult(selected=frozenset(), picked=np.zeros(len(inst.v_nodes), bool))
         lhs, rhs = grouped_guarantee(inst, frozenset())
         result.checks.ok("grouped-guarantee", leq(lhs, rhs), f"{lhs} > {rhs}")
         return result
+    # the copies keep inst's v_nodes, so the mask is over them
     result = basic_hitting_set(split_into_copies(inst))
-    lhs, rhs = grouped_guarantee(inst, result.selected)
+    lhs, rhs = _grouped_sides(inst, result.picked)
     result.checks.ok(
         "grouped-guarantee",
         leq(lhs, rhs, abs(lhs) + abs(rhs) + 1.0),

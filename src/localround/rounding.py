@@ -96,6 +96,25 @@ class CliqueCover:
     def n(self) -> int:
         return len(self.nodes)
 
+    def pair_ends(self, entry_u: np.ndarray, entry_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the two ends of every pair, given as intp
+        arrays of entries in `members`.  Each entry must lie in [0,
+        len(members)), and a pair's two entries in one hub, the first
+        holding the lower position, which makes the pair a conflict edge;
+        a failure is a `PreconditionError` naming the first bad pair."""
+        size = len(self.members)
+        if len(entry_u) and (
+            min(entry_u.min(), entry_v.min()) < 0 or max(entry_u.max(), entry_v.max()) >= size
+        ):
+            raise PreconditionError(f"edge term position outside the {size} hub entries")
+        eu, ev = self.members[entry_u], self.members[entry_v]
+        conflict = (eu < ev) & (self.hub[entry_u] == self.hub[entry_v])
+        if not conflict.all():
+            k = int(conflict.argmin())
+            u, v = self.nodes[eu[k]], self.nodes[ev[k]]
+            raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge of one hub")
+        return eu, ev
+
 
 def is_proper(cover: CliqueCover, colors: np.ndarray) -> bool:
     """No hub holds two nodes of one color, which is to say no conflict
@@ -128,9 +147,14 @@ class Coloring:
     integers, one per node, none negative, and that no hub holds two
     nodes of one color (`is_proper`); a failure is a `PreconditionError`.
     A float color is refused, not truncated, even when it is whole.
+
+    `class_order` is every position, by increasing color and in position
+    order within a color, read-only: the order `round_labels` walks the
+    color classes in, computed once however many objectives the coloring
+    rounds.
     """
 
-    __slots__ = ("graph", "colors", "num_colors")
+    __slots__ = ("graph", "colors", "num_colors", "class_order", "_keys")
 
     def __init__(self, graph: CliqueCover, colors: np.ndarray | list[int]):
         given = np.asarray(colors)
@@ -146,6 +170,18 @@ class Coloring:
         colors.flags.writeable = False
         self.graph, self.colors = graph, colors
         self.num_colors = int(colors.max()) + 1 if graph.n else 0
+        self._keys, self.class_order = _class_order(colors, self.num_colors)
+
+
+def _class_order(colors: np.ndarray, num_colors: int) -> tuple[np.ndarray, np.ndarray]:
+    """`colors` in the narrowest unsigned type that holds num_colors - 1,
+    and the positions stably sorted by them, both read-only.  numpy sorts
+    8- and 16-bit keys stably by radix, so sorting the narrow keys gives
+    the order of the int64 colors faster."""
+    narrow = colors.astype(np.min_scalar_type(max(num_colors - 1, 0)))
+    order = np.argsort(narrow, kind="stable")
+    narrow.flags.writeable = order.flags.writeable = False
+    return narrow, order
 
 
 class FractionalAssignment:
@@ -226,30 +262,55 @@ class UtilityCostInstance:
             or nu.shape != (n,) or nc.shape != (n,) or wc.shape != (num_edges,)
         ):
             raise PreconditionError(mismatch)
-        for name, values in (("node", nu), ("node", nc), ("edge", wc)):
-            if not np.isfinite(values).all():
-                raise PreconditionError(f"non-finite {name} term")
-        utility_const = float(utility_const)
-        if not np.isfinite(utility_const):
-            raise PreconditionError(f"constants must be finite: utility {utility_const!r}")
-        size = len(cover.members)
-        if num_edges and (min(at_u.min(), at_v.min()) < 0 or max(at_u.max(), at_v.max()) >= size):
-            raise PreconditionError(f"edge term position outside the {size} hub entries")
-        eu, ev = cover.members[at_u], cover.members[at_v]
-        conflict = (eu < ev) & (cover.hub[at_u] == cover.hub[at_v])
-        if not conflict.all():
-            k = int(conflict.argmin())
-            u, v = cover.nodes[eu[k]], cover.nodes[ev[k]]
-            raise PreconditionError(f"edge term ({u},{v}) is not a conflict edge of one hub")
+        utility_const = _finite(("node", nu), ("node", nc), ("edge", wc), const=utility_const)
+        eu, ev = cover.pair_ends(at_u, at_v)
         self.conflict_graph, self.utility_const = cover, utility_const
         self.node_utility, self.node_cost, self.pair_cost = nu, nc, wc
         self._eu, self._ev = eu, ev
+
+    @classmethod
+    def _over_checked_pairs(
+        cls,
+        conflict_graph: CliqueCover,
+        node_utility: np.ndarray,
+        node_cost: np.ndarray,
+        ends_u: np.ndarray,
+        ends_v: np.ndarray,
+        pair_cost: np.ndarray,
+        utility_const: float,
+    ) -> "UtilityCostInstance":
+        """The instance the constructor builds, for a caller that rounds
+        many objectives over one set of pairs and one node cost array: it
+        gives float arrays of the right shapes, node costs it checked
+        finite, and each pair's ends as positions that `pair_ends` of
+        `conflict_graph` returned.  Only the node utilities, the pair costs
+        and the constant are checked, for finiteness, with the
+        constructor's messages."""
+        inst = cls.__new__(cls)
+        inst.utility_const = _finite(
+            ("node", node_utility), ("edge", pair_cost), const=utility_const
+        )
+        inst.conflict_graph, inst.node_utility = conflict_graph, node_utility
+        inst.node_cost, inst.pair_cost, inst._eu, inst._ev = node_cost, pair_cost, ends_u, ends_v
+        return inst
 
     @property
     def edge_terms(self) -> np.ndarray:
         """The positions of every pair term's two ends, lower first, as a
         new E x 2 array."""
         return np.column_stack((self._eu, self._ev))
+
+
+def _finite(*terms: tuple[str, np.ndarray], const: float) -> float:
+    """The utility constant `const` as a float, once every named array of
+    terms and then the constant are checked finite."""
+    for name, values in terms:
+        if not np.isfinite(values).all():
+            raise PreconditionError(f"non-finite {name} term")
+    const = float(const)
+    if not np.isfinite(const):
+        raise PreconditionError(f"constants must be finite: utility {const!r}")
+    return const
 
 
 def evaluate(inst: UtilityCostInstance, lam: FractionalAssignment) -> tuple[float, float]:
@@ -463,15 +524,12 @@ def round_labels(
     # every score starts as the node term's, which a node without entries keeps
     scores = inst.node_utility - inst.node_cost
     # nodes with entries in each class, in id order; rank = position within
-    # the class.  Colors fit the narrowest unsigned type that holds
-    # num_colors - 1, and numpy sorts 8- and 16-bit keys stably by radix:
-    # the same order
+    # the class
     target = np.concatenate((inst._eu, inst._ev))
     other = np.concatenate((inst._ev, inst._eu))
     touched = np.zeros(n, bool)
     touched[target] = True
-    narrow = color.astype(np.min_scalar_type(max(num_colors - 1, 0)))
-    order = np.argsort(narrow, kind="stable")
+    narrow, order = coloring._keys, coloring.class_order
     order = order[touched[order]]
     class_size = np.bincount(color[order], minlength=num_colors)
     member_end = np.cumsum(class_size)

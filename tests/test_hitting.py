@@ -146,9 +146,12 @@ def test_a_step_evaluates_each_labeling_once(monkeypatch):
 
 def test_a_solve_checks_its_coloring_once(monkeypatch):
     # shaped like the benchmark's hitting workload: the copies have
-    # delta = k = 4 and p = 0.25, so the solve runs 10 steps on one coloring
-    proper, computed = [], []
+    # delta = k = 4 and p = 0.25, so the solve runs 10 steps on one
+    # coloring; it checks the coloring, its pair entries and orders the
+    # color classes once, and evaluates each step's two labelings once
+    proper, computed, paired, ordered = [], [], [], []
     is_proper, objective = rounding.is_proper, rounding._objective
+    pair_ends, class_order = rounding.CliqueCover.pair_ends, rounding._class_order
 
     def counted_proper(g, colors):
         proper.append(g)
@@ -158,13 +161,38 @@ def test_a_solve_checks_its_coloring_once(monkeypatch):
         computed.append(inst)
         return objective(inst, probs)
 
+    def counted_pairs(cover, entry_u, entry_v):
+        paired.append(len(entry_u))
+        return pair_ends(cover, entry_u, entry_v)
+
+    def counted_order(colors, num_colors):
+        ordered.append(len(colors))
+        return class_order(colors, num_colors)
+
     monkeypatch.setattr(rounding, "is_proper", counted_proper)
     monkeypatch.setattr(rounding, "_objective", counted)
+    monkeypatch.setattr(rounding.CliqueCover, "pair_ends", counted_pairs)
+    monkeypatch.setattr(rounding, "_class_order", counted_order)
     rng = random.Random(8)
     inst = random_hitting_instance(rng, n_u=40, n_v=200, delta=8, p=0.25, norm=0.05, k=4)
     res = grouped_hitting_set(inst)
     assert len(res.steps) == 10
     assert len(proper) == 1 and len(computed) == 2 * len(res.steps)
+    # every copy's 4 * 3 / 2 pairs, 2 copies per left node
+    assert paired == [40 * 2 * 6] and ordered == [200]
+
+
+def test_a_selection_outside_v_is_refused():
+    # charged norm = 0.5 per selected id, 99 would add 0.5 and hit nothing
+    inst = BipartiteInstance(
+        (1, 2), (10, 11), {1: (10,), 2: (11,)}, {1: 1.0, 2: 1.0}, 1, 0.5, 0.5, 1
+    )
+    assert basic_guarantee(inst, frozenset())[0] == 2.0
+    for guarantee in (basic_guarantee, grouped_guarantee):
+        with pytest.raises(PreconditionError, match="selected node 99 is not in V"):
+            guarantee(inst, frozenset({99}))
+        with pytest.raises(PreconditionError, match="selected node 99 is not in V"):
+            guarantee(inst, frozenset({10, 99}))
 
 
 def test_split_wiring_disjoint_blocks():
@@ -351,9 +379,7 @@ def test_copies_and_guarantees_match_the_loops(inst, data):
     assert [float(copies.weights[u]).hex() for u in copies.u_nodes] == [
         float(expected.weights[u]).hex() for u in expected.u_nodes
     ]
-    # a selection may name ids outside V: they count towards its size only
-    picked = data.draw(st.lists(st.sampled_from(inst.v_nodes), unique=True))
-    selected = frozenset(picked + data.draw(st.sampled_from([[], [-1]])))
+    selected = frozenset(data.draw(st.lists(st.sampled_from(inst.v_nodes), unique=True)))
     assert _hex(basic_guarantee(inst, selected)) == _hex(
         hitting_reference.reference_basic_guarantee(inst, selected)
     )
@@ -415,6 +441,9 @@ BASE = dict(
         (dict(nbr=[None, [0, 3]]), "left node 1 does not have degree 2"),
         (dict(nbr=[[0, 1], [3, 3]], weight=["heavy", 0.5]), "bad weight at left node 1"),
         (dict(nbr=[[0, 3], [0, 1]], weight=[1.0, 10**400]), "left node 1 has a neighbor outside V"),
+        # finite weights whose total is not, checked after every node
+        (dict(weight=[1e308, 1e308]), "the weights add up to more than the largest float"),
+        (dict(nbr=[[0, 1], [3, 3]], weight=[1e308, 1e308]), "left node 2 does not have degree 2"),
     ],
 )
 def test_from_arrays_refuses_what_the_constructor_refuses(change, message):
@@ -556,5 +585,8 @@ def test_grouped_solve_is_pinned_bit_for_bit():
         (len(s.chosen), s.frac_utility.hex(), s.frac_cost.hex()) for s in res.steps
     ] == PINNED_STEPS
     assert (len(res.selected), sum(res.selected), res.zeta, res.rounds_h) == (99, 25680, 7, 140)
+    # the selection's mask over v_nodes, whose ids are their positions
+    assert np.flatnonzero(res.picked).tolist() == sorted(res.selected)
+    assert not res.picked.flags.writeable
     # one monotone check per color class and step
     assert res.checks.counts["rounding-monotone"] == res.zeta * len(res.steps)

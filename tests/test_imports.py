@@ -42,11 +42,12 @@ KEPT = {("clustering.py", "induced_subgraph"), ("mis.py", "square_graph")}
 
 
 # (module, function, sorted expression) of the stable argsorts allowed:
-# `stable_order`'s fallback for keys too large to pack, and `round_labels`'
-# colour keys, 8- or 16-bit, which numpy sorts stably by radix
+# `stable_order`'s fallback for keys too large to pack, and the colour
+# keys a `Coloring` orders its classes by and `round_labels` its terms
+# by, 8- or 16-bit, which numpy sorts stably by radix
 STABLE_ARGSORTS = {
     ("graphs.py", "stable_order", "keys"),
-    ("rounding.py", "round_labels", "narrow"),
+    ("rounding.py", "_class_order", "narrow"),
     ("rounding.py", "round_labels", "narrow[target]"),
 }
 

@@ -73,13 +73,20 @@ def test_partition_counts_that_perfbench_reads(monkeypatch, solve, module, name)
 
 def test_edge_term_counts_that_perfbench_reads(monkeypatch):
     # the step instances of a grouped solve against the ones the dict
-    # build of each step makes, one pair term per distinct pair
-    counts = {"package": [], "reference": []}
+    # build of each step makes, one pair term per distinct pair: the same
+    # terms in the same order, with the same pair costs and node utilities
+    seen = {"package": [], "reference": []}
 
     def recording(side, real):
         def round_labels(inst, *args, **kwargs):
-            counts[side].append(len(inst.edge_terms))
             assert inst.edge_terms.shape == (len(inst.pair_cost), 2)
+            seen[side].append(
+                (
+                    inst.edge_terms.tolist(),
+                    [x.hex() for x in inst.pair_cost.tolist()],
+                    [x.hex() for x in inst.node_utility.tolist()],
+                )
+            )
             return real(inst, *args, **kwargs)
 
         return round_labels
@@ -95,8 +102,8 @@ def test_edge_term_counts_that_perfbench_reads(monkeypatch):
     )
     grouped_hitting_set(inst)
     hitting_reference.reference_basic_hitting_set(split_into_copies(inst))
-    assert len(counts["package"]) == 10 and counts["package"] == counts["reference"]
-    assert min(counts["package"]) > 0
+    assert len(seen["package"]) == 10 and seen["package"] == seen["reference"]
+    assert min(len(terms) for terms, _, _ in seen["package"]) > 0
 
 
 def test_a_dict_built_instance_reads_back_what_it_was_given():
