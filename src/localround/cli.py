@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import generators
+from . import generators, seeds
 from .clustering import cluster_all, cluster_constant, mpx_randomized, verify_partition
 from .errors import (
     BudgetExceeded,
@@ -38,7 +38,6 @@ from .graphs import Graph, dump_edge_list, load_graph
 from .ledger import RoundLedger
 from .matching import approx_matching
 from .mis import luby_randomized, mis
-from .seeds import RETRIES
 
 ALGORITHMS = ("mis", "matching", "cluster-all", "cluster-constant", "mpx", "luby-rand")
 RANDOMIZED = ("mpx", "luby-rand")
@@ -79,7 +78,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--f-override", type=float)
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
-    run.add_argument("--budget-retries", type=int, default=RETRIES)
 
     bench = sub.add_parser("bench", help="sweep sizes and write a CSV")
     bench.add_argument("--ns", required=True, help="comma-separated node counts")
@@ -152,8 +150,13 @@ def _run_algorithm(g: Graph, args: argparse.Namespace) -> dict:
     seed = args.seed if args.seed is not None else 0
     if algo in RANDOMIZED and args.seed is None:
         raise UsageError(f"{algo} is randomized; pass --seed")
+    # a flag the algorithm never reads is refused, not echoed into the report
+    if args.f_override is not None and algo not in ("mis", "matching"):
+        raise UsageError(f"algorithm {algo} takes no --f-override")
+    if args.alpha is not None and algo == "luby-rand":
+        raise UsageError(f"algorithm {algo} takes no --alpha")
     if algo == "mis":
-        res = mis(g, args.alpha, seed, args.f_override, ledger, args.budget_retries)
+        res = mis(g, args.alpha, seed, args.f_override, ledger)
         body = {
             "is_size": len(res.independent_set),
             "iterations": res.iterations,
@@ -170,7 +173,7 @@ def _run_algorithm(g: Graph, args: argparse.Namespace) -> dict:
             "checks": {},
         }
     elif algo == "matching":
-        res = approx_matching(g, args.alpha, seed, args.f_override, ledger, args.budget_retries)
+        res = approx_matching(g, args.alpha, seed, args.f_override, ledger)
         body = {
             "m_star_bound": res.m_star_lower_bound,
             "frac_value": res.frac_value,
@@ -233,7 +236,7 @@ def _emit_report(args: argparse.Namespace, source: dict, body: dict, failed: str
             "alpha": args.alpha,
             "f_override": _json_number(args.f_override),
             "seed": args.seed,
-            "budget_retries": args.budget_retries,
+            "budget_retries": seeds.RETRIES,
         },
         "result": body,
         "failed_claim": failed,
@@ -284,6 +287,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     bad = [a for a in algos if a not in ALGORITHMS]
     if bad:
         raise UsageError(f"unknown algorithms {bad}")
+    if not 0.0 <= args.avg_deg < math.inf:  # NaN fails too
+        raise UsageError(f"--avg-deg must be a finite number at least 0, got {args.avg_deg}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "algorithm", "rounds", "quality", "wall_time_s"])
@@ -296,7 +301,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 alpha=None,
                 f_override=None,
                 seed=args.seed,
-                budget_retries=RETRIES,
             )
             start = time.perf_counter()
             body = _run_algorithm(g, ns_args)

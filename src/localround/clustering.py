@@ -41,6 +41,7 @@ from typing import AbstractSet, Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import seeds
 from .errors import (
     ClaimChecker,
     PreconditionError,
@@ -622,13 +623,6 @@ class ClusterGroups:
         return np.bincount(self.owners[bad], minlength=self.clusters) > 0
 
 
-def check_retries(retries: int) -> None:
-    """A retry budget below 1 leaves no attempt to decide a cluster by,
-    so it is a `PreconditionError`."""
-    if retries < 1:
-        raise PreconditionError(f"retry budget {retries} is below 1")
-
-
 def check_bound(bound: float) -> None:
     """A cluster-degree threshold is divided by, so one that is not a
     finite positive number is a `PreconditionError`; written so that NaN
@@ -646,7 +640,6 @@ def resample_clusters(
     floor_value: float,
     failing: Callable[[np.ndarray], np.ndarray],
     rng_for: Callable[[int, int], Stream],
-    retries: int,
     checks: ClaimChecker,
     claim: str,
     failure: str,
@@ -665,19 +658,19 @@ def resample_clusters(
     dropped as they come, so no list of streams is kept; only the
     clusters with draws are looped over.  A cluster is accepted, with one
     `claim` check, once `failing(values)` (a flag per cluster) clears it;
-    the first cluster (by label) still failing after `retries` attempts
-    raises `RetryBudgetExceeded`, after the checks of the clusters before
-    it.  So values, counts and the cluster named are those of a loop that
-    retries each cluster in turn, since no cluster's attempts depend on
-    anything outside it.  A `retries` below 1 is refused (`check_retries`).
+    the first cluster (by label) still failing after `seeds.RETRIES`
+    attempts, the budget read at the call, raises `RetryBudgetExceeded`,
+    after the checks of the clusters before it.  So values, counts and
+    the cluster named are those of a loop that retries each cluster in
+    turn, since no cluster's attempts depend on anything outside it.
     """
-    check_retries(retries)
+    budget = seeds.RETRIES
     k = len(labels)
     drawn = np.zeros(k, bool)
     drawn[list(draws)] = True
     label = labels.__getitem__
     pending = np.arange(k)
-    for attempt in range(retries):
+    for attempt in range(budget):
         busy = drawn[pending]
         deque(map(rng_for, map(label, pending[~busy].tolist()), repeat(attempt)), maxlen=0)
         for c in pending[busy].tolist():
@@ -690,7 +683,7 @@ def resample_clusters(
     stop = int(pending[0]) if len(pending) else k
     checks.ok_each(claim, np.ones(stop, bool), str)
     if len(pending):
-        raise RetryBudgetExceeded(f"cluster {labels[stop]} {failure} {retries} times")
+        raise RetryBudgetExceeded(f"cluster {labels[stop]} {failure} {budget} times")
 
 
 def verify_partition(

@@ -33,11 +33,10 @@ Edge values pass from stage to stage in one form, arrays over node
 positions (`FractionalMatching`): endpoints a < b and one value per edge.
 The good edges are a mask over the fractional values, both in `g.edges()`
 order.  Every float sum runs in one fixed order: values and `value()` in
-edge order, each node's load over its edges in edge order, and the total
-load over the nodes in order of first appearance as an endpoint
-(`load_order()`).  The loads reach `cluster_constant` as one array by
-node position, and the good nodes' load is added in id order over the
-good mask.
+edge order, and each node's load over its edges in edge order.  The loads
+reach `cluster_constant` as one array by node position, and the total
+load and the good nodes' load (over the good mask) are added over that
+array in id order.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .clustering import (
     Partition,
     base_capacity_exponent,
     check_bound,
-    check_retries,
     cluster_constant,
     cluster_degrees,
     cluster_ranks,
@@ -72,7 +70,7 @@ from .graphs import (
     strip_isolated,
 )
 from .ledger import RoundLedger
-from .seeds import RETRIES, stream
+from .seeds import stream
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,15 +101,6 @@ class FractionalMatching:
         its edges' values in edge order (`np.bincount` adds in input
         order)."""
         return np.bincount(self.ends(), np.repeat(self.x, 2), minlength=len(self.nodes))
-
-    def load_order(self) -> np.ndarray:
-        """The positions of the nodes with an edge, in order of first
-        appearance among the endpoints a[0], b[0], a[1], b[1], ..."""
-        ends = self.ends()
-        first = np.full(len(self.nodes), len(ends))
-        np.minimum.at(first, ends, np.arange(len(ends)))
-        # the first appearances are distinct; nodes without one sort last
-        return np.argsort(first)[: np.count_nonzero(first < len(ends))]
 
     def value(self) -> float:
         """The values added left to right in edge order, on every Python:
@@ -195,7 +184,6 @@ def intra_round_matching(
     bound: float,
     seed: int,
     n_total: int | None = None,
-    retries: int = RETRIES,
     checks: ClaimChecker | None = None,
 ) -> FractionalMatching:
     """Per-cluster re-rounding of a fractional matching restricted to the
@@ -272,7 +260,6 @@ def intra_round_matching(
         floor_value,
         lambda trial: groups.failing(trial, lo, hi),
         partial(stream, seed, "matching-intra"),
-        retries,
         checks,
         "intra-window",
         "failed the per-node window",
@@ -394,7 +381,6 @@ def approx_matching(
     seed: int = 0,
     f_override: float | None = None,
     ledger: RoundLedger | None = None,
-    retries: int = RETRIES,
 ) -> MatchingResult:
     """Full pipeline; every inter-stage constant is asserted on the way.
 
@@ -403,11 +389,11 @@ def approx_matching(
     both can be overridden for experiments.  An overridden threshold
     whose good nodes carry less than 0.9 of the fractional load is
     refused (`PreconditionError`); the certified one is a guarantee, so
-    there the same shortfall is a `good-weight` claim violation.  A
-    `retries` below 1, or an override that is not a finite positive
-    number, is refused on every input, edgeless or not.
+    there the same shortfall is a `good-weight` claim violation.  An
+    override that is not a finite positive number is refused on every
+    input, edgeless or not.  Each cluster's re-rounding gets the fixed
+    budget of `seeds.RETRIES` attempts (`resample_clusters`).
     """
-    check_retries(retries)
     if f_override is not None:
         check_bound(float(f_override))
     checks = ClaimChecker()
@@ -426,9 +412,9 @@ def approx_matching(
     )
 
     ge = good_edges(work, partition, bound)
-    # added in id order, and in `frac.load_order()`
+    # both added in id order
     good_load = plain_sum(loads[ge.good])
-    total_load = plain_sum(loads[frac.load_order()])
+    total_load = plain_sum(loads)
     heavy_enough = geq(good_load, 0.9 * total_load)
     if f_override is not None and not heavy_enough:
         raise PreconditionError(
@@ -449,7 +435,7 @@ def approx_matching(
     )
 
     x_intra = intra_round_matching(
-        work, partition, x_good, bound, seed, work.n, retries, checks
+        work, partition, x_good, bound, seed, work.n, checks
     )
     if ledger is not None and len(x_good.x):
         # gather + scatter within each cluster; radius bounded by construction

@@ -29,7 +29,6 @@ from .clustering import (
     Partition,
     base_capacity_exponent,
     check_bound,
-    check_retries,
     cluster_all,
     cluster_degrees,
     cluster_ranks,
@@ -55,7 +54,7 @@ from .rounding import (
     greedy_color,
     round_labels,
 )
-from .seeds import RETRIES, stream
+from .seeds import stream
 
 
 def good_vertices(
@@ -135,7 +134,6 @@ def intra_round_mis(
     bound: float,
     seed: int,
     n_total: int | None = None,
-    retries: int = RETRIES,
     checks: ClaimChecker | None = None,
     orientation: Orientation | None = None,
     witnesses: WitnessArrays | None = None,
@@ -216,7 +214,6 @@ def intra_round_mis(
         floor_value,
         lambda trial: groups.failing(trial, lo, hi),
         partial(stream, seed, "mis-intra"),
-        retries,
         checks,
         "intra-cluster-window",
         "failed its windows",
@@ -400,7 +397,6 @@ def luby_derandomized_iteration(
     seed: int,
     n_total: int | None = None,
     ledger: RoundLedger | None = None,
-    retries: int = RETRIES,
     checks: ClaimChecker | None = None,
 ) -> IterationOutcome:
     """One derandomized mark-and-keep iteration on h."""
@@ -417,7 +413,7 @@ def luby_derandomized_iteration(
         lambda k: f"witness inverse-degree sum {inv[k]} at node {h.nodes[owner[k]]}",
     )
     x = intra_round_mis(
-        h, partition, bound, seed, n_total, retries, checks, orientation, witnesses
+        h, partition, bound, seed, n_total, checks, orientation, witnesses
     )
     inst = build_mis_instance(h, witnesses, orientation)
     lam = FractionalAssignment(h.nodes, x)
@@ -475,16 +471,15 @@ def mis(
     seed: int = 0,
     f_override: float | None = None,
     ledger: RoundLedger | None = None,
-    retries: int = RETRIES,
 ) -> MisResult:
     """Maximal independent set of g; clusters once, then iterates.
 
     Every iteration reads the one partition at its surviving nodes, and
     nodes isolated by removals join the output directly.
-    A `retries` below 1, or an `f_override` that is not a finite positive
-    number, is refused on every input, edgeless or not.
+    An `f_override` that is not a finite positive number is refused on
+    every input, edgeless or not.  Each cluster's floor gets the fixed
+    budget of `seeds.RETRIES` attempts (`resample_clusters`).
     """
-    check_retries(retries)
     if f_override is not None:
         check_bound(float(f_override))
     checks = ClaimChecker()
@@ -503,7 +498,7 @@ def mis(
 
     def step(current: Graph) -> tuple[np.ndarray, np.ndarray, int]:
         outcome = luby_derandomized_iteration(
-            current, partition, bound, seed, g.n, ledger, retries, checks
+            current, partition, bound, seed, g.n, ledger, checks
         )
         k = next(iteration)
         checks.ok(

@@ -4,6 +4,8 @@ Every randomized component draws from a stream keyed by a label path, so
 per-cluster retries replay identically regardless of execution order.
 A stream derives its seed and builds its generator at its first draw, so
 a stream that is never drawn from costs no hashing and no generator.
+`RETRIES` is the one budget of those retries: a constant of the
+verified-resampling floors, not an option of any function or command.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import random
 
-# attempts each per-cluster resampling loop gets before RetryBudgetExceeded
+# attempts each cluster gets in `clustering.resample_clusters` before
+# RetryBudgetExceeded, read there at each call; a `run` report records it
+# as `config.budget_retries`
 RETRIES = 200
 
 

@@ -60,10 +60,8 @@ def values(frac: FractionalMatching) -> dict[Edge, float]:
 
 
 def loads(frac) -> dict[int, float]:
-    """`frac.position_loads()` keyed by node id, in `frac.load_order()`."""
-    order = frac.load_order().tolist()
-    load = frac.position_loads().tolist()
-    return {frac.nodes[i]: load[i] for i in order}
+    """`frac.position_loads()` keyed by node id, in id order."""
+    return dict(zip(frac.nodes, frac.position_loads().tolist()))
 
 
 def reference_greedy_maximal_matching(g: Graph) -> frozenset[Edge]:

@@ -7,7 +7,7 @@ import pytest
 
 import localround.cli
 import localround.matching
-from localround import generators
+from localround import generators, seeds
 from localround.cli import UsageError, main, parse_gen_spec
 from localround.errors import RetryBudgetExceeded
 from localround.graphs import dump_edge_list, load_graph
@@ -176,10 +176,17 @@ def test_randomized_algos_require_seed():
     assert run_cli("run", "--gen", "gnp:n=20,p=0.1", "--algo", "mpx") == 3
 
 
-def test_usage_errors_exit_3(tmp_path):
+def test_usage_errors_exit_3(tmp_path, capsys):
     assert run_cli("run", "--algo", "mis") == 3  # missing source
     assert run_cli("gen", "--kind", "gnp", "--out", str(tmp_path / "x")) == 3
     assert run_cli("nonsense") == 3
+    # the retry budget is the constant `seeds.RETRIES`, not a flag
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--gen", "path:n=5", "--algo", "mis", "--budget-retries", "5", "--out", str(out)
+    ) == 3
+    assert "error: unrecognized arguments: --budget-retries 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_mpx_and_luby(tmp_path):
@@ -218,6 +225,19 @@ def test_bench_refuses_sizes_that_are_not_integers(tmp_path, capsys):
     assert run_cli("bench", "--ns", "30,abc", "--out", str(out)) == 3
     assert "error: --ns takes comma-separated integers, got '30,abc'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("avg_deg", ["nan", "inf", "-inf", "-1"])
+def test_bench_refuses_an_average_degree_that_is_not_finite_or_negative(
+    tmp_path, capsys, avg_deg
+):
+    # min(1.0, nan) is 1.0: nan and inf benchmarked complete graphs
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--ns", "40", f"--avg-deg={avg_deg}", "--out", str(out)) == 3
+    want = f"error: --avg-deg must be a finite number at least 0, got {float(avg_deg)}"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("bench", "--ns", "40", "--avg-deg", "0", "--out", str(out)) == 0
 
 
 def test_paths_that_cannot_be_read_or_written_exit_3(tmp_path, capsys):
@@ -363,18 +383,20 @@ def _strict_json(text: str):
 def test_an_override_that_is_not_finite_leaves_a_strict_json_report(
     tmp_path, capsys, algo, override
 ):
-    # mis and matching refuse it; cluster-all reads no override; each
-    # report echoes it as text, which JSON has no number for
+    # mis and matching refuse it, and each report echoes it as text, which
+    # JSON has no number for; cluster-all reads no override, so it refuses
+    # the flag itself and writes no report
     for gen in ("gnp:n=30,p=0.2", "path:n=1"):
         out = tmp_path / "r.json"
         code = run_cli(
             "run", "--gen", gen, "--algo", algo, f"--f-override={override}", "--out", str(out),
         )
+        if algo == "cluster-all":
+            assert code == 3 and not out.exists()
+            assert "error: algorithm cluster-all takes no --f-override" in capsys.readouterr().err
+            continue
         report = _strict_json(out.read_text())
         assert report["config"]["f_override"] == override
-        if algo == "cluster-all":
-            assert code == 0 and report["failed_claim"] is None
-            continue
         want = "not finite" if override == "inf" else "not a positive number"
         assert code == 3 and report["failed_claim"] == "precondition"
         assert report["result"] == {"error": f"bound {override} is {want}"}
@@ -399,21 +421,34 @@ def test_matching_refuses_an_override_that_leaves_too_little_load(tmp_path, over
         assert report["failed_claim"] is None and report["result"]["checks"]["good-weight"] == 1
 
 
-@pytest.mark.parametrize("algo", ["mis", "matching"])
-@pytest.mark.parametrize("retries", ["0", "-1"])
-def test_retry_budget_below_one_is_a_precondition(tmp_path, capsys, algo, retries):
-    # refused on edgeless inputs too, which never reach a floor
-    for gen in (DIGEST_GEN, "path:n=1", "gnp:n=6,p=0.0,seed=1"):
-        out = tmp_path / "r.json"
-        code = run_cli(
-            "run", "--gen", gen, "--algo", algo, "--seed", "3",
-            "--budget-retries", retries, "--out", str(out),
-        )
-        assert code == 3, gen
-        report = json.loads(out.read_text())
-        assert report["failed_claim"] == "precondition"
-        assert report["result"] == {"error": f"retry budget {retries} is below 1"}
-        assert f"retry budget {retries} is below 1" in capsys.readouterr().err
+def test_the_report_records_the_fixed_retry_budget(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    assert run_cli("run", "--gen", "path:n=5", "--algo", "mis", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["budget_retries"] == 200
+    # read from `seeds.RETRIES` at each run, the budget the floors use
+    monkeypatch.setattr(seeds, "RETRIES", 7)
+    assert run_cli("run", "--gen", "path:n=5", "--algo", "mis", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["budget_retries"] == 7
+
+
+@pytest.mark.parametrize(
+    "algo, flag",
+    [
+        ("cluster-all", "--f-override"),
+        ("cluster-constant", "--f-override"),
+        ("mpx", "--f-override"),
+        ("luby-rand", "--f-override"),
+        ("luby-rand", "--alpha"),
+    ],
+)
+def test_run_refuses_a_flag_its_algorithm_never_reads(tmp_path, capsys, algo, flag):
+    # such a flag changed nothing but was echoed into the report's config
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "run", "--gen", "path:n=30", "--algo", algo, "--seed", "0", flag, "5", "--out", str(out)
+    )
+    assert code == 3 and not out.exists()
+    assert f"error: algorithm {algo} takes no {flag}" in capsys.readouterr().err
 
 
 def test_atomic_write_survives_stale_tmp_dir(tmp_path):

@@ -11,12 +11,14 @@ import random
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floor_reference
 import matching_reference
 import mis_reference
+from localround import seeds
 from localround.clustering import ClusterGroups
 from localround.errors import ClaimChecker, PreconditionError, RetryBudgetExceeded
 from localround.graphs import Graph, orient, strip_isolated
@@ -159,13 +161,17 @@ def test_intra_round_mis_matches_the_loop(case, salt, limit):
     g, part, bound, n_total, o, witnesses, seed = case
     rig = _rigged(salt, limit)
     arrays = mis_reference.witness_arrays(g, witnesses)
-    new = _run(
-        lambda checks: mis_module.intra_round_mis(
-            g, part, bound, seed, n_total, 3, checks, o, arrays
-        ),
-        mis_module,
-        rig,
-    )
+    # the floors read their retry budget from `seeds.RETRIES`; a patch
+    # context, not the fixture, since hypothesis runs many examples per call
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seeds, "RETRIES", 3)
+        new = _run(
+            lambda checks: mis_module.intra_round_mis(
+                g, part, bound, seed, n_total, checks, o, arrays
+            ),
+            mis_module,
+            rig,
+        )
     ref = _run(
         lambda checks: floor_reference.reference_intra_round_mis(
             g, part, bound, seed, n_total, 3, checks, o, witnesses
@@ -218,13 +224,15 @@ def test_intra_round_matching_matches_the_loop(case, salt, limit, retries):
     g, part, x_good, bound, n_total, seed = case
     rig = _rigged(salt, limit)
     arrays = matching_reference.from_values(g, x_good)
-    new = _run(
-        lambda checks: matching_module.intra_round_matching(
-            g, part, arrays, bound, seed, n_total, retries, checks
-        ),
-        matching_module,
-        rig,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seeds, "RETRIES", retries)
+        new = _run(
+            lambda checks: matching_module.intra_round_matching(
+                g, part, arrays, bound, seed, n_total, checks
+            ),
+            matching_module,
+            rig,
+        )
     ref = _run(
         lambda checks: floor_reference.reference_intra_round_matching(
             g, part, x_good, bound, seed, n_total, retries, checks

@@ -1,7 +1,6 @@
 """The matching pipeline's fractional stage on edge arrays against the dict
 loops it replaced (`matching_reference`): `fractional_matching` values
-bit for bit and in key order, the loads bit for bit and in
-`load_order()` (approx_matching adds them up in it), `value()`, the
+bit for bit and in key order, the loads bit for bit, `value()`, the
 claim counts, and `good_edges`."""
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def test_fractional_matching_matches_the_loop(g):
     ref = matching_reference.reference_fractional_matching(g, ref_checks)
     assert _hexed(matching_reference.values(frac)) == _hexed(ref)
     loads = matching_reference.loads(frac)
-    assert _hexed(loads) == _hexed(matching_reference.reference_loads(ref))
+    assert _hexed(loads) == sorted(_hexed(matching_reference.reference_loads(ref)))
     assert frac.value().hex() == functools.reduce(operator.add, ref.values(), 0.0).hex()
     assert list(checks.counts.items()) == list(ref_checks.counts.items())
 
@@ -85,15 +84,12 @@ def test_good_edges_match_the_loop(g, seed, bound):
 def test_fractional_matching_of_the_empty_graph():
     empty = fractional_matching(Graph())
     assert matching_reference.values(empty) == {}
-    assert empty.load_order().size == 0 and empty.value() == 0
+    assert matching_reference.loads(empty) == {} and empty.value() == 0
 
 
-def test_loads_keep_first_seen_endpoint_order():
-    # edges (1, 4), (1, 5), (2, 3): 4 and 5 are first seen before 2
-    g = Graph(edges=[(1, 4), (1, 5), (2, 3)])
-    assert fractional_matching(g).load_order().tolist() == [0, 3, 4, 1, 2]  # ids 1, 4, 5, 2, 3
+def test_loads_are_by_node_position():
+    # edges (2, 3) then (1, 3): the loads follow the nodes, not the edges
     frac = FractionalMatching((1, 2, 3), np.array([1, 0]), np.array([2, 2]), np.array([0.5, 0.25]))
-    order = frac.load_order()
-    assert order.tolist() == [1, 2, 0]  # ids 2, 3, 1
-    assert frac.position_loads()[order].tolist() == [0.5, 0.75, 0.25]
+    assert frac.position_loads().tolist() == [0.25, 0.5, 0.75]
+    assert matching_reference.loads(frac) == {1: 0.25, 2: 0.5, 3: 0.75}
     assert matching_reference.values(frac) == {(2, 3): 0.5, (1, 3): 0.25}

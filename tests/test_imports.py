@@ -300,7 +300,6 @@ def test_module_reads_no_numpy_name_after_1_24(module):
 # scatter-minimum has no cheaper numpy form
 UFUNC_AT_CALLS = {
     "matching.py": [
-        ("FractionalMatching", "np.minimum.at"),
         ("greedy_maximal_matching", "np.minimum.at"),
         ("greedy_maximal_matching", "np.minimum.at"),
     ],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localround import clustering, matching
+from localround import clustering, matching, seeds
 from localround.clustering import cluster_constant
 from localround.errors import ClaimViolation, PreconditionError
 from localround.generators import complete, disjoint_edges, gnp, grid, path
@@ -451,18 +451,24 @@ class _NeverSample:
 
 def test_intra_retry_budget_exhausts(monkeypatch):
     # with sampling forced off, a vertex carrying many small edges in one
-    # cluster cannot reach its lower window, so every attempt fails
+    # cluster cannot reach its lower window, so every attempt of the
+    # budget, patched to 5, fails
     import localround.matching as matching_module
     from localround.errors import RetryBudgetExceeded
-    monkeypatch.setattr(matching_module, "stream", lambda *a: _NeverSample())
+    attempts = []
+    monkeypatch.setattr(
+        matching_module, "stream", lambda *a: attempts.append(a[-1]) or _NeverSample()
+    )
+    monkeypatch.setattr(seeds, "RETRIES", 5)
     edges = [(0, leaf) for leaf in range(1, 3001)]
     g = Graph(edges=edges)
     delays = {0: 0, **{leaf: 50 for leaf in range(1, 3001)}}
     part = grow(g, delays, alpha=1)
     assert len(part.clusters) == 1
     x = from_values(g, {e: 1.0 / 20001.0 for e in g.edges()})
-    with pytest.raises(RetryBudgetExceeded, match="cluster 0"):
-        intra_round_matching(g, part, x, bound=1.0, seed=0, n_total=2, retries=5)
+    with pytest.raises(RetryBudgetExceeded, match="cluster 0 failed the per-node window 5 times"):
+        intra_round_matching(g, part, x, bound=1.0, seed=0, n_total=2)
+    assert attempts == [0, 1, 2, 3, 4]
 
 
 def test_pipeline_with_sparse_random_ids():
