@@ -279,10 +279,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    sizes = [x for x in args.ns.split(",") if x]
     try:
-        ns = [int(x) for x in args.ns.split(",") if x]
+        ns = [int(x) for x in sizes]
     except ValueError:
         raise UsageError(f"--ns takes comma-separated integers, got {args.ns!r}") from None
+    small = [x for x, n in zip(sizes, ns) if n < 1]
+    if small:
+        raise UsageError(f"--ns takes node counts of at least 1, got {small[0]!r}")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     bad = [a for a in algos if a not in ALGORITHMS]
     if bad:

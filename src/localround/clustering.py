@@ -24,9 +24,10 @@ construction computes the last phase each node was active in as an int
 array and turns it into the delays 50*alpha - 5*index directly.  When
 all delays are equal, as they are at the paper's constants once the
 first phase empties the active set, every node is its own cluster and
-the labels are the ids.  `cluster_ranks` and `cluster_degrees` look
-a graph's ids up with `np.searchsorted`, so a partition of g also
-serves every subgraph of g.  Node weights for `cluster_constant` are
+the labels are the ids.  `cluster_ranks` and `cluster_degrees` read
+the graph a partition was grown on by position, and look the ids of any
+other graph up with `np.searchsorted`, so a partition of g also serves
+every subgraph of g.  Node weights for `cluster_constant` are
 one float array in node order, and the active ids each phase leaves,
 kept in `meta["actives"]`, one increasing int64 array per phase.
 """
@@ -119,10 +120,12 @@ class Partition:
     of the cluster's centre, and was given broadcast delay delay[i].  The
     arrays are shared, not copied, and are read only.  The constructor
     stores the arrays as given; the constructions build them through
-    `delays_to_partition`.
+    `delays_to_partition`, which also keeps the id tuple `ids` were read
+    from, so that `cluster_ranks` reads a graph with that tuple by
+    position.
     """
 
-    __slots__ = ("alpha", "ids", "label", "delay", "meta", "_ranks")
+    __slots__ = ("alpha", "ids", "label", "delay", "meta", "_nodes", "_ranks")
 
     def __init__(
         self,
@@ -134,6 +137,7 @@ class Partition:
     ):
         self.alpha, self.ids, self.label, self.delay = alpha, ids, label, delay
         self.meta = {} if meta is None else meta
+        self._nodes: tuple[int, ...] | None = None
         self._ranks: tuple[Graph, np.ndarray, np.ndarray] | None = None
 
     @property
@@ -194,7 +198,9 @@ def delays_to_partition(
     if ledger is not None:
         ledger.charge("delay-broadcast", 50 * alpha + 2, 50 * alpha + 2)
     ids = _ids(g)
-    return Partition(alpha, ids, ids[source], delay)
+    part = Partition(alpha, ids, ids[source], delay)
+    part._nodes = g.nodes
+    return part
 
 
 def _all_nearby_active(
@@ -553,29 +559,34 @@ def cluster_all(
     return _finish(g, alpha, last_index, ledger, meta)
 
 
-def cluster_ranks(g: Graph, partition: Partition) -> tuple[list[int], np.ndarray]:
+def cluster_ranks(g: Graph, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """The labels of the clusters holding g's nodes, increasing, and the
-    index among them of each node's cluster, by position in `g.nodes`.
-    A node the partition does not assign is a `PreconditionError`.  The
-    arrays for the last graph asked about are kept with the partition,
-    so the stages of one run that ask about one graph share them; the
-    rank array is read-only.  When every node of g is its own cluster,
-    as at the paper's constants, the labels are g's ids and the ranks
-    0..n-1, and nothing is sorted."""
+    index among them of each node's cluster, by position in `g.nodes`;
+    both arrays are read-only.  A node the partition does not assign is
+    a `PreconditionError`.  The arrays for the last graph asked about are
+    kept with the partition, so the stages of one run that ask about one
+    graph share them.  The graph the partition was grown on (its very
+    id tuple) is read by position, with no lookup; any other graph's ids
+    are looked up in `partition.ids`.  When every node of g is its own
+    cluster, as at the paper's constants, the labels are g's ids and the
+    ranks 0..n-1, and nothing is sorted."""
     kept = partition._ranks
     if kept is None or kept[0] is not g:
-        ids = _ids(g)
-        at, covered = lookup(partition.ids, ids)
-        if not covered.all():
-            raise PreconditionError(f"partition does not cover node {g.nodes[covered.argmin()]}")
-        label = partition.label[at]
+        if g.nodes is partition._nodes:
+            ids, label = partition.ids, partition.label
+        else:
+            ids = _ids(g)
+            at, covered = lookup(partition.ids, ids)
+            if not covered.all():
+                raise PreconditionError(f"partition does not cover node {g.nodes[covered.argmin()]}")
+            label = partition.label[at]
         if np.array_equal(label, ids):
-            labels, rank = ids, np.arange(g.n)
+            labels, rank = ids.view(), np.arange(g.n)
         else:
             labels, rank = distinct_inverse(label)
-        rank.flags.writeable = False
+        labels.flags.writeable = rank.flags.writeable = False
         kept = partition._ranks = g, labels, rank
-    return kept[1].tolist(), kept[2]
+    return kept[1], kept[2]
 
 
 def cluster_degrees(g: Graph, partition: Partition) -> np.ndarray:
@@ -600,14 +611,67 @@ class ClusterGroups:
     """Sums over groups of entries, for the windows of a per-cluster
     floor: entry k adds the value of item items[k] to the group of
     codes[k], and that group belongs to cluster codes[k] // stride, one
-    of `clusters`.  Groups are numbered by increasing code (`keys`), and
-    one `distinct_inverse` finds each entry's group."""
+    of `clusters`.  Group g holds the entries of code keys[g], and
+    entry k lies in group groups[k].
+
+    Built from the codes, the groups are numbered by increasing code, and
+    one `distinct_inverse` finds each entry's group.  When every node is
+    its own cluster, as at the paper's constants, each floor knows its
+    groups in advance, and the two layouts below number them by position
+    arithmetic, with no sort: `each_entry` for codes that are all
+    distinct, `edge_runs` for the re-rounding's edge windows."""
 
     def __init__(self, codes: np.ndarray, items: np.ndarray, stride: int, clusters: int):
         self.keys, self.groups = distinct_inverse(codes)
         self.owners = self.keys // stride
         self.items = items
         self.clusters = clusters
+
+    @classmethod
+    def _laid_out(
+        cls, keys: np.ndarray, groups: np.ndarray, items: np.ndarray, stride: int, clusters: int
+    ) -> "ClusterGroups":
+        """The groups numbered as given: keys[g] is group g's code and
+        groups[k] entry k's group."""
+        self = cls.__new__(cls)
+        self.keys, self.groups, self.owners = keys, groups, keys // stride
+        self.items, self.clusters = items, clusters
+        return self
+
+    @classmethod
+    def each_entry(
+        cls, codes: np.ndarray, items: np.ndarray, stride: int, clusters: int
+    ) -> "ClusterGroups":
+        """The groups of `codes` that are all distinct: each entry is its
+        own group, numbered in entry order, so `keys` are the codes as
+        given, increasing or not.  A group's sum is then its one value,
+        as the sorted build adds it, and only the numbering differs."""
+        return cls._laid_out(codes, np.arange(len(codes)), items, stride, clusters)
+
+    @classmethod
+    def edge_runs(
+        cls, owner: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, clusters: int
+    ) -> "ClusterGroups":
+        """The groups of the codes owner[k] * n + a[k] and owner[k] * n +
+        b[k] of edge k, interleaved as entries 2k and 2k + 1 over items k,
+        numbered as the sorted build numbers them, for edges ordered by
+        (b, a) with a < b < n whose owner is the index of their b among
+        the distinct ones, 0..clusters-1: the re-rounding's windows when
+        every node is its own cluster.  Run r, the edges of owner r,
+        shares one b and has increasing a's below it, so its groups are
+        its a-codes in edge order, then its one b-code: entry 2k is group
+        k + owner[k], and entry 2k + 1 is group end[r] + r, end[r] the
+        index one past run r's last edge."""
+        edge = np.arange(len(a))
+        end = np.cumsum(np.bincount(owner, minlength=clusters))
+        run = np.arange(clusters)
+        at_a, at_b = edge + owner, end + run
+        keys = np.empty(len(a) + clusters, np.int64)
+        keys[at_a] = owner * n + a
+        keys[at_b] = run * n + b[end - 1]
+        groups = np.empty(2 * len(a), np.intp)
+        groups[0::2], groups[1::2] = at_a, at_b[owner]
+        return cls._laid_out(keys, groups, np.repeat(edge, 2), n, clusters)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Every group's sum of its entries' values, added in entry order:

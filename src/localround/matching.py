@@ -20,9 +20,13 @@ when the re-rounding runs, with the clusters that draw nothing making
 theirs in one `map` (`resample_clusters`).  It orders the edges by
 cluster with one sort of packed int64 codes (`cluster_edge_order`); a
 `np.lexsort` took 14 ms of a 60 ms solve at n=8192 (numpy 2.4.6, 2
-vCPUs).  At the paper's constants every node is its own cluster, so the
-cluster degrees are the degrees plus one and need no sort
-(`cluster_degrees`), and the re-rounded value clears the value floor
+vCPUs).  That is the re-rounding's only sort at the paper's constants,
+where every node is its own cluster: the cluster ranks are the node
+positions (`cluster_ranks`), the cluster degrees are the degrees plus
+one (`cluster_degrees`), and each window's group follows from its
+edge's position in the sorted order (`ClusterGroups.edge_runs`); a
+partition with merged clusters sorts its labels and its window codes
+once each.  There the re-rounded value also clears the value floor
 without its slack, which is then not counted.  The support graph of the
 finish is the working graph itself when every edge keeps a positive
 value, else it is built from position arrays (`edge_subgraph`).  The
@@ -203,15 +207,20 @@ def intra_round_matching(
 
     `x_good` is over g's nodes, its values in [0, 1], its edges in any
     order; a bound that is not a finite positive number is refused
-    (`check_bound`).  The edges are put in order by (cluster, a, b) with one sort
-    (`cluster_edge_order`), and the clusters are decided attempt by
-    attempt, all at once: attempt 0 sets every value as one array and
+    (`check_bound`).  The edges are put in order by (cluster, a, b) with
+    one sort (`cluster_edge_order`), and the clusters are decided attempt
+    by attempt, all at once: attempt 0 sets every value as one array and
     sums every window as a group, (cluster, endpoint) over the endpoints
     of the edges in that order (`ClusterGroups`); the clusters used, and
     each edge's index among them, come from the changes of the sorted
-    cluster ranks, with no second sort.  Only
-    clusters with a failing window go on to further attempts, and only
-    one with a resampled edge can pass on one.  Each cluster attempt
+    cluster ranks, with no second sort.  When every node is its own
+    cluster, as at the paper's constants, the edges are in (b, a) order
+    and the groups are numbered by their positions in it
+    (`ClusterGroups.edge_runs`); otherwise one sort of the groups' codes
+    numbers them.  The values of the edges below the keep threshold,
+    none at the paper's constants, are the only ones read one by one.
+    Only clusters with a failing window go on to further attempts, and
+    only one with a resampled edge can pass on one.  Each cluster attempt
     calls `stream` (the module docstring says why); a stream derives its
     seed only if the attempt draws from it.  Returns the new values by
     cluster label, then by edge.
@@ -242,19 +251,22 @@ def intra_round_matching(
     used, owner = ranked[fresh], np.cumsum(fresh) - 1
     del ranked, fresh
 
-    items = np.repeat(np.arange(len(x)), 2)
-    groups = ClusterGroups(
-        owner[items] * g.n + _interleave(a, b), items, g.n, len(used)
-    )
+    if len(labels) == g.n:
+        groups = ClusterGroups.edge_runs(owner, a, b, g.n, len(used))
+    else:
+        items = np.repeat(np.arange(len(x)), 2)
+        groups = ClusterGroups(
+            owner[items] * g.n + _interleave(a, b), items, g.n, len(used)
+        )
     base = groups.sums(x)
     lo, hi = base / 10.0 - slack, base / 2.0 + slack
     values = np.where(x >= keep_threshold, x / 5.0, 0.0)
     draws: dict[int, list[tuple[int, float]]] = {}
-    xs = x.tolist()
-    for e in np.flatnonzero(x < keep_threshold).tolist():
-        draws.setdefault(int(owner[e]), []).append((e, xs[e] * 10000.0 * bound * log_n))
+    low = np.flatnonzero(x < keep_threshold)
+    for c, e, v in zip(owner[low].tolist(), low.tolist(), x[low].tolist()):
+        draws.setdefault(c, []).append((e, v * 10000.0 * bound * log_n))
     resample_clusters(
-        [labels[c] for c in used.tolist()],
+        labels[used].tolist(),
         values,
         draws,
         floor_value,

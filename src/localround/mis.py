@@ -150,7 +150,11 @@ def intra_round_mis(
     The clusters are decided attempt by attempt, all at once: attempt 0
     sets every value as one array and sums every window as a group,
     (cluster, good node) over the witness entries in entry order and
-    (cluster, node) over the out-edges in `out_csr()` order.  Only
+    (cluster, node) over the out-edges in `out_csr()` order
+    (`ClusterGroups`).  The groups are found by one sort of their codes,
+    except when every node is its own cluster, as at the paper's
+    constants: then no two entries share a group, and each entry is its
+    own group, in entry order (`ClusterGroups.each_entry`).  Only
     clusters with a failing window go on to further attempts, and only a
     cluster with a resampled member can pass on one.  Each cluster
     attempt calls `stream`; a stream derives its seed only if the attempt
@@ -162,9 +166,9 @@ def intra_round_mis(
     call time, and `resample_clusters` makes those of the clusters
     without draws in one `map`.  The bound check reads the cluster
     degrees, which need no sort when every node is its own cluster
-    (`cluster_degrees`).  `witnesses`
-    default to `good_witnesses(h, orientation)`.  Returns the values as a
-    float array by position in `h.nodes`.
+    (`cluster_degrees`).  `witnesses` default to `good_witnesses(h,
+    orientation)`.  Returns the values as a float array by position in
+    `h.nodes`.
     """
     checks = checks if checks is not None else ClaimChecker()
     orientation = orientation or orient(h)
@@ -193,7 +197,11 @@ def intra_round_mis(
     # w, u) over edges u -> w, the latter with no lower bound
     items = np.concatenate((member, outs))
     stride = len(owner) + h.n
-    groups = ClusterGroups(
+    # when every node is its own cluster no two entries share a code: a
+    # witness list's members are distinct, so are a source's
+    # out-neighbours, and the two target ranges do not meet
+    build = ClusterGroups.each_entry if len(labels) == h.n else ClusterGroups
+    groups = build(
         rank[items] * stride + np.concatenate((group, len(owner) + sources)),
         items,
         stride,
@@ -208,7 +216,7 @@ def intra_round_mis(
     for u in np.flatnonzero(deg > deg_cutoff).tolist():
         draws.setdefault(int(rank[u]), []).append((u, deg_cutoff / int(deg[u])))
     resample_clusters(
-        labels,
+        labels.tolist(),
         x,
         draws,
         floor_value,

@@ -227,6 +227,16 @@ def test_bench_refuses_sizes_that_are_not_integers(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ns, given", [("-5", "-5"), ("0", "0"), ("30,0,60", "0"), ("30,-007", "-007")])
+def test_bench_refuses_sizes_below_one(tmp_path, capsys, ns, given):
+    # a negative size reached gnp and failed with its own message; size 0
+    # wrote a row for an empty graph
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--ns", ns, "--out", str(out)) == 3
+    assert f"error: --ns takes node counts of at least 1, got {given!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("avg_deg", ["nan", "inf", "-inf", "-1"])
 def test_bench_refuses_an_average_degree_that_is_not_finite_or_negative(
     tmp_path, capsys, avg_deg

@@ -30,6 +30,8 @@ from conftest import random_graph
 # `localround.mis` the attribute is the function; the module is wanted
 mis_module = importlib.import_module("localround.mis")
 matching_module = importlib.import_module("localround.matching")
+clustering_module = importlib.import_module("localround.clustering")
+graphs_module = importlib.import_module("localround.graphs")
 
 
 class _NeverHit(random.Random):
@@ -127,6 +129,12 @@ def _hub_pair(rng: random.Random, leaves: int):
     return g, grow(g, delays, 1), {b: (a, rest[leaves])}
 
 
+def _singletons(draw, g: Graph, delays: dict[int, int]) -> dict[int, int]:
+    """`delays`, or in a drawn share of the cases all equal, so that every
+    node is its own cluster, as at the paper's constants."""
+    return dict.fromkeys(g.nodes, 1) if draw(st.booleans()) else delays
+
+
 @st.composite
 def mis_cases(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -141,7 +149,7 @@ def mis_cases(draw):
         0, draw(st.booleans()),
     )
     g = strip_isolated(g)
-    part = grow(g, delays, 1)
+    part = grow(g, _singletons(draw, g, delays), 1)
     ref = reference_partition(part)
     max_deg = max(cluster_degree(g, ref, u) for u in g.nodes)
     bound = max_deg * draw(st.sampled_from([1.0, 2.0, 0.5]))
@@ -196,7 +204,7 @@ def matching_cases(draw):
         leaves, draw(st.booleans()),
     )
     g = strip_isolated(g)
-    part = grow(g, delays, 1)
+    part = grow(g, _singletons(draw, g, delays), 1)
     bound = draw(st.sampled_from([1.0, 2.0, 4.0]))
     # with n_total = 2, a hub whose edges all miss falls below its window
     n_total = 2 if leaves else draw(st.sampled_from([2, 3, None]))
@@ -266,3 +274,86 @@ def test_cluster_groups_sum_in_entry_order(entries, values):
     assert groups.owners.tolist() == [c // 2 for c in sorted(loop)]
     got = groups.sums(np.array(values))
     assert [x.hex() for x in got.tolist()] == [loop[c].hex() for c in sorted(loop)]
+
+    # distinct codes: each entry its own group, numbered in entry order,
+    # with the key, owner and sum the sort gives that entry's group
+    seen: set[int] = set()
+    once = [(c, i) for c, i in entries if not (c in seen or seen.add(c))]
+    codes = np.array([c for c, _ in once], np.int64)
+    items = np.array([i for _, i in once], np.intp)
+    built, laid = ClusterGroups(codes, items, 2, 3), ClusterGroups.each_entry(codes, items, 2, 3)
+    assert laid.keys.tolist() == codes.tolist() and laid.groups.tolist() == list(range(len(once)))
+    by_sort = built.groups
+    assert built.keys[by_sort].tolist() == laid.keys[laid.groups].tolist()
+    assert built.owners[by_sort].tolist() == laid.owners[laid.groups].tolist()
+    got, want = laid.sums(np.array(values)), built.sums(np.array(values))
+    assert [x.hex() for x in got[laid.groups].tolist()] == [
+        x.hex() for x in want[by_sort].tolist()
+    ]
+
+    # edges (a, b), a < b < 8, ordered by (b, a), each owned by its b's
+    # index among the b's: the windows of the re-rounding when every node
+    # is its own cluster, numbered as the sort numbers them
+    edges = sorted({(min(c, i), max(c, i)) for c, i in entries if c != i}, key=lambda e: e[::-1])
+    a = np.array([e[0] for e in edges], np.intp)
+    b = np.array([e[1] for e in edges], np.intp)
+    owner = np.searchsorted(np.unique(b), b)
+    clusters = len(np.unique(b))
+    items = np.repeat(np.arange(len(edges)), 2)
+    codes = owner[items] * 8 + np.stack((a, b), axis=1).ravel()
+    built = ClusterGroups(codes, items, 8, clusters)
+    laid = ClusterGroups.edge_runs(owner, a, b, 8, clusters)
+    for name in ("keys", "groups", "owners", "items"):
+        assert getattr(laid, name).tolist() == getattr(built, name).tolist()
+    x = np.array(values)[np.arange(len(edges)) % 8]
+    got, want = laid.sums(x), built.sums(x)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+def _recording_sorts(monkeypatch) -> list[str]:
+    """The names of the sorts called from now on, in order: every
+    `distinct_inverse` the clustering module makes and every
+    `stable_order`, the sort under it and under the matching module's
+    edge order."""
+    sorts: list[str] = []
+    for module, name in (
+        (clustering_module, "distinct_inverse"),
+        (graphs_module, "stable_order"),
+        (matching_module, "stable_order"),
+    ):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, real=real, name=name: sorts.append(name) or real(*args)
+        )
+    return sorts
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_no_floor_sorts_its_groups_on_a_singleton_partition(monkeypatch, seed):
+    # when every node is its own cluster, as at the paper's constants,
+    # both floors number their window groups with no sort; a merged
+    # partition still sorts its labels and its groups
+    rng = random.Random(seed)
+    g = strip_isolated(random_graph(rng, rng.randint(3, 40), rng.choice([0.1, 0.3])))
+    if g.m == 0:
+        g = Graph(edges=[(0, 1), (1, 2)])
+    spread = 0 if seed % 2 else 3
+    delays = {u: rng.randint(0, spread) for u in g.nodes}
+    part = grow(g, delays, 1)
+    merged = len(part.clusters) < g.n
+    ref = reference_partition(part)
+    bound = max(cluster_degree(g, ref, u) for u in g.nodes)
+    o = orient(g)
+    witnesses = mis_module.good_witnesses(g, o)
+    x = matching_module.fractional_matching(g)
+    sorts = _recording_sorts(monkeypatch)
+    mis_module.intra_round_mis(g, part, bound, seed, None, None, o, witnesses)
+    mis_sorts = list(sorts)
+    sorts.clear()
+    matching_module.intra_round_matching(g, grow(g, delays, 1), x, bound, seed)
+    if merged:
+        assert "distinct_inverse" in mis_sorts and "distinct_inverse" in sorts
+    else:
+        assert mis_sorts == sorts == []
+    if not spread:
+        assert not merged
