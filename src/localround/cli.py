@@ -3,11 +3,11 @@
 Exit codes: 0 success, 2 a checked guarantee failed or a retry budget ran
 out (the report names which), 3 usage error (a malformed flag value or
 edge list, or a file that cannot be read or written) or, with a report
-naming "precondition", an algorithm refused its input, 4 an oracle
-refused its budget.  Every exit 3 prints an `error:` line on stderr.  Run
-reports are JSON (schema "v1") and byte-identical for identical config
-and master seed; an `--f-override` that is not finite is echoed as its
-text, since JSON has no number for it.
+naming "precondition", an algorithm refused its input.  Every exit 3
+prints an `error:` line on stderr.  Run reports are JSON (schema "v1")
+and byte-identical for identical config and master seed; an
+`--f-override` that is not finite is echoed as its text, since JSON has
+no number for it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ import numpy as np
 
 from . import generators, seeds
 from .clustering import cluster_all, cluster_constant, mpx_randomized, verify_partition
-from .errors import (
-    BudgetExceeded,
-    ClaimViolation,
-    ParseError,
-    PreconditionError,
-    RetryBudgetExceeded,
-)
+from .errors import ClaimViolation, ParseError, PreconditionError, RetryBudgetExceeded
 from .graphs import Graph, dump_edge_list, load_graph
 from .ledger import RoundLedger
 from .matching import approx_matching
@@ -280,6 +274,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [x for x in args.ns.split(",") if x]
+    if not sizes:
+        raise UsageError(f"--ns takes at least one node count, got {args.ns!r}")
     try:
         ns = [int(x) for x in sizes]
     except ValueError:
@@ -288,6 +284,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if small:
         raise UsageError(f"--ns takes node counts of at least 1, got {small[0]!r}")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise UsageError(f"--algos takes at least one algorithm, got {args.algos!r}")
     bad = [a for a in algos if a not in ALGORITHMS]
     if bad:
         raise UsageError(f"unknown algorithms {bad}")
@@ -332,9 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, PreconditionError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceeded as exc:
-        print(f"oracle budget refused: {exc}", file=sys.stderr)
-        return 4
     except (ClaimViolation, RetryBudgetExceeded) as exc:
         print(f"guarantee failed: {exc}", file=sys.stderr)
         return 2

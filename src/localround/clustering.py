@@ -75,6 +75,12 @@ def base_capacity_exponent(n: int) -> int:
     return max(2, (max(2, n * n) - 1).bit_length())
 
 
+def check_alpha(alpha: int) -> None:
+    """An alpha below 1 is a `PreconditionError`, whatever the graph."""
+    if alpha < 1:
+        raise PreconditionError("alpha must be >= 1")
+
+
 def capacity_exponent(n: int, alpha: int) -> int:
     """log2 of the capacity bound N used by all threshold formulas.
 
@@ -83,8 +89,7 @@ def capacity_exponent(n: int, alpha: int) -> int:
     arguments behind the shrink guarantees (the base-case mass bound and
     the per-step decay need a comfortable gap over n).
     """
-    if alpha < 1:
-        raise PreconditionError("alpha must be >= 1")
+    check_alpha(alpha)
     log_n_cap = alpha * math.ceil(base_capacity_exponent(n) / alpha)
     while True:
         decay_ok = math.exp(-math.ceil(100 * math.log2(log_n_cap)) / 16.0) <= 1.0 / (
@@ -217,7 +222,7 @@ def _all_nearby_active(
     cap = 100 * alpha
     if not active:
         return None, 0
-    if len(active) == g.n and cap >= 2:
+    if len(active) == g.n:
         if min(g.n, 1 + g.max_degree() ** 2) < threshold:
             return None, 2
         return two_hop_sets(g), 2
@@ -267,6 +272,7 @@ def mpx_randomized(
     Retries with a derived seed if any node survives all 10*alpha phases
     (vanishingly unlikely); fails after `MPX_ATTEMPTS` tries.
     """
+    check_alpha(alpha)
     if g.n == 0:
         return _empty_partition(alpha)
     log_n_cap = capacity_exponent(g.n, alpha)
@@ -290,13 +296,26 @@ def mpx_randomized(
     )
 
 
-def _charge_shrink(
-    ledger: RoundLedger | None, label: str, rounds_h: int, alpha: int
-) -> None:
-    """One shrink simulated on the host graph: 100*alpha rounds per step."""
-    rounds = rounds_h * 100 * alpha
-    if ledger is not None and rounds > 0:
-        ledger.charge(label, min(100 * alpha, rounds), rounds)
+def _hitting_step(
+    s_map: Mapping[int, AbstractSet[int]], side: Sequence[int], pool: AbstractSet[int],
+    weight: np.ndarray, threshold: int, rate: float, norm: float, group_size: int,
+    checks: ClaimChecker,
+) -> tuple[set[int], int]:
+    """One shrink of the active set `pool`, solved as a grouped hitting
+    set built with `BipartiteInstance.from_arrays`: left node side[i]
+    (nonempty, increasing ids), of weight weight[i], sees the first
+    `threshold` nodes, in id order, of its nearby-active set within
+    `pool`; a shorter row is refused, not reshaped.  Merges the solve's
+    claim counts into `checks`; returns the kept nodes and `rounds_h`."""
+    v_nodes = sorted(pool)
+    rows = np.array([sorted(s_map[u] & pool)[:threshold] for u in side], np.int64)
+    nbr = np.searchsorted(np.array(v_nodes, np.int64), rows)
+    inst = BipartiteInstance.from_arrays(
+        tuple(side), tuple(v_nodes), nbr, weight, threshold, rate, norm, group_size
+    )
+    res = grouped_hitting_set(inst)
+    checks.merge(res.checks)
+    return set(res.selected), res.rounds_h
 
 
 def cluster_constant(
@@ -322,6 +341,7 @@ def cluster_constant(
     step: it builds no nearby-active sets and scans no node, but
     evaluates every claim.
     """
+    check_alpha(alpha)
     if g.n == 0:
         return _empty_partition(alpha)
     n = g.n
@@ -374,24 +394,14 @@ def cluster_constant(
             u_side = [g.nodes[k] for k in side]
             if u_side:
                 norm = math.ldexp(1.0, i * steps + j - 2 * log_n_cap)
-                adj = {
-                    u: tuple(sorted(s_map[u] & current))[: thresholds[j]]
-                    for u in u_side
-                }
-                inst = BipartiteInstance(
-                    tuple(u_side),
-                    tuple(sorted(current)),
-                    adj,
-                    dict(zip(u_side, weights[side].tolist())),
-                    thresholds[j],
-                    rate,
-                    norm,
-                    group_size,
+                nxt, rounds_h = _hitting_step(
+                    s_map, u_side, current, weights[side], thresholds[j],
+                    rate, norm, group_size, checks,
                 )
-                res = grouped_hitting_set(inst)
-                checks.merge(res.checks)
-                _charge_shrink(ledger, "active-shrink", res.rounds_h, alpha)
-                nxt = set(res.selected)
+                # simulated on the host graph: 100*alpha rounds per step
+                rounds = rounds_h * 100 * alpha
+                if ledger is not None and rounds > 0:
+                    ledger.charge("active-shrink", min(100 * alpha, rounds), rounds)
             else:
                 nxt = set()
             dropped = [k for k, u in zip(side, u_side) if len(s_map[u] & nxt) < thresholds[j + 1]]
@@ -435,6 +445,7 @@ def cluster_all(
     important node, so no cell ever lags: it builds no nearby-active sets
     and no cells and scans no node, but evaluates every claim.
     """
+    check_alpha(alpha)
     if g.n == 0:
         return _empty_partition(alpha)
     n = g.n
@@ -504,26 +515,12 @@ def cluster_all(
                 ]
                 if lagging:
                     norm = math.ldexp(1.0, i * steps + j + (j - ell))
-                    adj = {
-                        u: tuple(sorted(s_map[u] & prev_row[ell]))[: thresholds[j - 1]]
-                        for u in lagging
-                    }
-                    inst = BipartiteInstance(
-                        tuple(lagging),
-                        tuple(sorted(prev_row[ell])),
-                        adj,
-                        {u: 1.0 for u in lagging},
-                        thresholds[j - 1],
-                        rate,
-                        norm,
-                        group_size,
+                    selected, rounds_h = _hitting_step(
+                        s_map, lagging, prev_row[ell], np.ones(len(lagging)),
+                        thresholds[j - 1], rate, norm, group_size, checks,
                     )
-                    res = grouped_hitting_set(inst)
-                    checks.merge(res.checks)
-                    cell_rounds = res.rounds_h * 100 * alpha
                     wave = j + ell
-                    wave_rounds[wave] = max(wave_rounds.get(wave, 0), cell_rounds)
-                    selected = set(res.selected)
+                    wave_rounds[wave] = max(wave_rounds.get(wave, 0), rounds_h * 100 * alpha)
                 else:
                     selected = set()
                 cell = row[ell - 1] | selected
@@ -545,7 +542,7 @@ def cluster_all(
         for rounds in (wave_rounds[t] for t in sorted(wave_rounds)):
             if ledger is not None and rounds > 0:
                 ledger.charge("pipeline-shrink", min(100 * alpha, rounds), rounds)
-        active = set(prev_row[sweeps]) if steps >= 1 else set()
+        active = set(prev_row[sweeps])
         actives.append(np.sort(np.fromiter(active, np.int64, len(active))))
         last_index[lookup(ids, actives[-1])[0]] = i + 1
     checks.ok("no-active-at-end", not active, f"{len(active)} nodes still active")

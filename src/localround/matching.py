@@ -56,6 +56,7 @@ from .clustering import (
     ClusterGroups,
     Partition,
     base_capacity_exponent,
+    check_alpha,
     check_bound,
     cluster_constant,
     cluster_degrees,
@@ -402,12 +403,14 @@ def approx_matching(
     whose good nodes carry less than 0.9 of the fractional load is
     refused (`PreconditionError`); the certified one is a guarantee, so
     there the same shortfall is a `good-weight` claim violation.  An
-    override that is not a finite positive number is refused on every
-    input, edgeless or not.  Each cluster's re-rounding gets the fixed
+    override that is not a finite positive number, and an `alpha` below
+    1, are refused on every input, edgeless or not.  Each cluster's re-rounding gets the fixed
     budget of `seeds.RETRIES` attempts (`resample_clusters`).
     """
     if f_override is not None:
         check_bound(float(f_override))
+    if alpha is not None:
+        check_alpha(alpha)
     checks = ClaimChecker()
     work = strip_isolated(g)
     if work.m == 0:

@@ -28,6 +28,7 @@ from .clustering import (
     ClusterGroups,
     Partition,
     base_capacity_exponent,
+    check_alpha,
     check_bound,
     cluster_all,
     cluster_degrees,
@@ -484,12 +485,15 @@ def mis(
 
     Every iteration reads the one partition at its surviving nodes, and
     nodes isolated by removals join the output directly.
-    An `f_override` that is not a finite positive number is refused on
-    every input, edgeless or not.  Each cluster's floor gets the fixed
-    budget of `seeds.RETRIES` attempts (`resample_clusters`).
+    An `f_override` that is not a finite positive number, and an `alpha`
+    below 1, are refused on every input, empty or not.  Each cluster's
+    floor gets the fixed budget of `seeds.RETRIES` attempts
+    (`resample_clusters`).
     """
     if f_override is not None:
         check_bound(float(f_override))
+    if alpha is not None:
+        check_alpha(alpha)
     checks = ClaimChecker()
     if g.n == 0:
         return MisResult(frozenset(), 0, [], alpha or 1, 0.0, 0, checks.counts)

@@ -12,7 +12,10 @@ read its dicts, so they take a `ReferencePartition`.
 `reference_max_diameter` is `verify_partition`'s per-cluster loop over
 induced subgraphs.  `cluster_degree` is the per-node count behind
 `cluster_degrees`, and `nearby_active` the per-node search behind
-`_all_nearby_active`.
+`_all_nearby_active`.  `reference_hitting_step` is the shrinks' hitting
+step built through `BipartiteInstance`'s dict constructor, as
+`cluster_constant` and `cluster_all` each built it before
+`_hitting_step` built it from arrays.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from localround.clustering import Partition, delays_to_partition
 from localround.errors import PreconditionError, plain_sum
 from localround.graphs import Graph, bfs_distances, induced_subgraph
+from localround.hitting import BipartiteInstance, grouped_hitting_set
 
 from graphs_reference import node_mask
 
@@ -154,3 +158,32 @@ def nearby_active(g: Graph, u: int, active: Iterable[int], alpha: int) -> frozen
     if dist is None:
         return frozenset()
     return frozenset(v for v in bfs_distances(g, u, limit=min(dist + 2, 100 * alpha)) if v in active)
+
+
+def reference_hitting_step(
+    s_map: Mapping[int, AbstractSet[int]],
+    side: Sequence[int],
+    pool: AbstractSet[int],
+    weight: np.ndarray,
+    threshold: int,
+    rate: float,
+    norm: float,
+    group_size: int,
+) -> tuple[set[int], int, dict[str, int]]:
+    """The kept nodes, `rounds_h` and claim counts of one shrink, its
+    instance built as a dict of each left node's first `threshold`
+    nearby-active nodes within `pool`, in id order, and a dict of
+    weights."""
+    adj = {u: tuple(sorted(s_map[u] & pool))[:threshold] for u in side}
+    inst = BipartiteInstance(
+        tuple(side),
+        tuple(sorted(pool)),
+        adj,
+        dict(zip(side, weight.tolist())),
+        threshold,
+        rate,
+        norm,
+        group_size,
+    )
+    res = grouped_hitting_set(inst)
+    return set(res.selected), res.rounds_h, res.checks.counts

@@ -9,7 +9,8 @@ import localround.cli
 import localround.matching
 from localround import generators, seeds
 from localround.cli import UsageError, main, parse_gen_spec
-from localround.errors import RetryBudgetExceeded
+from localround.clustering import cluster_all, cluster_degrees
+from localround.errors import ClaimViolation, RetryBudgetExceeded
 from localround.graphs import dump_edge_list, load_graph
 
 
@@ -189,6 +190,44 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_without_out_prints_the_report(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    flags = ("run", "--gen", "gnp:n=40,p=0.1,seed=2", "--algo", "mis")
+    assert run_cli(*flags, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(*flags) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_a_generator_key_without_a_value_exits_3(capsys):
+    assert run_cli("run", "--gen", "path:n", "--algo", "mis") == 3
+    assert "error: bad generator parameter 'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0", "-5"])
+@pytest.mark.parametrize(
+    "algo, gen",
+    [
+        ("cluster-all", "path:n=0"),
+        ("cluster-constant", "path:n=0"),
+        ("mpx", "path:n=0"),
+        ("mis", "path:n=0"),
+        ("matching", "gnp:n=5,p=0"),
+        ("cluster-all", "path:n=5"),
+    ],
+)
+def test_run_refuses_alpha_below_one_on_every_input(tmp_path, capsys, algo, gen, alpha):
+    # on these graphs -5 failed the partition report, and 0 exited 0
+    out = tmp_path / "r.json"
+    seed = ("--seed", "0") if algo == "mpx" else ()
+    code = run_cli("run", "--gen", gen, "--algo", algo, "--alpha", alpha, *seed, "--out", str(out))
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["failed_claim"] == "precondition"
+    assert report["result"] == {"error": "alpha must be >= 1"}
+    assert "error: alpha must be >= 1" in capsys.readouterr().err
+
+
 def test_run_mpx_and_luby(tmp_path):
     out = tmp_path / "x.json"
     assert run_cli(
@@ -234,6 +273,46 @@ def test_bench_refuses_sizes_below_one(tmp_path, capsys, ns, given):
     out = tmp_path / "bench.csv"
     assert run_cli("bench", "--ns", ns, "--out", str(out)) == 3
     assert f"error: --ns takes node counts of at least 1, got {given!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (("--ns", ","), "--ns takes at least one node count, got ','"),
+        (("--ns", ""), "--ns takes at least one node count, got ''"),
+        (("--ns", "30", "--algos", ","), "--algos takes at least one algorithm, got ','"),
+        (("--ns", "30", "--algos", " "), "--algos takes at least one algorithm, got ' '"),
+    ],
+)
+def test_bench_refuses_an_empty_list(tmp_path, capsys, flags, want):
+    # each wrote a CSV holding only the header row
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", *flags, "--out", str(out)) == 3
+    assert f"error: {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_writes_the_largest_cluster_degree_for_a_clustering(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run_cli(
+        "bench", "--ns", "40", "--algos", "cluster-all", "--seed", "1", "--out", str(out)
+    ) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    # bench's graph for size 40 and seed 1, clustered at the default alpha
+    g = generators.gnp(40, 8.0 / 39, seed=41)
+    assert row[:2] == ["40", "cluster-all"]
+    assert int(row[3]) == int(cluster_degrees(g, cluster_all(g, 3)).max())
+
+
+def test_bench_turns_a_broken_guarantee_into_exit_2(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ClaimViolation("good-mass", "made up")
+
+    monkeypatch.setattr(localround.cli, "mis", broken)
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--ns", "20", "--out", str(out)) == 2
+    assert "guarantee failed: good-mass: made up" in capsys.readouterr().err
     assert not out.exists()
 
 

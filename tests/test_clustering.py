@@ -20,12 +20,18 @@ from localround.clustering import (
     mpx_randomized,
     verify_partition,
 )
-from localround.errors import PreconditionError
+from localround.errors import ClaimChecker, PreconditionError
 from localround.generators import complete, gnp, path
 from localround.graphs import Graph, bfs_distances, induced_subgraph
 from localround.ledger import RoundLedger
 
-from clustering_reference import cluster_degree, grow, nearby_active, reference_partition
+from clustering_reference import (
+    cluster_degree,
+    grow,
+    nearby_active,
+    reference_hitting_step,
+    reference_partition,
+)
 from conftest import by_position, random_graph
 from graphs_reference import node_mask
 
@@ -163,6 +169,81 @@ def test_size_bound_skips_the_nearby_sets(monkeypatch):
         "shrink-bad-mass": 180,
         "no-active-at-end": 1,
     }
+
+
+def _shrink_inputs(seed, threshold):
+    """A random 60-node graph's nearby-active sets, an active pool inside
+    the active set, and the nodes that see at least `threshold` of it."""
+    rng = random.Random(seed)
+    g = random_graph(rng, 60, rng.choice([0.06, 0.1, 0.15]))
+    active = {u for u in g.nodes if rng.random() < 0.7}
+    pool = {u for u in active if rng.random() < 0.8}
+    s_map = _nearby(g, active, alpha=1)
+    side = [u for u in g.nodes if len(s_map[u] & pool) >= threshold]
+    return g, s_map, pool, side, rng
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hitting_step_matches_the_dict_build(seed):
+    # threshold 4, group size 2 and rate 1/4 make both shrinks' solves
+    # small enough for tier-1; at the paper's constants none is ever built
+    g, s_map, pool, side, rng = _shrink_inputs(seed, 4)
+    assert side
+    unit = np.ones(len(side))
+    spread = np.array([rng.uniform(1.0 / g.n, 1.0) for _ in side])
+    for weight, norm in ((unit, 2.0**-3), (spread, 2.0**-9)):
+        want, want_rounds, want_counts = reference_hitting_step(
+            s_map, side, pool, weight, 4, 0.25, norm, 2
+        )
+        checks = ClaimChecker()
+        checks.ok("before", True)
+        kept, rounds_h = clustering_module._hitting_step(
+            s_map, side, pool, weight, 4, 0.25, norm, 2, checks
+        )
+        assert (kept, rounds_h) == (want, want_rounds)
+        assert kept <= pool and rounds_h > 0
+        assert checks.counts == {"before": 1, **want_counts}
+        assert want_counts["grouped-guarantee"] == 1
+
+
+def test_hitting_step_refuses_a_short_row():
+    # left node 2 sees only 2 of the 4 pool nodes: refused whether its row
+    # is the only short one or every row is short, never reshaped
+    pool = {10, 11, 12, 13}
+    s_map = {0: frozenset(pool), 1: frozenset(pool), 2: frozenset({10, 11})}
+    with pytest.raises(ValueError):
+        clustering_module._hitting_step(
+            s_map, [0, 1, 2], pool, np.ones(3), 4, 0.25, 1.0, 2, ClaimChecker()
+        )
+    with pytest.raises(PreconditionError, match="arrays of shape"):
+        clustering_module._hitting_step(
+            s_map, [2], pool, np.ones(1), 4, 0.25, 1.0, 2, ClaimChecker()
+        )
+
+
+def test_empty_graph_gives_the_empty_partition():
+    g = Graph()
+    for part in (
+        mpx_randomized(g, 2, seed=0),
+        cluster_constant(g, 2, np.zeros(0)),
+        cluster_all(g, 2),
+    ):
+        assert part.alpha == 2 and part.meta == {}
+        assert part.ids.tolist() == part.label.tolist() == part.delay.tolist() == []
+        assert part.clusters.tolist() == []
+
+
+@pytest.mark.parametrize("alpha", [0, -5])
+@pytest.mark.parametrize("g", [Graph(), path(3)], ids=["empty", "path"])
+def test_every_construction_refuses_alpha_below_one(g, alpha):
+    # the empty graph returned its empty partition before alpha was read
+    for build in (
+        lambda: mpx_randomized(g, alpha, seed=0),
+        lambda: cluster_constant(g, alpha, np.full(g.n, 1.0 / max(1, g.n))),
+        lambda: cluster_all(g, alpha),
+    ):
+        with pytest.raises(PreconditionError, match="alpha must be >= 1"):
+            build()
 
 
 def test_mpx_alpha_equals_capacity_is_half_rate():

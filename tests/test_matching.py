@@ -375,6 +375,18 @@ def test_pipeline_empty_graph():
     assert res.matching == frozenset()
 
 
+@pytest.mark.parametrize("alpha", [0, -5])
+@pytest.mark.parametrize(
+    "g", [path(6), Graph(nodes=[1, 2]), Graph()], ids=["path", "edgeless", "empty"]
+)
+def test_pipeline_refuses_alpha_below_one(monkeypatch, g, alpha):
+    # an edgeless graph returned a result before alpha was read, reporting
+    # alpha 1 for 0 and -5 for -5
+    monkeypatch.setattr(matching, "cluster_constant", None)
+    with pytest.raises(PreconditionError, match="^alpha must be >= 1$"):
+        approx_matching(g, alpha=alpha)
+
+
 def test_pipeline_disjoint_edges():
     res = approx_matching(disjoint_edges(50))
     assert len(res.matching) == 50

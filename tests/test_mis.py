@@ -204,6 +204,23 @@ def test_mis_refuses_an_override_that_is_not_finite_and_positive(monkeypatch, g,
         mis(g, f_override=override)
 
 
+@pytest.mark.parametrize("alpha", [0, -5])
+@pytest.mark.parametrize("g", [path(6), Graph(nodes=[0, 1]), Graph()], ids=["path", "edgeless", "empty"])
+def test_mis_refuses_alpha_below_one(monkeypatch, g, alpha):
+    # the empty graph returned a result before alpha was read, reporting
+    # alpha 1 for 0 and -5 for -5
+    monkeypatch.setattr(importlib.import_module("localround.mis"), "cluster_all", None)
+    with pytest.raises(PreconditionError, match="^alpha must be >= 1$"):
+        mis(g, alpha=alpha)
+
+
+def test_mis_of_the_empty_graph():
+    res = mis(Graph())
+    assert (res.independent_set, res.iterations, res.removed_fractions) == (frozenset(), 0, [])
+    assert (res.alpha, res.degree_bound, res.log2_capacity, res.checks) == (1, 0.0, 0, {})
+    assert mis(Graph(), alpha=3).alpha == 3
+
+
 def test_intra_refuses_an_infinite_bound():
     g = Graph(edges=[(0, leaf) for leaf in range(1, 6)])
     with pytest.raises(PreconditionError, match="^bound inf is not finite$"):
