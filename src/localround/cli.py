@@ -35,6 +35,7 @@ from .mis import luby_randomized, mis
 
 ALGORITHMS = ("mis", "matching", "cluster-all", "cluster-constant", "mpx", "luby-rand")
 RANDOMIZED = ("mpx", "luby-rand")
+SEEDLESS = ("cluster-all", "cluster-constant")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,6 +150,8 @@ def _run_algorithm(g: Graph, args: argparse.Namespace) -> dict:
         raise UsageError(f"algorithm {algo} takes no --f-override")
     if args.alpha is not None and algo == "luby-rand":
         raise UsageError(f"algorithm {algo} takes no --alpha")
+    if args.seed is not None and algo in SEEDLESS:
+        raise UsageError(f"algorithm {algo} takes no --seed")
     if algo == "mis":
         res = mis(g, args.alpha, seed, args.f_override, ledger)
         body = {
@@ -288,7 +291,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--algos takes at least one algorithm, got {args.algos!r}")
     bad = [a for a in algos if a not in ALGORITHMS]
     if bad:
-        raise UsageError(f"unknown algorithms {bad}")
+        raise UsageError(f"--algos takes only {', '.join(ALGORITHMS)}, got {', '.join(bad)}")
     if not 0.0 <= args.avg_deg < math.inf:  # NaN fails too
         raise UsageError(f"--avg-deg must be a finite number at least 0, got {args.avg_deg}")
     buf = io.StringIO()
@@ -302,7 +305,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 algo=algo,
                 alpha=None,
                 f_override=None,
-                seed=args.seed,
+                seed=None if algo in SEEDLESS else args.seed,
             )
             start = time.perf_counter()
             body = _run_algorithm(g, ns_args)

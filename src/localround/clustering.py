@@ -76,7 +76,11 @@ def base_capacity_exponent(n: int) -> int:
 
 
 def check_alpha(alpha: int) -> None:
-    """An alpha below 1 is a `PreconditionError`, whatever the graph."""
+    """An alpha that is not an `int` (a bool, a float or a numpy integer
+    included) or is below 1 is a `PreconditionError`, whatever the
+    graph."""
+    if type(alpha) is not int:
+        raise PreconditionError(f"alpha {alpha!r} is not an integer")
     if alpha < 1:
         raise PreconditionError("alpha must be >= 1")
 
@@ -606,17 +610,17 @@ def cluster_degrees(g: Graph, partition: Partition) -> np.ndarray:
 
 class ClusterGroups:
     """Sums over groups of entries, for the windows of a per-cluster
-    floor: entry k adds the value of item items[k] to the group of
-    codes[k], and that group belongs to cluster codes[k] // stride, one
-    of `clusters`.  Group g holds the entries of code keys[g], and
-    entry k lies in group groups[k].
+    floor: entry k adds the value of item items[k] to group groups[k],
+    and group g belongs to cluster owners[g], one of `clusters`.
 
-    Built from the codes, the groups are numbered by increasing code, and
-    one `distinct_inverse` finds each entry's group.  When every node is
-    its own cluster, as at the paper's constants, each floor knows its
-    groups in advance, and the two layouts below number them by position
-    arithmetic, with no sort: `each_entry` for codes that are all
-    distinct, `edge_runs` for the re-rounding's edge windows."""
+    Built from codes, entry k's group is that of codes[k], owned by
+    cluster codes[k] // stride; the groups are numbered by increasing
+    code, keys[g] is group g's code, and one `distinct_inverse` finds
+    each entry's group.  When every node is its own cluster, as at the
+    paper's constants, each floor knows its groups in advance, and the
+    two layouts below number them by position, with no sort:
+    `each_entry` for codes that are all distinct, `edge_windows` for the
+    re-rounding's edges."""
 
     def __init__(self, codes: np.ndarray, items: np.ndarray, stride: int, clusters: int):
         self.keys, self.groups = distinct_inverse(codes)
@@ -626,12 +630,13 @@ class ClusterGroups:
 
     @classmethod
     def _laid_out(
-        cls, keys: np.ndarray, groups: np.ndarray, items: np.ndarray, stride: int, clusters: int
+        cls, keys: np.ndarray | None, groups: np.ndarray, owners: np.ndarray, items: np.ndarray,
+        clusters: int,
     ) -> "ClusterGroups":
-        """The groups numbered as given: keys[g] is group g's code and
-        groups[k] entry k's group."""
+        """The groups numbered as given: groups[k] is entry k's group,
+        owners[g] group g's cluster and keys[g] its code."""
         self = cls.__new__(cls)
-        self.keys, self.groups, self.owners = keys, groups, keys // stride
+        self.keys, self.groups, self.owners = keys, groups, owners
         self.items, self.clusters = items, clusters
         return self
 
@@ -643,38 +648,30 @@ class ClusterGroups:
         own group, numbered in entry order, so `keys` are the codes as
         given, increasing or not.  A group's sum is then its one value,
         as the sorted build adds it, and only the numbering differs."""
-        return cls._laid_out(codes, np.arange(len(codes)), items, stride, clusters)
+        return cls._laid_out(codes, np.arange(len(codes)), codes // stride, items, clusters)
 
     @classmethod
-    def edge_runs(
-        cls, owner: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, clusters: int
-    ) -> "ClusterGroups":
-        """The groups of the codes owner[k] * n + a[k] and owner[k] * n +
-        b[k] of edge k, interleaved as entries 2k and 2k + 1 over items k,
-        numbered as the sorted build numbers them, for edges ordered by
-        (b, a) with a < b < n whose owner is the index of their b among
-        the distinct ones, 0..clusters-1: the re-rounding's windows when
-        every node is its own cluster.  Run r, the edges of owner r,
-        shares one b and has increasing a's below it, so its groups are
-        its a-codes in edge order, then its one b-code: entry 2k is group
-        k + owner[k], and entry 2k + 1 is group end[r] + r, end[r] the
-        index one past run r's last edge."""
-        edge = np.arange(len(a))
-        end = np.cumsum(np.bincount(owner, minlength=clusters))
-        run = np.arange(clusters)
-        at_a, at_b = edge + owner, end + run
-        keys = np.empty(len(a) + clusters, np.int64)
-        keys[at_a] = owner * n + a
-        keys[at_b] = run * n + b[end - 1]
-        groups = np.empty(2 * len(a), np.intp)
-        groups[0::2], groups[1::2] = at_a, at_b[owner]
-        return cls._laid_out(keys, groups, np.repeat(edge, 2), n, clusters)
+    def edge_windows(cls, owner: np.ndarray, clusters: int) -> "ClusterGroups":
+        """The re-rounding's windows when every node is its own cluster:
+        edge k of m, owned by cluster owner[k] (that of its larger end),
+        adds the value of item k to the group (owner[k], v) of each end v,
+        as entries 2k and 2k + 1.  A cluster's edges share their larger
+        end and have distinct smaller ends, so edge k's smaller end is
+        group k and its larger end group m + owner[k]: the sorted build's
+        groups, numbered by position.  `keys` is None, since no caller
+        reads the codes."""
+        m = len(owner)
+        edge = np.arange(m)
+        groups = np.empty(2 * m, np.intp)
+        groups[0::2], groups[1::2] = edge, m + owner
+        owners = np.concatenate((owner, np.arange(clusters)))
+        return cls._laid_out(None, groups, owners, np.repeat(edge, 2), clusters)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Every group's sum of its entries' values, added in entry order:
         `np.bincount` adds in input order, so each sum is the one a loop
         over the entries makes, bit for bit."""
-        return np.bincount(self.groups, values[self.items], minlength=len(self.keys))
+        return np.bincount(self.groups, values[self.items], minlength=len(self.owners))
 
     def failing(self, values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Whether each cluster has a group whose sum lies outside

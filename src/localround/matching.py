@@ -17,17 +17,15 @@ builds its generator: perfbench's traced runs take these calls as the
 the benchmark's declared layers first.  The calls are kept, but made
 cheaply: through a `functools.partial` of this module's `stream`, taken
 when the re-rounding runs, with the clusters that draw nothing making
-theirs in one `map` (`resample_clusters`).  It orders the edges by
-cluster with one sort of packed int64 codes (`cluster_edge_order`); a
-`np.lexsort` took 14 ms of a 60 ms solve at n=8192 (numpy 2.4.6, 2
-vCPUs).  That is the re-rounding's only sort at the paper's constants,
-where every node is its own cluster: the cluster ranks are the node
-positions (`cluster_ranks`), the cluster degrees are the degrees plus
-one (`cluster_degrees`), and each window's group follows from its
-edge's position in the sorted order (`ClusterGroups.edge_runs`); a
+theirs in one `map` (`resample_clusters`).  The re-rounding sorts nothing
+when every node is its own cluster, as at the paper's constants: the
+cluster ranks are the node positions (`cluster_ranks`), the cluster
+degrees are the degrees plus one (`cluster_degrees`), each edge's index
+among the clusters used is a count over the ranks, and each window's
+group follows from its edge's position (`ClusterGroups.edge_windows`); a
 partition with merged clusters sorts its labels and its window codes
-once each.  There the re-rounded value also clears the value floor
-without its slack, which is then not counted.  The support graph of the
+once each.  At the paper's constants the re-rounded value also clears
+the value floor without its slack, which is then not counted.  The support graph of the
 finish is the working graph itself when every edge keeps a positive
 value, else it is built from position arrays (`edge_subgraph`).  The
 finish decides its greedy matching in rounds of array operations and
@@ -35,12 +33,13 @@ scans only the last few edges one at a time (`greedy_maximal_matching`).
 
 Edge values pass from stage to stage in one form, arrays over node
 positions (`FractionalMatching`): endpoints a < b and one value per edge.
-The good edges are a mask over the fractional values, both in `g.edges()`
-order.  Every float sum runs in one fixed order: values and `value()` in
-edge order, and each node's load over its edges in edge order.  The loads
-reach `cluster_constant` as one array by node position, and the total
-load and the good nodes' load (over the good mask) are added over that
-array in id order.
+Every stage, the re-rounding included, holds its edges in `g.edges()`
+order, and the good edges are a mask over the fractional values.  Every
+float sum runs in one fixed order: values and `value()` in edge order,
+and each node's load over its edges in edge order.  The loads reach
+`cluster_constant` as one array by node position, and the total load and
+the good nodes' load (over the good mask) are added over that array in
+id order.
 """
 
 from __future__ import annotations
@@ -67,11 +66,9 @@ from .errors import ClaimChecker, PreconditionError, geq, leq, plain_sum
 from .graphs import (
     Edge,
     Graph,
-    _fresh,
     distinct,
     edge_ends,
     edge_subgraph,
-    stable_order,
     strip_isolated,
 )
 from .ledger import RoundLedger
@@ -206,29 +203,36 @@ def intra_round_matching(
     seed, so the outcome per cluster depends only on its own edges, the
     seed, and the cluster label.
 
-    `x_good` is over g's nodes, its values in [0, 1], its edges in any
-    order; a bound that is not a finite positive number is refused
-    (`check_bound`).  The edges are put in order by (cluster, a, b) with
-    one sort (`cluster_edge_order`), and the clusters are decided attempt
-    by attempt, all at once: attempt 0 sets every value as one array and
+    `x_good` is over g's nodes, its values in [0, 1], its edges in
+    `g.edges()` order, as `FractionalMatching.restrict` keeps them; edges
+    in another order, and a bound that is not a finite positive number
+    (`check_bound`), are refused.  The clusters are decided attempt by
+    attempt, all at once: attempt 0 sets every value as one array and
     sums every window as a group, (cluster, endpoint) over the endpoints
-    of the edges in that order (`ClusterGroups`); the clusters used, and
-    each edge's index among them, come from the changes of the sorted
-    cluster ranks, with no second sort.  When every node is its own
-    cluster, as at the paper's constants, the edges are in (b, a) order
-    and the groups are numbered by their positions in it
-    (`ClusterGroups.edge_runs`); otherwise one sort of the groups' codes
-    numbers them.  The values of the edges below the keep threshold,
-    none at the paper's constants, are the only ones read one by one.
-    Only clusters with a failing window go on to further attempts, and
-    only one with a resampled edge can pass on one.  Each cluster attempt
-    calls `stream` (the module docstring says why); a stream derives its
-    seed only if the attempt draws from it.  Returns the new values by
-    cluster label, then by edge.
+    of the edges in edge order (`ClusterGroups`), so a window adds a
+    cluster's edges in (a, b) order, as the loop over them does.  The
+    clusters used are those one `np.bincount` of the edges' cluster ranks
+    counts, and each edge's index among them is a `cumsum` of that count.
+    When every node is its own cluster, as at the paper's constants, the
+    groups are numbered by the edges' positions
+    (`ClusterGroups.edge_windows`); otherwise one sort of the groups'
+    codes numbers them.  The values of the edges below the keep
+    threshold, none at the paper's constants, are the only ones read one
+    by one.  Only clusters with a failing window go on to further
+    attempts, and only one with a resampled edge can pass on one.  Each
+    cluster attempt calls `stream` (the module docstring says why); a
+    stream derives its seed only if the attempt draws from it.  Returns
+    the new values over the same edges, in the same order.
     """
     if x_good.nodes != g.nodes:
         raise PreconditionError("the fractional matching is over another graph's nodes")
     a, b, x = x_good.a, x_good.b, x_good.x
+    ordered = a < b
+    ordered[1:] &= np.diff(a.astype(np.int64) * g.n + b) > 0
+    if not ordered.all():
+        k = ordered.argmin()
+        edge = g.nodes[a[k]], g.nodes[b[k]]
+        raise PreconditionError(f"edge {k}, {edge}, breaks g.edges() order")
     inside = (x >= 0.0) & (x <= 1.0)  # False for NaN too
     if not inside.all():
         k = inside.argmin()
@@ -243,17 +247,14 @@ def intra_round_matching(
     slack = 1.0 / (1000.0 * bound)
 
     labels, rank = cluster_ranks(g, partition)
-    order = cluster_edge_order(rank[b], a, b, len(labels), g.n)
-    x, a, b = x[order], a[order], b[order]
-    # rank[b] is now increasing: a cluster's index among the used ones
-    # counts the changes of rank up to its edges
+    # the clusters used, increasing, and each edge's index among them
     ranked = rank[b]
-    fresh = _fresh(ranked)
-    used, owner = ranked[fresh], np.cumsum(fresh) - 1
-    del ranked, fresh
+    hit = np.bincount(ranked, minlength=len(labels)) > 0
+    used, owner = np.flatnonzero(hit), (np.cumsum(hit) - 1)[ranked]
+    del ranked, hit
 
     if len(labels) == g.n:
-        groups = ClusterGroups.edge_runs(owner, a, b, g.n, len(used))
+        groups = ClusterGroups.edge_windows(owner, len(used))
     else:
         items = np.repeat(np.arange(len(x)), 2)
         groups = ClusterGroups(
@@ -278,21 +279,6 @@ def intra_round_matching(
         "failed the per-node window",
     )
     return FractionalMatching(g.nodes, a, b, values)
-
-
-def cluster_edge_order(
-    major: np.ndarray, a: np.ndarray, b: np.ndarray, k: int, n: int
-) -> np.ndarray:
-    """The order of the edges (a[e], b[e]) by (major[e], a[e], b[e]), which
-    `np.lexsort((b, a, major))` gives, for major in [0, k) and distinct
-    pairs of positions in [0, n), n^2 below 2^63.  The codes
-    (major * n + a) * n + b are distinct, so one plain argsort of them
-    gives that order; when k * n^2 exceeds 2^63, the pairs are ordered
-    first and `stable_order` then orders them by `major`."""
-    if k * n * n <= 1 << 63:
-        return np.argsort((major.astype(np.int64) * n + a) * n + b)
-    order = np.argsort(a.astype(np.int64) * n + b)
-    return order[stable_order(major[order])[0]]
 
 
 # Rounds run on at least this many live edges, and stop after one that

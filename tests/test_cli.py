@@ -362,14 +362,14 @@ DIGEST_GEN = "gnp:n=80,p=0.06,seed=4"
 RECORDED_DIGESTS = {
     ("mis", "3"): "feeb7e2e60da820be96a4d8e53df9928f7ca81fdeb3b97ecea95320d2ec11d96",
     ("luby-rand", "5"): "15c0dd4aabe002974b4a4234d9c7c89bbaa4a9a57fb6fb72286295abb193e268",
-    ("matching", "3"): "f7c17e239291ec3b581bc856f23f8d767840482d913d24a146d2236803eecb95",
-    ("cluster-all", "0"): "44a075bf4cd584b4291fc335e3bb1f89fc4944e4b15834a4a5a4f4588b466a49",
-    ("cluster-constant", "0"): "928a06a167fc211cd4dca7772b091a27e9a8f9aab76d28e4296795227d905c40",
+    ("matching", "3"): "aea7ba44814d62b11ef09a658ab744f39866df4ef221958b5970d8e8dca33e13",
+    ("cluster-all", "0"): "0479daa2107f8f0bf5d6e33a3827ce43c8c34a9f2ea01102d7904a7d081dbdc5",
+    ("cluster-constant", "0"): "8f48c4aa614804e81e5bf74d5b1c22ec3410116f2ca977ae40734b41167cf5b9",
     ("mis", "3", "gnp:n=2048,p=0.004,seed=1"): (
         "0ef43a8f9f07ad2ac82159357605ea61c975b0b459843956be509caf643f0779"
     ),
     ("matching", "3", "gnp:n=2048,p=0.004,seed=1"): (
-        "53e30c0b08b1b6085fc53ec8682a7b5b5b17cc58d91448eaf33eea5195e85b6f"
+        "1c46363d1b4eafb64f4ac3a5899529bba56e4b1771e18c279705364654e759de"
     ),
     # the one pinned path that draws a random number on every iteration
     ("luby-rand", "5", "gnp:n=2048,p=0.004,seed=1"): (
@@ -378,7 +378,7 @@ RECORDED_DIGESTS = {
     # the support keeps 7780 of the 8370 edges, and the matching (912) is not
     # the greedy bound's (933)
     ("matching", "3", "gnp:n=2048,p=0.004,seed=1", "15"): (
-        "f4c6333c5df530d03192e8c0031a58c57df673e13f8db4ddb522bb7f25058593"
+        "c9659be21d64eecc0f4851441d3b395d21afd8d40b4de3a143999a28147d282b"
     ),
     # max degree 4 and 3: the fractional doubling runs other round counts
     ("matching", "3", "grid:rows=40,cols=40"): (
@@ -406,10 +406,11 @@ def test_run_report_matches_recorded_digest(tmp_path, key):
     algo, seed, *rest = key
     gen = rest[0] if rest else DIGEST_GEN
     override = ["--f-override", rest[1]] if len(rest) > 1 else []
+    # the deterministic clusterings read no seed and refuse --seed; their
+    # keys keep seed 0 as a name only
+    seeded = () if algo in localround.cli.SEEDLESS else ("--seed", seed)
     out = tmp_path / "r.json"
-    assert run_cli(
-        "run", "--gen", gen, "--algo", algo, "--seed", seed, *override, "--out", str(out)
-    ) == 0
+    assert run_cli("run", "--gen", gen, "--algo", algo, *seeded, *override, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DIGESTS[key]
 
 
@@ -538,6 +539,41 @@ def test_run_refuses_a_flag_its_algorithm_never_reads(tmp_path, capsys, algo, fl
     )
     assert code == 3 and not out.exists()
     assert f"error: algorithm {algo} takes no {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["cluster-all", "cluster-constant"])
+def test_run_refuses_a_seed_for_a_deterministic_clustering(tmp_path, capsys, algo):
+    # neither reads the seed, which the report echoed as config.seed
+    out = tmp_path / "r.json"
+    flags = ("run", "--gen", "path:n=30", "--algo", algo)
+    assert run_cli(*flags, "--seed", "7", "--out", str(out)) == 3 and not out.exists()
+    assert f"error: algorithm {algo} takes no --seed" in capsys.readouterr().err
+    assert run_cli(*flags, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["seed"] is None
+
+
+def test_bench_names_unknown_algorithms_plainly(tmp_path, capsys):
+    # the names were printed as a Python list: ['nope', 'zap']
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--ns", "8", "--algos", "mis,nope,zap", "--out", str(out)) == 3
+    known = "mis, matching, cluster-all, cluster-constant, mpx, luby-rand"
+    assert capsys.readouterr().err == f"error: --algos takes only {known}, got nope, zap\n"
+    assert not out.exists()
+
+
+def test_a_failed_partition_report_exits_2(tmp_path, monkeypatch):
+    # the one claim `run` checks itself, on the clusterings' reports
+    real = localround.cli.verify_partition
+
+    def failing(*args):
+        return {**real(*args), "ok": False}
+
+    monkeypatch.setattr(localround.cli, "verify_partition", failing)
+    out = tmp_path / "p.json"
+    assert run_cli("run", "--gen", "path:n=30", "--algo", "cluster-all", "--out", str(out)) == 2
+    report = json.loads(out.read_text())
+    assert report["failed_claim"] == "partition-report"
+    assert report["result"] == {"error": "partition-report: diameter or degree bound failed"}
 
 
 def test_atomic_write_survives_stale_tmp_dir(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -233,16 +234,21 @@ def test_empty_graph_gives_the_empty_partition():
         assert part.clusters.tolist() == []
 
 
-@pytest.mark.parametrize("alpha", [0, -5])
+@pytest.mark.parametrize("alpha", [0, -5, 1.5, 2.0, True, np.int64(2)], ids=repr)
 @pytest.mark.parametrize("g", [Graph(), path(3)], ids=["empty", "path"])
 def test_every_construction_refuses_alpha_below_one(g, alpha):
-    # the empty graph returned its empty partition before alpha was read
+    # the empty graph returned its empty partition before alpha was read;
+    # 1.5 and 2.0 raised TypeError from range(10 * alpha) or math.ldexp,
+    # and True ran as alpha 1
+    want = "alpha must be >= 1"
+    if type(alpha) is not int:
+        want = f"alpha {re.escape(repr(alpha))} is not an integer"
     for build in (
         lambda: mpx_randomized(g, alpha, seed=0),
         lambda: cluster_constant(g, alpha, np.full(g.n, 1.0 / max(1, g.n))),
         lambda: cluster_all(g, alpha),
     ):
-        with pytest.raises(PreconditionError, match="alpha must be >= 1"):
+        with pytest.raises(PreconditionError, match=f"^{want}$"):
             build()
 
 

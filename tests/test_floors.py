@@ -220,9 +220,6 @@ def matching_cases(draw):
             x_good[e] = rng.choice([0.0, threshold, 1.0])
         else:
             x_good[e] = threshold * rng.uniform(0.3, 1.0)
-    order = list(x_good)
-    rng.shuffle(order)
-    x_good = {e: x_good[e] for e in order}
     return g, part, x_good, bound, n_total, draw(st.integers(0, 2**16))
 
 
@@ -250,9 +247,10 @@ def test_intra_round_matching_matches_the_loop(case, salt, limit, retries):
     )
     out = _assert_same(new, ref)
     if out is not None:
-        # in order too: approx_matching sums the values in it
+        # over the same edges in edge order, which approx_matching sums
+        # the values in; the loop's dict is by cluster, then edge
         assert [(e, x.hex()) for e, x in matching_reference.values(out).items()] == [
-            (e, x.hex()) for e, x in ref[0].items()
+            (e, ref[0][e].hex()) for e in x_good
         ]
 
 
@@ -291,10 +289,11 @@ def test_cluster_groups_sum_in_entry_order(entries, values):
         x.hex() for x in want[by_sort].tolist()
     ]
 
-    # edges (a, b), a < b < 8, ordered by (b, a), each owned by its b's
+    # edges (a, b), a < b < 8, in (a, b) order, each owned by its b's
     # index among the b's: the windows of the re-rounding when every node
-    # is its own cluster, numbered as the sort numbers them
-    edges = sorted({(min(c, i), max(c, i)) for c, i in entries if c != i}, key=lambda e: e[::-1])
+    # is its own cluster, numbered by position; each code has the owner
+    # and the sum the sort gives it
+    edges = sorted({(min(c, i), max(c, i)) for c, i in entries if c != i})
     a = np.array([e[0] for e in edges], np.intp)
     b = np.array([e[1] for e in edges], np.intp)
     owner = np.searchsorted(np.unique(b), b)
@@ -302,24 +301,27 @@ def test_cluster_groups_sum_in_entry_order(entries, values):
     items = np.repeat(np.arange(len(edges)), 2)
     codes = owner[items] * 8 + np.stack((a, b), axis=1).ravel()
     built = ClusterGroups(codes, items, 8, clusters)
-    laid = ClusterGroups.edge_runs(owner, a, b, 8, clusters)
-    for name in ("keys", "groups", "owners", "items"):
-        assert getattr(laid, name).tolist() == getattr(built, name).tolist()
+    laid = ClusterGroups.edge_windows(owner, clusters)
+    assert laid.items.tolist() == built.items.tolist() and laid.clusters == built.clusters
+    # one group per code and one code per group, every group used
+    pairs = set(zip(codes.tolist(), laid.groups.tolist()))
+    assert len(pairs) == len({c for c, _ in pairs}) == len({k for _, k in pairs}) == len(laid.owners)
     x = np.array(values)[np.arange(len(edges)) % 8]
     got, want = laid.sums(x), built.sums(x)
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    for at, by_sort in zip(laid.groups.tolist(), built.groups.tolist()):
+        assert laid.owners[at] == built.owners[by_sort]
+        assert got[at].hex() == want[by_sort].hex()
 
 
 def _recording_sorts(monkeypatch) -> list[str]:
     """The names of the sorts called from now on, in order: every
-    `distinct_inverse` the clustering module makes and every
-    `stable_order`, the sort under it and under the matching module's
-    edge order."""
+    `distinct_inverse` the clustering module makes, every
+    `stable_order`, the sort under it, and every `np.argsort`."""
     sorts: list[str] = []
     for module, name in (
         (clustering_module, "distinct_inverse"),
         (graphs_module, "stable_order"),
-        (matching_module, "stable_order"),
+        (np, "argsort"),
     ):
         real = getattr(module, name)
         monkeypatch.setattr(
@@ -331,8 +333,8 @@ def _recording_sorts(monkeypatch) -> list[str]:
 @pytest.mark.parametrize("seed", range(30))
 def test_no_floor_sorts_its_groups_on_a_singleton_partition(monkeypatch, seed):
     # when every node is its own cluster, as at the paper's constants,
-    # both floors number their window groups with no sort; a merged
-    # partition still sorts its labels and its groups
+    # neither floor sorts anything, the matching floor's edges included;
+    # a merged partition still sorts its labels and its groups
     rng = random.Random(seed)
     g = strip_isolated(random_graph(rng, rng.randint(3, 40), rng.choice([0.1, 0.3])))
     if g.m == 0:

@@ -17,7 +17,6 @@ from localround.ledger import RoundLedger
 from localround.matching import (
     FractionalMatching,
     approx_matching,
-    cluster_edge_order,
     finish_matching,
     fractional_matching,
     good_edges,
@@ -225,6 +224,30 @@ def test_intra_rejects_malformed_arrays():
         intra_round_matching(g, part, high, bound=3.0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "take, swap, message",
+    [
+        ([2, 1, 0], False, "edge 1, (1, 2), breaks"),
+        ([0, 1, 1, 2], False, "edge 2, (1, 2), breaks"),
+        ([0, 2], True, "edge 0, (1, 0), breaks"),
+    ],
+    ids=["reversed", "repeated", "ends-swapped"],
+)
+def test_intra_refuses_edges_out_of_edge_order(take, swap, message):
+    # the values come back over the edges as given, and the windows add
+    # each cluster's edges in that order: only g.edges() order is taken
+    g = path(4)
+    part = _uniform_partition(g)
+    frac = fractional_matching(g)
+    a, b = frac.a[take], frac.b[take]
+    given = FractionalMatching(g.nodes, *((b, a) if swap else (a, b)), frac.x[take])
+    with pytest.raises(PreconditionError, match=re.escape(f"{message} g.edges() order")):
+        intra_round_matching(g, part, given, bound=3.0, seed=0)
+    # the edges in order, any of them left out, are taken
+    kept = frac.restrict(np.array([True, False, True]))
+    assert values(intra_round_matching(g, part, kept, 3.0, seed=0)).keys() == {(0, 1), (2, 3)}
+
+
 @pytest.mark.parametrize("bound", [0.0, -3.0, math.nan, math.inf])
 def test_intra_refuses_a_bound_that_is_not_finite_and_positive(bound):
     # 0 divided by zero, and NaN ran into the retry budget
@@ -305,26 +328,6 @@ def test_greedy_maximal_is_maximal():
             assert e[0] in used or e[1] in used
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from([(4, 9), (2**21, 2**21), (2**22, 2**21), (3, 2**31)]),
-    st.integers(0, 2**32),
-)
-def test_cluster_edge_order_is_a_lexsort(bounds, seed):
-    # k * n^2 is at most 2^63 for the first two bounds (the second at
-    # equality, so the largest code is 2^63 - 1) and beyond it for the rest
-    k, n = bounds
-    rng = random.Random(seed)
-    near = lambda top: rng.choice([rng.randrange(top), top - 1 - rng.randrange(min(top, 3))])
-    pairs = {tuple(sorted((near(n), near(n)))) for _ in range(rng.randrange(40))}
-    pairs = [(u, v) for u, v in pairs if u != v]
-    rng.shuffle(pairs)
-    a = np.array([u for u, _ in pairs], np.intp)
-    b = np.array([v for _, v in pairs], np.intp)
-    major = np.array([near(k) for _ in pairs], np.intp)
-    assert cluster_edge_order(major, a, b, k, n).tolist() == np.lexsort((b, a, major)).tolist()
-
-
 def greedy_input(kind: str, n: int, seed: int) -> Graph:
     """One graph of a family on about n nodes: gnp of average degree 1,
     4 or 16, a path by increasing or shuffled ids, a star around any of
@@ -375,15 +378,17 @@ def test_pipeline_empty_graph():
     assert res.matching == frozenset()
 
 
-@pytest.mark.parametrize("alpha", [0, -5])
+@pytest.mark.parametrize("alpha", [0, -5, 2.5, 2.0, True], ids=repr)
 @pytest.mark.parametrize(
     "g", [path(6), Graph(nodes=[1, 2]), Graph()], ids=["path", "edgeless", "empty"]
 )
 def test_pipeline_refuses_alpha_below_one(monkeypatch, g, alpha):
     # an edgeless graph returned a result before alpha was read, reporting
-    # alpha 1 for 0 and -5 for -5
+    # alpha 1 for 0 and -5 for -5, and 2.5 for 2.5; on a path, 2.5 raised
+    # TypeError from range(10 * alpha) in the clustering
     monkeypatch.setattr(matching, "cluster_constant", None)
-    with pytest.raises(PreconditionError, match="^alpha must be >= 1$"):
+    want = "alpha must be >= 1" if type(alpha) is int else f"alpha {alpha!r} is not an integer"
+    with pytest.raises(PreconditionError, match=f"^{want}$"):
         approx_matching(g, alpha=alpha)
 
 

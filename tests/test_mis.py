@@ -204,13 +204,15 @@ def test_mis_refuses_an_override_that_is_not_finite_and_positive(monkeypatch, g,
         mis(g, f_override=override)
 
 
-@pytest.mark.parametrize("alpha", [0, -5])
+@pytest.mark.parametrize("alpha", [0, -5, 2.5, 2.0, True], ids=repr)
 @pytest.mark.parametrize("g", [path(6), Graph(nodes=[0, 1]), Graph()], ids=["path", "edgeless", "empty"])
 def test_mis_refuses_alpha_below_one(monkeypatch, g, alpha):
     # the empty graph returned a result before alpha was read, reporting
-    # alpha 1 for 0 and -5 for -5
+    # alpha 1 for 0 and -5 for -5, and 2.5 for 2.5; on a path, 2.5 raised
+    # TypeError from range(10 * alpha) in the clustering
     monkeypatch.setattr(importlib.import_module("localround.mis"), "cluster_all", None)
-    with pytest.raises(PreconditionError, match="^alpha must be >= 1$"):
+    want = "alpha must be >= 1" if type(alpha) is int else f"alpha {alpha!r} is not an integer"
+    with pytest.raises(PreconditionError, match=f"^{want}$"):
         mis(g, alpha=alpha)
 
 
